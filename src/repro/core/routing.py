@@ -154,8 +154,6 @@ class OwnRoutingBase(RoutingFunction):
                 vc.out_port = None
                 vc.cand_endpoint = None
                 vc.cand_vcs = None
-                if vc.kern is not None:
-                    vc.kern.vc_state[vc.gslot] = 0
                 rc_pending.add(key)
 
 

@@ -270,7 +270,7 @@ class FaultLayer:
             self.sim._schedule(when, (ACK_EVENT, link, packet.pid, ok))
 
     # ------------------------------------------------------------------ #
-    # Delivery tap (called from Simulator._deliver for fated flits)
+    # Delivery tap (called from phase 1 of Simulator.step for fated flits)
     # ------------------------------------------------------------------ #
 
     def note_drop(self, endpoint, vc: int, flit: "Flit", now: int) -> None:
@@ -431,9 +431,7 @@ class FaultLayer:
         # the link so the router cannot launch packets we could not track.
         if tx is None and entries and len(entries) >= self.config.replay_capacity:
             if link.busy_until <= now:
-                # Through the mirror-aware setter: the kernel SA sweep must
-                # see the stall, or it would launch into the full buffer.
-                link.set_busy_until(now + 1)
+                link.busy_until = now + 1
         elif tx is None:
             tx = self._try_start(link, now)
 

@@ -53,7 +53,6 @@ class VirtualChannel:
         "cand_endpoint",
         "cand_vcs",
         "gslot",
-        "kern",
     )
 
     def __init__(self, index: int, depth: int) -> None:
@@ -63,11 +62,9 @@ class VirtualChannel:
         self.depth = depth
         self.queue: Deque["Flit"] = deque()
         self.state: VCState = VCState.IDLE
-        # Struct-of-arrays binding (repro.noc.kernels): the global slot id
-        # of this VC in the simulator's array state block, and the block
-        # itself. ``None`` until a KernelState is built over the network.
+        # Global slot id of this VC in the network-wide flat slot space
+        # (repro.noc.kernels); -1 until a KernelState binds the network.
         self.gslot: int = -1
-        self.kern = None
         # Route decision for the packet currently occupying this VC:
         self.out_port: Optional[int] = None  # output port index at this router
         self.out_vc: Optional[int] = None  # allocated VC at the downstream input
@@ -114,8 +111,6 @@ class VirtualChannel:
         self.endpoint = None
         self.cand_endpoint = None
         self.cand_vcs = None
-        if self.kern is not None:
-            self.kern.vc_state[self.gslot] = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -161,14 +161,15 @@ def check_medium_coherence(net: "Network") -> None:
 
 
 def check_kernel_coherence(sim: "Simulator") -> None:
-    """The struct-of-arrays state block agrees with the object model.
+    """The flat slot layout and work set agree with the object model.
 
-    Checks the array mirrors (``occ`` / ``vc_state`` / ``head_*`` /
-    ``link_busy`` / medium token state) and the write-through credit/busy
-    mirrors against the authoritative object lists, plus the SA work-set
-    lockstep (``kern.sa_slots`` == union of every router's ``_sa_active``).
+    Two pieces of state exist both on the objects and on the
+    :class:`~repro.noc.kernels.KernelState`: every ``vc.gslot`` must equal
+    the arithmetic layout ``vslot_base[rid] + in_port * num_vcs + vc``, and
+    the SA work sets must move in lockstep (``kern.sa_slots`` == union of
+    every router's ``_sa_active``).
 
-    The kernel round-robin pointers (``in_ptr`` / ``out_ptr``) are
+    The sweep's round-robin pointers (``in_ptr`` / ``out_ptr``) are
     deliberately *not* compared against the object arbiters: a run drives
     switch allocation through exactly one of the two paths, so only that
     path's pointers advance (path-local state, see ``repro.noc.kernels``).
@@ -176,10 +177,9 @@ def check_kernel_coherence(sim: "Simulator") -> None:
     k = getattr(sim, "kernels", None)
     if k is None or not k.supported:
         return
-    net = sim.network
     sa_expect = set()
-    for router in net.routers:
-        base = int(k.vslot_base[router.rid])
+    for router in sim.network.routers:
+        base = k.vslot_base[router.rid]
         nv = router.num_vcs
         for (ip, iv) in router._sa_active:
             sa_expect.add(base + ip * nv + iv)
@@ -191,72 +191,12 @@ def check_kernel_coherence(sim: "Simulator") -> None:
                         f"kernel: r{router.rid}.in{ip}.vc{iv} slot "
                         f"{vc.gslot} != layout {s}"
                     )
-                if int(k.occ[s]) != len(vc.queue):
-                    raise InvariantViolation(
-                        f"kernel: occ[{s}]={int(k.occ[s])} != "
-                        f"{len(vc.queue)} buffered at r{router.rid}.in{ip}.vc{iv}"
-                    )
-                if int(k.vc_state[s]) != int(vc.state):
-                    raise InvariantViolation(
-                        f"kernel: vc_state[{s}]={int(k.vc_state[s])} != "
-                        f"{vc.state.name} at r{router.rid}.in{ip}.vc{iv}"
-                    )
-        for ip, endpoint in enumerate(router.input_endpoints):
-            base_ep = base + ip * nv
-            if endpoint.kslot != base_ep:
-                raise InvariantViolation(
-                    f"kernel: endpoint r{router.rid}.in{ip} kslot "
-                    f"{endpoint.kslot} != layout {base_ep}"
-                )
-            if list(endpoint.credits) != k.credits[base_ep : base_ep + nv].tolist():
-                raise InvariantViolation(
-                    f"kernel: credit mirror drifted at r{router.rid}.in{ip}"
-                )
-            if list(endpoint.vc_busy) != k.vc_busy[base_ep : base_ep + nv].tolist():
-                raise InvariantViolation(
-                    f"kernel: vc_busy mirror drifted at r{router.rid}.in{ip}"
-                )
     if k.sa_slots != sa_expect:
         raise InvariantViolation(
             f"kernel: sa_slots drifted from router _sa_active sets "
             f"(extra={sorted(k.sa_slots - sa_expect)[:8]}, "
             f"missing={sorted(sa_expect - k.sa_slots)[:8]})"
         )
-    for s in k.sa_slots:
-        vc = k.slot_vc[s]
-        router = k.slot_router[s]
-        link = router.out_links[vc.out_port]
-        if int(k.head_link[s]) != link.index:
-            raise InvariantViolation(
-                f"kernel: head_link[{s}]={int(k.head_link[s])} != "
-                f"link {link.index} ({link.name})"
-            )
-        expect = -1 if vc.endpoint.is_sink else vc.endpoint.kslot + vc.out_vc
-        if int(k.head_credit[s]) != expect:
-            raise InvariantViolation(
-                f"kernel: head_credit[{s}]={int(k.head_credit[s])} != {expect}"
-            )
-    for li, link in enumerate(net.links):
-        if int(k.link_busy[li]) != link.busy_until:
-            raise InvariantViolation(
-                f"kernel: link_busy[{li}]={int(k.link_busy[li])} != "
-                f"{link.busy_until} at {link.name}"
-            )
-    for mi, medium in enumerate(net.mediums):
-        holder = -1 if medium.holder is None else medium.holder.index
-        if int(k.med_holder[mi]) != holder:
-            raise InvariantViolation(
-                f"kernel: med_holder[{mi}]={int(k.med_holder[mi])} != "
-                f"{holder} at {medium.name}"
-            )
-        if (
-            int(k.med_grant_at[mi]) != medium.grant_at
-            or int(k.med_busy[mi]) != medium.busy_until
-            or int(k.med_blocked[mi]) != medium.blocked_until
-        ):
-            raise InvariantViolation(
-                f"kernel: medium timer mirrors drifted at {medium.name}"
-            )
 
 
 def audit_network(sim: "Simulator") -> Dict[str, int]:

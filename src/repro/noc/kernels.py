@@ -1,139 +1,88 @@
-"""Struct-of-arrays state block for the simulation core.
+"""Flat slot layout and the network-wide switch-allocation sweep.
 
-The object model (:mod:`repro.noc.router`, ``buffers``, ``links``) is the
-*reference* implementation: every flow-control decision is expressed over
-``Router`` / ``VirtualChannel`` / ``Endpoint`` attributes. This module
-re-hosts the hot flow-control state in flat numpy arrays owned by the
-simulator -- struct-of-arrays instead of per-object fields -- so the
-per-cycle switch-allocation scan can evaluate candidate masks and grants
-over arrays instead of chasing object attributes:
-
-* **credits / vc_busy** -- write-through mirrors of the per-endpoint
-  credit/busy lists, updated wherever the object path mutates them (the
-  ``Endpoint`` methods plus the enumerated inlined sites in ``NI.pump``,
-  ``stage_vca``, ``_transmit`` and the simulator's credit-event loop). The
-  lists stay authoritative: scalar hot-path reads keep list speed, while
-  the bulk sweep fancy-indexes the mirror.
-* **occ / vc_state / head_link / head_credit** -- write-through mirrors of
-  per-VC object state, updated at the few enumerated mutation sites
-  (``deliver_flit`` / ``stage_rc`` / ``stage_vca`` / ``_transmit`` /
-  ``VirtualChannel.release``).
-* **link_busy / link_medium, med_holder / med_grant_at / med_busy /
-  med_blocked** -- link serialization timers and shared-medium token
-  positions, mirrored by :class:`~repro.noc.links.Link` and
-  :class:`~repro.noc.links.SharedMedium` write-through.
-* **in_ptr / out_ptr** -- the kernel path's round-robin pointers (one per
-  input port / per link). Initialised from the object arbiters at bind time
-  and *path-local* thereafter: a run uses either the kernel sweep or the
-  object ``stage_sa`` throughout, never both, so the two pointer sets are
-  never mixed (and the invariant audit deliberately does not compare them).
+The object model (:mod:`repro.noc.router`, ``buffers``, ``links``) holds
+every piece of flow-control state: credits and VC-busy flags on the
+``Endpoint``, queue / state / route on the ``VirtualChannel``, serialization
+timers on the ``Link``, token position on the ``SharedMedium``. This module
+adds no second copy of any of it. It numbers the network's input VCs into
+one flat *slot* space and runs switch allocation as a single pass over the
+sorted slots that currently compete, reading the objects directly --
+``Router.stage_sa`` with the per-router dispatch, request-vector building
+and arbiter objects stripped out.
 
 Slot layout
 -----------
-One *slot* per (router, input port, VC), assigned contiguously in router-id
+One slot per (router, input port, VC), assigned contiguously in router-id
 order::
 
     slot = vslot_base[rid] + in_port * num_vcs + vc
 
 ``num_vcs`` is required to be uniform network-wide (true for every topology
 builder; ``supported`` is ``False`` otherwise and the simulator falls back
-to the object path). Uniformity makes the input-port identity recoverable
-arithmetically (``port_base = slot - slot % num_vcs``), and a sorted slot
-list is automatically grouped by router and, within a router, by ascending
-(in_port, vc) -- exactly the deterministic iteration order of the reference
-loop. Credits index the same slot space: a bound endpoint's VC ``v`` lives
-at ``endpoint.kslot + v``.
+to ``Router.stage_sa``). Uniformity makes the input-port identity
+recoverable arithmetically (``port_base = slot - slot % num_vcs``), and a
+sorted slot list is automatically grouped by router and, within a router,
+by ascending (in_port, vc) -- exactly the deterministic iteration order of
+the reference loop.
+
+State owned here
+----------------
+* **sa_slots** -- the SA work set as slot ids, kept in lockstep with the
+  routers' ``_sa_active`` sets at every add/discard site (audited by
+  ``invariants.check_kernel_coherence``).
+* **in_ptr / out_ptr** -- the sweep's round-robin pointers (one per input
+  port / per link). Initialised from the object arbiters at bind time and
+  *path-local* thereafter: a run uses either the sweep or the object
+  ``stage_sa`` throughout, never both, so the two pointer sets are never
+  mixed (and the invariant audit deliberately does not compare them).
 
 Determinism contract
 --------------------
 :meth:`KernelState.sa_sweep` reproduces the reference ``Router.stage_sa``
 sweep bit-for-bit (property-tested in ``tests/runtime`` and gated by the 0%
-golden diffs in CI). Two grant paths, selected by active-set size:
-
-* below ``bulk_threshold`` slots, a single flat pass in ascending slot
-  order evaluates eligibility lazily from the objects -- the reference
-  semantics with the per-router call/arbiter overhead stripped out;
-* at or above it, candidate masks are evaluated up front over the mirror
-  arrays and winners selected with a stable lexsort. The up-front
-  evaluation is legal because eligibility inputs (credits, link timers,
-  token holds) are never written by *other* routers' same-cycle transmits:
-  a downstream (endpoint, vc) is exclusively owned by one upstream VC
-  (``vc_busy``), a link belongs to one router, and only the token holder
-  transmits on a shared medium.
-
-Both paths issue transmits in ascending (router, output-group) order --
-the reference event-append order -- and both compute the round-robin
-winner as ``argmin (i - ptr) % n`` with the pointer advancing to
-``winner + 1``, identical to the inlined object arbiters.
+golden diffs in CI): eligibility is evaluated lazily per candidate in
+ascending slot order, transmits are issued in ascending (router,
+output-group) order -- the reference event-append order -- and the
+round-robin winner is ``argmin (i - ptr) % n`` with the pointer advancing
+to ``winner + 1``, identical to the inlined object arbiters.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, TYPE_CHECKING
-
-import numpy as np
+from typing import Callable, List, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.noc.links import Endpoint, Link, SharedMedium
     from repro.noc.network import Network
-    from repro.noc.router import Router
-    from repro.noc.buffers import VirtualChannel
 
 
 class KernelState:
-    """Flat array state for one bound :class:`~repro.noc.network.Network`.
+    """Slot layout and SA work set of one :class:`~repro.noc.network.Network`.
 
     Build with :meth:`build` (the network must be finalized). Binding
-    installs back-references (``router._kern``, ``vc.gslot`` / ``vc.kern``,
-    ``endpoint._k`` / ``endpoint.kslot``, ``link.index`` / ``link._k``,
-    ``medium._k``) so the object code can write through to the mirrors.
+    installs ``router._kern`` (so the router stages keep ``sa_slots`` in
+    lockstep with ``_sa_active``), ``vc.gslot`` and ``link.index``.
     """
 
     __slots__ = (
-        "network",
         "supported",
         "num_vcs",
-        "n_slots",
         "vslot_base",
         "router_top",
         "slot_router",
         "slot_ip",
         "slot_vc",
-        # flow-control mirrors (authoritative lists live on the endpoints):
-        "credits",
-        "vc_busy",
-        # per-VC mirrors:
-        "occ",
-        "vc_state",
-        "head_link",
-        "head_credit",
-        # link / medium mirrors:
-        "link_busy",
-        "link_medium",
-        "med_holder",
-        "med_grant_at",
-        "med_busy",
-        "med_blocked",
-        # kernel-path arbitration state:
+        # sweep-local arbitration state:
         "in_ptr",
         "out_ptr",
         "out_n",
         # switch-allocation work set (slot ids; lockstep with _sa_active):
         "sa_slots",
-        "bulk_threshold",
     )
 
     def __init__(self) -> None:
-        self.network: Optional["Network"] = None
         self.supported = False
         self.num_vcs = 0
-        self.n_slots = 0
         self.sa_slots: set = set()
-        #: Eligible-candidate count at which :meth:`sa_sweep` switches from
-        #: the scalar winner scan to the vectorized (lexsort) grant
-        #: selection. Both produce identical grants (unit-tested); the
-        #: vectorized path amortises only on kilo-core active sets.
-        self.bulk_threshold = 128
 
     # ------------------------------------------------------------------ #
     # Binding
@@ -141,18 +90,17 @@ class KernelState:
 
     @classmethod
     def build(cls, network: "Network") -> "KernelState":
-        """Bind ``network``'s flow-control state into a fresh array block.
+        """Lay out ``network``'s input VCs as slots and bind the objects.
 
-        Safe to call on a mid-life network: array contents are initialised
-        from the current object state, so a rebind is a faithful snapshot.
+        Safe to call on a mid-life network: the work set and round-robin
+        pointers are initialised from the current object state.
         """
         k = cls()
-        k.network = network
         routers = network.routers
         num_vcs = network.num_vcs
         if any(r.num_vcs != num_vcs for r in routers):
             # Mixed VC counts break the arithmetic slot layout; the
-            # simulator falls back to the object reference path.
+            # simulator falls back to Router.stage_sa.
             return k
         k.supported = True
         k.num_vcs = num_vcs
@@ -163,8 +111,7 @@ class KernelState:
         for r in routers:
             vslot_base.append(base)
             base += len(r.input_ports) * num_vcs
-        k.n_slots = base
-        k.vslot_base = np.asarray(vslot_base, dtype=np.int64)
+        k.vslot_base = vslot_base
         k.router_top = [
             vslot_base[rid] + len(r.input_ports) * num_vcs
             for rid, r in enumerate(routers)
@@ -172,15 +119,7 @@ class KernelState:
         k.slot_router = [None] * base
         k.slot_ip = [0] * base
         k.slot_vc = [None] * base
-
-        k.credits = np.zeros(base, dtype=np.int32)
-        k.vc_busy = np.zeros(base, dtype=bool)
-        k.occ = np.zeros(base, dtype=np.int32)
-        k.vc_state = np.zeros(base, dtype=np.int8)
-        k.head_link = np.full(base, -1, dtype=np.int32)
-        k.head_credit = np.full(base, -1, dtype=np.int32)
-        # Round-robin pointers as plain lists (indexed by port-base slot /
-        # link): every access is scalar, where list indexing beats numpy.
+        # Round-robin pointers, indexed by port-base slot / link index.
         k.in_ptr = [0] * base
 
         for rid, r in enumerate(routers):
@@ -192,89 +131,40 @@ class KernelState:
                 for iv, vc in enumerate(port.vcs):
                     s = pbase + iv
                     vc.gslot = s
-                    vc.kern = k
                     k.slot_router[s] = r
                     k.slot_ip[s] = ip
                     k.slot_vc[s] = vc
-                    k.occ[s] = len(vc.queue)
-                    k.vc_state[s] = int(vc.state)
-            for ip, endpoint in enumerate(r.input_endpoints):
-                pbase = rbase + ip * num_vcs
-                endpoint.kslot = pbase
-                endpoint._k = k
-                k.credits[pbase : pbase + num_vcs] = list(endpoint.credits)
-                k.vc_busy[pbase : pbase + num_vcs] = list(endpoint.vc_busy)
 
-        # --- links and shared media --------------------------------------
+        # --- per-link output pointers ------------------------------------
         links = network.links
-        mediums = network.mediums
-        nl = len(links)
-        nm = len(mediums)
-        k.link_busy = np.zeros(nl, dtype=np.int64)
-        k.link_medium = np.full(nl, -1, dtype=np.int32)
-        k.out_ptr = [0] * nl
-        k.out_n = [1] * nl
-        k.med_holder = np.full(max(nm, 1), -1, dtype=np.int32)
-        k.med_grant_at = np.zeros(max(nm, 1), dtype=np.int64)
-        k.med_busy = np.zeros(max(nm, 1), dtype=np.int64)
-        k.med_blocked = np.zeros(max(nm, 1), dtype=np.int64)
+        k.out_ptr = [0] * len(links)
+        k.out_n = [1] * len(links)
         for li, link in enumerate(links):
             link.index = li
-            link._k = k
-            k.link_busy[li] = link.busy_until
-            if link.medium is not None:
-                k.link_medium[li] = link.medium.index
             src = link.src_router
             if src is not None:
                 k.out_ptr[li] = src._out_arbs[link.out_port]._next
                 k.out_n[li] = max(1, len(src.input_ports))
-        for mi, medium in enumerate(mediums):
-            medium._k = k
-            holder = medium.holder
-            k.med_holder[mi] = holder.index if holder is not None else -1
-            k.med_grant_at[mi] = medium.grant_at
-            k.med_busy[mi] = medium.busy_until
-            k.med_blocked[mi] = medium.blocked_until
 
         # --- SA work set (usually empty at bind time) --------------------
         for r in routers:
             rbase = vslot_base[r.rid]
             for (ip, iv) in r._sa_active:
                 k.sa_slots.add(rbase + ip * num_vcs + iv)
-
-        # Head mirrors for packets already mid-switch (rebind case):
-        for s in k.sa_slots:
-            vc = k.slot_vc[s]
-            r = k.slot_router[s]
-            link = r.out_links[vc.out_port]
-            k.head_link[s] = link.index
-            ep = vc.endpoint
-            k.head_credit[s] = -1 if ep.is_sink else ep.kslot + vc.out_vc
         return k
 
     # ------------------------------------------------------------------ #
-    # The vectorized switch-allocation sweep
+    # The switch-allocation sweep
     # ------------------------------------------------------------------ #
 
     def sa_sweep(self, now: int, send_fn: Callable, credit_fn: Callable) -> int:
         """One network-wide SA/ST phase over the flat slot space.
 
         Bit-identical replacement for iterating ``stage_sa`` over the
-        sorted active-router snapshot (see the module docstring for why the
-        restructuring is legal). Returns the number of flits moved.
-        """
-        if len(self.sa_slots) < self.bulk_threshold:
-            return self._sweep_scalar(now, send_fn, credit_fn)
-        return self._sweep_bulk(now, send_fn, credit_fn)
-
-    def _sweep_scalar(self, now: int, send_fn: Callable, credit_fn: Callable) -> int:
-        """Flat single pass in ascending slot order, reading object state.
-
-        The reference ``stage_sa`` semantics with the per-router dispatch,
-        request-vector building and arbiter calls stripped out: eligibility
-        is evaluated lazily per candidate (so cross-router precomputation
-        legality is not even needed here) and the round-robin winner falls
-        out of inline pointer arithmetic.
+        sorted active-router snapshot: a single pass in ascending slot
+        order that evaluates eligibility lazily from the objects and finds
+        each round-robin winner by inline pointer arithmetic. Returns the
+        number of flits moved.
         """
         slots = sorted(self.sa_slots)
         n = len(slots)
@@ -370,139 +260,3 @@ class KernelState:
                 r._transmit(now, ip, vc, send_fn, credit_fn)
                 moved += 1
         return moved
-
-    def _sweep_bulk(self, now: int, send_fn: Callable, credit_fn: Callable) -> int:
-        """Vectorized eligibility masks + lexsort winner selection."""
-        slots = sorted(self.sa_slots)
-        n = len(slots)
-        np_slots = np.fromiter(slots, dtype=np.int64, count=n)
-
-        # --- candidate masks (vectorized eligibility) --------------------
-        hc = self.head_credit[np_slots]
-        hl = self.head_link[np_slots]
-        credit_ok = (hc < 0) | (self.credits[np.maximum(hc, 0)] > 0)
-        link_ok = self.link_busy[hl] <= now
-        mi = self.link_medium[hl]
-        mi_safe = np.maximum(mi, 0)
-        holder_is = self.med_holder[mi_safe] == hl
-        token_ok = (mi < 0) | (
-            holder_is
-            & (self.med_grant_at[mi_safe] <= now)
-            & (self.med_busy[mi_safe] <= now)
-            & (self.med_blocked[mi_safe] <= now)
-        )
-        elig = credit_ok & link_ok & token_ok
-        # Token held by another link: nothing changes for this VC until its
-        # link is granted -- park it on the link (re-armed by
-        # SharedMedium.try_grant), exactly like the object path.
-        park = credit_ok & link_ok & (mi >= 0) & ~holder_is
-
-        if park.any():
-            slot_router = self.slot_router
-            slot_vc = self.slot_vc
-            sa = self.sa_slots
-            for idx in np.nonzero(park)[0].tolist():
-                s = slots[idx]
-                vc = slot_vc[s]
-                r = slot_router[s]
-                key = (self.slot_ip[s], vc.index)
-                sa.discard(s)
-                r._sa_active.discard(key)
-                r.out_links[vc.out_port].sa_token_waiters.append((r, key))
-
-        n_elig = int(elig.sum())
-        if not n_elig:
-            return 0
-
-        # --- input-port round-robin winners (stable lexsort) -------------
-        # Primary key port, secondary cyclic distance from the pointer;
-        # stability keeps the lowest slot among equal distances, matching
-        # the scalar scan's strict < comparison.
-        V = self.num_vcs
-        in_ptr = self.in_ptr
-        es = np_slots[elig]
-        pbase = es - es % V
-        ptrs = np.fromiter(
-            (in_ptr[p] for p in pbase.tolist()), dtype=np.int64, count=es.size
-        )
-        dist = (es - pbase - ptrs) % V
-        order = np.lexsort((dist, pbase))
-        sp = pbase[order]
-        first = np.ones(sp.size, dtype=bool)
-        first[1:] = sp[1:] != sp[:-1]
-        wins = es[order[first]]
-        wbase = sp[first]
-        for w, b in zip(wins.tolist(), wbase.tolist()):
-            in_ptr[b] = (w - b + 1) % V
-        winners = wins.tolist()  # ascending slot == ascending (rid, ip)
-
-        # --- output-port arbitration + traversal, per router -------------
-        moved = 0
-        slot_router = self.slot_router
-        slot_ip = self.slot_ip
-        slot_vc = self.slot_vc
-        router_top = self.router_top
-        out_ptr = self.out_ptr
-        out_n = self.out_n
-        nw = len(winners)
-        i = 0
-        while i < nw:
-            s = winners[i]
-            r = slot_router[s]
-            top = router_top[r.rid]
-            j = i + 1
-            while j < nw and winners[j] < top:
-                j += 1
-            if j == i + 1:
-                vc = slot_vc[s]
-                ip = slot_ip[s]
-                li = r.out_links[vc.out_port].index
-                out_ptr[li] = (ip + 1) % out_n[li]
-                r._transmit(now, ip, vc, send_fn, credit_fn)
-                moved += 1
-            else:
-                by_out = {}
-                for s2 in winners[i:j]:
-                    vc = slot_vc[s2]
-                    by_out.setdefault(vc.out_port, []).append(s2)
-                for out_port, group in by_out.items():
-                    li = r.out_links[out_port].index
-                    if len(group) == 1:
-                        s2 = group[0]
-                    else:
-                        nn = out_n[li]
-                        ptr = out_ptr[li]
-                        best = nn
-                        s2 = group[0]
-                        for cand in group:
-                            d = (slot_ip[cand] - ptr) % nn
-                            if d < best:
-                                best = d
-                                s2 = cand
-                    ip = slot_ip[s2]
-                    out_ptr[li] = (ip + 1) % out_n[li]
-                    r._transmit(now, ip, slot_vc[s2], send_fn, credit_fn)
-                    moved += 1
-            i = j
-        return moved
-
-    # ------------------------------------------------------------------ #
-    # Array-backed observation helpers
-    # ------------------------------------------------------------------ #
-
-    def router_occupancy(self) -> Optional[np.ndarray]:
-        """Per-router buffered-flit counts from the occupancy mirror.
-
-        One ``reduceat`` over the flat array instead of a Python loop over
-        every port of every router (the telemetry sampling path). Returns
-        ``None`` when any router owns zero slots (``reduceat`` cannot
-        express empty segments) -- callers fall back to the object loop.
-        """
-        if not self.supported or self.n_slots == 0:
-            return None
-        base = self.vslot_base
-        if base.size > 1 and (base[1:] == base[:-1]).any():
-            return None
-        if base.size and int(base[-1]) == self.n_slots:
-            return None
-        return np.add.reduceat(self.occ, base)

@@ -24,9 +24,8 @@ buffer state.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
-from repro.noc.arbiters import RoundRobinArbiter
 from repro.noc.buffers import VCState
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -73,8 +72,6 @@ class Endpoint:
         "vca_waiters",
         "vca_credit_waiters",
         "ni",
-        "kslot",
-        "_k",
     )
 
     def __init__(
@@ -109,14 +106,6 @@ class Endpoint:
         #: (bound by NetworkInterface.__init__). A parked NI re-arms on the
         #: same endpoint state changes as the VCA waiters above.
         self.ni = None
-        # Struct-of-arrays binding (repro.noc.kernels): base index of this
-        # endpoint's VC 0 in the flat credit/busy mirror arrays, plus the
-        # owning KernelState. The lists above stay authoritative; every
-        # mutation below writes through to the mirror so the bulk sweep
-        # and the invariant audit can read it. Unbound endpoints (unit
-        # tests, sinks) keep ``_k is None``.
-        self.kslot = -1
-        self._k = None
 
     def has_credit(self, vc: int) -> bool:
         return self.is_sink or self.credits[vc] > 0
@@ -151,15 +140,11 @@ class Endpoint:
         if self.credits[vc] <= 0:
             raise RuntimeError(f"credit underflow at {self.name or 'endpoint'} vc={vc}")
         self.credits[vc] -= 1
-        if self._k is not None:
-            self._k.credits[self.kslot + vc] = self.credits[vc]
 
     def return_credit(self, vc: int) -> None:
         if self.is_sink:
             return
         self.credits[vc] += 1
-        if self._k is not None:
-            self._k.credits[self.kslot + vc] = self.credits[vc]
         ni = self.ni
         if ni is not None and ni.parked:
             ni.parked = False
@@ -186,15 +171,11 @@ class Endpoint:
         if self.vc_busy[vc]:
             raise RuntimeError(f"double VC allocation at {self.name or 'endpoint'} vc={vc}")
         self.vc_busy[vc] = True
-        if self._k is not None:
-            self._k.vc_busy[self.kslot + vc] = True
 
     def release_vc(self, vc: int) -> None:
         if self.is_sink:
             return
         self.vc_busy[vc] = False
-        if self._k is not None:
-            self._k.vc_busy[self.kslot + vc] = False
         ni = self.ni
         if ni is not None and ni.parked:
             ni.parked = False
@@ -249,7 +230,6 @@ class SharedMedium:
         "holder",
         "grant_at",
         "busy_until",
-        "_rr",
         "_rr_next",
         "requesters",
         "flits_carried",
@@ -259,7 +239,6 @@ class SharedMedium:
         "token_losses",
         "index",
         "_wake",
-        "_k",
     )
 
     def __init__(
@@ -284,7 +263,6 @@ class SharedMedium:
         self.holder: Optional["Link"] = None
         self.grant_at: int = 0  # cycle at which the holder may start transmitting
         self.busy_until: int = 0  # serialization: next flit may start at this cycle
-        self._rr: Optional[RoundRobinArbiter] = None
         self._rr_next = 0  # rotating-priority pointer over member indices
         # Links with at least one VC-allocated packet waiting to transmit.
         # Request registration is event-driven (updated at VCA / tail send)
@@ -307,14 +285,10 @@ class SharedMedium:
         # becomes non-empty so the simulator re-registers this medium in
         # its active set.
         self._wake: Optional[Callable[["SharedMedium"], None]] = None
-        # Struct-of-arrays binding (repro.noc.kernels): token position /
-        # timer mirrors are written through when a KernelState is bound.
-        self._k = None
 
     def register(self, link: "Link") -> None:
         self.member_index[link] = len(self.members)
         self.members.append(link)
-        self._rr = RoundRobinArbiter(len(self.members))
 
     def note_request(self, link: "Link") -> None:
         """A packet on ``link`` finished VCA and now wants the token."""
@@ -353,10 +327,6 @@ class SharedMedium:
         self.grant_at = now + self.arb_latency
         self.grants += 1
         self.token_wait_cycles += self.arb_latency
-        k = self._k
-        if k is not None:
-            k.med_holder[self.index] = best_link.index
-            k.med_grant_at[self.index] = self.grant_at
         waiters = best_link.sa_token_waiters
         if waiters:
             # Re-arm VCs that parked while the token was elsewhere. Grants
@@ -372,21 +342,6 @@ class SharedMedium:
                         router._kern.sa_slots.add(vc.gslot)
             del waiters[:]
         return best_link
-
-    def arbitrate(self, now: int, requesting: Sequence[bool]) -> None:
-        """Array-based grant (legacy interface kept for unit tests)."""
-        if self.holder is not None or self._rr is None:
-            return
-        winner = self._rr.grant(requesting)
-        if winner is not None:
-            self.holder = self.members[winner]
-            self._rr_next = (winner + 1) % len(self.members)
-            self.grant_at = now + self.arb_latency
-            self.grants += 1
-            self.token_wait_cycles += self.arb_latency
-            if self._k is not None:
-                self._k.med_holder[self.index] = self.holder.index
-                self._k.med_grant_at[self.index] = self.grant_at
 
     def can_transmit(self, link: "Link", now: int) -> bool:
         return (
@@ -406,26 +361,12 @@ class SharedMedium:
             raise ValueError(f"recovery_cycles must be >= 1, got {recovery_cycles}")
         self.blocked_until = max(self.blocked_until, now + recovery_cycles)
         self.token_losses += 1
-        if self._k is not None:
-            self._k.med_blocked[self.index] = self.blocked_until
 
     def on_flit_sent(self, now: int, cycles_per_flit: int, is_tail: bool) -> None:
         self.busy_until = now + cycles_per_flit
         self.flits_carried += 1
         if is_tail:
             self.holder = None
-        k = self._k
-        if k is not None:
-            k.med_busy[self.index] = self.busy_until
-            if is_tail:
-                k.med_holder[self.index] = -1
-
-    def release_if_holder(self, link: "Link") -> None:
-        """Force-release (used when a holder is torn down in tests)."""
-        if self.holder is link:
-            self.holder = None
-            if self._k is not None:
-                self._k.med_holder[self.index] = -1
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SharedMedium({self.name}, kind={self.kind}, members={len(self.members)})"
@@ -479,7 +420,6 @@ class Link:
         "pending_requests",
         "sa_token_waiters",
         "index",
-        "_k",
     )
 
     def __init__(
@@ -540,11 +480,10 @@ class Link:
         # no tracer is attached -- with a tracer the router keeps polling so
         # the per-cycle stall record stream is preserved.
         self.sa_token_waiters: List[tuple] = []
-        # Struct-of-arrays binding (repro.noc.kernels): position of this
-        # link in the flat link arrays (-1 until a KernelState binds the
-        # owning network), and the state block for busy-timer write-through.
+        # Position of this link in ``network.links`` (-1 until a
+        # repro.noc.kernels.KernelState binds the owning network); the slot
+        # sweep keys its per-link output round-robin pointers on it.
         self.index = -1
-        self._k = None
         if medium is not None:
             medium.register(self)
 
@@ -573,28 +512,9 @@ class Link:
             return self.medium.can_transmit(self, now)
         return True
 
-    def needs_grant(self, now: int) -> bool:
-        """True when transmission is blocked only on medium arbitration."""
-        if self.medium is None:
-            return False
-        return now >= self.busy_until and not self.medium.can_transmit(self, now)
-
-    def set_busy_until(self, cycle: int) -> None:
-        """Write the serialization timer through to the array mirror.
-
-        Every ``busy_until`` write outside the simulator's inlined send path
-        (fault-layer stalls, unit tests) must go through here so the kernel
-        SA sweep sees the stall.
-        """
-        self.busy_until = cycle
-        if self._k is not None:
-            self._k.link_busy[self.index] = cycle
-
     def on_flit_sent(self, now: int, flit: "Flit", flit_width_bits: int) -> None:
         """Book-keeping when a flit begins traversal."""
         self.busy_until = now + self.cycles_per_flit
-        if self._k is not None:
-            self._k.link_busy[self.index] = self.busy_until
         self.flits_carried += 1
         self.bits_carried += flit_width_bits
         if self.medium is not None:

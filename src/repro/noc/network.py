@@ -114,8 +114,6 @@ class NetworkInterface:
             for v in range(endpoint.num_vcs):
                 if not vc_busy[v] and credits[v] >= size:
                     vc_busy[v] = True  # Endpoint.acquire_vc, inlined
-                    if endpoint._k is not None:
-                        endpoint._k.vc_busy[endpoint.kslot + v] = True
                     self.current_vc = vc = v
                     break
             else:
@@ -124,8 +122,6 @@ class NetworkInterface:
             return 0
         queue.popleft()
         credits[vc] -= 1  # Endpoint.take_credit, inlined (credit > 0 above)
-        if endpoint._k is not None:
-            endpoint._k.credits[endpoint.kslot + vc] = credits[vc]
         endpoint.router.deliver_flit(endpoint.in_port, vc, flit)
         self.flits_injected += 1
         if flit.is_head:

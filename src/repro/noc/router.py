@@ -140,9 +140,10 @@ class Router:
         # set. ``None`` when no simulator is attached (unit tests driving
         # stages by hand).
         self._wake: Optional[Callable[["Router"], None]] = None
-        # Struct-of-arrays binding (repro.noc.kernels.KernelState): set when
-        # a simulator builds its array state block over this network. The
-        # stage methods write through to the array mirrors when bound.
+        # Slot-sweep binding (repro.noc.kernels.KernelState): set when a
+        # simulator binds this network. While bound, every ``_sa_active``
+        # add/discard is repeated on ``_kern.sa_slots`` (the network-wide
+        # slot-id form of the same work set).
         self._kern = None
         # Activity counters for the power model:
         self.buffer_writes = 0
@@ -214,11 +215,6 @@ class Router:
                 "credit accounting is broken"
             )
         queue.append(flit)
-        kern = self._kern
-        if kern is not None:
-            # Plain store of the new depth: cheaper than an ndarray
-            # read-modify-write on this per-flit-hop path.
-            kern.occ[vc_obj.gslot] = len(queue)
         state = vc_obj.state
         if state is VCState.IDLE:
             # A head flit (or a body flit queued behind an un-routed head)
@@ -227,6 +223,7 @@ class Router:
         elif state is VCState.ACTIVE:
             # A body flit caught up with its already-switching packet.
             self._sa_active.add((in_port, vc))
+            kern = self._kern
             if kern is not None:
                 kern.sa_slots.add(vc_obj.gslot)
         if not self._occupied and self._wake is not None:
@@ -261,7 +258,6 @@ class Router:
             raise RuntimeError(f"router {self.rid} has no routing function")
         self._rc_pending = set()
         input_ports = self.input_ports
-        kern = self._kern
         for (ip, iv) in pending if len(pending) == 1 else sorted(pending):
             vc = input_ports[ip].vcs[iv]
             if vc.state is not VCState.IDLE or not vc.queue:
@@ -300,8 +296,6 @@ class Router:
                     routing.allowed_vcs(self, vc.out_port, packet)
                 )
             vc.state = VCState.WAITING_VC
-            if kern is not None:
-                kern.vc_state[vc.gslot] = 2
             self._vca_pending.add((ip, iv))
 
     def stage_vca(self, now: int) -> None:
@@ -309,12 +303,9 @@ class Router:
 
         Contention for downstream VCs is granted in ascending
         ``(in_port, vc)`` order -- deterministic by construction, shared by
-        the dense reference loop and the array-kernel path alike. (Earlier
-        revisions scanned ``_occupied`` in CPython set order, which was
-        deterministic only as an implementation accident and impossible to
-        reproduce from flat array state.) Candidate endpoint/VC sets were
-        cached at RC time; blocked VCs park on the endpoint (see below)
-        instead of re-polling every cycle.
+        the dense reference loop and the slot-sweep path alike. Candidate
+        endpoint/VC sets were cached at RC time; blocked VCs park on the
+        endpoint (see below) instead of re-polling every cycle.
         """
         pending = self._vca_pending
         if not pending:
@@ -341,11 +332,7 @@ class Router:
                 self.vca_grants += 1
                 self._sa_active.add(key)
                 if kern is not None:
-                    s = vc.gslot
-                    kern.vc_state[s] = 3
-                    kern.head_link[s] = self.out_links[vc.out_port].index
-                    kern.head_credit[s] = -1
-                    kern.sa_slots.add(s)
+                    kern.sa_slots.add(vc.gslot)
                 continue
             packet = vc.queue[0].packet
             # Inlined Endpoint.can_accept_packet (virtual cut-through
@@ -366,13 +353,7 @@ class Router:
                         self._sa_active.add(key)
                         link = self.out_links[vc.out_port]
                         if kern is not None:
-                            s = vc.gslot
-                            kern.vc_state[s] = 3
-                            kern.head_link[s] = link.index
-                            kern.head_credit[s] = endpoint.kslot + cand
-                            kern.sa_slots.add(s)
-                        if endpoint._k is not None:
-                            endpoint._k.vc_busy[endpoint.kslot + cand] = True
+                            kern.sa_slots.add(vc.gslot)
                         medium = link.medium
                         if medium is not None:
                             link.pending_requests += 1
@@ -396,25 +377,6 @@ class Router:
                 else:
                     endpoint.vca_waiters.append((self, key, size))
 
-    def wants_link(self, link: Link, now: int) -> bool:
-        """Does any ACTIVE VC here have a flit ready for ``link``?
-
-        Used by the simulator's shared-medium arbitration phase: a router
-        "requests the token" when it could transmit immediately were the
-        medium granted (flit buffered, VC allocated, downstream credit).
-        """
-        out_port = link.out_port
-        for (ip, iv) in self._occupied:
-            vc = self.input_ports[ip].vcs[iv]
-            if (
-                vc.state is VCState.ACTIVE
-                and vc.out_port == out_port
-                and vc.queue
-                and vc.endpoint.has_credit(vc.out_vc)
-            ):
-                return True
-        return False
-
     def stage_sa(self, now: int, send_fn: SendFn, credit_fn: CreditFn) -> int:
         """Switch allocation + traversal; returns number of flits moved.
 
@@ -429,7 +391,7 @@ class Router:
         without materialising a full boolean request vector per port per
         cycle. Eligibility checks (credit, link serialization, medium
         token) are likewise inlined copies of ``Endpoint.has_credit`` /
-        ``Link.ready``; stall classification matches ``Link.needs_grant``.
+        ``Link.ready``.
         """
         occ = self._sa_active
         if not occ:
@@ -593,8 +555,6 @@ class Router:
         flit = queue.popleft()
         key = (in_port, vc.index)
         kern = self._kern
-        if kern is not None:
-            kern.occ[vc.gslot] = len(queue)
         if not queue:
             self._occupied.discard(key)
             self._sa_active.discard(key)
@@ -625,8 +585,6 @@ class Router:
             # Endpoint.take_credit, inlined; SA eligibility just proved
             # credits[out_vc] > 0 this cycle, so no underflow guard needed.
             endpoint.credits[out_vc] -= 1
-            if endpoint._k is not None:
-                endpoint._k.credits[endpoint.kslot + out_vc] = endpoint.credits[out_vc]
         # Link/medium busy + bit accounting happens inside send_fn so the
         # simulator can apply the configured flit width consistently.
         if flit.is_tail:

@@ -44,7 +44,6 @@ flits are in flight.
 from __future__ import annotations
 
 import heapq
-import os
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -180,19 +179,15 @@ class Simulator:
         # A disabled tracer is indistinguishable from no tracer: hot paths
         # guard on ``self._tracer is not None`` and nothing else.
         self._tracer = tracer if (tracer is not None and tracer.enabled) else None
-        # Struct-of-arrays state block (repro.noc.kernels): authoritative
-        # credit/busy arrays plus per-VC / link / medium mirrors, bound into
-        # the object model. Built in both modes (telemetry and invariants
-        # read it); the kernel SA sweep replaces the per-router object scan
-        # only on the fast untraced path -- ``dense=True`` keeps the object
-        # loop as the reference implementation, and REPRO_NOC_KERNELS=0
-        # forces the object path as an escape hatch.
+        # Flat slot layout over the network's input VCs (repro.noc.kernels),
+        # always bound so the invariant audit can check it. The network-wide
+        # slot sweep replaces the per-router ``stage_sa`` scan on untraced
+        # runs: ``dense=True`` keeps ``stage_sa`` as the reference
+        # implementation, a tracer needs its per-VC stall callbacks, and a
+        # mixed-VC-count network has no arithmetic layout to sweep.
         self.kernels = KernelState.build(network)
         self._sa_kernel = (
-            not dense
-            and self._tracer is None
-            and self.kernels.supported
-            and os.environ.get("REPRO_NOC_KERNELS", "1") != "0"
+            not dense and self._tracer is None and self.kernels.supported
         )
         if self._tracer is not None:
             self._tracer.bind(self)
@@ -256,8 +251,6 @@ class Simulator:
     def _send_fn(self, link: Link, endpoint: Endpoint, flit: Flit, out_vc: int, now: int) -> None:
         # Link.on_flit_sent, inlined (one call per flit-hop).
         link.busy_until = now + link.cycles_per_flit
-        if link._k is not None:
-            link._k.link_busy[link.index] = link.busy_until
         link.flits_carried += 1
         link.bits_carried += self._flit_width
         if link.medium is not None:
@@ -284,25 +277,6 @@ class Simulator:
         else:
             bucket.append(("credit", endpoint, vc))
 
-    def _deliver(self, endpoint: Endpoint, vc: int, flit: Flit, now: int) -> None:
-        tracer = self._tracer
-        if flit.fate is not None:
-            # CRC failure / dead transceiver: the receiver discards the flit
-            # (repro.faults handles credit return and NACK scheduling).
-            self._faults.note_drop(endpoint, vc, flit, now)
-            return
-        if tracer is not None:
-            tracer.on_flit_delivered(endpoint, flit, now)
-        if endpoint.is_sink:
-            self.stats.on_flit_ejected(now, flit.packet)
-            if flit.is_tail:
-                flit.packet.t_eject = now
-                self.stats.on_packet_ejected(flit.packet, now)
-                if tracer is not None:
-                    tracer.on_packet_ejected(flit.packet, now)
-        else:
-            endpoint.router.deliver_flit(endpoint.in_port, vc, flit)
-
     # ------------------------------------------------------------------ #
     # The cycle
     # ------------------------------------------------------------------ #
@@ -319,7 +293,6 @@ class Simulator:
             for ev in events:
                 kind = ev[0]
                 if kind == "flit":
-                    # Simulator._deliver, inlined (one per flit-hop).
                     endpoint = ev[1]
                     flit = ev[3]
                     if flit.fate is not None:
@@ -349,8 +322,6 @@ class Simulator:
                         v = ev[2]
                         c = endpoint.credits[v] + 1
                         endpoint.credits[v] = c
-                        if endpoint._k is not None:
-                            endpoint._k.credits[endpoint.kslot + v] = c
                         ni = endpoint.ni
                         if ni is not None and ni.parked:
                             ni.parked = False
@@ -399,9 +370,9 @@ class Simulator:
             send_fn = self._send_fn
             credit_fn = self._credit_fn
             if self._sa_kernel:
-                # Struct-of-arrays path: one network-wide sweep over the
-                # flat slot arrays (bit-identical to the per-router object
-                # scan below; see repro.noc.kernels).
+                # One network-wide sweep over the flat slot space
+                # (bit-identical to the per-router object scan below; see
+                # repro.noc.kernels).
                 if self.kernels.sa_slots:
                     moved += self.kernels.sa_sweep(now, send_fn, credit_fn)
             else:

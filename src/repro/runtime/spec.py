@@ -276,12 +276,12 @@ class RunSpec:
         Force the reference engine: execute every cycle instead of
         fast-forwarding through quiescent stretches, and drive switch
         allocation through the per-router object scan instead of the
-        vectorized array kernel (see
+        network-wide slot sweep (see
         :class:`repro.noc.simulator.Simulator` and
         :mod:`repro.noc.kernels`). Results are bit-identical either way
         -- this knob exists to *prove* that (CI diffs a dense sweep
         against the fast-generated golden log at a 0% threshold) and as
-        a fallback while debugging the scheduler or the kernels.
+        a fallback while debugging the scheduler or the sweep.
     tag:
         Free-form variant label (e.g. ``"hot+burst/adaptive"``). Part of
         the digest (two variants never share a cache entry), appended to

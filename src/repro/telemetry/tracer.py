@@ -464,23 +464,9 @@ class Tracer:
         if sim is None:
             return
         occ: Dict[str, int] = {}
-        totals = None
-        kernels = getattr(sim, "kernels", None)
-        if kernels is not None and kernels.supported:
-            # One reduceat over the flat occupancy array instead of a
-            # python loop over every VC of every router. The mirrors are
-            # write-through, so this is valid on traced and dense runs
-            # too, not just when the kernel SA sweep is driving.
-            totals = kernels.router_occupancy()
-        if totals is not None:
-            for rid, n in enumerate(totals.tolist()):
-                if n:
-                    occ[f"r{rid}"] = n
-        else:
-            for router in sim.network.routers:
-                n = router.occupancy()
-                if n:
-                    occ[f"r{router.rid}"] = n
+        for router in sim.network.routers:
+            if router._occupied:
+                occ[f"r{router.rid}"] = router.occupancy()
         if self._eventing:
             self._event(now, BUFFER_SAMPLE, "sim", args={"occupancy": occ})
         if self.collect_metrics:

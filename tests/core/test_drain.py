@@ -17,11 +17,10 @@ Covers:
 * ``unpin``/``reassign`` on a pair with in-flight packets routing
   through the drain path instead of instant revocation;
 * exactly-once delivery under arbitrary open-loop re-pointing schedules
-  (hypothesis), with dense, active-set, and SoA-kernel execution paths
-  bit-identical to each other.
+  (hypothesis), with the slot sweep, the dense object loop and traced
+  active-set ``stage_sa`` bit-identical to each other.
 """
 
-import os
 from contextlib import contextmanager
 
 import pytest
@@ -34,6 +33,7 @@ from repro.core.reconfig import PHASE_ACTIVE, PHASE_DRAINING
 from repro.noc import reset_packet_ids
 from repro.noc.simulator import Simulator
 from repro.noc.stats import StatsCollector
+from repro.telemetry import Tracer
 from repro.traffic import SyntheticTraffic, TrafficPattern
 
 
@@ -183,7 +183,8 @@ class TestDrainStateMachine:
 # --------------------------------------------------------------------- #
 
 
-def _open_loop_sim(rate, epoch, seed, drain_timeout=None, dense=False):
+def _open_loop_sim(rate, epoch, seed, drain_timeout=None, dense=False,
+                   tracer=None):
     built = build_fault_tolerant_own256(with_reconfiguration=True)
     kwargs = {} if drain_timeout is None else {"drain_timeout": drain_timeout}
     ctrl = make_reconfig_controller(built, epoch_cycles=epoch, **kwargs)
@@ -192,6 +193,7 @@ def _open_loop_sim(rate, epoch, seed, drain_timeout=None, dense=False):
         traffic=hotspot_traffic(rate=rate, seed=seed),
         warmup_cycles=400,
         dense=dense,
+        tracer=tracer,
     )
     sim.add_hook(ctrl)
     return built, ctrl, sim
@@ -264,19 +266,6 @@ def delivery_log():
         StatsCollector.on_packet_ejected = orig
 
 
-@contextmanager
-def _kernels(enabled):
-    prev = os.environ.get("REPRO_NOC_KERNELS")
-    os.environ["REPRO_NOC_KERNELS"] = "1" if enabled else "0"
-    try:
-        yield
-    finally:
-        if prev is None:
-            del os.environ["REPRO_NOC_KERNELS"]
-        else:
-            os.environ["REPRO_NOC_KERNELS"] = prev
-
-
 class ScheduleHook:
     """Deterministic open-loop churn: reassign / pin / unpin / fail /
     unfail at every schedule epoch, driven only by the cycle count.
@@ -339,18 +328,19 @@ class ScheduleHook:
             pass  # infeasible pin / unroutable fail: legal no-ops
 
 
-def _churn_run(rate, seed, schedule_seed, faulty, dense, kernels):
+def _churn_run(rate, seed, schedule_seed, faulty, dense=False, tracer=None):
     reset_packet_ids()
-    with _kernels(kernels):
-        built, ctrl, sim = _open_loop_sim(rate=rate, epoch=50, seed=seed,
-                                          drain_timeout=30, dense=dense)
-        hook = ScheduleHook(built, ctrl, schedule_seed)
-        if faulty:
-            sim.add_hook(hook)
-        with delivery_log() as events:
-            sim.run(1200)
-            drained = sim.drain(60_000)
+    built, ctrl, sim = _open_loop_sim(rate=rate, epoch=50, seed=seed,
+                                      drain_timeout=30, dense=dense,
+                                      tracer=tracer)
+    hook = ScheduleHook(built, ctrl, schedule_seed)
+    if faulty:
+        sim.add_hook(hook)
+    with delivery_log() as events:
+        sim.run(1200)
+        drained = sim.drain(60_000)
     return {
+        "sa_kernel": sim._sa_kernel,
         "events": events,
         "drained": drained,
         "created": sim.stats.packets_created,
@@ -371,8 +361,8 @@ def _churn_run(rate, seed, schedule_seed, faulty, dense, kernels):
 def test_exactly_once_and_path_identity_under_churn(
     rate, seed, schedule_seed, faulty
 ):
-    kernel = _churn_run(rate, seed, schedule_seed, faulty,
-                        dense=False, kernels=True)
+    kernel = _churn_run(rate, seed, schedule_seed, faulty)
+    assert kernel["sa_kernel"]
     # Exactly-once: every created packet ejected exactly once, nothing
     # stranded and nothing duplicated, network fully drained.
     assert kernel["drained"]
@@ -382,12 +372,13 @@ def test_exactly_once_and_path_identity_under_churn(
     assert kernel["ejected"] == kernel["created"]
     assert kernel["summary"]["spare_drains_started"] >= 0.0
 
-    # Dense object loop and active-set object path deliver bit-identically
-    # to the SoA-kernel path, drain transitions included.
-    dense = _churn_run(rate, seed, schedule_seed, faulty,
-                       dense=True, kernels=True)
+    # The dense object loop and the active-set object path (a metrics-only
+    # tracer selects Router.stage_sa) deliver bit-identically to the slot
+    # sweep, drain transitions included.
+    dense = _churn_run(rate, seed, schedule_seed, faulty, dense=True)
     objects = _churn_run(rate, seed, schedule_seed, faulty,
-                         dense=False, kernels=False)
+                         tracer=Tracer(record_events=False))
+    assert not dense["sa_kernel"] and not objects["sa_kernel"]
     assert dense["events"] == kernel["events"]
     assert objects["events"] == kernel["events"]
     assert dense["drain_crc"] == objects["drain_crc"] == kernel["drain_crc"]

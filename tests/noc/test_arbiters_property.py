@@ -1,13 +1,14 @@
 """Property tests pinning down the round-robin grant semantics.
 
-The vectorized SA sweep (:mod:`repro.noc.kernels`) does not call
-:class:`repro.noc.arbiters.RoundRobinArbiter` -- it re-implements the grant
+The flat slot sweep (:mod:`repro.noc.kernels`) and the inlined arbiters
+of ``Router.stage_sa`` do not call
+:class:`repro.noc.arbiters.RoundRobinArbiter` -- they compute the grant
 as ``argmin((idx - ptr) % n)`` over the candidate set, with the pointer
 advancing to ``winner + 1``. These properties are the contract both
-implementations must satisfy; the equivalence test at the bottom drives
-random request traces through the object arbiter and the closed-form
-kernel rule side by side, so any semantic drift between the two paths
-fails here before it can surface as a golden-log diff.
+forms must satisfy; the equivalence tests at the bottom drive random
+request traces through the object arbiter and the closed-form rule side
+by side, so any semantic drift between the two fails here before it can
+surface as a golden-log diff.
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ from repro.noc.arbiters import RoundRobinArbiter
 
 
 def _kernel_grant(ptr: int, requests, n: int):
-    """The closed-form grant used by the vectorized sweep.
+    """The closed-form grant used by the slot sweep.
 
     Winner is the requester at minimal cyclic distance from the priority
     pointer; the pointer moves to the slot after the winner.
@@ -115,8 +116,8 @@ def test_kernel_grant_formula_matches_object_arbiter(trace):
 @settings(max_examples=100, deadline=None)
 @given(trace=REQUEST_TRACES)
 def test_lexsort_winner_matches_scan(trace):
-    """The bulk path's lexsort-by-(segment, distance) picks the same winner
-    as the scalar distance scan within each segment."""
+    """A stable sort by cyclic distance picks the same winner as the
+    distance scan (ties cannot occur: distances are distinct mod n)."""
     n = len(trace[0])
     arb = RoundRobinArbiter(n)
     ptr = 0

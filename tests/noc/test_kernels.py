@@ -1,11 +1,11 @@
-"""Struct-of-arrays kernel state: binding, coherence, and bit-identity.
+"""Flat slot sweep: binding, work-set coherence, and bit-identity.
 
 The dense/fast property suite (``tests/runtime/test_fastforward_property.py``
-and ``tests/control/test_control_property.py``) already proves the kernel
-SA sweep end-to-end -- fast untraced runs drive it by default. The tests
-here pin the pieces those properties cannot localise: the slot layout and
-endpoint mirror binding, the write-through mirrors staying coherent mid-run,
-the scalar-vs-bulk winner selection, and the fallback/escape hatches.
+and ``tests/control/test_control_property.py``) already proves the slot
+sweep end-to-end -- fast untraced runs drive it by default. The tests here
+pin the pieces those properties cannot localise: the slot layout binding,
+``sa_slots`` staying in lockstep with the routers' ``_sa_active`` sets
+mid-run, the mixed-VC fallback, and sweep == dense == traced ``stage_sa``.
 """
 
 import pytest
@@ -15,6 +15,7 @@ from repro.noc.invariants import audit_network
 from repro.noc.kernels import KernelState
 from repro.noc.stats import StatsCollector
 from repro.runtime.registry import build_topology
+from repro.telemetry import Tracer
 from repro.topologies import build_cmesh
 from repro.traffic import SyntheticTraffic
 
@@ -51,7 +52,7 @@ class TestBinding:
         assert k.supported
         V = k.num_vcs
         for router in net.routers:
-            base = int(k.vslot_base[router.rid])
+            base = k.vslot_base[router.rid]
             for ip, port in enumerate(router.input_ports):
                 for iv, vc in enumerate(port.vcs):
                     s = base + ip * V + iv
@@ -59,27 +60,6 @@ class TestBinding:
                     assert k.slot_router[s] is router
                     assert k.slot_ip[s] == ip
                     assert k.slot_vc[s] is vc
-            for ip, endpoint in enumerate(router.input_endpoints):
-                # Authoritative lists stay on the endpoint; the kernel
-                # holds write-through mirrors updated by every mutator.
-                pbase = base + ip * V
-                assert endpoint.kslot == pbase
-                assert endpoint._k is k
-                assert list(endpoint.credits) == k.credits[pbase : pbase + V].tolist()
-                assert (
-                    list(endpoint.vc_busy) == k.vc_busy[pbase : pbase + V].tolist()
-                )
-                endpoint.take_credit(0)
-                try:
-                    assert int(k.credits[pbase]) == endpoint.credits[0]
-                finally:
-                    endpoint.return_credit(0)
-                endpoint.acquire_vc(1)
-                try:
-                    assert bool(k.vc_busy[pbase + 1])
-                finally:
-                    endpoint.release_vc(1)
-                assert not bool(k.vc_busy[pbase + 1])
 
     def test_links_and_mediums_indexed(self):
         built = build_topology("own256")
@@ -88,12 +68,9 @@ class TestBinding:
         assert k.supported
         for li, link in enumerate(net.links):
             assert link.index == li
-            assert link._k is k
-            assert int(k.link_busy[li]) == link.busy_until
         assert len(net.mediums) > 0
         for mi, medium in enumerate(net.mediums):
-            assert medium._k is k
-            assert int(k.med_holder[mi]) == -1
+            assert medium.index == mi
 
     def test_mixed_vc_network_unsupported(self):
         built = build_cmesh(64)
@@ -134,14 +111,6 @@ class TestCoherence:
         assert sim._sa_kernel
         audit_network(sim)
 
-    def test_router_occupancy_matches_object_loop(self):
-        sim = _own256_sim()
-        sim.run(150)
-        totals = sim.kernels.router_occupancy()
-        assert totals is not None
-        expect = [r.occupancy() for r in sim.network.routers]
-        assert totals.tolist() == expect
-
 
 class TestBitIdentity:
     def _run(self, **kw):
@@ -152,25 +121,19 @@ class TestBitIdentity:
         sim.drain()
         return events, sim
 
-    def test_kernel_object_and_dense_paths_identical(self, monkeypatch):
+    def test_kernel_object_and_dense_paths_identical(self):
         kernel_events, ksim = self._run()
         assert ksim._sa_kernel
         dense_events, dsim = self._run(dense=True)
         assert not dsim._sa_kernel
-        monkeypatch.setenv("REPRO_NOC_KERNELS", "0")
-        object_events, osim = self._run()
-        assert not osim._sa_kernel  # escape hatch: fast loop, object SA
+        # A metrics-only tracer keeps active-set scheduling and idle
+        # fast-forward but drives SA through Router.stage_sa.
+        object_events, osim = self._run(tracer=Tracer(record_events=False))
+        assert not osim._sa_kernel and not osim.dense
         assert kernel_events, "scenario delivered no packets"
         assert kernel_events == dense_events == object_events
-
-    def test_bulk_winner_selection_matches_scalar(self):
-        scalar_events, ssim = self._run()
-        reset_packet_ids()
-        sim = _own256_sim()
-        sim.kernels.bulk_threshold = 0  # force the lexsort path every sweep
-        bulk_events = _delivery_log(sim)
-        sim.run(300)
-        sim.drain()
-        assert scalar_events
-        assert bulk_events == scalar_events
-        assert tuple(sim.stats.latencies) == tuple(ssim.stats.latencies)
+        assert (
+            tuple(ksim.stats.latencies)
+            == tuple(dsim.stats.latencies)
+            == tuple(osim.stats.latencies)
+        )

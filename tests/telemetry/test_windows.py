@@ -3,6 +3,7 @@
 import pytest
 
 from repro.noc import Simulator, reset_packet_ids
+from repro.runtime.registry import build_topology
 from repro.telemetry import (
     BUFFER_SAMPLE,
     EVENT_TYPES,
@@ -23,12 +24,14 @@ def _fresh_ids():
     reset_packet_ids()
 
 
-def run_cmesh(tracer, cycles=300, rate=0.05, seed=11):
+def run_cmesh(tracer, cycles=300, rate=0.05, seed=11, built=None):
     reset_packet_ids()
-    built = build_cmesh(64)
+    built = built or build_cmesh(64)
     sim = Simulator(
         built.network,
-        traffic=SyntheticTraffic(64, "UN", rate, 4, seed=seed, stop_cycle=cycles),
+        traffic=SyntheticTraffic(
+            built.n_cores, "UN", rate, 4, seed=seed, stop_cycle=cycles
+        ),
         tracer=tracer,
     )
     sim.run(cycles)
@@ -90,15 +93,27 @@ class TestSinks:
 
 class TestBufferSampling:
     def test_sampling_emits_buffer_samples(self):
-        tracer = Tracer(sample_every=16)
-        run_cmesh(tracer)
-        samples = [ev for ev in tracer.events if ev.etype == BUFFER_SAMPLE]
-        assert samples, "sample_every produced no buffer_sample events"
-        for ev in samples:
-            assert ev.cycle % 16 == 0
-            occ = ev.args["occupancy"]
-            # Only non-empty routers are recorded, all with positive counts.
-            assert all(v > 0 for v in occ.values())
+        for built in (build_cmesh(64), build_topology("own256")):
+            tracer = Tracer(sample_every=16)
+            routers = built.network.routers
+            expected = {}
+            sample = tracer.on_cycle_sample
+
+            def snapshot_then_sample(now):
+                # Only non-empty routers are recorded.
+                expected[now] = {
+                    f"r{r.rid}": r.occupancy() for r in routers if r.occupancy()
+                }
+                sample(now)
+
+            tracer.on_cycle_sample = snapshot_then_sample
+            run_cmesh(tracer, built=built)
+            samples = [ev for ev in tracer.events if ev.etype == BUFFER_SAMPLE]
+            assert samples, "sample_every produced no buffer_sample events"
+            assert any(ev.args["occupancy"] for ev in samples)
+            for ev in samples:
+                assert ev.cycle % 16 == 0
+                assert ev.args["occupancy"] == expected[ev.cycle]
 
     def test_sampling_off_by_default(self):
         tracer = Tracer()
