@@ -7,23 +7,14 @@ to the cycle simulator.
 
 from repro.analysis.model import PREDICTORS
 from repro.analysis.sweep import run_point
-from repro.core import build_own256
-from repro.topologies import build_cmesh, build_optxb, build_pclos, build_wcmesh
-
-BUILDERS = {
-    "cmesh256": lambda: build_cmesh(256),
-    "optxb256": lambda: build_optxb(256),
-    "pclos256": lambda: build_pclos(256),
-    "wcmesh256": lambda: build_wcmesh(256),
-    "own256": build_own256,
-}
+from repro.runtime import NAMED_TOPOLOGIES
 
 
 def _validate():
     rows = []
     for name in sorted(PREDICTORS):
         pred = PREDICTORS[name]()
-        point = run_point(BUILDERS[name], "UN", 0.01, cycles=700, warmup=250)
+        point = run_point(NAMED_TOPOLOGIES[name], "UN", 0.01, cycles=700, warmup=250)
         rows.append((name, pred.zero_load_latency, point.latency,
                      pred.saturation_rate, pred.binding_resource))
     return rows

@@ -41,7 +41,7 @@ import argparse
 import inspect
 import sys
 import time
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from repro.analysis import (
     EXPERIMENTS,
@@ -56,10 +56,6 @@ from repro.obs import (
     get_logger,
 )
 from repro.runtime import DEFAULT_CACHE_DIR, Executor, NAMED_TOPOLOGIES, build_ref
-
-TOPOLOGIES: Dict[str, Callable] = {
-    name: (lambda ref=ref: build_ref(ref)) for name, ref in NAMED_TOPOLOGIES.items()
-}
 
 #: CLI-layer structured logger; diagnostic lines that used to be bare
 #: ``print(..., file=sys.stderr)`` calls flow through here (identical
@@ -301,7 +297,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
-    built = TOPOLOGIES[args.topology]()
+    built = build_ref(NAMED_TOPOLOGIES[args.topology])
     net = built.network
     print(f"{net.name}: {net.n_cores} cores, {net.n_routers} routers")
     print(f"  links: {len(net.links)} "
@@ -546,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.set_defaults(fn=cmd_experiments)
 
     p_sweep = sub.add_parser("sweep", help="latency/throughput load sweep")
-    p_sweep.add_argument("topology", choices=sorted(TOPOLOGIES))
+    p_sweep.add_argument("topology", choices=sorted(NAMED_TOPOLOGIES))
     p_sweep.add_argument("--pattern", default="UN")
     p_sweep.add_argument("--rates", default="0.01,0.02,0.03,0.04,0.05")
     p_sweep.add_argument("--cycles", type=int, default=1200)
@@ -560,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(fn=cmd_sweep)
 
     p_info = sub.add_parser("info", help="structural summary of a topology")
-    p_info.add_argument("topology", choices=sorted(TOPOLOGIES))
+    p_info.add_argument("topology", choices=sorted(NAMED_TOPOLOGIES))
     p_info.set_defaults(fn=cmd_info)
 
     p_ch = sub.add_parser("channels", help="print the wireless channel plan")
@@ -575,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="full simulation windows (slow)")
     p_rep.add_argument(
         "--analyze", default=None, metavar="TOPOLOGY",
-        choices=sorted(TOPOLOGIES),
+        choices=sorted(NAMED_TOPOLOGIES),
         help="instead of the markdown report, run an instrumented load "
              "sweep on TOPOLOGY and write a self-contained HTML diagnosis "
              "(bottleneck attribution, congestion heatmaps, self-profile)",

@@ -86,22 +86,6 @@ SPEC_BUILDERS_1024: Dict[str, Tuple[str, Dict[str, object]]] = {
 }
 
 
-def builders_256() -> Dict[str, Callable]:
-    """Legacy callable view of :data:`SPEC_BUILDERS_256`."""
-    return {
-        name: (lambda ref=ref: build_ref(ref))
-        for name, ref in SPEC_BUILDERS_256.items()
-    }
-
-
-def builders_1024() -> Dict[str, Callable]:
-    """Legacy callable view of :data:`SPEC_BUILDERS_1024`."""
-    return {
-        name: (lambda ref=ref: build_ref(ref))
-        for name, ref in SPEC_BUILDERS_1024.items()
-    }
-
-
 # --------------------------------------------------------------------- #
 # Tables I, II, III, IV
 # --------------------------------------------------------------------- #
@@ -646,13 +630,9 @@ def study_area_scaling() -> ExperimentResult:
 
     model = AreaModel()
     rows: List[List[object]] = []
-    for scale, builders in (
-        (256, builders_256()),
-        (1024, builders_1024()),
-    ):
-        for name, builder in builders.items():
-            built = builder()
-            a = model.measure(built)
+    for scale, refs in ((256, SPEC_BUILDERS_256), (1024, SPEC_BUILDERS_1024)):
+        for name, ref in refs.items():
+            a = model.measure(build_ref(ref))
             rows.append(
                 [scale, name, round(a.router_mm2, 2), round(a.wire_mm2, 2),
                  round(a.photonic_mm2, 2), round(a.wireless_mm2, 2),

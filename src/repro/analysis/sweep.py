@@ -9,32 +9,33 @@ All simulation points are submitted to the :mod:`repro.runtime` execution
 engine as :class:`~repro.runtime.spec.RunSpec` values, so sweeps pick up
 parallel workers, result caching and run records from whatever
 :class:`~repro.runtime.executor.Executor` the caller supplies. Topologies
-are referenced by registry key (``"own256"`` or ``("cmesh", {"n_cores":
-256})``); legacy builder *callables* are still accepted and run in-process
-through the same engine when they cannot be expressed as a spec.
+are named by registry reference only (``"own256"`` or ``("cmesh",
+{"n_cores": 256})``); a topology the registry does not ship joins through
+:func:`repro.runtime.register_topology`.
+
+There is one dispatch, :func:`compare_saturation`; :func:`load_sweep` is its
+one-topology case. It simulates lazily (stopping at the first saturated
+point) when the executor is serial and uncached, and otherwise submits every
+point as one batch and discards what lies past saturation -- the kept
+points are identical either way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.runtime import (
     Executor,
     RunResult,
     RunSpec,
+    TopologyRef,
     get_executor,
-    ref_for_callable,
     resolve_ref,
 )
-from repro.topologies.base import BuiltTopology
 
-#: How a sweep names its topology: a registry reference or a builder callable.
-BuilderLike = Union[str, Tuple[str, dict], Callable[[], BuiltTopology]]
-
-#: Early-stop rule shared by the serial and parallel paths: a point is
-#: post-saturation when latency blows past 4x zero-load or acceptance
-#: drops below 80 % of offered.
+#: Early-stop rule: a point is post-saturation when latency blows past 4x
+#: zero-load or acceptance drops below 80 % of offered.
 _STOP_LATENCY_FACTOR = 4.0
 _STOP_ACCEPT_FRACTION = 0.8
 
@@ -85,7 +86,7 @@ class SweepResult:
 
 
 def point_spec(
-    builder: BuilderLike,
+    topology: TopologyRef,
     pattern: str,
     rate: float,
     cycles: int = 1200,
@@ -93,12 +94,9 @@ def point_spec(
     packet_size: int = 4,
     seed: int = 3,
     dense: bool = False,
-) -> Optional[RunSpec]:
-    """The :class:`RunSpec` for one sweep point (``None`` for opaque callables)."""
-    ref = builder if not callable(builder) else ref_for_callable(builder)
-    if ref is None:
-        return None
-    key, kwargs = resolve_ref(ref)
+) -> RunSpec:
+    """The :class:`RunSpec` for one sweep point."""
+    key, kwargs = resolve_ref(topology)
     return RunSpec.create(
         key,
         pattern=pattern,
@@ -121,41 +119,8 @@ def _point_from_result(result: RunResult) -> SweepPoint:
     )
 
 
-def _legacy_run_point(
-    builder: Callable[[], BuiltTopology],
-    pattern: str,
-    rate: float,
-    cycles: int,
-    warmup: int,
-    packet_size: int,
-    seed: int,
-) -> Tuple[SweepPoint, str]:
-    """In-process fallback for builders not expressible as specs.
-
-    Shares the engine's isolation (the simulator binds a per-run packet-id
-    allocator) but cannot be cached or parallelised.
-    """
-    from repro.noc.simulator import Simulator
-    from repro.traffic.generator import SyntheticTraffic
-
-    built = builder()
-    sim = Simulator(
-        built.network,
-        traffic=SyntheticTraffic(built.n_cores, pattern, rate, packet_size, seed=seed),
-        warmup_cycles=warmup,
-    )
-    sim.run(cycles)
-    point = SweepPoint(
-        offered=rate,
-        latency=sim.mean_latency(),
-        throughput=sim.throughput(),
-        packets=sim.stats.measured_packets,
-    )
-    return point, built.name
-
-
 def run_point(
-    builder: BuilderLike,
+    topology: TopologyRef,
     pattern: str,
     rate: float,
     cycles: int = 1200,
@@ -165,12 +130,7 @@ def run_point(
     executor: Optional[Executor] = None,
 ) -> SweepPoint:
     """Run one simulation point on a freshly built network."""
-    spec = point_spec(builder, pattern, rate, cycles, warmup, packet_size, seed)
-    if spec is None:
-        point, _ = _legacy_run_point(
-            builder, pattern, rate, cycles, warmup, packet_size, seed
-        )
-        return point
+    spec = point_spec(topology, pattern, rate, cycles, warmup, packet_size, seed)
     return _point_from_result(get_executor(executor).run_one(spec))
 
 
@@ -181,21 +141,29 @@ def _is_saturated(point: SweepPoint, zero_latency: float) -> bool:
     )
 
 
-def _truncate_at_saturation(points: Sequence[SweepPoint]) -> List[SweepPoint]:
-    """Apply the early-stop rule post-hoc (keeps parallel == serial)."""
-    kept: List[SweepPoint] = []
-    zero: Optional[float] = None
-    for point in points:
-        kept.append(point)
-        if zero is None:
-            zero = point.latency
-        if _is_saturated(point, zero):
+def _assemble_sweep(
+    name: str, pattern: str, runs: Iterable[RunResult], stop: bool
+) -> SweepResult:
+    """Fold ``runs`` into a sweep, ending (if ``stop``) at the first saturated point.
+
+    ``runs`` is consumed one result at a time and never past the stop, so a
+    generator that simulates on demand stops simulating there, while a
+    finished batch merely has its post-saturation points discarded. An
+    empty ``name`` is replaced by the built network's own name.
+    """
+    sweep = SweepResult(name, pattern)
+    for run in runs:
+        if not sweep.name:
+            sweep.name = str(run.meta.get("network_name", run.spec.topology))
+        point = _point_from_result(run)
+        sweep.points.append(point)
+        if stop and _is_saturated(point, sweep.zero_load_latency()):
             break
-    return kept
+    return sweep
 
 
-def load_sweep(
-    builder: BuilderLike,
+def compare_saturation(
+    topologies: Dict[str, TopologyRef],
     pattern: str,
     rates: Sequence[float],
     cycles: int = 1200,
@@ -203,114 +171,54 @@ def load_sweep(
     packet_size: int = 4,
     seed: int = 3,
     stop_at_saturation: bool = True,
-    name: Optional[str] = None,
     executor: Optional[Executor] = None,
     dense: bool = False,
-) -> SweepResult:
-    """Sweep offered load; optionally stop once clearly saturated.
+) -> Dict[str, SweepResult]:
+    """Sweep offered load on several topologies (Fig. 7b/c data).
 
-    With a parallel or caching executor every rate is submitted up front
-    and the stop rule is applied to the assembled points -- the kept
-    points are identical to a serial early-stopped sweep, the extra
-    post-saturation points are simply discarded (and live on in the cache).
+    A serial, uncached executor simulates each topology lazily and stops at
+    its first clearly saturated point. Any other executor receives every
+    (topology, rate) point as one batch -- the pool stays full even while
+    one topology is deep into saturation -- and the stop rule is applied to
+    the assembled points: the kept points are identical, the extra
+    post-saturation ones are discarded (and live on in the cache).
 
     ``dense`` disables the simulator's idle fast-forward for every point
     (bit-identical results either way; CI uses it to prove exactly that).
     """
-    specs = [
-        point_spec(builder, pattern, rate, cycles, warmup, packet_size, seed,
-                   dense=dense)
-        for rate in rates
-    ]
-
-    if specs and specs[0] is None:
-        # Opaque callable: serial in-process loop with lazy name resolution
-        # from the first built network (no throwaway build).
-        result = SweepResult(name=name or "", pattern=pattern)
-        zero: Optional[float] = None
-        for rate in rates:
-            point, built_name = _legacy_run_point(
-                builder, pattern, rate, cycles, warmup, packet_size, seed
-            )
-            if not result.name:
-                result.name = name or built_name
-            result.points.append(point)
-            if zero is None:
-                zero = point.latency
-            if stop_at_saturation and _is_saturated(point, zero):
-                break
-        return result
-
     ex = get_executor(executor)
+    grid = {
+        name: [
+            point_spec(ref, pattern, rate, cycles, warmup, packet_size, seed, dense)
+            for rate in rates
+        ]
+        for name, ref in topologies.items()
+    }
     if stop_at_saturation and ex.jobs == 1 and ex.cache is None:
-        # Serial, uncached: keep lazy early stopping (simulate fewer points).
-        result = SweepResult(name=name or "", pattern=pattern)
-        zero = None
-        for spec in specs:
-            run = ex.run_one(spec)
-            if not result.name:
-                result.name = name or str(run.meta.get("network_name", spec.topology))
-            point = _point_from_result(run)
-            result.points.append(point)
-            if zero is None:
-                zero = point.latency
-            if _is_saturated(point, zero):
-                break
-        return result
-
-    runs = ex.run(specs)
-    resolved = name or str(runs[0].meta.get("network_name", specs[0].topology))
-    points = [_point_from_result(run) for run in runs]
-    if stop_at_saturation:
-        points = _truncate_at_saturation(points)
-    return SweepResult(name=resolved, pattern=pattern, points=points)
+        runs = {
+            name: (ex.run_one(spec) for spec in specs)
+            for name, specs in grid.items()
+        }
+    else:
+        batch = iter(ex.run([spec for specs in grid.values() for spec in specs]))
+        runs = {name: [next(batch) for _ in specs] for name, specs in grid.items()}
+    return {
+        name: _assemble_sweep(name, pattern, topology_runs, stop_at_saturation)
+        for name, topology_runs in runs.items()
+    }
 
 
-def compare_saturation(
-    builders: Dict[str, BuilderLike],
+def load_sweep(
+    topology: TopologyRef,
     pattern: str,
     rates: Sequence[float],
-    executor: Optional[Executor] = None,
+    name: Optional[str] = None,
     **kwargs,
-) -> Dict[str, SweepResult]:
-    """Sweep several topologies on the same pattern (Fig. 7b/c data).
+) -> SweepResult:
+    """Sweep one topology: the single-entry case of :func:`compare_saturation`.
 
-    With ``executor.jobs > 1`` every (topology, rate) point across all
-    topologies is dispatched as one batch, so the pool stays full even
-    while one topology is deep into saturation.
+    Takes the same keyword arguments; an unnamed sweep is labelled with the
+    built network's name.
     """
-    ex = get_executor(executor)
-    if ex.jobs > 1:
-        kwargs = dict(kwargs, stop_at_saturation=kwargs.get("stop_at_saturation", True))
-        stop = kwargs.pop("stop_at_saturation")
-        spec_kwargs = {
-            k: kwargs[k]
-            for k in ("cycles", "warmup", "packet_size", "seed")
-            if k in kwargs
-        }
-        spec_grid: Dict[str, List[Optional[RunSpec]]] = {
-            name: [point_spec(b, pattern, rate, **spec_kwargs) for rate in rates]
-            for name, b in builders.items()
-        }
-        flat = [s for specs in spec_grid.values() for s in specs if s is not None]
-        if flat:
-            batch = {s.digest(): r for s, r in zip(flat, ex.run(flat))}
-        else:
-            batch = {}
-        out: Dict[str, SweepResult] = {}
-        for name, specs in spec_grid.items():
-            if specs and specs[0] is None:  # opaque callable: serial fallback
-                out[name] = load_sweep(
-                    builders[name], pattern, rates, name=name,
-                    stop_at_saturation=stop, executor=ex, **spec_kwargs,
-                )
-                continue
-            points = [_point_from_result(batch[s.digest()]) for s in specs]
-            if stop:
-                points = _truncate_at_saturation(points)
-            out[name] = SweepResult(name=name, pattern=pattern, points=points)
-        return out
-    return {
-        name: load_sweep(builder, pattern, rates, name=name, executor=ex, **kwargs)
-        for name, builder in builders.items()
-    }
+    name = name or ""
+    return compare_saturation({name: topology}, pattern, rates, **kwargs)[name]

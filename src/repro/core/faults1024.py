@@ -54,16 +54,27 @@ class FaultTolerantOwn1024Routing(Own1024Routing):
         UnroutableError
             For intra-group channels (no relay exists) or when the failure
             leaves some ordered group pair without a two-leg alternative.
+            The channel is then NOT marked failed -- the failure is rolled
+            back so routing state stays self-consistent, as in
+            :meth:`FaultTolerantOwn256Routing.fail_channel
+            <repro.core.faults.FaultTolerantOwn256Routing.fail_channel>`.
         """
         if src_group == dst_group:
             raise UnroutableError(
                 f"intra-group channel g{src_group} has no relay alternative"
             )
-        self.failed_pairs.add((src_group, dst_group))
-        for gs in range(4):
-            for gd in range(4):
-                if gs != gd:
-                    self._next_group(gs, gd)  # raises if stuck
+        pair = (src_group, dst_group)
+        already = pair in self.failed_pairs
+        self.failed_pairs.add(pair)
+        try:
+            for gs in range(4):
+                for gd in range(4):
+                    if gs != gd:
+                        self._next_group(gs, gd)  # raises if stuck
+        except UnroutableError:
+            if not already:
+                self.failed_pairs.discard(pair)
+            raise
 
     def restore_channel(self, src_group: int, dst_group: int) -> None:
         self.failed_pairs.discard((src_group, dst_group))

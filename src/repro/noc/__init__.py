@@ -6,7 +6,7 @@ token-arbitrated photonic MWSR buses and SWMR wireless multicast channels.
 Topology builders live in :mod:`repro.topologies` and :mod:`repro.core`.
 """
 
-from repro.noc.packet import Packet, Flit, FlitKind, PacketIdAllocator, reset_packet_ids
+from repro.noc.packet import Packet, Flit, FlitKind
 from repro.noc.buffers import VirtualChannel, InputPort, VCState
 from repro.noc.arbiters import RoundRobinArbiter, MatrixArbiter, make_arbiter
 from repro.noc.links import (
@@ -25,10 +25,8 @@ from repro.noc.stats import StatsCollector, LatencyStats
 
 __all__ = [
     "Packet",
-    "PacketIdAllocator",
     "Flit",
     "FlitKind",
-    "reset_packet_ids",
     "VirtualChannel",
     "InputPort",
     "VCState",

@@ -3,8 +3,11 @@
 A *packet* is the unit of end-to-end communication between two cores; it is
 segmented into *flits* (flow-control digits), the unit of buffer allocation
 and link traversal. The paper simulates a standard 5-stage virtual-channel
-router, so packets carry the metadata needed by routing (destination core),
-deadlock avoidance (VC class restrictions) and statistics (timestamps).
+router, so packets carry the metadata needed by routing (destination core,
+the drain protocol's escape latch) and statistics (timestamps, hop counts).
+A packet has no id of its own making: the simulator that accepts it from
+``traffic.tick`` numbers it, so ids count from 0 in every simulator and no
+counter outlives a run.
 
 Performance note (per the hpc-parallel guides): these objects live on the
 simulator's hottest paths, so both classes use ``__slots__`` and flits hold a
@@ -14,7 +17,6 @@ direct reference to their parent packet instead of duplicating fields.
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import Iterator, List, Optional
 
 
@@ -46,43 +48,6 @@ _KIND_IS_HEAD = (True, False, False, True)
 _KIND_IS_TAIL = (False, False, True, True)
 
 
-class PacketIdAllocator:
-    """Instance-scoped packet-id source.
-
-    Every :class:`~repro.noc.simulator.Simulator` owns one and binds it to
-    its traffic process, so concurrent in-process simulations allocate
-    independent, deterministic id sequences (each starting at 0) instead of
-    racing on a process-global counter.
-    """
-
-    __slots__ = ("_count",)
-
-    def __init__(self, start: int = 0) -> None:
-        self._count = itertools.count(start)
-
-    def next_id(self) -> int:
-        return next(self._count)
-
-    def reset(self, start: int = 0) -> None:
-        self._count = itertools.count(start)
-
-
-#: Fallback allocator for packets created outside any simulator (unit tests,
-#: manual injection). Simulation-driven packets use the simulator's own
-#: allocator via the traffic process.
-_default_allocator = PacketIdAllocator()
-
-
-def reset_packet_ids() -> None:
-    """Reset the *default* packet-id counter.
-
-    Only packets created without an explicit allocator draw from the
-    default; simulator-bound traffic uses a per-simulation
-    :class:`PacketIdAllocator` and needs no reset.
-    """
-    _default_allocator.reset()
-
-
 class Packet:
     """A multi-flit message from ``src_core`` to ``dst_core``.
 
@@ -96,13 +61,13 @@ class Packet:
     t_create:
         Cycle at which the traffic generator created the packet (queueing at
         the source NI counts towards latency, as usual for open-loop sims).
-    vc_class:
-        Optional integer tag restricting which virtual channels the packet
-        may use (deadlock-avoidance classes; see ``repro.core.routing``).
-        ``None`` means unrestricted.
-    allocator:
-        :class:`PacketIdAllocator` to draw the packet id from; ``None``
-        falls back to the module-level default allocator.
+    pid:
+        Packet id. Traffic sources leave it ``None``: the
+        :class:`~repro.noc.simulator.Simulator` numbers each packet as it
+        accepts it from ``traffic.tick``, so ids count from 0 per simulator.
+        Pass one only when injecting by hand
+        (:meth:`~repro.noc.network.Network.inject_packet`) into a run whose
+        tracer or fault layer keys on it.
     """
 
     __slots__ = (
@@ -113,7 +78,6 @@ class Packet:
         "t_create",
         "t_inject",
         "t_eject",
-        "vc_class",
         "hops",
         "wireless_hops",
         "photonic_hops",
@@ -128,21 +92,19 @@ class Packet:
         dst_core: int,
         size_flits: int,
         t_create: int,
-        vc_class: Optional[int] = None,
-        allocator: Optional[PacketIdAllocator] = None,
+        pid: Optional[int] = None,
     ) -> None:
         if size_flits < 1:
             raise ValueError(f"size_flits must be >= 1, got {size_flits}")
         if src_core == dst_core:
             raise ValueError("packet source and destination cores must differ")
-        self.pid: int = (allocator or _default_allocator).next_id()
+        self.pid = pid
         self.src_core = src_core
         self.dst_core = dst_core
         self.size_flits = size_flits
         self.t_create = t_create
         self.t_inject: Optional[int] = None  # first flit enters the network
         self.t_eject: Optional[int] = None  # tail flit reaches the sink
-        self.vc_class = vc_class
         self.hops = 0
         self.wireless_hops = 0
         self.photonic_hops = 0

@@ -50,7 +50,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.noc.kernels import KernelState
 from repro.noc.links import Endpoint, Link, SharedMedium
 from repro.noc.network import Network, NetworkInterface
-from repro.noc.packet import Flit, Packet, PacketIdAllocator
+from repro.noc.packet import Flit, Packet
 from repro.noc.router import Router
 from repro.noc.stats import StatsCollector
 
@@ -72,8 +72,10 @@ class Simulator:
     network:
         A finalized network (builder output).
     traffic:
-        Object with ``tick(now) -> list[Packet]``; ``None`` means packets are
-        injected manually via :meth:`network.inject_packet`.
+        Object with ``tick(now) -> list[Packet]``; the simulator numbers
+        the packets it returns (``pid`` 0, 1, 2, ... in tick order). ``None``
+        means packets are injected manually via
+        :meth:`network.inject_packet`.
     warmup_cycles:
         Statistics warmup (see :class:`repro.noc.stats.StatsCollector`).
     credit_latency:
@@ -167,13 +169,6 @@ class Simulator:
         self._hooks_schedulable = True
         self._paused_traffic: Optional[object] = None
         self._faults = faults
-        #: Per-simulation packet-id source. Bound to the traffic process so
-        #: concurrent simulations in one process cannot corrupt each other's
-        #: id sequences (ids always start at 0, matching a fresh
-        #: ``reset_packet_ids()`` call).
-        self.packet_ids = PacketIdAllocator()
-        if traffic is not None and getattr(traffic, "allocator", "absent") is None:
-            traffic.allocator = self.packet_ids
         if not network._finalized:
             network.finalize()
         # A disabled tracer is indistinguishable from no tracer: hot paths
@@ -182,13 +177,10 @@ class Simulator:
         # Flat slot layout over the network's input VCs (repro.noc.kernels),
         # always bound so the invariant audit can check it. The network-wide
         # slot sweep replaces the per-router ``stage_sa`` scan on untraced
-        # runs: ``dense=True`` keeps ``stage_sa`` as the reference
-        # implementation, a tracer needs its per-VC stall callbacks, and a
+        # runs: a tracer needs ``stage_sa``'s per-VC stall callbacks, and a
         # mixed-VC-count network has no arithmetic layout to sweep.
         self.kernels = KernelState.build(network)
-        self._sa_kernel = (
-            not dense and self._tracer is None and self.kernels.supported
-        )
+        self._sa_kernel = self._tracer is None and self.kernels.supported
         if self._tracer is not None:
             self._tracer.bind(self)
         # Observation sampler (repro.obs): read-only progress heartbeats,
@@ -389,8 +381,12 @@ class Simulator:
 
         # Phase 6: traffic generation + NI injection.
         if self.traffic is not None:
+            stats = self.stats
             for packet in self.traffic.tick(now):
-                self.stats.on_packet_created(packet)
+                # A packet's id is its acceptance index: whichever traffic
+                # object is installed, ids count from 0 in tick order.
+                packet.pid = stats.packets_created
+                stats.on_packet_created(packet)
                 if tracer is not None:
                     tracer.on_packet_created(packet, now)
                 self.network.inject_packet(packet)

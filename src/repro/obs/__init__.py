@@ -29,7 +29,6 @@ See ``docs/observability.md`` ("Live observability") for the full tour.
 
 from repro.obs.bus import (
     BusDrain,
-    InlineBus,
     QueueBus,
     clear_worker_bus,
     install_worker_bus,
@@ -67,7 +66,6 @@ __all__ = [
     "EVENT_KINDS",
     "HEARTBEAT",
     "HumanFormatter",
-    "InlineBus",
     "JsonLinesFormatter",
     "LiveView",
     "OBS_SCHEMA",

@@ -2,8 +2,9 @@
 
 Two transports, one contract (``publish(event_dict)``):
 
-* :class:`InlineBus` -- the serial path. Events are dispatched to
-  subscribers synchronously in the publishing (= executing) process; no
+* the serial path needs no bus object: the executor hands the hub's own
+  :meth:`~repro.obs.hub.ObservationHub.handle` to the run as ``publish``,
+  so events are dispatched synchronously in the executing process; no
   threads, no queues, deterministic ordering.
 * :class:`QueueBus` -- the multiprocessing path. Workers ``put_nowait``
   onto a shared :class:`multiprocessing.Queue`; the parent pumps it with
@@ -22,28 +23,12 @@ from __future__ import annotations
 
 import queue as _queue
 import threading
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.obs.events import is_event
 
 #: Parent-side sentinel pushed to unblock and stop the drain thread.
 _STOP = "__obs_stop__"
-
-
-class InlineBus:
-    """Synchronous in-process bus (the ``jobs=1`` path)."""
-
-    def __init__(self) -> None:
-        self._subscribers: List[Callable[[Dict[str, object]], None]] = []
-        self.published = 0
-
-    def subscribe(self, fn: Callable[[Dict[str, object]], None]) -> None:
-        self._subscribers.append(fn)
-
-    def publish(self, event: Dict[str, object]) -> None:
-        self.published += 1
-        for fn in self._subscribers:
-            fn(event)
 
 
 class QueueBus:

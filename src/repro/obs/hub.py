@@ -3,8 +3,8 @@
 One :class:`ObservationHub` per executor invocation. Every bus event --
 whether it arrived inline (serial) or over the multiprocessing queue --
 lands in :meth:`handle`, which folds it into per-run state and fans the
-fresh snapshot out to the exporters, the live view, and any extended
-progress subscribers. A background watchdog thread ages the in-flight
+fresh snapshot out to the exporters, the live view, and every
+:meth:`~ObservationHub.subscribe` callback. A background watchdog thread ages the in-flight
 runs against ``stall_after_s`` and raises a structured warning naming
 the spec when a worker goes quiet -- the wall-clock complement to the
 in-sim deadlock watchdog (which cannot fire if the worker process itself
@@ -187,7 +187,11 @@ class ObservationHub:
             self.live.close(snap)
 
     def subscribe(self, fn: Callable[[Dict[str, object]], None]) -> None:
-        """Receive every handled event (extended progress callbacks)."""
+        """Call ``fn(event)`` on every handled event, in-flight ones included.
+
+        The one route to ``run_started`` / ``heartbeat`` events for caller
+        code: ``Executor(progress=)`` reports completions only.
+        """
         self._subscribers.append(fn)
 
     # ------------------------------------------------------------------ #

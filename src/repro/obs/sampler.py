@@ -40,8 +40,9 @@ class RunObserver:
     Parameters
     ----------
     publish:
-        ``publish(event_dict)`` -- an :class:`~repro.obs.bus.InlineBus`
-        or :class:`~repro.obs.bus.QueueBus` bound method.
+        ``publish(event_dict)`` -- :meth:`ObservationHub.handle
+        <repro.obs.hub.ObservationHub.handle>` (serial) or
+        :meth:`QueueBus.publish <repro.obs.bus.QueueBus.publish>` (pool).
     digest, label, tag:
         Run identity (correlation fields on every event).
     every:

@@ -28,7 +28,6 @@ from repro.runtime.registry import (
     TopologyRef,
     build_ref,
     build_topology,
-    ref_for_callable,
     register_topology,
     resolve_ref,
     topology_keys,
@@ -56,7 +55,6 @@ __all__ = [
     "TopologyRef",
     "build_ref",
     "build_topology",
-    "ref_for_callable",
     "register_topology",
     "resolve_ref",
     "topology_keys",

@@ -4,16 +4,18 @@ All simulation-driving code (sweeps, experiments, design-space
 exploration, benchmarks) funnels through :class:`Executor`. One code path
 means one set of guarantees:
 
-- **Isolation** -- every run builds a fresh network and the simulator
-  binds a per-run packet-id allocator, so two runs never share mutable
-  state regardless of interleaving.
+- **Isolation** -- every run builds a fresh network and its simulator
+  numbers its own packets from 0, so two runs never share mutable state
+  regardless of interleaving.
 - **Determinism** -- all randomness derives from seeds carried by the
   spec, so a spec's result is a pure function of its digest. Parallel
   (``jobs=N``) results are bit-identical to serial ones, and cached
   results are bit-identical to fresh ones.
 - **Observability** -- each run emits a JSONL record (spec digest, wall
   time, cycles/sec, summary metrics, cache hit/miss) and an optional
-  progress callback fires as results land.
+  ``progress(done, total, result)`` callback fires as results land.
+  In-flight events (run started, heartbeats) have one route: subscribe to
+  the :class:`repro.obs.ObservationHub` passed as ``observe=``.
 
 The multiprocessing backend prefers the ``fork`` start method (workers
 inherit dynamically registered topologies); on platforms without it the
@@ -23,7 +25,6 @@ available to workers.
 
 from __future__ import annotations
 
-import inspect
 import multiprocessing
 import re
 import time
@@ -38,36 +39,9 @@ from repro.runtime.records import RunLog, make_record
 from repro.runtime.registry import build_topology
 from repro.runtime.spec import FaultSpec, RunSpec, TrafficSpec
 
-#: Progress callback signature: ``(completed, total, result)``.
-#:
-#: **Phase-aware extension.** A callback that also accepts a ``phase``
-#: parameter (or ``**kwargs``) receives in-flight state when the executor
-#: is observing (``observe=``): ``phase="started"`` and
-#: ``phase="heartbeat"`` fire with ``result=None`` (plus the raw
-#: observation event under ``info=`` when the callback also accepts
-#: ``info``); ``phase="finished"`` fires with the result exactly where
-#: the legacy callback would. Legacy three-argument callbacks keep
-#: working unchanged and only see completions.
+#: Progress callback: ``(completed, total, result)``, fired once per
+#: completed (or cache-served) run.
 ProgressFn = Callable[[int, int, "RunResult"], None]
-
-
-def _progress_accepts(fn: Optional[ProgressFn], name: str) -> bool:
-    """Does ``fn`` accept keyword ``name`` (directly or via ``**kwargs``)?"""
-    if fn is None:
-        return False
-    try:
-        sig = inspect.signature(fn)
-    except (TypeError, ValueError):
-        return False
-    params = list(sig.parameters.values())
-    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params):
-        return True
-    return any(
-        p.name == name
-        and p.kind
-        in (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
-        for p in params
-    )
 
 
 @dataclass
@@ -512,9 +486,9 @@ class Executor:
         Optional :class:`repro.obs.ObservationHub`. Runs then emit
         ``run_started`` / ``heartbeat`` / ``run_finished`` events -- over
         the worker queue when ``jobs > 1``, inline otherwise -- feeding
-        the hub's exporters, live view, stall watchdog and any
-        phase-aware ``progress`` callback. Observation is read-only:
-        observed results are bit-identical to unobserved ones.
+        the hub's exporters, live view, stall watchdog and
+        :meth:`~repro.obs.ObservationHub.subscribe` callbacks. Observation
+        is read-only: observed results are bit-identical to unobserved ones.
     """
 
     def __init__(
@@ -537,28 +511,13 @@ class Executor:
             runlog = RunLog(runlog)
         self.runlog = runlog
         self.progress = progress
-        self._progress_phases = _progress_accepts(progress, "phase")
-        self._progress_info = _progress_accepts(progress, "info")
         self.telemetry = telemetry or trace_dir is not None
         self.trace_dir = Path(trace_dir) if trace_dir is not None else None
         self.observe = observe
-        if observe is not None and self._progress_phases:
-            observe.subscribe(self._forward_inflight)
         self.runs_executed = 0
         self.runs_from_cache = 0
         self._done = 0
         self._total = 0
-
-    def _forward_inflight(self, event: Dict[str, object]) -> None:
-        """Route in-flight bus events into a phase-aware progress callback."""
-        kind = event.get("event")
-        if kind == "run_finished":
-            return  # completions flow through _finish with the result
-        phase = "started" if kind == "run_started" else str(kind)
-        kwargs = {"phase": phase}
-        if self._progress_info:
-            kwargs["info"] = event
-        self.progress(self._done, self._total, None, **kwargs)
 
     # ------------------------------------------------------------------ #
 
@@ -594,12 +553,7 @@ class Executor:
             if self.runlog is not None:
                 self.runlog.write(make_record(result, engine=self.engine_snapshot()))
             if self.progress is not None:
-                if self._progress_phases:
-                    self.progress(
-                        self._done, self._total, result, phase="finished"
-                    )
-                else:
-                    self.progress(self._done, self._total, result)
+                self.progress(self._done, self._total, result)
 
         publish = hub.handle if hub is not None else None
         sample_every = hub.sample_every if hub is not None else DEFAULT_SAMPLE_EVERY

@@ -10,7 +10,7 @@ registrations made before the pool spawns are visible to workers).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Mapping, Tuple, Union
 
 from repro.topologies.base import BuiltTopology
 
@@ -108,20 +108,3 @@ NAMED_TOPOLOGIES: Dict[str, TopologyRef] = {
     "pclos256": ("pclos", {"n_cores": 256}),
     "pclos1024": ("pclos", {"n_cores": 1024, "n_middles": 32}),
 }
-
-
-def ref_for_callable(builder: Callable[[], BuiltTopology]) -> Optional[TopologyRef]:
-    """Reverse-map a legacy builder callable onto a registry reference.
-
-    Supports the exact registered builders (``build_own256`` etc.) and
-    callables that advertise a reference via a ``runtime_ref`` attribute.
-    Returns ``None`` when the callable cannot be expressed as a spec, in
-    which case callers fall back to in-process execution.
-    """
-    ref = getattr(builder, "runtime_ref", None)
-    if ref is not None:
-        return ref
-    for key, registered in _BUILDERS.items():
-        if builder is registered:
-            return key
-    return None

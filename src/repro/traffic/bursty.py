@@ -18,17 +18,17 @@ traffic in the NoC literature:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.noc.packet import Packet
+from repro.traffic.generator import DrawAheadTraffic
 from repro.traffic.patterns import TrafficPattern
 from repro.utils.rng import RngStreams
 from repro.utils.validation import check_in_range, check_positive, check_probability
 
 
-class BurstyTraffic:
+class BurstyTraffic(DrawAheadTraffic):
     """Markov-modulated (ON/OFF) Bernoulli sources.
 
     Parameters
@@ -63,12 +63,11 @@ class BurstyTraffic:
         check_positive("mean_burst_cycles", mean_burst_cycles)
         if isinstance(pattern, str):
             pattern = TrafficPattern(pattern, n_cores)
+        super().__init__(packet_size_flits, stop_cycle)
         self.n_cores = n_cores
         self.pattern = pattern
         self.injection_rate = injection_rate
-        self.packet_size_flits = packet_size_flits
         self.burst_factor = burst_factor
-        self.stop_cycle = stop_cycle
 
         on_rate = min(1.0, injection_rate * burst_factor)
         self._p_start_on = on_rate / packet_size_flits
@@ -89,16 +88,13 @@ class BurstyTraffic:
         self._rng = RngStreams(seed).get("bursty", pattern.name)
         # Start each source in its stationary state.
         self._on = self._rng.random(n_cores) < duty
-        self.packets_generated = 0
-        self.allocator = None
-        # Injection lookahead (fast-forward support); see
-        # :class:`repro.traffic.generator.SyntheticTraffic`.
-        self._drawn_until = -1
-        self._pending: Dict[int, List[Tuple[int, int]]] = {}
 
     def _draw(self, cycle: int) -> Optional[List[Tuple[int, int]]]:
-        """Advance the Markov state and Bernoulli draws by one cycle."""
-        self._drawn_until = cycle
+        """Advance the Markov state and Bernoulli draws by one cycle.
+
+        The ON/OFF state machine flips every non-stopped cycle in dense
+        mode, so a peek advances it cycle by cycle just as a tick does.
+        """
         rng = self._rng
         # State transitions.
         flips = rng.random(self.n_cores)
@@ -116,46 +112,6 @@ class BurstyTraffic:
         ]
         return pairs or None
 
-    def tick(self, now: int) -> List[Packet]:
-        if self.stop_cycle is not None and now >= self.stop_cycle:
-            return []
-        if now <= self._drawn_until:
-            pairs = self._pending.pop(now, None)
-        else:
-            pairs = self._draw(now)
-        if not pairs:
-            return []
-        packets = [
-            Packet(src, dst, self.packet_size_flits, now,
-                   allocator=self.allocator)
-            for src, dst in pairs
-        ]
-        self.packets_generated += len(packets)
-        return packets
-
-    def next_injection_cycle(self, start: int, limit: int) -> Optional[int]:
-        """Earliest cycle in ``[start, limit)`` with an injection, or None.
-
-        The ON/OFF state machine flips every non-stopped cycle in dense
-        mode, so the lookahead must (and does) advance it cycle by cycle
-        while peeking -- randomness consumption is identical either way.
-        """
-        stop = self.stop_cycle
-        cycle = start
-        while cycle < limit:
-            if stop is not None and cycle >= stop:
-                return None
-            if cycle <= self._drawn_until:
-                if cycle in self._pending:
-                    return cycle
-            else:
-                pairs = self._draw(cycle)
-                if pairs:
-                    self._pending[cycle] = pairs
-                    return cycle
-            cycle += 1
-        return None
-
     @property
     def fraction_on(self) -> float:
         """Instantaneous share of sources in the ON state.
@@ -167,7 +123,7 @@ class BurstyTraffic:
         return float(np.mean(self._on))
 
 
-class ApplicationTraffic:
+class ApplicationTraffic(DrawAheadTraffic):
     """Directory-style sharing skew: hot working set + uniform background.
 
     Parameters
@@ -195,11 +151,10 @@ class ApplicationTraffic:
         check_probability("locality", locality)
         if working_set >= n_cores:
             raise ValueError("working_set must be smaller than the core count")
+        super().__init__(packet_size_flits, stop_cycle)
         self.n_cores = n_cores
         self.injection_rate = injection_rate
-        self.packet_size_flits = packet_size_flits
         self.locality = locality
-        self.stop_cycle = stop_cycle
         self._p_start = injection_rate / packet_size_flits
         self._rng = RngStreams(seed).get("app")
         # Fixed per-core working sets (never containing the core itself).
@@ -208,29 +163,21 @@ class ApplicationTraffic:
             candidates = self._rng.permutation(n_cores - 1)[:working_set]
             homes[core] = np.where(candidates >= core, candidates + 1, candidates)
         self._homes = homes
-        self.packets_generated = 0
-        self.allocator = None
 
-    def tick(self, now: int) -> List[Packet]:
-        if self.stop_cycle is not None and now >= self.stop_cycle:
-            return []
+    def _draw(self, cycle: int) -> Optional[List[Tuple[int, int]]]:
         rng = self._rng
         draws = rng.random(self.n_cores)
         sources = np.nonzero(draws < self._p_start)[0]
         if sources.size == 0:
-            return []
+            return None
         use_home = rng.random(sources.size) < self.locality
         home_pick = rng.integers(0, self._homes.shape[1], size=sources.size)
         uniform = rng.integers(0, self.n_cores, size=sources.size)
         dsts = np.where(use_home, self._homes[sources, home_pick], uniform)
-        packets = [
-            Packet(int(s), int(d), self.packet_size_flits, now,
-                   allocator=self.allocator)
-            for s, d in zip(sources, dsts)
-            if s != d
+        pairs = [
+            (int(s), int(d)) for s, d in zip(sources, dsts) if s != d
         ]
-        self.packets_generated += len(packets)
-        return packets
+        return pairs or None
 
     def homes_of(self, core: int) -> Sequence[int]:
         return self._homes[core].tolist()

@@ -18,11 +18,82 @@ import numpy as np
 
 from repro.noc.packet import Packet
 from repro.traffic.patterns import TrafficPattern
+from repro.traffic.trace import TraceTraffic, TrafficTrace
 from repro.utils.rng import RngStreams
 from repro.utils.validation import check_positive, check_probability
 
 
-class SyntheticTraffic:
+class DrawAheadTraffic:
+    """The ``tick`` / ``next_injection_cycle`` pair of every RNG-driven source.
+
+    A subclass supplies ``_draw(cycle)``: consume exactly one cycle's
+    randomness and return that cycle's ``(src, dst)`` pairs (``None`` for
+    no injection). ``_draw`` is the *only* place a source touches its RNG
+    stream, and this class calls it strictly one cycle at a time in dense
+    order -- so ticked and peeked cycles interleave into the identical draw
+    sequence a dense run performs, and every source fast-forwards.
+    """
+
+    def __init__(self, packet_size_flits: int, stop_cycle: Optional[int]) -> None:
+        self.packet_size_flits = packet_size_flits
+        self.stop_cycle = stop_cycle
+        self.packets_generated = 0
+        # Last cycle whose randomness has been consumed, and the hits drawn
+        # for cycles peeked ahead of the simulator clock.
+        self._drawn_until = -1
+        self._pending: Dict[int, List[Tuple[int, int]]] = {}
+
+    def _draw(self, cycle: int) -> Optional[List[Tuple[int, int]]]:
+        raise NotImplementedError
+
+    def tick(self, now: int) -> List[Packet]:
+        """Packets created at cycle ``now``."""
+        if self.stop_cycle is not None and now >= self.stop_cycle:
+            return []
+        if now <= self._drawn_until:
+            pairs = self._pending.pop(now, None)
+        else:
+            # Any gap since the last draw means those cycles were never
+            # ticked (paused traffic): neither mode consumes randomness
+            # there, so ``_drawn_until`` jumps straight to ``now``.
+            self._drawn_until = now
+            pairs = self._draw(now)
+        if not pairs:
+            return []
+        packets = [
+            Packet(src, dst, self.packet_size_flits, now) for src, dst in pairs
+        ]
+        self.packets_generated += len(packets)
+        return packets
+
+    def next_injection_cycle(self, start: int, limit: int) -> Optional[int]:
+        """Earliest cycle in ``[start, limit)`` with an injection, or None.
+
+        Fast-forward wake source: draws the RNG stream forward cycle by
+        cycle (caching the hit for the eventual :meth:`tick`), never beyond
+        ``limit`` or ``stop_cycle`` -- the horizon the simulator passes in
+        is already capped by every other wake source, so no draw happens
+        that an equivalent dense run would not also have performed.
+        """
+        stop = self.stop_cycle
+        cycle = start
+        while cycle < limit:
+            if stop is not None and cycle >= stop:
+                return None
+            if cycle <= self._drawn_until:
+                if cycle in self._pending:
+                    return cycle
+            else:
+                self._drawn_until = cycle
+                pairs = self._draw(cycle)
+                if pairs:
+                    self._pending[cycle] = pairs
+                    return cycle
+            cycle += 1
+        return None
+
+
+class SyntheticTraffic(DrawAheadTraffic):
     """Bernoulli packet source driving a :class:`repro.noc.simulator.Simulator`.
 
     Parameters
@@ -60,32 +131,16 @@ class SyntheticTraffic:
             raise ValueError(
                 f"pattern sized for {pattern.n_cores} cores, network has {n_cores}"
             )
+        super().__init__(packet_size_flits, stop_cycle)
         self.n_cores = n_cores
         self.pattern = pattern
         self.injection_rate = injection_rate
-        self.packet_size_flits = packet_size_flits
-        self.stop_cycle = stop_cycle
         self._p_start = injection_rate / packet_size_flits
         self._rng = RngStreams(seed).get("traffic", pattern.name)
-        self.packets_generated = 0
-        #: Packet-id source; the simulator binds its own per-run allocator
-        #: here (see :class:`repro.noc.packet.PacketIdAllocator`).
-        self.allocator = None
-        # Injection lookahead (fast-forward support): last cycle whose
-        # randomness has been consumed, and draw results cached for cycles
-        # peeked ahead of the simulator clock.
-        self._drawn_until = -1
-        self._pending: Dict[int, List[Tuple[int, int]]] = {}
 
     def _draw(self, cycle: int) -> Optional[List[Tuple[int, int]]]:
-        """Consume exactly one cycle's randomness; return (src, dst) pairs.
-
-        This is the *only* place the generator touches its RNG stream, and
-        it advances strictly one cycle at a time in dense order -- so ticked
-        and peeked cycles interleave into the identical draw sequence a
-        dense run performs.
-        """
-        self._drawn_until = cycle
+        if self._p_start <= 0.0:
+            return None  # a silent source leaves its stream untouched
         draws = self._rng.random(self.n_cores)
         sources = np.nonzero(draws < self._p_start)[0]
         if sources.size == 0:
@@ -98,55 +153,6 @@ class SyntheticTraffic:
         ]
         return pairs or None
 
-    def tick(self, now: int) -> List[Packet]:
-        """Packets created at cycle ``now``."""
-        if self._p_start <= 0.0:
-            return []
-        if self.stop_cycle is not None and now >= self.stop_cycle:
-            return []
-        if now <= self._drawn_until:
-            pairs = self._pending.pop(now, None)
-        else:
-            # Any gap since the last draw means those cycles were never
-            # ticked (paused traffic): neither mode consumes randomness
-            # there, and _draw() jumps _drawn_until straight to ``now``.
-            pairs = self._draw(now)
-        if not pairs:
-            return []
-        packets = [
-            Packet(src, dst, self.packet_size_flits, now, allocator=self.allocator)
-            for src, dst in pairs
-        ]
-        self.packets_generated += len(packets)
-        return packets
-
-    def next_injection_cycle(self, start: int, limit: int) -> Optional[int]:
-        """Earliest cycle in ``[start, limit)`` with an injection, or None.
-
-        Fast-forward wake source: draws the RNG stream forward cycle by
-        cycle (caching the hit for the eventual :meth:`tick`), never beyond
-        ``limit`` or ``stop_cycle`` -- the horizon the simulator passes in
-        is already capped by every other wake source, so no draw happens
-        that an equivalent dense run would not also have performed.
-        """
-        if self._p_start <= 0.0:
-            return None
-        stop = self.stop_cycle
-        cycle = start
-        while cycle < limit:
-            if stop is not None and cycle >= stop:
-                return None
-            if cycle <= self._drawn_until:
-                if cycle in self._pending:
-                    return cycle
-            else:
-                pairs = self._draw(cycle)
-                if pairs:
-                    self._pending[cycle] = pairs
-                    return cycle
-            cycle += 1
-        return None
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"SyntheticTraffic({self.pattern.name}, rate={self.injection_rate}, "
@@ -154,36 +160,14 @@ class SyntheticTraffic:
         )
 
 
-class ScriptedTraffic:
+class ScriptedTraffic(TraceTraffic):
     """Deterministic traffic from an explicit schedule.
 
     Useful in unit tests: supply ``(cycle, src, dst, size)`` tuples and the
-    source emits exactly those packets.
+    source replays exactly those packets (same-cycle entries in the order
+    given) through :class:`~repro.traffic.trace.TraceTraffic`.
     """
 
     def __init__(self, schedule: Iterable[tuple]) -> None:
-        self._by_cycle: dict = {}
-        for (cycle, src, dst, size) in schedule:
-            self._by_cycle.setdefault(int(cycle), []).append((int(src), int(dst), int(size)))
-        self.packets_generated = 0
-        self.allocator = None
-
-    def tick(self, now: int) -> List[Packet]:
-        entries = self._by_cycle.pop(now, None)
-        if not entries:
-            return []
-        packets = [
-            Packet(src, dst, size, now, allocator=self.allocator)
-            for (src, dst, size) in entries
-        ]
-        self.packets_generated += len(packets)
-        return packets
-
-    def next_injection_cycle(self, start: int, limit: int) -> Optional[int]:
-        """Earliest scheduled cycle in ``[start, limit)`` (fast-forward)."""
-        future = [c for c in self._by_cycle if start <= c < limit]
-        return min(future) if future else None
-
-    @property
-    def exhausted(self) -> bool:
-        return not self._by_cycle
+        columns = np.array(list(schedule), dtype=np.int64).reshape(-1, 4).T
+        super().__init__(TrafficTrace(*columns))

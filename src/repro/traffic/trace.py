@@ -162,7 +162,6 @@ class TraceTraffic:
         self.stop_cycle = stop_cycle
         self._pos = 0
         self.packets_generated = 0
-        self.allocator = None
 
     def tick(self, now: int) -> List[Packet]:
         if self.stop_cycle is not None and now >= self.stop_cycle:
@@ -183,7 +182,6 @@ class TraceTraffic:
                     int(self.trace.dsts[i]),
                     int(self.trace.sizes[i]),
                     now,
-                    allocator=self.allocator,
                 )
             )
             self._pos += 1

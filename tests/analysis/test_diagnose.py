@@ -10,19 +10,12 @@ from repro.analysis.diagnose import (
     diagnose_sweep,
     diagnosis_spec,
 )
-from repro.noc import reset_packet_ids
 from repro.runtime.executor import execute_inline
 from repro.telemetry.tracer import BREAKDOWN_STAGES
 
 
-@pytest.fixture(autouse=True)
-def _fresh_ids():
-    reset_packet_ids()
-
-
 @pytest.fixture(scope="module")
 def own_sweep():
-    reset_packet_ids()
     return diagnose_sweep(
         "own256", rates=(0.01, 0.03, 0.05, 0.07), cycles=400, warmup=100
     )
@@ -57,9 +50,7 @@ class TestDiagnosePoint:
         # bit-identical in simulation results to an untraced run.
         spec = diagnosis_spec("cmesh", rate=0.04, cycles=200, warmup=50,
                               topology_kwargs={"n_cores": 64})
-        reset_packet_ids()
         plain = execute_inline(spec.with_(telemetry=False))[2]
-        reset_packet_ids()
         diagnosed = diagnose_point(spec, window_cycles=32, sample_every=4)
         assert diagnosed.summary == plain.summary
 

@@ -11,24 +11,16 @@ from repro.analysis.model import PREDICTORS
 from repro.analysis.sweep import run_point
 from repro.analysis.utilization import utilisation_report, wireless_channel_table_rows
 from repro.core import build_own256, build_own1024
-from repro.noc import Simulator, reset_packet_ids
-from repro.topologies import build_cmesh, build_optxb, build_pclos, build_wcmesh
+from repro.noc import Simulator
+from repro.runtime import NAMED_TOPOLOGIES
 from repro.traffic import SyntheticTraffic
-
-BUILDERS = {
-    "cmesh256": lambda: build_cmesh(256),
-    "optxb256": lambda: build_optxb(256),
-    "pclos256": lambda: build_pclos(256),
-    "wcmesh256": lambda: build_wcmesh(256),
-    "own256": build_own256,
-}
 
 
 class TestModelVsSimulation:
     @pytest.mark.parametrize("name", sorted(PREDICTORS))
     def test_zero_load_latency_within_15pct(self, name):
         predicted = PREDICTORS[name]().zero_load_latency
-        point = run_point(BUILDERS[name], "UN", 0.01, cycles=800, warmup=300)
+        point = run_point(NAMED_TOPOLOGIES[name], "UN", 0.01, cycles=800, warmup=300)
         assert predicted == pytest.approx(point.latency, rel=0.15), (
             name, predicted, point.latency,
         )
@@ -39,8 +31,9 @@ class TestModelVsSimulation:
         its knee — accepting most of the load below, rejecting load 30 %
         above."""
         predicted = PREDICTORS[name]().saturation_rate
-        below = run_point(BUILDERS[name], "UN", predicted * 0.75, cycles=1000, warmup=300)
-        above = run_point(BUILDERS[name], "UN", predicted * 1.3, cycles=1000, warmup=300)
+        ref = NAMED_TOPOLOGIES[name]
+        below = run_point(ref, "UN", predicted * 0.75, cycles=1000, warmup=300)
+        above = run_point(ref, "UN", predicted * 1.3, cycles=1000, warmup=300)
         assert below.accepted_fraction > 0.9, (name, below)
         assert above.accepted_fraction < 0.97, (name, above)
 
@@ -55,7 +48,6 @@ class TestModelVsSimulation:
 
 class TestUtilisationReport:
     def run_own(self, rate=0.03, cycles=600):
-        reset_packet_ids()
         built = build_own256()
         sim = Simulator(
             built.network, traffic=SyntheticTraffic(256, "UN", rate, 4, seed=4)
@@ -104,7 +96,6 @@ class TestUtilisationReport:
             utilisation_report(built, sim)
 
     def test_own1024_media_counted_once(self):
-        reset_packet_ids()
         built = build_own1024()
         sim = Simulator(
             built.network, traffic=SyntheticTraffic(1024, "UN", 0.008, 4, seed=4)

@@ -33,11 +33,10 @@ class TestReport:
 
 class TestLatencyBreakdown:
     def test_queueing_vs_network_split(self):
-        from repro.noc import Simulator, reset_packet_ids
+        from repro.noc import Simulator
         from repro.topologies import build_cmesh
         from repro.traffic import SyntheticTraffic
 
-        reset_packet_ids()
         built = build_cmesh(64)
         sim = Simulator(
             built.network,
@@ -53,13 +52,12 @@ class TestLatencyBreakdown:
         )
 
     def test_queueing_grows_with_load(self):
-        from repro.noc import Simulator, reset_packet_ids
+        from repro.noc import Simulator
         from repro.topologies import build_cmesh
         from repro.traffic import SyntheticTraffic
 
         queueing = {}
         for rate in (0.02, 0.1):
-            reset_packet_ids()
             built = build_cmesh(64)
             sim = Simulator(
                 built.network,

@@ -2,9 +2,17 @@
 
 import pytest
 
-from repro.analysis.sweep import SweepPoint, SweepResult, load_sweep, run_point
+from repro.analysis.sweep import (
+    SweepPoint,
+    SweepResult,
+    compare_saturation,
+    load_sweep,
+    run_point,
+)
 from repro.analysis.tables import format_csv, format_table, ratio_note
-from repro.topologies import build_cmesh
+from repro.runtime import Executor
+
+CMESH64 = ("cmesh", {"n_cores": 64})
 
 
 class TestSweepPoint:
@@ -50,19 +58,35 @@ class TestSweepResult:
 
 class TestRunners:
     def test_run_point_executes(self):
-        p = run_point(lambda: build_cmesh(64), "UN", 0.03, cycles=300, warmup=100)
+        p = run_point(CMESH64, "UN", 0.03, cycles=300, warmup=100)
         assert p.offered == 0.03
         assert p.latency > 0
         assert 0 < p.throughput <= 0.05
 
     def test_load_sweep_stops_at_saturation(self):
-        sweep = load_sweep(
-            lambda: build_cmesh(64), "UN", [0.02, 0.3],
-            cycles=300, warmup=100,
-        )
+        sweep = load_sweep(CMESH64, "UN", [0.02, 0.3], cycles=300, warmup=100)
         # 0.3 is deep saturation for CMESH-64 -> the sweep stops there.
         assert len(sweep.points) == 2
         assert sweep.points[-1].accepted_fraction < 0.8
+        assert sweep.name == "cmesh64"  # unnamed: the built network's name
+
+    def test_lazy_and_batched_dispatch_agree(self, tmp_path):
+        # A serial uncached executor stops simulating at saturation; a
+        # caching one runs every point as one batch and truncates. Same
+        # sweeps either way, and the lazy one did less work.
+        topologies = {"a": CMESH64, "b": ("cmesh", {"n_cores": 16})}
+        rates = [0.02, 0.3, 0.4]
+        lazy_ex = Executor(jobs=1)
+        batch_ex = Executor(jobs=1, cache=str(tmp_path / "cache"))
+        lazy = compare_saturation(
+            topologies, "UN", rates, cycles=300, warmup=100, executor=lazy_ex
+        )
+        batched = compare_saturation(
+            topologies, "UN", rates, cycles=300, warmup=100, executor=batch_ex
+        )
+        assert lazy == batched
+        assert [len(s.points) for s in lazy.values()] == [2, 2]
+        assert lazy_ex.runs_executed == 4 and batch_ex.runs_executed == 6
 
 
 class TestTables:

@@ -14,10 +14,10 @@ from contextlib import contextmanager
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.noc import reset_packet_ids
 from repro.noc.stats import StatsCollector
 from repro.runtime.executor import execute_inline
 from repro.runtime.spec import ControlSpec, FaultSpec, RunSpec
+from repro.telemetry import Tracer
 
 
 @contextmanager
@@ -37,8 +37,7 @@ def delivery_log():
         StatsCollector.on_packet_ejected = orig
 
 
-def _run(rate, seed, faults, dense):
-    reset_packet_ids()
+def _run(rate, seed, faults, dense, tracer=None):
     spec = RunSpec.create(
         topology="own256_ft",
         topology_kwargs={"with_reconfiguration": True},
@@ -52,7 +51,8 @@ def _run(rate, seed, faults, dense):
         dense=dense,
     )
     with delivery_log() as events:
-        _, _, result = execute_inline(spec)
+        _, sim, result = execute_inline(spec, tracer=tracer)
+    assert sim._sa_kernel == (tracer is None)
     return events, result
 
 
@@ -75,11 +75,17 @@ FAULTS = st.sampled_from(
 def test_control_runs_deliver_identically_dense_and_fast(rate, seed, faults):
     fast_events, fast = _run(rate, seed, faults, dense=False)
     dense_events, dense = _run(rate, seed, faults, dense=True)
+    # Both of the above run the flat slot sweep (``dense`` only switches the
+    # clock skip off); a metrics-only tracer selects Router.stage_sa.
+    object_events, objects = _run(
+        rate, seed, faults, dense=False, tracer=Tracer(record_events=False)
+    )
 
     assert fast_events, "scenario delivered no packets; raise rate/cycles"
-    assert fast_events == dense_events
-    assert fast.summary == dense.summary  # includes control_log_crc
-    assert fast.meta["control"] == dense.meta["control"]
+    assert fast_events == dense_events == object_events
+    # Summaries include control_log_crc.
+    assert fast.summary == dense.summary == objects.summary
+    assert fast.meta["control"] == dense.meta["control"] == objects.meta["control"]
 
 
 def test_control_runs_identical_serial_and_parallel():

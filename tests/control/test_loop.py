@@ -17,18 +17,13 @@ from repro.core.faults import build_fault_tolerant_own256
 from repro.core.own256 import make_reconfig_controller
 from repro.faults import FaultCampaign, FaultLayer, HealthMonitor, TransientFault
 from repro.faults.models import LinkFaultState
-from repro.noc import Simulator, reset_packet_ids
+from repro.noc import Simulator
 from repro.noc.invariants import audit_network
 from repro.traffic import SyntheticTraffic
 from repro.utils.rng import RngStreams
 
 BURST_LINK = "wch1.A0->B2"  # channel 1 carries the (0, 2) cluster pair
 EPOCH = 250
-
-
-@pytest.fixture(autouse=True)
-def _fresh_ids():
-    reset_packet_ids()
 
 
 class FakeSim:

@@ -3,13 +3,8 @@
 import pytest
 
 from repro.core import OWN256_DIMS, UnroutableError, build_fault_tolerant_own256
-from repro.noc import Simulator, reset_packet_ids
+from repro.noc import Simulator
 from repro.traffic import ScriptedTraffic, SyntheticTraffic
-
-
-@pytest.fixture(autouse=True)
-def _fresh_ids():
-    reset_packet_ids()
 
 
 def core(c, t, p=0):

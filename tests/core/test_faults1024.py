@@ -7,13 +7,8 @@ from repro.core import (
     UnroutableError,
     build_fault_tolerant_own1024,
 )
-from repro.noc import Simulator, reset_packet_ids
+from repro.noc import Simulator
 from repro.traffic import ScriptedTraffic, SyntheticTraffic
-
-
-@pytest.fixture(autouse=True)
-def _fresh_ids():
-    reset_packet_ids()
 
 
 def core(g, c, t, p=0):
@@ -124,3 +119,22 @@ class TestUnroutability:
         routing.fail_channel(0, 2)
         with pytest.raises(UnroutableError, match="no live relay"):
             routing.fail_channel(0, 3)
+
+    def test_unroutable_failure_is_rolled_back(self):
+        # The rejected failure must not stay in failed_pairs: the channel
+        # remains in service, so the next g0 -> g1 packet still relays
+        # through g3 instead of raising inside compute() mid-run.
+        built = build_fault_tolerant_own1024()
+        routing = built.notes["routing"]
+        routing.fail_channel(0, 1)
+        routing.fail_channel(0, 2)
+        with pytest.raises(UnroutableError):
+            routing.fail_channel(0, 3)
+        assert routing.failed_pairs == {(0, 1), (0, 2)}
+        sim = Simulator(
+            built.network,
+            traffic=ScriptedTraffic([(0, core(0, 0, 5), core(1, 3, 9), 4)]),
+        )
+        sim.run(600)
+        assert sim.stats.packets_ejected == 1
+        assert sim.stats.wireless_hop_sum == 2

@@ -4,13 +4,8 @@ import pytest
 
 from repro.core import build_own256, build_own1024, OWN256_DIMS, OWN1024_DIMS
 from repro.core.routing import group_pair_vc
-from repro.noc import Simulator, reset_packet_ids
+from repro.noc import Simulator
 from repro.traffic import ScriptedTraffic, SyntheticTraffic
-
-
-@pytest.fixture(autouse=True)
-def _fresh_ids():
-    reset_packet_ids()
 
 
 @pytest.fixture(scope="module")

@@ -4,13 +4,8 @@ import pytest
 
 from repro.core import build_own256, make_reconfig_controller, N_SPARE_CHANNELS
 from repro.core.reconfig import validate_spare_topology
-from repro.noc import Simulator, reset_packet_ids
+from repro.noc import Simulator
 from repro.traffic import SyntheticTraffic, TrafficPattern
-
-
-@pytest.fixture(autouse=True)
-def _fresh_ids():
-    reset_packet_ids()
 
 
 def hotspot_traffic(rate=0.035, seed=2, stop=None):
@@ -91,7 +86,6 @@ class TestController:
     def test_boost_improves_hotspot_throughput(self):
         """The point of the feature: more accepted load on hot pairs."""
         def run(with_reconfig):
-            reset_packet_ids()
             built = build_own256(with_reconfiguration=with_reconfig)
             sim = Simulator(
                 built.network, traffic=hotspot_traffic(rate=0.035),

@@ -2,12 +2,11 @@
 architectural hop bound, on OWN-256, OWN-1024 and the fault-tolerant
 variant."""
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import OWN1024_DIMS, OWN256_DIMS, build_own256, build_own1024
 from repro.core.faults import build_fault_tolerant_own256
-from repro.noc import Simulator, reset_packet_ids
+from repro.noc import Simulator
 from repro.traffic import ScriptedTraffic
 
 # Build once per module: the networks are immutable across packets (stats
@@ -26,7 +25,6 @@ _prop_settings = settings(
 
 
 def _deliver(built, src, dst, max_network_hops):
-    reset_packet_ids()
     sim = Simulator(built.network, traffic=ScriptedTraffic([(0, src, dst, 4)]))
     sim.run(600)
     assert sim.stats.packets_ejected == 1, (src, dst)

@@ -10,15 +10,10 @@ from repro.faults import (
     TokenLossFault,
     TransientFault,
 )
-from repro.noc import Simulator, reset_packet_ids
+from repro.noc import Simulator
 from repro.noc.invariants import audit_network
 from repro.traffic import SyntheticTraffic
 from repro.utils.rng import RngStreams
-
-
-@pytest.fixture(autouse=True)
-def _fresh_ids():
-    reset_packet_ids()
 
 
 def _run(campaign=None, cycles=400, config=None, seed=7, rate=0.02):
@@ -41,7 +36,6 @@ class TestTransparency:
     def test_zero_fault_run_is_bit_exact(self):
         """The flagship guarantee: an installed-but-idle fault layer must
         not perturb a single latency sample."""
-        reset_packet_ids()
         built = build_fault_tolerant_own256()
         baseline = Simulator(
             built.network,
@@ -53,7 +47,6 @@ class TestTransparency:
         base_lat = tuple(baseline.stats.latencies)
         base_summary = baseline.summary()
 
-        reset_packet_ids()
         _, sim, _ = _run(campaign=FaultCampaign())
         assert tuple(sim.stats.latencies) == base_lat
         assert sim.summary() == base_summary

@@ -6,17 +6,12 @@ import pytest
 from repro.core.faults import build_fault_tolerant_own256
 from repro.core.own256 import make_reconfig_controller
 from repro.faults import FaultCampaign, FaultLayer, HealthMonitor, PermanentFault
-from repro.noc import Simulator, reset_packet_ids
+from repro.noc import Simulator
 from repro.noc.invariants import audit_network
 from repro.traffic import SyntheticTraffic
 from repro.utils.rng import RngStreams
 
 DEAD_LINK = "wch1.A0->B2"  # channel 1 carries the (0, 2) cluster pair
-
-
-@pytest.fixture(autouse=True)
-def _fresh_ids():
-    reset_packet_ids()
 
 
 def _run_death(with_reconfig, cycles=800, at=200):

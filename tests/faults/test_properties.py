@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.faults import build_fault_tolerant_own256
 from repro.faults import FaultLayer
-from repro.noc import Simulator, reset_packet_ids
+from repro.noc import Simulator
 from repro.noc.invariants import audit_network
 from repro.traffic import SyntheticTraffic
 from repro.utils.rng import RngStreams
@@ -31,7 +31,6 @@ def test_exactly_once_delivery(error_prob, traffic_seed, rng_seed):
     # A fresh network per example: link timestamps (``busy_until``,
     # arbitration state) are wall-clock values from the previous sim's
     # frame, and a reused network would stall until they expire.
-    reset_packet_ids()
     built = build_fault_tolerant_own256()
     layer = FaultLayer(built.network, rng=RngStreams(rng_seed))
     for link, state in layer.protected.items():

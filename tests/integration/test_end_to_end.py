@@ -15,12 +15,6 @@ from repro import (
     build_wcmesh,
     measure_power,
 )
-from repro.noc import reset_packet_ids
-
-
-@pytest.fixture(autouse=True)
-def _fresh_ids():
-    reset_packet_ids()
 
 
 ALL_BUILDERS = {
@@ -53,7 +47,6 @@ class TestFullPipeline:
         """The Fig. 6 ordering holds end to end at a common load."""
         totals = {}
         for name, builder in ALL_BUILDERS.items():
-            reset_packet_ids()
             built = builder()
             sim = Simulator(
                 built.network, traffic=SyntheticTraffic(256, "UN", 0.03, 4, seed=5)
@@ -122,7 +115,6 @@ class TestDeadlockFreedomStress:
 class TestDeterminismEndToEnd:
     def test_identical_runs_identical_power(self):
         def run():
-            reset_packet_ids()
             built = build_own256()
             sim = Simulator(
                 built.network, traffic=SyntheticTraffic(256, "UN", 0.03, 4, seed=21)
@@ -142,7 +134,6 @@ class TestLatencyShape:
         """Abstract: OWN improves latency vs CMESH (~50 % at zero load)."""
         lats = {}
         for name in ("own", "cmesh"):
-            reset_packet_ids()
             built = ALL_BUILDERS[name]()
             sim = Simulator(
                 built.network,

@@ -7,11 +7,10 @@ hop bounds. This is the widest net over simulator edge cases: simultaneous
 injections, duplicate (src, dst) pairs, size-1 packets, adversarial timing.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import build_own256
-from repro.noc import Simulator, reset_packet_ids
+from repro.noc import Simulator
 from repro.noc.invariants import audit_network
 from repro.topologies import build_cmesh, build_optxb
 from repro.traffic import ScriptedTraffic
@@ -34,7 +33,6 @@ def schedule_strategy(n_cores: int, max_packets: int = 30):
 
 
 def run_fuzz_case(built, schedule):
-    reset_packet_ids()
     clean = [(t, s, d, z) for (t, s, d, z) in schedule if s != d]
     sim = Simulator(built.network, traffic=ScriptedTraffic(clean), watchdog=3000)
     sim.run(200)

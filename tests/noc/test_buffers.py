@@ -3,12 +3,7 @@
 import pytest
 
 from repro.noc.buffers import InputPort, VCState, VirtualChannel
-from repro.noc.packet import Packet, reset_packet_ids
-
-
-@pytest.fixture(autouse=True)
-def _fresh_ids():
-    reset_packet_ids()
+from repro.noc.packet import Packet
 
 
 def flits(n=4):

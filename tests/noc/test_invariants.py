@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import build_own256, build_own1024
-from repro.noc import Simulator, reset_packet_ids
+from repro.noc import Simulator
 from repro.noc.invariants import (
     InvariantViolation,
     audit_network,
@@ -14,11 +14,6 @@ from repro.noc.invariants import (
 )
 from repro.topologies import build_cmesh, build_optxb, build_pclos, build_wcmesh
 from repro.traffic import SyntheticTraffic
-
-
-@pytest.fixture(autouse=True)
-def _fresh_ids():
-    reset_packet_ids()
 
 
 BUILDERS = {

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.noc.links import Endpoint, Link, SharedMedium
-from repro.noc.packet import Packet, reset_packet_ids
-
-
-@pytest.fixture(autouse=True)
-def _fresh_ids():
-    reset_packet_ids()
+from repro.noc.packet import Packet
 
 
 class TestEndpoint:

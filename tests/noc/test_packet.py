@@ -3,12 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.noc.packet import Flit, FlitKind, Packet, reset_packet_ids
-
-
-@pytest.fixture(autouse=True)
-def _fresh_ids():
-    reset_packet_ids()
+from repro.noc import Simulator
+from repro.noc.packet import Flit, FlitKind, Packet
+from repro.topologies import build_cmesh
+from repro.traffic import ScriptedTraffic
 
 
 class TestFlitKind:
@@ -21,14 +19,21 @@ class TestFlitKind:
 
 class TestPacket:
     def test_ids_monotone(self):
-        p1 = Packet(0, 1, 4, 0)
-        p2 = Packet(0, 1, 4, 0)
-        assert p2.pid == p1.pid + 1
+        # Born unnumbered; the simulator that accepts them from
+        # ``traffic.tick`` counts 0, 1, 2, ... in tick order.
+        assert Packet(0, 1, 4, 0).pid is None
+        assert Packet(0, 1, 4, 0, pid=7).pid == 7
+        born = []
 
-    def test_reset_packet_ids(self):
-        Packet(0, 1, 1, 0)
-        reset_packet_ids()
-        assert Packet(0, 1, 1, 0).pid == 0
+        class Recording(ScriptedTraffic):
+            def tick(self, now):
+                packets = super().tick(now)
+                born.extend(packets)
+                return packets
+
+        schedule = [(0, 0, 1, 4), (0, 2, 3, 1), (2, 1, 0, 2)]
+        Simulator(build_cmesh(64).network, traffic=Recording(schedule)).run(5)
+        assert [p.pid for p in born] == [0, 1, 2]
 
     def test_rejects_self_addressed(self):
         with pytest.raises(ValueError):

@@ -9,14 +9,8 @@ from repro.noc import (
     SharedMedium,
     Simulator,
     VCState,
-    reset_packet_ids,
 )
 from repro.traffic import ScriptedTraffic
-
-
-@pytest.fixture(autouse=True)
-def _fresh_ids():
-    reset_packet_ids()
 
 
 class DirectRouting(RoutingFunction):

@@ -7,7 +7,6 @@ from repro.noc import (
     RoutingFunction,
     SharedMedium,
     Simulator,
-    reset_packet_ids,
 )
 from repro.noc.simulator import SimulationDeadlock
 from repro.noc.stats import LatencyStats, StatsCollector
@@ -24,15 +23,9 @@ from repro.traffic import ScriptedTraffic, SyntheticTraffic
 from repro.topologies import build_cmesh
 
 
-@pytest.fixture(autouse=True)
-def _fresh_ids():
-    reset_packet_ids()
-
-
 class TestDeterminism:
     def test_same_seed_same_results(self):
         def run():
-            reset_packet_ids()
             built = build_cmesh(64)
             sim = Simulator(
                 built.network,
@@ -50,7 +43,6 @@ class TestDeterminism:
 
     def test_different_seed_different_results(self):
         def run(seed):
-            reset_packet_ids()
             built = build_cmesh(64)
             sim = Simulator(
                 built.network,
@@ -114,6 +106,28 @@ class TestDrain:
         sim.traffic = override
         assert sim.resume_traffic() is override
         assert sim._paused_traffic is None
+
+    def test_packet_ids_unique_when_traffic_replaced_after_drain(self):
+        # The simulator, not the traffic object, numbers packets: a source
+        # installed after construction continues the same 0, 1, 2, ...
+        # sequence (Tracer, link layer and drain accounting key on pid).
+        class Recording(SyntheticTraffic):
+            def tick(self, now):
+                packets = super().tick(now)
+                born.extend(packets)
+                return packets
+
+        born = []
+        built = build_cmesh(64)
+        sim = Simulator(built.network, traffic=Recording(64, "UN", 0.05, 4, seed=1))
+        sim.run(100)
+        assert sim.drain()
+        n_first = len(born)
+        sim.traffic = Recording(64, "UN", 0.05, 4, seed=2)
+        sim.resume_traffic()
+        sim.run(100)
+        assert len(born) > n_first > 0
+        assert [p.pid for p in born] == list(range(len(born)))
 
     def test_resume_traffic_without_drain_is_noop(self):
         built = build_cmesh(64)
@@ -302,7 +316,7 @@ class TestDeadlockReport:
             Packet(0, 1, 4, 0)
         )
         endpoint.vc_busy = [True] * len(endpoint.vc_busy)
-        net.inject_packet(Packet(0, 1, 4, 0, allocator=sim.packet_ids))
+        net.inject_packet(Packet(0, 1, 4, 0, pid=0))
         return sim
 
     def test_watchdog_raises_with_diagnostics(self):
@@ -332,8 +346,8 @@ class TestDeadlockReport:
         net.set_routing(LineRouting(net, fwd_port))
         net.finalize()
         sim = Simulator(net, watchdog=10)
-        net.inject_packet(Packet(0, 1, 4, 0, allocator=sim.packet_ids))
-        net.inject_packet(Packet(0, 1, 4, 0, allocator=sim.packet_ids))
+        net.inject_packet(Packet(0, 1, 4, 0, pid=0))
+        net.inject_packet(Packet(0, 1, 4, 0, pid=1))
         sim.run(600)  # several credit round trips at latency 40
         sim.drain()
         assert sim.stats.packets_ejected == 2

@@ -15,7 +15,6 @@ from repro.noc import (
     RoutingFunction,
     SharedMedium,
     Simulator,
-    reset_packet_ids,
 )
 from repro.traffic import ScriptedTraffic
 
@@ -35,7 +34,6 @@ class TwoRouterRouting(RoutingFunction):
 
 
 def build_two_router_net() -> Simulator:
-    reset_packet_ids()
     net = Network("pair", n_cores=4, num_vcs=2, vc_depth=4)
     r0 = net.add_router(position_mm=(0, 0))
     r1 = net.add_router(position_mm=(10, 0))
@@ -84,7 +82,6 @@ def test_bidirectional_streams_complete():
 def test_latency_monotone_in_link_latency():
     lats = []
     for link_latency in (1, 5, 10):
-        reset_packet_ids()
         net = Network("pair", n_cores=4, num_vcs=2, vc_depth=4)
         r0 = net.add_router()
         r1 = net.add_router()
@@ -118,7 +115,6 @@ class StarRouting(RoutingFunction):
 
 
 def build_mwsr_star(n_writers: int = 3, arb_latency: int = 1):
-    reset_packet_ids()
     n_cores = n_writers + 1
     net = Network("star", n_cores=n_cores, num_vcs=2, vc_depth=4)
     hub = net.add_router()
@@ -164,7 +160,6 @@ def test_deadlock_watchdog_fires():
         def compute(self, router, packet):
             return self.ports[router.rid]  # never ejects
 
-    reset_packet_ids()
     net = Network("loop", n_cores=2, num_vcs=1, vc_depth=2)
     r0 = net.add_router()
     r1 = net.add_router()

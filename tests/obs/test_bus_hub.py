@@ -12,7 +12,6 @@ from repro.obs import (
     RUN_STARTED,
     STALL,
     BusDrain,
-    InlineBus,
     ObservationHub,
     QueueBus,
     is_event,
@@ -54,19 +53,6 @@ class TestEvents:
 
     def test_run_id_is_digest_prefix(self):
         assert run_id("ab" * 32) == ("ab" * 32)[:12]
-
-
-class TestInlineBus:
-    def test_synchronous_dispatch_in_order(self):
-        bus = InlineBus()
-        seen = []
-        bus.subscribe(seen.append)
-        bus.subscribe(lambda ev: seen.append(("again", ev["seq"])))
-        bus.publish(beat(seq=1))
-        bus.publish(beat(seq=2))
-        assert [e["seq"] for e in seen[::2]] == [1, 2]
-        assert seen[1] == ("again", 1)
-        assert bus.published == 2
 
 
 class TestQueueBus:

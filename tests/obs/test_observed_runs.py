@@ -192,43 +192,21 @@ class TestProgressPhases:
         ex.run(SPECS)
         assert seen == [(1, 3), (2, 3), (3, 3)]
 
-    def test_phase_aware_callback_sees_inflight(self):
-        calls = []
-
-        def progress(done, total, result, phase=None, info=None):
-            calls.append((phase, result is not None, info))
-
-        ex = Executor(jobs=1, observe=make_hub(), progress=progress)
-        ex.run_one(SPEC)
-        phases = [c[0] for c in calls]
-        assert phases[0] == "started"
-        assert "heartbeat" in phases
-        assert phases[-1] == "finished"
-        # Only the completion carries a result; in-flight calls carry the
-        # raw event instead.
-        for phase, has_result, info in calls:
-            if phase == "finished":
-                assert has_result and info is None
-            else:
-                assert not has_result and info["event"] is not None
-
-    def test_phase_without_info_param_supported(self):
-        calls = []
-
-        def progress(done, total, result, phase=None):
-            calls.append(phase)
-
-        Executor(jobs=1, observe=make_hub(), progress=progress).run_one(SPEC)
-        assert calls[0] == "started" and calls[-1] == "finished"
-
-    def test_phase_aware_without_hub_gets_finished_only(self):
-        calls = []
-
-        def progress(done, total, result, phase=None, info=None):
-            calls.append(phase)
-
-        Executor(jobs=1, progress=progress).run_one(SPEC)
-        assert calls == ["finished"]
+    def test_hub_subscriber_sees_inflight(self):
+        # In-flight events have one route -- ObservationHub.subscribe --
+        # while ``progress`` fires once, on completion, with the result.
+        hub = make_hub()
+        events, completions = [], []
+        hub.subscribe(lambda ev: events.append(ev["event"]))
+        ex = Executor(
+            jobs=1, observe=hub,
+            progress=lambda done, total, r: completions.append(r),
+        )
+        result = ex.run_one(SPEC)
+        assert events[0] == RUN_STARTED
+        assert HEARTBEAT in events
+        assert events[-1] == RUN_FINISHED
+        assert completions == [result]
 
 
 class TestRunObserverUnit:

@@ -3,15 +3,10 @@
 import pytest
 
 from repro.core import build_own256
-from repro.noc import Router, Simulator, reset_packet_ids
+from repro.noc import Router, Simulator
 from repro.power import DsentParams, PhotonicParams, PowerModel, measure_power
 from repro.topologies import build_cmesh, build_optxb
 from repro.traffic import SyntheticTraffic
-
-
-@pytest.fixture(autouse=True)
-def _fresh_ids():
-    reset_packet_ids()
 
 
 class TestDsent:

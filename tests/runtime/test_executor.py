@@ -147,15 +147,16 @@ class TestTelemetry:
 
 class TestRunIsolation:
     def test_simulators_get_private_packet_ids(self):
-        # Two live simulators interleaved in one process must each count
-        # packet ids from zero (no shared global allocator).
-        built_a, sim_a, _ = execute_inline(spec(0.02))
-        built_b, sim_b, _ = execute_inline(spec(0.02, seed=9))
-        assert sim_a.packet_ids is not sim_b.packet_ids
-        # Each allocator handed out its own 0..n-1 range: the *next* id it
-        # would issue equals the number of packets that run generated.
-        assert sim_a.packet_ids.next_id() == sim_a.traffic.packets_generated
-        assert sim_b.packet_ids.next_id() == sim_b.traffic.packets_generated
+        # Two simulators in one process each number their packets from 0
+        # (there is no process-global counter for the second to continue).
+        from repro.telemetry import FLIT_SEND, Tracer
+
+        for seed in (5, 9):
+            tracer = Tracer()
+            _, sim, _ = execute_inline(spec(0.02, seed=seed), tracer=tracer)
+            sent = {ev.args["pid"] for ev in tracer.events if ev.etype == FLIT_SEND}
+            assert 0 in sent
+            assert sent <= set(range(sim.stats.packets_created))
 
     def test_inline_matches_engine(self):
         _, _, inline_result = execute_inline(SPECS[1])

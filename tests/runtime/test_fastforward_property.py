@@ -6,6 +6,11 @@ same cycle as under dense per-cycle polling. This is the load-bearing
 guarantee behind the committed golden baselines, so it is checked as a
 hypothesis property across random seeds, injection rates, topologies and
 fault campaigns rather than at a handful of hand-picked points.
+
+``dense`` only switches the clock skip off -- both of those arms drive SA
+through the flat slot sweep -- so a third arm attaches a metrics-only
+tracer, which selects the per-router ``stage_sa``: sweep == object path is
+property-tested on the same scenarios.
 """
 
 from contextlib import contextmanager
@@ -13,10 +18,10 @@ from contextlib import contextmanager
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.noc import reset_packet_ids
 from repro.noc.stats import StatsCollector
 from repro.runtime.executor import execute_inline
 from repro.runtime.spec import FaultSpec, RunSpec
+from repro.telemetry import Tracer
 
 
 @contextmanager
@@ -36,8 +41,7 @@ def delivery_log():
         StatsCollector.on_packet_ejected = orig
 
 
-def _run(topology, rate, seed, faults, dense):
-    reset_packet_ids()
+def _run(topology, rate, seed, faults, dense, tracer=None):
     key, kwargs = topology
     spec = RunSpec.create(
         topology=key,
@@ -51,7 +55,8 @@ def _run(topology, rate, seed, faults, dense):
         dense=dense,
     )
     with delivery_log() as events:
-        _, _, result = execute_inline(spec)
+        _, sim, result = execute_inline(spec, tracer=tracer)
+    assert sim._sa_kernel == (tracer is None)
     return events, result.summary
 
 
@@ -76,7 +81,11 @@ def test_dense_and_fast_deliver_identically(topology, rate, seed, faults):
         faults = None  # fault campaigns target wireless channels
     fast_events, fast_summary = _run(topology, rate, seed, faults, dense=False)
     dense_events, dense_summary = _run(topology, rate, seed, faults, dense=True)
+    object_events, object_summary = _run(
+        topology, rate, seed, faults, dense=False,
+        tracer=Tracer(record_events=False),
+    )
 
     assert fast_events, "scenario delivered no packets; raise rate/cycles"
-    assert fast_events == dense_events
-    assert fast_summary == dense_summary
+    assert fast_events == dense_events == object_events
+    assert fast_summary == dense_summary == object_summary

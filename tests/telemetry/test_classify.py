@@ -8,7 +8,7 @@ non-OWN links.
 
 from types import SimpleNamespace
 
-from repro.noc import Simulator, reset_packet_ids
+from repro.noc import Simulator
 from repro.runtime import build_topology
 from repro.telemetry import Tracer
 from repro.telemetry.classify import (
@@ -80,7 +80,6 @@ class TestOwn1024Multicast:
             assert link_class(link, classes) in WIRELESS_CLASSES
 
     def test_traced_own1024_metrics_use_distance_classes(self):
-        reset_packet_ids()
         built = build_topology("own1024")
         tracer = Tracer(record_events=False)
         sim = Simulator(

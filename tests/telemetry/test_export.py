@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.noc import Simulator, reset_packet_ids
+from repro.noc import Simulator
 from repro.telemetry import (
     FLIT_SEND,
     SPAN_EVENTS,
@@ -16,14 +16,8 @@ from repro.topologies import build_cmesh
 from repro.traffic import SyntheticTraffic
 
 
-@pytest.fixture(autouse=True)
-def _fresh_ids():
-    reset_packet_ids()
-
-
 @pytest.fixture(scope="module")
 def traced():
-    reset_packet_ids()
     built = build_cmesh(64)
     tracer = Tracer()
     sim = Simulator(

@@ -9,14 +9,13 @@ three distance classes (C2C/E2E/SR) all carry traffic.
 import pytest
 
 from repro.core.own256 import build_own256
-from repro.noc import Simulator, reset_packet_ids
+from repro.noc import Simulator
 from repro.telemetry import TOKEN_GRANT, WIRELESS_CLASSES, Tracer
 from repro.traffic import SyntheticTraffic
 
 
 @pytest.fixture(scope="module")
 def traced_own():
-    reset_packet_ids()
     built = build_own256()
     tracer = Tracer()
     sim = Simulator(

@@ -1,8 +1,6 @@
 """Tracer behaviour: event ordering, zero-overhead-off, latency breakdown."""
 
-import pytest
-
-from repro.noc import Simulator, reset_packet_ids
+from repro.noc import Simulator
 from repro.telemetry import (
     BREAKDOWN_STAGES,
     EVENT_TYPES,
@@ -15,13 +13,7 @@ from repro.topologies import build_cmesh
 from repro.traffic import SyntheticTraffic
 
 
-@pytest.fixture(autouse=True)
-def _fresh_ids():
-    reset_packet_ids()
-
-
 def run_cmesh(tracer, cycles=300, rate=0.05, seed=11):
-    reset_packet_ids()
     built = build_cmesh(64)
     sim = Simulator(
         built.network,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.noc import Simulator, reset_packet_ids
+from repro.noc import Simulator
 from repro.runtime.registry import build_topology
 from repro.telemetry import (
     BUFFER_SAMPLE,
@@ -19,13 +19,7 @@ from repro.topologies import build_cmesh
 from repro.traffic import SyntheticTraffic
 
 
-@pytest.fixture(autouse=True)
-def _fresh_ids():
-    reset_packet_ids()
-
-
 def run_cmesh(tracer, cycles=300, rate=0.05, seed=11, built=None):
-    reset_packet_ids()
     built = built or build_cmesh(64)
     sim = Simulator(
         built.network,

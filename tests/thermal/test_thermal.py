@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import build_own256
-from repro.noc import Simulator, reset_packet_ids
+from repro.noc import Simulator
 from repro.thermal import (
     ThermalGrid,
     ThermalParams,
@@ -14,11 +14,6 @@ from repro.thermal import (
 )
 from repro.topologies import build_cmesh, build_optxb
 from repro.traffic import SyntheticTraffic
-
-
-@pytest.fixture(autouse=True)
-def _fresh_ids():
-    reset_packet_ids()
 
 
 class TestGridSolver:
@@ -138,7 +133,6 @@ class TestNetworkThermal:
         sim.run(500)
         cool = thermal_report(built, sim).peak_c
 
-        reset_packet_ids()
         built2 = build_own256()
         sim2 = Simulator(
             built2.network, traffic=SyntheticTraffic(256, "UN", 0.04, 4, seed=2)
@@ -152,7 +146,6 @@ class TestNetworkThermal:
         gradient with far more tuning power than OWN's 4k rings."""
         results = {}
         for name, builder in (("own", build_own256), ("optxb", lambda: build_optxb(256))):
-            reset_packet_ids()
             built = builder()
             sim = Simulator(
                 built.network, traffic=SyntheticTraffic(256, "UN", 0.03, 4, seed=2)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.noc import Simulator, reset_packet_ids
+from repro.noc import Simulator
 from repro.topologies import (
     CONCENTRATION,
     build_cmesh,
@@ -38,7 +38,6 @@ def run_uniform(built, rate=0.05, cycles=400, seed=7):
 
 @pytest.mark.parametrize("kind", sorted(BUILDERS))
 def test_uniform_traffic_fully_delivered_64core(kind):
-    reset_packet_ids()
     built = BUILDERS[kind](n_cores=64)
     sim, drained = run_uniform(built)
     assert drained, f"{kind}: network failed to drain"
@@ -50,7 +49,6 @@ def test_uniform_traffic_fully_delivered_64core(kind):
 
 @pytest.mark.parametrize("kind", sorted(BUILDERS))
 def test_permutation_traffic_delivered(kind):
-    reset_packet_ids()
     built = BUILDERS[kind](n_cores=64)
     sim = Simulator(built.network, traffic=SyntheticTraffic(
         64, "BR", 0.1, packet_size_flits=4, seed=3, stop_cycle=300
@@ -70,7 +68,6 @@ def test_cmesh_structure():
 
 
 def test_cmesh_minimal_hop_count():
-    reset_packet_ids()
     built = build_cmesh(n_cores=64)
     # Core 0 (router 0) to core 63 (router 15): 3+3 grid hops + eject.
     sim = Simulator(built.network, traffic=ScriptedTraffic([(0, 0, 63, 4)]))
@@ -90,7 +87,6 @@ def test_optxb_structure():
 
 
 def test_optxb_single_network_hop():
-    reset_packet_ids()
     built = build_optxb(n_cores=64)
     sim = Simulator(built.network, traffic=ScriptedTraffic([(0, 0, 60, 4)]))
     sim.run(200)
@@ -111,7 +107,6 @@ def test_wcmesh_structure():
 
 
 def test_wcmesh_wireless_hops_for_cross_chip():
-    reset_packet_ids()
     built = build_wcmesh(n_cores=256)
     # Core 0 (cluster 0, top-left) to core 255 (router 63, cluster 15).
     sim = Simulator(built.network, traffic=ScriptedTraffic([(0, 0, 255, 4)]))
@@ -122,7 +117,6 @@ def test_wcmesh_wireless_hops_for_cross_chip():
 
 
 def test_pclos_two_hops():
-    reset_packet_ids()
     built = build_pclos(n_cores=64)
     sim = Simulator(built.network, traffic=ScriptedTraffic([(0, 0, 40, 4)]))
     sim.run(300)

@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.noc import Simulator, reset_packet_ids
+from repro.noc import Simulator
 from repro.traffic import ApplicationTraffic, BurstyTraffic
 from repro.topologies import build_cmesh
-
-
-@pytest.fixture(autouse=True)
-def _fresh_ids():
-    reset_packet_ids()
 
 
 def offered_load(traffic, cores, cycles):
@@ -37,7 +32,6 @@ class TestBurstyTraffic:
         lives)."""
 
         def dispersion(burst_factor, window=100, cycles=6000):
-            reset_packet_ids()
             tr = BurstyTraffic(64, "UN", 0.1, 4, seed=3,
                                burst_factor=burst_factor,
                                mean_burst_cycles=25.0)
@@ -115,9 +109,41 @@ class TestApplicationTraffic:
 
     def test_deterministic(self):
         def packets(seed):
-            reset_packet_ids()
             tr = ApplicationTraffic(64, 0.2, seed=seed)
             return [(p.src_core, p.dst_core) for t in range(100) for p in tr.tick(t)]
 
         assert packets(4) == packets(4)
         assert packets(4) != packets(5)
+
+    def test_dense_and_fast_forward_identical(self):
+        # The shared draw-ahead peek makes ApplicationTraffic a fast-forward
+        # wake source: same packets, same delivery log, fewer steps.
+        def run(dense):
+            log = []  # births and deliveries, in simulation order
+
+            class Recording(ApplicationTraffic):
+                def tick(self, now):
+                    packets = super().tick(now)
+                    log.extend(("born", now, p.src_core, p.dst_core) for p in packets)
+                    return packets
+
+            sim = Simulator(
+                build_cmesh(64).network,
+                traffic=Recording(64, 0.002, 4, seed=6, stop_cycle=2000),
+                dense=dense,
+            )
+            eject, step, stepped = sim.stats.on_packet_ejected, sim.step, []
+            sim.stats.on_packet_ejected = lambda packet, now: (
+                log.append(("done", now, packet.pid)), eject(packet, now)
+            )
+            sim.step = lambda: (stepped.append(sim.now), step())[1]
+            sim.run(2000)
+            assert sim.drain()
+            return log, len(stepped), sim.now
+
+        dense_log, dense_steps, dense_now = run(dense=True)
+        fast_log, fast_steps, fast_now = run(dense=False)
+        assert fast_log == dense_log
+        assert sum(e[0] == "done" for e in fast_log) == len(fast_log) // 2 > 0
+        assert dense_steps == dense_now == fast_now
+        assert fast_steps < fast_now

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.noc.packet import reset_packet_ids
 from repro.traffic import ScriptedTraffic, SyntheticTraffic, TraceTraffic, TrafficTrace
-
-
-@pytest.fixture(autouse=True)
-def _fresh_ids():
-    reset_packet_ids()
 
 
 class TestSyntheticTraffic:
@@ -37,7 +31,6 @@ class TestSyntheticTraffic:
 
     def test_determinism(self):
         def draws(seed):
-            reset_packet_ids()
             tr = SyntheticTraffic(64, "UN", 0.3, 4, seed=seed)
             return [(p.src_core, p.dst_core) for t in range(50) for p in tr.tick(t)]
 
@@ -83,7 +76,6 @@ class TestTrace:
         trace = TrafficTrace.record(source, cycles=200)
         assert len(trace) > 0
 
-        reset_packet_ids()
         replay = trace.replayer()
         packets = [(t, p.src_core, p.dst_core, p.size_flits)
                    for t in range(200) for p in replay.tick(t)]
@@ -123,7 +115,6 @@ class TestTrace:
         source = SyntheticTraffic(64, "UN", 0.05, 4, seed=5, stop_cycle=150)
         trace = TrafficTrace.record(source, cycles=150)
 
-        reset_packet_ids()
         built = build_cmesh(64)
         sim = Simulator(built.network, traffic=trace.replayer())
         sim.run(150)
