@@ -62,8 +62,8 @@ class ControlLoop:
     Parameters
     ----------
     routing:
-        A :class:`~repro.core.faults.FaultTolerantOwn256Routing` (needs
-        ``fail_channel`` / ``unfail_channel`` / ``prefer_relay``).
+        A :class:`~repro.core.faults.FaultTolerantOwn256Routing` (the
+        :class:`~repro.core.faults.RelayRouting` fault set plus spares).
     reconfig:
         The :class:`~repro.core.reconfig.ReconfigurationController`; the
         loop switches it to managed mode and owns its ``desired`` list.
@@ -273,15 +273,6 @@ class ControlLoop:
 
     # ---------------- placement repair: pins ---------------- #
 
-    def _relay_exists(self, pair: Pair) -> bool:
-        cs, cd = pair
-        return any(
-            cx not in (cs, cd)
-            and self.routing.alive(cs, cx)
-            and self.routing.alive(cx, cd)
-            for cx in range(self.routing.dims.clusters)
-        )
-
     def _evict_faulty_pins(self, sim: "Simulator", now: int) -> None:
         """Unpin failover spares whose own hardware died (a pinned spare
         that silently eats traffic into the recovery path is a livelock:
@@ -292,7 +283,7 @@ class ControlLoop:
         for pair in list(self.reconfig.pinned):
             if self._spare_healthy(pair):
                 continue
-            if pair in self.routing.failed_pairs and not self._relay_exists(pair):
+            if pair in self.routing.failed_pairs and not self.routing.has_relay(pair):
                 continue
             self.reconfig.unpin(pair)
             retry = self._pin_retry.setdefault(pair, _PinRetry())
@@ -379,26 +370,20 @@ class ControlLoop:
     def _reweight_relays(self, sim: "Simulator", window: TelemetryWindow,
                          now: int) -> None:
         """Steer spare-less failed pairs through the coolest live relay."""
-        clusters = range(self.routing.dims.clusters)
         for pair in sorted(self.routing.failed_pairs):
             cs, cd = pair
             if self.reconfig.boosted(cs, cd) is not None:
                 continue  # traffic rides the pinned spare, not a relay
-            best: Optional[int] = None
-            best_load = 0
-            for cx in clusters:
-                if cx in (cs, cd):
-                    continue
-                if not (self.routing.alive(cs, cx) and self.routing.alive(cx, cd)):
-                    continue
-                load = window.demand((cs, cx)) + window.demand((cx, cd))
-                if best is None or load < best_load:
-                    best, best_load = cx, load
+            loads = {
+                cx: window.demand((cs, cx)) + window.demand((cx, cd))
+                for cx in self.routing.live_relays(cs, cd)
+            }
+            best = min(loads, key=loads.get, default=None)  # first coolest
             if best is not None and self._relay_pref.get(pair) != best:
                 self._relay_pref[pair] = best
                 self.routing.prefer_relay(cs, cd, best)
                 self._emit(sim, now, "relay", pair=pair, via=best,
-                           load=best_load)
+                           load=loads[best])
 
     # ------------------------------------------------------------------ #
     # Logging + reporting

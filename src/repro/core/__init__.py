@@ -4,7 +4,8 @@
 * :mod:`repro.core.floorplan` -- cluster geometry, antenna placement,
 * :mod:`repro.core.channels`  -- Table I / Table II channel allocation + SDM,
 * :mod:`repro.core.routing`   -- 3-hop hierarchical routing, VC partitioning,
-* :mod:`repro.core.own256` / :mod:`repro.core.own1024` -- builders.
+* :mod:`repro.core.own256` / :mod:`repro.core.own1024` -- builders,
+* :mod:`repro.core.faults`    -- relay routing around failed wireless channels.
 """
 
 from repro.core.coords import OwnDims, OWN256_DIMS, OWN1024_DIMS
@@ -43,12 +44,12 @@ from repro.core.own256 import build_own256, make_reconfig_controller
 from repro.core.own1024 import build_own1024
 from repro.core.reconfig import ReconfigurationController, SpareAssignment, N_SPARE_CHANNELS
 from repro.core.faults import (
+    RELAY_VC_ORDER,
+    RelayRouting,
     FaultTolerantOwn256Routing,
+    FaultTolerantOwn1024Routing,
     UnroutableError,
     build_fault_tolerant_own256,
-)
-from repro.core.faults1024 import (
-    FaultTolerantOwn1024Routing,
     build_fault_tolerant_own1024,
 )
 
@@ -87,6 +88,8 @@ __all__ = [
     "ReconfigurationController",
     "SpareAssignment",
     "N_SPARE_CHANNELS",
+    "RELAY_VC_ORDER",
+    "RelayRouting",
     "FaultTolerantOwn256Routing",
     "UnroutableError",
     "build_fault_tolerant_own256",

@@ -15,6 +15,7 @@ the data has to be analyzed before discarding it").
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Tuple
 
 from repro.core.channels import own1024_channel_map, own1024_channels
@@ -44,14 +45,15 @@ def _group_origin(group: int) -> Tuple[float, float]:
     return (gx * GROUP_EDGE_MM, gy * GROUP_EDGE_MM)
 
 
-def build_own1024(
+def _build_own1024(
+    routing_cls,
     num_vcs: int = 4,
     vc_depth: int = 8,
     wireless_cycles_per_flit: int = 1,
     wireless_latency: int = 1,
 ) -> BuiltTopology:
-    """Build the OWN-1024 network (see :func:`repro.core.own256.build_own256`
-    for the parameter semantics)."""
+    """Build the OWN-1024 network, routed by a ``routing_cls`` instance (see
+    :func:`repro.core.own256.build_own256` for the parameter semantics)."""
     dims = OWN1024_DIMS
     net = Network("own1024", dims.n_cores, num_vcs=num_vcs, vc_depth=vc_depth)
 
@@ -142,7 +144,7 @@ def build_own1024(
             wireless_port[(w, ch.channel_index)] = ports[w]
             gateway_rid[(ch.channel_index, cluster)] = w
 
-    routing = Own1024Routing(
+    routing = routing_cls(
         net, dims, photonic_port, wireless_port, own1024_channel_map(), gateway_rid
     )
     net.set_routing(routing)
@@ -159,5 +161,11 @@ def build_own1024(
             "max_radix_paper": 22,
             "diameter_hops": 3,
             "waveguides": dims.groups * dims.clusters * dims.tiles,
+            "routing": routing,
         },
     )
+
+
+#: The paper's OWN-1024 (:func:`repro.core.faults.build_fault_tolerant_own1024`
+#: binds the relay-capable routing class instead).
+build_own1024 = partial(_build_own1024, Own1024Routing)

@@ -13,6 +13,7 @@ the DSENT-style router power model via ``attrs["paper_radix"]``.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Tuple
 
 from repro.core.channels import own256_channel_map, own256_channels
@@ -42,7 +43,8 @@ SNAKE_LENGTH_MM = 4 * CLUSTER_EDGE_MM
 CENTER_ANTENNA_TILES: Dict[str, int] = {"A": 5, "D": 6, "B": 9, "C": 10}
 
 
-def build_own256(
+def _build_own256(
+    routing_cls,
     num_vcs: int = 4,
     vc_depth: int = 8,
     wireless_cycles_per_flit: int = 1,
@@ -50,7 +52,7 @@ def build_own256(
     antenna_placement: str = "corners",
     with_reconfiguration: bool = False,
 ) -> BuiltTopology:
-    """Build the OWN-256 network.
+    """Build the OWN-256 network, routed by a ``routing_cls`` instance.
 
     Parameters
     ----------
@@ -182,7 +184,7 @@ def build_own256(
             port = wireless_port[(tx_rid2, ch.channel_index)]
             primary_links[(cs, cd)] = net.routers[tx_rid2].out_links[port]
 
-    routing = Own256Routing(
+    routing = routing_cls(
         net,
         dims,
         photonic_port,
@@ -212,6 +214,11 @@ def build_own256(
             "routing": routing,
         },
     )
+
+
+#: The paper's OWN-256: :func:`_build_own256` with the plain routing class
+#: (:func:`repro.core.faults.build_fault_tolerant_own256` binds the relay one).
+build_own256 = partial(_build_own256, Own256Routing)
 
 
 def make_reconfig_controller(

@@ -123,6 +123,15 @@ class OwnRoutingBase(RoutingFunction):
     def _wireless_vcs(self, packet) -> Sequence[int]:
         raise NotImplementedError
 
+    def _leg_target(self, router: Router, packet, cur: int, dst: int) -> int:
+        """Relay hook: the domain the wireless leg out of ``cur`` crosses to.
+
+        Domains are clusters at OWN-256 and groups at OWN-1024. Plain
+        routing always crosses straight to the destination;
+        :class:`repro.core.faults.RelayRouting` goes around failed channels.
+        """
+        return dst
+
     def invalidate_pending_routes(self) -> None:
         """Force re-routing of every head still waiting for a VC grant.
 
@@ -259,7 +268,8 @@ class Own256Routing(OwnRoutingBase):
         port = self._spare_route(router, packet, c_cur, c_dst)
         if port is not None:
             return port
-        channel = self.channel_map[(c_cur, c_dst)]
+        c_next = self._leg_target(router, packet, c_cur, c_dst)
+        channel = self.channel_map[(c_cur, c_next)]
         gateway = self.gateway_rid[channel.channel_index]
         if rid == gateway:
             return self.wireless_port[(rid, channel.channel_index)]
@@ -295,7 +305,8 @@ class Own1024Routing(OwnRoutingBase):
         if (g_cur, c_cur) == (g_dst, c_dst):
             return self.photonic_port[(rid, dst_rid)]
         # Wireless is needed: intra-group (D antennas) or inter-group SWMR.
-        channel = self.channel_map[(g_cur, g_dst)]
+        g_next = self._leg_target(router, packet, g_cur, g_dst)
+        channel = self.channel_map[(g_cur, g_next)]
         gateway = self.gateway_rid[(channel.channel_index, c_cur)]
         if rid == gateway:
             return self.wireless_port[(rid, channel.channel_index)]

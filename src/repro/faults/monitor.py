@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
+from repro.core.faults import UnroutableError
 from repro.faults.linklayer import FaultLayer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,10 +43,9 @@ class HealthMonitor:
     layer:
         The fault layer whose per-link counters to watch.
     routing:
-        A routing object with ``fail_channel(src_cluster, dst_cluster)``
-        (e.g. :class:`~repro.core.faults.FaultTolerantOwn256Routing`) and a
-        ``channel_map``. ``None`` disables network-layer failover: the link
-        layer keeps masking faults by retransmission alone.
+        A :class:`~repro.core.faults.RelayRouting` (its ``fail_channel``
+        and ``pair_of_channel``). ``None`` disables network-layer failover:
+        the link layer keeps masking faults by retransmission alone.
     reconfig:
         Optional :class:`~repro.core.reconfig.ReconfigurationController`;
         failed pairs get a spare channel pinned when feasible.
@@ -92,7 +92,6 @@ class HealthMonitor:
         self.failovers: List[Tuple[int, str, Optional[Tuple[int, int]]]] = []
         self._snap: Dict["Link", Tuple[int, int]] = {}
         self._strikes: Dict["Link", int] = {}
-        self._pair_by_channel: Optional[Dict[int, Tuple[int, int]]] = None
 
     # ------------------------------------------------------------------ #
 
@@ -146,17 +145,6 @@ class HealthMonitor:
 
     # ------------------------------------------------------------------ #
 
-    def _pair_for(self, link: "Link") -> Optional[Tuple[int, int]]:
-        """The (src_cluster, dst_cluster) a primary wireless channel serves."""
-        if self.routing is None or link.kind != "wireless" or link.channel_id is None:
-            return None
-        if self._pair_by_channel is None:
-            self._pair_by_channel = {
-                assignment.channel_index: pair
-                for pair, assignment in self.routing.channel_map.items()
-            }
-        return self._pair_by_channel.get(link.channel_id)
-
     def fail_over(self, sim: "Simulator", link: "Link") -> bool:
         """Retire ``link``; returns False when no reroute exists.
 
@@ -165,14 +153,15 @@ class HealthMonitor:
         in place and the link layer keeps retrying -- degraded service
         beats dropped packets.
         """
-        pair = self._pair_for(link)
-        if pair is None:
+        if self.routing is None or link.kind != "wireless":
             return False
+        pair = self.routing.pair_of_channel.get(link.channel_id)
+        if pair is None:
+            return False  # a spare: no primary pair to fail
         try:
             self.routing.fail_channel(*pair)
-        except Exception:
-            # UnroutableError: failing this channel would strand some pair.
-            return False
+        except UnroutableError:
+            return False  # failing this channel would strand some pair
         if self.reconfig is not None:
             try:
                 self.reconfig.pin(pair)

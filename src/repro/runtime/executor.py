@@ -216,11 +216,12 @@ def _make_control(spec: RunSpec, built, layer) -> Tuple[List[object], Optional[o
     if cs is None:
         return [], None
     from repro.control import ControlLoop
+    from repro.core.faults import RelayRouting
     from repro.core.own256 import make_reconfig_controller
     from repro.utils.rng import RngStreams
 
     routing = built.notes.get("routing")
-    if routing is None or not hasattr(routing, "unfail_channel"):
+    if not isinstance(routing, RelayRouting):
         raise ValueError(
             "spec.control requires a fault-tolerant reconfigurable topology "
             "(e.g. own256_ft with with_reconfiguration=True)"

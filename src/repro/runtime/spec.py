@@ -273,15 +273,12 @@ class RunSpec:
         (``Executor(trace_dir=...)``), not a spec knob, because the event
         stream is not cacheable payload.
     dense:
-        Force the reference engine: execute every cycle instead of
-        fast-forwarding through quiescent stretches, and drive switch
-        allocation through the per-router object scan instead of the
-        network-wide slot sweep (see
-        :class:`repro.noc.simulator.Simulator` and
-        :mod:`repro.noc.kernels`). Results are bit-identical either way
-        -- this knob exists to *prove* that (CI diffs a dense sweep
-        against the fast-generated golden log at a 0% threshold) and as
-        a fallback while debugging the scheduler or the sweep.
+        No clock skip: execute every cycle instead of fast-forwarding
+        through quiescent stretches; every phase runs the identical code
+        either way (see :class:`repro.noc.simulator.Simulator`). Results
+        are bit-identical -- this knob exists to *prove* that (CI diffs a
+        dense sweep against the fast-generated golden log at a 0%
+        threshold) and as a fallback while debugging the scheduler.
     tag:
         Free-form variant label (e.g. ``"hot+burst/adaptive"``). Part of
         the digest (two variants never share a cache entry), appended to

@@ -153,7 +153,7 @@ class TestPinRetry:
         assert (0, 2) not in ctrl.pinned
         assert loop._pin_retry[(0, 2)].given_up
         # Degraded, not dead: the failed pair still routes via relay.
-        assert routing._next_cluster(0, 2) != 2
+        assert routing._next_domain(0, 2) != 2
 
     def test_faulty_pinned_spare_is_evicted(self):
         _, routing, ctrl, loop = make_plant()

@@ -58,7 +58,7 @@ class TestRelaying:
         built = build_fault_tolerant_own256()
         routing = built.notes["routing"]
         routing.fail_channel(0, 2)
-        routing.restore_channel(0, 2)
+        routing.unfail_channel(0, 2)
         sim = Simulator(
             built.network,
             traffic=ScriptedTraffic([(0, core(0, 5), core(2, 9), 4)]),
@@ -100,31 +100,6 @@ class TestDeadlockSafetyUnderFaults:
         )
         sim.run(2000)  # raises SimulationDeadlock on a VC cycle
         assert sim.stats.packets_ejected > 0
-
-    def test_vc_classes_disjoint_along_relay(self):
-        """First-leg wireless uses VCs {0,1}, final leg {2,3}."""
-        built = build_fault_tolerant_own256()
-        routing = built.notes["routing"]
-        routing.fail_channel(0, 2)
-        net = built.network
-
-        class P:  # minimal packet stub for allowed_vcs
-            def __init__(self, src, dst):
-                self.src_core, self.dst_core = src, dst
-                self.size_flits = 4
-
-        # At the cluster-0 gateway toward the relay, wireless is leg 1 of 2.
-        cx = routing._relay_for(0, 2)
-        ch = routing.channel_map[(0, cx)]
-        gw = net.routers[routing.gateway_rid[ch.channel_index]]
-        wport = routing.wireless_port[(gw.rid, ch.channel_index)]
-        pkt = P(core(0, 5), core(2, 9))
-        assert tuple(routing.allowed_vcs(gw, wport, pkt)) == (0, 1)
-        # At the relay cluster's gateway toward cluster 2, it's the final leg.
-        ch2 = routing.channel_map[(cx, 2)]
-        gw2 = net.routers[routing.gateway_rid[ch2.channel_index]]
-        wport2 = routing.wireless_port[(gw2.rid, ch2.channel_index)]
-        assert tuple(routing.allowed_vcs(gw2, wport2, pkt)) == (2, 3)
 
 
 class TestUnroutability:

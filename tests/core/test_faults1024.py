@@ -1,5 +1,7 @@
 """Group-level fault tolerance for OWN-1024."""
 
+import random
+
 import pytest
 
 from repro.core import (
@@ -71,7 +73,7 @@ class TestRelay:
         built = build_fault_tolerant_own1024()
         routing = built.notes["routing"]
         routing.fail_channel(0, 2)
-        routing.restore_channel(0, 2)
+        routing.unfail_channel(0, 2)
         sim = Simulator(
             built.network,
             traffic=ScriptedTraffic([(0, core(0, 0, 5), core(2, 3, 9), 4)]),
@@ -138,3 +140,54 @@ class TestUnroutability:
         sim.run(600)
         assert sim.stats.packets_ejected == 1
         assert sim.stats.wireless_hop_sum == 2
+
+
+class TestChurn:
+    """Every fault-set transition flushes pending routes at this scale too.
+
+    Before the OWN-256 and OWN-1024 fault sets were one class, PR 10's
+    stale-route flush lived only in the 256 copy: toggling inter-group
+    channels under load left WAITING_VC heads aimed at routes planned
+    against different topologies, and the network wedged.
+    """
+
+    PAIRS = [(gs, gd) for gs in range(4) for gd in range(4) if gs != gd]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_fail_unfail_churn_drains(self, seed):
+        built = build_fault_tolerant_own1024()
+        routing = built.notes["routing"]
+        sim = Simulator(
+            built.network,
+            traffic=SyntheticTraffic(1024, "UN", 0.008, 4, seed=seed, stop_cycle=1200),
+            watchdog=1500,  # raises SimulationDeadlock on a wedge
+        )
+        rng = random.Random(seed)
+        for _ in range(1200 // 40):
+            sim.run(40)
+            pair = rng.choice(self.PAIRS)
+            if not routing.unfail_channel(*pair):
+                try:
+                    routing.fail_channel(*pair)
+                except UnroutableError:
+                    pass  # rolled back: the channel stays in service
+        assert sim.drain(60_000)
+        assert sim.stats.packets_ejected == sim.stats.packets_created
+
+    def test_static_failures_steady_state_is_pinned(self):
+        """Two static failures: the numbers of the pre-merge 1024 module."""
+        built = build_fault_tolerant_own1024()
+        routing = built.notes["routing"]
+        routing.fail_channel(0, 2)
+        routing.fail_channel(3, 1)
+        sim = Simulator(
+            built.network,
+            traffic=SyntheticTraffic(1024, "UN", 0.008, 4, seed=1, stop_cycle=1200),
+        )
+        sim.run(1200)
+        assert sim.drain(30_000)
+        assert sim.now == 2858
+        assert sim.stats.packets_created == sim.stats.packets_ejected == 2544
+        assert routing.relayed_packets == 314
+        assert sim.stats.summary(sim.now)["latency_mean"] == 264.0821540880503
+        assert sum(r.vca_grants for r in built.network.routers) == 9856

@@ -3,7 +3,7 @@ traffic, not deadlocks."""
 
 import pytest
 
-from repro.core.faults import build_fault_tolerant_own256
+from repro.core.faults import UnroutableError, build_fault_tolerant_own256
 from repro.core.own256 import make_reconfig_controller
 from repro.faults import FaultCampaign, FaultLayer, HealthMonitor, PermanentFault
 from repro.noc import Simulator
@@ -103,3 +103,30 @@ class TestMonitorValidation:
         monitor = HealthMonitor(layer)
         s = monitor.summary()
         assert "failovers" in s
+
+
+class TestFailOverErrors:
+    """Only UnroutableError means "no reroute"; anything else is a bug."""
+
+    class _Routing:
+        pair_of_channel = {1: (0, 2)}
+
+        def __init__(self, error):
+            self.error = error
+
+        def fail_channel(self, src, dst):
+            raise self.error
+
+    def _fail_over(self, error):
+        built = build_fault_tolerant_own256()
+        layer = FaultLayer(built.network)
+        link = next(l for l in built.network.links if l.name == DEAD_LINK)
+        monitor = HealthMonitor(layer, routing=self._Routing(error))
+        return monitor.fail_over(Simulator(built.network), link)
+
+    def test_unroutable_channel_stays_in_degraded_service(self):
+        assert self._fail_over(UnroutableError("no live relay")) is False
+
+    def test_route_verification_bug_propagates(self):
+        with pytest.raises(KeyError):
+            self._fail_over(KeyError((0, 2)))
