@@ -136,8 +136,8 @@ class OwnRoutingBase(RoutingFunction):
         """Force re-routing of every head still waiting for a VC grant.
 
         Routes are computed once per packet per router and cached on the
-        input VC; a head parked in WAITING_VC then re-polls only its
-        *cached* downstream candidates. When channel fault state or the
+        input VC; a head in WAITING_VC then queues on that *cached*
+        downstream endpoint. When channel fault state or the
         spare plan flips underneath it, those cached decisions can aim
         opposing flows at each other's gateway waveguides -- two full
         ascents each waiting on the other's input VC is a stable cycle
@@ -154,16 +154,13 @@ class OwnRoutingBase(RoutingFunction):
             if not router._occupied:
                 continue
             input_ports = router.input_ports
-            rc_pending = router._rc_pending
             for key in router._occupied:
                 vc = input_ports[key[0]].vcs[key[1]]
                 if vc.state is not VCState.WAITING_VC:
                     continue
-                vc.state = VCState.IDLE
-                vc.out_port = None
-                vc.cand_endpoint = None
-                vc.cand_vcs = None
-                rc_pending.add(key)
+                vc.cand_endpoint.withdraw(vc.gslot)
+                vc.release()
+                router._kern.rc_slots.add(vc.gslot)
 
 
 class Own256Routing(OwnRoutingBase):

@@ -3,9 +3,9 @@
 Each router input port owns ``num_vcs`` virtual channels; each VC is a FIFO
 of flits plus the classic VC state machine:
 
-``IDLE`` -> (head flit at front) -> ``ROUTING`` (RC stage) ->
-``WAITING_VC`` (VA stage) -> ``ACTIVE`` (competing in SA) -> back to ``IDLE``
-once the tail flit leaves.
+``IDLE`` -> (RC routes the head flit at the front) -> ``WAITING_VC`` (queued
+on the downstream endpoint for VC allocation) -> ``ACTIVE`` (competing in SA)
+-> back to ``IDLE`` once the tail flit leaves.
 
 The simulator iterates only over *occupied* VCs (active-set scheduling), so
 the VC exposes cheap ``occupied`` checks and the port maintains the set of
@@ -26,9 +26,8 @@ class VCState(enum.IntEnum):
     """Virtual-channel allocation state machine."""
 
     IDLE = 0
-    ROUTING = 1
-    WAITING_VC = 2
-    ACTIVE = 3
+    WAITING_VC = 1
+    ACTIVE = 2
 
 
 class VirtualChannel:
@@ -52,6 +51,7 @@ class VirtualChannel:
         "endpoint",
         "cand_endpoint",
         "cand_vcs",
+        "cand_mask",
         "gslot",
     )
 
@@ -71,10 +71,12 @@ class VirtualChannel:
         self.endpoint = None  # repro.noc.links.Endpoint resolved for this packet
         # VCA candidates cached at RC time: both the downstream endpoint and
         # the admissible VC set are static per (router, out_port, packet), so
-        # a VC blocked in WAITING_VC re-polls these instead of re-running the
-        # routing function every cycle.
+        # VC allocation never re-runs the routing function. ``cand_mask`` is
+        # ``cand_vcs`` as a bitmask: one AND tells a woken endpoint whether
+        # this head can use any of the VCs that are free.
         self.cand_endpoint = None
         self.cand_vcs: Optional[tuple] = None
+        self.cand_mask = 0
 
     @property
     def occupied(self) -> bool:

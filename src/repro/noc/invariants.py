@@ -128,10 +128,10 @@ def check_vc_state_coherence(net: "Network") -> None:
                         raise InvariantViolation(
                             f"r{router.rid}: IDLE VC{vc.index} retains route state"
                         )
-                elif vc.state in (VCState.WAITING_VC, VCState.ROUTING):
+                elif vc.state is VCState.WAITING_VC:
                     if vc.out_port is None:
                         raise InvariantViolation(
-                            f"r{router.rid}: VC{vc.index} in {vc.state.name} "
+                            f"r{router.rid}: VC{vc.index} in WAITING_VC "
                             f"without a computed out_port"
                         )
                 elif vc.state is VCState.ACTIVE:
@@ -161,36 +161,59 @@ def check_medium_coherence(net: "Network") -> None:
 
 
 def check_kernel_coherence(sim: "Simulator") -> None:
-    """The flat slot layout and work set agree with the object model.
+    """The flat slot layout and work lists agree with the object model.
 
-    Two pieces of state exist both on the objects and on the
-    :class:`~repro.noc.kernels.KernelState`: every ``vc.gslot`` must equal
-    the arithmetic layout ``vslot_base[rid] + in_port * num_vcs + vc``, and
-    the SA work sets must move in lockstep (``kern.sa_slots`` == union of
-    every router's ``_sa_active``).
+    Every ``vc.gslot`` is the VC's rank in (router, in_port, vc) order; the
+    SA work sets move in lockstep (``kern.sa_slots`` == union of every
+    router's ``_sa_active``); and **no VCA wake-up is lost**: each
+    endpoint's ``requests`` are exactly the slots of the heads in WAITING_VC
+    for it, ascending, and on an endpoint that is not woken no request VCA
+    has already examined (i.e. not registered by this cycle's RC) is
+    grantable right now -- nothing would ever look at it again.
 
     The sweep's round-robin pointers (``in_ptr`` / ``out_ptr``) are
     deliberately *not* compared against the object arbiters: a run drives
     switch allocation through exactly one of the two paths, so only that
     path's pointers advance (path-local state, see ``repro.noc.kernels``).
     """
-    k = getattr(sim, "kernels", None)
-    if k is None or not k.supported:
-        return
+    k = sim.kernels
     sa_expect = set()
+    fresh = set(k.vca_fresh)
+    waiting: Dict[object, list] = {
+        ep: [] for router in sim.network.routers for ep in router.input_endpoints
+    }
+    s = 0
     for router in sim.network.routers:
-        base = k.vslot_base[router.rid]
-        nv = router.num_vcs
-        for (ip, iv) in router._sa_active:
-            sa_expect.add(base + ip * nv + iv)
         for ip, port in enumerate(router.input_ports):
-            for iv, vc in enumerate(port.vcs):
-                s = base + ip * nv + iv
-                if vc.gslot != s:
+            for vc in port.vcs:
+                if vc.gslot != s or k.slot_vc[s] is not vc:
                     raise InvariantViolation(
-                        f"kernel: r{router.rid}.in{ip}.vc{iv} slot "
+                        f"kernel: r{router.rid}.in{ip}.vc{vc.index} slot "
                         f"{vc.gslot} != layout {s}"
                     )
+                if vc.state is VCState.WAITING_VC:
+                    ep = vc.cand_endpoint
+                    waiting.setdefault(ep, []).append(s)
+                    size = vc.queue[0].packet.size_flits
+                    if not (s in fresh or ep.woken or ep.is_sink) and any(
+                        not ep.vc_busy[v] and ep.credits[v] >= size
+                        for v in vc.cand_vcs
+                    ):
+                        raise InvariantViolation(
+                            f"kernel: lost wake-up: r{router.rid}.in{ip}."
+                            f"vc{vc.index} is grantable at {ep.name} (vc_busy="
+                            f"{ep.vc_busy}, credits={ep.credits}) but the "
+                            f"endpoint is not woken"
+                        )
+                s += 1
+        for ip, iv in router._sa_active:
+            sa_expect.add(router.input_ports[ip].vcs[iv].gslot)
+    for ep, slots in waiting.items():
+        if ep.requests != slots:
+            raise InvariantViolation(
+                f"kernel: {ep.name} queues requests {ep.requests} but the "
+                f"heads waiting for it are {slots}"
+            )
     if k.sa_slots != sa_expect:
         raise InvariantViolation(
             f"kernel: sa_slots drifted from router _sa_active sets "

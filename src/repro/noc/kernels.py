@@ -1,40 +1,45 @@
-"""Flat slot layout and the network-wide switch-allocation sweep.
+"""Flat slot layout and the three network-wide sweeps: SA, VCA and RC.
 
 The object model (:mod:`repro.noc.router`, ``buffers``, ``links``) holds
-every piece of flow-control state: credits and VC-busy flags on the
-``Endpoint``, queue / state / route on the ``VirtualChannel``, serialization
-timers on the ``Link``, token position on the ``SharedMedium``. This module
-adds no second copy of any of it. It numbers the network's input VCs into
-one flat *slot* space and runs switch allocation as a single pass over the
-sorted slots that currently compete, reading the objects directly --
-``Router.stage_sa`` with the per-router dispatch, request-vector building
-and arbiter objects stripped out.
+every piece of flow-control state: credits, VC-busy flags and the queue of
+VC-allocation requests on the ``Endpoint``, queue / state / route on the
+``VirtualChannel``, serialization timers on the ``Link``, token position on
+the ``SharedMedium``. This module adds no second copy of any of it. It
+numbers the network's input VCs into one flat *slot* space and runs each
+router pipeline stage as a single pass over the sorted slots that currently
+have work in it, reading the objects directly -- no per-router loop.
 
 Slot layout
 -----------
 One slot per (router, input port, VC), assigned contiguously in router-id
-order::
+order, so a sorted slot list is automatically grouped by router and, within
+a router, by ascending (in_port, vc) -- the deterministic order every stage
+resolves contention in. With a network-wide uniform ``num_vcs`` (true for
+every topology builder) the layout is arithmetic::
 
     slot = vslot_base[rid] + in_port * num_vcs + vc
 
-``num_vcs`` is required to be uniform network-wide (true for every topology
-builder; ``supported`` is ``False`` otherwise and the simulator falls back
-to ``Router.stage_sa``). Uniformity makes the input-port identity
-recoverable arithmetically (``port_base = slot - slot % num_vcs``), and a
-sorted slot list is automatically grouped by router and, within a router,
-by ascending (in_port, vc) -- exactly the deterministic iteration order of
-the reference loop.
+and the input-port identity is recoverable from the slot
+(``port_base = slot - slot % num_vcs``), which :meth:`KernelState.sa_sweep`
+relies on: ``supported`` is ``False`` otherwise and the simulator falls back
+to ``Router.stage_sa``. RC and VCA need only the ordering and sweep every
+network.
 
 State owned here
 ----------------
 * **sa_slots** -- the SA work set as slot ids, kept in lockstep with the
-  routers' ``_sa_active`` sets at every add/discard site (audited by
-  ``invariants.check_kernel_coherence``).
+  routers' ``_sa_active`` sets at every add/discard site.
+* **rc_slots** -- slots of IDLE VCs with a head flit to route.
+* **vca_fresh / vca_woken** -- what the next VCA phase examines: requests RC
+  registered last cycle, and endpoints on which a VC became free and funded
+  (``Endpoint.wake``). The requests themselves queue on the endpoints.
 * **in_ptr / out_ptr** -- the sweep's round-robin pointers (one per input
   port / per link). Initialised from the object arbiters at bind time and
   *path-local* thereafter: a run uses either the sweep or the object
   ``stage_sa`` throughout, never both, so the two pointer sets are never
   mixed (and the invariant audit deliberately does not compare them).
+
+All of it is audited by ``invariants.check_kernel_coherence``.
 
 Determinism contract
 --------------------
@@ -45,22 +50,52 @@ ascending slot order, transmits are issued in ascending (router,
 output-group) order -- the reference event-append order -- and the
 round-robin winner is ``argmin (i - ptr) % n`` with the pointer advancing
 to ``winner + 1``, identical to the inlined object arbiters.
+:meth:`KernelState.vca_sweep` grants exactly what polling every waiting head
+every cycle in ascending slot order would (the reference arm under
+``tests/`` does just that): the requests it leaves out are those whose
+answer cannot have changed.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, TYPE_CHECKING
 
+from repro.noc.buffers import VCState
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.noc.network import Network
 
+_IDLE = VCState.IDLE
+_WAITING_VC = VCState.WAITING_VC
+_ACTIVE = VCState.ACTIVE
+
+
+def _allocate(vc) -> bool:
+    """Give the waiting head in ``vc`` the first of its candidate VCs that
+    is free with credits for the whole packet (virtual cut-through
+    admission: ``Endpoint.can_accept_packet`` / ``acquire_vc``, inlined; the
+    can-never-fit ValueError is hoisted to RC time)."""
+    ep = vc.cand_endpoint
+    if ep.is_sink:
+        vc.out_vc = 0
+        return True
+    size = vc.queue[0].packet.size_flits
+    vc_busy = ep.vc_busy
+    credits = ep.credits
+    for cand in vc.cand_vcs:
+        if not vc_busy[cand] and credits[cand] >= size:
+            vc_busy[cand] = True
+            vc.out_vc = cand
+            return True
+    return False
+
 
 class KernelState:
-    """Slot layout and SA work set of one :class:`~repro.noc.network.Network`.
+    """Slot layout and stage work lists of one :class:`~repro.noc.network.Network`.
 
     Build with :meth:`build` (the network must be finalized). Binding
-    installs ``router._kern`` (so the router stages keep ``sa_slots`` in
-    lockstep with ``_sa_active``), ``vc.gslot`` and ``link.index``.
+    installs ``router._kern`` (through which the objects register RC / VCA /
+    SA work here), ``vc.gslot`` and ``link.index``.
     """
 
     __slots__ = (
@@ -75,14 +110,20 @@ class KernelState:
         "in_ptr",
         "out_ptr",
         "out_n",
-        # switch-allocation work set (slot ids; lockstep with _sa_active):
+        # stage work lists (slot ids; sa_slots in lockstep with _sa_active):
         "sa_slots",
+        "rc_slots",
+        "vca_fresh",
+        "vca_woken",
     )
 
     def __init__(self) -> None:
         self.supported = False
         self.num_vcs = 0
         self.sa_slots: set = set()
+        self.rc_slots: set = set()
+        self.vca_fresh: List[int] = []
+        self.vca_woken: list = []
 
     # ------------------------------------------------------------------ #
     # Binding
@@ -92,48 +133,46 @@ class KernelState:
     def build(cls, network: "Network") -> "KernelState":
         """Lay out ``network``'s input VCs as slots and bind the objects.
 
-        Safe to call on a mid-life network: the work set and round-robin
-        pointers are initialised from the current object state.
+        Safe to call on a mid-life network: the work lists and round-robin
+        pointers are initialised from the current object state (every
+        waiting head is simply examined afresh).
         """
         k = cls()
         routers = network.routers
-        num_vcs = network.num_vcs
-        if any(r.num_vcs != num_vcs for r in routers):
-            # Mixed VC counts break the arithmetic slot layout; the
-            # simulator falls back to Router.stage_sa.
-            return k
-        k.supported = True
-        k.num_vcs = num_vcs
+        k.num_vcs = network.num_vcs
+        # Mixed VC counts break the arithmetic port recovery of sa_sweep
+        # (the simulator falls back to Router.stage_sa); the layout itself,
+        # and with it RC and VCA, only needs the slot order.
+        k.supported = all(r.num_vcs == k.num_vcs for r in routers)
 
         # --- slot layout -------------------------------------------------
-        vslot_base: List[int] = []
-        base = 0
-        for r in routers:
-            vslot_base.append(base)
-            base += len(r.input_ports) * num_vcs
-        k.vslot_base = vslot_base
-        k.router_top = [
-            vslot_base[rid] + len(r.input_ports) * num_vcs
-            for rid, r in enumerate(routers)
-        ]
-        k.slot_router = [None] * base
-        k.slot_ip = [0] * base
-        k.slot_vc = [None] * base
+        k.vslot_base = []
+        k.router_top = []
+        k.slot_router = []
+        k.slot_ip = []
+        k.slot_vc = []
         # Round-robin pointers, indexed by port-base slot / link index.
-        k.in_ptr = [0] * base
-
-        for rid, r in enumerate(routers):
+        k.in_ptr = []
+        for r in routers:
             r._kern = k
-            rbase = vslot_base[rid]
+            k.vslot_base.append(len(k.slot_vc))
             for ip, port in enumerate(r.input_ports):
-                pbase = rbase + ip * num_vcs
-                k.in_ptr[pbase] = r._in_arbs[ip]._next
-                for iv, vc in enumerate(port.vcs):
-                    s = pbase + iv
-                    vc.gslot = s
-                    k.slot_router[s] = r
-                    k.slot_ip[s] = ip
-                    k.slot_vc[s] = vc
+                r.input_endpoints[ip].woken = False
+                for vc in port.vcs:
+                    vc.gslot = s = len(k.slot_vc)
+                    k.slot_router.append(r)
+                    k.slot_ip.append(ip)
+                    k.slot_vc.append(vc)
+                    # (a port's pointer lives at its first VC's slot)
+                    k.in_ptr.append(0 if vc.index else r._in_arbs[ip]._next)
+                    if vc.state is _WAITING_VC:
+                        k.vca_fresh.append(s)
+                    elif vc.state is _IDLE and vc.queue:
+                        k.rc_slots.add(s)
+            k.router_top.append(len(k.slot_vc))
+            # SA work set (usually empty at bind time):
+            for (ip, iv) in r._sa_active:
+                k.sa_slots.add(r.input_ports[ip].vcs[iv].gslot)
 
         # --- per-link output pointers ------------------------------------
         links = network.links
@@ -145,12 +184,6 @@ class KernelState:
             if src is not None:
                 k.out_ptr[li] = src._out_arbs[link.out_port]._next
                 k.out_n[li] = max(1, len(src.input_ports))
-
-        # --- SA work set (usually empty at bind time) --------------------
-        for r in routers:
-            rbase = vslot_base[r.rid]
-            for (ip, iv) in r._sa_active:
-                k.sa_slots.add(rbase + ip * num_vcs + iv)
         return k
 
     # ------------------------------------------------------------------ #
@@ -260,3 +293,121 @@ class KernelState:
                 r._transmit(now, ip, vc, send_fn, credit_fn)
                 moved += 1
         return moved
+
+    # ------------------------------------------------------------------ #
+    # The VC-allocation and route-computation sweeps
+    # ------------------------------------------------------------------ #
+
+    def vca_sweep(self, now: int, tracer) -> None:
+        """One network-wide VCA phase, decided at the endpoints.
+
+        A woken endpoint serves its queue in ascending slot order until no
+        VC that is free and funded is left (one ``cand_mask`` AND skips the
+        heads of other VC classes); a request RC registered last cycle is
+        examined alone if nothing woke its endpoint. No other request can
+        be granted -- nothing its answer depends on has changed since it
+        was last refused -- so this is polling every waiting head every
+        cycle in ascending slot order, minus the polls that fail without
+        side effects. Grants are applied in ascending slot order too, which
+        keeps medium requests and their trace records in that order.
+        """
+        slot_vc = self.slot_vc
+        granted = []
+        for s in self.vca_fresh:
+            vc = slot_vc[s]
+            # (an end-of-cycle re-route may have sent the head back to RC)
+            if (
+                vc.state is _WAITING_VC
+                and not vc.cand_endpoint.woken
+                and _allocate(vc)
+            ):
+                granted.append(s)
+        for ep in self.vca_woken:
+            ep.woken = False
+            free = 0
+            for v in range(ep.num_vcs):
+                if not ep.vc_busy[v] and ep.credits[v] >= ep.min_size:
+                    free |= 1 << v
+            for s in ep.requests:
+                if not free:
+                    break
+                vc = slot_vc[s]
+                if vc.cand_mask & free and _allocate(vc):
+                    granted.append(s)
+                    free &= ~(1 << vc.out_vc)
+        self.vca_fresh.clear()
+        self.vca_woken.clear()
+        granted.sort()
+        for s in granted:
+            vc = slot_vc[s]
+            ep = vc.endpoint = vc.cand_endpoint
+            ep.withdraw(s)
+            vc.state = _ACTIVE
+            r = self.slot_router[s]
+            r.vca_grants += 1
+            r._sa_active.add((self.slot_ip[s], vc.index))
+            self.sa_slots.add(s)
+            link = r.out_links[vc.out_port]
+            medium = link.medium
+            if medium is not None:
+                link.pending_requests += 1
+                medium.note_request(link)
+                if tracer is not None:
+                    tracer.on_medium_request(medium, link, vc.queue[0].packet, now)
+
+    def rc_sweep(self) -> None:
+        """One network-wide RC phase: route the head of every ``rc_slots`` VC.
+
+        Slots arrive from ``Router.deliver_flit`` and from ``_transmit``
+        when a tail departure exposes the next packet's head. The downstream
+        endpoint and the admissible VC set are resolved here and cached on
+        the VC -- both are functions of (router, out_port, packet) only --
+        and the head joins that endpoint's request queue for the next VCA
+        phase.
+        """
+        slot_vc = self.slot_vc
+        slots = sorted(self.rc_slots)
+        self.rc_slots.clear()
+        for s in slots:
+            vc = slot_vc[s]
+            queue = vc.queue
+            if vc.state is not _IDLE or not queue:
+                continue  # stale entry: the VC advanced or drained already
+            r = self.slot_router[s]
+            flit = queue[0]
+            if not flit.is_head:
+                raise RuntimeError(
+                    f"router {r.rid}: non-head flit at front of IDLE VC "
+                    f"(in_port={self.slot_ip[s]}, vc={vc.index}): {flit!r}"
+                )
+            packet = flit.packet
+            routing = r.routing
+            out_port = routing.compute(r, packet)
+            if (
+                packet.escaped
+                and len(queue) < packet.size_flits <= vc.depth
+                and routing.hold_for_full(r, out_port, packet)
+            ):
+                # Store-and-forward hold (escape-path restarts): leave the
+                # VC IDLE -- retaining no route state, per the coherence
+                # invariant -- until the whole packet is buffered here.
+                # deliver_flit re-adds the VC to rc_slots per flit.
+                continue
+            vc.out_port = out_port
+            ep = vc.cand_endpoint = r.out_links[out_port].resolve_endpoint(packet)
+            if not ep.is_sink:
+                if packet.size_flits > ep.vc_depth:
+                    # Hoisted from Endpoint.can_accept_packet: silently
+                    # waiting on a packet that can never fit would hang.
+                    raise ValueError(
+                        f"packet of {packet.size_flits} flits can never fit "
+                        f"VC depth {ep.vc_depth} at {ep.name or 'endpoint'}"
+                    )
+                vc.cand_vcs = tuple(routing.allowed_vcs(r, out_port, packet))
+                mask = 0
+                for v in vc.cand_vcs:
+                    mask |= 1 << v
+                vc.cand_mask = mask
+            vc.state = _WAITING_VC
+            ep.request(s, packet.size_flits)
+            self.vca_fresh.append(s)

@@ -24,6 +24,7 @@ buffer state.
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.noc.buffers import VCState
@@ -69,8 +70,9 @@ class Endpoint:
         "vc_busy",
         "is_sink",
         "name",
-        "vca_waiters",
-        "vca_credit_waiters",
+        "requests",
+        "min_size",
+        "woken",
         "ni",
     )
 
@@ -91,20 +93,20 @@ class Endpoint:
         self.vc_busy: List[bool] = [False] * num_vcs
         self.is_sink = is_sink
         self.name = name
-        #: Upstream VC-allocation requests parked on this endpoint:
-        #: ``(router, (in_port, vc), size_flits)`` triples that failed VCA
-        #: and wait for this endpoint's state to change before re-entering
-        #: the upstream router's ``_vca_pending`` set (see Router.stage_vca).
-        #: ``vca_waiters`` re-arms on a VC release (every parked request may
-        #: become grantable when a VC frees up); ``vca_credit_waiters``
-        #: additionally re-arms on credit returns, but only requests the
-        #: returned credit could fund (the VC is free and has accumulated
-        #: ``size_flits`` credits) -- everything else would re-poll and fail.
-        self.vca_waiters: List[tuple] = []
-        self.vca_credit_waiters: List[tuple] = []
+        #: VC allocation is decided here, at the resource: the slot ids
+        #: (``vc.gslot``) of every upstream head in WAITING_VC whose route
+        #: resolved to this endpoint, ascending -- which is grant priority
+        #: order. ``min_size`` is the smallest packet among them
+        #: (``vc_depth + 1`` while there is none, so no credit count reaches
+        #: it): a VC that is busy, or free but funded below it, changes no
+        #: request's answer. ``woken`` is set while the endpoint sits in
+        #: ``KernelState.vca_woken`` awaiting the next VCA phase.
+        self.requests: List[int] = []
+        self.min_size = vc_depth + 1
+        self.woken = False
         #: The network interface injecting through this endpoint, if any
-        #: (bound by NetworkInterface.__init__). A parked NI re-arms on the
-        #: same endpoint state changes as the VCA waiters above.
+        #: (bound by NetworkInterface.__init__). A parked NI re-arms on any
+        #: credit return or VC release.
         self.ni = None
 
     def has_credit(self, vc: int) -> bool:
@@ -149,21 +151,8 @@ class Endpoint:
         if ni is not None and ni.parked:
             ni.parked = False
             ni._wake(ni)
-        waiters = self.vca_credit_waiters
-        if waiters and not self.vc_busy[vc]:
-            # Re-arm only requests this credit could actually fund: a parked
-            # request is grantable now only via the VC the credit landed on
-            # (nothing else changed since it parked), so skip the re-poll
-            # when that VC is busy or still short of the packet size. Failed
-            # VCA re-polls have no side effects, so pruning them is
-            # invisible to the simulation result.
-            c = self.credits[vc]
-            kept = [w for w in waiters if w[2] > c]
-            if len(kept) != len(waiters):
-                for router, key, size in waiters:
-                    if size <= c:
-                        router._vca_pending.add(key)
-                self.vca_credit_waiters = kept
+        if self.credits[vc] >= self.min_size and not self.vc_busy[vc]:
+            self.wake()
 
     def acquire_vc(self, vc: int) -> None:
         if self.is_sink:
@@ -180,18 +169,33 @@ class Endpoint:
         if ni is not None and ni.parked:
             ni.parked = False
             ni._wake(ni)
-        # A freed VC can unblock every parked request, whichever resource
-        # it was short of (the freed VC may have credits to spare).
-        waiters = self.vca_waiters
-        if waiters:
-            for router, key, _size in waiters:
-                router._vca_pending.add(key)
-            waiters.clear()
-        waiters = self.vca_credit_waiters
-        if waiters:
-            for router, key, _size in waiters:
-                router._vca_pending.add(key)
-            waiters.clear()
+        if self.credits[vc] >= self.min_size:
+            self.wake()
+
+    def request(self, slot: int, size_flits: int) -> None:
+        """Queue the head in input-VC slot ``slot`` for VC allocation."""
+        insort(self.requests, slot)
+        if size_flits < self.min_size:
+            self.min_size = size_flits
+
+    def withdraw(self, slot: int) -> None:
+        """Drop ``slot``'s request (granted, or sent back to RC)."""
+        self.requests.remove(slot)
+        if not self.requests:
+            self.min_size = self.vc_depth + 1
+
+    def wake(self) -> None:
+        """Have the next VCA phase examine every request queued here.
+
+        Called for the only events that can turn a refused request into a
+        grant: one of this endpoint's VCs is now both free and funded for
+        the smallest queued packet (a release, or a credit landing on a
+        free VC). Everything else leaves every answer as it was, so a
+        waiting head costs nothing until then.
+        """
+        if not self.woken:
+            self.woken = True
+            self.router._kern.vca_woken.append(self)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Endpoint({self.name or (self.router, self.in_port)}, sink={self.is_sink})"

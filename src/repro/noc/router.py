@@ -93,9 +93,8 @@ class Router:
         "_out_arbs",
         "_occupied",
         "_sa_active",
-        "_rc_pending",
-        "_vca_pending",
         "_wake",
+        "_sleep",
         "_kern",
         "buffer_writes",
         "buffer_reads",
@@ -127,23 +126,20 @@ class Router:
         self._occupied: Set[Tuple[int, int]] = set()  # (in_port, vc) with flits
         # Subset of ``_occupied`` that can compete in switch allocation:
         # ACTIVE state *and* at least one buffered flit. Maintained by
-        # deliver_flit / stage_vca / _transmit so stage_sa never scans VCs
+        # deliver_flit / vca_sweep / _transmit so stage_sa never scans VCs
         # still waiting in RC or VCA.
         self._sa_active: Set[Tuple[int, int]] = set()
-        # Stage work sets: (in_port, vc) pairs awaiting route computation /
-        # VC allocation. Stages drain these instead of scanning every
-        # occupied VC each cycle (active-set scheduling).
-        self._rc_pending: Set[Tuple[int, int]] = set()
-        self._vca_pending: Set[Tuple[int, int]] = set()
-        # Scheduler callback: invoked with ``self`` on the empty->occupied
-        # transition so the simulator re-registers this router in its active
-        # set. ``None`` when no simulator is attached (unit tests driving
-        # stages by hand).
+        # Scheduler callbacks: invoked with ``self`` on the empty->occupied
+        # and occupied->empty transitions so the simulator's active-router
+        # set tracks exactly the routers holding flits. ``None`` when no
+        # simulator is attached.
         self._wake: Optional[Callable[["Router"], None]] = None
+        self._sleep: Optional[Callable[["Router"], None]] = None
         # Slot-sweep binding (repro.noc.kernels.KernelState): set when a
-        # simulator binds this network. While bound, every ``_sa_active``
-        # add/discard is repeated on ``_kern.sa_slots`` (the network-wide
-        # slot-id form of the same work set).
+        # simulator binds this network. RC and VCA work is registered there
+        # by slot id (``rc_slots``, the endpoints' request lists), and every
+        # ``_sa_active`` add/discard is repeated on ``_kern.sa_slots`` (the
+        # network-wide slot-id form of the same work set).
         self._kern = None
         # Activity counters for the power model:
         self.buffer_writes = 0
@@ -216,14 +212,15 @@ class Router:
             )
         queue.append(flit)
         state = vc_obj.state
+        kern = self._kern
         if state is VCState.IDLE:
             # A head flit (or a body flit queued behind an un-routed head)
             # now sits in an IDLE VC: schedule route computation.
-            self._rc_pending.add((in_port, vc))
+            if kern is not None:
+                kern.rc_slots.add(vc_obj.gslot)
         elif state is VCState.ACTIVE:
             # A body flit caught up with its already-switching packet.
             self._sa_active.add((in_port, vc))
-            kern = self._kern
             if kern is not None:
                 kern.sa_slots.add(vc_obj.gslot)
         if not self._occupied and self._wake is not None:
@@ -236,146 +233,9 @@ class Router:
         return sum(p.total_occupancy() for p in self.input_ports)
 
     # ------------------------------------------------------------------ #
-    # Pipeline stages (invoked by the Simulator each cycle)
+    # Switch allocation, object form (RC, VCA and the slot-sweep form of
+    # SA are network-wide sweeps in repro.noc.kernels)
     # ------------------------------------------------------------------ #
-
-    def stage_rc(self, now: int) -> None:
-        """Route computation for head flits at the front of IDLE VCs.
-
-        Work arrives via ``_rc_pending`` (populated by :meth:`deliver_flit`
-        and by :meth:`_transmit` when a tail departure exposes the next
-        packet's head). The downstream endpoint and the admissible VC set
-        are resolved here and cached on the VC -- both are functions of
-        (router, out_port, packet) only, so a VC that then blocks in VCA
-        re-polls the cached candidates instead of re-running the routing
-        function every cycle.
-        """
-        pending = self._rc_pending
-        if not pending:
-            return
-        routing = self.routing
-        if routing is None:
-            raise RuntimeError(f"router {self.rid} has no routing function")
-        self._rc_pending = set()
-        input_ports = self.input_ports
-        for (ip, iv) in pending if len(pending) == 1 else sorted(pending):
-            vc = input_ports[ip].vcs[iv]
-            if vc.state is not VCState.IDLE or not vc.queue:
-                continue  # stale entry: the VC advanced or drained already
-            flit = vc.queue[0]
-            if not flit.is_head:
-                raise RuntimeError(
-                    f"router {self.rid}: non-head flit at front of IDLE VC "
-                    f"(in_port={ip}, vc={iv}): {flit!r}"
-                )
-            packet = flit.packet
-            out_port = routing.compute(self, packet)
-            if (
-                packet.escaped
-                and len(vc.queue) < packet.size_flits <= vc.depth
-                and routing.hold_for_full(self, out_port, packet)
-            ):
-                # Store-and-forward hold (escape-path restarts): leave the
-                # VC IDLE -- retaining no route state, per the coherence
-                # invariant -- until the whole packet is buffered here.
-                # deliver_flit re-adds the VC to _rc_pending per flit.
-                continue
-            vc.out_port = out_port
-            link = self.out_links[vc.out_port]
-            vc.cand_endpoint = link.resolve_endpoint(packet)
-            if not vc.cand_endpoint.is_sink:
-                if packet.size_flits > vc.cand_endpoint.vc_depth:
-                    # Hoisted from Endpoint.can_accept_packet: silently
-                    # waiting on a packet that can never fit would hang.
-                    raise ValueError(
-                        f"packet of {packet.size_flits} flits can never fit "
-                        f"VC depth {vc.cand_endpoint.vc_depth} at "
-                        f"{vc.cand_endpoint.name or 'endpoint'}"
-                    )
-                vc.cand_vcs = tuple(
-                    routing.allowed_vcs(self, vc.out_port, packet)
-                )
-            vc.state = VCState.WAITING_VC
-            self._vca_pending.add((ip, iv))
-
-    def stage_vca(self, now: int) -> None:
-        """Virtual-channel allocation for VCs that completed RC.
-
-        Contention for downstream VCs is granted in ascending
-        ``(in_port, vc)`` order -- deterministic by construction, shared by
-        the dense reference loop and the slot-sweep path alike. Candidate
-        endpoint/VC sets were cached at RC time; blocked VCs park on the
-        endpoint (see below) instead of re-polling every cycle.
-        """
-        pending = self._vca_pending
-        if not pending:
-            return
-        tracer = self.tracer
-        input_ports = self.input_ports
-        kern = self._kern
-        # Every branch below consumes its key (grant, park, or stale), and
-        # nothing in the loop re-arms this router, so swap the set out once
-        # instead of discarding per key. Re-arms from earlier phases landed
-        # before the snapshot; re-arms from later phases land in the fresh set.
-        self._vca_pending = set()
-        keys = tuple(pending) if len(pending) == 1 else sorted(pending)
-        for key in keys:
-            ip, iv = key
-            vc = input_ports[ip].vcs[iv]
-            if vc.state is not VCState.WAITING_VC:
-                continue
-            endpoint = vc.cand_endpoint
-            if endpoint.is_sink:
-                vc.out_vc = 0
-                vc.endpoint = endpoint
-                vc.state = VCState.ACTIVE
-                self.vca_grants += 1
-                self._sa_active.add(key)
-                if kern is not None:
-                    kern.sa_slots.add(vc.gslot)
-                continue
-            packet = vc.queue[0].packet
-            # Inlined Endpoint.can_accept_packet (virtual cut-through
-            # admission: room for the whole packet); the can-never-fit
-            # ValueError is hoisted to RC time via ``vc.cand_vcs``.
-            size = packet.size_flits
-            vc_busy = endpoint.vc_busy
-            credits = endpoint.credits
-            short_of_credit = False
-            for cand in vc.cand_vcs:
-                if not vc_busy[cand]:
-                    if credits[cand] >= size:
-                        vc_busy[cand] = True  # Endpoint.acquire_vc, inlined
-                        vc.out_vc = cand
-                        vc.endpoint = endpoint
-                        vc.state = VCState.ACTIVE
-                        self.vca_grants += 1
-                        self._sa_active.add(key)
-                        link = self.out_links[vc.out_port]
-                        if kern is not None:
-                            kern.sa_slots.add(vc.gslot)
-                        medium = link.medium
-                        if medium is not None:
-                            link.pending_requests += 1
-                            medium.note_request(link)
-                            if tracer is not None:
-                                tracer.on_medium_request(medium, link, packet, now)
-                        break
-                    short_of_credit = True
-            else:
-                # Every candidate is busy or short on credits. Nothing about
-                # this decision changes until the candidate endpoint frees a
-                # VC (always) or returns a credit (only if some candidate was
-                # free but underfunded), so park the request there instead of
-                # re-polling every cycle. Both re-arm paths run in earlier
-                # phases of the cycle than VCA, so a parked entry is always
-                # back in ``_vca_pending`` before any cycle in which it could
-                # be granted (bit-identical to dense polling, whose failed
-                # re-polls have no side effects).
-                if short_of_credit:
-                    endpoint.vca_credit_waiters.append((self, key, size))
-                else:
-                    endpoint.vca_waiters.append((self, key, size))
 
     def stage_sa(self, now: int, send_fn: SendFn, credit_fn: CreditFn) -> int:
         """Switch allocation + traversal; returns number of flits moved.
@@ -465,7 +325,7 @@ class Router:
             req_ivs: List[int] = []
             for iv in ivs if len(ivs) == 1 else sorted(ivs):
                 # _sa_active membership guarantees ACTIVE state and a
-                # non-empty queue (maintained by deliver_flit / stage_vca /
+                # non-empty queue (maintained by deliver_flit / vca_sweep /
                 # _transmit), so neither is re-checked here.
                 vc = port_vcs[iv]
                 endpoint = vc.endpoint
@@ -560,6 +420,8 @@ class Router:
             self._sa_active.discard(key)
             if kern is not None:
                 kern.sa_slots.discard(vc.gslot)
+            if not self._occupied and self._sleep is not None:
+                self._sleep(self)
         elif flit.is_tail:
             # Next packet's head is now at the front: it must re-run RC/VCA
             # before competing in SA again.
@@ -590,10 +452,10 @@ class Router:
         if flit.is_tail:
             endpoint.release_vc(out_vc)
             vc.release()
-            if queue:
+            if queue and kern is not None:
                 # The departed tail exposed the next packet's head flit:
                 # route it this very cycle (RC runs after SA in step()).
-                self._rc_pending.add(key)
+                kern.rc_slots.add(vc.gslot)
             medium = link.medium
             if medium is not None:
                 link.pending_requests -= 1

@@ -6,8 +6,8 @@ Each simulated cycle executes, in order:
    downstream buffers (or eject at sinks); credits return upstream.
 2. **Medium arbitration** -- free MWSR/SWMR media grant their token to one
    requesting writer (round-robin, ``arb_latency`` cycles of token flight).
-3. **SA/ST** -- every router runs separable switch allocation; winners start
-   link traversal.
+3. **SA/ST** -- separable switch allocation over every input VC that holds
+   an allocated packet; winners start link traversal.
 4. **VCA** then 5. **RC** -- so a head flit arriving at cycle *t* routes at
    *t*, allocates a VC at *t+1* and first competes for the switch at *t+2*:
    a 3-cycle router pipeline, our uniform abstraction of the paper's 5-stage
@@ -18,20 +18,25 @@ Each simulated cycle executes, in order:
 Because every phase runs network-wide before the next begins, results are
 independent of router iteration order (output ports belong to exactly one
 router; cross-router contention exists only on shared media, resolved in
-phase 2).
+phase 2, and on downstream VCs, resolved in ascending slot order in
+phase 4).
 
-**Active-set scheduling.** Routers, media and network interfaces register
-into per-cycle work sets only while they hold work (buffered flits, token
-requests, queued injections); each phase iterates its active set in sorted
-(rid / medium index / core) order, so results are deterministic and
-independent of how the sets were populated. When every active set is empty
-the network is *quiescent* -- nothing can happen until the next scheduled
-event -- and :meth:`Simulator.run` fast-forwards the clock to the earliest
-wake source: the next scheduled delivery/credit/ACK, the next fault-campaign
-action, the next tracer sampling cycle, or the next traffic injection
-(pre-drawn in dense cycle order so the RNG stream is untouched). Passing
-``dense=True`` disables only the clock skip; every phase runs the identical
-code either way, so the two modes are bit-identical by construction.
+**Active-set scheduling.** Work registers where it arises and each phase
+visits only what registered, in a fixed sorted order, so results are
+deterministic and independent of how the sets were populated. Phases 3-5
+are one sweep each over the input-VC *slots* with work in that stage
+(:mod:`repro.noc.kernels`); a head waiting for a downstream VC costs nothing
+until that endpoint has a VC to give. Media and network interfaces sit in
+active sets while they hold token requests / queued injections; routers
+holding flits sit in one too, read only to decide quiescence and to walk the
+traced ``stage_sa``. When every active set is empty the network is
+*quiescent* -- nothing can happen until the next scheduled event -- and
+:meth:`Simulator.run` fast-forwards the clock to the earliest wake source:
+the next scheduled delivery/credit/ACK, the next fault-campaign action, the
+next tracer sampling cycle, or the next traffic injection (pre-drawn in
+dense cycle order so the RNG stream is untouched). Passing ``dense=True``
+disables only the clock skip; every phase runs the identical code either
+way, so the two modes are bit-identical by construction.
 
 A deadlock watchdog aborts the run if buffered flits stop moving for a
 configurable number of cycles -- misrouted VC partitioning shows up as a
@@ -47,6 +52,7 @@ import heapq
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from repro.noc.buffers import VCState
 from repro.noc.kernels import KernelState
 from repro.noc.links import Endpoint, Link, SharedMedium
 from repro.noc.network import Network, NetworkInterface
@@ -139,13 +145,15 @@ class Simulator:
         # Active sets: components registered here have (potential) work this
         # cycle. Wake callbacks installed below re-register components on
         # their empty->non-empty transitions; the cycle loop prunes drained
-        # entries as it visits them.
+        # media and NIs as it visits them, a router leaves when its last
+        # flit departs (``_sleep``).
         self._active_routers: Set[Router] = set()
         self._active_media: Set[SharedMedium] = set()
         self._active_nis: Set[NetworkInterface] = set()
         wake_router = self._active_routers.add
         for router in network.routers:
             router._wake = wake_router
+            router._sleep = self._active_routers.discard
             if router._occupied:
                 wake_router(router)
         wake_medium = self._active_media.add
@@ -174,11 +182,11 @@ class Simulator:
         # A disabled tracer is indistinguishable from no tracer: hot paths
         # guard on ``self._tracer is not None`` and nothing else.
         self._tracer = tracer if (tracer is not None and tracer.enabled) else None
-        # Flat slot layout over the network's input VCs (repro.noc.kernels),
-        # always bound so the invariant audit can check it. The network-wide
-        # slot sweep replaces the per-router ``stage_sa`` scan on untraced
-        # runs: a tracer needs ``stage_sa``'s per-VC stall callbacks, and a
-        # mixed-VC-count network has no arithmetic layout to sweep.
+        # Flat slot layout over the network's input VCs (repro.noc.kernels):
+        # RC and VCA always run as sweeps over it. The SA sweep replaces the
+        # per-router ``stage_sa`` scan on untraced runs: a tracer needs
+        # ``stage_sa``'s per-VC stall callbacks, and a mixed-VC-count
+        # network has no arithmetic layout for the SA sweep.
         self.kernels = KernelState.build(network)
         self._sa_kernel = self._tracer is None and self.kernels.supported
         if self._tracer is not None:
@@ -307,8 +315,7 @@ class Simulator:
                         endpoint.router.deliver_flit(endpoint.in_port, ev[2], flit)
                     moved += 1
                 elif kind == "credit":
-                    # Endpoint.return_credit, inlined (one per flit-hop),
-                    # including the parked-VCA re-arm.
+                    # Endpoint.return_credit, inlined (one per flit-hop).
                     endpoint = ev[1]
                     if not endpoint.is_sink:
                         v = ev[2]
@@ -318,15 +325,8 @@ class Simulator:
                         if ni is not None and ni.parked:
                             ni.parked = False
                             self._active_nis.add(ni)
-                        waiters = endpoint.vca_credit_waiters
-                        if waiters and not endpoint.vc_busy[v]:
-                            # Size-filtered re-arm; see Endpoint.return_credit.
-                            kept = [w for w in waiters if w[2] > c]
-                            if len(kept) != len(waiters):
-                                for router, key, size in waiters:
-                                    if size <= c:
-                                        router._vca_pending.add(key)
-                                endpoint.vca_credit_waiters = kept
+                        if c >= endpoint.min_size and not endpoint.vc_busy[v]:
+                            endpoint.wake()
                 else:  # link-layer ACK/NACK arrival ("llack")
                     self._faults.handle_event(ev, now)
 
@@ -351,33 +351,26 @@ class Simulator:
         if self._faults is not None:
             moved += self._faults.tick(self, now)
 
-        # Phase 3: switch allocation + traversal, then phases 4 & 5 (VC
-        # allocation, route computation) -- all over the sorted snapshot of
-        # routers that currently hold flits. Deliveries (phase 1) woke any
-        # newly occupied router before this snapshot was taken; routers that
-        # drained are pruned from the active set on the second pass.
-        active_routers = self._active_routers
-        if active_routers:
-            routers = sorted(active_routers, key=_router_key)
+        # Phases 3-5: switch allocation + traversal, VC allocation, route
+        # computation -- each one network-wide sweep over the slots holding
+        # work for it (repro.noc.kernels), so a router with nothing to do
+        # in a stage is never visited. A tracer needs ``stage_sa``'s per-VC
+        # stall callbacks: traced SA walks the routers that hold flits
+        # (bit-identical to the sweep).
+        kern = self.kernels
+        if self._sa_kernel:
+            if kern.sa_slots:
+                moved += kern.sa_sweep(now, self._send_fn, self._credit_fn)
+        elif self._active_routers:
             send_fn = self._send_fn
             credit_fn = self._credit_fn
-            if self._sa_kernel:
-                # One network-wide sweep over the flat slot space
-                # (bit-identical to the per-router object scan below; see
-                # repro.noc.kernels).
-                if self.kernels.sa_slots:
-                    moved += self.kernels.sa_sweep(now, send_fn, credit_fn)
-            else:
-                for router in routers:
-                    if router._sa_active:
-                        moved += router.stage_sa(now, send_fn, credit_fn)
-            for router in routers:
-                if router._vca_pending:
-                    router.stage_vca(now)
-                if router._rc_pending:
-                    router.stage_rc(now)
-                if not router._occupied:
-                    active_routers.discard(router)
+            for router in sorted(self._active_routers, key=_router_key):
+                if router._sa_active:
+                    moved += router.stage_sa(now, send_fn, credit_fn)
+        if kern.vca_fresh or kern.vca_woken:
+            kern.vca_sweep(now, tracer)
+        if kern.rc_slots:
+            kern.rc_sweep()
 
         # Phase 6: traffic generation + NI injection.
         if self.traffic is not None:
@@ -479,7 +472,7 @@ class Simulator:
                             vcs.append(
                                 f"in{port.index}.vc{vc.index}[{len(vc.queue)} "
                                 f"flits, {vc.state.name}, pid={front.packet.pid}"
-                                f"->out{vc.out_port}]"
+                                f"->out{vc.out_port}{self._waits_on(router, port, vc)}]"
                             )
                 stuck.append(f"  r{router.rid} ({occ} flits): " + ", ".join(vcs))
         shown = stuck[:20]
@@ -488,6 +481,26 @@ class Simulator:
         if len(stuck) > len(shown):
             lines.append(f"  ... and {len(stuck) - len(shown)} more routers")
         return "\n".join(lines)
+
+    @staticmethod
+    def _waits_on(router: Router, port, vc) -> str:
+        """One edge of the wait-for graph: what a stuck VC is queued behind."""
+        if vc.state is VCState.WAITING_VC:
+            ep = vc.cand_endpoint
+            rank = ep.requests.index(vc.gslot) + 1 if vc.gslot in ep.requests else "?"
+            return (
+                f", request {rank} of {len(ep.requests)} at {ep.name}: "
+                f"vc_busy={ep.vc_busy} credits={ep.credits}"
+            )
+        if vc.state is VCState.ACTIVE:
+            link = router.out_links[vc.out_port]
+            if (router, (port.index, vc.index)) in link.sa_token_waiters:
+                holder = link.medium.holder
+                return (
+                    f", parked for the token of {link.medium.name}, held by "
+                    f"{holder.name if holder else 'no link'}"
+                )
+        return ""
 
     def _quiescent(self) -> bool:
         """No component holds work: nothing can happen until a wake source.

@@ -17,8 +17,9 @@ Covers:
 * ``unpin``/``reassign`` on a pair with in-flight packets routing
   through the drain path instead of instant revocation;
 * exactly-once delivery under arbitrary open-loop re-pointing schedules
-  (hypothesis), with the slot sweep (fast-forwarded and dense) and traced
-  active-set ``stage_sa`` bit-identical to each other.
+  (hypothesis), with the slot sweep (fast-forwarded and dense), traced
+  active-set ``stage_sa`` and the poll-every-cycle VCA reference
+  bit-identical to each other.
 """
 
 from contextlib import contextmanager
@@ -34,6 +35,7 @@ from repro.noc.simulator import Simulator
 from repro.noc.stats import StatsCollector
 from repro.telemetry import Tracer
 from repro.traffic import SyntheticTraffic, TrafficPattern
+from tests.reference import poll_every_cycle
 
 
 def hotspot_traffic(rate=0.05, seed=2, stop=None):
@@ -376,3 +378,9 @@ def test_exactly_once_and_path_identity_under_churn(
     assert objects["events"] == kernel["events"]
     assert dense["drain_crc"] == objects["drain_crc"] == kernel["drain_crc"]
     assert dense["summary"] == objects["summary"] == kernel["summary"]
+
+    # Re-routes (invalidate_pending_routes) pull heads out of the endpoint
+    # request queues mid-wait; polling every waiting head every cycle must
+    # still find nothing the event-driven VCA missed.
+    with poll_every_cycle():
+        assert _churn_run(rate, seed, schedule_seed, faulty) == kernel

@@ -4,11 +4,13 @@ import pytest
 
 from repro.core import build_own256, build_own1024
 from repro.noc import Simulator
+from repro.noc.buffers import VCState
 from repro.noc.invariants import (
     InvariantViolation,
     audit_network,
     check_credit_consistency,
     check_flit_conservation,
+    check_kernel_coherence,
     check_medium_coherence,
     check_vc_state_coherence,
 )
@@ -130,3 +132,64 @@ class TestViolationDetection:
         net.mediums[0].holder = net.mediums[1].members[0]
         with pytest.raises(InvariantViolation, match="not a member"):
             check_medium_coherence(net)
+
+
+class TestLostWakeupDetection:
+    """VC allocation is event-driven: a waiting head nobody will examine
+    again is stranded for good, so the audit must see it coming."""
+
+    def _waiting_heads(self):
+        """A saturated OWN-256 and its examined, still-refused requests."""
+        built = build_own256()
+        sim = Simulator(
+            built.network, traffic=SyntheticTraffic(256, "UN", 0.15, 4, seed=9)
+        )
+        sim.run(400)
+        check_kernel_coherence(sim)
+        fresh = set(sim.kernels.vca_fresh)
+        heads = [
+            vc
+            for vc in sim.kernels.slot_vc
+            if vc.state is VCState.WAITING_VC
+            and vc.gslot not in fresh
+            and not vc.cand_endpoint.woken
+        ]
+        assert heads, "saturation left no head waiting for a VC"
+        return sim, heads
+
+    def test_detects_request_dropped_from_its_endpoint(self):
+        sim, heads = self._waiting_heads()
+        vc = heads[0]
+        vc.cand_endpoint.requests.remove(vc.gslot)
+        with pytest.raises(InvariantViolation, match="heads waiting for it are"):
+            check_kernel_coherence(sim)
+        with pytest.raises(InvariantViolation, match="heads waiting for it are"):
+            audit_network(sim)
+
+    def test_detects_request_queued_out_of_order(self):
+        sim, heads = self._waiting_heads()
+        ep = next(
+            vc.cand_endpoint for vc in heads if len(vc.cand_endpoint.requests) > 1
+        )
+        ep.requests.reverse()
+        with pytest.raises(InvariantViolation, match="heads waiting for it are"):
+            check_kernel_coherence(sim)
+
+    def test_detects_vc_freed_behind_the_endpoints_back(self):
+        sim, heads = self._waiting_heads()
+        # A candidate VC that is busy but fully funded (its owner has not
+        # sent a flit yet): clearing the flag without release_vc makes the
+        # head grantable while nothing will ever look at it again.
+        for vc in heads:
+            ep = vc.cand_endpoint
+            size = vc.queue[0].packet.size_flits
+            for v in vc.cand_vcs:
+                if ep.vc_busy[v] and ep.credits[v] >= size:
+                    ep.vc_busy[v] = False
+                    with pytest.raises(InvariantViolation, match="lost wake-up"):
+                        check_kernel_coherence(sim)
+                    ep.vc_busy[v] = True
+                    ep.release_vc(v)  # the honest way wakes the endpoint
+                    check_kernel_coherence(sim)
+                    return
+        pytest.fail("no waiting head has a busy, fully funded candidate VC")

@@ -5,8 +5,9 @@ and ``tests/control/test_control_property.py``) already proves the slot
 sweep end-to-end -- fast untraced runs drive it by default. The tests here
 pin the pieces those properties cannot localise: the slot layout binding,
 ``sa_slots`` staying in lockstep with the routers' ``_sa_active`` sets
-mid-run, the mixed-VC fallback, and sweep == traced ``stage_sa`` (``dense``
-only switches the clock skip off, so it runs the sweep too).
+mid-run, the mixed-VC fallback (SA only: RC and VCA sweep every network),
+and sweep == traced ``stage_sa`` (``dense`` only switches the clock skip
+off, so it runs the sweep too).
 """
 
 from repro.noc import Simulator
@@ -75,7 +76,13 @@ class TestBinding:
         sim = Simulator(
             net, traffic=SyntheticTraffic(64, "UN", 0.02, 4, seed=1, stop_cycle=50)
         )
-        assert not sim._sa_kernel  # falls back to the object path
+        assert not sim._sa_kernel  # SA falls back to the object path
+        # RC and VCA only need the slot order, so they sweep this network
+        # too, and the audit checks its layout and request queues.
+        sim.run(50)
+        audit_network(sim)
+        assert sim.drain()
+        assert sim.stats.packets_ejected == sim.stats.packets_created > 0
 
 
 class TestCoherence:

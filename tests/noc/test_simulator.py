@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import build_own256
 from repro.noc import (
     Network,
     RoutingFunction,
@@ -328,6 +329,26 @@ class TestDeadlockReport:
         assert "audit" in msg
         assert "stuck flits by router" in msg
         assert "r0" in msg
+        # The wait-for edge: which endpoint the head queues on, where in
+        # that queue, and why the endpoint has nothing to give.
+        endpoint = sim.network.routers[1].input_endpoints[1]
+        assert f"request 1 of 1 at {endpoint.name}" in msg
+        assert f"vc_busy={endpoint.vc_busy} credits={endpoint.credits}" in msg
+
+    def test_wait_for_edge_of_a_token_parked_vc_names_medium_and_holder(self):
+        built = build_own256()
+        sim = Simulator(
+            built.network, traffic=SyntheticTraffic(256, "UN", 0.15, 4, seed=9)
+        )
+        sim.run(300)
+        for link in built.network.links:
+            for router, (ip, iv) in link.sa_token_waiters:
+                port = router.input_ports[ip]
+                edge = sim._waits_on(router, port, port.vcs[iv])
+                assert f"token of {link.medium.name}" in edge
+                assert f"held by {link.medium.holder.name}" in edge
+                return
+        pytest.fail("saturation parked no VC behind a token")
 
     def test_slow_link_with_pending_events_is_not_deadlock(self):
         # Regression: a link whose latency exceeds the watchdog budget

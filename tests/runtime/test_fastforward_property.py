@@ -7,10 +7,13 @@ guarantee behind the committed golden baselines, so it is checked as a
 hypothesis property across random seeds, injection rates, topologies and
 fault campaigns rather than at a handful of hand-picked points.
 
-``dense`` only switches the clock skip off -- both of those arms drive SA
-through the flat slot sweep -- so a third arm attaches a metrics-only
-tracer, which selects the per-router ``stage_sa``: sweep == object path is
-property-tested on the same scenarios.
+``dense`` only switches the clock skip off -- it implies no per-cycle
+polling of anything: both of those arms drive SA through the flat slot
+sweep and allocate VCs at the endpoints, event-driven -- so two more arms
+run the same scenarios: a metrics-only tracer, which selects the per-router
+``stage_sa`` (sweep == object path), and ``tests.reference.poll_every_cycle``,
+which re-examines every waiting head every cycle as VC allocation did before
+it moved to the endpoint (no wake-up is ever missed).
 """
 
 from contextlib import contextmanager
@@ -22,6 +25,7 @@ from repro.noc.stats import StatsCollector
 from repro.runtime.executor import execute_inline
 from repro.runtime.spec import FaultSpec, RunSpec
 from repro.telemetry import Tracer
+from tests.reference import poll_every_cycle
 
 
 @contextmanager
@@ -41,14 +45,14 @@ def delivery_log():
         StatsCollector.on_packet_ejected = orig
 
 
-def _run(topology, rate, seed, faults, dense, tracer=None):
+def _run(topology, rate, seed, faults, dense, tracer=None, cycles=300):
     key, kwargs = topology
     spec = RunSpec.create(
         topology=key,
         topology_kwargs=kwargs,
         pattern="UN",
         rate=rate,
-        cycles=300,
+        cycles=cycles,
         warmup=100,
         seed=seed,
         faults=faults,
@@ -57,7 +61,7 @@ def _run(topology, rate, seed, faults, dense, tracer=None):
     with delivery_log() as events:
         _, sim, result = execute_inline(spec, tracer=tracer)
     assert sim._sa_kernel == (tracer is None)
-    return events, result.summary
+    return events, tuple(sim.stats.latencies), result.summary
 
 
 FAULTS = st.sampled_from(
@@ -79,13 +83,21 @@ FAULTS = st.sampled_from(
 def test_dense_and_fast_deliver_identically(topology, rate, seed, faults):
     if topology[0] != "own256":
         faults = None  # fault campaigns target wireless channels
-    fast_events, fast_summary = _run(topology, rate, seed, faults, dense=False)
-    dense_events, dense_summary = _run(topology, rate, seed, faults, dense=True)
-    object_events, object_summary = _run(
+    fast = _run(topology, rate, seed, faults, dense=False)
+    assert fast[0], "scenario delivered no packets; raise rate/cycles"
+    assert fast == _run(topology, rate, seed, faults, dense=True)
+    assert fast == _run(
         topology, rate, seed, faults, dense=False,
         tracer=Tracer(record_events=False),
     )
+    with poll_every_cycle():
+        assert fast == _run(topology, rate, seed, faults, dense=False)
 
-    assert fast_events, "scenario delivered no packets; raise rate/cycles"
-    assert fast_events == dense_events == object_events
-    assert fast_summary == dense_summary == object_summary
+
+def test_saturated_own1024_matches_polling_every_cycle():
+    # Deep saturation at kilo-core scale, where nine in ten polls of the
+    # requester-side VCA failed: the regime event-driven allocation is for.
+    fast = _run(("own1024", None), 0.05, 3, None, dense=False, cycles=200)
+    assert fast[0], "scenario delivered no packets"
+    with poll_every_cycle():
+        assert fast == _run(("own1024", None), 0.05, 3, None, dense=False, cycles=200)
