@@ -33,10 +33,14 @@ traced ``stage_sa``. When every active set is empty the network is
 *quiescent* -- nothing can happen until the next scheduled event -- and
 :meth:`Simulator.run` fast-forwards the clock to the earliest wake source:
 the next scheduled delivery/credit/ACK, the next fault-campaign action, the
-next tracer sampling cycle, or the next traffic injection (pre-drawn in
-dense cycle order so the RNG stream is untouched). Passing ``dense=True``
-disables only the clock skip; every phase runs the identical code either
-way, so the two modes are bit-identical by construction.
+next tracer sampling cycle, or the next traffic injection. A traffic
+process answers that peek without letting it change what it will inject: the
+Bernoulli arrival clock of ``SyntheticTraffic`` reads its earliest pending
+arrival, a trace replayer its next record, and the per-cycle sources
+(bursty / application) pre-draw their RNG stream in dense cycle order.
+Passing ``dense=True`` disables only the clock skip; every phase runs the
+identical code either way, so the two modes are bit-identical by
+construction.
 
 A deadlock watchdog aborts the run if buffered flits stop moving for a
 configurable number of cycles -- misrouted VC partitioning shows up as a
@@ -523,8 +527,12 @@ class Simulator:
         events (deliveries / credits / ACKs), fault-campaign actions, the
         tracer's occupancy-sampling grid, and the traffic process's next
         injection. The traffic peek is asked last so its lookahead horizon
-        is already capped by every other source -- it never pre-draws RNG
-        cycles a dense run would not have reached by the same point.
+        is already capped by every other source. That cap matters only to
+        the per-cycle sources (bursty / application), whose peek pre-draws
+        their RNG stream and must not reach cycles a dense run would not
+        have reached by the same point; the arrival clock of
+        ``SyntheticTraffic`` and a trace replayer answer from state a longer
+        horizon would not change.
         """
         now = self.now
         target = limit

@@ -61,8 +61,7 @@ class BurstyTraffic(DrawAheadTraffic):
         if burst_factor < 1.0:
             raise ValueError(f"burst_factor must be >= 1, got {burst_factor}")
         check_positive("mean_burst_cycles", mean_burst_cycles)
-        if isinstance(pattern, str):
-            pattern = TrafficPattern(pattern, n_cores)
+        pattern = TrafficPattern.resolve(pattern, n_cores)
         super().__init__(packet_size_flits, stop_cycle)
         self.n_cores = n_cores
         self.pattern = pattern

@@ -20,7 +20,7 @@ from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.utils.validation import check_power_of_two
+from repro.utils.validation import check_power_of_two, check_probability
 
 #: Canonical short names used throughout the benches (paper's notation).
 PATTERN_NAMES = ("UN", "BR", "MT", "PS", "NBR")
@@ -143,12 +143,37 @@ class TrafficPattern:
             raise ValueError(f"unknown traffic pattern {name!r}; known: {EXTENDED_PATTERN_NAMES}")
         self.name = name
         self.n_cores = n_cores
-        self.hotspot_fraction = hotspot_fraction
+        self.hotspot_fraction = check_probability("hotspot_fraction", hotspot_fraction)
         self.hotspots = list(hotspots) if hotspots is not None else [0]
+        # Checked here, not in TrafficSpec, which does not know n_cores: an
+        # out-of-range hotspot would otherwise surface mid-run as a bare
+        # IndexError at injection (or, negative, silently wrap around).
+        if not self.hotspots or not all(0 <= h < n_cores for h in self.hotspots):
+            raise ValueError(
+                f"hotspots must be a non-empty set of cores in [0, {n_cores}), "
+                f"got {self.hotspots}"
+            )
         self._table: Optional[np.ndarray] = None
         if name in _PERMUTATIONS:
             fn = _PERMUTATIONS[name]
             self._table = np.array([fn(s, n_cores) for s in range(n_cores)], dtype=np.int64)
+
+    @classmethod
+    def resolve(cls, pattern: "TrafficPattern | str", n_cores: int) -> "TrafficPattern":
+        """``pattern`` (an instance or a name) as a pattern over ``n_cores``.
+
+        The one place a traffic source turns its ``pattern`` argument into
+        a destination map, so every source rejects a mis-sized instance
+        (whose destinations would all land in, or index past, the wrong
+        core range) the same way.
+        """
+        if isinstance(pattern, str):
+            return cls(pattern, n_cores)
+        if pattern.n_cores != n_cores:
+            raise ValueError(
+                f"pattern sized for {pattern.n_cores} cores, network has {n_cores}"
+            )
+        return pattern
 
     @property
     def is_permutation(self) -> bool:

@@ -137,8 +137,29 @@ class TestTrafficPattern:
         share = float(np.mean(dsts == 7))
         assert 0.4 < share < 0.6
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"hotspots": [300]},  # used to die mid-run in inject_packet
+            {"hotspots": [0, -1]},  # used to aim silently at core 255
+            {"hotspots": []},
+            {"hotspot_fraction": 1.5},
+            {"hotspot_fraction": -0.1},
+        ],
+    )
+    def test_hotspot_arguments_validated(self, kwargs):
+        with pytest.raises(ValueError, match="hotspot"):
+            TrafficPattern("HOT", 256, **kwargs)
+
     def test_pattern_size_mismatch_detected_by_generator(self):
         from repro.traffic import SyntheticTraffic
 
         with pytest.raises(ValueError, match="sized for"):
             SyntheticTraffic(128, TrafficPattern("UN", 64), 0.1)
+
+    def test_pattern_size_mismatch_detected_by_bursty_generator(self):
+        # Used to be accepted: every destination landed in cores 0-63.
+        from repro.traffic import BurstyTraffic
+
+        with pytest.raises(ValueError, match="sized for"):
+            BurstyTraffic(256, TrafficPattern("UN", 64), 0.05)
