@@ -1,0 +1,72 @@
+#!/usr/bin/env python3
+"""Bytecodes executed inside ``Simulator.run`` for one benchmark workload.
+
+    python3 benchmarks/opcount.py --workload own256-knee [--seed 3] [--smoke]
+
+A count, not a time: it repeats exactly on one Python minor version, so a
+parent/change pair on a noisy shared host is one run each side. It omits
+everything C does (``sorted``, ``set.add``, ``deque.popleft``) and every
+wait, so it explains a ``bench.py`` number, it does not replace one. The
+summary CRC printed last is ``bench.py``'s ``noc.stats.summary_crc32``.
+"""
+
+import argparse
+import json
+import sys
+import zlib
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def main() -> None:
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "perf")]
+    from bench import WORKLOADS  # the specs only
+    from repro.noc.simulator import Simulator
+    from repro.runtime.executor import execute_inline
+
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", choices=sorted(WORKLOADS), required=True)
+    ap.add_argument("--seed", type=int, default=3)
+    ap.add_argument("--smoke", action="store_true", help="10x shorter spec")
+    ap.add_argument("--top", type=int, default=8, help="functions to list")
+    args = ap.parse_args()
+
+    ops: Counter = Counter()
+
+    def count(frame, event, arg):
+        if event == "call":
+            frame.f_trace_opcodes = True
+            frame.f_trace_lines = False
+        elif event == "opcode":
+            ops[frame.f_code] += 1
+        return count
+
+    def counted_run(sim, cycles, _run=Simulator.run):
+        sys.settrace(count)
+        try:
+            _run(sim, cycles)
+        finally:
+            sys.settrace(None)
+
+    Simulator.run = counted_run
+    spec = WORKLOADS[args.workload].make_spec(args.seed, 10 if args.smoke else 1)
+    _, sim, result = execute_inline(spec)
+    total = sum(ops.values())
+    hops = sum(r.xbar_traversals for r in sim.network.routers)
+    print(f"{args.workload} seed {args.seed}: {total} bytecodes in Simulator.run")
+    print(f"  per cycle    {total / sim.now:12.1f}  ({sim.now} cycles)")
+    print(f"  per flit hop {total / max(1, hops):12.1f}  ({hops} hops)")
+    for code, n in ops.most_common(args.top):
+        where = Path(code.co_filename).name
+        print(f"  {n:11d}  {n / total:5.1%}  {where}:{code.co_qualname}")
+    canon = json.dumps(
+        {"summary": result.summary, "power": result.power},
+        sort_keys=True, separators=(",", ":"),
+    )  # fmt: skip
+    print(f"  summary_crc32 {zlib.crc32(canon.encode())}")
+
+
+if __name__ == "__main__":
+    main()

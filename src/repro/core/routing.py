@@ -151,16 +151,15 @@ class OwnRoutingBase(RoutingFunction):
         bit-identical.
         """
         for router in self.net.routers:
-            if not router._occupied:
+            if not router._nflits:
                 continue
-            input_ports = router.input_ports
-            for key in router._occupied:
-                vc = input_ports[key[0]].vcs[key[1]]
-                if vc.state is not VCState.WAITING_VC:
-                    continue
-                vc.cand_endpoint.withdraw(vc.gslot)
-                vc.release()
-                router._kern.rc_slots.add(vc.gslot)
+            for port in router.input_ports:
+                for vc in port.vcs:
+                    if vc.state is not VCState.WAITING_VC:
+                        continue
+                    vc.cand_endpoint.withdraw(vc.gslot)
+                    vc.release()
+                    router._kern.rc_slots.add(vc.gslot)
 
 
 class Own256Routing(OwnRoutingBase):

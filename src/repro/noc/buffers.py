@@ -53,6 +53,8 @@ class VirtualChannel:
         "cand_vcs",
         "cand_mask",
         "gslot",
+        "in_port",
+        "upstream",
     )
 
     def __init__(self, index: int, depth: int) -> None:
@@ -62,9 +64,13 @@ class VirtualChannel:
         self.depth = depth
         self.queue: Deque["Flit"] = deque()
         self.state: VCState = VCState.IDLE
-        # Global slot id of this VC in the network-wide flat slot space
-        # (repro.noc.kernels); -1 until a KernelState binds the network.
+        # Bound by repro.noc.kernels.KernelState: this VC's slot id in the
+        # network-wide flat slot space (-1 until then), the index of the
+        # input port it belongs to, and that port's Endpoint -- where the
+        # credit for a departing flit returns.
         self.gslot: int = -1
+        self.in_port: int = -1
+        self.upstream = None
         # Route decision for the packet currently occupying this VC:
         self.out_port: Optional[int] = None  # output port index at this router
         self.out_vc: Optional[int] = None  # allocated VC at the downstream input

@@ -32,26 +32,19 @@ class InvariantViolation(AssertionError):
     """A conservation law of the simulator does not hold."""
 
 
-def _in_flight_by_endpoint(sim: "Simulator") -> Dict[tuple, int]:
-    """Scheduled flit deliveries keyed by (endpoint id, vc)."""
+def _ring_counts(ring) -> Dict[tuple, int]:
+    """Events of one calendar ring of the simulator (flit deliveries or
+    credit returns) keyed by (endpoint id, vc)."""
     counts: Dict[tuple, int] = {}
-    for events in sim._events.values():
-        for ev in events:
-            if ev[0] == "flit":
-                _, endpoint, vc, _flit = ev
-                counts[(id(endpoint), vc)] = counts.get((id(endpoint), vc), 0) + 1
+    for due in ring:
+        for endpoint, vc, *_ in due:
+            counts[(id(endpoint), vc)] = counts.get((id(endpoint), vc), 0) + 1
     return counts
 
 
-def _pending_credits_by_endpoint(sim: "Simulator") -> Dict[tuple, int]:
-    """Scheduled credit returns keyed by (endpoint id, vc)."""
-    counts: Dict[tuple, int] = {}
-    for events in sim._events.values():
-        for ev in events:
-            if ev[0] == "credit":
-                _, endpoint, vc = ev
-                counts[(id(endpoint), vc)] = counts.get((id(endpoint), vc), 0) + 1
-    return counts
+def _in_flight(sim: "Simulator") -> int:
+    """Flits travelling on links."""
+    return sum(len(due) for due in sim._flit_ring)
 
 
 def check_flit_conservation(sim: "Simulator") -> None:
@@ -71,13 +64,7 @@ def check_flit_conservation(sim: "Simulator") -> None:
     # Ejected flits are gone; infer them: available - (everything still here).
     buffered = net.total_occupancy()
     queued = sum(len(ni.queue) for ni in net.interfaces if ni is not None)
-    in_flight = sum(
-        1
-        for events in sim._events.values()
-        for ev in events
-        if ev[0] == "flit"
-    )
-    accounted = buffered + queued + in_flight
+    accounted = buffered + queued + _in_flight(sim)
     available = created + sim.stats.flits_retransmitted - sim.stats.flits_dropped
     if accounted > available:
         raise InvariantViolation(
@@ -99,8 +86,8 @@ def check_flit_conservation(sim: "Simulator") -> None:
 def check_credit_consistency(sim: "Simulator") -> None:
     """credits + buffered + in-flight (+ pending credit returns) == depth."""
     net = sim.network
-    in_flight = _in_flight_by_endpoint(sim)
-    pending_credits = _pending_credits_by_endpoint(sim)
+    in_flight = _ring_counts(sim._flit_ring)
+    pending_credits = _ring_counts(sim._credit_ring)
     for router in net.routers:
         for in_port, endpoint in enumerate(router.input_endpoints):
             port = router.input_ports[in_port]
@@ -163,13 +150,16 @@ def check_medium_coherence(net: "Network") -> None:
 def check_kernel_coherence(sim: "Simulator") -> None:
     """The flat slot layout and work lists agree with the object model.
 
-    Every ``vc.gslot`` is the VC's rank in (router, in_port, vc) order; the
-    SA work sets move in lockstep (``kern.sa_slots`` == union of every
-    router's ``_sa_active``); and **no VCA wake-up is lost**: each
-    endpoint's ``requests`` are exactly the slots of the heads in WAITING_VC
-    for it, ascending, and on an endpoint that is not woken no request VCA
-    has already examined (i.e. not registered by this cycle's RC) is
-    grantable right now -- nothing would ever look at it again.
+    Every ``vc.gslot`` is the VC's rank in (router, in_port, vc) order;
+    **SA work is exactly what the objects say it is**: ``sa_slots`` == the
+    slots of ACTIVE VCs holding a flit, minus those parked on some link's
+    ``sa_token_waiters`` (re-armed when that link is granted its token);
+    every router's ``_nflits`` is its buffered flit count; and **no VCA
+    wake-up is lost**: each endpoint's ``requests`` are exactly the slots of
+    the heads in WAITING_VC for it, ascending, and on an endpoint that is
+    not woken no request VCA has already examined (i.e. not registered by
+    this cycle's RC) is grantable right now -- nothing would ever look at it
+    again.
 
     The sweep's round-robin pointers (``in_ptr`` / ``out_ptr``) are
     deliberately *not* compared against the object arbiters: a run drives
@@ -178,20 +168,26 @@ def check_kernel_coherence(sim: "Simulator") -> None:
     """
     k = sim.kernels
     sa_expect = set()
+    parked = {s for link in sim.network.links for s in link.sa_token_waiters}
     fresh = set(k.vca_fresh)
     waiting: Dict[object, list] = {
         ep: [] for router in sim.network.routers for ep in router.input_endpoints
     }
     s = 0
     for router in sim.network.routers:
+        buffered = 0
         for ip, port in enumerate(router.input_ports):
             for vc in port.vcs:
+                buffered += len(vc.queue)
                 if vc.gslot != s or k.slot_vc[s] is not vc:
                     raise InvariantViolation(
                         f"kernel: r{router.rid}.in{ip}.vc{vc.index} slot "
                         f"{vc.gslot} != layout {s}"
                     )
-                if vc.state is VCState.WAITING_VC:
+                if vc.state is VCState.ACTIVE:
+                    if vc.queue and s not in parked:
+                        sa_expect.add(s)
+                elif vc.state is VCState.WAITING_VC:
                     ep = vc.cand_endpoint
                     waiting.setdefault(ep, []).append(s)
                     size = vc.queue[0].packet.size_flits
@@ -206,8 +202,11 @@ def check_kernel_coherence(sim: "Simulator") -> None:
                             f"endpoint is not woken"
                         )
                 s += 1
-        for ip, iv in router._sa_active:
-            sa_expect.add(router.input_ports[ip].vcs[iv].gslot)
+        if router._nflits != buffered:
+            raise InvariantViolation(
+                f"kernel: r{router.rid} counts {router._nflits} flits but "
+                f"buffers {buffered}"
+            )
     for ep, slots in waiting.items():
         if ep.requests != slots:
             raise InvariantViolation(
@@ -216,7 +215,7 @@ def check_kernel_coherence(sim: "Simulator") -> None:
             )
     if k.sa_slots != sa_expect:
         raise InvariantViolation(
-            f"kernel: sa_slots drifted from router _sa_active sets "
+            f"kernel: sa_slots is not the ACTIVE, occupied, unparked VCs "
             f"(extra={sorted(k.sa_slots - sa_expect)[:8]}, "
             f"missing={sorted(sa_expect - k.sa_slots)[:8]})"
         )
@@ -234,9 +233,7 @@ def audit_network(sim: "Simulator") -> Dict[str, int]:
         "cycle": sim.now,
         "buffered_flits": net.total_occupancy(),
         "ni_queued": sum(len(ni.queue) for ni in net.interfaces if ni is not None),
-        "in_flight": sum(
-            1 for evs in sim._events.values() for ev in evs if ev[0] == "flit"
-        ),
+        "in_flight": _in_flight(sim),
         "media_held": sum(1 for m in net.mediums if m.holder is not None),
         "flits_dropped": sim.stats.flits_dropped,
         "flits_retransmitted": sim.stats.flits_retransmitted,

@@ -19,37 +19,46 @@ every topology builder) the layout is arithmetic::
 
     slot = vslot_base[rid] + in_port * num_vcs + vc
 
-and the input-port identity is recoverable from the slot
-(``port_base = slot - slot % num_vcs``), which :meth:`KernelState.sa_sweep`
-relies on: ``supported`` is ``False`` otherwise and the simulator falls back
-to ``Router.stage_sa``. RC and VCA need only the ordering and sweep every
-network.
+and a port spans ``num_vcs`` consecutive slots from ``slot_pb[slot]``, which
+:meth:`KernelState.sa_sweep` relies on: ``supported`` is ``False`` otherwise
+and the simulator hands the same sorted slots to ``Router.stage_sa``, router
+by router. RC and VCA need only the ordering and sweep every network. Each
+VC carries its own coordinates (``vc.gslot``, ``vc.in_port``,
+``vc.upstream``), bound at layout time, so a work-set entry is one integer
+and nothing re-derives a port from a slot on the hot path.
 
 State owned here
 ----------------
-* **sa_slots** -- the SA work set as slot ids, kept in lockstep with the
-  routers' ``_sa_active`` sets at every add/discard site.
+* **sa_slots** -- *the* SA work set, for both SA paths: slots of ACTIVE VCs
+  that hold a flit and are not parked on a link's ``sa_token_waiters``
+  (slot ids too) until that link is granted its medium token. Added by
+  ``vca_sweep``, by ``Router.deliver_flit`` when a flit lands in an *empty*
+  ACTIVE VC, and by ``SharedMedium.try_grant``; dropped by
+  ``Router._transmit`` (VC ran dry / tail left) and when SA parks a VC.
 * **rc_slots** -- slots of IDLE VCs with a head flit to route.
 * **vca_fresh / vca_woken** -- what the next VCA phase examines: requests RC
   registered last cycle, and endpoints on which a VC became free and funded
   (``Endpoint.wake``). The requests themselves queue on the endpoints.
 * **in_ptr / out_ptr** -- the sweep's round-robin pointers (one per input
-  port / per link). Initialised from the object arbiters at bind time and
-  *path-local* thereafter: a run uses either the sweep or the object
-  ``stage_sa`` throughout, never both, so the two pointer sets are never
-  mixed (and the invariant audit deliberately does not compare them).
+  port / per link). Initialised from the object arbiters at bind time; a
+  run drives SA through either the sweep or ``stage_sa`` (which advances the
+  object arbiters) throughout, never both, so the audit does not compare
+  the two pointer sets.
 
-All of it is audited by ``invariants.check_kernel_coherence``.
+Every work list is derived state -- :meth:`KernelState.build` recomputes all
+of them from the objects -- and ``invariants.check_kernel_coherence`` holds
+them to that definition.
 
 Determinism contract
 --------------------
 :meth:`KernelState.sa_sweep` reproduces the reference ``Router.stage_sa``
 sweep bit-for-bit (property-tested in ``tests/runtime`` and gated by the 0%
 golden diffs in CI): eligibility is evaluated lazily per candidate in
-ascending slot order, transmits are issued in ascending (router,
-output-group) order -- the reference event-append order -- and the
-round-robin winner is ``argmin (i - ptr) % n`` with the pointer advancing
-to ``winner + 1``, identical to the inlined object arbiters.
+ascending slot order, a router's transmits are issued -- grouped by output
+port, the order flits are filed for delivery in -- before the next router
+is examined, and the round-robin winner is
+``argmin (i - ptr) % n`` with the pointer advancing to ``winner + 1``,
+identical to the inlined object arbiters.
 :meth:`KernelState.vca_sweep` grants exactly what polling every waiting head
 every cycle in ascending slot order would (the reference arm under
 ``tests/`` does just that): the requests it leaves out are those whose
@@ -58,7 +67,7 @@ answer cannot have changed.
 
 from __future__ import annotations
 
-from typing import Callable, List, TYPE_CHECKING
+from typing import List, Optional, TYPE_CHECKING
 
 from repro.noc.buffers import VCState
 
@@ -95,22 +104,24 @@ class KernelState:
 
     Build with :meth:`build` (the network must be finalized). Binding
     installs ``router._kern`` (through which the objects register RC / VCA /
-    SA work here), ``vc.gslot`` and ``link.index``.
+    SA work here), ``vc.gslot`` / ``vc.in_port`` / ``vc.upstream`` and
+    ``link.index``.
     """
 
     __slots__ = (
         "supported",
         "num_vcs",
         "vslot_base",
-        "router_top",
         "slot_router",
         "slot_ip",
         "slot_vc",
+        "slot_pb",
+        "slot_rtop",
         # sweep-local arbitration state:
         "in_ptr",
         "out_ptr",
         "out_n",
-        # stage work lists (slot ids; sa_slots in lockstep with _sa_active):
+        # stage work lists (slot ids):
         "sa_slots",
         "rc_slots",
         "vca_fresh",
@@ -130,168 +141,182 @@ class KernelState:
     # ------------------------------------------------------------------ #
 
     @classmethod
-    def build(cls, network: "Network") -> "KernelState":
+    def build(cls, network: "Network", ring_size: Optional[int] = None) -> "KernelState":
         """Lay out ``network``'s input VCs as slots and bind the objects.
 
-        Safe to call on a mid-life network: the work lists and round-robin
-        pointers are initialised from the current object state (every
-        waiting head is simply examined afresh).
+        Safe to call on a mid-life network: the work lists are derived from
+        the current object state (every waiting head is simply examined
+        afresh) and the round-robin pointers from the object arbiters.
+        ``ring_size`` is the length of the binding simulator's event rings:
+        a flit sent on a link is filed ``latency`` slots ahead, so a link
+        whose latency does not fit would wrap onto an earlier cycle.
         """
         k = cls()
         routers = network.routers
         k.num_vcs = network.num_vcs
-        # Mixed VC counts break the arithmetic port recovery of sa_sweep
+        # Mixed VC counts break the arithmetic port width of sa_sweep
         # (the simulator falls back to Router.stage_sa); the layout itself,
         # and with it RC and VCA, only needs the slot order.
         k.supported = all(r.num_vcs == k.num_vcs for r in routers)
-
-        # --- slot layout -------------------------------------------------
-        k.vslot_base = []
-        k.router_top = []
-        k.slot_router = []
-        k.slot_ip = []
-        k.slot_vc = []
-        # Round-robin pointers, indexed by port-base slot / link index.
-        k.in_ptr = []
-        for r in routers:
-            r._kern = k
-            k.vslot_base.append(len(k.slot_vc))
-            for ip, port in enumerate(r.input_ports):
-                r.input_endpoints[ip].woken = False
-                for vc in port.vcs:
-                    vc.gslot = s = len(k.slot_vc)
-                    k.slot_router.append(r)
-                    k.slot_ip.append(ip)
-                    k.slot_vc.append(vc)
-                    # (a port's pointer lives at its first VC's slot)
-                    k.in_ptr.append(0 if vc.index else r._in_arbs[ip]._next)
-                    if vc.state is _WAITING_VC:
-                        k.vca_fresh.append(s)
-                    elif vc.state is _IDLE and vc.queue:
-                        k.rc_slots.add(s)
-            k.router_top.append(len(k.slot_vc))
-            # SA work set (usually empty at bind time):
-            for (ip, iv) in r._sa_active:
-                k.sa_slots.add(r.input_ports[ip].vcs[iv].gslot)
 
         # --- per-link output pointers ------------------------------------
         links = network.links
         k.out_ptr = [0] * len(links)
         k.out_n = [1] * len(links)
+        parked = set()  # SA work waiting on a medium token, not in sa_slots
         for li, link in enumerate(links):
+            if ring_size is not None and link.latency >= ring_size:
+                raise ValueError(
+                    f"link {link.name}: latency {link.latency} does not fit "
+                    f"the simulator's {ring_size}-cycle event rings"
+                )
             link.index = li
+            parked.update(link.sa_token_waiters)
             src = link.src_router
             if src is not None:
                 k.out_ptr[li] = src._out_arbs[link.out_port]._next
                 k.out_n[li] = max(1, len(src.input_ports))
+
+        # --- slot layout -------------------------------------------------
+        k.vslot_base = []
+        k.slot_router = []
+        k.slot_ip = []
+        k.slot_vc = []
+        k.slot_pb = []  # first slot of the slot's input port ...
+        k.slot_rtop = []  # ... and one past the last slot of its router
+        # Round-robin pointers, indexed by port-base slot.
+        k.in_ptr = []
+        for r in routers:
+            r._kern = k
+            base = len(k.slot_vc)
+            k.vslot_base.append(base)
+            for ip, port in enumerate(r.input_ports):
+                endpoint = r.input_endpoints[ip]
+                endpoint.woken = False
+                pb = len(k.slot_vc)
+                for vc in port.vcs:
+                    vc.gslot = s = len(k.slot_vc)
+                    vc.in_port = ip
+                    vc.upstream = endpoint
+                    k.slot_router.append(r)
+                    k.slot_ip.append(ip)
+                    k.slot_vc.append(vc)
+                    k.slot_pb.append(pb)
+                    # (a port's pointer lives at its first VC's slot)
+                    k.in_ptr.append(0 if vc.index else r._in_arbs[ip]._next)
+                    if vc.state is _WAITING_VC:
+                        k.vca_fresh.append(s)
+                    elif vc.state is _IDLE:
+                        if vc.queue:
+                            k.rc_slots.add(s)
+                    elif vc.queue and s not in parked:
+                        k.sa_slots.add(s)
+            k.slot_rtop.extend([len(k.slot_vc)] * (len(k.slot_vc) - base))
         return k
 
     # ------------------------------------------------------------------ #
     # The switch-allocation sweep
     # ------------------------------------------------------------------ #
 
-    def sa_sweep(self, now: int, send_fn: Callable, credit_fn: Callable) -> int:
+    def sa_sweep(self, now: int, sim) -> int:
         """One network-wide SA/ST phase over the flat slot space.
 
         Bit-identical replacement for iterating ``stage_sa`` over the
-        sorted active-router snapshot: a single pass in ascending slot
-        order that evaluates eligibility lazily from the objects and finds
-        each round-robin winner by inline pointer arithmetic. Returns the
-        number of flits moved.
+        routers in id order: a single pass in ascending slot order that
+        evaluates eligibility lazily from the objects and finds each
+        round-robin winner by inline pointer arithmetic. A port's winner
+        is settled when the pass leaves the port; a router's output
+        arbitration and traversals when it leaves the router, so a router
+        transmits before the next one is examined. Returns the number of
+        flits moved.
         """
-        slots = sorted(self.sa_slots)
-        n = len(slots)
         V = self.num_vcs
         in_ptr = self.in_ptr
         out_ptr = self.out_ptr
         out_n = self.out_n
         slot_router = self.slot_router
-        slot_ip = self.slot_ip
         slot_vc = self.slot_vc
-        router_top = self.router_top
+        slot_pb = self.slot_pb
+        slot_rtop = self.slot_rtop
         sa = self.sa_slots
+        slots = sorted(sa)
+        end = len(slot_vc)
+        slots.append(end)  # sentinel: leaves the last port and router
         moved = 0
-        i = 0
-        while i < n:
-            r = slot_router[slots[i]]
-            rtop = router_top[r.rid]
-            out_links = r.out_links
-            winners = None
-            # --- input-port arbitration over this router's segment -------
-            while i < n and slots[i] < rtop:
-                pb = slots[i]
-                pb -= pb % V
+        ptop = rtop = 0
+        win_vc = None
+        winners: list = []
+        for s in slots:
+            if s >= ptop:
+                # --- leaving an input port: settle its winner ------------
+                if win_vc is not None:
+                    in_ptr[pb] = (win_vc.index + 1) % V
+                    winners.append(win_vc)
+                    win_vc = None
+                if s >= rtop:
+                    # --- leaving a router: output-port arbitration among
+                    # its input-port winners, then the traversals ---------
+                    if winners:
+                        if len(winners) == 1:
+                            vc = winners[0]
+                            li = out_links[vc.out_port].index
+                            out_ptr[li] = (vc.in_port + 1) % out_n[li]
+                            r._transmit(now, vc, sim)
+                            moved += 1
+                        else:
+                            by_out = {}
+                            for vc in winners:
+                                by_out.setdefault(vc.out_port, []).append(vc)
+                            for out_port, contenders in by_out.items():
+                                li = out_links[out_port].index
+                                nn = out_n[li]
+                                vc = contenders[0]
+                                if len(contenders) > 1:
+                                    ptr = out_ptr[li]
+                                    best = nn
+                                    for cand in contenders:
+                                        d = (cand.in_port - ptr) % nn
+                                        if d < best:
+                                            best, vc = d, cand
+                                out_ptr[li] = (vc.in_port + 1) % nn
+                                r._transmit(now, vc, sim)
+                                moved += 1
+                        winners = []
+                    if s == end:
+                        break
+                    rtop = slot_rtop[s]
+                    r = slot_router[s]
+                    out_links = r.out_links
+                pb = slot_pb[s]
                 ptop = pb + V
                 ptr = in_ptr[pb]
                 best = V
-                win = -1
-                win_vc = None
-                while i < n and slots[i] < ptop:
-                    s = slots[i]
-                    i += 1
-                    vc = slot_vc[s]
-                    endpoint = vc.endpoint
-                    if not (endpoint.is_sink or endpoint.credits[vc.out_vc] > 0):
-                        continue
-                    link = out_links[vc.out_port]
-                    if now < link.busy_until:
-                        continue
-                    medium = link.medium
-                    if medium is not None and not (
-                        medium.holder is link
-                        and now >= medium.grant_at
-                        and now >= medium.busy_until
-                        and now >= medium.blocked_until
-                    ):
-                        if medium.holder is not link:
-                            # Token held elsewhere: park on the link
-                            # (re-armed by SharedMedium.try_grant), same
-                            # as the reference path.
-                            key = (slot_ip[s], vc.index)
-                            sa.discard(s)
-                            r._sa_active.discard(key)
-                            link.sa_token_waiters.append((r, key))
-                        continue
-                    d = (s - pb - ptr) % V
-                    if d < best:
-                        best = d
-                        win = s
-                        win_vc = vc
-                if win >= 0:
-                    in_ptr[pb] = (win - pb + 1) % V
-                    if winners is None:
-                        winners = [(slot_ip[win], win_vc)]
-                    else:
-                        winners.append((slot_ip[win], win_vc))
-            if winners is None:
+            # --- input-port arbitration: is this VC eligible, and nearest
+            # to the port's pointer so far? -------------------------------
+            vc = slot_vc[s]
+            endpoint = vc.endpoint
+            if not (endpoint.is_sink or endpoint.credits[vc.out_vc] > 0):
                 continue
-            # --- output-port arbitration among the winners ---------------
-            if len(winners) == 1:
-                ip, vc = winners[0]
-                li = out_links[vc.out_port].index
-                out_ptr[li] = (ip + 1) % out_n[li]
-                r._transmit(now, ip, vc, send_fn, credit_fn)
-                moved += 1
+            link = out_links[vc.out_port]
+            if now < link.busy_until:
                 continue
-            by_out = {}
-            for ip, vc in winners:
-                by_out.setdefault(vc.out_port, []).append((ip, vc))
-            for out_port, contenders in by_out.items():
-                li = out_links[out_port].index
-                if len(contenders) == 1:
-                    ip, vc = contenders[0]
-                else:
-                    nn = out_n[li]
-                    ptr = out_ptr[li]
-                    best = nn
-                    ip, vc = contenders[0]
-                    for cip, cvc in contenders:
-                        d = (cip - ptr) % nn
-                        if d < best:
-                            best, ip, vc = d, cip, cvc
-                out_ptr[li] = (ip + 1) % out_n[li]
-                r._transmit(now, ip, vc, send_fn, credit_fn)
-                moved += 1
+            medium = link.medium
+            if medium is not None and not (
+                medium.holder is link
+                and now >= medium.grant_at
+                and now >= medium.busy_until
+                and now >= medium.blocked_until
+            ):
+                if medium.holder is not link:
+                    # Token held elsewhere: park on the link (re-armed by
+                    # SharedMedium.try_grant), same as the object path.
+                    sa.discard(s)
+                    link.sa_token_waiters.append(s)
+                continue
+            d = (s - pb - ptr) % V
+            if d < best:
+                best = d
+                win_vc = vc
         return moved
 
     # ------------------------------------------------------------------ #
@@ -345,7 +370,6 @@ class KernelState:
             vc.state = _ACTIVE
             r = self.slot_router[s]
             r.vca_grants += 1
-            r._sa_active.add((self.slot_ip[s], vc.index))
             self.sa_slots.add(s)
             link = r.out_links[vc.out_port]
             medium = link.medium

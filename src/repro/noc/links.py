@@ -338,12 +338,12 @@ class SharedMedium:
             # same cycle it could first transmit -- bit-identical to dense
             # per-cycle polling. The state/queue guard drops entries made
             # stale by fault handling (drops / re-routes).
-            for router, key in waiters:
-                vc = router.input_ports[key[0]].vcs[key[1]]
+            kern = best_link.src_router._kern
+            slot_vc = kern.slot_vc
+            for s in waiters:
+                vc = slot_vc[s]
                 if vc.state is _VC_ACTIVE and vc.queue:
-                    router._sa_active.add(key)
-                    if router._kern is not None:
-                        router._kern.sa_slots.add(vc.gslot)
+                    kern.sa_slots.add(s)
             del waiters[:]
         return best_link
 
@@ -478,12 +478,13 @@ class Link:
         # maintained by the router (VCA / tail transmit) to drive the shared
         # medium's request set.
         self.pending_requests = 0
-        # ACTIVE VCs parked here by stage_sa while another link holds the
-        # medium token; flushed back into their router's SA work set when
-        # this link is granted (see SharedMedium.try_grant). Only used when
-        # no tracer is attached -- with a tracer the router keeps polling so
-        # the per-cycle stall record stream is preserved.
-        self.sa_token_waiters: List[tuple] = []
+        # Slot ids of ACTIVE VCs parked here by switch allocation while
+        # another link holds the medium token; flushed back into
+        # ``KernelState.sa_slots`` when this link is granted (see
+        # SharedMedium.try_grant). Only used when no tracer is attached --
+        # with a tracer SA keeps polling so the per-cycle stall record
+        # stream is preserved.
+        self.sa_token_waiters: List[int] = []
         # Position of this link in ``network.links`` (-1 until a
         # repro.noc.kernels.KernelState binds the owning network); the slot
         # sweep keys its per-link output round-robin pointers on it.

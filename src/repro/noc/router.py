@@ -16,7 +16,7 @@ allocator DSENT models.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.noc.arbiters import RoundRobinArbiter
 from repro.noc.buffers import InputPort, VCState, VirtualChannel
@@ -59,11 +59,6 @@ class RoutingFunction:
         return False
 
 
-# Type of the delivery callback the simulator passes into stage_sa:
-SendFn = Callable[[Link, Endpoint, "Flit", int, int], None]
-CreditFn = Callable[[Endpoint, int, int], None]
-
-
 class Router:
     """One network router: input VC buffers, output links, allocators.
 
@@ -91,8 +86,7 @@ class Router:
         "routing",
         "_in_arbs",
         "_out_arbs",
-        "_occupied",
-        "_sa_active",
+        "_nflits",
         "_wake",
         "_sleep",
         "_kern",
@@ -123,23 +117,18 @@ class Router:
         self.routing: Optional[RoutingFunction] = None
         self._in_arbs: List[RoundRobinArbiter] = []
         self._out_arbs: List[RoundRobinArbiter] = []
-        self._occupied: Set[Tuple[int, int]] = set()  # (in_port, vc) with flits
-        # Subset of ``_occupied`` that can compete in switch allocation:
-        # ACTIVE state *and* at least one buffered flit. Maintained by
-        # deliver_flit / vca_sweep / _transmit so stage_sa never scans VCs
-        # still waiting in RC or VCA.
-        self._sa_active: Set[Tuple[int, int]] = set()
-        # Scheduler callbacks: invoked with ``self`` on the empty->occupied
-        # and occupied->empty transitions so the simulator's active-router
-        # set tracks exactly the routers holding flits. ``None`` when no
-        # simulator is attached.
+        # Flits buffered here (== occupancy(), kept by deliver_flit and
+        # _transmit). The scheduler callbacks fire on its 0 <-> 1
+        # transitions, invoked with ``self``, so the simulator's
+        # active-router set tracks exactly the routers holding flits.
+        # ``None`` when no simulator is attached.
+        self._nflits = 0
         self._wake: Optional[Callable[["Router"], None]] = None
         self._sleep: Optional[Callable[["Router"], None]] = None
         # Slot-sweep binding (repro.noc.kernels.KernelState): set when a
-        # simulator binds this network. RC and VCA work is registered there
-        # by slot id (``rc_slots``, the endpoints' request lists), and every
-        # ``_sa_active`` add/discard is repeated on ``_kern.sa_slots`` (the
-        # network-wide slot-id form of the same work set).
+        # simulator binds this network. RC, VCA and SA work is registered
+        # there by slot id (``rc_slots``, the endpoints' request lists,
+        # ``sa_slots``).
         self._kern = None
         # Activity counters for the power model:
         self.buffer_writes = 0
@@ -210,22 +199,23 @@ class Router:
                 f"VC{vc_obj.index} overflow: depth={vc_obj.depth}; "
                 "credit accounting is broken"
             )
-        queue.append(flit)
         state = vc_obj.state
         kern = self._kern
-        if state is VCState.IDLE:
-            # A head flit (or a body flit queued behind an un-routed head)
-            # now sits in an IDLE VC: schedule route computation.
-            if kern is not None:
+        if kern is not None:
+            if state is VCState.IDLE:
+                # A head flit (or a body flit queued behind an un-routed
+                # head) now sits in an IDLE VC: schedule route computation.
                 kern.rc_slots.add(vc_obj.gslot)
-        elif state is VCState.ACTIVE:
-            # A body flit caught up with its already-switching packet.
-            self._sa_active.add((in_port, vc))
-            if kern is not None:
+            elif state is VCState.ACTIVE and not queue:
+                # A body flit caught up with its already-switching packet,
+                # whose VC had run dry. A VC that still holds flits is in
+                # ``sa_slots`` already or parked behind a medium token --
+                # re-arming that one would only have it park again.
                 kern.sa_slots.add(vc_obj.gslot)
-        if not self._occupied and self._wake is not None:
+        queue.append(flit)
+        if not self._nflits and self._wake is not None:
             self._wake(self)
-        self._occupied.add((in_port, vc))
+        self._nflits += 1
         self.buffer_writes += 1
 
     def occupancy(self) -> int:
@@ -237,12 +227,12 @@ class Router:
     # SA are network-wide sweeps in repro.noc.kernels)
     # ------------------------------------------------------------------ #
 
-    def stage_sa(self, now: int, send_fn: SendFn, credit_fn: CreditFn) -> int:
+    def stage_sa(self, now: int, slots: Sequence[int], sim) -> int:
         """Switch allocation + traversal; returns number of flits moved.
 
-        ``send_fn(link, endpoint, flit, out_vc, now)`` schedules link
-        traversal; ``credit_fn(input_endpoint, vc_index, now)`` schedules the
-        upstream credit return for the freed buffer slot.
+        ``slots`` is this router's share of ``KernelState.sa_slots``,
+        ascending -- which is ascending (in_port, vc), the order stall
+        records are emitted in. Winners traverse through ``_transmit``.
 
         Hot-path note: the rotating-priority arbiters are inlined here --
         the winner among request set ``R`` with pointer ``p`` over ``n``
@@ -253,31 +243,33 @@ class Router:
         token) are likewise inlined copies of ``Endpoint.has_credit`` /
         ``Link.ready``.
         """
-        occ = self._sa_active
-        if not occ:
-            return 0
-
         tracer = self.tracer
         input_ports = self.input_ports
         out_links = self.out_links
+        in_arbs = self._in_arbs
+        kern = self._kern
+        slot_vc = kern.slot_vc
 
-        # Fast path: exactly one competing VC -- no contention, both
-        # arbiters trivially grant it (pointer updates match grant() on a
-        # single-request vector); only eligibility needs checking.
-        if len(occ) == 1:
-            for (ip, iv) in occ:
-                break
-            vc = input_ports[ip].vcs[iv]
+        # --- input-port arbitration: one candidate VC per input port ---- #
+        # Keyed by input port; first insertion is in ascending slot order,
+        # so iteration below is ascending-port.
+        best_of: Dict[int, Tuple[int, VirtualChannel]] = {}
+        for s in slots:
+            # sa_slots membership guarantees ACTIVE state and a non-empty
+            # queue (maintained by deliver_flit / vca_sweep / _transmit),
+            # so neither is re-checked here.
+            vc = slot_vc[s]
+            ip = vc.in_port
             endpoint = vc.endpoint
             if not (endpoint.is_sink or endpoint.credits[vc.out_vc] > 0):
                 if tracer is not None:
                     tracer.on_vc_stall(self, input_ports[ip].kind, "credit", now)
-                return 0
+                continue
             link = out_links[vc.out_port]
             if now < link.busy_until:
                 if tracer is not None:
                     tracer.on_vc_stall(self, input_ports[ip].kind, "link", now)
-                return 0
+                continue
             medium = link.medium
             if medium is not None and not (
                 medium.holder is link
@@ -294,140 +286,64 @@ class Router:
                     # re-polling every cycle. Holder-side timer waits
                     # (arb latency / serialization) resolve within a few
                     # cycles and keep polling.
-                    occ.discard((ip, iv))
-                    if self._kern is not None:
-                        self._kern.sa_slots.discard(vc.gslot)
-                    link.sa_token_waiters.append((self, (ip, iv)))
-                return 0
-            arb = self._in_arbs[ip]
-            arb._next = (iv + 1) % arb.n
-            arb = self._out_arbs[vc.out_port]
-            arb._next = (ip + 1) % arb.n
-            self._transmit(now, ip, vc, send_fn, credit_fn)
-            return 1
-
-        # --- input-port arbitration: one candidate VC per input port ---- #
-        # Indexed by input port so iteration is ascending-port without a
-        # sort (matching the reference loop's small-int set order).
-        grouped: List[Optional[List[int]]] = [None] * len(input_ports)
-        for (ip, iv) in occ:
-            bucket = grouped[ip]
-            if bucket is None:
-                grouped[ip] = [iv]
-            else:
-                bucket.append(iv)
-        winners: List[Tuple[int, VirtualChannel]] = []
-        for ip, ivs in enumerate(grouped):
-            if ivs is None:
+                    kern.sa_slots.discard(s)
+                    link.sa_token_waiters.append(s)
                 continue
-            port = input_ports[ip]
-            port_vcs = port.vcs
-            req_ivs: List[int] = []
-            for iv in ivs if len(ivs) == 1 else sorted(ivs):
-                # _sa_active membership guarantees ACTIVE state and a
-                # non-empty queue (maintained by deliver_flit / vca_sweep /
-                # _transmit), so neither is re-checked here.
-                vc = port_vcs[iv]
-                endpoint = vc.endpoint
-                if not (endpoint.is_sink or endpoint.credits[vc.out_vc] > 0):
-                    if tracer is not None:
-                        tracer.on_vc_stall(self, port.kind, "credit", now)
-                    continue
-                link = out_links[vc.out_port]
-                if now < link.busy_until:
-                    if tracer is not None:
-                        tracer.on_vc_stall(self, port.kind, "link", now)
-                    continue
-                medium = link.medium
-                if medium is not None and not (
-                    medium.holder is link
-                    and now >= medium.grant_at
-                    and now >= medium.busy_until
-                    and now >= medium.blocked_until
-                ):
-                    if tracer is not None:
-                        tracer.on_vc_stall(self, port.kind, "token", now)
-                    elif medium.holder is not link:
-                        # See the single-entry path: park until granted.
-                        occ.discard((ip, iv))
-                        if self._kern is not None:
-                            self._kern.sa_slots.discard(vc.gslot)
-                        link.sa_token_waiters.append((self, (ip, iv)))
-                    continue
-                req_ivs.append(iv)
-            if not req_ivs:
-                continue
-            arb = self._in_arbs[ip]
-            if len(req_ivs) == 1:
-                win = req_ivs[0]
-            else:
-                nxt, n = arb._next, arb.n
-                win, best = -1, arb.n
-                for cand in req_ivs:
-                    dist = (cand - nxt) % n
-                    if dist < best:
-                        best, win = dist, cand
-            arb._next = (win + 1) % arb.n
-            winners.append((ip, port_vcs[win]))
+            arb = in_arbs[ip]
+            dist = (vc.index - arb._next) % arb.n
+            held = best_of.get(ip)
+            if held is None or dist < held[0]:
+                best_of[ip] = (dist, vc)
 
-        if not winners:
+        if not best_of:
             return 0
+        winners: List[VirtualChannel] = []
+        for ip, (_, vc) in best_of.items():
+            arb = in_arbs[ip]
+            arb._next = (vc.index + 1) % arb.n
+            winners.append(vc)
 
         # --- output-port arbitration among input-port winners ----------- #
         if len(winners) == 1:
-            ip, vc = winners[0]
+            vc = winners[0]
             arb = self._out_arbs[vc.out_port]
-            arb._next = (ip + 1) % arb.n
-            self._transmit(now, ip, vc, send_fn, credit_fn)
+            arb._next = (vc.in_port + 1) % arb.n
+            self._transmit(now, vc, sim)
             return 1
-        by_out: Dict[int, List[Tuple[int, VirtualChannel]]] = {}
-        for ip, vc in winners:
-            by_out.setdefault(vc.out_port, []).append((ip, vc))
+        by_out: Dict[int, List[VirtualChannel]] = {}
+        for vc in winners:
+            by_out.setdefault(vc.out_port, []).append(vc)
         moved = 0
         for out_port, contenders in by_out.items():
             arb = self._out_arbs[out_port]
-            if len(contenders) == 1:
-                ip, vc = contenders[0]
-            else:
+            vc = contenders[0]
+            if len(contenders) > 1:
                 nxt, n = arb._next, arb.n
                 best = n
-                ip, vc = contenders[0]
-                for cand_ip, cand_vc in contenders:
-                    dist = (cand_ip - nxt) % n
+                for cand in contenders:
+                    dist = (cand.in_port - nxt) % n
                     if dist < best:
-                        best, ip, vc = dist, cand_ip, cand_vc
-            arb._next = (ip + 1) % arb.n
-            self._transmit(now, ip, vc, send_fn, credit_fn)
+                        best, vc = dist, cand
+            arb._next = (vc.in_port + 1) % arb.n
+            self._transmit(now, vc, sim)
             moved += 1
         return moved
 
-    def _transmit(
-        self,
-        now: int,
-        in_port: int,
-        vc: VirtualChannel,
-        send_fn: SendFn,
-        credit_fn: CreditFn,
-    ) -> None:
+    def _transmit(self, now: int, vc: VirtualChannel, sim) -> None:
+        """Move the front flit of ``vc`` onto its output link: the one place
+        a flit hop is booked (the send itself in ``Simulator._send_fn``)."""
         link = self.out_links[vc.out_port]
         endpoint = vc.endpoint
         queue = vc.queue
         flit = queue.popleft()
-        key = (in_port, vc.index)
         kern = self._kern
-        if not queue:
-            self._occupied.discard(key)
-            self._sa_active.discard(key)
-            if kern is not None:
-                kern.sa_slots.discard(vc.gslot)
-            if not self._occupied and self._sleep is not None:
-                self._sleep(self)
-        elif flit.is_tail:
-            # Next packet's head is now at the front: it must re-run RC/VCA
-            # before competing in SA again.
-            self._sa_active.discard(key)
-            if kern is not None:
-                kern.sa_slots.discard(vc.gslot)
+        self._nflits -= 1
+        if not self._nflits and self._sleep is not None:
+            self._sleep(self)
+        if not queue or flit.is_tail:
+            # Ran dry, or the next packet's head is now at the front and
+            # must re-run RC/VCA before competing in SA again.
+            kern.sa_slots.discard(vc.gslot)
         self.buffer_reads += 1
         self.xbar_traversals += 1
         self.sa_grants += 1
@@ -447,12 +363,12 @@ class Router:
             # Endpoint.take_credit, inlined; SA eligibility just proved
             # credits[out_vc] > 0 this cycle, so no underflow guard needed.
             endpoint.credits[out_vc] -= 1
-        # Link/medium busy + bit accounting happens inside send_fn so the
+        # Link/medium busy + bit accounting happens inside _send_fn so the
         # simulator can apply the configured flit width consistently.
         if flit.is_tail:
             endpoint.release_vc(out_vc)
             vc.release()
-            if queue and kern is not None:
+            if queue:
                 # The departed tail exposed the next packet's head flit:
                 # route it this very cycle (RC runs after SA in step()).
                 kern.rc_slots.add(vc.gslot)
@@ -461,9 +377,10 @@ class Router:
                 link.pending_requests -= 1
                 if link.pending_requests <= 0:
                     medium.drop_request(link)
-        # Return the freed input-buffer slot upstream:
-        credit_fn(self.input_endpoints[in_port], vc.index, now)
-        send_fn(link, endpoint, flit, out_vc, now)
+        # Return the freed input-buffer slot upstream, ``credit_latency``
+        # cycles from now (the ring slot step() resolved for this cycle):
+        sim._credits_due.append((vc.upstream, vc.index))
+        sim._send_fn(link, endpoint, flit, out_vc, now)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Router(rid={self.rid}, radix={self.radix}, attrs={self.attrs})"

@@ -25,11 +25,24 @@ phase 4).
 visits only what registered, in a fixed sorted order, so results are
 deterministic and independent of how the sets were populated. Phases 3-5
 are one sweep each over the input-VC *slots* with work in that stage
-(:mod:`repro.noc.kernels`); a head waiting for a downstream VC costs nothing
-until that endpoint has a VC to give. Media and network interfaces sit in
-active sets while they hold token requests / queued injections; routers
-holding flits sit in one too, read only to decide quiescence and to walk the
-traced ``stage_sa``. When every active set is empty the network is
+(:mod:`repro.noc.kernels`); there is one SA work set, ``sa_slots``, which
+the untraced sweep walks whole and the traced ``stage_sa`` router by router.
+A head waiting for a downstream VC costs nothing until that endpoint has a
+VC to give, a VC waiting for a medium token nothing until its link is
+granted. Media and network interfaces sit in active sets while they hold
+token requests / queued injections; routers sit in one while their flit
+count is non-zero, read only to decide quiescence.
+
+**Events.** The two per-hop events -- a flit landing ``link.latency`` cycles
+after it was sent, a credit returning ``credit_latency`` cycles after the
+buffer slot was freed -- are filed as bare tuples in two calendar rings
+indexed ``cycle & mask`` and drained by two typed loops in phase 1. The
+rings are sized at construction to the power of two above the longest such
+delay, so a slot never holds two cycles' events. Anything else (the link
+layer's ACK/NACK arrivals, of arbitrary delay) goes through ``_schedule``
+into buckets by cycle with a heap over their keys.
+
+**Fast-forward.** When every active set is empty the network is
 *quiescent* -- nothing can happen until the next scheduled event -- and
 :meth:`Simulator.run` fast-forwards the clock to the earliest wake source:
 the next scheduled delivery/credit/ACK, the next fault-campaign action, the
@@ -44,15 +57,15 @@ construction.
 
 A deadlock watchdog aborts the run if buffered flits stop moving for a
 configurable number of cycles -- misrouted VC partitioning shows up as a
-loud error instead of a silent hang. Cycles with deliveries still scheduled
-in the event queue are *not* counted as stalled: a long-latency wireless
-link legitimately keeps the network motionless for many cycles while its
-flits are in flight.
+loud error instead of a silent hang. Cycles with anything still scheduled
+are *not* counted as stalled: a long-latency wireless link legitimately
+keeps the network motionless for many cycles while its flits are in flight.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -65,7 +78,6 @@ from repro.noc.router import Router
 from repro.noc.stats import StatsCollector
 
 #: Deterministic iteration orders for the active sets (C-level key lookups).
-_router_key = attrgetter("rid")
 _medium_key = attrgetter("index")
 _ni_key = attrgetter("core")
 
@@ -141,9 +153,23 @@ class Simulator:
         self.dense = dense
         self.now = 0
         self.stats = StatsCollector(network.n_cores, warmup_cycles)
+        # The two calendar rings of the per-hop events (module docstring,
+        # "Events"): longer than every link and credit delay, so at the
+        # start of cycle ``now`` every filed event is due in
+        # ``[now, now + mask]`` and slot ``now & mask`` holds those due now.
+        size = 1 << max(
+            [credit_latency] + [link.latency for link in network.links]
+        ).bit_length()
+        self._ring_mask = size - 1
+        self._flit_ring: List[List[Tuple]] = [[] for _ in range(size)]
+        self._credit_ring: List[List[Tuple]] = [[] for _ in range(size)]
+        #: The credit-ring slot for ``now + credit_latency``, resolved by
+        #: :meth:`step` once per cycle; ``Router._transmit`` appends to it.
+        self._credits_due: List[Tuple] = self._credit_ring[credit_latency]
+        #: :meth:`_schedule`'s buckets by cycle, plus a min-heap over their
+        #: keys whose stale entries (cycles whose bucket was already
+        #: consumed) are dropped lazily on inspection.
         self._events: Dict[int, List[Tuple]] = {}
-        #: Min-heap over the keys of ``_events``; stale entries (cycles whose
-        #: bucket was already consumed) are dropped lazily on inspection.
         self._event_cycles: List[int] = []
         self._last_progress = 0
         # Active sets: components registered here have (potential) work this
@@ -158,7 +184,7 @@ class Simulator:
         for router in network.routers:
             router._wake = wake_router
             router._sleep = self._active_routers.discard
-            if router._occupied:
+            if router._nflits:
                 wake_router(router)
         wake_medium = self._active_media.add
         for idx, medium in enumerate(network.mediums):
@@ -191,7 +217,7 @@ class Simulator:
         # per-router ``stage_sa`` scan on untraced runs: a tracer needs
         # ``stage_sa``'s per-VC stall callbacks, and a mixed-VC-count
         # network has no arithmetic layout for the SA sweep.
-        self.kernels = KernelState.build(network)
+        self.kernels = KernelState.build(network, size)
         self._sa_kernel = self._tracer is None and self.kernels.supported
         if self._tracer is not None:
             self._tracer.bind(self)
@@ -242,17 +268,33 @@ class Simulator:
             bucket.append(event)
 
     def _next_event_cycle(self) -> Optional[int]:
-        """Earliest cycle holding scheduled events (lazy heap cleanup)."""
+        """Earliest cycle >= ``now`` holding scheduled events: the first
+        non-empty ring slot, or the heap top (lazy heap cleanup) if sooner."""
         heap = self._event_cycles
         events = self._events
-        while heap:
-            cycle = heap[0]
-            if cycle in events:
-                return cycle
+        while heap and heap[0] not in events:
             heapq.heappop(heap)
-        return None
+        now = self.now
+        mask = self._ring_mask
+        flit_ring = self._flit_ring
+        credit_ring = self._credit_ring
+        limit = now + mask + 1  # one ring revolution
+        if heap and heap[0] < limit:
+            limit = heap[0]
+        for cycle in range(now, limit):
+            if flit_ring[cycle & mask] or credit_ring[cycle & mask]:
+                return cycle
+        return heap[0] if heap else None
+
+    def _events_pending(self) -> bool:
+        """Anything scheduled at all: guaranteed future progress."""
+        return (
+            bool(self._events) or any(self._flit_ring) or any(self._credit_ring)
+        )
 
     def _send_fn(self, link: Link, endpoint: Endpoint, flit: Flit, out_vc: int, now: int) -> None:
+        """Start a flit's link traversal: the one place a send is booked
+        (``Router._transmit`` and the link layer's retransmissions)."""
         # Link.on_flit_sent, inlined (one call per flit-hop).
         link.busy_until = now + link.cycles_per_flit
         link.flits_carried += 1
@@ -263,23 +305,9 @@ class Simulator:
             self._faults.note_send(link, flit, now)
         if self._tracer is not None:
             self._tracer.on_flit_sent(link, flit, now)
-        # _schedule, inlined (hottest event producer: one per flit-hop).
-        cycle = now + link.latency
-        bucket = self._events.get(cycle)
-        if bucket is None:
-            self._events[cycle] = [("flit", endpoint, out_vc, flit)]
-            heapq.heappush(self._event_cycles, cycle)
-        else:
-            bucket.append(("flit", endpoint, out_vc, flit))
-
-    def _credit_fn(self, endpoint: Endpoint, vc: int, now: int) -> None:
-        cycle = now + self.credit_latency
-        bucket = self._events.get(cycle)
-        if bucket is None:
-            self._events[cycle] = [("credit", endpoint, vc)]
-            heapq.heappush(self._event_cycles, cycle)
-        else:
-            bucket.append(("credit", endpoint, vc))
+        self._flit_ring[(now + link.latency) & self._ring_mask].append(
+            (endpoint, out_vc, flit)
+        )
 
     # ------------------------------------------------------------------ #
     # The cycle
@@ -290,49 +318,53 @@ class Simulator:
         now = self.now
         moved = 0
 
-        # Phase 1: deliveries + credit returns scheduled for this cycle.
-        events = self._events.pop(now, None)
-        if events:
+        # Phase 1: deliveries, then credit returns, due this cycle. (The
+        # two never read each other's state, so draining them apart leaves
+        # every result as when they shared one queue.)
+        mask = self._ring_mask
+        due = self._flit_ring[now & mask]
+        if due:
             tracer_ = self._tracer
-            for ev in events:
-                kind = ev[0]
-                if kind == "flit":
-                    endpoint = ev[1]
-                    flit = ev[3]
-                    if flit.fate is not None:
-                        # CRC failure / dead transceiver: the receiver
-                        # discards the flit (repro.faults handles credit
-                        # return and NACK scheduling).
-                        self._faults.note_drop(endpoint, ev[2], flit, now)
-                        moved += 1
-                        continue
-                    if tracer_ is not None:
-                        tracer_.on_flit_delivered(endpoint, flit, now)
-                    if endpoint.is_sink:
-                        self.stats.on_flit_ejected(now, flit.packet)
-                        if flit.is_tail:
-                            flit.packet.t_eject = now
-                            self.stats.on_packet_ejected(flit.packet, now)
-                            if tracer_ is not None:
-                                tracer_.on_packet_ejected(flit.packet, now)
-                    else:
-                        endpoint.router.deliver_flit(endpoint.in_port, ev[2], flit)
-                    moved += 1
-                elif kind == "credit":
-                    # Endpoint.return_credit, inlined (one per flit-hop).
-                    endpoint = ev[1]
-                    if not endpoint.is_sink:
-                        v = ev[2]
-                        c = endpoint.credits[v] + 1
-                        endpoint.credits[v] = c
-                        ni = endpoint.ni
-                        if ni is not None and ni.parked:
-                            ni.parked = False
-                            self._active_nis.add(ni)
-                        if c >= endpoint.min_size and not endpoint.vc_busy[v]:
-                            endpoint.wake()
-                else:  # link-layer ACK/NACK arrival ("llack")
-                    self._faults.handle_event(ev, now)
+            for endpoint, v, flit in due:
+                if flit.fate is not None:
+                    # CRC failure / dead transceiver: the receiver
+                    # discards the flit (repro.faults handles credit
+                    # return and NACK scheduling).
+                    self._faults.note_drop(endpoint, v, flit, now)
+                    continue
+                if tracer_ is not None:
+                    tracer_.on_flit_delivered(endpoint, flit, now)
+                if endpoint.is_sink:
+                    self.stats.on_flit_ejected(now, flit.packet)
+                    if flit.is_tail:
+                        flit.packet.t_eject = now
+                        self.stats.on_packet_ejected(flit.packet, now)
+                        if tracer_ is not None:
+                            tracer_.on_packet_ejected(flit.packet, now)
+                else:
+                    endpoint.router.deliver_flit(endpoint.in_port, v, flit)
+            moved = len(due)
+            due.clear()
+        due = self._credit_ring[now & mask]
+        if due:
+            active_nis = self._active_nis
+            # Endpoint.return_credit, inlined (one per flit-hop; credits
+            # return to router input ports only, never to a sink).
+            for endpoint, v in due:
+                c = endpoint.credits[v] + 1
+                endpoint.credits[v] = c
+                ni = endpoint.ni
+                if ni is not None and ni.parked:
+                    ni.parked = False
+                    active_nis.add(ni)
+                if c >= endpoint.min_size and not endpoint.vc_busy[v]:
+                    endpoint.wake()
+            due.clear()
+        if self._events:
+            # Link-layer ACK/NACK arrivals.
+            for ev in self._events.pop(now, ()):
+                self._faults.handle_event(ev, now)
+        self._credits_due = self._credit_ring[(now + self.credit_latency) & mask]
 
         # Phase 2: shared-medium (token) arbitration (event-driven request
         # sets; O(active media) per cycle, not O(all media)).
@@ -359,18 +391,22 @@ class Simulator:
         # computation -- each one network-wide sweep over the slots holding
         # work for it (repro.noc.kernels), so a router with nothing to do
         # in a stage is never visited. A tracer needs ``stage_sa``'s per-VC
-        # stall callbacks: traced SA walks the routers that hold flits
-        # (bit-identical to the sweep).
+        # stall callbacks: traced SA hands each router its run of the
+        # sorted slots (bit-identical to the sweep).
         kern = self.kernels
-        if self._sa_kernel:
-            if kern.sa_slots:
-                moved += kern.sa_sweep(now, self._send_fn, self._credit_fn)
-        elif self._active_routers:
-            send_fn = self._send_fn
-            credit_fn = self._credit_fn
-            for router in sorted(self._active_routers, key=_router_key):
-                if router._sa_active:
-                    moved += router.stage_sa(now, send_fn, credit_fn)
+        if kern.sa_slots:
+            if self._sa_kernel:
+                moved += kern.sa_sweep(now, self)
+            else:
+                slots = sorted(kern.sa_slots)
+                slot_router = kern.slot_router
+                slot_rtop = kern.slot_rtop
+                i, n = 0, len(slots)
+                while i < n:
+                    s = slots[i]
+                    j = bisect_left(slots, slot_rtop[s], i + 1)
+                    moved += slot_router[s].stage_sa(now, slots[i:j], self)
+                    i = j
         if kern.vca_fresh or kern.vca_woken:
             kern.vca_sweep(now, tracer)
         if kern.rc_slots:
@@ -427,14 +463,14 @@ class Simulator:
         # Watchdog: flits buffered but nothing moved for too long -> deadlock.
         # Scheduled events (deliveries in flight on long-latency links,
         # pending credits, link-layer ACKs) are guaranteed future progress,
-        # so the watchdog only trips when the event queue is empty too --
+        # so the watchdog only trips when nothing is scheduled either --
         # otherwise a C2C wireless hop slower than the watchdog budget would
         # raise a false deadlock.
         if moved:
             self._last_progress = now
         elif (
-            not self._events
-            and now - self._last_progress > self.watchdog
+            now - self._last_progress > self.watchdog
+            and not self._events_pending()
             and self.network.total_occupancy()
         ):
             if tracer is not None:
@@ -498,7 +534,7 @@ class Simulator:
             )
         if vc.state is VCState.ACTIVE:
             link = router.out_links[vc.out_port]
-            if (router, (port.index, vc.index)) in link.sa_token_waiters:
+            if vc.gslot in link.sa_token_waiters:
                 holder = link.medium.holder
                 return (
                     f", parked for the token of {link.medium.name}, held by "
@@ -656,7 +692,7 @@ class Simulator:
         )
 
     def _pending_work(self) -> bool:
-        if self._events:
+        if self._events_pending():
             return True
         if self.network.total_occupancy():
             return True

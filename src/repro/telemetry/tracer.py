@@ -465,7 +465,7 @@ class Tracer:
             return
         occ: Dict[str, int] = {}
         for router in sim.network.routers:
-            if router._occupied:
+            if router._nflits:
                 occ[f"r{router.rid}"] = router.occupancy()
         if self._eventing:
             self._event(now, BUFFER_SAMPLE, "sim", args={"occupancy": occ})

@@ -193,3 +193,64 @@ class TestLostWakeupDetection:
                     check_kernel_coherence(sim)
                     return
         pytest.fail("no waiting head has a busy, fully funded candidate VC")
+
+
+class TestSAWorkSet:
+    """``sa_slots`` is derived state: exactly the ACTIVE VCs holding a flit,
+    minus those parked on a link until its medium token arrives."""
+
+    def _saturated(self):
+        built = build_own256()
+        sim = Simulator(
+            built.network, traffic=SyntheticTraffic(256, "UN", 0.15, 4, seed=9)
+        )
+        return built.network, sim
+
+    def test_detects_slot_dropped_behind_the_kernels_back(self):
+        net, sim = self._saturated()
+        sim.run(300)
+        check_kernel_coherence(sim)
+        slot = min(sim.kernels.sa_slots)
+        sim.kernels.sa_slots.discard(slot)
+        with pytest.raises(InvariantViolation, match=rf"missing=\[{slot}\]"):
+            check_kernel_coherence(sim)
+        with pytest.raises(InvariantViolation, match="sa_slots"):
+            audit_network(sim)
+
+    def test_detects_slot_added_behind_the_kernels_back(self):
+        net, sim = self._saturated()
+        sim.run(300)
+        # Neither an idle VC nor a parked one belongs in the work set.
+        parked = next(
+            link.sa_token_waiters[0] for link in net.links if link.sa_token_waiters
+        )
+        idle = next(
+            vc.gslot for vc in sim.kernels.slot_vc if vc.state is VCState.IDLE
+        )
+        for slot in (parked, idle):
+            sim.kernels.sa_slots.add(slot)
+            with pytest.raises(InvariantViolation, match=rf"extra=\[{slot}\]"):
+                check_kernel_coherence(sim)
+            sim.kernels.sa_slots.discard(slot)
+        check_kernel_coherence(sim)
+
+    def test_detects_flit_count_drift(self):
+        net, sim = self._saturated()
+        sim.run(100)
+        router = next(r for r in net.routers if r._nflits)
+        router._nflits += 1
+        with pytest.raises(InvariantViolation, match="counts"):
+            check_kernel_coherence(sim)
+
+    def test_a_vc_parks_behind_a_token_once(self):
+        # A body flit landing behind a parked head must not re-arm it: it
+        # would be examined, find the token still elsewhere and park again.
+        net, sim = self._saturated()
+        parked_ever = 0
+        for _ in range(300):
+            sim.step()
+            for link in net.links:
+                waiters = link.sa_token_waiters
+                assert len(set(waiters)) == len(waiters), (sim.now, link.name)
+                parked_ever += len(waiters)
+        assert parked_ever, "saturation parked no VC behind a token"

@@ -4,11 +4,14 @@ The dense/fast property suite (``tests/runtime/test_fastforward_property.py``
 and ``tests/control/test_control_property.py``) already proves the slot
 sweep end-to-end -- fast untraced runs drive it by default. The tests here
 pin the pieces those properties cannot localise: the slot layout binding,
-``sa_slots`` staying in lockstep with the routers' ``_sa_active`` sets
-mid-run, the mixed-VC fallback (SA only: RC and VCA sweep every network),
-and sweep == traced ``stage_sa`` (``dense`` only switches the clock skip
-off, so it runs the sweep too).
+the work lists agreeing with the object state mid-run (``sa_slots`` is
+exactly the ACTIVE, occupied, unparked VCs), a link latency that does not
+fit the simulator's event rings, the mixed-VC fallback (SA only: RC and VCA
+sweep every network), and sweep == traced ``stage_sa`` (``dense`` only
+switches the clock skip off, so it runs the sweep too).
 """
+
+import pytest
 
 from repro.noc import Simulator
 from repro.noc.invariants import audit_network
@@ -67,6 +70,25 @@ class TestBinding:
         for mi, medium in enumerate(net.mediums):
             assert medium.index == mi
 
+    def test_link_latency_must_fit_the_event_rings(self):
+        built = build_cmesh(64)
+        net = built.network
+        KernelState.build(net, ring_size=2)  # latency 1 everywhere: fits
+        net.links[5].latency = 2
+        with pytest.raises(ValueError, match="does not fit"):
+            KernelState.build(net, ring_size=2)
+        # A simulator sizes its rings from the links it binds ...
+        sim = Simulator(
+            net, traffic=SyntheticTraffic(64, "UN", 0.02, 4, seed=1, stop_cycle=50)
+        )
+        assert len(sim._flit_ring) == len(sim._credit_ring) == 4
+        sim.run(30)
+        # ... so a latency raised behind its back is caught by a mid-life
+        # re-layout instead of wrapping onto an earlier cycle.
+        net.links[5].latency = 4
+        with pytest.raises(ValueError, match=net.links[5].name):
+            KernelState.build(net, len(sim._flit_ring))
+
     def test_mixed_vc_network_unsupported(self):
         built = build_cmesh(64)
         net = built.network
@@ -86,13 +108,27 @@ class TestBinding:
 
 
 class TestCoherence:
-    def test_mirrors_stay_coherent_mid_run(self):
+    def test_work_lists_stay_coherent_mid_run(self):
         sim = _own256_sim()
         assert sim._sa_kernel
         for chunk in range(6):
             sim.run(50)
             audit_network(sim)  # includes check_kernel_coherence
         assert sim.stats.packets_ejected > 0
+
+    def test_midlife_layout_rederives_the_work_lists(self):
+        sim = _own256_sim()
+        sim.run(120)
+        old = sim.kernels
+        assert old.sa_slots and any(
+            link.sa_token_waiters for link in sim.network.links
+        ), "scenario has no SA work / no parked VC to re-derive"
+        new = KernelState.build(sim.network, len(sim._flit_ring))
+        assert new.sa_slots == old.sa_slots
+        assert new.rc_slots == old.rc_slots
+        assert sorted(new.vca_fresh) == sorted(
+            s for s, vc in enumerate(new.slot_vc) if vc.state.name == "WAITING_VC"
+        )
 
     def test_coherent_under_faults_and_drain(self):
         from repro.runtime.executor import execute_inline

@@ -9,6 +9,7 @@ from repro.noc import (
     SharedMedium,
     Simulator,
 )
+from repro.noc.invariants import audit_network
 from repro.noc.simulator import SimulationDeadlock
 from repro.noc.stats import LatencyStats, StatsCollector
 from repro.noc.packet import Packet
@@ -341,10 +342,12 @@ class TestDeadlockReport:
             built.network, traffic=SyntheticTraffic(256, "UN", 0.15, 4, seed=9)
         )
         sim.run(300)
+        kern = sim.kernels
         for link in built.network.links:
-            for router, (ip, iv) in link.sa_token_waiters:
-                port = router.input_ports[ip]
-                edge = sim._waits_on(router, port, port.vcs[iv])
+            for slot in link.sa_token_waiters:
+                router = kern.slot_router[slot]
+                port = router.input_ports[kern.slot_ip[slot]]
+                edge = sim._waits_on(router, port, kern.slot_vc[slot])
                 assert f"token of {link.medium.name}" in edge
                 assert f"held by {link.medium.holder.name}" in edge
                 return
@@ -381,6 +384,120 @@ class TestDeadlockReport:
         deadlocks = [ev for ev in tracer.events if ev.etype == DEADLOCK]
         assert len(deadlocks) == 1
         assert deadlocks[0].args["occupancy"] == sim.network.total_occupancy() > 0
+
+
+def _slow_line(num_vcs=2):
+    """Two routers, a latency-40 link one way and a latency-2 link back."""
+    net = Network("slow-line", n_cores=2, num_vcs=num_vcs, vc_depth=4)
+    net.add_router()
+    net.add_router()
+    net.attach_core(0, 0)
+    net.attach_core(1, 1)
+    fwd_port, _ = net.connect(0, 1, latency=40)
+    back_port, _ = net.connect(1, 0, latency=2)
+    net.set_routing(SWMRRouting(net, {0: fwd_port, 1: back_port}))
+    net.finalize()
+    return net
+
+
+class TestEventRings:
+    """Flit deliveries and credit returns live in two calendar rings
+    indexed ``cycle & mask``; only link-layer ACKs use ``_schedule``."""
+
+    SCHEDULE = [(t, t % 2, 1 - t % 2, 1 + t % 4) for t in range(0, 400, 7)]
+
+    def _run(self, chunks, **kw):
+        sim = Simulator(
+            _slow_line(), traffic=ScriptedTraffic(self.SCHEDULE),
+            credit_latency=3, **kw,
+        )
+        log = []
+        ejected = sim.stats.on_packet_ejected
+        sim.stats.on_packet_ejected = lambda packet, now: (
+            log.append((now, packet.pid)), ejected(packet, now)
+        )
+        for cycles in chunks:
+            sim.run(cycles)
+            audit_network(sim)
+        assert sim.drain()
+        audit_network(sim)
+        return sim, log
+
+    def test_ring_is_the_power_of_two_above_the_longest_delay(self):
+        sim = Simulator(_slow_line(), credit_latency=3)
+        assert len(sim._flit_ring) == len(sim._credit_ring) == 64
+        assert sim._ring_mask == 63
+        built = build_cmesh(64)  # latency 1 links, credit_latency 3
+        assert len(Simulator(built.network, credit_latency=3)._flit_ring) == 4
+
+    def test_split_runs_and_dense_agree_across_ring_revolutions(self):
+        # 450 cycles is seven revolutions of the 64-slot rings.
+        whole, log = self._run([450])
+        assert len(log) == len(self.SCHEDULE)
+        assert max(now for now, _ in log) > 6 * 64
+        split, split_log = self._run([63, 1, 64, 129, 193])
+        dense, dense_log = self._run([450], dense=True)
+        assert log == split_log == dense_log
+        assert whole.now == split.now == dense.now
+        assert (
+            tuple(whole.stats.latencies)
+            == tuple(split.stats.latencies)
+            == tuple(dense.stats.latencies)
+        )
+
+    def test_next_event_cycle_reads_both_rings_and_the_heap(self):
+        net = _slow_line()
+        sim = Simulator(net, credit_latency=3)
+        sim.run(70)  # past one revolution, so slots are indexed modulo
+        assert sim.now == 70
+        assert sim._next_event_cycle() is None and not sim._events_pending()
+        link = net.routers[0].out_links[-1]
+        endpoint = link.resolve_endpoint(None)
+        flit = Packet(0, 1, 1, 0, pid=0).make_flits()[0]
+
+        def cleared():
+            for ring in (sim._flit_ring, sim._credit_ring):
+                for due in ring:
+                    due.clear()
+            sim._events.clear()
+            del sim._event_cycles[:]
+
+        sim._send_fn(link, endpoint, flit, 0, sim.now)  # lands at 70 + 40
+        assert sim._next_event_cycle() == 110 and sim._events_pending()
+        cleared()
+        sim._credit_ring[(sim.now + 3) & sim._ring_mask].append((endpoint, 0))
+        assert sim._next_event_cycle() == 73 and sim._events_pending()
+        cleared()
+        sim._schedule(500, ("llack", link, 0, True))  # beyond any ring
+        assert sim._next_event_cycle() == 500 and sim._events_pending()
+        sim._send_fn(link, endpoint, flit, 0, sim.now)
+        assert sim._next_event_cycle() == 110
+        sim._credit_ring[(sim.now + 3) & sim._ring_mask].append((endpoint, 0))
+        assert sim._next_event_cycle() == 73
+        sim._schedule(71, ("llack", link, 1, True))
+        assert sim._next_event_cycle() == 71
+        cleared()
+        assert sim._next_event_cycle() is None and not sim._events_pending()
+
+    def test_flit_in_flight_is_neither_drained_nor_deadlocked(self):
+        # One VC: the second packet sits buffered at router 0 until the
+        # credit of the first (a single flit, 40 cycles in flight) is
+        # back. Nothing moves for longer than the watchdog, and the only
+        # pending event is that flit in the ring.
+        net = _slow_line(num_vcs=1)
+        sim = Simulator(net, watchdog=10, credit_latency=3)
+        net.inject_packet(Packet(0, 1, 1, 0, pid=0))
+        net.inject_packet(Packet(0, 1, 4, 0, pid=1))
+        sim.run(15)
+        assert net.total_occupancy() == 4
+        assert [len(due) for due in sim._flit_ring if due] == [1]
+        assert not sim._events and not any(sim._credit_ring)
+        sim.run(20)  # motionless for > watchdog cycles: not a deadlock
+        assert sim.stats.packets_ejected == 0
+        assert sim._pending_work()
+        assert sim.drain(max_cycles=3) is False
+        assert sim.drain()
+        assert sim.stats.packets_ejected == 2
 
 
 class SWMRRouting(RoutingFunction):
