@@ -8,6 +8,9 @@ parent/change pair on a noisy shared host is one run each side. It omits
 everything C does (``sorted``, ``set.add``, ``deque.popleft``) and every
 wait, so it explains a ``bench.py`` number, it does not replace one. The
 summary CRC printed last is ``bench.py``'s ``noc.stats.summary_crc32``.
+After the top functions, the count is folded by source package under
+``src/repro`` (``noc.invariants`` on its own; ``py`` is code outside the
+package), so what the hooks around the router pipeline cost is an exact row.
 """
 
 import argparse
@@ -18,6 +21,18 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PKG = ROOT / "src" / "repro"
+
+
+def layer_of(filename: str) -> str:
+    """Source package of a code object's file (see module docstring)."""
+    try:
+        parts = Path(filename).resolve().relative_to(PKG).parts
+    except ValueError:
+        return "py"
+    if parts[:2] == ("noc", "invariants.py"):
+        return "noc.invariants"
+    return parts[0] if len(parts) > 1 else "repro"
 
 
 def main() -> None:
@@ -61,6 +76,12 @@ def main() -> None:
     for code, n in ops.most_common(args.top):
         where = Path(code.co_filename).name
         print(f"  {n:11d}  {n / total:5.1%}  {where}:{code.co_qualname}")
+    layers: Counter = Counter()
+    for code, n in ops.items():
+        layers[layer_of(code.co_filename)] += n
+    print("  by package:")
+    for layer, n in layers.most_common():
+        print(f"  {n:11d}  {n / total:5.1%}  {n / sim.now:9.1f}/cycle  {layer}")
     canon = json.dumps(
         {"summary": result.summary, "power": result.power},
         sort_keys=True, separators=(",", ":"),

@@ -196,8 +196,18 @@ class FaultLayer:
         self._replay: Dict[Link, "OrderedDict[int, _ReplayEntry]"] = {}
         self._retx: Dict[Link, Deque[_RetxJob]] = {}
         self._current: Dict[Link, _CurrentTx] = {}
-        #: Links needing per-cycle service (non-empty replay/retx/current).
+        #: Links serviced every cycle: an engine retransmission in flight,
+        #: a queued retransmission, a full replay buffer (its back-pressure
+        #: stall re-arms every cycle), or a link quiesced since the last tick.
         self._active: Set[Link] = set()
+        #: Links holding only un-ACKed replay entries are serviced at their
+        #: deadlines instead: slot ``d % (timeout + 1)`` lists the (link,
+        #: entry) pairs due at cycle ``d`` (the timeout is a constant delay).
+        self._deadlines: List[list] = [[] for _ in range(self.config.timeout + 1)]
+        self._outstanding = 0  # replay entries on all links
+        #: Links with an attempt, NACK or timeout since the health monitor
+        #: last looked (it clears the set).
+        self.marked: Set[Link] = set()
         self._reentry: Dict[int, int] = {}  # rid -> a core attached there
 
     # ------------------------------------------------------------------ #
@@ -239,6 +249,7 @@ class FaultLayer:
                 if fate is CORRUPT:
                     state.corrupt_attempts += 1
             state.attempts += 1
+            self.marked.add(link)
             self._in_transit[key] = fate
         else:
             fate = self._in_transit[key]
@@ -258,9 +269,13 @@ class FaultLayer:
             # escalate straight to network-layer recovery.
             self._recover(link, packet, now)
             return
-        entry = _ReplayEntry(packet, attempts, now + self.config.timeout, fate)
-        self._replay.setdefault(link, OrderedDict())[packet.pid] = entry
-        self._active.add(link)
+        deadline = now + self.config.timeout
+        entries = self._replay.setdefault(link, OrderedDict())
+        entry = entries[packet.pid] = _ReplayEntry(packet, attempts, deadline, fate)
+        self._outstanding += 1
+        self._deadlines[deadline % len(self._deadlines)].append((link, entry))
+        if len(entries) >= self.config.replay_capacity:
+            self._active.add(link)
         if fate is not LOST:
             # The receiver sees the tail at now + latency and replies on the
             # reverse channel: ACK for a clean CRC, NACK for a corrupt one.
@@ -295,6 +310,8 @@ class FaultLayer:
         state = link.fault
         entries = self._replay.get(link)
         entry = entries.pop(pid, None) if entries else None
+        if entry is not None:
+            self._outstanding -= 1
         if ok:
             self.sim.stats.acks += 1
             state.acks += 1
@@ -303,6 +320,7 @@ class FaultLayer:
         self.sim.stats.nacks += 1
         state.nacks += 1
         state.consecutive_failures += 1
+        self.marked.add(link)
         if entry is not None:
             # entry is None when the attempt already timed out or the
             # channel was quiesced; the packet is being handled elsewhere.
@@ -340,13 +358,20 @@ class FaultLayer:
             actions = self.campaign.actions_at(now)
             if actions:
                 self._apply_actions(actions, now)
-        if not self._active:
+        links = self._active
+        due = self._deadlines[now % len(self._deadlines)]
+        if due:
+            # A deadline whose entry left the replay buffer meanwhile is moot.
+            replay = self._replay
+            links = links.union([l for l, e in due if replay[l].get(e.packet.pid) is e])
+            due.clear()
+        if not links:
             return 0
         moved = 0
         # Sorted by link name: service order is observable (two links can
         # recover packets into the same NI queue), and id-based set order
         # would differ between otherwise identical simulations.
-        for link in sorted(self._active, key=_link_name):
+        for link in sorted(links, key=_link_name):
             moved += self._service(sim, link, now)
         return moved
 
@@ -354,9 +379,9 @@ class FaultLayer:
         """Earliest campaign action cycle >= ``start`` (fast-forward wake).
 
         Only the *campaign schedule* needs surfacing here: all other
-        protocol activity (timeouts, backoffs, replays) keeps ``_active``
-        non-empty, which already pins the simulator to dense stepping via
-        :meth:`pending_work`.
+        protocol activity (timeouts, backoffs, replays) keeps
+        :meth:`pending_work` true, which already pins the simulator to
+        dense stepping.
         """
         if self.campaign is None:
             return None
@@ -365,14 +390,15 @@ class FaultLayer:
     def pending_work(self) -> bool:
         """Protocol state that must settle before a drain can finish.
 
-        Any active link still holds a replay entry (awaiting ACK/timeout),
-        a queued retransmission (possibly waiting out its backoff with an
-        otherwise idle network -- no events, no buffered flits) or an
-        in-progress retransmit. ``Simulator._pending_work`` consults this
-        so :meth:`Simulator.drain` cannot strand a NACKed packet in a
-        backoff window.
+        Some link holds a replay entry (awaiting ACK/timeout), a queued
+        retransmission (possibly waiting out its backoff with an otherwise
+        idle network -- no events, no buffered flits), an in-progress
+        retransmit, or was quiesced since the last tick.
+        ``Simulator._pending_work`` consults this so
+        :meth:`Simulator.drain` cannot strand a NACKed packet in a backoff
+        window.
         """
-        return bool(self._active)
+        return bool(self._active) or self._outstanding > 0
 
     def _apply_actions(self, actions: List[Tuple], now: int) -> None:
         for act in actions:
@@ -421,29 +447,31 @@ class FaultLayer:
             if entry.deadline > now:
                 break
             del entries[pid]
+            self._outstanding -= 1
+            self.marked.add(link)
             sim.stats.timeouts += 1
             state.timeouts += 1
             state.consecutive_failures += 1
             self._requeue(link, entry.packet, entry.attempts, now)
 
+        capacity = self.config.replay_capacity
         tx = self._current.get(link)
         # Bounded replay: with the buffer full and the engine idle, stall
         # the link so the router cannot launch packets we could not track.
-        if tx is None and entries and len(entries) >= self.config.replay_capacity:
+        if tx is None and entries and len(entries) >= capacity:
             if link.busy_until <= now:
                 link.busy_until = now + 1
-        elif tx is None:
+        elif tx is None and self._retx.get(link):
             tx = self._try_start(link, now)
 
         moved = 0
         if tx is not None and link.ready(now):
             moved = self._send_next_flit(sim, link, tx, now)
 
-        if (
-            not self._current.get(link)
-            and not self._retx.get(link)
-            and not self._replay.get(link)
-        ):
+        # Replay entries alone come back at their deadlines.
+        entries = self._replay.get(link)
+        if not (self._current.get(link) or self._retx.get(link)
+                or (entries and len(entries) >= capacity)):
             self._active.discard(link)
         return moved
 
@@ -451,9 +479,7 @@ class FaultLayer:
         """Begin the front retransmit job if its backoff elapsed and a
         downstream VC with whole-packet room is free (same virtual
         cut-through admission the router's VCA performs)."""
-        queue = self._retx.get(link)
-        if not queue:
-            return None
+        queue = self._retx[link]
         job = queue[0]
         if job.not_before > now:
             return None
@@ -575,6 +601,7 @@ class FaultLayer:
         if entries:
             for pid in [p for p, e in entries.items() if e.fate is LOST]:
                 entry = entries.pop(pid)
+                self._outstanding -= 1
                 self._recover(link, entry.packet, now)
         self._active.add(link)
 

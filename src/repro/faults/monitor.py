@@ -3,7 +3,7 @@
 The :class:`HealthMonitor` is a :meth:`Simulator.add_hook` end-of-cycle
 hook that watches the per-link protocol counters the
 :class:`~repro.faults.linklayer.FaultLayer` maintains. On each epoch
-boundary it classifies every protected channel:
+boundary it classifies the protected channels:
 
 * **persistently silent** -- ``consecutive_failures`` (NACKs/timeouts with
   no intervening ACK) at or above ``timeout_threshold``: the transceiver is
@@ -11,6 +11,11 @@ boundary it classifies every protected channel:
 * **persistently noisy** -- the epoch's corrupt-attempt fraction at or
   above ``corruption_threshold`` for ``patience`` consecutive epochs: the
   channel is burning more bandwidth on retries than it delivers.
+
+Only channels that moved are visited, in ``layer.protected`` order: those
+the layer marked (an attempt, NACK or timeout since the last epoch) plus
+those the monitor watches (non-zero strikes, silent, or failed over). Any
+other channel provably gets no verdict (see ``docs/fault-tolerance.md``).
 
 Either verdict triggers a live failover: the channel's cluster pair is
 marked failed in :class:`repro.core.faults.FaultTolerantOwn256Routing`
@@ -25,7 +30,7 @@ epoch so any bookkeeping violation surfaces at the epoch it happens.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.core.faults import UnroutableError
 from repro.faults.linklayer import FaultLayer
@@ -73,8 +78,11 @@ class HealthMonitor:
         min_attempts: int = 4,
         audit: bool = True,
     ) -> None:
-        if epoch_cycles < 1:
-            raise ValueError(f"epoch_cycles must be >= 1, got {epoch_cycles}")
+        counts = {"epoch_cycles": epoch_cycles, "timeout_threshold": timeout_threshold,
+                  "patience": patience, "min_attempts": min_attempts}
+        for name, value in counts.items():
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if not 0.0 < corruption_threshold <= 1.0:
             raise ValueError("corruption_threshold must be in (0, 1]")
         self.layer = layer
@@ -92,6 +100,9 @@ class HealthMonitor:
         self.failovers: List[Tuple[int, str, Optional[Tuple[int, int]]]] = []
         self._snap: Dict["Link", Tuple[int, int]] = {}
         self._strikes: Dict["Link", int] = {}
+        #: Links visited every epoch until their verdict state clears.
+        self._watch: Set["Link"] = set()
+        self._rank = {link: i for i, link in enumerate(layer.protected)}
 
     # ------------------------------------------------------------------ #
 
@@ -99,8 +110,14 @@ class HealthMonitor:
         if sim.now == 0 or sim.now % self.epoch_cycles != 0:
             return
         self.epochs += 1
-        for link, state in self.layer.protected.items():
+        marked = self.layer.marked
+        visit = marked | self._watch
+        marked.clear()
+        self._watch = watch = set()
+        for link in sorted(visit, key=self._rank.__getitem__):
+            state = link.fault
             if state.failed_over:
+                watch.add(link)
                 continue
             prev_attempts, prev_corrupt = self._snap.get(link, (0, 0))
             attempts = state.attempts - prev_attempts
@@ -110,10 +127,12 @@ class HealthMonitor:
                 attempts >= self.min_attempts
                 and corrupt / attempts >= self.corruption_threshold
             )
-            self._strikes[link] = self._strikes.get(link, 0) + 1 if noisy else 0
+            strikes = self._strikes[link] = self._strikes.get(link, 0) + 1 if noisy else 0
             silent = state.consecutive_failures >= self.timeout_threshold
-            if silent or self._strikes[link] >= self.patience:
+            if silent or strikes >= self.patience:
                 self.fail_over(sim, link)
+            if strikes or silent or state.failed_over:
+                watch.add(link)
         if self.audit:
             from repro.noc.invariants import audit_network
 

@@ -5,21 +5,26 @@ module checks them against a live network so tests (and debugging sessions)
 can assert them at any cycle boundary:
 
 * **flit conservation** — every created flit is buffered, in flight on a
-  link, queued at an NI, or already ejected; nothing is lost or duplicated;
+  link, queued at an NI, or already ejected; nothing is lost or duplicated.
+  The balance is exact: the ejected count it implies must equal every
+  delivery recorded, warm-up epoch included;
 * **credit consistency** — for every endpoint, credits + buffered flits +
   in-flight flits == buffer depth, per VC;
 * **VC-state coherence** — a non-IDLE VC has routing state; an IDLE VC has
-  none; ``vc_busy`` flags at endpoints correspond to packets mid-transfer;
+  none;
 * **medium coherence** — a medium's holder is one of its members, and every
   requester has pending VC-allocated packets.
 
-Checks raise :class:`InvariantViolation` with a precise description;
-:func:`audit_network` runs them all and returns a summary dict.
+Every per-VC condition (credits, VC state, the kernel's slot layout and
+work lists) is evaluated by one walk over (router, input port, VC), written
+once: :func:`audit_network` walks once for all of them and reuses the
+buffered total for conservation and its summary; each ``check_*`` walks for
+its own. Checks raise :class:`InvariantViolation` with a precise message.
 """
 
 from __future__ import annotations
 
-from typing import Dict, TYPE_CHECKING
+from typing import Dict, List, TYPE_CHECKING
 
 from repro.noc.buffers import VCState
 
@@ -32,24 +37,132 @@ class InvariantViolation(AssertionError):
     """A conservation law of the simulator does not hold."""
 
 
-def _ring_counts(ring) -> Dict[tuple, int]:
+def _ring_counts(ring) -> Dict[object, List[int]]:
     """Events of one calendar ring of the simulator (flit deliveries or
-    credit returns) keyed by (endpoint id, vc)."""
-    counts: Dict[tuple, int] = {}
+    credit returns), counted per endpoint and VC."""
+    counts: Dict[object, List[int]] = {}
     for due in ring:
         for endpoint, vc, *_ in due:
-            counts[(id(endpoint), vc)] = counts.get((id(endpoint), vc), 0) + 1
+            per_vc = counts.get(endpoint)
+            if per_vc is None:
+                per_vc = counts[endpoint] = [0] * endpoint.num_vcs
+            per_vc[vc] += 1
     return counts
 
 
-def _in_flight(sim: "Simulator") -> int:
-    """Flits travelling on links."""
-    return sum(len(due) for due in sim._flit_ring)
+def _walk(net: "Network", sim=None, credit=False, vc_state=False, kernel=False) -> int:
+    """One pass over every (router, input port, VC): raise on the first
+    violated condition of the kinds asked for; return the buffered flits."""
+    if credit:
+        flying, owed = _ring_counts(sim._flit_ring), _ring_counts(sim._credit_ring)
+    if kernel:
+        k = sim.kernels
+        sa_expect = set()
+        parked = {s for link in net.links for s in link.sa_token_waiters}
+        fresh = set(k.vca_fresh)
+        waiting: Dict[object, list] = {
+            ep: [] for router in net.routers for ep in router.input_endpoints
+        }
+    total = s = 0
+    for router in net.routers:
+        buffered = 0
+        for ip, port in enumerate(router.input_ports):
+            endpoint = router.input_endpoints[ip]
+            if credit:
+                fly, own = flying.get(endpoint), owed.get(endpoint)
+            for vc in port.vcs:
+                n = len(vc.queue)
+                buffered += n
+                if credit:
+                    v = vc.index
+                    c = endpoint.credits[v]
+                    f, o = fly[v] if fly else 0, own[v] if own else 0
+                    if c + n + f + o != endpoint.vc_depth:
+                        raise InvariantViolation(
+                            f"credit consistency at r{router.rid}.in{ip}.vc{v}: "
+                            f"credits={c} buffered={n} in_flight={f} "
+                            f"owed={o} != depth={endpoint.vc_depth}"
+                        )
+                if kernel and (vc.gslot != s or k.slot_vc[s] is not vc):
+                    raise InvariantViolation(
+                        f"kernel: r{router.rid}.in{ip}.vc{vc.index} slot "
+                        f"{vc.gslot} != layout {s}"
+                    )
+                state = vc.state
+                if state is VCState.IDLE:
+                    if vc_state and (vc.out_port is not None or vc.out_vc is not None):
+                        raise InvariantViolation(
+                            f"r{router.rid}: IDLE VC{vc.index} retains route state"
+                        )
+                elif state is VCState.WAITING_VC:
+                    if vc_state and vc.out_port is None:
+                        raise InvariantViolation(
+                            f"r{router.rid}: VC{vc.index} in WAITING_VC "
+                            f"without a computed out_port"
+                        )
+                    if kernel:
+                        ep = vc.cand_endpoint
+                        waiting.setdefault(ep, []).append(s)
+                        size = vc.queue[0].packet.size_flits
+                        if not (s in fresh or ep.woken or ep.is_sink) and any(
+                            not ep.vc_busy[v] and ep.credits[v] >= size
+                            for v in vc.cand_vcs
+                        ):
+                            raise InvariantViolation(
+                                f"kernel: lost wake-up: r{router.rid}.in{ip}."
+                                f"vc{vc.index} is grantable at {ep.name} (vc_busy="
+                                f"{ep.vc_busy}, credits={ep.credits}) but the "
+                                f"endpoint is not woken"
+                            )
+                else:  # ACTIVE
+                    if vc_state and (vc.out_port is None or vc.out_vc is None):
+                        raise InvariantViolation(
+                            f"r{router.rid}: ACTIVE VC{vc.index} missing allocation"
+                        )
+                    if kernel and n and s not in parked:
+                        sa_expect.add(s)
+                s += 1
+        total += buffered
+        if kernel and router._nflits != buffered:
+            raise InvariantViolation(
+                f"kernel: r{router.rid} counts {router._nflits} flits but "
+                f"buffers {buffered}"
+            )
+    if kernel:
+        for ep, slots in waiting.items():
+            if ep.requests != slots:
+                raise InvariantViolation(
+                    f"kernel: {ep.name} queues requests {ep.requests} but the "
+                    f"heads waiting for it are {slots}"
+                )
+        if k.sa_slots != sa_expect:
+            raise InvariantViolation(
+                f"kernel: sa_slots is not the ACTIVE, occupied, unparked VCs "
+                f"(extra={sorted(k.sa_slots - sa_expect)[:8]}, "
+                f"missing={sorted(sa_expect - k.sa_slots)[:8]})"
+            )
+    return total
+
+
+def _conservation(sim: "Simulator", buffered: int) -> Dict[str, int]:
+    """Flit conservation given the buffered total; returns where flits are."""
+    stats = sim.stats
+    queued = sum(len(ni.queue) for ni in sim.network.interfaces if ni is not None)
+    in_flight = sum(len(due) for due in sim._flit_ring)
+    present = buffered + queued + in_flight
+    available = stats.flits_created + stats.flits_retransmitted - stats.flits_dropped
+    if present + stats.flits_ejected_total != available:
+        raise InvariantViolation(
+            f"flit conservation: {present} present + {stats.flits_ejected_total} "
+            f"ejected != {available} available (created={stats.flits_created}, "
+            f"retransmitted={stats.flits_retransmitted}, dropped={stats.flits_dropped})"
+        )
+    return {"buffered_flits": buffered, "ni_queued": queued, "in_flight": in_flight}
 
 
 def check_flit_conservation(sim: "Simulator") -> None:
     """created + retransmitted == ejected + buffered + in-flight + NI-queued
-    + CRC-dropped.
+    + CRC-dropped, exactly, with ejected counting every delivery (any epoch).
 
     On fault-free runs the retransmitted/dropped terms are zero and this is
     the plain conservation law. With a fault layer attached
@@ -58,74 +171,17 @@ def check_flit_conservation(sim: "Simulator") -> None:
     copy in ``stats.flits_retransmitted`` when the link layer re-serialises
     it -- so the balance still closes exactly at any cycle boundary.
     """
-    net = sim.network
-    created = sim.stats.flits_created
-    ejected = sim.stats.flits_ejected
-    # Ejected flits are gone; infer them: available - (everything still here).
-    buffered = net.total_occupancy()
-    queued = sum(len(ni.queue) for ni in net.interfaces if ni is not None)
-    accounted = buffered + queued + _in_flight(sim)
-    available = created + sim.stats.flits_retransmitted - sim.stats.flits_dropped
-    if accounted > available:
-        raise InvariantViolation(
-            f"flit conservation: {accounted} flits present but only "
-            f"{available} available (created={created}, "
-            f"retransmitted={sim.stats.flits_retransmitted}, "
-            f"dropped={sim.stats.flits_dropped})"
-        )
-    # The remainder must equal the ejected count implied by packet stats.
-    implied_ejected = available - accounted
-    # Cross-check with the collector when no warmup filtering hides flits.
-    if sim.stats.warmup_cycles == 0 and implied_ejected != ejected:
-        raise InvariantViolation(
-            f"flit conservation: implied ejected {implied_ejected} != "
-            f"recorded ejected {ejected}"
-        )
+    _conservation(sim, _walk(sim.network))
 
 
 def check_credit_consistency(sim: "Simulator") -> None:
     """credits + buffered + in-flight (+ pending credit returns) == depth."""
-    net = sim.network
-    in_flight = _ring_counts(sim._flit_ring)
-    pending_credits = _ring_counts(sim._credit_ring)
-    for router in net.routers:
-        for in_port, endpoint in enumerate(router.input_endpoints):
-            port = router.input_ports[in_port]
-            for vc_idx, vc in enumerate(port.vcs):
-                credits = endpoint.credits[vc_idx]
-                buffered = len(vc.queue)
-                flying = in_flight.get((id(endpoint), vc_idx), 0)
-                owed = pending_credits.get((id(endpoint), vc_idx), 0)
-                total = credits + buffered + flying + owed
-                if total != endpoint.vc_depth:
-                    raise InvariantViolation(
-                        f"credit consistency at r{router.rid}.in{in_port}.vc{vc_idx}: "
-                        f"credits={credits} buffered={buffered} in_flight={flying} "
-                        f"owed={owed} != depth={endpoint.vc_depth}"
-                    )
+    _walk(sim.network, sim, credit=True)
 
 
 def check_vc_state_coherence(net: "Network") -> None:
     """Routing state exists exactly for VCs that are mid-packet."""
-    for router in net.routers:
-        for port in router.input_ports:
-            for vc in port.vcs:
-                if vc.state is VCState.IDLE:
-                    if vc.out_port is not None or vc.out_vc is not None:
-                        raise InvariantViolation(
-                            f"r{router.rid}: IDLE VC{vc.index} retains route state"
-                        )
-                elif vc.state is VCState.WAITING_VC:
-                    if vc.out_port is None:
-                        raise InvariantViolation(
-                            f"r{router.rid}: VC{vc.index} in WAITING_VC "
-                            f"without a computed out_port"
-                        )
-                elif vc.state is VCState.ACTIVE:
-                    if vc.out_port is None or vc.out_vc is None:
-                        raise InvariantViolation(
-                            f"r{router.rid}: ACTIVE VC{vc.index} missing allocation"
-                        )
+    _walk(net, vc_state=True)
 
 
 def check_medium_coherence(net: "Network") -> None:
@@ -166,74 +222,18 @@ def check_kernel_coherence(sim: "Simulator") -> None:
     switch allocation through exactly one of the two paths, so only that
     path's pointers advance (path-local state, see ``repro.noc.kernels``).
     """
-    k = sim.kernels
-    sa_expect = set()
-    parked = {s for link in sim.network.links for s in link.sa_token_waiters}
-    fresh = set(k.vca_fresh)
-    waiting: Dict[object, list] = {
-        ep: [] for router in sim.network.routers for ep in router.input_endpoints
-    }
-    s = 0
-    for router in sim.network.routers:
-        buffered = 0
-        for ip, port in enumerate(router.input_ports):
-            for vc in port.vcs:
-                buffered += len(vc.queue)
-                if vc.gslot != s or k.slot_vc[s] is not vc:
-                    raise InvariantViolation(
-                        f"kernel: r{router.rid}.in{ip}.vc{vc.index} slot "
-                        f"{vc.gslot} != layout {s}"
-                    )
-                if vc.state is VCState.ACTIVE:
-                    if vc.queue and s not in parked:
-                        sa_expect.add(s)
-                elif vc.state is VCState.WAITING_VC:
-                    ep = vc.cand_endpoint
-                    waiting.setdefault(ep, []).append(s)
-                    size = vc.queue[0].packet.size_flits
-                    if not (s in fresh or ep.woken or ep.is_sink) and any(
-                        not ep.vc_busy[v] and ep.credits[v] >= size
-                        for v in vc.cand_vcs
-                    ):
-                        raise InvariantViolation(
-                            f"kernel: lost wake-up: r{router.rid}.in{ip}."
-                            f"vc{vc.index} is grantable at {ep.name} (vc_busy="
-                            f"{ep.vc_busy}, credits={ep.credits}) but the "
-                            f"endpoint is not woken"
-                        )
-                s += 1
-        if router._nflits != buffered:
-            raise InvariantViolation(
-                f"kernel: r{router.rid} counts {router._nflits} flits but "
-                f"buffers {buffered}"
-            )
-    for ep, slots in waiting.items():
-        if ep.requests != slots:
-            raise InvariantViolation(
-                f"kernel: {ep.name} queues requests {ep.requests} but the "
-                f"heads waiting for it are {slots}"
-            )
-    if k.sa_slots != sa_expect:
-        raise InvariantViolation(
-            f"kernel: sa_slots is not the ACTIVE, occupied, unparked VCs "
-            f"(extra={sorted(k.sa_slots - sa_expect)[:8]}, "
-            f"missing={sorted(sa_expect - k.sa_slots)[:8]})"
-        )
+    _walk(sim.network, sim, kernel=True)
 
 
 def audit_network(sim: "Simulator") -> Dict[str, int]:
     """Run every invariant check; return occupancy summary on success."""
     net = sim.network
-    check_flit_conservation(sim)
-    check_credit_consistency(sim)
-    check_vc_state_coherence(net)
+    buffered = _walk(net, sim, credit=True, vc_state=True, kernel=True)
+    where = _conservation(sim, buffered)
     check_medium_coherence(net)
-    check_kernel_coherence(sim)
     return {
         "cycle": sim.now,
-        "buffered_flits": net.total_occupancy(),
-        "ni_queued": sum(len(ni.queue) for ni in net.interfaces if ni is not None),
-        "in_flight": _in_flight(sim),
+        **where,
         "media_held": sum(1 for m in net.mediums if m.holder is not None),
         "flits_dropped": sim.stats.flits_dropped,
         "flits_retransmitted": sim.stats.flits_retransmitted,

@@ -158,6 +158,10 @@ class Tracer:
         self._pkt: Dict[int, _PacketTrace] = {}
         self._req_since: Dict["Link", int] = {}
         self._retx_queued: Dict[tuple, int] = {}
+        # Registry handles, bound on first use (the registry still owns them).
+        self._pkt_hists: Dict[str, list] = {}
+        self._grant_metrics: Dict["SharedMedium", tuple] = {}
+        self._stall_counters: Dict[tuple, object] = {}
         self._finalized = False
         self._sinks: List[object] = []
         #: Do the event-emitting branches run at all? True when events are
@@ -287,10 +291,14 @@ class Tracer:
         # the measured-window filtering in repro.noc.stats; their PACKET_DONE
         # event is still emitted for trace completeness.
         if packet.measured is not False:
-            hist = self.metrics.histogram
-            hist("pkt_total", cls).observe(total)
-            for stage, v in parts.items():
-                hist(f"pkt_{stage}", cls).observe(v)
+            hists = self._pkt_hists.get(cls)
+            if hists is None:
+                hist = self.metrics.histogram
+                hists = self._pkt_hists[cls] = [hist("pkt_total", cls)] + [
+                    hist(f"pkt_{stage}", cls) for stage in parts
+                ]
+            for h, v in zip(hists, (total, *parts.values())):
+                h.observe(v)
         if self._eventing:
             args = dict(parts)
             args.update({"pid": packet.pid, "total": total, "class": cls})
@@ -320,9 +328,18 @@ class Tracer:
         self.emits += 1
         wait = now - self._req_since.pop(link, now) + medium.arb_latency
         if self.collect_metrics:
-            self.metrics.counter("token_wait_cycles", medium.name).add(wait)
-            self.metrics.counter("token_grants", medium.name).add(1)
-            self.metrics.histogram("token_wait", medium.kind).observe(wait)
+            handles = self._grant_metrics.get(medium)
+            if handles is None:
+                m = self.metrics
+                handles = self._grant_metrics[medium] = (
+                    m.counter("token_wait_cycles", medium.name),
+                    m.counter("token_grants", medium.name),
+                    m.histogram("token_wait", medium.kind),
+                )
+            cycles, grants, hist = handles
+            cycles.value += wait
+            grants.value += 1
+            hist.observe(wait)
         if self._eventing:
             self._event(
                 now, TOKEN_GRANT, medium.name,
@@ -338,7 +355,11 @@ class Tracer:
     ) -> None:
         self.emits += 1
         if self.collect_metrics:
-            self.metrics.counter("vc_stall_cycles", f"{port_kind}.{reason}").add(1)
+            counter = self._stall_counters.get((port_kind, reason))
+            if counter is None:
+                counter = self._stall_counters[port_kind, reason] = self.metrics.counter(
+                    "vc_stall_cycles", f"{port_kind}.{reason}")
+            counter.value += 1
         if self._eventing:
             self._event(
                 now, VC_STALL, f"r{router.rid}", args={"reason": reason}

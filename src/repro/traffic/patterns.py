@@ -153,6 +153,7 @@ class TrafficPattern:
                 f"hotspots must be a non-empty set of cores in [0, {n_cores}), "
                 f"got {self.hotspots}"
             )
+        self._hotspots = np.asarray(self.hotspots, dtype=np.int64)
         self._table: Optional[np.ndarray] = None
         if name in _PERMUTATIONS:
             fn = _PERMUTATIONS[name]
@@ -194,7 +195,7 @@ class TrafficPattern:
         dsts = rng.integers(0, self.n_cores, size=sources.shape[0], dtype=np.int64)
         to_hot = rng.random(sources.shape[0]) < self.hotspot_fraction
         hot_choices = rng.integers(0, len(self.hotspots), size=int(to_hot.sum()))
-        dsts[to_hot] = np.asarray(self.hotspots, dtype=np.int64)[hot_choices]
+        dsts[to_hot] = self._hotspots[hot_choices]
         return dsts
 
     def fixed_destination(self, src: int) -> Optional[int]:

@@ -97,6 +97,18 @@ class TestMonitorValidation:
         with pytest.raises(ValueError):
             HealthMonitor(layer, corruption_threshold=1.5)
 
+    @pytest.mark.parametrize("name", ["min_attempts", "patience", "timeout_threshold"])
+    def test_counts_below_one_rejected(self, name):
+        # Each used to be accepted: on a fault-free own256_ft run,
+        # min_attempts=0 divided by a zero attempt count on the first idle
+        # link, and patience=0 or timeout_threshold=0 failed healthy
+        # channels over.
+        built = build_fault_tolerant_own256()
+        layer = FaultLayer(built.network)
+        with pytest.raises(ValueError, match=f"{name} must be >= 1, got 0"):
+            HealthMonitor(layer, **{name: 0})
+        HealthMonitor(layer, **{name: 1})
+
     def test_summary_shape(self):
         built = build_fault_tolerant_own256()
         layer = FaultLayer(built.network)

@@ -4,6 +4,9 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from repro.faults.linklayer import FaultLayer
+from repro.faults.monitor import HealthMonitor
+from repro.noc.invariants import audit_network
 from repro.noc.packet import Packet
 from repro.noc.simulator import Simulator
 from repro.traffic.patterns import TrafficPattern
@@ -65,3 +68,66 @@ def poll_every_cycle():
         yield
     finally:
         Simulator.step = step
+
+
+@contextmanager
+def service_every_protocol_link():
+    """Service every link holding link-layer state, every cycle.
+
+    Production services a link that holds only un-ACKed replay entries at
+    its timeout deadline, not in between. This is the rule it replaced:
+    every link with a replay entry joins the per-cycle set before each
+    tick. Servicing a link with nothing due is a no-op, so a run under this
+    patch must be bit-identical to a production run -- unless production
+    skipped a deadline or a back-pressure stall.
+    """
+    tick = FaultLayer.tick
+
+    def every_link_tick(layer, sim, now):
+        layer._active.update(link for link, entries in layer._replay.items() if entries)
+        return tick(layer, sim, now)
+
+    FaultLayer.tick = every_link_tick
+    try:
+        yield
+    finally:
+        FaultLayer.tick = tick
+
+
+@contextmanager
+def classify_every_link():
+    """The health monitor's epoch as it was: classify every protected link.
+
+    Production visits only the links the layer marked since the last epoch
+    plus those it watches. This is the full loop over ``layer.protected``
+    it replaced; an unvisited link gets no verdict, so runs must agree.
+    """
+    call = HealthMonitor.__call__
+
+    def every_link(monitor, sim):
+        if sim.now == 0 or sim.now % monitor.epoch_cycles != 0:
+            return
+        monitor.epochs += 1
+        for link, state in monitor.layer.protected.items():
+            if state.failed_over:
+                continue
+            prev_attempts, prev_corrupt = monitor._snap.get(link, (0, 0))
+            attempts = state.attempts - prev_attempts
+            corrupt = state.corrupt_attempts - prev_corrupt
+            monitor._snap[link] = (state.attempts, state.corrupt_attempts)
+            noisy = (
+                attempts >= monitor.min_attempts
+                and corrupt / attempts >= monitor.corruption_threshold
+            )
+            monitor._strikes[link] = monitor._strikes.get(link, 0) + 1 if noisy else 0
+            silent = state.consecutive_failures >= monitor.timeout_threshold
+            if silent or monitor._strikes[link] >= monitor.patience:
+                monitor.fail_over(sim, link)
+        if monitor.audit:
+            audit_network(sim)
+
+    HealthMonitor.__call__ = every_link
+    try:
+        yield
+    finally:
+        HealthMonitor.__call__ = call
