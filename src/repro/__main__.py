@@ -279,7 +279,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         warmup=args.warmup,
         name=args.topology,
         executor=executor,
-        dense=args.dense,
     )
     rows = [
         [p.offered, round(p.latency, 1), round(p.throughput, 4),
@@ -547,11 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--rates", default="0.01,0.02,0.03,0.04,0.05")
     p_sweep.add_argument("--cycles", type=int, default=1200)
     p_sweep.add_argument("--warmup", type=int, default=400)
-    p_sweep.add_argument(
-        "--dense", action="store_true",
-        help="execute every cycle instead of fast-forwarding idle "
-             "stretches (results are bit-identical; CI equivalence gate)",
-    )
     add_engine_flags(p_sweep)
     p_sweep.set_defaults(fn=cmd_sweep)
 

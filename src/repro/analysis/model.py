@@ -12,10 +12,10 @@ five compared architectures:
   crossbar, up-waveguide load for the Clos. Token media derate by
   S*cpf / (S*cpf + arb) (the inter-packet token gap).
 
-The test suite (`tests/analysis/test_model.py`) holds every prediction to
-the measured value within first-order-model tolerances -- the strongest
-whole-system validation in the repo, since an error in either the model or
-the simulator breaks the agreement.
+Two suites hold the predictions to the measured values within first-order
+tolerances -- `benchmarks/test_model_validation.py` and
+`tests/analysis/test_model_utilization.py` -- the strongest whole-system
+validation in the repo: an error in model or simulator breaks the agreement.
 """
 
 from __future__ import annotations

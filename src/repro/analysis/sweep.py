@@ -93,7 +93,6 @@ def point_spec(
     warmup: int = 400,
     packet_size: int = 4,
     seed: int = 3,
-    dense: bool = False,
 ) -> RunSpec:
     """The :class:`RunSpec` for one sweep point."""
     key, kwargs = resolve_ref(topology)
@@ -106,7 +105,6 @@ def point_spec(
         packet_size=packet_size,
         seed=seed,
         topology_kwargs=kwargs,
-        dense=dense,
     )
 
 
@@ -172,7 +170,6 @@ def compare_saturation(
     seed: int = 3,
     stop_at_saturation: bool = True,
     executor: Optional[Executor] = None,
-    dense: bool = False,
 ) -> Dict[str, SweepResult]:
     """Sweep offered load on several topologies (Fig. 7b/c data).
 
@@ -182,14 +179,11 @@ def compare_saturation(
     one topology is deep into saturation -- and the stop rule is applied to
     the assembled points: the kept points are identical, the extra
     post-saturation ones are discarded (and live on in the cache).
-
-    ``dense`` disables the simulator's idle fast-forward for every point
-    (bit-identical results either way; CI uses it to prove exactly that).
     """
     ex = get_executor(executor)
     grid = {
         name: [
-            point_spec(ref, pattern, rate, cycles, warmup, packet_size, seed, dense)
+            point_spec(ref, pattern, rate, cycles, warmup, packet_size, seed)
             for rate in rates
         ]
         for name, ref in topologies.items()

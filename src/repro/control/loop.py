@@ -1,8 +1,8 @@
 """The closed control loop: observe, decide, actuate, log.
 
 :class:`ControlLoop` is a :meth:`Simulator.add_hook` end-of-cycle hook
-(with a ``next_wake`` epoch schedule, so idle fast-forward stays enabled
-and still steps every decision boundary). Each control epoch it:
+(its ``next_wake`` epoch schedule makes idle fast-forward step every
+decision boundary). Each control epoch it:
 
 1. **observes** -- builds a :class:`TelemetryWindow` from link activity
    counters (primary-channel flit deltas, spare utilisation, per-class
@@ -26,7 +26,7 @@ and still steps every decision boundary). Each control epoch it:
 Every actuation lands in the :class:`~repro.control.decisions.DecisionLog`
 and (when a tracer is attached) a ``control`` trace event. All decisions
 are pure functions of counters + the dedicated RNG, so a spec's decision
-log is byte-stable across dense/fast-forward and serial/parallel runs.
+log is byte-stable with or without fast-forward, serial or parallel.
 """
 
 from __future__ import annotations

@@ -455,11 +455,10 @@ class ReconfigurationController:
     def next_wake(self, now: int) -> int:
         """Next epoch boundary (a scheduled fast-forward wake source).
 
-        Lets the active-set simulator keep idle fast-forward enabled with
-        this hook installed: the clock may skip quiescent stretches but
-        must step every epoch boundary, where :meth:`__call__` acts.
-        While a drain is in progress the controller wakes every cycle, so
-        drain completion/timeout checks run on the dense clock (in
+        The clock may skip quiescent stretches but must step every epoch
+        boundary, where :meth:`__call__` acts. While a drain is in progress
+        the controller wakes every cycle, so drain completion/timeout
+        checks run stepping every cycle (in
         practice a draining leg has buffered flits and the network is not
         quiescent anyway; this keeps the guarantee explicit).
         """

@@ -380,8 +380,8 @@ class FaultLayer:
 
         Only the *campaign schedule* needs surfacing here: all other
         protocol activity (timeouts, backoffs, replays) keeps
-        :meth:`pending_work` true, which already pins the simulator to
-        dense stepping.
+        :meth:`pending_work` true, which already keeps the simulator
+        stepping every cycle.
         """
         if self.campaign is None:
             return None

@@ -141,8 +141,7 @@ class HealthMonitor:
     def next_wake(self, now: int) -> int:
         """Next epoch boundary (a scheduled fast-forward wake source).
 
-        Keeps idle fast-forward enabled with this hook installed: the
-        clock may skip quiescent stretches but must step every epoch
+        The clock may skip quiescent stretches but must step every epoch
         boundary, where :meth:`__call__` classifies channels.
         """
         if now <= 0:

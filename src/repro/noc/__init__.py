@@ -8,7 +8,7 @@ Topology builders live in :mod:`repro.topologies` and :mod:`repro.core`.
 
 from repro.noc.packet import Packet, Flit, FlitKind
 from repro.noc.buffers import VirtualChannel, InputPort, VCState
-from repro.noc.arbiters import RoundRobinArbiter, MatrixArbiter, make_arbiter
+from repro.noc.arbiters import RoundRobinArbiter
 from repro.noc.links import (
     Endpoint,
     Link,
@@ -31,8 +31,6 @@ __all__ = [
     "InputPort",
     "VCState",
     "RoundRobinArbiter",
-    "MatrixArbiter",
-    "make_arbiter",
     "Endpoint",
     "Link",
     "SharedMedium",

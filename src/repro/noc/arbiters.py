@@ -1,22 +1,14 @@
-"""Arbiters used by the router pipeline's allocation stages.
+"""The rotating-priority arbiter of the router's switch allocator.
 
 The paper assumes a regular 5-stage virtual-channel router (RC, VCA, SA, ST,
-LT). The VA and SA stages need fair arbiters; we implement the two classic
-ones:
-
-* :class:`RoundRobinArbiter` -- rotating-priority arbiter; strong fairness,
-  O(n) per grant. This is what the switch allocator uses per output port.
-* :class:`MatrixArbiter` -- least-recently-served matrix arbiter, provided
-  both for fidelity with DSENT's allocator model and for the ablation bench
-  comparing allocator choices.
-
-Both expose the same ``grant(requests) -> winner_index | None`` interface so
-the router can be configured with either.
+LT) whose SA stage needs fair arbiters. :class:`RoundRobinArbiter` is the
+one this simulator uses, per input port and per output port: strong
+fairness, O(n) per grant.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 
 class RoundRobinArbiter:
@@ -49,76 +41,3 @@ class RoundRobinArbiter:
                 self._next = (idx + 1) % self.n
                 return idx
         return None
-
-    def peek(self, requests: Sequence[bool]) -> Optional[int]:
-        """Like :meth:`grant` but without advancing the priority pointer."""
-        for offset in range(self.n):
-            idx = (self._next + offset) % self.n
-            if requests[idx]:
-                return idx
-        return None
-
-    def reset(self) -> None:
-        self._next = 0
-
-
-class MatrixArbiter:
-    """Least-recently-served matrix arbiter.
-
-    Maintains an upper-triangular precedence matrix ``w[i][j]`` meaning
-    requester ``i`` beats requester ``j``. The winner's row is cleared and
-    column set, making it the lowest priority for subsequent grants.
-    """
-
-    __slots__ = ("n", "_w")
-
-    def __init__(self, n: int) -> None:
-        if n < 1:
-            raise ValueError(f"arbiter needs >= 1 requesters, got {n}")
-        self.n = n
-        # w[i][j] True means i has precedence over j; initialise to i < j.
-        self._w: List[List[bool]] = [[i < j for j in range(n)] for i in range(n)]
-
-    def grant(self, requests: Sequence[bool]) -> Optional[int]:
-        if len(requests) != self.n:
-            raise ValueError(f"expected {self.n} request lines, got {len(requests)}")
-        winner: Optional[int] = None
-        for i in range(self.n):
-            if not requests[i]:
-                continue
-            # i wins iff no other requester j has precedence over i.
-            beaten = False
-            for j in range(self.n):
-                if j != i and requests[j] and self._w[j][i]:
-                    beaten = True
-                    break
-            if not beaten:
-                winner = i
-                break
-        if winner is not None:
-            row = self._w[winner]
-            for j in range(self.n):
-                if j != winner:
-                    row[j] = False
-                    self._w[j][winner] = True
-        return winner
-
-    def reset(self) -> None:
-        for i in range(self.n):
-            for j in range(self.n):
-                self._w[i][j] = i < j
-
-
-def make_arbiter(kind: str, n: int):
-    """Factory used by router configuration.
-
-    Parameters
-    ----------
-    kind:
-        ``"round_robin"`` or ``"matrix"``.
-    """
-    if kind == "round_robin":
-        return RoundRobinArbiter(n)
-    if kind == "matrix":
-        return MatrixArbiter(n)
-    raise ValueError(f"unknown arbiter kind {kind!r}")

@@ -335,8 +335,8 @@ class SharedMedium:
         if waiters:
             # Re-arm VCs that parked while the token was elsewhere. Grants
             # run before switch allocation, so a re-armed VC is polled the
-            # same cycle it could first transmit -- bit-identical to dense
-            # per-cycle polling. The state/queue guard drops entries made
+            # same cycle it could first transmit -- bit-identical to
+            # polling every cycle. The state/queue guard drops entries made
             # stale by fault handling (drops / re-routes).
             kern = best_link.src_router._kern
             slot_vc = kern.slot_vc

@@ -50,10 +50,10 @@ next tracer sampling cycle, or the next traffic injection. A traffic
 process answers that peek without letting it change what it will inject: the
 Bernoulli arrival clock of ``SyntheticTraffic`` reads its earliest pending
 arrival, a trace replayer its next record, and the per-cycle sources
-(bursty / application) pre-draw their RNG stream in dense cycle order.
-Passing ``dense=True`` disables only the clock skip; every phase runs the
-identical code either way, so the two modes are bit-identical by
-construction.
+(bursty / application) pre-draw their RNG stream in the order stepping
+every cycle would. A skipped cycle is a no-op by construction;
+``tests/reference.py``'s ``naive_schedule()`` steps every cycle to check
+that.
 
 A deadlock watchdog aborts the run if buffered flits stop moving for a
 configurable number of cycles -- misrouted VC partitioning shows up as a
@@ -124,12 +124,6 @@ class Simulator:
         to unobserved ones. The observer is *not* a fast-forward wake
         source; its stride samples on the next stepped cycle at or past
         the due point.
-    dense:
-        ``True`` disables the idle-stretch fast-forward in :meth:`run` /
-        :meth:`drain` and steps every cycle densely. Phase execution is
-        shared between the modes, so dense runs produce bit-identical
-        results -- the flag exists as a debugging fallback and as the
-        reference side of the equivalence property tests.
     """
 
     def __init__(
@@ -141,7 +135,6 @@ class Simulator:
         watchdog: int = 2000,
         faults: Optional[object] = None,
         tracer: Optional[object] = None,
-        dense: bool = False,
         observer: Optional[object] = None,
     ) -> None:
         if credit_latency < 1:
@@ -150,7 +143,6 @@ class Simulator:
         self.traffic = traffic
         self.credit_latency = credit_latency
         self.watchdog = watchdog
-        self.dense = dense
         self.now = 0
         self.stats = StatsCollector(network.n_cores, warmup_cycles)
         # The two calendar rings of the per-hop events (module docstring,
@@ -201,10 +193,6 @@ class Simulator:
                     wake_ni(ni)
         self._flit_width = network.flit_width_bits
         self._hooks: List[Callable[["Simulator"], None]] = []
-        #: True while every registered hook advertises its epoch boundaries
-        #: via ``next_wake`` (vacuously true with no hooks) -- the condition
-        #: for keeping idle fast-forward enabled alongside hooks.
-        self._hooks_schedulable = True
         self._paused_traffic: Optional[object] = None
         self._faults = faults
         if not network._finalized:
@@ -242,18 +230,19 @@ class Simulator:
         :mod:`repro.control`) that observe network state and adjust policy
         on epoch boundaries.
 
-        A hook that acts only on epoch boundaries may advertise them by
-        exposing ``next_wake(now) -> Optional[int]`` (the earliest cycle
-        >= ``now`` at which it must observe a stepped cycle). When *every*
-        registered hook does, idle fast-forward stays enabled and the
-        boundaries become scheduled wake sources -- the clock can never
-        jump over a control epoch. A hook without ``next_wake`` forces
-        dense stepping (it might act on any cycle).
+        The hook must expose ``next_wake(now) -> Optional[int]``: the
+        earliest cycle >= ``now`` at which it must observe a stepped cycle.
+        Those boundaries are fast-forward wake sources, so the clock never
+        jumps over a control epoch. A hook without one raises
+        :class:`TypeError`.
         """
+        if not callable(getattr(hook, "next_wake", None)):
+            name = getattr(hook, "__qualname__", type(hook).__qualname__)
+            raise TypeError(
+                f"hook {name} has no callable next_wake(now): the clock "
+                "could skip the cycles it acts on"
+            )
         self._hooks.append(hook)
-        self._hooks_schedulable = all(
-            hasattr(h, "next_wake") for h in self._hooks
-        )
 
     # ------------------------------------------------------------------ #
     # Event plumbing
@@ -565,8 +554,8 @@ class Simulator:
         injection. The traffic peek is asked last so its lookahead horizon
         is already capped by every other source. That cap matters only to
         the per-cycle sources (bursty / application), whose peek pre-draws
-        their RNG stream and must not reach cycles a dense run would not
-        have reached by the same point; the arrival clock of
+        their RNG stream and must not reach cycles that stepping every cycle
+        would not have reached by the same point; the arrival clock of
         ``SyntheticTraffic`` and a trace replayer answer from state a longer
         horizon would not change.
         """
@@ -587,7 +576,7 @@ class Simulator:
                 target = cycle
         # Hook epoch boundaries are scheduled events: a skip may never jump
         # over a control epoch, or an adaptive controller would silently
-        # diverge from dense stepping (where it observes every cycle).
+        # diverge from stepping every cycle (where it observes each one).
         for hook in self._hooks:
             cycle = hook.next_wake(now)
             if cycle is not None and cycle < target:
@@ -603,36 +592,38 @@ class Simulator:
                 target = cycle
         return target
 
-    def _can_fast_forward(self) -> bool:
-        # End-of-cycle hooks that declare their epoch boundaries
-        # (``next_wake``) become wake sources in :meth:`_next_wake`; a hook
-        # without one might act on any cycle and forces dense stepping.
-        return not self.dense and self._hooks_schedulable and self._quiescent()
+    def _advance(self, end: int, until_drained: bool) -> int:
+        """Move the clock to ``end`` (earlier once drained, if asked);
+        return the flits moved.
 
-    def run(self, cycles: int) -> None:
-        """Advance the simulation by ``cycles`` cycles.
-
-        Idle stretches are fast-forwarded to the next wake source unless
-        ``dense=True`` was requested (or an end-of-cycle hook without a
-        ``next_wake`` epoch schedule is installed).
-        Fast-forwarded cycles are no-ops by construction, so both modes
-        execute the identical sequence of effective cycles.
+        The one place cycles are skipped: a quiescent network jumps to its
+        next wake source, which is capped at ``end``.
         """
-        end = self.now + cycles
+        moved = 0
         while self.now < end:
-            if self._can_fast_forward():
+            if until_drained and not self._pending_work():
+                break
+            if self._quiescent():
                 target = self._next_wake(end)
                 if target > self.now:
                     self.now = target
                     continue
-            self.step()
+            moved += self.step()
+        return moved
+
+    def run(self, cycles: int) -> None:
+        """Advance the simulation by ``cycles`` cycles, fast-forwarding
+        idle stretches to the next wake source."""
+        self._advance(self.now + cycles, False)
 
     def drain(self, max_cycles: int = 50_000) -> bool:
         """Pause traffic and run until the network empties.
 
         Returns ``True`` if fully drained, ``False`` on hitting the budget.
-        The traffic process is *paused*, not discarded: call
-        :meth:`resume_traffic` to restore injection after the drain
+        Skipped idle cycles count against ``max_cycles`` like stepped ones,
+        so a drain that runs out has advanced the clock by exactly
+        ``max_cycles``. The traffic process is *paused*, not discarded:
+        call :meth:`resume_traffic` to restore injection after the drain
         checkpoint.
         """
         if self.traffic is not None:
@@ -644,27 +635,8 @@ class Simulator:
                 self.now, self.network.total_occupancy(), self._backlog()
             )
         start_ejected = self.stats.packets_ejected
-        moved = 0
-        drained = False
-        budget = max_cycles
-        while budget > 0:
-            if not self._pending_work():
-                drained = True
-                break
-            if self._can_fast_forward():
-                # Quiescent but events still in flight (e.g. the last tail
-                # flits travelling to their sinks): jump straight to them,
-                # charging the skipped idle cycles against the budget just
-                # as dense stepping would burn them.
-                target = self._next_wake(self.now + budget)
-                if target > self.now:
-                    budget -= target - self.now
-                    self.now = target
-                    continue
-            moved += self.step()
-            budget -= 1
-        else:
-            drained = not self._pending_work()
+        moved = self._advance(self.now + max_cycles, True)
+        drained = not self._pending_work()
         if tracer is not None:
             tracer.on_drain_end(
                 self.now, moved, self.stats.packets_ejected - start_ejected, drained

@@ -350,7 +350,6 @@ def execute_inline(
         warmup_cycles=spec.warmup,
         faults=layer,
         tracer=tracer,
-        dense=spec.dense,
         observer=observer,
     )
     for hook in hooks:

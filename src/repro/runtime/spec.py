@@ -272,13 +272,6 @@ class RunSpec:
         record). Event buffering / Chrome traces are an executor concern
         (``Executor(trace_dir=...)``), not a spec knob, because the event
         stream is not cacheable payload.
-    dense:
-        No clock skip: execute every cycle instead of fast-forwarding
-        through quiescent stretches; every phase runs the identical code
-        either way (see :class:`repro.noc.simulator.Simulator`). Results
-        are bit-identical -- this knob exists to *prove* that (CI diffs a
-        dense sweep against the fast-generated golden log at a 0%
-        threshold) and as a fallback while debugging the scheduler.
     tag:
         Free-form variant label (e.g. ``"hot+burst/adaptive"``). Part of
         the digest (two variants never share a cache entry), appended to
@@ -298,7 +291,6 @@ class RunSpec:
     control: Optional[ControlSpec] = None
     power: Tuple[Tuple[int, int], ...] = ()
     telemetry: bool = False
-    dense: bool = False
     tag: str = ""
 
     @classmethod
@@ -324,7 +316,6 @@ class RunSpec:
         control: Optional[ControlSpec] = None,
         power: Tuple[Tuple[int, int], ...] = (),
         telemetry: bool = False,
-        dense: bool = False,
         tag: str = "",
     ) -> "RunSpec":
         """Ergonomic constructor taking plain dicts/kwargs."""
@@ -351,7 +342,6 @@ class RunSpec:
             control=control,
             power=tuple((int(c), int(s)) for c, s in power),
             telemetry=telemetry,
-            dense=dense,
             tag=tag,
         )
 
@@ -391,7 +381,6 @@ class RunSpec:
             control=control,
             power=power,
             telemetry=bool(d.get("telemetry", False)),
-            dense=bool(d.get("dense", False)),
             tag=str(d.get("tag", "")),
         )
 

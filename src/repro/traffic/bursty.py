@@ -91,8 +91,8 @@ class BurstyTraffic(DrawAheadTraffic):
     def _draw(self, cycle: int) -> Optional[List[Tuple[int, int]]]:
         """Advance the Markov state and Bernoulli draws by one cycle.
 
-        The ON/OFF state machine flips every non-stopped cycle in dense
-        mode, so a peek advances it cycle by cycle just as a tick does.
+        The ON/OFF state machine flips on every non-stopped cycle, so a
+        peek advances it cycle by cycle just as a tick does.
         """
         rng = self._rng
         # State transitions.

@@ -50,8 +50,8 @@ class DrawAheadTraffic:
     randomness and return that cycle's ``(src, dst)`` pairs (``None`` for
     no injection). ``_draw`` is the *only* place such a source touches its
     RNG stream, and this class calls it strictly one cycle at a time in
-    dense order -- so ticked and peeked cycles interleave into the identical
-    draw sequence a dense run performs, and every source fast-forwards.
+    cycle order -- so ticked and peeked cycles interleave into the identical
+    draw sequence of stepping every cycle, and every source fast-forwards.
     (:class:`SyntheticTraffic` replaces the pair with its arrival clock.)
     """
 
@@ -95,7 +95,7 @@ class DrawAheadTraffic:
         cycle (caching the hit for the eventual :meth:`tick`), never beyond
         ``limit`` or ``stop_cycle`` -- the horizon the simulator passes in
         is already capped by every other wake source, so no draw happens
-        that an equivalent dense run would not also have performed.
+        that stepping every cycle would not also have performed.
         """
         stop = self.stop_cycle
         cycle = start
@@ -124,7 +124,7 @@ class SyntheticTraffic(DrawAheadTraffic):
     drawn when the core fires, with that cycle's destinations drawn first
     and both in ascending-core order. Arrival times therefore do not depend
     on which cycles were ticked and which only peeked, so a fast-forwarded
-    run sees the dense run's packets by construction.
+    run sees the packets of stepping every cycle by construction.
 
     The clock counts only cycles the source was shown: cycles neither
     ticked nor covered by a peek (a ``drain()`` ... ``resume_traffic()``

@@ -171,7 +171,7 @@ class TraceTraffic:
         n = len(self.trace)
         # Entries for cycles that were never ticked (simulation started
         # past them, or traffic resumed after a pause) are skipped, exactly
-        # as a dense run that never reached them would have.
+        # as a run stepping every cycle that never reached them would have.
         while self._pos < n and cycles[self._pos] < now:
             self._pos += 1
         while self._pos < n and cycles[self._pos] == now:
@@ -193,8 +193,8 @@ class TraceTraffic:
 
         Fast-forward wake source: the schedule is static, so peeking is a
         binary search with no randomness to consume -- replay is
-        bit-identical between dense stepping and the active-set scheduler
-        by construction.
+        bit-identical between stepping every cycle and the active-set
+        scheduler by construction.
         """
         if self.stop_cycle is not None:
             limit = min(limit, self.stop_cycle)

@@ -2,9 +2,9 @@
 
 Two load-bearing guarantees from ``docs/control.md``:
 
-1. a control-enabled run delivers bit-identically under dense stepping
-   and active-set fast-forward (control epochs are scheduled wake
-   sources, never "missed" by a clock skip);
+1. a control-enabled run delivers bit-identically under active-set
+   fast-forward and ``tests.reference.naive_schedule()`` (control epochs
+   are scheduled wake sources, never "missed" by a clock skip);
 2. the decision log is byte-stable -- same spec, same canonical bytes,
    same CRC -- which is what lets CI pin ``control_log_crc`` exactly.
 """
@@ -18,6 +18,7 @@ from repro.noc.stats import StatsCollector
 from repro.runtime.executor import execute_inline
 from repro.runtime.spec import ControlSpec, FaultSpec, RunSpec
 from repro.telemetry import Tracer
+from tests.reference import naive_schedule
 
 
 @contextmanager
@@ -37,7 +38,7 @@ def delivery_log():
         StatsCollector.on_packet_ejected = orig
 
 
-def _run(rate, seed, faults, dense, tracer=None):
+def _run(rate, seed, faults, tracer=None):
     spec = RunSpec.create(
         topology="own256_ft",
         topology_kwargs={"with_reconfiguration": True},
@@ -48,7 +49,6 @@ def _run(rate, seed, faults, dense, tracer=None):
         seed=seed,
         faults=faults,
         control=ControlSpec(epoch_cycles=150),
-        dense=dense,
     )
     with delivery_log() as events:
         _, sim, result = execute_inline(spec, tracer=tracer)
@@ -73,19 +73,20 @@ FAULTS = st.sampled_from(
     faults=FAULTS,
 )
 def test_control_runs_deliver_identically_dense_and_fast(rate, seed, faults):
-    fast_events, fast = _run(rate, seed, faults, dense=False)
-    dense_events, dense = _run(rate, seed, faults, dense=True)
-    # Both of the above run the flat slot sweep (``dense`` only switches the
-    # clock skip off); a metrics-only tracer selects Router.stage_sa.
+    fast_events, fast = _run(rate, seed, faults)
+    with naive_schedule():
+        naive_events, naive = _run(rate, seed, faults)
+    # Both of the above run the flat slot sweep; a metrics-only tracer
+    # selects Router.stage_sa.
     object_events, objects = _run(
-        rate, seed, faults, dense=False, tracer=Tracer(record_events=False)
+        rate, seed, faults, tracer=Tracer(record_events=False)
     )
 
     assert fast_events, "scenario delivered no packets; raise rate/cycles"
-    assert fast_events == dense_events == object_events
+    assert fast_events == naive_events == object_events
     # Summaries include control_log_crc.
-    assert fast.summary == dense.summary == objects.summary
-    assert fast.meta["control"] == dense.meta["control"] == objects.meta["control"]
+    assert fast.summary == naive.summary == objects.summary
+    assert fast.meta["control"] == naive.meta["control"] == objects.meta["control"]
 
 
 def test_control_runs_identical_serial_and_parallel():
@@ -115,8 +116,8 @@ def test_control_runs_identical_serial_and_parallel():
 def test_decision_log_is_byte_stable_across_reruns(seed):
     faults = FaultSpec(kind="bursty", burst_rate=0.002, burst_duration=150,
                        snr_penalty_db=14.0, max_channel=4)
-    _, first = _run(0.05, seed, faults, dense=False)
-    _, second = _run(0.05, seed, faults, dense=False)
+    _, first = _run(0.05, seed, faults)
+    _, second = _run(0.05, seed, faults)
 
     assert first.meta["control"]["decisions"] == second.meta["control"]["decisions"]
     assert first.summary["control_log_crc"] == second.summary["control_log_crc"]

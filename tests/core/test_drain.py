@@ -17,9 +17,9 @@ Covers:
 * ``unpin``/``reassign`` on a pair with in-flight packets routing
   through the drain path instead of instant revocation;
 * exactly-once delivery under arbitrary open-loop re-pointing schedules
-  (hypothesis), with the slot sweep (fast-forwarded and dense), traced
-  active-set ``stage_sa`` and the poll-every-cycle VCA reference
-  bit-identical to each other.
+  (hypothesis), with the fast-forwarded slot sweep, traced active-set
+  ``stage_sa`` and the naive schedule (every cycle stepped, every waiting
+  head polled) bit-identical to each other.
 """
 
 from contextlib import contextmanager
@@ -35,7 +35,7 @@ from repro.noc.simulator import Simulator
 from repro.noc.stats import StatsCollector
 from repro.telemetry import Tracer
 from repro.traffic import SyntheticTraffic, TrafficPattern
-from tests.reference import poll_every_cycle
+from tests.reference import naive_schedule
 
 
 def hotspot_traffic(rate=0.05, seed=2, stop=None):
@@ -179,8 +179,7 @@ class TestDrainStateMachine:
 # --------------------------------------------------------------------- #
 
 
-def _open_loop_sim(rate, epoch, seed, drain_timeout=None, dense=False,
-                   tracer=None):
+def _open_loop_sim(rate, epoch, seed, drain_timeout=None, tracer=None):
     built = build_fault_tolerant_own256(with_reconfiguration=True)
     kwargs = {} if drain_timeout is None else {"drain_timeout": drain_timeout}
     ctrl = make_reconfig_controller(built, epoch_cycles=epoch, **kwargs)
@@ -188,7 +187,6 @@ def _open_loop_sim(rate, epoch, seed, drain_timeout=None, dense=False,
         built.network,
         traffic=hotspot_traffic(rate=rate, seed=seed),
         warmup_cycles=400,
-        dense=dense,
         tracer=tracer,
     )
     sim.add_hook(ctrl)
@@ -324,10 +322,9 @@ class ScheduleHook:
             pass  # infeasible pin / unroutable fail: legal no-ops
 
 
-def _churn_run(rate, seed, schedule_seed, faulty, dense=False, tracer=None):
+def _churn_run(rate, seed, schedule_seed, faulty, tracer=None):
     built, ctrl, sim = _open_loop_sim(rate=rate, epoch=50, seed=seed,
-                                      drain_timeout=30, dense=dense,
-                                      tracer=tracer)
+                                      drain_timeout=30, tracer=tracer)
     hook = ScheduleHook(built, ctrl, schedule_seed)
     if faulty:
         sim.add_hook(hook)
@@ -367,20 +364,19 @@ def test_exactly_once_and_path_identity_under_churn(
     assert kernel["ejected"] == kernel["created"]
     assert kernel["summary"]["spare_drains_started"] >= 0.0
 
-    # Dense stepping (same slot sweep, no clock skip) and the object path
-    # (a metrics-only tracer selects Router.stage_sa) deliver
-    # bit-identically to the fast slot sweep, drain transitions included.
-    dense = _churn_run(rate, seed, schedule_seed, faulty, dense=True)
+    # The object path (a metrics-only tracer selects Router.stage_sa)
+    # delivers bit-identically to the fast slot sweep, drain transitions
+    # included.
     objects = _churn_run(rate, seed, schedule_seed, faulty,
                          tracer=Tracer(record_events=False))
-    assert dense["sa_kernel"] and not objects["sa_kernel"]
-    assert dense["events"] == kernel["events"]
+    assert not objects["sa_kernel"]
     assert objects["events"] == kernel["events"]
-    assert dense["drain_crc"] == objects["drain_crc"] == kernel["drain_crc"]
-    assert dense["summary"] == objects["summary"] == kernel["summary"]
+    assert objects["drain_crc"] == kernel["drain_crc"]
+    assert objects["summary"] == kernel["summary"]
 
     # Re-routes (invalidate_pending_routes) pull heads out of the endpoint
-    # request queues mid-wait; polling every waiting head every cycle must
-    # still find nothing the event-driven VCA missed.
-    with poll_every_cycle():
+    # request queues mid-wait; stepping every cycle and polling every
+    # waiting head every cycle must still find nothing the fast-forward or
+    # the event-driven VCA missed.
+    with naive_schedule():
         assert _churn_run(rate, seed, schedule_seed, faulty) == kernel

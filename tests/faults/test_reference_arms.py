@@ -3,15 +3,17 @@
 Production services a link holding only un-ACKed replay entries at its
 timeout deadline, and the monitor classifies only the links that moved
 (marked by an attempt, NACK or timeout) plus those it watches. Each is
-checked against the naive rule it replaced (``tests.reference``): every
-link with replay state serviced every cycle, every protected link
-classified every epoch. On OWN-256 with bursty and death faults, a
-one-entry replay buffer (the full-buffer stall every send) and failover +
-control-loop churn, both arms and dense stepping must agree exactly: the
-delivery log, every per-link protocol counter, the failover log and the
-run summary (``control_log_crc`` included).
+checked against the naive rules it replaced, inside
+``tests.reference.naive_schedule()``: every link with replay state serviced
+every cycle, every protected link classified every epoch, every cycle
+stepped. On OWN-256 with bursty and death faults, a one-entry replay buffer
+(the full-buffer stall every send) and failover + control-loop churn, the
+two schedules must agree exactly: the delivery log, every per-link protocol
+counter, the failover log and the run summary (``control_log_crc``
+included).
 """
 
+from contextlib import nullcontext
 from unittest import mock
 
 import pytest
@@ -27,7 +29,7 @@ from repro.runtime.executor import execute_inline
 from repro.runtime.registry import build_topology
 from repro.runtime.spec import ControlSpec, FaultSpec, RunSpec
 from repro.traffic.generator import ScriptedTraffic
-from tests.reference import classify_every_link, service_every_protocol_link
+from tests.reference import naive_schedule
 from tests.runtime.test_fastforward_property import delivery_log
 
 # Short monitor epochs: many epochs see a link's NACK or timeout but no
@@ -57,12 +59,12 @@ SCENARIOS = {
 }  # fmt: skip
 
 
-def _run(scenario, dense=False):
+def _run(scenario):
     kwargs = dict(SCENARIOS[scenario])
     config = LinkLayerConfig(replay_capacity=kwargs.pop("replay_capacity", 8))
     spec = RunSpec.create(
         "own256_ft", topology_kwargs={"with_reconfiguration": True},
-        pattern="UN", warmup=100, drain=20_000, seed=5, dense=dense,
+        pattern="UN", warmup=100, drain=20_000, seed=5,
         **{"rate": 0.02, "cycles": 800, **kwargs},
     )  # fmt: skip
     with mock.patch.object(linklayer, "LinkLayerConfig", lambda: config):
@@ -97,31 +99,28 @@ def test_event_driven_hooks_match_the_naive_rules(scenario):
         assert "control_log_crc" in summary
     if scenario == "replay-capacity-1":  # back-pressure moved the sample path
         assert fast["log"] != _run("bursty")["log"]
-    assert _run(scenario, dense=True) == fast
-    with service_every_protocol_link():
-        assert _run(scenario) == fast
-    with classify_every_link():
+    with naive_schedule():
         assert _run(scenario) == fast
 
 
 DEAD = "wch1.A0->B2"  # channel 1: the route from core 0 to core 130 crosses it
 
 
-def _dead_link_sim(dense=False):
+def _dead_link_sim():
     built = build_topology("own256_ft")
     campaign = FaultCampaign([PermanentFault(at=0, target=DEAD)])
     layer = FaultLayer(built.network, campaign=campaign)
     # Three packets into a dead link, far apart: between attempts the
     # network idles (fast-forward) with only lost attempts outstanding.
     traffic = ScriptedTraffic([(0, 0, 130, 4), (700, 1, 131, 4), (1500, 2, 132, 4)])
-    sim = Simulator(built.network, traffic=traffic, faults=layer, dense=dense)
+    sim = Simulator(built.network, traffic=traffic, faults=layer)
     return sim, layer, next(l for l in built.network.links if l.name == DEAD)
 
 
 def test_a_lost_attempt_times_out_on_its_deadline_cycle():
     runs = []
-    for dense in (False, True):
-        sim, _, dead = _dead_link_sim(dense)
+    for schedule in (nullcontext, naive_schedule):
+        sim, _, dead = _dead_link_sim()
         due, fired = {}, []
         finish, requeue = FaultLayer._finish_attempt, FaultLayer._requeue
 
@@ -135,7 +134,8 @@ def test_a_lost_attempt_times_out_on_its_deadline_cycle():
             fired.append((due.pop((link.name, packet.pid)), now))
             return requeue(self, link, packet, attempts, now)
 
-        with mock.patch.object(FaultLayer, "_finish_attempt", finishing), \
+        with schedule(), \
+                mock.patch.object(FaultLayer, "_finish_attempt", finishing), \
                 mock.patch.object(FaultLayer, "_requeue", requeueing):
             sim.run(2500)
         assert len(fired) == sim.stats.timeouts == dead.fault.timeouts > 16
@@ -217,5 +217,5 @@ def _drive(events):
           (4, "nack"), (4, "nack"), (0, "epoch"), (0, "recover"), (0, "epoch")])
 def test_monitor_verdicts_match_classifying_every_link(events):
     production = _drive(events)
-    with classify_every_link():
+    with naive_schedule():
         assert _drive(events) == production

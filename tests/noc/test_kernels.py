@@ -1,14 +1,14 @@
 """Flat slot sweep: binding, work-set coherence, and bit-identity.
 
-The dense/fast property suite (``tests/runtime/test_fastforward_property.py``
-and ``tests/control/test_control_property.py``) already proves the slot
+The scheduler property suites (``tests/runtime/test_fastforward_property.py``
+and ``tests/control/test_control_property.py``) already prove the slot
 sweep end-to-end -- fast untraced runs drive it by default. The tests here
 pin the pieces those properties cannot localise: the slot layout binding,
 the work lists agreeing with the object state mid-run (``sa_slots`` is
 exactly the ACTIVE, occupied, unparked VCs), a link latency that does not
 fit the simulator's event rings, the mixed-VC fallback (SA only: RC and VCA
-sweep every network), and sweep == traced ``stage_sa`` (``dense`` only
-switches the clock skip off, so it runs the sweep too).
+sweep every network), and sweep == traced ``stage_sa`` == the naive
+schedule (which still runs the sweep).
 """
 
 import pytest
@@ -21,6 +21,7 @@ from repro.runtime.registry import build_topology
 from repro.telemetry import Tracer
 from repro.topologies import build_cmesh
 from repro.traffic import SyntheticTraffic
+from tests.reference import naive_schedule
 
 
 def _delivery_log(sim):
@@ -160,16 +161,17 @@ class TestBitIdentity:
     def test_kernel_object_and_dense_paths_identical(self):
         kernel_events, ksim = self._run()
         assert ksim._sa_kernel
-        dense_events, dsim = self._run(dense=True)
-        assert dsim._sa_kernel  # dense means "no clock skip", nothing else
+        with naive_schedule():
+            naive_events, nsim = self._run()
+        assert nsim._sa_kernel  # stepping every cycle changes no SA path
         # A metrics-only tracer keeps active-set scheduling and idle
         # fast-forward but drives SA through Router.stage_sa.
         object_events, osim = self._run(tracer=Tracer(record_events=False))
-        assert not osim._sa_kernel and not osim.dense
+        assert not osim._sa_kernel
         assert kernel_events, "scenario delivered no packets"
-        assert kernel_events == dense_events == object_events
+        assert kernel_events == naive_events == object_events
         assert (
             tuple(ksim.stats.latencies)
-            == tuple(dsim.stats.latencies)
+            == tuple(nsim.stats.latencies)
             == tuple(osim.stats.latencies)
         )

@@ -1,5 +1,7 @@
 """Simulator-level behaviour: determinism, drain, stats windows, multicast."""
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.core import build_own256
@@ -23,6 +25,7 @@ from repro.telemetry import (
 )
 from repro.traffic import ScriptedTraffic, SyntheticTraffic
 from repro.topologies import build_cmesh
+from tests.reference import naive_schedule
 
 
 class TestDeterminism:
@@ -70,15 +73,38 @@ class TestDrain:
         assert not sim._pending_work()
 
     def test_drain_budget_respected(self):
-        built = build_cmesh(64)
-        sim = Simulator(
-            built.network,
-            traffic=SyntheticTraffic(64, "UN", 0.2, 4, seed=1, stop_cycle=50),
-        )
-        sim.run(50)
-        # Tiny budget: may or may not finish, but must return a bool quickly.
-        result = sim.drain(max_cycles=1)
-        assert isinstance(result, bool)
+        # Both packets are on the latency-40 link by cycle 12, so the drain
+        # idles until they land at 43. A drain that runs out of budget has
+        # spent exactly that budget, skipped cycles included, and a later
+        # drain() ends where one uninterrupted drain() does.
+        def drain(budgets):
+            traffic = ScriptedTraffic([(0, 0, 1, 4), (3, 0, 1, 2)])
+            sim = Simulator(_slow_line(), traffic=traffic)
+            log, steps = [], []
+            eject, step = sim.stats.on_packet_ejected, sim.step
+            sim.stats.on_packet_ejected = lambda packet, now: (
+                log.append((now, packet.pid)), eject(packet, now)
+            )
+            sim.step = lambda: (steps.append(sim.now), step())[1]
+            sim.run(12)
+            for budget in budgets:
+                start = sim.now
+                assert sim.drain(budget) is False
+                assert sim.now == start + budget
+            assert sim.drain()
+            return log, sim.now, len(steps)
+
+        ends = []
+        for schedule in (nullcontext, naive_schedule):
+            with schedule():
+                log, now, steps = drain([])
+                assert len(log) == 2
+                for budgets in ([1], [12], [1, 12, 9], [33]):
+                    assert drain(budgets)[:2] == (log, now)
+            skipped = now - steps
+            assert skipped > 0 if schedule is nullcontext else skipped == 0
+            ends.append((log, now))
+        assert ends[0] == ends[1]
 
     def test_credit_latency_validated(self):
         built = build_cmesh(64)
@@ -135,6 +161,27 @@ class TestDrain:
         built = build_cmesh(64)
         sim = Simulator(built.network)
         assert sim.resume_traffic() is None
+
+
+class TestHooks:
+    def test_add_hook_rejects_a_hook_without_next_wake(self):
+        sim = Simulator(build_cmesh(16).network)
+
+        def every_cycle_observer(sim):
+            pass
+
+        with pytest.raises(TypeError, match="every_cycle_observer"):
+            sim.add_hook(every_cycle_observer)
+
+        class NotSchedulable:
+            next_wake = None
+
+            def __call__(self, sim):
+                pass
+
+        with pytest.raises(TypeError, match="NotSchedulable"):
+            sim.add_hook(NotSchedulable())
+        assert sim._hooks == []
 
 
 class TestStatsWindows:
@@ -436,13 +483,14 @@ class TestEventRings:
         assert len(log) == len(self.SCHEDULE)
         assert max(now for now, _ in log) > 6 * 64
         split, split_log = self._run([63, 1, 64, 129, 193])
-        dense, dense_log = self._run([450], dense=True)
-        assert log == split_log == dense_log
-        assert whole.now == split.now == dense.now
+        with naive_schedule():
+            naive, naive_log = self._run([450])
+        assert log == split_log == naive_log
+        assert whole.now == split.now == naive.now
         assert (
             tuple(whole.stats.latencies)
             == tuple(split.stats.latencies)
-            == tuple(dense.stats.latencies)
+            == tuple(naive.stats.latencies)
         )
 
     def test_next_event_cycle_reads_both_rings_and_the_heap(self):

@@ -1,4 +1,10 @@
-"""Test-only reference behaviours the production simulator no longer has."""
+"""Test-only reference behaviours the production simulator no longer has.
+
+Each context manager below patches one scheduling shortcut out of the
+production simulator; :func:`naive_schedule` patches out all four. A run
+under any of them must be bit-identical to a production run -- the
+shortcuts may only save work, never change a result.
+"""
 
 from contextlib import contextmanager
 
@@ -20,7 +26,7 @@ class PerCycleBernoulliTraffic:
     arrival clock (Geometric(p) inter-arrival gaps: the same process with a
     different mapping from seed to sample path). This is the oracle the
     clock is compared against distributionally; it is never optimised. It
-    has no ``next_injection_cycle``, so a simulator steps it densely.
+    has no ``next_injection_cycle``, so a simulator steps every cycle of it.
     """
 
     def __init__(self, n_cores, pattern, injection_rate, packet_size_flits=4, seed=1):
@@ -42,12 +48,30 @@ class PerCycleBernoulliTraffic:
 
 
 @contextmanager
+def step_every_cycle():
+    """Never fast-forward: the simulator is never quiescent.
+
+    Production jumps the clock over a quiescent stretch to the next wake
+    source. This patch makes every cycle look busy, so ``run`` and
+    ``drain`` step each one. A skipped cycle is a no-op, so a run under
+    this patch must be bit-identical to a production run -- unless
+    production jumped over a wake source.
+    """
+    quiescent = Simulator._quiescent
+    Simulator._quiescent = lambda sim: False
+    try:
+        yield
+    finally:
+        Simulator._quiescent = quiescent
+
+
+@contextmanager
 def poll_every_cycle():
     """Re-examine every waiting head in every VCA phase.
 
     Production VC allocation is event-driven: an endpoint is examined only
     after one of its VCs became free and funded (``Endpoint.wake``). This
-    is the dense polling it replaced, kept as the reference: at the end of
+    is the per-cycle polling it replaced, kept as the reference: at the end of
     every cycle wake every endpoint holding requests, so the next VCA phase
     serves every queue again. A failed examination has no side effects, so
     a run under this patch must be bit-identical to a production run --
@@ -131,3 +155,17 @@ def classify_every_link():
         yield
     finally:
         HealthMonitor.__call__ = call
+
+
+@contextmanager
+def naive_schedule():
+    """Every scheduling shortcut off at once: step every cycle, poll every
+    waiting head, service every protocol link, classify every link.
+
+    The one reference that equivalence tests compare production to. When
+    one disagrees, wrap the run in the four parts one at a time to find
+    the shortcut that lost something.
+    """
+    with step_every_cycle(), poll_every_cycle(), service_every_protocol_link(), \
+            classify_every_link():
+        yield

@@ -1,31 +1,34 @@
-"""Property test: dense stepping and fast-forward scheduling are bit-identical.
+"""Property test: the production scheduler and the naive one are bit-identical.
 
-The active-set scheduler (``Simulator.dense=False``, the default) may only
-change wall-clock behaviour: every packet must be delivered at exactly the
-same cycle as under dense per-cycle polling. This is the load-bearing
-guarantee behind the committed golden baselines, so it is checked as a
-hypothesis property across random seeds, injection rates, topologies and
-fault campaigns rather than at a handful of hand-picked points.
+The active-set scheduler (idle fast-forward, event-driven VC allocation)
+may only change wall-clock behaviour: every packet must be delivered at
+exactly the same cycle as under ``tests.reference.naive_schedule()``, which
+steps every cycle and re-examines every waiting head every cycle (no
+wake-up is ever missed). This is the load-bearing guarantee behind the
+committed golden baselines, so it is checked as a hypothesis property
+across random seeds, injection rates, topologies and fault campaigns rather
+than at a handful of hand-picked points -- and by replaying the golden
+own256 sweep itself under the naive schedule.
 
-``dense`` only switches the clock skip off -- it implies no per-cycle
-polling of anything: both of those arms drive SA through the flat slot
-sweep and allocate VCs at the endpoints, event-driven -- so two more arms
-run the same scenarios: a metrics-only tracer, which selects the per-router
-``stage_sa`` (sweep == object path), and ``tests.reference.poll_every_cycle``,
-which re-examines every waiting head every cycle as VC allocation did before
-it moved to the endpoint (no wake-up is ever missed).
+A third arm attaches a metrics-only tracer, which selects the per-router
+``stage_sa`` instead of the flat slot sweep (sweep == object path).
 """
 
 from contextlib import contextmanager
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.diffing import diff_runlogs
+from repro.analysis.sweep import point_spec
 from repro.noc.stats import StatsCollector
-from repro.runtime.executor import execute_inline
+from repro.runtime.executor import Executor, execute_inline
 from repro.runtime.spec import FaultSpec, RunSpec
 from repro.telemetry import Tracer
-from tests.reference import poll_every_cycle
+from tests.reference import naive_schedule
+
+GOLDEN_SWEEP = Path(__file__).resolve().parents[2] / "results/golden/own256-sweep.jsonl"
 
 
 @contextmanager
@@ -45,7 +48,7 @@ def delivery_log():
         StatsCollector.on_packet_ejected = orig
 
 
-def _run(topology, rate, seed, faults, dense, tracer=None, cycles=300):
+def _run(topology, rate, seed, faults, tracer=None, cycles=300):
     key, kwargs = topology
     spec = RunSpec.create(
         topology=key,
@@ -56,7 +59,6 @@ def _run(topology, rate, seed, faults, dense, tracer=None, cycles=300):
         warmup=100,
         seed=seed,
         faults=faults,
-        dense=dense,
     )
     with delivery_log() as events:
         _, sim, result = execute_inline(spec, tracer=tracer)
@@ -83,21 +85,30 @@ FAULTS = st.sampled_from(
 def test_dense_and_fast_deliver_identically(topology, rate, seed, faults):
     if topology[0] != "own256":
         faults = None  # fault campaigns target wireless channels
-    fast = _run(topology, rate, seed, faults, dense=False)
+    fast = _run(topology, rate, seed, faults)
     assert fast[0], "scenario delivered no packets; raise rate/cycles"
-    assert fast == _run(topology, rate, seed, faults, dense=True)
-    assert fast == _run(
-        topology, rate, seed, faults, dense=False,
-        tracer=Tracer(record_events=False),
-    )
-    with poll_every_cycle():
-        assert fast == _run(topology, rate, seed, faults, dense=False)
+    assert fast == _run(topology, rate, seed, faults, tracer=Tracer(record_events=False))
+    with naive_schedule():
+        assert fast == _run(topology, rate, seed, faults)
 
 
 def test_saturated_own1024_matches_polling_every_cycle():
     # Deep saturation at kilo-core scale, where nine in ten polls of the
     # requester-side VCA failed: the regime event-driven allocation is for.
-    fast = _run(("own1024", None), 0.05, 3, None, dense=False, cycles=200)
+    fast = _run(("own1024", None), 0.05, 3, None, cycles=200)
     assert fast[0], "scenario delivered no packets"
-    with poll_every_cycle():
-        assert fast == _run(("own1024", None), 0.05, 3, None, dense=False, cycles=200)
+    with naive_schedule():
+        assert fast == _run(("own1024", None), 0.05, 3, None, cycles=200)
+
+
+def test_naive_schedule_replays_the_golden_sweep(tmp_path):
+    # The golden log was written by the production scheduler; stepping
+    # every cycle must reproduce each of its gated metrics at 0 %.
+    runlog = tmp_path / "naive.jsonl"
+    specs = [point_spec("own256", "UN", rate, 300, 100) for rate in (0.01, 0.03)]
+    with naive_schedule():
+        Executor(runlog=runlog).run(specs)
+    diff = diff_runlogs(GOLDEN_SWEEP, runlog, 0.0)
+    assert len(diff.matched) == 2
+    assert not diff.only_a and not diff.only_b
+    assert diff.clean, diff.breaches()

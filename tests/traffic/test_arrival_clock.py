@@ -16,6 +16,8 @@ accept at p > 1e-3 and each has a negative control showing that a 10 %
 error in the rate is rejected at the same sample size.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -25,7 +27,7 @@ from repro.runtime.registry import build_topology
 from repro.topologies import build_cmesh
 from repro.traffic import SyntheticTraffic
 from repro.utils.rng import RngStreams
-from tests.reference import PerCycleBernoulliTraffic
+from tests.reference import PerCycleBernoulliTraffic, naive_schedule
 
 ALPHA = 1e-3
 SOURCES = [SyntheticTraffic, PerCycleBernoulliTraffic]
@@ -194,11 +196,10 @@ def _delivery_log(sim):
 class TestSimulatorSeesOneSamplePath:
     RATE = 0.004  # ~15 idle cycles per arrival on 64 cores: peeks matter
 
-    def _sim(self, dense=False):
+    def _sim(self):
         sim = Simulator(
             build_cmesh(64).network,
             traffic=SyntheticTraffic(64, "UN", self.RATE, 4, seed=6),
-            dense=dense,
         )
         return sim, _delivery_log(sim)
 
@@ -214,18 +215,19 @@ class TestSimulatorSeesOneSamplePath:
 
     def test_dense_equals_fast_forward_across_a_pause(self):
         logs = []
-        for dense in (False, True):
-            sim, log = self._sim(dense)
-            sim.run(700)
-            created = sim.stats.packets_created
-            assert sim.drain()
-            paused_for = sim.now - 700
-            # Every core has an arrival pending over the pause.
-            assert sim._paused_traffic._next_min >= 700
-            sim.resume_traffic()
-            sim.run(800)
-            assert sim.stats.packets_created > created
-            assert sim.drain()
+        for schedule in (nullcontext, naive_schedule):
+            sim, log = self._sim()
+            with schedule():
+                sim.run(700)
+                created = sim.stats.packets_created
+                assert sim.drain()
+                paused_for = sim.now - 700
+                # Every core has an arrival pending over the pause.
+                assert sim._paused_traffic._next_min >= 700
+                sim.resume_traffic()
+                sim.run(800)
+                assert sim.stats.packets_created > created
+                assert sim.drain()
             logs.append((log, sim.now, paused_for, sim.stats.summary(sim.now)))
         assert logs[0] == logs[1]
         assert logs[0][2] > 0 and len(logs[0][0]) > 50

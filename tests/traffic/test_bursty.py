@@ -1,11 +1,14 @@
 """Bursty (MMBP) and application-like traffic generators."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
 from repro.noc import Simulator
 from repro.traffic import ApplicationTraffic, BurstyTraffic
 from repro.topologies import build_cmesh
+from tests.reference import naive_schedule
 
 
 def offered_load(traffic, cores, cycles):
@@ -118,7 +121,7 @@ class TestApplicationTraffic:
     def test_dense_and_fast_forward_identical(self):
         # The shared draw-ahead peek makes ApplicationTraffic a fast-forward
         # wake source: same packets, same delivery log, fewer steps.
-        def run(dense):
+        def run(schedule):
             log = []  # births and deliveries, in simulation order
 
             class Recording(ApplicationTraffic):
@@ -130,20 +133,20 @@ class TestApplicationTraffic:
             sim = Simulator(
                 build_cmesh(64).network,
                 traffic=Recording(64, 0.002, 4, seed=6, stop_cycle=2000),
-                dense=dense,
             )
             eject, step, stepped = sim.stats.on_packet_ejected, sim.step, []
             sim.stats.on_packet_ejected = lambda packet, now: (
                 log.append(("done", now, packet.pid)), eject(packet, now)
             )
             sim.step = lambda: (stepped.append(sim.now), step())[1]
-            sim.run(2000)
-            assert sim.drain()
+            with schedule():
+                sim.run(2000)
+                assert sim.drain()
             return log, len(stepped), sim.now
 
-        dense_log, dense_steps, dense_now = run(dense=True)
-        fast_log, fast_steps, fast_now = run(dense=False)
-        assert fast_log == dense_log
+        naive_log, naive_steps, naive_now = run(naive_schedule)
+        fast_log, fast_steps, fast_now = run(nullcontext)
+        assert fast_log == naive_log
         assert sum(e[0] == "done" for e in fast_log) == len(fast_log) // 2 > 0
-        assert dense_steps == dense_now == fast_now
+        assert naive_steps == naive_now == fast_now
         assert fast_steps < fast_now

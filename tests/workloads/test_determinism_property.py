@@ -4,7 +4,7 @@ Every generator must be a pure function of (params, n_cores, seed): the
 same inputs produce byte-identical arrays (and an identical ``.npz`` on
 one numpy version), different seeds produce different schedules, and the
 compiled trace replays bit-identically through every execution path the
-engine offers (dense vs fast-forward stepping, serial vs parallel
+engine offers (fast-forward vs the naive schedule, serial vs parallel
 executor). These are the guarantees the golden-trace CI gate leans on.
 """
 

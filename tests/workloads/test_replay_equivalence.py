@@ -3,8 +3,8 @@
 A ``kind="workload"`` run compiles its trace inside the worker, so the
 engine's equivalence guarantees must be re-checked on this path: the
 active-set scheduler's fast-forward peeks at the static schedule (no RNG
-draws), and parallel workers regenerate the identical trace from the
-frozen spec.
+draws), so it matches ``tests.reference.naive_schedule()``, and parallel
+workers regenerate the identical trace from the frozen spec.
 """
 
 from hypothesis import given, settings
@@ -14,9 +14,10 @@ from repro.runtime.executor import Executor, execute_inline
 from repro.runtime.spec import RunSpec
 from repro.telemetry import Tracer
 from repro.workloads import workload_names
+from tests.reference import naive_schedule
 
 
-def _spec(name: str, seed: int, dense: bool = False) -> RunSpec:
+def _spec(name: str, seed: int) -> RunSpec:
     return RunSpec.create(
         "cmesh",
         topology_kwargs={"n_cores": 64},
@@ -27,7 +28,6 @@ def _spec(name: str, seed: int, dense: bool = False) -> RunSpec:
         seed=seed,
         traffic_kind="workload",
         workload=name,
-        dense=dense,
     )
 
 
@@ -43,13 +43,14 @@ def _summary(spec: RunSpec, tracer=None):
     seed=st.integers(min_value=0, max_value=2**16 - 1),
 )
 def test_dense_and_fast_forward_identical(name, seed):
-    fast = _summary(_spec(name, seed, dense=False))
-    dense = _summary(_spec(name, seed, dense=True))
-    # Both of the above run the flat slot sweep (``dense`` only switches the
-    # clock skip off); a metrics-only tracer selects Router.stage_sa.
+    fast = _summary(_spec(name, seed))
+    with naive_schedule():
+        naive = _summary(_spec(name, seed))
+    # Both of the above run the flat slot sweep; a metrics-only tracer
+    # selects Router.stage_sa.
     objects = _summary(_spec(name, seed), tracer=Tracer(record_events=False))
     assert fast["packets_measured"] > 0
-    assert fast == dense == objects
+    assert fast == naive == objects
 
 
 def test_serial_and_parallel_identical():
