@@ -3,19 +3,30 @@
 
     python3 benchmarks/opcount.py --workload own256-knee [--seed 3] [--smoke]
 
-A count, not a time: it repeats exactly on one Python minor version, so a
-parent/change pair on a noisy shared host is one run each side. It omits
+A count, not a time: on one Python minor version it repeats to a few
+bytecodes in millions, so a parent/change pair on a noisy shared host is
+one run each side. It omits
 everything C does (``sorted``, ``set.add``, ``deque.popleft``) and every
 wait, so it explains a ``bench.py`` number, it does not replace one. The
 summary CRC printed last is ``bench.py``'s ``noc.stats.summary_crc32``.
 After the top functions, the count is folded by source package under
 ``src/repro`` (``noc.invariants`` on its own; ``py`` is code outside the
 package), so what the hooks around the router pipeline cost is an exact row.
+
+One more line is a footprint, not a count: the KiB that ``tracemalloc``
+attributes to code under ``src/repro`` and that is still allocated when
+``execute_inline`` returns (network, simulator and result held), i.e. what
+a run keeps resident. A filename filter on ``src/repro`` keeps this tool's
+own bytecode counter out. It does not depend on the host, but it repeats
+only to about 1 KiB: the hash tables of the simulator's active sets are
+keyed by object address, so their sizes move with the memory layout (which
+also moves the bytecode count by a few in several million).
 """
 
 import argparse
 import json
 import sys
+import tracemalloc
 import zlib
 from collections import Counter
 from pathlib import Path
@@ -67,7 +78,12 @@ def main() -> None:
 
     Simulator.run = counted_run
     spec = WORKLOADS[args.workload].make_spec(args.seed, 10 if args.smoke else 1)
-    _, sim, result = execute_inline(spec)
+    tracemalloc.start()
+    built, sim, result = execute_inline(spec)
+    resident = tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.Filter(True, str(PKG / "*"))]
+    )
+    tracemalloc.stop()
     total = sum(ops.values())
     hops = sum(r.xbar_traversals for r in sim.network.routers)
     print(f"{args.workload} seed {args.seed}: {total} bytecodes in Simulator.run")
@@ -82,6 +98,8 @@ def main() -> None:
     print("  by package:")
     for layer, n in layers.most_common():
         print(f"  {n:11d}  {n / total:5.1%}  {n / sim.now:9.1f}/cycle  {layer}")
+    kib = sum(trace.size for trace in resident.traces) / 1024
+    print(f"  resident KiB {kib:12.0f}  (allocated by src/repro, held after execute_inline)")
     canon = json.dumps(
         {"summary": result.summary, "power": result.power},
         sort_keys=True, separators=(",", ":"),

@@ -26,58 +26,60 @@ Subpackages:
 * :mod:`repro.photonics`  -- component inventories and loss budgets,
 * :mod:`repro.analysis`   -- sweeps, bisection accounting, experiment
   runners for every table and figure.
+
+Nothing is imported up front: each name below, and each sub-package as an
+attribute (``repro.analysis``), is resolved on first use (PEP 562), so a
+run loads only the sub-packages it touches.
 """
+
+import importlib
 
 __version__ = "1.0.0"
 
-from repro.noc import (
-    Network,
-    Packet,
-    Simulator,
-    SimulationDeadlock,
-    Router,
-    RoutingFunction,
-)
-from repro.core import build_own256, build_own1024, OWN256_DIMS, OWN1024_DIMS, OwnDims
-from repro.topologies import (
-    BuiltTopology,
-    build_cmesh,
-    build_wcmesh,
-    build_optxb,
-    build_pclos,
-)
-from repro.traffic import SyntheticTraffic, ScriptedTraffic, TrafficPattern, TrafficTrace
-from repro.power import measure_power, PowerModel, PowerBreakdown, SCENARIOS, CONFIGURATIONS
-from repro.analysis import EXPERIMENTS, load_sweep, ExperimentResult
+#: Re-exported name -> the sub-package that defines it.
+_EXPORTS = {
+    **dict.fromkeys(
+        ("Network", "Packet", "Simulator", "SimulationDeadlock", "Router", "RoutingFunction"),
+        "repro.noc",
+    ),
+    **dict.fromkeys(
+        ("build_own256", "build_own1024", "OWN256_DIMS", "OWN1024_DIMS", "OwnDims"),
+        "repro.core",
+    ),
+    **dict.fromkeys(
+        ("BuiltTopology", "build_cmesh", "build_wcmesh", "build_optxb", "build_pclos"),
+        "repro.topologies",
+    ),
+    **dict.fromkeys(
+        ("SyntheticTraffic", "ScriptedTraffic", "TrafficPattern", "TrafficTrace"),
+        "repro.traffic",
+    ),
+    **dict.fromkeys(
+        ("measure_power", "PowerModel", "PowerBreakdown", "SCENARIOS", "CONFIGURATIONS"),
+        "repro.power",
+    ),
+    **dict.fromkeys(("EXPERIMENTS", "load_sweep", "ExperimentResult"), "repro.analysis"),
+}
 
-__all__ = [
-    "__version__",
-    "Network",
-    "Packet",
-    "Simulator",
-    "SimulationDeadlock",
-    "Router",
-    "RoutingFunction",
-    "build_own256",
-    "build_own1024",
-    "OWN256_DIMS",
-    "OWN1024_DIMS",
-    "OwnDims",
-    "BuiltTopology",
-    "build_cmesh",
-    "build_wcmesh",
-    "build_optxb",
-    "build_pclos",
-    "SyntheticTraffic",
-    "ScriptedTraffic",
-    "TrafficPattern",
-    "TrafficTrace",
-    "measure_power",
-    "PowerModel",
-    "PowerBreakdown",
-    "SCENARIOS",
-    "CONFIGURATIONS",
-    "EXPERIMENTS",
-    "load_sweep",
-    "ExperimentResult",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+_SUBPACKAGES = (
+    "analysis", "control", "core", "faults", "noc", "obs", "photonics", "power",
+    "rf", "runtime", "telemetry", "thermal", "topologies", "traffic", "utils",
+    "workloads",
+)  # fmt: skip
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    elif name in _SUBPACKAGES:
+        value = importlib.import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBPACKAGES})

@@ -8,7 +8,6 @@ Topology builders live in :mod:`repro.topologies` and :mod:`repro.core`.
 
 from repro.noc.packet import Packet, Flit, FlitKind
 from repro.noc.buffers import VirtualChannel, InputPort, VCState
-from repro.noc.arbiters import RoundRobinArbiter
 from repro.noc.links import (
     Endpoint,
     Link,
@@ -30,7 +29,6 @@ __all__ = [
     "VirtualChannel",
     "InputPort",
     "VCState",
-    "RoundRobinArbiter",
     "Endpoint",
     "Link",
     "SharedMedium",

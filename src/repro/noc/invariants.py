@@ -70,6 +70,11 @@ def _walk(net: "Network", sim=None, credit=False, vc_state=False, kernel=False) 
             endpoint = router.input_endpoints[ip]
             if credit:
                 fly, own = flying.get(endpoint), owed.get(endpoint)
+            if kernel and not 0 <= k.in_ptr[s] < len(port.vcs):
+                raise InvariantViolation(
+                    f"kernel: r{router.rid}.in{ip} round-robin pointer "
+                    f"{k.in_ptr[s]} outside [0, {len(port.vcs)})"
+                )
             for vc in port.vcs:
                 n = len(vc.queue)
                 buffered += n
@@ -141,6 +146,12 @@ def _walk(net: "Network", sim=None, credit=False, vc_state=False, kernel=False) 
                 f"(extra={sorted(k.sa_slots - sa_expect)[:8]}, "
                 f"missing={sorted(sa_expect - k.sa_slots)[:8]})"
             )
+        for link, ptr, n in zip(net.links, k.out_ptr, k.out_n):
+            if not 0 <= ptr < n:
+                raise InvariantViolation(
+                    f"kernel: {link.name} round-robin pointer {ptr} "
+                    f"outside [0, {n})"
+                )
     return total
 
 
@@ -217,10 +228,9 @@ def check_kernel_coherence(sim: "Simulator") -> None:
     this cycle's RC) is grantable right now -- nothing would ever look at it
     again.
 
-    The sweep's round-robin pointers (``in_ptr`` / ``out_ptr``) are
-    deliberately *not* compared against the object arbiters: a run drives
-    switch allocation through exactly one of the two paths, so only that
-    path's pointers advance (path-local state, see ``repro.noc.kernels``).
+    The switch allocator's one round-robin state is in range: every
+    port's ``in_ptr`` (at the port's first slot) is in ``[0, num_vcs)`` of
+    that port, and every ``out_ptr[li]`` in ``[0, out_n[li])``.
     """
     _walk(sim.network, sim, kernel=True)
 

@@ -39,15 +39,18 @@ State owned here
 * **vca_fresh / vca_woken** -- what the next VCA phase examines: requests RC
   registered last cycle, and endpoints on which a VC became free and funded
   (``Endpoint.wake``). The requests themselves queue on the endpoints.
-* **in_ptr / out_ptr** -- the sweep's round-robin pointers (one per input
-  port / per link). Initialised from the object arbiters at bind time; a
-  run drives SA through either the sweep or ``stage_sa`` (which advances the
-  object arbiters) throughout, never both, so the audit does not compare
-  the two pointer sets.
+* **in_ptr / out_ptr** -- *the* switch allocator's round-robin pointers,
+  for both SA paths: one per input port (at the port's first slot) and one
+  per link (``out_n`` is its requester count, the source router's input
+  ports). ``sa_sweep`` and ``Router.stage_sa`` read and advance the same
+  entries the same way, so a run may switch paths between cycles. They are
+  the one piece of state that lives only here: a fresh network starts at
+  zero, and a mid-life :meth:`KernelState.build` copies them from the
+  kernel the network is bound to.
 
 Every work list is derived state -- :meth:`KernelState.build` recomputes all
 of them from the objects -- and ``invariants.check_kernel_coherence`` holds
-them to that definition.
+them to that definition and the pointers to their ranges.
 
 Determinism contract
 --------------------
@@ -57,8 +60,8 @@ golden diffs in CI): eligibility is evaluated lazily per candidate in
 ascending slot order, a router's transmits are issued -- grouped by output
 port, the order flits are filed for delivery in -- before the next router
 is examined, and the round-robin winner is
-``argmin (i - ptr) % n`` with the pointer advancing to ``winner + 1``,
-identical to the inlined object arbiters.
+``argmin (i - ptr) % n`` with the pointer advancing to ``winner + 1``, over
+the same pointers ``stage_sa`` uses.
 :meth:`KernelState.vca_sweep` grants exactly what polling every waiting head
 every cycle in ascending slot order would (the reference arm under
 ``tests/`` does just that): the requests it leaves out are those whose
@@ -117,7 +120,7 @@ class KernelState:
         "slot_vc",
         "slot_pb",
         "slot_rtop",
-        # sweep-local arbitration state:
+        # the switch allocator's round-robin state:
         "in_ptr",
         "out_ptr",
         "out_n",
@@ -146,22 +149,23 @@ class KernelState:
 
         Safe to call on a mid-life network: the work lists are derived from
         the current object state (every waiting head is simply examined
-        afresh) and the round-robin pointers from the object arbiters.
-        ``ring_size`` is the length of the binding simulator's event rings:
-        a flit sent on a link is filed ``latency`` slots ahead, so a link
-        whose latency does not fit would wrap onto an earlier cycle.
+        afresh) and the round-robin pointers are copied from the kernel the
+        network is bound to. ``ring_size`` is the length of the binding
+        simulator's event rings: a flit sent on a link is filed ``latency``
+        slots ahead, so a link whose latency does not fit would wrap onto an
+        earlier cycle.
         """
         k = cls()
         routers = network.routers
+        bound = routers[0]._kern if routers else None
         k.num_vcs = network.num_vcs
         # Mixed VC counts break the arithmetic port width of sa_sweep
         # (the simulator falls back to Router.stage_sa); the layout itself,
         # and with it RC and VCA, only needs the slot order.
         k.supported = all(r.num_vcs == k.num_vcs for r in routers)
 
-        # --- per-link output pointers ------------------------------------
+        # --- per-link output arbitration width ---------------------------
         links = network.links
-        k.out_ptr = [0] * len(links)
         k.out_n = [1] * len(links)
         parked = set()  # SA work waiting on a medium token, not in sa_slots
         for li, link in enumerate(links):
@@ -174,7 +178,6 @@ class KernelState:
             parked.update(link.sa_token_waiters)
             src = link.src_router
             if src is not None:
-                k.out_ptr[li] = src._out_arbs[link.out_port]._next
                 k.out_n[li] = max(1, len(src.input_ports))
 
         # --- slot layout -------------------------------------------------
@@ -184,8 +187,6 @@ class KernelState:
         k.slot_vc = []
         k.slot_pb = []  # first slot of the slot's input port ...
         k.slot_rtop = []  # ... and one past the last slot of its router
-        # Round-robin pointers, indexed by port-base slot.
-        k.in_ptr = []
         for r in routers:
             r._kern = k
             base = len(k.slot_vc)
@@ -202,8 +203,6 @@ class KernelState:
                     k.slot_ip.append(ip)
                     k.slot_vc.append(vc)
                     k.slot_pb.append(pb)
-                    # (a port's pointer lives at its first VC's slot)
-                    k.in_ptr.append(0 if vc.index else r._in_arbs[ip]._next)
                     if vc.state is _WAITING_VC:
                         k.vca_fresh.append(s)
                     elif vc.state is _IDLE:
@@ -212,6 +211,14 @@ class KernelState:
                     elif vc.queue and s not in parked:
                         k.sa_slots.add(s)
             k.slot_rtop.extend([len(k.slot_vc)] * (len(k.slot_vc) - base))
+
+        # --- round-robin pointers (a port's lives at its first slot) -----
+        if bound is None:
+            k.in_ptr = [0] * len(k.slot_vc)
+            k.out_ptr = [0] * len(links)
+        else:
+            k.in_ptr = bound.in_ptr[:]
+            k.out_ptr = bound.out_ptr[:]
         return k
 
     # ------------------------------------------------------------------ #

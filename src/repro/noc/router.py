@@ -11,14 +11,15 @@ in Python).
 Switch allocation is *separable*: a per-input-port round-robin arbiter picks
 one candidate VC, then a per-output-port round-robin arbiter picks among the
 input-port winners, which is the canonical iSLIP-like single-iteration
-allocator DSENT models.
+allocator DSENT models. The arbiters' pointers live once, in the network's
+:class:`~repro.noc.kernels.KernelState` (``in_ptr`` / ``out_ptr``), shared
+by both forms of the stage.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from repro.noc.arbiters import RoundRobinArbiter
 from repro.noc.buffers import InputPort, VCState, VirtualChannel
 from repro.noc.links import Endpoint, Link
 
@@ -84,8 +85,6 @@ class Router:
         "input_endpoints",
         "out_links",
         "routing",
-        "_in_arbs",
-        "_out_arbs",
         "_nflits",
         "_wake",
         "_sleep",
@@ -115,8 +114,6 @@ class Router:
         self.input_endpoints: List[Endpoint] = []
         self.out_links: List[Optional[Link]] = []
         self.routing: Optional[RoutingFunction] = None
-        self._in_arbs: List[RoundRobinArbiter] = []
-        self._out_arbs: List[RoundRobinArbiter] = []
         # Flits buffered here (== occupancy(), kept by deliver_flit and
         # _transmit). The scheduler callbacks fire on its 0 <-> 1
         # transitions, invoked with ``self``, so the simulator's
@@ -128,7 +125,7 @@ class Router:
         # Slot-sweep binding (repro.noc.kernels.KernelState): set when a
         # simulator binds this network. RC, VCA and SA work is registered
         # there by slot id (``rc_slots``, the endpoints' request lists,
-        # ``sa_slots``).
+        # ``sa_slots``), and SA's round-robin pointers live there.
         self._kern = None
         # Activity counters for the power model:
         self.buffer_writes = 0
@@ -156,14 +153,12 @@ class Router:
         )
         self.input_ports.append(port)
         self.input_endpoints.append(endpoint)
-        self._in_arbs.append(RoundRobinArbiter(self.num_vcs))
         return endpoint
 
     def add_output_port(self, link: Optional[Link] = None) -> int:
         """Reserve the next output port index; attach ``link`` if given."""
         index = len(self.out_links)
         self.out_links.append(link)
-        self._out_arbs.append(RoundRobinArbiter(1))  # resized by finalize()
         return index
 
     def attach_link(self, out_port: int, link: Link) -> None:
@@ -172,12 +167,10 @@ class Router:
         self.out_links[out_port] = link
 
     def finalize(self) -> None:
-        """Size per-output arbiters once the port counts are known."""
+        """Check that every reserved output port has been linked."""
         for i, link in enumerate(self.out_links):
             if link is None:
                 raise ValueError(f"router {self.rid}: output port {i} has no link")
-        n_in = max(1, len(self.input_ports))
-        self._out_arbs = [RoundRobinArbiter(n_in) for _ in self.out_links]
 
     @property
     def radix(self) -> int:
@@ -234,41 +227,42 @@ class Router:
         ascending -- which is ascending (in_port, vc), the order stall
         records are emitted in. Winners traverse through ``_transmit``.
 
-        Hot-path note: the rotating-priority arbiters are inlined here --
-        the winner among request set ``R`` with pointer ``p`` over ``n``
-        lines is ``argmin_{i in R} (i - p) % n`` and the pointer advances to
-        ``winner + 1`` -- which is exactly :meth:`RoundRobinArbiter.grant`
-        without materialising a full boolean request vector per port per
-        cycle. Eligibility checks (credit, link serialization, medium
-        token) are likewise inlined copies of ``Endpoint.has_credit`` /
+        Hot-path note: the rotating-priority arbiters are inlined here over
+        the kernel's pointers, exactly as ``KernelState.sa_sweep`` reads and
+        advances them -- the winner among request set ``R`` with pointer
+        ``p`` over ``n`` lines is ``argmin_{i in R} (i - p) % n`` and the
+        pointer advances to ``winner + 1``; a port's pointer is ``in_ptr``
+        at the port's first slot, an output's is ``out_ptr`` at its link's
+        index. Eligibility checks (credit, link serialization, medium
+        token) are inlined copies of ``Endpoint.has_credit`` /
         ``Link.ready``.
         """
         tracer = self.tracer
         input_ports = self.input_ports
         out_links = self.out_links
-        in_arbs = self._in_arbs
         kern = self._kern
         slot_vc = kern.slot_vc
+        slot_pb = kern.slot_pb
+        in_ptr = kern.in_ptr
 
         # --- input-port arbitration: one candidate VC per input port ---- #
-        # Keyed by input port; first insertion is in ascending slot order,
-        # so iteration below is ascending-port.
+        # Keyed by the port's first slot; first insertion is in ascending
+        # slot order, so iteration below is ascending-port.
         best_of: Dict[int, Tuple[int, VirtualChannel]] = {}
         for s in slots:
             # sa_slots membership guarantees ACTIVE state and a non-empty
             # queue (maintained by deliver_flit / vca_sweep / _transmit),
             # so neither is re-checked here.
             vc = slot_vc[s]
-            ip = vc.in_port
             endpoint = vc.endpoint
             if not (endpoint.is_sink or endpoint.credits[vc.out_vc] > 0):
                 if tracer is not None:
-                    tracer.on_vc_stall(self, input_ports[ip].kind, "credit", now)
+                    tracer.on_vc_stall(self, input_ports[vc.in_port].kind, "credit", now)
                 continue
             link = out_links[vc.out_port]
             if now < link.busy_until:
                 if tracer is not None:
-                    tracer.on_vc_stall(self, input_ports[ip].kind, "link", now)
+                    tracer.on_vc_stall(self, input_ports[vc.in_port].kind, "link", now)
                 continue
             medium = link.medium
             if medium is not None and not (
@@ -278,7 +272,7 @@ class Router:
                 and now >= medium.blocked_until
             ):
                 if tracer is not None:
-                    tracer.on_vc_stall(self, input_ports[ip].kind, "token", now)
+                    tracer.on_vc_stall(self, input_ports[vc.in_port].kind, "token", now)
                 elif medium.holder is not link:
                     # Token held elsewhere: nothing changes for this VC
                     # until our link is granted, so park it on the link
@@ -289,25 +283,26 @@ class Router:
                     kern.sa_slots.discard(s)
                     link.sa_token_waiters.append(s)
                 continue
-            arb = in_arbs[ip]
-            dist = (vc.index - arb._next) % arb.n
-            held = best_of.get(ip)
+            pb = slot_pb[s]
+            dist = (vc.index - in_ptr[pb]) % vc.upstream.num_vcs
+            held = best_of.get(pb)
             if held is None or dist < held[0]:
-                best_of[ip] = (dist, vc)
+                best_of[pb] = (dist, vc)
 
         if not best_of:
             return 0
         winners: List[VirtualChannel] = []
-        for ip, (_, vc) in best_of.items():
-            arb = in_arbs[ip]
-            arb._next = (vc.index + 1) % arb.n
+        for pb, (_, vc) in best_of.items():
+            in_ptr[pb] = (vc.index + 1) % vc.upstream.num_vcs
             winners.append(vc)
 
         # --- output-port arbitration among input-port winners ----------- #
+        out_ptr = kern.out_ptr
+        out_n = kern.out_n
         if len(winners) == 1:
             vc = winners[0]
-            arb = self._out_arbs[vc.out_port]
-            arb._next = (vc.in_port + 1) % arb.n
+            li = out_links[vc.out_port].index
+            out_ptr[li] = (vc.in_port + 1) % out_n[li]
             self._transmit(now, vc, sim)
             return 1
         by_out: Dict[int, List[VirtualChannel]] = {}
@@ -315,16 +310,17 @@ class Router:
             by_out.setdefault(vc.out_port, []).append(vc)
         moved = 0
         for out_port, contenders in by_out.items():
-            arb = self._out_arbs[out_port]
+            li = out_links[out_port].index
+            n = out_n[li]
             vc = contenders[0]
             if len(contenders) > 1:
-                nxt, n = arb._next, arb.n
+                ptr = out_ptr[li]
                 best = n
                 for cand in contenders:
-                    dist = (cand.in_port - nxt) % n
+                    dist = (cand.in_port - ptr) % n
                     if dist < best:
                         best, vc = dist, cand
-            arb._next = (vc.in_port + 1) % arb.n
+            out_ptr[li] = (vc.in_port + 1) % n
             self._transmit(now, vc, sim)
             moved += 1
         return moved
@@ -335,7 +331,8 @@ class Router:
         link = self.out_links[vc.out_port]
         endpoint = vc.endpoint
         queue = vc.queue
-        flit = queue.popleft()
+        flit = queue[0]
+        del queue[0]
         kern = self._kern
         self._nflits -= 1
         if not self._nflits and self._sleep is not None:

@@ -25,66 +25,45 @@ you can watch while it runs:
   SSE endpoint will stream), and the ``--live`` in-place progress table.
 
 See ``docs/observability.md`` ("Live observability") for the full tour.
+
+The names below resolve on first use (PEP 562): a run imports the bus and
+the sampler, never the hub, exporters or live view it does not drive.
 """
 
-from repro.obs.bus import (
-    BusDrain,
-    QueueBus,
-    clear_worker_bus,
-    install_worker_bus,
-    worker_bus,
-)
-from repro.obs.events import (
-    EVENT_KINDS,
-    HEARTBEAT,
-    OBS_SCHEMA,
-    PHASES,
-    RUN_FINISHED,
-    RUN_STARTED,
-    STALL,
-    is_event,
-    make_event,
-    run_id,
-)
-from repro.obs.exporters import OpenMetricsExporter, StatusExporter
-from repro.obs.hub import DEFAULT_STALL_AFTER_S, ObservationHub, RunState
-from repro.obs.live import LiveView
-from repro.obs.log import (
-    ContextLogger,
-    HumanFormatter,
-    JsonLinesFormatter,
-    configure_logging,
-    get_logger,
-)
-from repro.obs.sampler import DEFAULT_SAMPLE_EVERY, RunObserver
+import importlib
 
-__all__ = [
-    "BusDrain",
-    "ContextLogger",
-    "DEFAULT_SAMPLE_EVERY",
-    "DEFAULT_STALL_AFTER_S",
-    "EVENT_KINDS",
-    "HEARTBEAT",
-    "HumanFormatter",
-    "JsonLinesFormatter",
-    "LiveView",
-    "OBS_SCHEMA",
-    "ObservationHub",
-    "OpenMetricsExporter",
-    "PHASES",
-    "QueueBus",
-    "RUN_FINISHED",
-    "RUN_STARTED",
-    "RunObserver",
-    "RunState",
-    "STALL",
-    "StatusExporter",
-    "clear_worker_bus",
-    "configure_logging",
-    "get_logger",
-    "install_worker_bus",
-    "is_event",
-    "make_event",
-    "run_id",
-    "worker_bus",
-]
+#: Re-exported name -> the module that defines it.
+_EXPORTS = {
+    **dict.fromkeys(
+        ("BusDrain", "QueueBus", "clear_worker_bus", "install_worker_bus", "worker_bus"),
+        "repro.obs.bus",
+    ),
+    **dict.fromkeys(
+        ("EVENT_KINDS", "HEARTBEAT", "OBS_SCHEMA", "PHASES", "RUN_FINISHED",
+         "RUN_STARTED", "STALL", "is_event", "make_event", "run_id"),
+        "repro.obs.events",
+    ),  # fmt: skip
+    **dict.fromkeys(("OpenMetricsExporter", "StatusExporter"), "repro.obs.exporters"),
+    **dict.fromkeys(("DEFAULT_STALL_AFTER_S", "ObservationHub", "RunState"), "repro.obs.hub"),
+    "LiveView": "repro.obs.live",
+    **dict.fromkeys(
+        ("ContextLogger", "HumanFormatter", "JsonLinesFormatter", "configure_logging",
+         "get_logger"),
+        "repro.obs.log",
+    ),  # fmt: skip
+    **dict.fromkeys(("DEFAULT_SAMPLE_EVERY", "RunObserver"), "repro.obs.sampler"),
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

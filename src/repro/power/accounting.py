@@ -15,6 +15,7 @@ scenario.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Optional
 
 from repro.core.floorplan import LD_FACTOR
@@ -52,6 +53,10 @@ class PowerBreakdown:
     #: separately so degradation studies can plot the energy cost of
     #: reliability (zero on runs without a fault layer).
     retx_overhead_w: float = 0.0
+    #: Fig. 5's metric: the data-bit power of the wireless links that
+    #: carried traffic, averaged over those links [mW] (control messages
+    #: and static bias excluded).
+    avg_wireless_link_mw: float = 0.0
     duration_s: float = 0.0
     packets: int = 0
     flits_delivered: int = 0
@@ -76,6 +81,7 @@ class PowerBreakdown:
             "retx_overhead_w": self.retx_overhead_w,
             "total_w": self.total_w,
             "energy_per_packet_nj": self.energy_per_packet_nj,
+            "avg_wireless_link_mw": self.avg_wireless_link_mw,
         }
 
 
@@ -102,7 +108,9 @@ class PowerModel:
 
     # ---------------- wireless energy resolution ---------------- #
 
+    @cached_property
     def _own_channels(self) -> Dict[int, ConfiguredChannel]:
+        """The Table IV channel plan by link number, resolved once."""
         return {
             c.link_number: c for c in channels_for_config(self.config_id, self.scenario)
         }
@@ -110,7 +118,7 @@ class PowerModel:
     def wireless_link_energy_pj_per_bit(self, link) -> float:
         """Energy/bit for one wireless link (before multicast adjustment)."""
         if link.channel_id is not None:
-            own = self._own_channels()
+            own = self._own_channels
             if link.channel_id in own:
                 chan = own[link.channel_id]
                 return chan.spec.energy_pj_per_bit * LD_FACTOR[chan.distance_class]
@@ -123,11 +131,14 @@ class PowerModel:
         # d^2 law directly (Sec. IV: the LD factor "is the result of power
         # changes as a function of distance"), floored at 5 % for fixed
         # transceiver overheads.
-        table = wireless_channel_table(self.scenario)
-        data = [r for r in table if r.role == "data"]
-        mean_e = sum(r.energy_pj_per_bit for r in data) / len(data)
         ld = max(0.05, min(1.0, (link.length_mm / 60.0) ** 2))
-        return mean_e * ld
+        return self._mean_data_energy_pj_per_bit * ld
+
+    @cached_property
+    def _mean_data_energy_pj_per_bit(self) -> float:
+        """Mean energy/bit of the scenario's Table III data channels."""
+        data = [r for r in wireless_channel_table(self.scenario) if r.role == "data"]
+        return sum(r.energy_pj_per_bit for r in data) / len(data)
 
     # ---------------- static photonic inventory ---------------- #
 
@@ -174,6 +185,8 @@ class PowerModel:
         elec_pj = 0.0
         phot_pj = 0.0
         wifi_pj = 0.0
+        wifi_data_pj = 0.0  # data bits alone, for avg_wireless_link_mw
+        wifi_active = 0
         retx_pj = 0.0
         ctrl_bits = self.wireless.control_bits_per_msg
         for link in net.links:
@@ -192,7 +205,10 @@ class PowerModel:
             elif link.kind == "wireless":
                 e_bit = self.wireless_link_energy_pj_per_bit(link)
                 e_eff = self.wireless.effective_energy_pj(e_bit, link.multicast_degree)
-                wifi_pj += link.bits_carried * e_eff
+                data_pj = link.bits_carried * e_eff
+                wifi_pj += data_pj
+                wifi_data_pj += data_pj
+                wifi_active += 1
                 if link.control_msgs:
                     c = link.control_msgs * ctrl_bits * e_eff
                     wifi_pj += c
@@ -201,6 +217,9 @@ class PowerModel:
                     retx_pj += link.bits_retransmitted * e_eff
         out.electrical_link_w = elec_pj * 1e-12 / duration_s
         out.retx_overhead_w = retx_pj * 1e-12 / duration_s
+        out.avg_wireless_link_mw = (
+            wifi_data_pj * 1e-12 / duration_s / max(1, wifi_active) * 1e3
+        )
 
         # Wireless static: every channel keeps its TX end and its RX end(s)
         # biased (multicast channels have one receiver per destination

@@ -262,33 +262,6 @@ def _make_control(spec: RunSpec, built, layer) -> Tuple[List[object], Optional[o
     return hooks, loop
 
 
-def _power_metrics(built, sim, config_id: int, scenario: int) -> Dict[str, float]:
-    """Power breakdown plus per-link wireless averages for one config."""
-    from repro.power import PowerModel, SCENARIOS, measure_power
-
-    breakdown = measure_power(built, sim, config_id=config_id, scenario=scenario)
-    out = dict(breakdown.as_dict())
-
-    # Fig. 5's metric: average power of the *active* wireless links.
-    model = PowerModel(config_id=config_id, scenario=SCENARIOS[scenario])
-    duration = model.dsent.cycles_to_seconds(sim.now)
-    wifi_pj = 0.0
-    n_links = 0
-    for link in built.network.links:
-        if link.kind != "wireless" or link.bits_carried == 0:
-            continue
-        e = model.wireless_link_energy_pj_per_bit(link)
-        wifi_pj += link.bits_carried * model.wireless.effective_energy_pj(
-            e, link.multicast_degree
-        )
-        n_links += 1
-    if duration > 0:
-        out["avg_wireless_link_mw"] = wifi_pj * 1e-12 / duration / max(1, n_links) * 1e3
-    else:
-        out["avg_wireless_link_mw"] = 0.0
-    return out
-
-
 def execute_inline(
     spec: RunSpec,
     tracer: Optional[object] = None,
@@ -374,10 +347,16 @@ def execute_inline(
         metrics_fn = getattr(hook, "summary_metrics", None)
         if metrics_fn is not None:
             summary.update(metrics_fn())
-    power = {
-        f"cfg{cfg}_s{scen}": _power_metrics(built, sim, cfg, scen)
-        for cfg, scen in spec.power
-    }
+    power = {}
+    if spec.power:
+        from repro.power import measure_power
+
+        power = {
+            f"cfg{cfg}_s{scen}": measure_power(
+                built, sim, config_id=cfg, scenario=scen
+            ).as_dict()
+            for cfg, scen in spec.power
+        }
     meta: Dict[str, object] = {
         "network_name": built.name,
         "n_cores": built.n_cores,

@@ -1,9 +1,13 @@
-"""Round-robin arbiter correctness and fairness, including a property check."""
+"""Round-robin arbiter correctness and fairness, including a property check.
+
+The arbiter is the reference definition in ``tests/reference.py``; the
+switch allocator inlines it (see ``test_arbiters_property.py``).
+"""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.noc.arbiters import RoundRobinArbiter
+from tests.reference import RoundRobinArbiter
 
 
 class TestRoundRobin:

@@ -1,21 +1,21 @@
 """Property tests pinning down the round-robin grant semantics.
 
-The flat slot sweep (:mod:`repro.noc.kernels`) and the inlined arbiters
-of ``Router.stage_sa`` do not call
-:class:`repro.noc.arbiters.RoundRobinArbiter` -- they compute the grant
-as ``argmin((idx - ptr) % n)`` over the candidate set, with the pointer
-advancing to ``winner + 1``. These properties are the contract both
-forms must satisfy; the equivalence tests at the bottom drive random
-request traces through the object arbiter and the closed-form rule side
-by side, so any semantic drift between the two fails here before it can
-surface as a golden-log diff.
+The switch allocator -- the flat slot sweep (:mod:`repro.noc.kernels`) and
+``Router.stage_sa``, over the same ``KernelState.in_ptr`` / ``out_ptr`` --
+has no arbiter objects: it computes the grant as ``argmin((idx - ptr) %
+n)`` over the candidate set, with the pointer advancing to ``winner + 1``.
+The scan arbiter in ``tests/reference.py`` is the definition; these
+properties are the contract both forms must satisfy, and the equivalence
+tests at the bottom drive random request traces through the scan and the
+closed-form rule side by side, so any semantic drift between the two fails
+here before it can surface as a golden-log diff.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.noc.arbiters import RoundRobinArbiter
+from tests.reference import RoundRobinArbiter
 
 
 def _kernel_grant(ptr: int, requests, n: int):

@@ -1,5 +1,7 @@
 """Conservation-law audits over live simulations of every architecture."""
 
+import re
+
 import pytest
 
 from repro.core import build_own256, build_own1024
@@ -254,6 +256,39 @@ class TestSAWorkSet:
                 assert len(set(waiters)) == len(waiters), (sim.now, link.name)
                 parked_ever += len(waiters)
         assert parked_ever, "saturation parked no VC behind a token"
+
+
+class TestRoundRobinState:
+    """The switch allocator's one round-robin state stays in range: a port's
+    pointer below its VC count, a link's below its requester count."""
+
+    def _run(self):
+        built = build_cmesh(64)
+        sim = Simulator(
+            built.network, traffic=SyntheticTraffic(64, "UN", 0.1, 4, seed=9)
+        )
+        sim.run(100)
+        check_kernel_coherence(sim)
+        assert any(sim.kernels.in_ptr) and any(sim.kernels.out_ptr)
+        return built.network, sim
+
+    def test_detects_input_pointer_out_of_range(self):
+        net, sim = self._run()
+        router = net.routers[5]
+        pb = router.input_ports[1].vcs[0].gslot
+        sim.kernels.in_ptr[pb] = len(router.input_ports[1].vcs)
+        with pytest.raises(InvariantViolation, match=r"r5\.in1 round-robin pointer 4"):
+            check_kernel_coherence(sim)
+        sim.kernels.in_ptr[pb] = -1
+        with pytest.raises(InvariantViolation, match="round-robin pointer -1"):
+            audit_network(sim)
+
+    def test_detects_output_pointer_out_of_range(self):
+        net, sim = self._run()
+        link = net.links[7]
+        sim.kernels.out_ptr[link.index] = sim.kernels.out_n[link.index]
+        with pytest.raises(InvariantViolation, match=re.escape(f"{link.name} round-robin pointer")):
+            check_kernel_coherence(sim)
 
 
 def _steal_credit(net, sim):

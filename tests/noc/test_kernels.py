@@ -127,6 +127,10 @@ class TestCoherence:
         new = KernelState.build(sim.network, len(sim._flit_ring))
         assert new.sa_slots == old.sa_slots
         assert new.rc_slots == old.rc_slots
+        # The round-robin pointers are not derivable: they carry over.
+        assert any(old.in_ptr) and any(old.out_ptr)
+        assert new.in_ptr == old.in_ptr and new.in_ptr is not old.in_ptr
+        assert new.out_ptr == old.out_ptr and new.out_ptr is not old.out_ptr
         assert sorted(new.vca_fresh) == sorted(
             s for s, vc in enumerate(new.slot_vc) if vc.state.name == "WAITING_VC"
         )
@@ -175,3 +179,43 @@ class TestBitIdentity:
             == tuple(nsim.stats.latencies)
             == tuple(osim.stats.latencies)
         )
+
+    def test_both_sa_paths_advance_one_round_robin_state(self, monkeypatch):
+        from repro.runtime.executor import execute_inline
+        from repro.runtime.spec import RunSpec
+
+        log = []
+        on_packet_ejected = StatsCollector.on_packet_ejected
+
+        def logged(stats, packet, now):
+            log.append((now, packet.pid))
+            return on_packet_ejected(stats, packet, now)
+
+        monkeypatch.setattr(StatsCollector, "on_packet_ejected", logged)
+        spec = RunSpec.create("own256", pattern="UN", rate=0.05, cycles=300, seed=7)
+        _, sweep_sim, _ = execute_inline(spec)
+        sweep_log, log[:] = log[:], []
+        _, object_sim, _ = execute_inline(spec, tracer=Tracer(record_events=False))
+        assert sweep_sim._sa_kernel and not object_sim._sa_kernel
+        assert sweep_log and sweep_log == log
+        sweep, obj = sweep_sim.kernels, object_sim.kernels
+        assert any(sweep.in_ptr) and any(sweep.out_ptr)
+        assert obj.in_ptr == sweep.in_ptr
+        assert obj.out_ptr == sweep.out_ptr
+
+
+class TestFootprint:
+    def test_own1024_build_and_bind_fit_in_8_mib(self):
+        """A bound OWN-1024 (5 376 input VCs) holds no per-VC container
+        beyond a short list, and no arbiter objects."""
+        import tracemalloc
+
+        Simulator(build_topology("own1024").network)  # first-use imports
+        tracemalloc.start()
+        try:
+            sim = Simulator(build_topology("own1024").network)
+            allocated, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(sim.kernels.slot_vc) == 5376
+        assert allocated <= 8 * 2**20, f"{allocated / 1024:.0f} KiB"

@@ -165,4 +165,5 @@ class TestAccounting:
         assert set(d) == {
             "router_w", "electrical_link_w", "photonic_w", "wireless_w",
             "retx_overhead_w", "total_w", "energy_per_packet_nj",
+            "avg_wireless_link_mw",
         }

@@ -4,9 +4,11 @@ Each context manager below patches one scheduling shortcut out of the
 production simulator; :func:`naive_schedule` patches out all four. A run
 under any of them must be bit-identical to a production run -- the
 shortcuts may only save work, never change a result.
+:class:`RoundRobinArbiter` is the arbiter the switch allocator inlines.
 """
 
 from contextlib import contextmanager
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -17,6 +19,41 @@ from repro.noc.packet import Packet
 from repro.noc.simulator import Simulator
 from repro.traffic.patterns import TrafficPattern
 from repro.utils.rng import RngStreams
+
+
+class RoundRobinArbiter:
+    """Rotating-priority arbiter over ``n`` requesters, as a scan.
+
+    After a grant, priority moves to the requester *after* the winner, which
+    yields strong fairness (every continuously-requesting input is served
+    within ``n`` grants). The switch allocator (``KernelState.sa_sweep`` and
+    ``Router.stage_sa``) computes the same grant in closed form over
+    ``KernelState.in_ptr`` / ``out_ptr``; this is the definition it is
+    checked against.
+    """
+
+    __slots__ = ("n", "_next")
+
+    def __init__(self, n: int) -> None:
+        if n < 1:
+            raise ValueError(f"arbiter needs >= 1 requesters, got {n}")
+        self.n = n
+        self._next = 0
+
+    def grant(self, requests: Sequence[bool]) -> Optional[int]:
+        """Return the granted requester index, or ``None`` if none request.
+
+        ``requests`` must have length ``n``; entry ``i`` is truthy when
+        requester ``i`` wants the resource this cycle.
+        """
+        if len(requests) != self.n:
+            raise ValueError(f"expected {self.n} request lines, got {len(requests)}")
+        for offset in range(self.n):
+            idx = (self._next + offset) % self.n
+            if requests[idx]:
+                self._next = (idx + 1) % self.n
+                return idx
+        return None
 
 
 class PerCycleBernoulliTraffic:

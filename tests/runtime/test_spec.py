@@ -133,7 +133,7 @@ class TestDigest:
             "noc/kernels.py",
             "noc/router.py",
             "noc/simulator.py",
-            "noc/arbiters.py",
+            "noc/buffers.py",
             "runtime/spec.py",
             # Workload traces are generated *inside* the run from the spec,
             # so editing a generator must invalidate cached workload runs.

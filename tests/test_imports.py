@@ -1,0 +1,63 @@
+"""The package loads what a run uses: ``import repro`` imports nothing up
+front, and its re-exports and sub-packages resolve on first use."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+
+SRC = Path(repro.__file__).resolve().parent.parent
+
+
+def _fresh(code: str):
+    """Run ``code`` in a fresh interpreter on this checkout; return the JSON
+    it prints last."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_engine_import_skips_analysis_and_telemetry():
+    loaded, resolved = _fresh(
+        "import json, sys\n"
+        "import repro.runtime.executor\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'repro')\n"
+        "from repro import build_own256, Simulator, SyntheticTraffic, measure_power, EXPERIMENTS\n"
+        "import repro\n"
+        "resolved = [repro.analysis.load_sweep.__module__, Simulator.__module__,\n"
+        "            measure_power.__module__, len(EXPERIMENTS) > 0]\n"
+        "print(json.dumps([loaded, resolved]))\n"
+    )
+    assert not [m for m in loaded if m.startswith(("repro.analysis", "repro.telemetry"))]
+    # The engine needs the bus and the sampler, not the hub or live view.
+    assert not [m for m in loaded if m in ("repro.obs.hub", "repro.obs.live")]
+    assert len(loaded) <= 45, loaded
+    assert resolved == [
+        "repro.analysis.sweep", "repro.noc.simulator", "repro.power.accounting", True
+    ]
+
+
+def test_every_export_resolves():
+    for name in repro.__all__:
+        assert getattr(repro, name) is not None, name
+    for name in repro.obs.__all__:
+        assert getattr(repro.obs, name) is not None, name
+    assert set(repro.__all__) <= set(dir(repro))
+    assert "analysis" in dir(repro)
+
+
+def test_star_import_and_unknown_names():
+    namespace = {}
+    exec("from repro import *", namespace)
+    assert {"Simulator", "EXPERIMENTS", "measure_power"} <= set(namespace)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        repro.no_such_name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        repro.obs.no_such_name
