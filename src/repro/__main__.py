@@ -310,9 +310,9 @@ def cmd_info(args: argparse.Namespace) -> int:
           f"{entry.cycles_per_flit} cycles/flit, "
           f"{entry.equalized_flits_per_cycle:.1f} flits/cycle equalised, "
           f"{entry.raw_gbps:.0f} Gbps raw")
-    from repro.power import PowerModel
+    from repro.power import photonic_ring_count
 
-    rings = PowerModel().photonic_ring_count(built)
+    rings = photonic_ring_count(built)
     if rings:
         print(f"  photonic rings: {rings:,}")
     for k, v in built.notes.items():

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 from repro.power import SCENARIOS
-from repro.runtime import Executor, RunResult, RunSpec, get_executor
+from repro.runtime import Executor, RunSpec, get_executor
 
 
 @dataclass(frozen=True)
@@ -76,21 +76,12 @@ def default_space() -> List[DesignPoint]:
     return points
 
 
-def _shape_spec(
-    point: DesignPoint,
-    rate: float,
-    cycles: int,
-    warmup: int,
-    seed: int,
-    power: Tuple[Tuple[int, int], ...],
+def _point_spec(
+    point: DesignPoint, rate: float, cycles: int, warmup: int, seed: int
 ) -> RunSpec:
-    """The engine spec for one *network shape* (vc depth, serialization).
-
-    Power configurations re-score the same simulation, so every design
-    point sharing a shape maps onto one spec whose ``power`` tuple covers
-    all its (config, scenario) pairs -- the paper's 4x2 grid costs two
-    simulations, not eight, and the result cache sees shape-level digests.
-    """
+    """The engine spec for one design point."""
+    if point.scenario not in SCENARIOS:
+        raise ValueError(f"unknown scenario {point.scenario}")
     return RunSpec.create(
         "own256",
         pattern="UN",
@@ -102,18 +93,7 @@ def _shape_spec(
             "vc_depth": point.vc_depth,
             "wireless_cycles_per_flit": point.wireless_cycles_per_flit,
         },
-        power=power,
-    )
-
-
-def _evaluated_from_run(point: DesignPoint, run: RunResult) -> EvaluatedPoint:
-    breakdown = run.power_for(point.config_id, point.scenario)
-    return EvaluatedPoint(
-        point=point,
-        latency=run.summary["latency_mean"],
-        throughput=run.summary["throughput"],
-        power_w=breakdown["total_w"],
-        energy_per_packet_nj=breakdown["energy_per_packet_nj"],
+        power=((point.config_id, point.scenario),),
     )
 
 
@@ -126,12 +106,7 @@ def evaluate_point(
     executor: Optional[Executor] = None,
 ) -> EvaluatedPoint:
     """Simulate one design point and measure its merit figures."""
-    if point.scenario not in SCENARIOS:
-        raise ValueError(f"unknown scenario {point.scenario}")
-    spec = _shape_spec(
-        point, rate, cycles, warmup, seed, ((point.config_id, point.scenario),)
-    )
-    return _evaluated_from_run(point, get_executor(executor).run_one(spec))
+    return explore([point], rate, cycles, warmup, seed, executor).evaluated[0]
 
 
 def pareto_frontier(evaluated: Sequence[EvaluatedPoint]) -> List[EvaluatedPoint]:
@@ -190,34 +165,22 @@ def explore(
 ) -> ExplorationResult:
     """Evaluate a design space and extract its Pareto frontier.
 
-    Design points are grouped per unique *network shape* (vc_depth,
-    serialization) and each shape becomes one engine
-    :class:`~repro.runtime.spec.RunSpec` carrying every (config, scenario)
-    pair that shape must score: the paper's 4x2 grid costs two
-    simulations, not eight. Shapes run through the supplied executor, so
-    a wide exploration parallelises across worker processes and re-runs
+    One engine spec per point, run as one batch through the supplied
+    executor. Power is folded from each run's activity record and is not
+    part of the spec digest, so points sharing a network shape (vc depth,
+    serialization) share one simulation: the paper's 4x2 grid costs two.
+    A wide exploration parallelises across worker processes and re-runs
     hit the result cache.
     """
     pts = list(points) if points is not None else default_space()
-    by_shape: Dict[Tuple[int, int], List[DesignPoint]] = {}
-    for point in pts:
-        if point.scenario not in SCENARIOS:
-            raise ValueError(f"unknown scenario {point.scenario}")
-        shape = (point.vc_depth, point.wireless_cycles_per_flit)
-        by_shape.setdefault(shape, []).append(point)
-
-    shapes = list(by_shape)
-    specs = []
-    for shape in shapes:
-        members = by_shape[shape]
-        power = tuple(dict.fromkeys((p.config_id, p.scenario) for p in members))
-        specs.append(_shape_spec(members[0], rate, cycles, warmup, seed, power))
-    runs = dict(zip(shapes, get_executor(executor).run(specs)))
-
-    evaluated = [
-        _evaluated_from_run(
-            point, runs[(point.vc_depth, point.wireless_cycles_per_flit)]
+    specs = [_point_spec(point, rate, cycles, warmup, seed) for point in pts]
+    evaluated = []
+    for point, run in zip(pts, get_executor(executor).run(specs)):
+        pb = run.power_for(point.config_id, point.scenario)
+        evaluated.append(
+            EvaluatedPoint(
+                point, run.summary["latency_mean"], run.summary["throughput"],
+                pb["total_w"], pb["energy_per_packet_nj"],
+            )
         )
-        for point in pts
-    ]
     return ExplorationResult(evaluated=evaluated, frontier=pareto_frontier(evaluated))

@@ -28,11 +28,9 @@ from repro.core import (
 from repro.noc.simulator import Simulator
 from repro.power import (
     CONFIGURATIONS,
-    PowerModel,
     SCENARIOS,
     channels_for_config,
     config_average_energy_pj_per_bit,
-    measure_power,
     wireless_channel_table,
 )
 from repro.rf import ClassABPA, CascodeLNA, ColpittsOscillator, LinkBudget
@@ -586,26 +584,29 @@ def ablation_sdm_channels() -> ExperimentResult:
     )
 
 
-def ablation_radix_vs_hops(quick: bool = False) -> ExperimentResult:
+def ablation_radix_vs_hops(
+    quick: bool = False, executor: Optional[Executor] = None
+) -> ExperimentResult:
     """Radix/hop tradeoff at 1024 cores (the paper's closing observation:
     "reducing the radix can enable building more power-efficient
     architectures, however the latency may increase due to multiple hops").
     """
     cycles = 500 if quick else 1000
+    refs = {"OWN": ("own1024", {}), "wCMESH": ("wcmesh", {"n_cores": 1024})}
+    specs = [
+        RunSpec.create(
+            key, pattern="UN", rate=0.008, cycles=cycles, seed=11,
+            topology_kwargs=kwargs, power=((4, 1),),
+        )
+        for key, kwargs in refs.values()
+    ]
     rows = []
-    for name, ref in (("OWN", ("own1024", {})), ("wCMESH", ("wcmesh", {"n_cores": 1024}))):
-        built, sim, run = execute_inline(
-            RunSpec.create(
-                ref[0], pattern="UN", rate=0.008, cycles=cycles, seed=11,
-                topology_kwargs=ref[1], power=((4, 1),),
-            )
-        )
-        max_radix = max(
-            r.attrs.get("paper_radix", r.radix) for r in built.network.routers
-        )
+    for name, run in zip(refs, get_executor(executor).run(specs)):
+        # A record's router row ends with the radix the router is priced at.
+        max_radix = max(events[-1] for events in run.activity.routers)
         rows.append(
-            [name, max_radix, round(sim.stats.avg_hops(), 2),
-             round(sim.mean_latency(), 1), round(run.power_for(4, 1)["router_w"], 2)]
+            [name, max_radix, round(run.summary["avg_hops"], 2),
+             round(run.summary["latency_mean"], 1), round(run.power_for(4, 1)["router_w"], 2)]
         )
     return ExperimentResult(
         "Ablation: radix vs hop count, 1024 cores (UN @ 0.008)",

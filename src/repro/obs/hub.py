@@ -151,12 +151,13 @@ class ObservationHub:
     # ------------------------------------------------------------------ #
 
     def begin(self, specs) -> None:
-        """Register the batch (idempotent across executor invocations)."""
+        """Register the batch's distinct runs (idempotent across executor
+        invocations: ``total`` counts each run id once, as ``done`` does)."""
         with self._lock:
-            self.total += len(specs)
             for spec in specs:
                 rid = run_id(spec.digest())
                 if rid not in self.states:
+                    self.total += 1
                     self.states[rid] = RunState(
                         run=rid, label=spec.label(), tag=spec.tag
                     )

@@ -21,7 +21,10 @@ from repro.power.wireless import (
     config_average_energy_pj_per_bit,
     link_energy_for_class,
 )
-from repro.power.accounting import PowerBreakdown, PowerModel, measure_power
+from repro.power.accounting import (
+    ActivityRecord, PowerBreakdown, PowerModel, measure_power, photonic_ring_count,
+    record_of,
+)
 from repro.power.area import AreaBreakdown, AreaModel, AreaParams, area_comparison
 
 __all__ = [
@@ -43,9 +46,12 @@ __all__ = [
     "config_energy_pj_per_bit",
     "config_average_energy_pj_per_bit",
     "link_energy_for_class",
+    "ActivityRecord",
     "PowerBreakdown",
     "PowerModel",
     "measure_power",
+    "photonic_ring_count",
+    "record_of",
     "AreaBreakdown",
     "AreaModel",
     "AreaParams",

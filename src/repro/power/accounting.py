@@ -10,22 +10,27 @@ percentage of traffic that uses the wireless channels"): every wireless
 link's carried bits are multiplied by its channel's LD- and multicast-
 adjusted energy/bit under the chosen Table IV configuration and Table III
 scenario.
+
+A finished run is read once into an :class:`ActivityRecord`
+(:func:`record_of`); :meth:`PowerModel.measure` is a pure fold over it, so
+one simulation is priced under any configuration or coefficient unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+import zlib
+from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.core.floorplan import LD_FACTOR
-from repro.noc.simulator import Simulator
 from repro.photonics.components import (
     mwsr_crossbar,
     own_inventory,
     pclos_inventory,
 )
-from repro.power.dsent import DsentParams
+from repro.power.dsent import DsentParams, router_events
 from repro.power.photonic import PhotonicParams
 from repro.power.wireless import (
     ConfiguredChannel,
@@ -37,6 +42,96 @@ from repro.power.wireless import (
     wireless_channel_table,
 )
 from repro.topologies.base import BuiltTopology
+
+if TYPE_CHECKING:
+    from repro.noc.simulator import Simulator
+
+
+def photonic_ring_count(built: BuiltTopology) -> int:
+    """Microring inventory of a built topology (thermally tuned rings)."""
+    kind = built.kind
+    n_routers = built.network.n_routers
+    if kind == "own":
+        n_clusters = built.n_cores // 64
+        return own_inventory(n_clusters).rings
+    if kind == "optxb":
+        return mwsr_crossbar(n_routers, rings_per_modulator=1).rings
+    if kind == "pclos":
+        n_middles = int(built.params.get("n_middles", 8))
+        return pclos_inventory(n_routers - n_middles, n_middles).rings
+    return 0
+
+
+@dataclass(frozen=True)
+class ActivityRecord:
+    """Everything power is folded from, read once off a finished run.
+
+    ``routers`` holds every router's :func:`~repro.power.dsent.router_events`
+    and ``links`` every link that carried bits as ``(kind, length_mm,
+    channel_id, multicast_degree, bits_carried, bits_retransmitted,
+    control_msgs)``, both in network order. ``channel_id`` is the one the
+    run ended with: reconfiguration re-points spare links while it runs.
+    Plain JSON data; :attr:`crc32` covers all of it.
+    """
+
+    cycles: int
+    packets_ejected: int
+    flits_ejected_total: int
+    wireless_ends: int
+    photonic_rings: int
+    routers: Tuple[Tuple[int, ...], ...]
+    links: Tuple[Tuple[object, ...], ...]
+
+    def __post_init__(self) -> None:
+        # JSON round-trips deliver lists; re-freeze.
+        object.__setattr__(self, "routers", tuple(map(tuple, self.routers)))
+        object.__setattr__(self, "links", tuple(map(tuple, self.links)))
+
+    @cached_property
+    def crc32(self) -> int:
+        body = [getattr(self, f.name) for f in fields(self)]
+        return zlib.crc32(json.dumps(body, separators=(",", ":")).encode())
+
+    def to_dict(self) -> Dict[str, object]:
+        return {**{f.name: getattr(self, f.name) for f in fields(self)}, "crc32": self.crc32}
+
+    @classmethod
+    def from_dict(cls, d: Dict[str, object]) -> "ActivityRecord":
+        record = cls(**{k: v for k, v in d.items() if k != "crc32"})
+        if record.crc32 != d["crc32"]:
+            raise ValueError("activity record does not match its crc32")
+        return record
+
+
+def record_of(built: BuiltTopology, sim: Simulator) -> ActivityRecord:
+    """Read the :class:`ActivityRecord` of a finished run off its network."""
+    links = built.network.links
+    # Wireless static bias: each channel's TX end and its RX end(s) (one per
+    # destination cluster on a multicast channel), counted once per physical
+    # channel: a point-to-point link is one, an SWMR medium is one shared by
+    # its member links.
+    wireless = [link for link in links if link.kind == "wireless"]
+    media = {id(link.medium): link.medium for link in wireless if link.medium is not None}
+    ends = sum(1 + m.multicast_degree for m in media.values())
+    ends += 2 * sum(1 for link in wireless if link.medium is None)
+    return ActivityRecord(
+        cycles=sim.now,
+        packets_ejected=sim.stats.packets_ejected,
+        # Power is physical: every delivered flit burned energy, including
+        # warmup-epoch flits the measured-window stats exclude.
+        flits_ejected_total=sim.stats.flits_ejected_total,
+        wireless_ends=ends,
+        photonic_rings=photonic_ring_count(built),
+        routers=tuple(router_events(router) for router in built.network.routers),
+        links=tuple(
+            (
+                link.kind, link.length_mm, link.channel_id, link.multicast_degree,
+                link.bits_carried, link.bits_retransmitted, link.control_msgs,
+            )
+            for link in links
+            if link.bits_carried
+        ),
+    )
 
 
 @dataclass
@@ -115,24 +210,29 @@ class PowerModel:
             c.link_number: c for c in channels_for_config(self.config_id, self.scenario)
         }
 
-    def wireless_link_energy_pj_per_bit(self, link) -> float:
+    def wireless_link_energy_pj_per_bit(self, channel_id: Optional[int], length_mm: float) -> float:
         """Energy/bit for one wireless link (before multicast adjustment)."""
-        if link.channel_id is not None:
+        if channel_id is not None:
             own = self._own_channels
-            if link.channel_id in own:
-                chan = own[link.channel_id]
+            if channel_id in own:
+                chan = own[channel_id]
                 return chan.spec.energy_pj_per_bit * LD_FACTOR[chan.distance_class]
             # Reconfiguration-band channels (13-16; OWN-1024 intra-group):
             # the configuration's short-range technology serves them.
-            return config_energy_pj_per_bit(self.config_id, self.scenario, "SR")
+            return self._sr_energy_pj_per_bit
         # Non-OWN wireless (e.g. wireless-CMESH grid links): plain Table III
         # data channels, no Table IV override. Their distances fall between
         # the three OWN classes, so the LD factor follows the link-budget
         # d^2 law directly (Sec. IV: the LD factor "is the result of power
         # changes as a function of distance"), floored at 5 % for fixed
         # transceiver overheads.
-        ld = max(0.05, min(1.0, (link.length_mm / 60.0) ** 2))
+        ld = max(0.05, min(1.0, (length_mm / 60.0) ** 2))
         return self._mean_data_energy_pj_per_bit * ld
+
+    @cached_property
+    def _sr_energy_pj_per_bit(self) -> float:
+        """The configuration's short-range energy/bit, resolved once."""
+        return config_energy_pj_per_bit(self.config_id, self.scenario, "SR")
 
     @cached_property
     def _mean_data_energy_pj_per_bit(self) -> float:
@@ -140,41 +240,23 @@ class PowerModel:
         data = [r for r in wireless_channel_table(self.scenario) if r.role == "data"]
         return sum(r.energy_pj_per_bit for r in data) / len(data)
 
-    # ---------------- static photonic inventory ---------------- #
-
-    def photonic_ring_count(self, built: BuiltTopology) -> int:
-        kind = built.kind
-        n_routers = built.network.n_routers
-        if kind == "own":
-            n_clusters = built.n_cores // 64
-            return own_inventory(n_clusters).rings
-        if kind == "optxb":
-            return mwsr_crossbar(n_routers, rings_per_modulator=1).rings
-        if kind == "pclos":
-            n_middles = int(built.params.get("n_middles", 8))
-            return pclos_inventory(n_routers - n_middles, n_middles).rings
-        return 0
-
     # ---------------- the main entry point ---------------- #
 
-    def measure(self, built: BuiltTopology, sim: Simulator) -> PowerBreakdown:
-        """Compute the component power breakdown of a finished run."""
-        if sim.now <= 0:
+    def measure(self, activity: ActivityRecord) -> PowerBreakdown:
+        """Fold a finished run's activity record into its power breakdown."""
+        if activity.cycles <= 0:
             raise ValueError("simulation has not run; no window to average over")
-        net = built.network
-        duration_s = self.dsent.cycles_to_seconds(sim.now)
+        duration_s = self.dsent.cycles_to_seconds(activity.cycles)
         out = PowerBreakdown(duration_s=duration_s)
-        out.packets = sim.stats.packets_ejected
-        # Power is physical: every delivered flit burned energy, including
-        # warmup-epoch flits the measured-window stats exclude.
-        out.flits_delivered = sim.stats.flits_ejected_total
+        out.packets = activity.packets_ejected
+        out.flits_delivered = activity.flits_ejected_total
 
         # Routers: dynamic event energy + static power.
         dyn_pj = 0.0
         static_mw = 0.0
-        for router in net.routers:
-            dyn_pj += self.dsent.router_dynamic_energy_pj(router)
-            static_mw += self.dsent.router_static_power_mw(router)
+        for events in activity.routers:
+            dyn_pj += self.dsent.events_energy_pj(events)
+            static_mw += self.dsent.static_power_mw(events[-1])
         out.router_w = dyn_pj * 1e-12 / duration_s + static_mw * 1e-3
 
         # Links by technology. ``bits_carried`` already includes link-layer
@@ -189,60 +271,41 @@ class PowerModel:
         wifi_active = 0
         retx_pj = 0.0
         ctrl_bits = self.wireless.control_bits_per_msg
-        for link in net.links:
-            if link.bits_carried == 0:
-                continue
-            if link.kind == "electrical":
-                elec_pj += self.dsent.wire_energy_pj(link.bits_carried, link.length_mm)
-            elif link.kind == "photonic":
-                phot_pj += self.photonic.link_dynamic_energy_pj(link.bits_carried)
-                if link.control_msgs:
-                    c = self.photonic.link_dynamic_energy_pj(link.control_msgs * ctrl_bits)
+        for kind, length_mm, channel_id, degree, bits, retx_bits, ctrl_msgs in activity.links:
+            if kind == "electrical":
+                elec_pj += self.dsent.wire_energy_pj(bits, length_mm)
+            elif kind == "photonic":
+                phot_pj += self.photonic.link_dynamic_energy_pj(bits)
+                if ctrl_msgs:
+                    c = self.photonic.link_dynamic_energy_pj(ctrl_msgs * ctrl_bits)
                     phot_pj += c
                     retx_pj += c
-                if link.bits_retransmitted:
-                    retx_pj += self.photonic.link_dynamic_energy_pj(link.bits_retransmitted)
-            elif link.kind == "wireless":
-                e_bit = self.wireless_link_energy_pj_per_bit(link)
-                e_eff = self.wireless.effective_energy_pj(e_bit, link.multicast_degree)
-                data_pj = link.bits_carried * e_eff
+                if retx_bits:
+                    retx_pj += self.photonic.link_dynamic_energy_pj(retx_bits)
+            elif kind == "wireless":
+                e_bit = self.wireless_link_energy_pj_per_bit(channel_id, length_mm)
+                e_eff = self.wireless.effective_energy_pj(e_bit, degree)
+                data_pj = bits * e_eff
                 wifi_pj += data_pj
                 wifi_data_pj += data_pj
                 wifi_active += 1
-                if link.control_msgs:
-                    c = link.control_msgs * ctrl_bits * e_eff
+                if ctrl_msgs:
+                    c = ctrl_msgs * ctrl_bits * e_eff
                     wifi_pj += c
                     retx_pj += c
-                if link.bits_retransmitted:
-                    retx_pj += link.bits_retransmitted * e_eff
+                if retx_bits:
+                    retx_pj += retx_bits * e_eff
         out.electrical_link_w = elec_pj * 1e-12 / duration_s
         out.retx_overhead_w = retx_pj * 1e-12 / duration_s
         out.avg_wireless_link_mw = (
             wifi_data_pj * 1e-12 / duration_s / max(1, wifi_active) * 1e3
         )
 
-        # Wireless static: every channel keeps its TX end and its RX end(s)
-        # biased (multicast channels have one receiver per destination
-        # cluster). Count channel endpoints once per physical channel:
-        # point-to-point links are one channel each; SWMR media are one
-        # channel shared by their member links.
-        ends = 0
-        seen_media = set()
-        for link in net.links:
-            if link.kind != "wireless":
-                continue
-            if link.medium is not None:
-                if id(link.medium) in seen_media:
-                    continue
-                seen_media.add(id(link.medium))
-                ends += 1 + link.multicast_degree
-            else:
-                ends += 2
-        wifi_static_mw = ends * self.wireless.static_mw_per_transceiver_end
+        wifi_static_mw = activity.wireless_ends * self.wireless.static_mw_per_transceiver_end
         out.wireless_w = wifi_pj * 1e-12 / duration_s + wifi_static_mw * 1e-3
 
         # Photonic static: ring thermal tuning.
-        tuning_mw = self.photonic.tuning_power_mw(self.photonic_ring_count(built))
+        tuning_mw = self.photonic.tuning_power_mw(activity.photonic_rings)
         out.photonic_w = phot_pj * 1e-12 / duration_s + tuning_mw * 1e-3
         return out
 
@@ -262,4 +325,4 @@ def measure_power(
     if model is None:
         scen = SCENARIOS[scenario] if isinstance(scenario, int) else scenario
         model = PowerModel(config_id=config_id, scenario=scen)
-    return model.measure(built, sim)
+    return model.measure(record_of(built, sim))

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.power.accounting import PowerModel
+from repro.power.accounting import photonic_ring_count
 from repro.topologies.base import BuiltTopology
 
 
@@ -80,7 +80,6 @@ class AreaModel:
 
     def __init__(self, params: AreaParams = AreaParams()) -> None:
         self.params = params
-        self._power_model = PowerModel()  # for the ring inventory
 
     def router_area_um2(self, radix: int, num_vcs: int, vc_depth: int) -> float:
         """One router's footprint from its geometry."""
@@ -130,7 +129,7 @@ class AreaModel:
                 else:
                     wireless_ends += 2
 
-        rings = self._power_model.photonic_ring_count(built)
+        rings = photonic_ring_count(built)
         out.photonic_mm2 = (
             rings * p.ring_um2 * 1e-6 + waveguide_mm * p.waveguide_um2_per_mm * 1e-6
         )

@@ -19,8 +19,20 @@ shift them); the *relative* Fig. 6 / Fig. 8 breakdowns are.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from repro.noc.router import Router
+
+
+def router_events(router: Router) -> Tuple[int, ...]:
+    """A router's DSENT events as an activity record keeps them: buffer
+    writes, buffer reads, crossbar traversals, SA grants, VCA grants, and
+    the radix it is priced at (the paper's, where the topology records it)."""
+    return (
+        router.buffer_writes, router.buffer_reads, router.xbar_traversals,
+        router.sa_grants, router.vca_grants,
+        router.attrs.get("paper_radix", router.radix),
+    )
 
 
 @dataclass(frozen=True)
@@ -57,17 +69,24 @@ class DsentParams:
 
     def router_dynamic_energy_pj(self, router: Router) -> float:
         """Total dynamic energy a router consumed, from its event counters."""
-        radix = router.attrs.get("paper_radix", router.radix)
+        return self.events_energy_pj(router_events(router))
+
+    def events_energy_pj(self, events: Tuple[int, ...]) -> float:
+        """Dynamic energy of one router's :func:`router_events`."""
+        writes, reads, xbar, sa_grants, vca_grants, radix = events
         xbar_scale = radix / self.xbar_ref_radix
         return (
-            router.buffer_writes * self.e_buffer_write_pj
-            + router.buffer_reads * self.e_buffer_read_pj
-            + router.xbar_traversals * self.e_xbar_pj * xbar_scale
-            + (router.sa_grants + router.vca_grants) * self.e_arbiter_pj
+            writes * self.e_buffer_write_pj
+            + reads * self.e_buffer_read_pj
+            + xbar * self.e_xbar_pj * xbar_scale
+            + (sa_grants + vca_grants) * self.e_arbiter_pj
         )
 
     def router_static_power_mw(self, router: Router) -> float:
-        radix = router.attrs.get("paper_radix", router.radix)
+        return self.static_power_mw(router_events(router)[-1])
+
+    def static_power_mw(self, radix: int) -> float:
+        """Static power of one router priced at ``radix``."""
         return self.p_static_base_mw + self.p_static_per_port_mw * radix
 
     def wire_energy_pj(self, bits: int, length_mm: float) -> float:

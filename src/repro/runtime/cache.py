@@ -56,7 +56,9 @@ class ResultCache:
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh)
+                # json.dumps, not json.dump: only the one-shot encoder is
+                # the C one, and a payload carries a whole activity record.
+                fh.write(json.dumps(payload))
             os.replace(tmp, path)
         except BaseException:
             try:

@@ -8,7 +8,8 @@ means one set of guarantees:
   numbers its own packets from 0, so two runs never share mutable state
   regardless of interleaving.
 - **Determinism** -- all randomness derives from seeds carried by the
-  spec, so a spec's result is a pure function of its digest. Parallel
+  spec, so a spec's simulation is a pure function of its digest and its
+  power a pure fold of that simulation's activity record. Parallel
   (``jobs=N``) results are bit-identical to serial ones, and cached
   results are bit-identical to fresh ones.
 - **Observability** -- each run emits a JSONL record (spec digest, wall
@@ -30,7 +31,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.bus import BusDrain, install_worker_bus, worker_bus
 from repro.obs.sampler import DEFAULT_SAMPLE_EVERY, RunObserver
@@ -39,6 +40,9 @@ from repro.runtime.records import RunLog, make_record
 from repro.runtime.registry import build_topology
 from repro.runtime.spec import FaultSpec, RunSpec, TrafficSpec
 
+if TYPE_CHECKING:
+    from repro.power import ActivityRecord
+
 #: Progress callback: ``(completed, total, result)``, fired once per
 #: completed (or cache-served) run.
 ProgressFn = Callable[[int, int, "RunResult"], None]
@@ -46,12 +50,19 @@ ProgressFn = Callable[[int, int, "RunResult"], None]
 
 @dataclass
 class RunResult:
-    """Outcome of one executed (or cache-served) :class:`RunSpec`."""
+    """Outcome of one executed (or cache-served) :class:`RunSpec`.
+
+    ``spec`` is the spec the result answers: a cache hit or a batch
+    duplicate carries its requester's spec, not the one first simulated.
+    ``power`` holds that spec's pairs, folded from ``activity``, the run's
+    :class:`~repro.power.ActivityRecord`.
+    """
 
     spec: RunSpec
     digest: str
     summary: Dict[str, float]
     power: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    activity: Optional[ActivityRecord] = None
     meta: Dict[str, object] = field(default_factory=dict)
     metrics: Dict[str, object] = field(default_factory=dict)
     profile: Dict[str, float] = field(default_factory=dict)
@@ -63,7 +74,7 @@ class RunResult:
         return {
             "spec": self.spec.to_dict(),
             "summary": self.summary,
-            "power": self.power,
+            "activity": self.activity.to_dict(),
             "meta": self.meta,
             "metrics": self.metrics,
             "profile": self.profile,
@@ -72,14 +83,20 @@ class RunResult:
 
     @classmethod
     def from_payload(
-        cls, payload: Dict[str, object], cache_hit: bool = False
+        cls, payload: Dict[str, object], spec: Optional[RunSpec] = None, cache_hit: bool = False
     ) -> "RunResult":
-        spec = RunSpec.from_dict(payload["spec"])
+        """The stored result, answering ``spec`` (default: the stored one)."""
+        from repro.power import ActivityRecord
+
+        if spec is None:
+            spec = RunSpec.from_dict(payload["spec"])
+        activity = ActivityRecord.from_dict(payload["activity"])
         return cls(
             spec=spec,
             digest=spec.digest(),
             summary=dict(payload.get("summary") or {}),
-            power={k: dict(v) for k, v in (payload.get("power") or {}).items()},
+            power=_fold_power(activity, spec.power),
+            activity=activity,
             meta=dict(payload.get("meta") or {}),
             metrics=dict(payload.get("metrics") or {}),
             profile=dict(payload.get("profile") or {}),
@@ -99,6 +116,18 @@ class RunResult:
 
     def power_for(self, config_id: int, scenario: int) -> Dict[str, float]:
         return self.power[f"cfg{config_id}_s{scenario}"]
+
+
+def _fold_power(
+    activity: ActivityRecord, pairs: Sequence[Tuple[int, int]]
+) -> Dict[str, Dict[str, float]]:
+    """Breakdowns of one activity record for ``(config, scenario)`` pairs."""
+    from repro.power import SCENARIOS, PowerModel
+
+    return {
+        f"cfg{c}_s{s}": PowerModel(config_id=c, scenario=SCENARIOS[s]).measure(activity).as_dict()
+        for c, s in pairs
+    }
 
 
 # --------------------------------------------------------------------- #
@@ -347,16 +376,9 @@ def execute_inline(
         metrics_fn = getattr(hook, "summary_metrics", None)
         if metrics_fn is not None:
             summary.update(metrics_fn())
-    power = {}
-    if spec.power:
-        from repro.power import measure_power
+    from repro.power import record_of
 
-        power = {
-            f"cfg{cfg}_s{scen}": measure_power(
-                built, sim, config_id=cfg, scenario=scen
-            ).as_dict()
-            for cfg, scen in spec.power
-        }
+    activity = record_of(built, sim)
     meta: Dict[str, object] = {
         "network_name": built.name,
         "n_cores": built.n_cores,
@@ -391,7 +413,8 @@ def execute_inline(
         spec=spec,
         digest=spec.digest(),
         summary=summary,
-        power=power,
+        power=_fold_power(activity, spec.power),
+        activity=activity,
         meta=meta,
         metrics=metrics,
         profile=profile,
@@ -493,6 +516,8 @@ class Executor:
         self.telemetry = telemetry or trace_dir is not None
         self.trace_dir = Path(trace_dir) if trace_dir is not None else None
         self.observe = observe
+        # Simulations run and results served from the cache; a batch
+        # duplicate is answered from its first copy and counts as neither.
         self.runs_executed = 0
         self.runs_from_cache = 0
         self._done = 0
@@ -545,7 +570,7 @@ class Executor:
                 t0 = time.perf_counter()
                 payload = self.cache.get(digests[i])
                 if payload is not None:
-                    result = RunResult.from_payload(payload, cache_hit=True)
+                    result = RunResult.from_payload(payload, spec, cache_hit=True)
                     # Lookup time, not simulation time: well-defined (and
                     # near-zero) even when every spec in the batch hits.
                     result.wall_s = max(0.0, time.perf_counter() - t0)
@@ -577,15 +602,15 @@ class Executor:
                 for i in unique
             ]
 
+        self.runs_executed += len(unique)
         by_digest = {digests[i]: r for i, r in zip(unique, computed)}
         for i in pending:
             result = by_digest[digests[i]]
             if i != first_by_digest[digests[i]]:
-                result = RunResult.from_payload(result.to_payload())
+                result = RunResult.from_payload(result.to_payload(), specs[i])
                 result.wall_s = 0.0
-            if self.cache is not None and i == first_by_digest[digests[i]]:
+            elif self.cache is not None:
                 self.cache.put(digests[i], result.to_payload())
-            self.runs_executed += 1
             _finish(i, result)
         return results  # type: ignore[return-value]
 

@@ -7,7 +7,7 @@ streamable, and machine-readable for regression dashboards. Schema::
 
     {
       "ts": 1730000000.0,          # unix time the run finished
-      "schema": 2,                 # record schema version (spec.SCHEMA_VERSION)
+      "schema": 3,                 # record schema version (spec.SCHEMA_VERSION)
       "digest": "ab12...",         # RunSpec content address
       "label": "own256/UN@0.03x1200",
       "topology": "own256",
@@ -18,7 +18,7 @@ streamable, and machine-readable for regression dashboards. Schema::
       "cycles_per_sec": 519.5,     # simulated cycles per wall second
       "summary": {...},            # StatsCollector.summary() + protocol counters
       "metrics": {...},            # telemetry (only when spec.telemetry)
-      "power": {...},              # power breakdowns (only when spec.power)
+      "power": {...},              # breakdowns for spec.power's pairs (if any)
       "profile": {...},            # per-phase wall time + sim cycles/sec
       "engine": {...},             # executor cache/run counters at write time
       "meta": {...}                # network name, core count, ...
@@ -26,7 +26,11 @@ streamable, and machine-readable for regression dashboards. Schema::
 
 Schema history: v1 had none of ``schema``/``power``/``profile``/``engine``;
 :func:`read_runlog` keeps accepting v1 lines (the new keys are additive),
-and ``repro diff`` treats their absent fields as unavailable.
+and ``repro diff`` treats their absent fields as unavailable. v3 adds no
+record key: the cached result carries the run's activity record instead of
+its power, the digest no longer covers ``RunSpec.power``, and ``power``
+holds the pairs of the spec that asked, folded from that record (on a
+cache hit too).
 
 Records are *strict* JSON: every line must parse under ``allow_nan=False``
 consumers. Python's ``json`` would otherwise emit bare ``NaN`` tokens for

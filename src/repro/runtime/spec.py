@@ -30,7 +30,12 @@ from typing import Dict, Mapping, Optional, Tuple
 #: v2: results carry a ``profile`` dict (per-phase wall time + simulator
 #: cycles/sec) and run records additionally surface ``power``, ``engine``
 #: cache counters and this schema number (see docs/observability.md).
-SCHEMA_VERSION = 2
+#:
+#: v3: results carry the run's exact activity record (``activity``, see
+#: :class:`repro.power.ActivityRecord`) and no ``power``: breakdowns are
+#: folded from the record for the pairs of the spec that asks, so the
+#: digest no longer covers ``RunSpec.power``.
+SCHEMA_VERSION = 3
 
 _code_fingerprint: Optional[str] = None
 
@@ -263,9 +268,11 @@ class RunSpec:
         reweights relay routes. Its decision log is folded into the run
         record (``summary["control_log_crc"]``, ``meta["control"]``).
     power:
-        ``(config_id, scenario)`` pairs to measure with the power model
-        after the run; results land in ``RunResult.power`` keyed
-        ``"cfg{c}_s{s}"``.
+        ``(config_id, scenario)`` pairs to price the run at; breakdowns
+        land in ``RunResult.power`` keyed ``"cfg{c}_s{s}"``. Power is
+        folded from the run's activity record, not simulated, so this
+        field is not part of the :meth:`digest`: specs differing only in
+        their pairs share one simulation and one cache entry.
     telemetry:
         Attach a metrics-only :class:`repro.telemetry.Tracer` to the run;
         its flat metric dict lands in ``RunResult.metrics`` (and the JSONL
@@ -385,13 +392,14 @@ class RunSpec:
         )
 
     def canonical_json(self) -> str:
-        """Stable JSON encoding used for the digest."""
+        """Stable JSON encoding of the whole spec."""
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def digest(self) -> str:
-        """Content address: spec + code fingerprint + schema version."""
+        """Content address of what is simulated: the spec except ``power``,
+        plus code fingerprint and schema version."""
         h = hashlib.sha256()
-        h.update(self.canonical_json().encode())
+        h.update(replace(self, power=()).canonical_json().encode())
         h.update(f"|code={code_fingerprint()}|schema={SCHEMA_VERSION}".encode())
         return h.hexdigest()
 

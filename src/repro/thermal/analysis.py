@@ -14,7 +14,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.noc.simulator import Simulator
-from repro.power.accounting import PowerModel
+from repro.power.accounting import PowerModel, photonic_ring_count
 from repro.thermal.grid import ThermalGrid, ThermalParams, ascii_heatmap
 from repro.topologies.base import BuiltTopology
 
@@ -74,7 +74,7 @@ def power_map_for(
         elif link.kind == "photonic":
             w = model.photonic.link_dynamic_energy_pj(link.bits_carried)
         else:  # wireless
-            e = model.wireless_link_energy_pj_per_bit(link)
+            e = model.wireless_link_energy_pj_per_bit(link.channel_id, link.length_mm)
             w = link.bits_carried * model.wireless.effective_energy_pj(
                 e, link.multicast_degree
             )
@@ -108,7 +108,7 @@ def thermal_report(
     model = model or PowerModel()
     grid = ThermalGrid(grid_cells, params)
     base_power = power_map_for(built, sim, grid, model)
-    rings = model.photonic_ring_count(built)
+    rings = photonic_ring_count(built)
     rings_per_cell = rings / (grid.n * grid.n) if rings else 0.0
 
     tuning_w = 0.0

@@ -10,6 +10,7 @@ from repro.analysis.design_space import (
     explore,
     pareto_frontier,
 )
+from repro.runtime import Executor
 
 
 def ev(label_cfg=4, lat=10.0, tput=0.03, power=5.0):
@@ -95,6 +96,11 @@ class TestExploration:
     def test_evaluate_point_standalone(self):
         e = evaluate_point(DesignPoint(config_id=4, scenario=1), cycles=300, warmup=100)
         assert e.latency > 0 and e.power_w > 0
+
+    def test_grid_simulates_each_shape_once(self):
+        ex = Executor(jobs=1)
+        explore(cycles=200, warmup=50, executor=ex)
+        assert ex.runs_executed == 2
 
     def test_scenario_validation(self):
         with pytest.raises(ValueError):

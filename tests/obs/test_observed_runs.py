@@ -107,6 +107,13 @@ class TestSerialEvents:
         assert state["phase"] == "finished"
         assert state["latency_mean"] is not None
 
+    def test_batch_duplicates_are_one_run(self):
+        # One simulation answers both: the fleet counts it once.
+        hub = make_hub()
+        Executor(jobs=1, observe=hub).run([SPEC, SPEC])
+        snap = hub.snapshot()
+        assert snap["done"] == 1 and snap["total"] == 1
+
     def test_windows_ride_heartbeats_when_traced(self):
         hub = make_hub()
         events = []

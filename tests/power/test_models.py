@@ -4,7 +4,12 @@ import pytest
 
 from repro.core import build_own256
 from repro.noc import Router, Simulator
-from repro.power import DsentParams, PhotonicParams, PowerModel, measure_power
+from repro.power import (
+    DsentParams,
+    PhotonicParams,
+    measure_power,
+    photonic_ring_count,
+)
 from repro.topologies import build_cmesh, build_optxb
 from repro.traffic import SyntheticTraffic
 
@@ -151,13 +156,12 @@ class TestAccounting:
             measure_power(built, sim)
 
     def test_ring_inventory_by_kind(self):
-        model = PowerModel()
         own = build_own256()
         optxb = build_optxb(64)
         cmesh = build_cmesh(64)
-        assert model.photonic_ring_count(cmesh) == 0
-        assert model.photonic_ring_count(own) > 0
-        assert model.photonic_ring_count(optxb) > model.photonic_ring_count(own)
+        assert photonic_ring_count(cmesh) == 0
+        assert photonic_ring_count(own) > 0
+        assert photonic_ring_count(optxb) > photonic_ring_count(own)
 
     def test_as_dict_keys(self):
         built, sim = self.run_sim(lambda: build_cmesh(64), 64)

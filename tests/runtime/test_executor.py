@@ -59,6 +59,11 @@ class TestExecutorMechanics:
         # Both results count, but the second is served from the first.
         assert b.wall_s == 0.0
 
+    def test_runs_executed_counts_simulations(self):
+        ex = Executor(jobs=1)
+        ex.run([SPECS[0], SPECS[1], SPECS[0]])
+        assert ex.runs_executed == 2 and ex.runs_from_cache == 0
+
     def test_jobs_validated(self):
         with pytest.raises(ValueError):
             Executor(jobs=0)

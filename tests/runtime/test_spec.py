@@ -84,7 +84,7 @@ class TestDigest:
         assert self.make(cycles=301).digest() != base
         assert self.make(topology_kwargs={"n_cores": 256}).digest() != base
         assert self.make(faults=FaultSpec()).digest() != base
-        assert self.make(power=((4, 1),)).digest() != base
+        assert self.make(power=((4, 1),)).digest() == base
         assert self.make(telemetry=True).digest() != base
 
     def test_workload_fields_change_digest_and_round_trip(self):
@@ -116,11 +116,12 @@ class TestDigest:
         assert code_fingerprint() == "someotherversion"
         assert self.make().digest() != base
 
-    def test_schema_version_is_two(self):
+    def test_schema_version_is_three(self):
         # Bumping SCHEMA_VERSION invalidates every cache: make it deliberate.
         # v2 (deliberate): result payloads grew the ``profile`` dict and run
         # records surface power/engine counters (docs/observability.md).
-        assert SCHEMA_VERSION == 2
+        # v3 (deliberate): payloads carry the activity record, not power.
+        assert SCHEMA_VERSION == 3
 
     def test_fingerprint_covers_hot_path_modules(self):
         # The fingerprint must invalidate cached results when the physics
