@@ -55,9 +55,6 @@ class Heatmap:
         """Largest cell value (colour-scale upper bound; 0.0 if empty)."""
         return max((v for row in self.rows for v in row), default=0.0)
 
-    def row_totals(self) -> List[float]:
-        return [sum(row) for row in self.rows]
-
     def top_rows(self, n: int) -> "Heatmap":
         """Copy keeping only the ``n`` busiest components (by row total).
 

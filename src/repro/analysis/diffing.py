@@ -57,7 +57,7 @@ GATED_METRICS: Dict[str, Tuple[Tuple[str, ...], bool]] = {
 #: metric name -> record path for *exact* gates: any difference at all is
 #: a breach, with no direction, noise band or relative threshold. Used for
 #: determinism fingerprints -- e.g. the control plane's decision-log CRC,
-#: where a single-bit drift means the closed loop stopped being
+#: where a single-bit drift means the control loop stopped being
 #: reproducible even if every performance number still matches. Absent
 #: from one or both logs (runs without a control plane, older schema) the
 #: metric is skipped, like any other.
@@ -65,8 +65,8 @@ EXACT_METRICS: Dict[str, Tuple[str, ...]] = {
     "control_log_crc": ("summary", "control_log_crc"),
     # Spare-channel drain state machine: CRC of the reconfiguration
     # controller's canonical phase-transition log (two-phase draining
-    # re-assignment). Present whenever a controller ran, open-loop or
-    # managed; absent-side records skip the gate.
+    # re-assignment). Present whenever a controller ran; absent-side
+    # records skip the gate.
     "drain_log_crc": ("summary", "drain_log_crc"),
 }
 

@@ -899,49 +899,13 @@ def study_degradation(
     )
 
 
-def study_adaptive(
-    quick: bool = False, executor: Optional[Executor] = None
-) -> ExperimentResult:
-    """Closed-loop control vs open-loop failover under hotspot + faults.
-
-    Crosses hotspot traffic (60% of load aimed at cluster 2) with three
-    fault scenarios -- none, transient interference bursts on one
-    channel, and a permanent transceiver death -- and runs each cell
-    twice on OWN-256 with spare hardware:
-
-    - **static**: the open-loop plant --
-      :class:`~repro.faults.HealthMonitor` failover pinning spares onto
-      dead channels plus the utilisation-ranked periodic re-pointer at
-      the same 250-cycle epoch as the adaptive arm. Two-phase draining
-      re-assignment (``docs/fault-tolerance.md``) makes periodic
-      re-pointing safe under sustained hotspots, so the arm runs
-      unmanaged end to end. A channel that fails over stays failed over
-      for the rest of the run even after the interference clears.
-    - **adaptive**: the same plant driven by a
-      :class:`repro.control.ControlLoop` (:class:`ControlSpec`):
-      telemetry-ranked spare placement with hysteresis + dwell, probe
-      packets that return healed channels to service, and relay
-      reweighting for unpinnable failed pairs.
-
-    Expected shape: in the transient-burst cell the adaptive arm
-    recovers the channel (``recovered`` > 0) and ends with lower p99
-    latency and/or higher accepted throughput than the static arm,
-    which permanently sacrifices a spare. In the no-fault cell the two
-    arms differ only in placement cadence; in the death cell recovery is
-    impossible (probes keep failing) so the arms stay close -- graceful
-    degradation, not thrash. Every row carries the telemetry-attribution
-    verdict for the cell, and adaptive rows carry the decision-log CRC
-    that the CI golden gate pins exactly.
-    """
-    from repro.analysis.attribution import attribute_metrics
-
+def _adaptive_cells(quick: bool = False) -> List[Tuple[str, str, RunSpec]]:
+    """The :func:`study_adaptive` matrix as ``(cell, arm, spec)`` triples."""
     cycles = 4000 if quick else 10_000
     rate = 0.03
     # Static arms: failover=True wires monitor + controller with the
-    # genuine open-loop utilisation-driven re-pointer. Two-phase draining
-    # re-assignment makes this safe at any epoch (old spares drain before
-    # the channel moves; stragglers take the escape path), so the arms
-    # now compare real open-loop re-pointing against the closed loop.
+    # open-loop utilisation-driven re-pointer; adaptive arms wire the same
+    # two hooks through ControlSpec, at the same epochs, plus the loop.
     burst = lambda fail: FaultSpec(  # noqa: E731 - local shorthand
         kind="bursty", burst_rate=0.0004, burst_duration=600,
         snr_penalty_db=14.0, max_channel=1, seed=9, failover=fail,
@@ -953,39 +917,70 @@ def study_adaptive(
     )
     # A zero-rate campaign keeps the plant (monitor + spare hardware)
     # wired in both arms without injecting any fault, so the no-fault
-    # cell compares placement policy alone.
+    # cell checks that the loop alone changes nothing.
     calm = lambda fail: FaultSpec(  # noqa: E731
         kind="bursty", burst_rate=0.0, failover=fail,
         reconfig_epoch=250,
     )
     scenarios = [("hotspot", calm), ("hot+burst", burst), ("hot+death", death)]
 
-    def cell_spec(faults: FaultSpec, control: Optional[ControlSpec], tag: str):
+    def cell_spec(name: str, make_faults, arm: str) -> RunSpec:
+        adaptive = arm == "adaptive"
         return RunSpec.create(
             "own256_ft", pattern="HOT", rate=rate, cycles=cycles,
             warmup=400, seed=2, drain=30_000,
             hotspot_fraction=0.6, hotspots=tuple(range(128, 192)),
             topology_kwargs={"with_reconfiguration": True},
-            faults=faults, control=control, telemetry=True, tag=tag,
+            faults=make_faults(not adaptive),
+            control=ControlSpec(epoch_cycles=250) if adaptive else None,
+            telemetry=True, tag=f"{name}/{arm}",
         )
 
-    specs: List[RunSpec] = []
-    labels: List[Tuple[str, str]] = []
-    for name, make_faults in scenarios:
-        specs.append(cell_spec(make_faults(True), None, f"{name}/static"))
-        labels.append((name, "static"))
-        specs.append(
-            cell_spec(
-                make_faults(False), ControlSpec(epoch_cycles=250),
-                f"{name}/adaptive",
-            )
-        )
-        labels.append((name, "adaptive"))
+    return [
+        (name, arm, cell_spec(name, make_faults, arm))
+        for name, make_faults in scenarios
+        for arm in ("static", "adaptive")
+    ]
 
+
+def study_adaptive(
+    quick: bool = False, executor: Optional[Executor] = None
+) -> ExperimentResult:
+    """Channel recovery vs open-loop failover under hotspot + faults.
+
+    Crosses hotspot traffic (60% of load aimed at cluster 2) with three
+    fault scenarios -- none, transient interference bursts on one
+    channel, and a permanent transceiver death -- and runs each cell
+    twice on OWN-256 with spare hardware:
+
+    - **static**: the open-loop plant --
+      :class:`~repro.faults.HealthMonitor` failover pinning spares onto
+      dead channels plus the controller's utilisation-ranked periodic
+      re-pointer on a 250-cycle epoch. Two-phase draining re-assignment
+      (``docs/fault-tolerance.md``) makes periodic re-pointing safe under
+      sustained hotspots. A channel that fails over stays failed over for
+      the rest of the run even after the interference clears.
+    - **adaptive**: the same plant, same placement, plus a
+      :class:`repro.control.ControlLoop` (:class:`ControlSpec`) whose
+      probe packets return healed channels to service and which repairs
+      failover pins.
+
+    Expected shape: in the transient-burst cell the adaptive arm
+    recovers the channel (``recovered`` > 0) and ends with lower mean and
+    p99 latency than the static arm, which permanently sacrifices a
+    spare. In the no-fault and death cells no channel recovers (the
+    death cell's probes keep failing), so the two arms are the same run.
+    Every row carries the telemetry-attribution verdict for the cell,
+    and adaptive rows carry the decision-log CRC that the CI golden gate
+    pins exactly.
+    """
+    from repro.analysis.attribution import attribute_metrics
+
+    cells = _adaptive_cells(quick)
     rows: List[List[object]] = []
     notes: Dict[str, object] = {}
-    runs = get_executor(executor).run(specs)
-    for (cell, arm), run in zip(labels, runs):
+    runs = get_executor(executor).run([spec for _, _, spec in cells])
+    for (cell, arm, _), run in zip(cells, runs):
         s = run.summary
         attribution = attribute_metrics(run.metrics or {})
         rows.append(
@@ -1002,12 +997,13 @@ def study_adaptive(
                 attribution.verdict if attribution else "-",
             ]
         )
-    # Per-cell verdict: did closing the loop pay for itself?
+    # Per-cell verdict: did recovery pay for itself?
     by_cell: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for (cell, arm), run in zip(labels, runs):
+    for (cell, arm, _), run in zip(cells, runs):
         by_cell.setdefault(cell, {})[arm] = run.summary
     wins = {
         cell: {
+            "mean_gain": arms["static"]["latency_mean"] - arms["adaptive"]["latency_mean"],
             "p99_gain": arms["static"]["latency_p99"] - arms["adaptive"]["latency_p99"],
             "throughput_gain": arms["adaptive"]["throughput"] - arms["static"]["throughput"],
         }

@@ -40,7 +40,7 @@ ARTIFACT_CONTEXT: Dict[str, str] = {
     "study_faults": "Study — wireless channel failures",
     "study_bursty": "Study — bursty traffic",
     "study_degradation": "Study — runtime faults, retransmission, failover",
-    "study_adaptive": "Study — closed-loop control vs static failover",
+    "study_adaptive": "Study — channel recovery vs static failover",
     "study_workloads": "Study — application workloads scenario matrix",
 }
 

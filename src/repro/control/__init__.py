@@ -1,17 +1,16 @@
-"""Closed-loop control plane for the reconfigurable wireless channels.
+"""Channel recovery for the reconfigurable wireless plant.
 
 Table III reserves channels 13-16 "to adaptively be utilized to improve
-performance" (Sec. IV); this package supplies the *loop* that actually
-drives them at runtime. A :class:`ControlLoop` runs as a simulator epoch
-hook, builds a :class:`TelemetryWindow` from link activity counters each
-epoch, asks a :class:`ControlPolicy` where the four D-antenna spares
-should point, and issues actuations through the existing layers:
+performance" (Sec. IV). The spares are placed by one policy, the
+utilisation re-pointer of
+:class:`repro.core.reconfig.ReconfigurationController`, and the health
+monitor fails channels over onto them. This package adds what the
+open-loop plant lacks: a :class:`ControlLoop` simulator epoch hook that
 
-* spare re-pointing via
-  :class:`repro.core.reconfig.ReconfigurationController` (managed mode);
-* channel recovery -- probing failed-over channels and returning healed
-  ones to service (:meth:`FaultTolerantOwn256Routing.unfail_channel`);
-* relay reweighting for failed pairs that have no spare.
+* probes failed-over channels and returns healed ones to service
+  (:meth:`FaultTolerantOwn256Routing.unfail_channel`), freeing their
+  spares for the re-pointer;
+* repairs failover pins (retry with backoff, eviction of dead spares).
 
 Every actuation is appended to a :class:`DecisionLog` whose CRC is folded
 into run-record summaries, so control behaviour is content-addressed and
@@ -20,12 +19,8 @@ diffable exactly like the physics. See ``docs/control.md``.
 
 from repro.control.decisions import DecisionLog
 from repro.control.loop import ControlLoop
-from repro.control.policy import AdaptiveSparePolicy, ControlPolicy, TelemetryWindow
 
 __all__ = [
-    "AdaptiveSparePolicy",
     "ControlLoop",
-    "ControlPolicy",
     "DecisionLog",
-    "TelemetryWindow",
 ]

@@ -1,27 +1,19 @@
-"""The closed control loop: observe, decide, actuate, log.
+"""The control loop: recover, repair, log.
 
 :class:`ControlLoop` is a :meth:`Simulator.add_hook` end-of-cycle hook
 (its ``next_wake`` epoch schedule makes idle fast-forward step every
-decision boundary). Each control epoch it:
+decision boundary) riding on the open-loop plant: the
+:class:`~repro.core.reconfig.ReconfigurationController` places the spares
+by utilisation and the health monitor fails channels over. Each control
+epoch the loop:
 
-1. **observes** -- builds a :class:`TelemetryWindow` from link activity
-   counters (primary-channel flit deltas, spare utilisation, per-class
-   congestion, health-monitor verdicts);
-2. **recovers** -- probes failed-over channels and returns healed ones to
+1. **recovers** -- probes failed-over channels and returns healed ones to
    service once ``probe_ok_needed`` consecutive probes pass (the probe is
    a single control packet on the dedicated ``("control", "probe", link)``
    RNG stream: it never perturbs traffic or fault-layer streams);
-3. **repairs placement** -- retries failover pins that previously failed
+2. **repairs pins** -- retries failover pins that previously failed
    (exponential epoch backoff, bounded attempts), and evicts pins whose
-   spare hardware is itself dead (graceful degradation onto relays);
-4. **decides** -- asks the :class:`ControlPolicy` for the adaptive spare
-   plan and installs it via the managed
-   :class:`~repro.core.reconfig.ReconfigurationController`;
-5. **reweights** -- steers each spare-less failed pair's relay traffic
-   through the least-loaded live middle cluster;
-6. **guards** -- counts plan flips over a sliding window; oscillation
-   freezes the loop back to the static plan (failover pins only), the
-   safe fallback when hysteresis + dwell cannot stabilise the load.
+   spare hardware is itself dead (graceful degradation onto relays).
 
 Every actuation lands in the :class:`~repro.control.decisions.DecisionLog`
 and (when a tracer is attached) a ``control`` trace event. All decisions
@@ -31,11 +23,9 @@ log is byte-stable with or without fast-forward, serial or parallel.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.control.decisions import DecisionLog
-from repro.control.policy import AdaptiveSparePolicy, ControlPolicy, TelemetryWindow
 from repro.utils.rng import RngStreams
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -57,7 +47,7 @@ class _PinRetry:
 
 
 class ControlLoop:
-    """Deterministic epoch-driven controller for the spare channels.
+    """Deterministic epoch-driven recovery for failed-over channels.
 
     Parameters
     ----------
@@ -66,17 +56,14 @@ class ControlLoop:
         :class:`~repro.core.faults.RelayRouting` fault set plus spares).
     reconfig:
         The :class:`~repro.core.reconfig.ReconfigurationController`; the
-        loop switches it to managed mode and owns its ``desired`` list.
+        loop unpins recovered pairs and repairs failover pins, and the
+        controller keeps placing the spares itself.
     layer:
         Optional :class:`~repro.faults.linklayer.FaultLayer`; without one
-        (fault-free run) the probe/recovery path is inert and the loop
-        only steers spares by load.
+        (fault-free run) the probe/recovery path is inert.
     monitor:
         Optional :class:`~repro.faults.monitor.HealthMonitor`, informed
         after recoveries so stale counters cannot re-condemn a channel.
-    policy:
-        The placement policy (default: :class:`AdaptiveSparePolicy` with
-        the given hysteresis/dwell).
     epoch_cycles:
         Decision interval.
     probe_ok_needed, probe_size_flits:
@@ -86,9 +73,6 @@ class ControlLoop:
         Failover-pin retry schedule: the n-th retry waits
         ``min(cap, base * 2**(n-1))`` epochs; after ``max_pin_attempts``
         the pair is abandoned to relay routes.
-    osc_window, osc_threshold:
-        Freeze (fall back to the static plan) when the adaptive plan
-        changed in >= ``osc_threshold`` of the last ``osc_window`` epochs.
     rng:
         Dedicated :class:`RngStreams` for probe outcomes.
     """
@@ -99,44 +83,31 @@ class ControlLoop:
         reconfig,
         layer=None,
         monitor=None,
-        policy: Optional[ControlPolicy] = None,
         epoch_cycles: int = 250,
-        hysteresis: float = 1.25,
-        min_dwell_epochs: int = 2,
         probe_ok_needed: int = 2,
         probe_size_flits: int = 1,
         retry_base_epochs: int = 1,
         retry_cap_epochs: int = 8,
         max_pin_attempts: int = 5,
-        osc_window: int = 8,
-        osc_threshold: int = 6,
         rng: Optional[RngStreams] = None,
     ) -> None:
         if epoch_cycles < 1:
             raise ValueError(f"epoch_cycles must be >= 1, got {epoch_cycles}")
         if probe_ok_needed < 1:
             raise ValueError("probe_ok_needed must be >= 1")
-        if osc_threshold < 2 or osc_window < osc_threshold:
-            raise ValueError("need 2 <= osc_threshold <= osc_window")
         self.routing = routing
         self.reconfig = reconfig
         self.layer = layer
         self.monitor = monitor
-        self.policy = policy or AdaptiveSparePolicy(
-            hysteresis=hysteresis, min_dwell_epochs=min_dwell_epochs
-        )
         self.epoch_cycles = epoch_cycles
         self.probe_ok_needed = probe_ok_needed
         self.probe_size_flits = probe_size_flits
         self.retry_base_epochs = retry_base_epochs
         self.retry_cap_epochs = retry_cap_epochs
         self.max_pin_attempts = max_pin_attempts
-        self.osc_window = osc_window
-        self.osc_threshold = osc_threshold
         self.rng = rng or RngStreams(0)
         self.log = DecisionLog()
 
-        reconfig.managed = True
         # Mirror the controller's drain state machine into the decision
         # log: every phase transition (install / drain_start /
         # drain_complete / drain_timeout / drain_cancel / revoke / escape)
@@ -144,20 +115,9 @@ class ControlLoop:
         # covers two-phase re-assignment behaviour.
         reconfig.on_transition = self._on_drain_transition
         self.epochs = 0
-        self.frozen = False
         self.recovered_channels = 0
-        self._desired: List[Pair] = []
-        self._flips: Deque[bool] = deque(maxlen=osc_window)
         self._probe_ok: Dict["Link", int] = {}
         self._pin_retry: Dict[Pair, _PinRetry] = {}
-        self._relay_pref: Dict[Pair, int] = {}
-        # Window counter snapshots, keyed by ordered cluster pair.
-        self._prim_snap: Dict[Pair, int] = {
-            pair: link.flits_carried for pair, link in reconfig.primary_links.items()
-        }
-        self._spare_snap: Dict[Pair, int] = {
-            pair: link.flits_carried for pair, link in reconfig.spare_links.items()
-        }
         self._pair_of_link: Dict["Link", Pair] = {
             link: pair for pair, link in reconfig.primary_links.items()
         }
@@ -172,35 +132,6 @@ class ControlLoop:
         if now % self.epoch_cycles == 0:
             return now
         return (now // self.epoch_cycles + 1) * self.epoch_cycles
-
-    # ------------------------------------------------------------------ #
-    # Observation
-    # ------------------------------------------------------------------ #
-
-    def _build_window(self, now: int) -> TelemetryWindow:
-        pair_flits: Dict[Pair, int] = {}
-        spare_flits: Dict[Pair, int] = {}
-        class_flits: Dict[str, int] = {}
-        for pair in sorted(self._pair_of_link.values()):
-            link = self.reconfig.primary_links[pair]
-            delta = link.flits_carried - self._prim_snap[pair]
-            self._prim_snap[pair] = link.flits_carried
-            pair_flits[pair] = delta
-            cls = self.routing.channel_map[pair].distance_class
-            class_flits[cls] = class_flits.get(cls, 0) + delta
-        for pair in sorted(self.reconfig.spare_links):
-            link = self.reconfig.spare_links[pair]
-            delta = link.flits_carried - self._spare_snap[pair]
-            self._spare_snap[pair] = link.flits_carried
-            spare_flits[pair] = delta
-        return TelemetryWindow(
-            epoch=self.epochs,
-            cycle=now,
-            pair_flits=pair_flits,
-            spare_flits=spare_flits,
-            class_flits=class_flits,
-            failed_pairs=set(self.routing.failed_pairs),
-        )
 
     def _spare_healthy(self, pair: Pair) -> bool:
         """Is the spare D->D hardware for ``pair`` usable right now?"""
@@ -219,13 +150,9 @@ class ControlLoop:
             return
         self.epochs += 1
         now = sim.now
-        window = self._build_window(now)
         self._probe_failed_channels(sim, now)
         self._evict_faulty_pins(sim, now)
         self._retry_pins(sim, now)
-        if not self.frozen:
-            self._decide_spares(sim, window, now)
-        self._reweight_relays(sim, window, now)
 
     # ---------------- recovery: probe + unfail ---------------- #
 
@@ -263,7 +190,6 @@ class ControlLoop:
         self.routing.unfail_channel(*pair)
         self.reconfig.unpin(pair)
         self._pin_retry.pop(pair, None)
-        self._relay_pref.pop(pair, None)
         if self.monitor is not None:
             self.monitor.notice_recovery(link)
         self._probe_ok.pop(link, None)
@@ -325,66 +251,6 @@ class ControlLoop:
                            attempts=retry.attempts,
                            next_epoch=retry.next_epoch)
 
-    # ---------------- adaptive placement + oscillation guard ------------ #
-
-    def _decide_spares(self, sim: "Simulator", window: TelemetryWindow,
-                       now: int) -> None:
-        eligible = [
-            pair
-            for pair in sorted(self.reconfig.spare_links)
-            if pair not in window.failed_pairs and self._spare_healthy(pair)
-        ]
-        desired = self.policy.decide(
-            window, self.epochs, list(self.reconfig.pinned), eligible
-        )
-        flipped = set(desired) != set(self._desired)
-        self._flips.append(flipped)
-        if (
-            len(self._flips) == self.osc_window
-            and sum(self._flips) >= self.osc_threshold
-        ):
-            self._freeze(sim, now)
-            return
-        if flipped:
-            self._desired = list(desired)
-            self.reconfig.set_desired(desired)
-            self._emit(sim, now, "plan", desired=desired,
-                       pinned=list(self.reconfig.pinned),
-                       class_flits=window.class_flits)
-
-    def _freeze(self, sim: "Simulator", now: int) -> None:
-        """Oscillation fallback: pin-only static plan, adaptation off.
-
-        Recovery probing and failover pinning keep running -- only the
-        load-chasing placement stops, which is what was thrashing.
-        """
-        self.frozen = True
-        self._desired = []
-        self.policy.reset()
-        self.reconfig.set_desired([])
-        self._emit(sim, now, "freeze", flips=int(sum(self._flips)),
-                   window=self.osc_window)
-
-    # ---------------- relay reweighting ---------------- #
-
-    def _reweight_relays(self, sim: "Simulator", window: TelemetryWindow,
-                         now: int) -> None:
-        """Steer spare-less failed pairs through the coolest live relay."""
-        for pair in sorted(self.routing.failed_pairs):
-            cs, cd = pair
-            if self.reconfig.boosted(cs, cd) is not None:
-                continue  # traffic rides the pinned spare, not a relay
-            loads = {
-                cx: window.demand((cs, cx)) + window.demand((cx, cd))
-                for cx in self.routing.live_relays(cs, cd)
-            }
-            best = min(loads, key=loads.get, default=None)  # first coolest
-            if best is not None and self._relay_pref.get(pair) != best:
-                self._relay_pref[pair] = best
-                self.routing.prefer_relay(cs, cd, best)
-                self._emit(sim, now, "relay", pair=pair, via=best,
-                           load=loads[best])
-
     # ------------------------------------------------------------------ #
     # Logging + reporting
     # ------------------------------------------------------------------ #
@@ -412,7 +278,6 @@ class ControlLoop:
             "control_epochs": float(self.epochs),
             "control_decisions": float(len(self.log)),
             "control_log_crc": float(self.log.crc()),
-            "control_frozen": float(self.frozen),
             "channels_recovered_ctl": float(self.recovered_channels),
         }
 
@@ -420,7 +285,6 @@ class ControlLoop:
         """The decision log + loop state for ``RunResult.meta['control']``."""
         return {
             "epochs": self.epochs,
-            "frozen": self.frozen,
             "recovered_channels": self.recovered_channels,
             "log": self.log.summary(),
             "decisions": list(self.log.records),

@@ -84,10 +84,6 @@ class RelayRouting(OwnRoutingBase):
         self.n_domains = (self.dims.groups, self.dims.clusters)[self._axis]
         self.failed_pairs: Set[Pair] = set()
         self.relayed_packets = 0
-        #: Control-plane relay steering: ``(s, d) -> x`` forces relayed
-        #: traffic for a failed pair through domain ``x`` when that relay
-        #: is live (see :meth:`prefer_relay`).
-        self.relay_preference: Dict[Pair, int] = {}
         #: Primary channel index -> the ordered domain pair it serves.
         self.pair_of_channel: Dict[int, Pair] = {
             a.channel_index: pair for pair, a in self.channel_map.items()
@@ -146,32 +142,17 @@ class RelayRouting(OwnRoutingBase):
         """Return a healed channel to service.
 
         The inverse of :meth:`fail_channel`: subsequent route computations
-        use the direct channel again, and any relay preference for the
-        pair is dropped. Returns ``True`` when the pair was actually
-        marked failed.
+        use the direct channel again. Returns ``True`` when the pair was
+        actually marked failed.
         """
         pair = (src, dst)
         if pair not in self.failed_pairs:
             return False
         self.failed_pairs.discard(pair)
-        self.relay_preference.pop(pair, None)
         # Relay-planned heads still waiting for a VC re-route onto the
         # recovered direct channel instead of chasing stale relay legs.
         self.invalidate_pending_routes()
         return True
-
-    def prefer_relay(self, src: int, dst: int, via: Optional[int]) -> None:
-        """Steer the (src, dst) relay through domain ``via``.
-
-        ``None`` clears the preference (back to first-feasible scan). A
-        preference for a relay that later dies is ignored by
-        :meth:`_relay_for` rather than raising, so a stale preference can
-        degrade placement but never correctness.
-        """
-        if via is None:
-            self.relay_preference.pop((src, dst), None)
-        else:
-            self.relay_preference[(src, dst)] = via
 
     def alive(self, src: int, dst: int) -> bool:
         return (src, dst) not in self.failed_pairs
@@ -192,11 +173,8 @@ class RelayRouting(OwnRoutingBase):
         return bool(self.live_relays(*pair))
 
     def _relay_for(self, src: int, dst: int) -> Optional[int]:
-        """The relay choice: the preference if live, else the first live domain."""
+        """The relay choice: the first live domain."""
         live = self.live_relays(src, dst)
-        preferred = self.relay_preference.get((src, dst))
-        if preferred in live:
-            return preferred
         return live[0] if live else None
 
     def _direct(self, cur: int, dst: int) -> bool:

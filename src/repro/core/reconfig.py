@@ -44,7 +44,7 @@ deadlock under sustained hotspots). Re-assignment is therefore two-phase:
 Every phase transition is recorded in :attr:`transitions` (byte-stable
 canonical JSON, CRC-gated like the control-plane decision log) and
 mirrored into the :class:`~repro.control.loop.ControlLoop` decision log
-when one manages this controller.
+when a control loop rides on this controller.
 """
 
 from __future__ import annotations
@@ -129,14 +129,6 @@ class ReconfigurationController:
         #: Pairs permanently holding a spare (failover; see :meth:`pin`).
         #: Assigned before utilisation-ranked candidates on every epoch.
         self.pinned: List[Pair] = []
-        #: ``True`` when an external control plane (:mod:`repro.control`)
-        #: owns spare placement: :meth:`reassign` then installs the pinned
-        #: pairs plus the controller-set :attr:`desired` list instead of
-        #: ranking by utilisation itself.
-        self.managed = False
-        #: Managed-mode placement wish list (ordered), set via
-        #: :meth:`set_desired` by the control plane.
-        self.desired: List[Pair] = []
         self._last_counts: Dict[Pair, int] = {pair: 0 for pair in primary_links}
         self.epochs = 0
         self.reassignments = 0
@@ -232,17 +224,6 @@ class ReconfigurationController:
         self.pinned.remove(pair)
         self.reassign()
         return True
-
-    def set_desired(self, pairs: List[Pair]) -> None:
-        """Hand spare placement to a control plane (managed mode).
-
-        ``pairs`` is an ordered wish list; :meth:`reassign` installs the
-        feasible prefix after the pinned failover pairs. Implies
-        ``managed=True`` for every subsequent epoch.
-        """
-        self.managed = True
-        self.desired = list(pairs)
-        self.reassign()
 
     # ---------------- in-flight commitment tracking ---------------- #
 
@@ -386,9 +367,9 @@ class ReconfigurationController:
     def reassign(self) -> None:
         """Give the spares to the hottest cluster pairs (greedy, feasible).
 
-        Pinned (failover) pairs are assigned first, unconditionally. In
-        managed mode the utilisation ranking is replaced by the control
-        plane's :attr:`desired` list (see :meth:`set_desired`).
+        Pinned (failover) pairs are assigned first, unconditionally, then
+        the primary channels that carried the most flits since the last
+        reassign.
 
         Re-assignment is two-phase: an active assignment that falls out of
         the target set is revoked immediately only when its leg carries no
@@ -399,10 +380,7 @@ class ReconfigurationController:
         target is resurrected in place.
         """
         usage = self.utilisation_last_epoch()
-        if self.managed:
-            ranked = [(pair, 1) for pair in self.desired]
-        else:
-            ranked = sorted(usage.items(), key=lambda kv: kv[1], reverse=True)
+        ranked = sorted(usage.items(), key=lambda kv: kv[1], reverse=True)
         chosen: List[Pair] = list(self.pinned)
         for pair, flits in ranked:
             if flits == 0 or len(chosen) >= N_SPARE_CHANNELS:

@@ -35,10 +35,6 @@ class ComponentCount:
     waveguides: int
     rings: int
 
-    @property
-    def total_active_sites(self) -> int:
-        return self.modulators + self.photodetectors
-
 
 def swmr_crossbar(
     n_nodes: int, wavelengths_per_channel: int = 7, wavelengths_per_waveguide: int = 64

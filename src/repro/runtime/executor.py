@@ -215,8 +215,8 @@ def _make_faults(spec: RunSpec, built) -> Tuple[Optional[object], List[object], 
         meta["dead_link"] = target
     layer = FaultLayer(built.network, campaign=campaign, rng=RngStreams(fs.layer_seed))
     hooks: List[object] = []
-    # spec.control supersedes the open-loop failover wiring: the control
-    # loop builds (and owns) the controller + monitor itself.
+    # spec.control supersedes the open-loop failover wiring: _make_control
+    # builds the same controller + monitor itself, with the loop after them.
     if fs.failover and spec.control is None:
         from repro.core.own256 import make_reconfig_controller
 
@@ -232,14 +232,15 @@ def _make_faults(spec: RunSpec, built) -> Tuple[Optional[object], List[object], 
 
 
 def _make_control(spec: RunSpec, built, layer) -> Tuple[List[object], Optional[object]]:
-    """Instantiate the closed-loop control plane described by ``spec.control``.
+    """Instantiate the control plane described by ``spec.control``.
 
     Returns ``(hooks, loop)``; the loop's decision log is folded into the
-    result after the run. The reconfiguration controller runs in managed
-    mode and is driven by the loop, so it is not itself a hook; the
-    health monitor (present only with a fault layer) keeps its own epoch
-    and is registered before the loop so failover verdicts land at the
-    cycle the monitor reaches them, not a control epoch later.
+    result after the run. The hooks are the open-loop plant of
+    :func:`_make_faults`' failover wiring, in the same order -- the
+    reconfiguration controller (its own utilisation re-pointer on
+    ``epoch_cycles``), then the health monitor (present only with a fault
+    layer) -- followed by the loop, so failover verdicts land at the cycle
+    the monitor reaches them and the loop probes after both.
     """
     cs = spec.control
     if cs is None:
@@ -256,11 +257,6 @@ def _make_control(spec: RunSpec, built, layer) -> Tuple[List[object], Optional[o
             "(e.g. own256_ft with with_reconfiguration=True)"
         )
     ctrl = make_reconfig_controller(built, epoch_cycles=cs.epoch_cycles)
-    # The managed controller is a hook in its own right: placement stays
-    # loop-driven (managed mode), but the two-phase drain state machine
-    # needs the per-cycle clock -- while an assignment drains, the
-    # controller watches the leg's occupancy every stepped cycle and
-    # re-points the channel the moment it empties (or times out).
     hooks: List[object] = [ctrl]
     monitor = None
     if layer is not None:
@@ -276,15 +272,11 @@ def _make_control(spec: RunSpec, built, layer) -> Tuple[List[object], Optional[o
         layer=layer,
         monitor=monitor,
         epoch_cycles=cs.epoch_cycles,
-        hysteresis=cs.hysteresis,
-        min_dwell_epochs=cs.min_dwell_epochs,
         probe_ok_needed=cs.probe_ok_needed,
         probe_size_flits=cs.probe_size_flits,
         retry_base_epochs=cs.retry_base_epochs,
         retry_cap_epochs=cs.retry_cap_epochs,
         max_pin_attempts=cs.max_pin_attempts,
-        osc_window=cs.osc_window,
-        osc_threshold=cs.osc_threshold,
         rng=RngStreams(cs.seed),
     )
     hooks.append(loop)
@@ -370,8 +362,8 @@ def execute_inline(
     summary["drained"] = float(drained)
     # Any hook exposing flat metrics folds them into the summary (the
     # control loop, and the reconfiguration controller's drain counters +
-    # transition-log CRC in both open-loop and managed runs). Absent-side
-    # metrics are skipped by ``repro diff``, so new keys are golden-safe.
+    # transition-log CRC). Absent-side metrics are skipped by
+    # ``repro diff``, so new keys are golden-safe.
     for hook in hooks:
         metrics_fn = getattr(hook, "summary_metrics", None)
         if metrics_fn is not None:

@@ -205,30 +205,28 @@ class FaultSpec:
 
 @dataclass(frozen=True)
 class ControlSpec:
-    """A closed-loop control plane, by value (see ``docs/control.md``).
+    """A channel-recovery control plane, by value (see ``docs/control.md``).
 
-    Attaching a ``ControlSpec`` to a :class:`RunSpec` wires a
-    :class:`repro.control.ControlLoop` (plus a managed reconfiguration
-    controller and, when faults are present, a health monitor) into the
-    run. Requires a fault-tolerant reconfigurable topology
-    (``own256_ft`` with ``with_reconfiguration=True``). Supersedes
-    ``FaultSpec.failover`` -- the loop owns failover wiring.
+    Attaching a ``ControlSpec`` to a :class:`RunSpec` wires the open-loop
+    plant -- a reconfiguration controller re-pointing the spares by
+    utilisation every ``epoch_cycles`` and, when faults are present, a
+    health monitor -- plus a :class:`repro.control.ControlLoop` that
+    probes failed-over channels back to service on the same epoch.
+    Requires a fault-tolerant reconfigurable topology (``own256_ft`` with
+    ``with_reconfiguration=True``). Supersedes ``FaultSpec.failover`` --
+    the spec owns failover wiring.
 
-    All knobs are digested, so two runs with different hysteresis or
-    probe settings never share a cache entry; the decision log the loop
-    produces is byte-stable per digest.
+    All knobs are digested, so two runs with different probe settings
+    never share a cache entry; the decision log the loop produces is
+    byte-stable per digest.
     """
 
     epoch_cycles: int = 250
-    hysteresis: float = 1.25
-    min_dwell_epochs: int = 2
     probe_ok_needed: int = 2
     probe_size_flits: int = 1
     retry_base_epochs: int = 1
     retry_cap_epochs: int = 8
     max_pin_attempts: int = 5
-    osc_window: int = 8
-    osc_threshold: int = 6
     monitor_epoch: int = 100
     seed: int = 23
 
@@ -237,8 +235,6 @@ class ControlSpec:
             raise ValueError(f"epoch_cycles must be >= 1, got {self.epoch_cycles}")
         if self.probe_ok_needed < 1:
             raise ValueError("probe_ok_needed must be >= 1")
-        if self.osc_threshold < 2 or self.osc_window < self.osc_threshold:
-            raise ValueError("need 2 <= osc_threshold <= osc_window")
 
 
 @dataclass(frozen=True)
@@ -262,11 +258,11 @@ class RunSpec:
     faults:
         Optional fault campaign.
     control:
-        Optional closed-loop control plane (:class:`ControlSpec`): a
-        :class:`repro.control.ControlLoop` adaptively steers the spare
-        wireless channels, probes failed channels back to health and
-        reweights relay routes. Its decision log is folded into the run
-        record (``summary["control_log_crc"]``, ``meta["control"]``).
+        Optional control plane (:class:`ControlSpec`): the spare-channel
+        plant plus a :class:`repro.control.ControlLoop` that probes
+        failed channels back to health and repairs failover pins. Its
+        decision log is folded into the run record
+        (``summary["control_log_crc"]``, ``meta["control"]``).
     power:
         ``(config_id, scenario)`` pairs to price the run at; breakdowns
         land in ``RunResult.power`` keyed ``"cfg{c}_s{s}"``. Power is

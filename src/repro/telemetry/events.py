@@ -23,8 +23,7 @@ Event vocabulary
 ``failover``       The health monitor retired a channel.
 ``recovery``       A retired channel returned to service (probes passed).
 ``control``        The control plane acted (``args["action"]``: the
-                   decision-log record -- spare moves, probes, unfails,
-                   relay reweights, freeze/fallback).
+                   decision-log record -- probes, unfails, pin repair).
 ``packet_done``    A packet ejected; ``args`` carries the latency
                    breakdown (queueing / token_wait / serialization /
                    flight / retx / other).

@@ -10,7 +10,7 @@ with topologies, fault campaigns and wireless technology scenarios into
 cached, attribution-annotated run suites. See ``docs/workloads.md``.
 """
 
-from repro.workloads.base import EventQueue, TraceBuilder, WorkloadModel
+from repro.workloads.base import TraceBuilder, WorkloadModel
 from repro.workloads.blends import BlendWorkload, merge_traces
 from repro.workloads.coherence import CoherenceWorkload
 from repro.workloads.collectives import COLLECTIVE_KINDS, CollectiveWorkload
@@ -41,7 +41,6 @@ from repro.workloads.scenarios import (
 )
 
 __all__ = [
-    "EventQueue",
     "TraceBuilder",
     "WorkloadModel",
     "BlendWorkload",

@@ -20,8 +20,7 @@ must honour (property-tested in ``tests/workloads``):
 
 from __future__ import annotations
 
-import heapq
-from typing import Iterator, List, Optional, Tuple
+from typing import List
 
 import numpy as np
 
@@ -69,35 +68,6 @@ class TraceBuilder:
             np.asarray(self._dsts, dtype=np.int64),
             np.asarray(self._sizes, dtype=np.int64),
         )
-
-
-class EventQueue:
-    """Deterministic discrete-event heap for generator-internal timelines.
-
-    Ties on the timestamp are broken by insertion sequence number, so the
-    processing order is a pure function of the generator's emission order
-    -- never of heap internals or object identity.
-    """
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple[int, int, object]] = []
-        self._seq = 0
-
-    def push(self, cycle: int, payload: object) -> None:
-        heapq.heappush(self._heap, (int(cycle), self._seq, payload))
-        self._seq += 1
-
-    def pop(self) -> Tuple[int, object]:
-        cycle, _, payload = heapq.heappop(self._heap)
-        return cycle, payload
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    def drain_until(self, horizon: int) -> Iterator[Tuple[int, object]]:
-        """Pop events in order until the queue empties or passes ``horizon``."""
-        while self._heap and self._heap[0][0] < horizon:
-            yield self.pop()
 
 
 def workload_rng(seed: int, name: str, *key: object) -> np.random.Generator:
@@ -154,6 +124,3 @@ class WorkloadModel:
 
     def _generate(self, builder: TraceBuilder, n_cores: int) -> None:
         raise NotImplementedError
-
-    def describe(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(duration={self.duration}, seed={self.seed})"

@@ -89,6 +89,40 @@ def test_control_runs_deliver_identically_dense_and_fast(rate, seed, faults):
     assert fast.meta["control"] == naive.meta["control"] == objects.meta["control"]
 
 
+@settings(max_examples=3, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**16 - 1),
+    kind=st.sampled_from(["death", "calm"]),
+)
+def test_without_a_recovery_the_control_plane_is_the_open_loop_plant(seed, kind):
+    """Spares have one placement policy, the controller's re-pointer, with
+    or without a control loop: where no channel recovers (a dead channel
+    never probes clean; a calm campaign fails nothing) the loop only logs."""
+
+    def faults(failover):
+        if kind == "death":
+            return FaultSpec(kind="death", at=150, failover=failover,
+                             reconfig_epoch=150)
+        return FaultSpec(kind="bursty", burst_rate=0.0, failover=failover,
+                         reconfig_epoch=150)
+
+    spec = RunSpec.create(
+        topology="own256_ft", topology_kwargs={"with_reconfiguration": True},
+        pattern="UN", rate=0.05, cycles=600, warmup=100, seed=seed,
+    )
+    with delivery_log() as open_events:
+        _, _, open_loop = execute_inline(spec.with_(faults=faults(True)))
+    with delivery_log() as control_events:
+        _, _, control = execute_inline(spec.with_(
+            faults=faults(False), control=ControlSpec(epoch_cycles=150)))
+
+    assert open_events and control_events == open_events
+    assert control.summary["channels_recovered_ctl"] == 0
+    shared = {k: v for k, v in control.summary.items() if k in open_loop.summary}
+    assert shared == open_loop.summary
+    assert control.meta["reconfig"] == open_loop.meta["reconfig"]
+
+
 def test_control_runs_identical_serial_and_parallel():
     from repro.runtime import Executor
 

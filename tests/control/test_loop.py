@@ -1,6 +1,6 @@
-"""ControlLoop unit tests: recovery probing, pin retry, oscillation guard.
+"""ControlLoop unit tests: scheduling, recovery probing, pin retry.
 
-The epoch-driven mechanisms (backoff, freeze) are exercised against the
+The epoch-driven pin backoff is exercised against the
 real OWN-256 plant (routing + reconfiguration controller) but with a
 minimal fake simulator clock, so each decision boundary is a direct call
 rather than thousands of simulated cycles. The probe/recovery path runs
@@ -12,7 +12,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro.control import ControlLoop
-from repro.control.policy import ControlPolicy
 from repro.core.faults import build_fault_tolerant_own256
 from repro.core.own256 import make_reconfig_controller
 from repro.faults import FaultCampaign, FaultLayer, HealthMonitor, TransientFault
@@ -60,16 +59,20 @@ class TestScheduling:
         assert loop.next_wake(EPOCH + 1) == 2 * EPOCH
 
     def test_loop_takes_ownership_of_the_controller(self):
+        """The loop owns the controller's transition log, not its
+        placement: the utilisation re-pointer keeps choosing the spares,
+        and each of its transitions lands in the decision log."""
         _, _, ctrl, loop = make_plant()
-        assert ctrl.managed  # periodic utilisation reassigns are off
-        assert loop.epochs == 0 and not loop.frozen
+        assert loop.epochs == 0 and len(loop.log) == 0
+        ctrl.primary_links[(0, 2)].flits_carried += 1
+        ctrl.reassign()
+        assert ctrl.boosted(0, 2) is not None
+        assert loop.log.counts == {"spare_install": 1}
 
     def test_validation(self):
         built, routing, ctrl, _ = make_plant()
         with pytest.raises(ValueError):
             ControlLoop(routing, ctrl, epoch_cycles=0)
-        with pytest.raises(ValueError):
-            ControlLoop(routing, ctrl, osc_window=4, osc_threshold=5)
         with pytest.raises(ValueError):
             ControlLoop(routing, ctrl, probe_ok_needed=0)
 
@@ -166,48 +169,3 @@ class TestPinRetry:
         step_epochs(loop, sim, 1, 2)
         assert (0, 2) not in ctrl.pinned
         assert loop.log.counts.get("unpin_faulty") == 1
-
-
-class FlipFlopPolicy(ControlPolicy):
-    """Pathological policy: a different plan every epoch."""
-
-    def __init__(self):
-        self.calls = 0
-        self.resets = 0
-
-    def decide(self, window, epoch, pinned, eligible):
-        self.calls += 1
-        return [(0, 1)] if epoch % 2 else [(2, 3)]
-
-    def reset(self):
-        self.resets += 1
-
-
-class TestOscillationGuard:
-    def test_flapping_policy_is_frozen_to_the_static_plan(self):
-        built, routing, ctrl, _ = make_plant()
-        policy = FlipFlopPolicy()
-        loop = ControlLoop(routing, ctrl, policy=policy, epoch_cycles=EPOCH,
-                           osc_window=8, osc_threshold=6, rng=RngStreams(23))
-        sim = FakeSim()
-        step_epochs(loop, sim, 1, 9)  # 8 epochs, every one a plan flip
-
-        assert loop.frozen
-        assert ctrl.desired == []  # fallback: failover pins only
-        assert policy.resets == 1
-        assert loop.log.counts.get("freeze") == 1
-        freeze = next(r for r in loop.log.records if r["action"] == "freeze")
-        assert freeze["flips"] >= 6
-
-        # Frozen means frozen: later epochs never consult the policy again.
-        calls = policy.calls
-        step_epochs(loop, sim, 9, 14)
-        assert policy.calls == calls
-        assert loop.epochs == 13  # ...but the loop itself keeps running
-
-    def test_stable_policy_is_never_frozen(self):
-        _, routing, ctrl, loop = make_plant()
-        sim = FakeSim()
-        step_epochs(loop, sim, 1, 20)
-        assert not loop.frozen
-        assert loop.log.counts.get("freeze") is None

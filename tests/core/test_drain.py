@@ -1,6 +1,6 @@
 """Two-phase draining spare re-assignment (open-loop safety).
 
-The un-managed utilisation-driven :class:`ReconfigurationController`
+The utilisation-driven :class:`ReconfigurationController`
 re-points spares every epoch. Before the drain protocol this stranded
 in-flight packets under a sustained hotspot (the seed tree deadlocked
 bit-for-bit at cycle 5329 in the regression config below). Re-assignment
@@ -52,6 +52,14 @@ class _Clock:
         self.now = now
 
 
+def place(ctrl, pair):
+    """Point a spare at ``pair`` through the controller's own ranking: it
+    becomes the only primary channel that carried flits since the last
+    reassign, so it is the whole utilisation-ranked placement."""
+    ctrl.primary_links[pair].flits_carried += 1
+    ctrl.reassign()
+
+
 # --------------------------------------------------------------------- #
 # Drain state machine, unit level
 # --------------------------------------------------------------------- #
@@ -64,9 +72,9 @@ class TestDrainStateMachine:
 
     def test_retire_empty_leg_revokes_instantly(self):
         _, ctrl = self._controller()
-        ctrl.set_desired([(0, 1)])
+        place(ctrl, (0, 1))
         assert ctrl.boosted(0, 1) is not None
-        ctrl.set_desired([(2, 3)])
+        place(ctrl, (2, 3))
         # No committed packets: the old assignment is gone immediately
         # (pre-PR single-phase behaviour, which keeps reassignment-free
         # runs bit-identical).
@@ -76,9 +84,9 @@ class TestDrainStateMachine:
 
     def test_retire_with_inflight_drains_first(self):
         _, ctrl = self._controller()
-        ctrl.set_desired([(0, 1)])
+        place(ctrl, (0, 1))
         ctrl.track_steer(7, (0, 1))
-        ctrl.set_desired([(2, 3)])
+        place(ctrl, (2, 3))
         a = ctrl.assignment_for((0, 1))
         assert a is not None and a.phase == PHASE_DRAINING
         assert ctrl.boosted(0, 1) is None  # no new steers
@@ -87,9 +95,9 @@ class TestDrainStateMachine:
 
     def test_drain_completes_on_arrival(self):
         _, ctrl = self._controller()
-        ctrl.set_desired([(0, 1)])
+        place(ctrl, (0, 1))
         ctrl.track_steer(7, (0, 1))
-        ctrl.set_desired([(2, 3)])
+        place(ctrl, (2, 3))
         ctrl.note_arrival(7, 1)  # reached the destination cluster
         ctrl(_Clock(1))  # per-cycle drain advancement
         assert ctrl.assignment_for((0, 1)) is None
@@ -98,11 +106,11 @@ class TestDrainStateMachine:
 
     def test_blocked_install_lands_when_drain_completes(self):
         _, ctrl = self._controller()
-        ctrl.set_desired([(0, 1)])
+        place(ctrl, (0, 1))
         ctrl.track_steer(7, (0, 1))
         # (0, 2) needs the src-0 D antenna still held by the draining
         # (0, 1) assignment: the install is deferred, not dropped.
-        ctrl.set_desired([(0, 2)])
+        place(ctrl, (0, 2))
         assert ctrl.boosted(0, 2) is None
         ctrl.note_arrival(7, 1)
         ctrl(_Clock(1))
@@ -110,9 +118,9 @@ class TestDrainStateMachine:
 
     def test_drain_timeout_revokes_and_strays_escape(self):
         _, ctrl = self._controller(drain_timeout=5)
-        ctrl.set_desired([(0, 1)])
+        place(ctrl, (0, 1))
         ctrl.track_steer(7, (0, 1))
-        ctrl.set_desired([(2, 3)])
+        place(ctrl, (2, 3))
         ctrl(_Clock(5))
         assert ctrl.drain_timeouts == 1
         assert ctrl.assignment_for((0, 1)) is None
@@ -132,11 +140,11 @@ class TestDrainStateMachine:
 
     def test_rechosen_draining_pair_is_resurrected(self):
         _, ctrl = self._controller()
-        ctrl.set_desired([(0, 1)])
+        place(ctrl, (0, 1))
         ctrl.track_steer(7, (0, 1))
-        ctrl.set_desired([(2, 3)])
+        place(ctrl, (2, 3))
         assert ctrl.boosted(0, 1) is None
-        ctrl.set_desired([(0, 1)])
+        place(ctrl, (0, 1))
         a = ctrl.assignment_for((0, 1))
         assert a is not None and a.phase == PHASE_ACTIVE
         assert ctrl.boosted(0, 1) is not None
@@ -147,9 +155,9 @@ class TestDrainStateMachine:
         crcs = []
         for _ in range(2):
             _, ctrl = self._controller(drain_timeout=5)
-            ctrl.set_desired([(0, 1)])
+            place(ctrl, (0, 1))
             ctrl.track_steer(7, (0, 1))
-            ctrl.set_desired([(2, 3)])
+            place(ctrl, (2, 3))
             ctrl(_Clock(5))
             ctrl.note_escape(7)
             crcs.append(ctrl.transition_crc())
@@ -159,9 +167,9 @@ class TestDrainStateMachine:
 
     def test_summary_exposes_drain_state(self):
         _, ctrl = self._controller()
-        ctrl.set_desired([(0, 1)])
+        place(ctrl, (0, 1))
         ctrl.track_steer(7, (0, 1))
-        ctrl.set_desired([(2, 3)])
+        place(ctrl, (2, 3))
         s = ctrl.summary()
         assert s["draining_pairs"] == [(0, 1)]
         assert s["drains_started"] == 1
