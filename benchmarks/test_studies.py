@@ -129,7 +129,7 @@ def test_adaptive_control(run_experiment, engine_executor, tmp_path):
     result = run_experiment(study_adaptive, quick=True, executor=executor)
     arms = {(row[0], row[1]): row for row in result.rows}
     # Both arms place spares with the same re-pointer, so where no channel
-    # recovers the control loop changes nothing: the arms are one run.
+    # recovers, recovery changes nothing: the arms are one run.
     gains = result.notes["adaptive_gains"]
     for cell in ("hotspot", "hot+death"):
         assert gains[cell] == {"mean_gain": 0.0, "p99_gain": 0.0,

@@ -64,7 +64,7 @@ _EXPORTS = {
 __all__ = ["__version__", *_EXPORTS]
 
 _SUBPACKAGES = (
-    "analysis", "control", "core", "faults", "noc", "obs", "photonics", "power",
+    "analysis", "core", "faults", "noc", "obs", "photonics", "power",
     "rf", "runtime", "telemetry", "thermal", "topologies", "traffic", "utils",
     "workloads",
 )  # fmt: skip

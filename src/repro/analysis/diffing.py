@@ -56,11 +56,11 @@ GATED_METRICS: Dict[str, Tuple[Tuple[str, ...], bool]] = {
 
 #: metric name -> record path for *exact* gates: any difference at all is
 #: a breach, with no direction, noise band or relative threshold. Used for
-#: determinism fingerprints -- e.g. the control plane's decision-log CRC,
-#: where a single-bit drift means the control loop stopped being
-#: reproducible even if every performance number still matches. Absent
-#: from one or both logs (runs without a control plane, older schema) the
-#: metric is skipped, like any other.
+#: determinism fingerprints -- e.g. the recovery decision-log CRC, where
+#: a single-bit drift means recovery stopped being reproducible even if
+#: every performance number still matches. Absent from one or both logs
+#: (runs without recovery, older schema) the metric is skipped, like any
+#: other.
 EXACT_METRICS: Dict[str, Tuple[str, ...]] = {
     "control_log_crc": ("summary", "control_log_crc"),
     # Spare-channel drain state machine: CRC of the reconfiguration

@@ -905,7 +905,8 @@ def _adaptive_cells(quick: bool = False) -> List[Tuple[str, str, RunSpec]]:
     rate = 0.03
     # Static arms: failover=True wires monitor + controller with the
     # open-loop utilisation-driven re-pointer; adaptive arms wire the same
-    # two hooks through ControlSpec, at the same epochs, plus the loop.
+    # two hooks through ControlSpec, at the same epochs, and the monitor
+    # also probes failed-over channels back to service.
     burst = lambda fail: FaultSpec(  # noqa: E731 - local shorthand
         kind="bursty", burst_rate=0.0004, burst_duration=600,
         snr_penalty_db=14.0, max_channel=1, seed=9, failover=fail,
@@ -917,7 +918,7 @@ def _adaptive_cells(quick: bool = False) -> List[Tuple[str, str, RunSpec]]:
     )
     # A zero-rate campaign keeps the plant (monitor + spare hardware)
     # wired in both arms without injecting any fault, so the no-fault
-    # cell checks that the loop alone changes nothing.
+    # cell checks that recovery alone changes nothing.
     calm = lambda fail: FaultSpec(  # noqa: E731
         kind="bursty", burst_rate=0.0, failover=fail,
         reconfig_epoch=250,
@@ -960,10 +961,10 @@ def study_adaptive(
       (``docs/fault-tolerance.md``) makes periodic re-pointing safe under
       sustained hotspots. A channel that fails over stays failed over for
       the rest of the run even after the interference clears.
-    - **adaptive**: the same plant, same placement, plus a
-      :class:`repro.control.ControlLoop` (:class:`ControlSpec`) whose
-      probe packets return healed channels to service and which repairs
-      failover pins.
+    - **adaptive**: the same plant, same placement, with recovery on
+      (:class:`ControlSpec`): the :class:`~repro.faults.HealthMonitor`
+      probes failed-over channels and returns healed ones to service,
+      offering each freed spare to failed pairs still waiting for a pin.
 
     Expected shape: in the transient-burst cell the adaptive arm
     recovers the channel (``recovered`` > 0) and ends with lower mean and

@@ -42,9 +42,9 @@ deadlock under sustained hotspots). Re-assignment is therefore two-phase:
    :meth:`FaultTolerantOwn256Routing.hold_for_full`).
 
 Every phase transition is recorded in :attr:`transitions` (byte-stable
-canonical JSON, CRC-gated like the control-plane decision log) and
-mirrored into the :class:`~repro.control.loop.ControlLoop` decision log
-when a control loop rides on this controller.
+canonical JSON, CRC-gated by :func:`canonical_crc`) and mirrored into the
+decision log of a recovering :class:`~repro.faults.HealthMonitor` when one
+rides on this controller.
 """
 
 from __future__ import annotations
@@ -69,6 +69,24 @@ PHASE_DRAINING = "draining"
 DEFAULT_DRAIN_TIMEOUT = 1_000
 
 Pair = Tuple[int, int]
+
+
+def epoch_wake(now: int, epoch_cycles: int) -> int:
+    """The first epoch boundary at or after ``now`` (cycle 0 is none).
+
+    The ``next_wake`` of an epoch hook: the clock may fast-forward over
+    quiescent stretches but steps every boundary the hook acts on.
+    """
+    if now <= 0:
+        return epoch_cycles
+    return -(-now // epoch_cycles) * epoch_cycles
+
+
+def canonical_crc(records: List[Dict[str, object]]) -> int:
+    """CRC-32 of the canonical JSON (sorted keys, no whitespace) of a log
+    of JSON-safe records: any reordered, added, dropped or altered record
+    changes it."""
+    return zlib.crc32(json.dumps(records, sort_keys=True, separators=(",", ":")).encode())
 
 
 @dataclass
@@ -152,9 +170,9 @@ class ReconfigurationController:
         self.escapes = 0
         #: Byte-stable phase-transition records (dicts of JSON-safe values).
         self.transitions: List[Dict[str, object]] = []
-        #: Optional observer called with each transition record -- the
-        #: :class:`~repro.control.loop.ControlLoop` uses this to mirror
-        #: drain transitions into its decision log.
+        #: Optional observer called with each transition record -- a
+        #: recovering :class:`~repro.faults.HealthMonitor` uses this to
+        #: mirror drain transitions into its decision log.
         self.on_transition: Optional[Callable[[Dict[str, object]], None]] = None
         #: Routing-layer callback flushing cached-but-uncommitted route
         #: decisions (wired by ``Own256Routing.attach_reconfiguration``).
@@ -442,11 +460,7 @@ class ReconfigurationController:
         """
         if self._n_draining:
             return now + 1
-        if now <= 0:
-            return self.epoch_cycles
-        if now % self.epoch_cycles == 0:
-            return now
-        return (now // self.epoch_cycles + 1) * self.epoch_cycles
+        return epoch_wake(now, self.epoch_cycles)
 
     def boosted(self, src_cluster: int, dst_cluster: int) -> Optional[SpareAssignment]:
         """The ACTIVE assignment for a pair -- the steer-new-packets API.
@@ -468,13 +482,6 @@ class ReconfigurationController:
         """Active *or draining* assignment: committed packets may finish
         crossing a draining spare even though new packets no longer may."""
         return self.assignments.get(pair)
-
-    def transition_crc(self) -> int:
-        """CRC32 of the canonical phase-transition log (byte-stable)."""
-        payload = json.dumps(
-            self.transitions, sort_keys=True, separators=(",", ":")
-        )
-        return zlib.crc32(payload.encode("utf-8"))
 
     def summary(self) -> Dict[str, object]:
         draining = sorted(
@@ -518,7 +525,7 @@ class ReconfigurationController:
             "spare_drains_completed": float(self.drains_completed),
             "spare_drain_timeouts": float(self.drain_timeouts),
             "spare_escapes": float(self.escapes),
-            "drain_log_crc": float(self.transition_crc()),
+            "drain_log_crc": float(canonical_crc(self.transitions)),
         }
 
     def meta_payload(self) -> Dict[str, object]:

@@ -609,7 +609,7 @@ class FaultLayer:
         """Return a retired channel to service (the fault healed).
 
         The inverse of :meth:`quiesce_link` for *transient* outages: the
-        control plane's probes confirmed the transceiver answers again, so
+        health monitor's probes confirmed the transceiver answers again, so
         new attempts may use the link. Protocol counters that feed the
         health monitor's silent-channel verdict are reset; cumulative
         statistics (attempts, retransmissions, ...) are kept.

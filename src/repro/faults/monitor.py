@@ -26,18 +26,46 @@ layer quiesces the channel -- stranded packets re-enter the network and
 re-route (see :meth:`FaultLayer.quiesce_link`). The network invariant
 audit (:func:`repro.noc.invariants.audit_network`) optionally runs every
 epoch so any bookkeeping violation surfaces at the epoch it happens.
+
+With ``recover=True`` the monitor also runs the inverse arc, on the
+reconfiguration controller's epoch, after that cycle's classification:
+
+* each failed-over channel, in link-name order, is probed with one modelled
+  single-flit control packet on the dedicated ``("control", "probe",
+  link)`` RNG stream (seed :data:`PROBE_SEED`), so probing never perturbs
+  traffic or fault-layer streams;
+* after :data:`PROBE_OK_NEEDED` consecutive clean probes the link is
+  un-quiesced, its pair un-failed, its spare unpinned and the monitor's own
+  counters reset (:meth:`notice_recovery`);
+* the freed D antennas are offered once, in sorted order, to failed pairs
+  still without a pin: a pin the D-antenna constraint refused can only
+  become feasible when a recovery unpins.
+
+Every decision, plus each of the controller's ``spare_*`` drain
+transitions, is appended to :attr:`HealthMonitor.decisions` as a JSON-safe
+record whose canonical CRC is the run's ``control_log_crc``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.core.faults import UnroutableError
+from repro.core.reconfig import canonical_crc, epoch_wake
 from repro.faults.linklayer import FaultLayer
+from repro.utils.rng import RngStreams
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.noc.links import Link
     from repro.noc.simulator import Simulator
+
+Pair = Tuple[int, int]
+
+#: Consecutive clean probes that return a failed-over channel to service.
+PROBE_OK_NEEDED = 2
+#: Seed of the probe RNG, whose streams are ``("control", "probe", link)``.
+PROBE_SEED = 23
 
 
 class HealthMonitor:
@@ -64,6 +92,9 @@ class HealthMonitor:
         attempts each) is declared dead.
     audit:
         Run the full invariant audit on every epoch boundary.
+    recover:
+        Also probe failed-over channels back to service on ``reconfig``'s
+        epoch (requires ``routing`` and ``reconfig``).
     """
 
     def __init__(
@@ -77,6 +108,7 @@ class HealthMonitor:
         patience: int = 2,
         min_attempts: int = 4,
         audit: bool = True,
+        recover: bool = False,
     ) -> None:
         counts = {"epoch_cycles": epoch_cycles, "timeout_threshold": timeout_threshold,
                   "patience": patience, "min_attempts": min_attempts}
@@ -85,6 +117,8 @@ class HealthMonitor:
                 raise ValueError(f"{name} must be >= 1, got {value}")
         if not 0.0 < corruption_threshold <= 1.0:
             raise ValueError("corruption_threshold must be in (0, 1]")
+        if recover and (routing is None or reconfig is None):
+            raise ValueError("recover=True needs routing and a reconfiguration controller")
         self.layer = layer
         self.routing = routing
         self.reconfig = reconfig
@@ -94,21 +128,39 @@ class HealthMonitor:
         self.patience = patience
         self.min_attempts = min_attempts
         self.audit = audit
+        self.recover = recover
 
         self.epochs = 0
         #: Failover log: (cycle, link name, cluster pair or None).
-        self.failovers: List[Tuple[int, str, Optional[Tuple[int, int]]]] = []
+        self.failovers: List[Tuple[int, str, Optional[Pair]]] = []
+        #: Links currently failed over, with their cluster pairs.
+        self._failed_over: Dict["Link", Pair] = {}
         self._snap: Dict["Link", Tuple[int, int]] = {}
         self._strikes: Dict["Link", int] = {}
         #: Links visited every epoch until their verdict state clears.
         self._watch: Set["Link"] = set()
         self._rank = {link: i for i, link in enumerate(layer.protected)}
 
+        #: Recovery epochs stepped and the decision log (``recover`` only).
+        self.recovery_epochs = 0
+        self.decisions: List[Dict[str, object]] = []
+        self._probe_ok: Dict["Link", int] = {}
+        self._probe_rng = RngStreams(PROBE_SEED)
+        if recover:
+            reconfig.on_transition = self._log_transition
+
     # ------------------------------------------------------------------ #
 
     def __call__(self, sim: "Simulator") -> None:
-        if sim.now == 0 or sim.now % self.epoch_cycles != 0:
+        now = sim.now
+        if now == 0:
             return
+        if now % self.epoch_cycles == 0:
+            self._classify(sim)
+        if self.recover and now % self.reconfig.epoch_cycles == 0:
+            self._probe(sim)
+
+    def _classify(self, sim: "Simulator") -> None:
         self.epochs += 1
         marked = self.layer.marked
         visit = marked | self._watch
@@ -139,19 +191,14 @@ class HealthMonitor:
             audit_network(sim)
 
     def next_wake(self, now: int) -> int:
-        """Next epoch boundary (a scheduled fast-forward wake source).
-
-        The clock may skip quiescent stretches but must step every epoch
-        boundary, where :meth:`__call__` classifies channels.
-        """
-        if now <= 0:
-            return self.epoch_cycles
-        if now % self.epoch_cycles == 0:
-            return now
-        return (now // self.epoch_cycles + 1) * self.epoch_cycles
+        """Next classification or recovery epoch boundary."""
+        wake = epoch_wake(now, self.epoch_cycles)
+        if self.recover:
+            wake = min(wake, epoch_wake(now, self.reconfig.epoch_cycles))
+        return wake
 
     def notice_recovery(self, link: "Link") -> None:
-        """Reset health state after a control plane un-fails ``link``.
+        """Reset health state after ``link`` returns to service.
 
         Clears the noisy-epoch strike count and re-snapshots the attempt
         counters so stale deltas from before the outage cannot re-condemn
@@ -188,11 +235,91 @@ class HealthMonitor:
         self.layer.quiesce_link(link, sim.now)
         sim.stats.channels_failed_over += 1
         self.failovers.append((sim.now, link.name, pair))
+        self._failed_over[link] = pair
         return True
+
+    # ------------------------------------------------------------------ #
+    # Recovery
+    # ------------------------------------------------------------------ #
+
+    def _probe(self, sim: "Simulator") -> None:
+        self.recovery_epochs += 1
+        flit_bits = self.layer.network.flit_width_bits
+        for link in sorted(self._failed_over, key=lambda l: l.name):
+            pair = self._failed_over[link]
+            state = link.fault
+            p_err = 1.0 if state.dead else state.attempt_error_prob(flit_bits, 1)
+            ok = p_err <= 0.0 or (
+                p_err < 1.0
+                and self._probe_rng.get("control", "probe", link.name).random() >= p_err
+            )
+            streak = self._probe_ok.get(link, 0) + 1 if ok else 0
+            self._probe_ok[link] = streak
+            self._decide(sim, "probe", link=link.name, pair=list(pair), ok=ok, streak=streak)
+            if streak >= PROBE_OK_NEEDED:
+                self._recover(sim, link, pair)
+
+    def _recover(self, sim: "Simulator", link: "Link", pair: Pair) -> None:
+        self.layer.unquiesce_link(link, sim.now)
+        self.routing.unfail_channel(*pair)
+        self.reconfig.unpin(pair)
+        self.notice_recovery(link)
+        del self._failed_over[link], self._probe_ok[link]
+        sim.stats.channels_recovered += 1
+        self._decide(sim, "unfail", link=link.name, pair=list(pair))
+        for other in sorted(self.routing.failed_pairs.difference(self.reconfig.pinned)):
+            try:
+                self.reconfig.pin(other)
+            except ValueError:
+                continue  # still blocked by another pinned pair
+            self._decide(sim, "pin", pair=list(other))
+
+    def _decide(self, sim: "Simulator", action: str, **detail: object) -> None:
+        record = {"cycle": sim.now, "epoch": self.recovery_epochs, "action": action, **detail}
+        self.decisions.append(record)
+        if sim._tracer is not None:
+            sim._tracer.on_control(action, record, sim.now)
+
+    def _log_transition(self, record: Dict[str, object]) -> None:
+        """Mirror a controller phase transition as a ``spare_*`` decision.
+
+        Transitions fire on the controller's own clock, outside the recovery
+        step, so they only append: no trace event.
+        """
+        detail = {k: v for k, v in record.items() if k not in ("cycle", "event")}
+        self.decisions.append(
+            {"cycle": record["cycle"], "epoch": self.recovery_epochs,
+             "action": f"spare_{record['event']}", **detail}
+        )  # fmt: skip
 
     def summary(self) -> Dict[str, object]:
         return {
             "epochs": self.epochs,
             "failovers": list(self.failovers),
             "channels_watched": len(self.layer.protected),
+        }
+
+    def summary_metrics(self) -> Dict[str, float]:
+        """Flat recovery metrics for run summaries (none without ``recover``)."""
+        if not self.recover:
+            return {}
+        return {
+            "control_epochs": float(self.recovery_epochs),
+            "control_decisions": float(len(self.decisions)),
+            "control_log_crc": float(canonical_crc(self.decisions)),
+            "channels_recovered_ctl": float(self.layer.sim.stats.channels_recovered),
+        }
+
+    def meta_payload(self) -> Dict[str, object]:
+        """The decision log for ``RunResult.meta["control"]``."""
+        actions = Counter(record["action"] for record in self.decisions)
+        return {
+            "epochs": self.recovery_epochs,
+            "recovered_channels": self.layer.sim.stats.channels_recovered,
+            "log": {
+                "decisions": len(self.decisions),
+                "crc": canonical_crc(self.decisions),
+                "actions": dict(sorted(actions.items())),
+            },
+            "decisions": list(self.decisions),
         }

@@ -226,9 +226,9 @@ class Simulator:
         """Register a callable invoked at the end of every cycle.
 
         Used by adaptive controllers (e.g. the reconfiguration-channel
-        manager in :mod:`repro.core.reconfig` and the control plane in
-        :mod:`repro.control`) that observe network state and adjust policy
-        on epoch boundaries.
+        manager in :mod:`repro.core.reconfig` and the health monitor in
+        :mod:`repro.faults.monitor`) that observe network state and adjust
+        policy on epoch boundaries.
 
         The hook must expose ``next_wake(now) -> Optional[int]``: the
         earliest cycle >= ``now`` at which it must observe a stepped cycle.

@@ -185,7 +185,15 @@ def _make_traffic(
 
 
 def _make_faults(spec: RunSpec, built) -> Tuple[Optional[object], List[object], Dict[str, object]]:
-    """Instantiate the fault layer + hooks described by ``spec.faults``."""
+    """Instantiate the fault layer + plant hooks described by ``spec.faults``.
+
+    Failover (``FaultSpec.failover``) or recovery (``spec.control``) wires
+    the plant: the reconfiguration controller (its utilisation re-pointer
+    on its own epoch), then the health monitor, so failover verdicts and
+    recoveries land after the re-point of the same cycle. With
+    ``spec.control`` the controller's epoch is ``epoch_cycles`` and the
+    monitor also probes failed-over channels back to service.
+    """
     fs = spec.faults
     if fs is None:
         return None, [], {}
@@ -210,77 +218,37 @@ def _make_faults(spec: RunSpec, built) -> Tuple[Optional[object], List[object], 
             snr_penalty_db=fs.snr_penalty_db,
         )
     else:  # "death"
+        if fs.target_index >= len(data_links):
+            raise ValueError(
+                f"target_index {fs.target_index} is out of range: {spec.topology} has "
+                f"{len(data_links)} data channels with index <= {fs.max_channel}"
+            )
         target = data_links[fs.target_index]
         campaign = FaultCampaign([PermanentFault(at=fs.at, target=target)])
         meta["dead_link"] = target
     layer = FaultLayer(built.network, campaign=campaign, rng=RngStreams(fs.layer_seed))
     hooks: List[object] = []
-    # spec.control supersedes the open-loop failover wiring: _make_control
-    # builds the same controller + monitor itself, with the loop after them.
-    if fs.failover and spec.control is None:
+    if fs.failover or spec.control is not None:
+        from repro.core.faults import RelayRouting
         from repro.core.own256 import make_reconfig_controller
 
-        ctrl = make_reconfig_controller(built, epoch_cycles=fs.reconfig_epoch)
+        routing = built.notes.get("routing")
+        if not isinstance(routing, RelayRouting):
+            raise ValueError(
+                "failover and recovery require a fault-tolerant reconfigurable "
+                "topology (e.g. own256_ft with with_reconfiguration=True)"
+            )
+        epoch = fs.reconfig_epoch if spec.control is None else spec.control.epoch_cycles
+        ctrl = make_reconfig_controller(built, epoch_cycles=epoch)
         monitor = HealthMonitor(
             layer,
-            routing=built.notes["routing"],
+            routing=routing,
             reconfig=ctrl,
             epoch_cycles=fs.monitor_epoch,
+            recover=spec.control is not None,
         )
         hooks = [ctrl, monitor]
     return layer, hooks, meta
-
-
-def _make_control(spec: RunSpec, built, layer) -> Tuple[List[object], Optional[object]]:
-    """Instantiate the control plane described by ``spec.control``.
-
-    Returns ``(hooks, loop)``; the loop's decision log is folded into the
-    result after the run. The hooks are the open-loop plant of
-    :func:`_make_faults`' failover wiring, in the same order -- the
-    reconfiguration controller (its own utilisation re-pointer on
-    ``epoch_cycles``), then the health monitor (present only with a fault
-    layer) -- followed by the loop, so failover verdicts land at the cycle
-    the monitor reaches them and the loop probes after both.
-    """
-    cs = spec.control
-    if cs is None:
-        return [], None
-    from repro.control import ControlLoop
-    from repro.core.faults import RelayRouting
-    from repro.core.own256 import make_reconfig_controller
-    from repro.utils.rng import RngStreams
-
-    routing = built.notes.get("routing")
-    if not isinstance(routing, RelayRouting):
-        raise ValueError(
-            "spec.control requires a fault-tolerant reconfigurable topology "
-            "(e.g. own256_ft with with_reconfiguration=True)"
-        )
-    ctrl = make_reconfig_controller(built, epoch_cycles=cs.epoch_cycles)
-    hooks: List[object] = [ctrl]
-    monitor = None
-    if layer is not None:
-        from repro.faults import HealthMonitor
-
-        monitor = HealthMonitor(
-            layer, routing=routing, reconfig=ctrl, epoch_cycles=cs.monitor_epoch
-        )
-        hooks.append(monitor)
-    loop = ControlLoop(
-        routing,
-        ctrl,
-        layer=layer,
-        monitor=monitor,
-        epoch_cycles=cs.epoch_cycles,
-        probe_ok_needed=cs.probe_ok_needed,
-        probe_size_flits=cs.probe_size_flits,
-        retry_base_epochs=cs.retry_base_epochs,
-        retry_cap_epochs=cs.retry_cap_epochs,
-        max_pin_attempts=cs.max_pin_attempts,
-        rng=RngStreams(cs.seed),
-    )
-    hooks.append(loop)
-    return hooks, loop
 
 
 def execute_inline(
@@ -322,8 +290,6 @@ def execute_inline(
     stop = spec.cycles if spec.drain else None
     traffic = _make_traffic(spec.traffic, built.n_cores, stop, cycles=spec.cycles)
     layer, hooks, fault_meta = _make_faults(spec, built)
-    control_hooks, control_loop = _make_control(spec, built, layer)
-    hooks = hooks + control_hooks
     if tracer is None and spec.telemetry:
         from repro.telemetry import Tracer
 
@@ -361,9 +327,9 @@ def execute_inline(
     )
     summary["drained"] = float(drained)
     # Any hook exposing flat metrics folds them into the summary (the
-    # control loop, and the reconfiguration controller's drain counters +
-    # transition-log CRC). Absent-side metrics are skipped by
-    # ``repro diff``, so new keys are golden-safe.
+    # recovering monitor's decision-log CRC, and the reconfiguration
+    # controller's drain counters + transition-log CRC). Absent-side
+    # metrics are skipped by ``repro diff``, so new keys are golden-safe.
     for hook in hooks:
         metrics_fn = getattr(hook, "summary_metrics", None)
         if metrics_fn is not None:
@@ -377,8 +343,8 @@ def execute_inline(
         "kind": built.kind,
     }
     meta.update(fault_meta)
-    if control_loop is not None:
-        meta["control"] = control_loop.meta_payload()
+    if spec.control is not None:
+        meta["control"] = hooks[-1].meta_payload()  # the recovering monitor
     from repro.core.reconfig import ReconfigurationController
 
     for hook in hooks:

@@ -182,7 +182,8 @@ class FaultSpec:
     ``target_index``-th data channel permanently at cycle ``at``.
     ``failover`` additionally wires the reconfiguration controller and
     health monitor so dead channels fail over onto pinned spares (requires
-    a fault-tolerant topology, e.g. ``own256_ft``).
+    a fault-tolerant topology, e.g. ``own256_ft``); ``monitor_epoch`` is
+    the monitor's classification window.
     """
 
     kind: str = "bursty"
@@ -201,40 +202,35 @@ class FaultSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("bursty", "death"):
             raise ValueError(f"unknown fault kind {self.kind!r}")
+        if self.target_index < 0:
+            raise ValueError(f"target_index must be >= 0, got {self.target_index}")
+        if self.max_channel < 1:
+            raise ValueError(
+                f"max_channel must be >= 1 (data channels are numbered from 1), "
+                f"got {self.max_channel}"
+            )
 
 
 @dataclass(frozen=True)
 class ControlSpec:
-    """A channel-recovery control plane, by value (see ``docs/control.md``).
+    """Channel recovery, by value (``docs/fault-tolerance.md``, "Recovery").
 
-    Attaching a ``ControlSpec`` to a :class:`RunSpec` wires the open-loop
-    plant -- a reconfiguration controller re-pointing the spares by
-    utilisation every ``epoch_cycles`` and, when faults are present, a
-    health monitor -- plus a :class:`repro.control.ControlLoop` that
-    probes failed-over channels back to service on the same epoch.
-    Requires a fault-tolerant reconfigurable topology (``own256_ft`` with
-    ``with_reconfiguration=True``). Supersedes ``FaultSpec.failover`` --
-    the spec owns failover wiring.
-
-    All knobs are digested, so two runs with different probe settings
-    never share a cache entry; the decision log the loop produces is
-    byte-stable per digest.
+    Attaching a ``ControlSpec`` to a :class:`RunSpec` with a
+    :class:`FaultSpec` wires the failover plant -- the reconfiguration
+    controller re-pointing the spares by utilisation every
+    ``epoch_cycles`` and the health monitor -- whether or not
+    ``FaultSpec.failover`` is set, and the monitor additionally probes
+    failed-over channels back to service on the same epoch. Requires a
+    fault-tolerant reconfigurable topology (``own256_ft`` with
+    ``with_reconfiguration=True``). The decision log the monitor produces
+    is byte-stable per digest.
     """
 
     epoch_cycles: int = 250
-    probe_ok_needed: int = 2
-    probe_size_flits: int = 1
-    retry_base_epochs: int = 1
-    retry_cap_epochs: int = 8
-    max_pin_attempts: int = 5
-    monitor_epoch: int = 100
-    seed: int = 23
 
     def __post_init__(self) -> None:
         if self.epoch_cycles < 1:
             raise ValueError(f"epoch_cycles must be >= 1, got {self.epoch_cycles}")
-        if self.probe_ok_needed < 1:
-            raise ValueError("probe_ok_needed must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -258,11 +254,11 @@ class RunSpec:
     faults:
         Optional fault campaign.
     control:
-        Optional control plane (:class:`ControlSpec`): the spare-channel
-        plant plus a :class:`repro.control.ControlLoop` that probes
-        failed channels back to health and repairs failover pins. Its
-        decision log is folded into the run record
-        (``summary["control_log_crc"]``, ``meta["control"]``).
+        Optional channel recovery (:class:`ControlSpec`; needs ``faults``):
+        the spare-channel plant plus a :class:`repro.faults.HealthMonitor`
+        that probes failed-over channels back to service. Its decision log
+        is folded into the run record (``summary["control_log_crc"]``,
+        ``meta["control"]``).
     power:
         ``(config_id, scenario)`` pairs to price the run at; breakdowns
         land in ``RunResult.power`` keyed ``"cfg{c}_s{s}"``. Power is
@@ -295,6 +291,13 @@ class RunSpec:
     power: Tuple[Tuple[int, int], ...] = ()
     telemetry: bool = False
     tag: str = ""
+
+    def __post_init__(self) -> None:
+        if self.control is not None and self.faults is None:
+            raise ValueError(
+                "control requires faults: recovery probes channels that failed "
+                "over (a calm campaign is FaultSpec(burst_rate=0.0))"
+            )
 
     @classmethod
     def create(

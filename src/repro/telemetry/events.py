@@ -22,8 +22,8 @@ Event vocabulary
 ``retx``           The link-layer engine began retransmitting a packet.
 ``failover``       The health monitor retired a channel.
 ``recovery``       A retired channel returned to service (probes passed).
-``control``        The control plane acted (``args["action"]``: the
-                   decision-log record -- probes, unfails, pin repair).
+``control``        A recovering health monitor decided (``args``: the
+                   decision-log record -- probe, unfail, pin).
 ``packet_done``    A packet ejected; ``args`` carries the latency
                    breakdown (queueing / token_wait / serialization /
                    flight / retx / other).

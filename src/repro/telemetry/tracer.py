@@ -421,15 +421,15 @@ class Tracer:
             self._event(now, RECOVERY, link.name)
 
     # ------------------------------------------------------------------ #
-    # Control plane (repro.control)
+    # Recovery decisions (HealthMonitor with recover=True)
     # ------------------------------------------------------------------ #
 
     def on_control(self, action: str, detail: dict, now: int) -> None:
-        """One control-plane actuation (spare move, probe, unfail, ...).
+        """One recovery decision (probe, unfail, pin).
 
         ``detail`` is the decision-log record (already JSON-safe); it rides
         along in the event args so Chrome traces and HTML reports show what
-        the controller did at each epoch.
+        the monitor did at each recovery epoch.
         """
         self.emits += 1
         if self.collect_metrics:

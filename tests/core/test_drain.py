@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from repro.core.faults import build_fault_tolerant_own256
 from repro.core.own256 import make_reconfig_controller
-from repro.core.reconfig import PHASE_ACTIVE, PHASE_DRAINING
+from repro.core.reconfig import PHASE_ACTIVE, PHASE_DRAINING, canonical_crc, epoch_wake
 from repro.noc.simulator import Simulator
 from repro.noc.stats import StatsCollector
 from repro.telemetry import Tracer
@@ -160,10 +160,10 @@ class TestDrainStateMachine:
             place(ctrl, (2, 3))
             ctrl(_Clock(5))
             ctrl.note_escape(7)
-            crcs.append(ctrl.transition_crc())
+            crcs.append(canonical_crc(ctrl.transitions))
         assert crcs[0] == crcs[1]
         _, ctrl = self._controller()
-        assert ctrl.transition_crc() != crcs[0]  # empty log differs
+        assert canonical_crc(ctrl.transitions) != crcs[0]  # empty log differs
 
     def test_summary_exposes_drain_state(self):
         _, ctrl = self._controller()
@@ -179,7 +179,7 @@ class TestDrainStateMachine:
         assert by_pair[(0, 1)]["in_flight"] == 1
         m = ctrl.summary_metrics()
         assert m["spare_drains_started"] == 1.0
-        assert m["drain_log_crc"] == float(ctrl.transition_crc())
+        assert m["drain_log_crc"] == float(canonical_crc(ctrl.transitions))
 
 
 # --------------------------------------------------------------------- #
@@ -273,7 +273,7 @@ class ScheduleHook:
     unfail at every schedule epoch, driven only by the cycle count.
 
     Fault actions mirror the production failover contract
-    (:class:`~repro.faults.HealthMonitor` / :class:`ControlLoop`): a
+    (:class:`~repro.faults.HealthMonitor`, failover and recovery): a
     failed channel is immediately pinned onto a spare when feasible
     (else it rides relays, validated routable by ``fail_channel``), and
     recovery unfails *then* unpins so the pair is alive before its spare
@@ -293,11 +293,7 @@ class ScheduleHook:
         self.rng = random.Random(schedule_seed)
 
     def next_wake(self, now):
-        if now <= 0:
-            return self.epoch
-        if now % self.epoch == 0:
-            return now
-        return (now // self.epoch + 1) * self.epoch
+        return epoch_wake(now, self.epoch)
 
     def __call__(self, sim):
         if sim.now <= 0 or sim.now % self.epoch != 0:
@@ -346,7 +342,7 @@ def _churn_run(rate, seed, schedule_seed, faulty, tracer=None):
         "created": sim.stats.packets_created,
         "ejected": sim.stats.packets_ejected,
         "occupancy": sim.network.total_occupancy(),
-        "drain_crc": ctrl.transition_crc(),
+        "drain_crc": canonical_crc(ctrl.transitions),
         "summary": ctrl.summary_metrics(),
     }
 

@@ -7,7 +7,7 @@ checked against the naive rules it replaced, inside
 ``tests.reference.naive_schedule()``: every link with replay state serviced
 every cycle, every protected link classified every epoch, every cycle
 stepped. On OWN-256 with bursty and death faults, a one-entry replay buffer
-(the full-buffer stall every send) and failover + control-loop churn, the
+(the full-buffer stall every send) and failover + recovery churn, the
 two schedules must agree exactly: the delivery log, every per-link protocol
 counter, the failover log and the run summary (``control_log_crc``
 included).

@@ -1,7 +1,7 @@
 """Flat slot sweep: binding, work-set coherence, and bit-identity.
 
 The scheduler property suites (``tests/runtime/test_fastforward_property.py``
-and ``tests/control/test_control_property.py``) already prove the slot
+and ``tests/faults/test_recovery_property.py``) already prove the slot
 sweep end-to-end -- fast untraced runs drive it by default. The tests here
 pin the pieces those properties cannot localise: the slot layout binding,
 the work lists agreeing with the object state mid-run (``sa_slots`` is

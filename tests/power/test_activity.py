@@ -20,7 +20,7 @@ SPEC = RunSpec.create(
     "own256", rate=0.02, cycles=300, warmup=100, seed=5, power=((4, 1),)
 )
 
-#: The control-plane fault study: spare links are re-pointed while it runs.
+#: The recovery fault study: spare links are re-pointed while it runs.
 FT_CONTROL = RunSpec.create(
     "own256_ft", topology_kwargs={"with_reconfiguration": True},
     pattern="HOT", rate=0.03, hotspot_fraction=0.6,

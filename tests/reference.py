@@ -163,11 +163,9 @@ def classify_every_link():
     plus those it watches. This is the full loop over ``layer.protected``
     it replaced; an unvisited link gets no verdict, so runs must agree.
     """
-    call = HealthMonitor.__call__
+    classify = HealthMonitor._classify
 
     def every_link(monitor, sim):
-        if sim.now == 0 or sim.now % monitor.epoch_cycles != 0:
-            return
         monitor.epochs += 1
         for link, state in monitor.layer.protected.items():
             if state.failed_over:
@@ -187,11 +185,11 @@ def classify_every_link():
         if monitor.audit:
             audit_network(sim)
 
-    HealthMonitor.__call__ = every_link
+    HealthMonitor._classify = every_link
     try:
         yield
     finally:
-        HealthMonitor.__call__ = call
+        HealthMonitor._classify = classify
 
 
 @contextmanager

@@ -4,6 +4,7 @@ import pytest
 
 from repro.runtime import (
     SCHEMA_VERSION,
+    ControlSpec,
     FaultSpec,
     RunSpec,
     TrafficSpec,
@@ -41,6 +42,33 @@ class TestSpecValidation:
     def test_fault_kind_checked(self):
         with pytest.raises(ValueError):
             FaultSpec(kind="gremlins")
+
+    @pytest.mark.parametrize(
+        "field, value", [("target_index", -1), ("max_channel", 0), ("max_channel", -3)]
+    )
+    def test_fault_targets_bounded(self, field, value):
+        # target_index=-1 used to kill the last data channel, and
+        # max_channel=0 to inject no burst at any rate.
+        with pytest.raises(ValueError, match=f"{field} must be >= "):
+            FaultSpec(kind="death", **{field: value})
+
+    def test_target_index_past_the_data_channels_is_named(self):
+        from repro.runtime.executor import execute_inline
+
+        spec = RunSpec.create(
+            "own256_ft", cycles=10, faults=FaultSpec(kind="death", target_index=99)
+        )
+        with pytest.raises(ValueError, match="own256_ft has 12 data channels"):
+            execute_inline(spec)
+
+    def test_control_needs_faults(self):
+        # Recovery probes failed-over channels: without a campaign it used
+        # to wire a plant whose log only mirrored the controller's drains.
+        with pytest.raises(ValueError, match="control requires faults"):
+            RunSpec.create("own256_ft", control=ControlSpec())
+        RunSpec.create(
+            "own256_ft", control=ControlSpec(), faults=FaultSpec(burst_rate=0.0)
+        )
 
     def test_workload_kind_needs_name(self):
         with pytest.raises(ValueError):
