@@ -10,12 +10,12 @@ ending with an ASCII heat map of OWN-256 under load.
 Run:  python examples/thermal_and_area.py
 """
 
-from repro import Simulator, SyntheticTraffic, build_own256
 from repro.analysis import (
     study_area_scaling,
     study_component_scaling,
     study_thermal,
 )
+from repro.runtime import Executor, RunSpec, build_ref
 from repro.thermal import thermal_report
 
 
@@ -30,12 +30,11 @@ def main() -> None:
     print(study_area_scaling().rendered)
     print(study_thermal(quick=True).rendered)
 
-    # Heat map of OWN-256 under uniform traffic.
-    built = build_own256()
-    sim = Simulator(built.network,
-                    traffic=SyntheticTraffic(256, "UN", 0.03, 4, seed=2))
-    sim.run(1000)
-    rep = thermal_report(built, sim)
+    # Heat map of OWN-256 under uniform traffic: the run's activity record,
+    # placed on a fresh build's floorplan.
+    spec = RunSpec.create("own256", pattern="UN", rate=0.03, cycles=1000, seed=2)
+    run = Executor().run_one(spec)
+    rep = thermal_report(build_ref("own256"), run.activity)
     print(f"OWN-256 thermal map (peak {rep.peak_c:.1f} C, "
           f"gradient {rep.gradient_c:.1f} C, ring tuning "
           f"{rep.tuning_power_w * 1e3:.1f} mW):\n")

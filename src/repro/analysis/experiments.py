@@ -19,13 +19,10 @@ import numpy as np
 from repro.analysis.sweep import SweepResult, compare_saturation, load_sweep, run_point
 from repro.analysis.tables import format_table
 from repro.core import (
-    build_own256,
-    build_own1024,
     own256_channels,
     own1024_channels,
     sdm_frequency_reuse_groups,
 )
-from repro.noc.simulator import Simulator
 from repro.power import (
     CONFIGURATIONS,
     SCENARIOS,
@@ -40,10 +37,8 @@ from repro.runtime import (
     FaultSpec,
     RunSpec,
     build_ref,
-    execute_inline,
     get_executor,
 )
-from repro.traffic import SyntheticTraffic, TrafficPattern
 
 
 @dataclass
@@ -508,7 +503,9 @@ def ablation_token_latency(
     )
 
 
-def ablation_antenna_placement(quick: bool = False) -> ExperimentResult:
+def ablation_antenna_placement(
+    quick: bool = False, executor: Optional[Executor] = None
+) -> ExperimentResult:
     """Corner vs centre antenna placement (Sec. III-A's motivation).
 
     "If all the wireless transceivers were located in close proximity
@@ -524,27 +521,25 @@ def ablation_antenna_placement(quick: bool = False) -> ExperimentResult:
     one contiguous window.
     """
     cycles = 800 if quick else 1500
-    rows = []
-    for placement in ("corners", "center"):
-        built, sim, _ = execute_inline(
-            RunSpec.create(
-                "own256", pattern="UN", rate=0.035, cycles=cycles, warmup=300,
-                seed=11, topology_kwargs={"antenna_placement": placement},
-            )
+    specs = [
+        RunSpec.create(
+            "own256", pattern="UN", rate=0.035, cycles=cycles, warmup=300,
+            seed=11, topology_kwargs={"antenna_placement": placement},
         )
-        net = built.network
-        # Per-cluster activity heatmap over the 4x4 tile grid.
+        for placement in ("corners", "center")
+    ]
+    rows = []
+    for run in get_executor(executor).run(specs):
+        ref = (run.spec.topology, dict(run.spec.topology_kwargs))
+        # Per-cluster activity heatmap over the 4x4 tile grid: buffer writes
+        # + reads + crossbar traversals, a record's first three router fields.
+        heat = np.zeros((4, 4, 4))
+        for r, events in zip(build_ref(ref).network.routers, run.activity.routers):
+            t = r.attrs["tile"]
+            heat[r.attrs["cluster"], t // 4, t % 4] = sum(events[:3])
         worst_share = 0.0
-        for cluster in range(4):
-            grid = np.zeros((4, 4))
-            total = 0.0
-            for r in net.routers:
-                if r.attrs.get("cluster") != cluster:
-                    continue
-                t = r.attrs["tile"]
-                activity = r.buffer_writes + r.buffer_reads + r.xbar_traversals
-                grid[t // 4, t % 4] = activity
-                total += activity
+        for grid in heat:
+            total = grid.sum()
             if total == 0:
                 continue
             windows = [
@@ -554,8 +549,8 @@ def ablation_antenna_placement(quick: bool = False) -> ExperimentResult:
             ]
             worst_share = max(worst_share, max(windows))
         rows.append(
-            [placement, round(sim.mean_latency(), 1), round(sim.throughput(), 4),
-             round(worst_share, 3)]
+            [ref[1]["antenna_placement"], round(run.summary["latency_mean"], 1),
+             round(run.summary["throughput"], 4), round(worst_share, 3)]
         )
     return ExperimentResult(
         "Ablation: antenna placement (UN @ 0.035)",
@@ -646,12 +641,15 @@ def study_area_scaling() -> ExperimentResult:
     )
 
 
-def study_thermal(quick: bool = False) -> ExperimentResult:
+def study_thermal(
+    quick: bool = False, executor: Optional[Executor] = None
+) -> ExperimentResult:
     """Steady-state thermal comparison under equal traffic.
 
     Quantifies two paper claims: antenna placement changes the activity
     concentration (Sec. III-A) and big ring inventories pay gradient-chasing
-    tuning power (Sec. I).
+    tuning power (Sec. I). ``total_W`` is Fig. 6's total plus the
+    gradient-chasing tuning :func:`repro.thermal.thermal_report` adds.
     """
     from repro.thermal import thermal_report
 
@@ -663,14 +661,15 @@ def study_thermal(quick: bool = False) -> ExperimentResult:
         ("OptXB", ("optxb", {"n_cores": 256})),
         ("CMESH", ("cmesh", {"n_cores": 256})),
     ]
-    for name, (key, kwargs) in cases:
-        built, sim, _ = execute_inline(
-            RunSpec.create(
-                key, pattern="UN", rate=0.03, cycles=cycles, seed=2,
-                topology_kwargs=kwargs,
-            )
+    specs = [
+        RunSpec.create(
+            key, pattern="UN", rate=0.03, cycles=cycles, seed=2,
+            topology_kwargs=kwargs,
         )
-        rep = thermal_report(built, sim)
+        for _, (key, kwargs) in cases
+    ]
+    for (name, ref), run in zip(cases, get_executor(executor).run(specs)):
+        rep = thermal_report(build_ref(ref), run.activity)
         rows.append(
             [name, round(rep.peak_c, 2), round(rep.gradient_c, 2),
              round(rep.tuning_power_w * 1e3, 2), round(rep.total_power_w, 2)]
@@ -727,32 +726,33 @@ def study_component_scaling() -> ExperimentResult:
     )
 
 
-def study_reconfiguration(quick: bool = False) -> ExperimentResult:
-    """Adaptive reconfiguration channels vs static OWN on hotspot traffic."""
-    from repro.core.own256 import make_reconfig_controller
+def study_reconfiguration(
+    quick: bool = False, executor: Optional[Executor] = None
+) -> ExperimentResult:
+    """Adaptive reconfiguration channels vs static OWN on hotspot traffic.
 
+    The reconfigurable arm is :func:`study_adaptive`'s calm plant: spare
+    hardware, a 300-cycle re-pointer and a monitor that never fires."""
     cycles = 1200 if quick else 2500
+    hot = dict(
+        pattern="HOT", rate=0.035, cycles=cycles, warmup=300, seed=2,
+        hotspot_fraction=0.6, hotspots=tuple(range(128, 192)),
+    )
+    specs = [
+        RunSpec.create("own256", **hot),
+        RunSpec.create(
+            "own256_ft", **hot,
+            topology_kwargs={"with_reconfiguration": True},
+            faults=FaultSpec(kind="bursty", burst_rate=0.0, failover=True, reconfig_epoch=300),
+        ),
+    ]
     rows: List[List[object]] = []
-    # Adaptive-controller hook + bespoke hotspot pattern: runs in-process on
-    # the simulator directly (per-run packet-id isolation needs no reset).
-    for label, with_reconfig in (("static", False), ("reconfigurable", True)):
-        built = build_own256(with_reconfiguration=with_reconfig)
-        hot = TrafficPattern(
-            "HOT", 256, hotspot_fraction=0.6, hotspots=list(range(128, 192))
-        )
-        sim = Simulator(
-            built.network,
-            traffic=SyntheticTraffic(256, hot, 0.035, 4, seed=2),
-            warmup_cycles=300,
-        )
-        ctrl = None
-        if with_reconfig:
-            ctrl = make_reconfig_controller(built, epoch_cycles=300)
-            sim.add_hook(ctrl)
-        sim.run(cycles)
+    for label, run in zip(("static", "reconfigurable"), get_executor(executor).run(specs)):
+        reconfig = run.meta.get("reconfig")
         rows.append(
-            [label, round(sim.mean_latency(), 1), round(sim.throughput(), 4),
-             ctrl.summary()["spare_flits"] if ctrl else 0]
+            [label, round(run.summary["latency_mean"], 1),
+             round(run.summary["throughput"], 4),
+             reconfig["summary"]["spare_flits"] if reconfig else 0]
         )
     return ExperimentResult(
         "Study: reconfiguration channels (hotspot @ 0.035)",

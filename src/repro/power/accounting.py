@@ -69,9 +69,10 @@ class ActivityRecord:
     ``routers`` holds every router's :func:`~repro.power.dsent.router_events`
     and ``links`` every link that carried bits as ``(kind, length_mm,
     channel_id, multicast_degree, bits_carried, bits_retransmitted,
-    control_msgs)``, both in network order. ``channel_id`` is the one the
-    run ended with: reconfiguration re-points spare links while it runs.
-    Plain JSON data; :attr:`crc32` covers all of it.
+    control_msgs, src_router)``, both in network order. ``channel_id`` is
+    the one the run ended with: reconfiguration re-points spare links while
+    it runs. ``src_router`` indexes ``routers``: where the link's drivers
+    sit. Plain JSON data; :attr:`crc32` covers all of it.
     """
 
     cycles: int
@@ -127,6 +128,7 @@ def record_of(built: BuiltTopology, sim: Simulator) -> ActivityRecord:
             (
                 link.kind, link.length_mm, link.channel_id, link.multicast_degree,
                 link.bits_carried, link.bits_retransmitted, link.control_msgs,
+                link.src_router.rid,
             )
             for link in links
             if link.bits_carried
@@ -240,6 +242,32 @@ class PowerModel:
         data = [r for r in wireless_channel_table(self.scenario) if r.role == "data"]
         return sum(r.energy_pj_per_bit for r in data) / len(data)
 
+    # ---------------- per-site prices ---------------- #
+    # With DsentParams' router terms, the one copy of each formula: ``measure``
+    # folds them over a record, the thermal map scatters them on a floorplan.
+
+    def link_price(self, row: Tuple[object, ...]) -> Tuple[float, float, float]:
+        """One link row's energy [pJ]: its carried bits, its ACK/NACK control
+        messages (charged on top), and the retransmitted share of the carried
+        bits (reported, not charged again)."""
+        kind, length_mm, channel_id, degree, bits, retx_bits, ctrl_msgs, _ = row
+        if kind == "electrical":
+            return self.dsent.wire_energy_pj(bits, length_mm), 0.0, 0.0
+        ctrl_bits = ctrl_msgs * self.wireless.control_bits_per_msg
+        if kind == "photonic":
+            pj = self.photonic.link_dynamic_energy_pj
+            return pj(bits), pj(ctrl_bits), pj(retx_bits)
+        e_bit = self.wireless_link_energy_pj_per_bit(channel_id, length_mm)
+        e_eff = self.wireless.effective_energy_pj(e_bit, degree)
+        return bits * e_eff, ctrl_bits * e_eff, retx_bits * e_eff
+
+    def static_price(self, activity: ActivityRecord) -> Tuple[float, float]:
+        """Wireless transceiver bias and ring thermal tuning [mW]."""
+        return (
+            activity.wireless_ends * self.wireless.static_mw_per_transceiver_end,
+            self.photonic.tuning_power_mw(activity.photonic_rings),
+        )
+
     # ---------------- the main entry point ---------------- #
 
     def measure(self, activity: ActivityRecord) -> PowerBreakdown:
@@ -270,42 +298,29 @@ class PowerModel:
         wifi_data_pj = 0.0  # data bits alone, for avg_wireless_link_mw
         wifi_active = 0
         retx_pj = 0.0
-        ctrl_bits = self.wireless.control_bits_per_msg
-        for kind, length_mm, channel_id, degree, bits, retx_bits, ctrl_msgs in activity.links:
-            if kind == "electrical":
-                elec_pj += self.dsent.wire_energy_pj(bits, length_mm)
-            elif kind == "photonic":
-                phot_pj += self.photonic.link_dynamic_energy_pj(bits)
-                if ctrl_msgs:
-                    c = self.photonic.link_dynamic_energy_pj(ctrl_msgs * ctrl_bits)
-                    phot_pj += c
-                    retx_pj += c
-                if retx_bits:
-                    retx_pj += self.photonic.link_dynamic_energy_pj(retx_bits)
-            elif kind == "wireless":
-                e_bit = self.wireless_link_energy_pj_per_bit(channel_id, length_mm)
-                e_eff = self.wireless.effective_energy_pj(e_bit, degree)
-                data_pj = bits * e_eff
+        for row in activity.links:
+            data_pj, ctrl_pj, row_retx_pj = self.link_price(row)
+            if row[0] == "electrical":
+                elec_pj += data_pj
+                continue
+            if row[0] == "photonic":
+                phot_pj += data_pj
+                phot_pj += ctrl_pj
+            else:
                 wifi_pj += data_pj
                 wifi_data_pj += data_pj
                 wifi_active += 1
-                if ctrl_msgs:
-                    c = ctrl_msgs * ctrl_bits * e_eff
-                    wifi_pj += c
-                    retx_pj += c
-                if retx_bits:
-                    retx_pj += retx_bits * e_eff
+                wifi_pj += ctrl_pj
+            retx_pj += ctrl_pj
+            retx_pj += row_retx_pj
         out.electrical_link_w = elec_pj * 1e-12 / duration_s
         out.retx_overhead_w = retx_pj * 1e-12 / duration_s
         out.avg_wireless_link_mw = (
             wifi_data_pj * 1e-12 / duration_s / max(1, wifi_active) * 1e3
         )
 
-        wifi_static_mw = activity.wireless_ends * self.wireless.static_mw_per_transceiver_end
+        wifi_static_mw, tuning_mw = self.static_price(activity)
         out.wireless_w = wifi_pj * 1e-12 / duration_s + wifi_static_mw * 1e-3
-
-        # Photonic static: ring thermal tuning.
-        tuning_mw = self.photonic.tuning_power_mw(activity.photonic_rings)
         out.photonic_w = phot_pj * 1e-12 / duration_s + tuning_mw * 1e-3
         return out
 

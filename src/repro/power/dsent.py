@@ -67,10 +67,6 @@ class DsentParams:
     p_static_base_mw: float = 0.4
     p_static_per_port_mw: float = 0.05
 
-    def router_dynamic_energy_pj(self, router: Router) -> float:
-        """Total dynamic energy a router consumed, from its event counters."""
-        return self.events_energy_pj(router_events(router))
-
     def events_energy_pj(self, events: Tuple[int, ...]) -> float:
         """Dynamic energy of one router's :func:`router_events`."""
         writes, reads, xbar, sa_grants, vca_grants, radix = events
@@ -81,9 +77,6 @@ class DsentParams:
             + xbar * self.e_xbar_pj * xbar_scale
             + (sa_grants + vca_grants) * self.e_arbiter_pj
         )
-
-    def router_static_power_mw(self, router: Router) -> float:
-        return self.static_power_mw(router_events(router)[-1])
 
     def static_power_mw(self, radix: int) -> float:
         """Static power of one router priced at ``radix``."""

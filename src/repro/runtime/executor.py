@@ -259,10 +259,10 @@ def execute_inline(
 ):
     """Run ``spec`` in-process and return ``(built, sim, result)``.
 
-    The escape hatch for experiments that post-process live network
-    objects (thermal maps, router activity heat). Shares the engine's
-    isolation and determinism guarantees but bypasses cache and workers
-    (the objects are not serialisable).
+    Called in ``src/`` only by :mod:`repro.runtime` and by
+    :mod:`repro.analysis.diagnose`, whose tracer's event stream is not
+    cacheable. Shares the engine's isolation and determinism guarantees
+    but bypasses cache and workers (the objects are not serialisable).
 
     ``tracer`` attaches a caller-owned :class:`repro.telemetry.Tracer`
     (the caller keeps the event stream, e.g. for Chrome export). Without

@@ -7,7 +7,7 @@ streamable, and machine-readable for regression dashboards. Schema::
 
     {
       "ts": 1730000000.0,          # unix time the run finished
-      "schema": 3,                 # record schema version (spec.SCHEMA_VERSION)
+      "schema": 4,                 # record schema version (spec.SCHEMA_VERSION)
       "digest": "ab12...",         # RunSpec content address
       "label": "own256/UN@0.03x1200",
       "topology": "own256",

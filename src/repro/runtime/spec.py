@@ -35,7 +35,10 @@ from typing import Dict, Mapping, Optional, Tuple
 #: :class:`repro.power.ActivityRecord`) and no ``power``: breakdowns are
 #: folded from the record for the pairs of the spec that asks, so the
 #: digest no longer covers ``RunSpec.power``.
-SCHEMA_VERSION = 3
+#:
+#: v4: each activity link row ends with its source router's index, so a
+#: cached record can be placed on the floorplan (the thermal map).
+SCHEMA_VERSION = 4
 
 _code_fingerprint: Optional[str] = None
 

@@ -1,20 +1,21 @@
 """Thermal analysis of simulated networks.
 
-Bridges the power accounting and the thermal grid: per-router measured
-power becomes a die power map, the grid solves the temperature field, and
-the photonic side feeds back -- rings detuned by thermal gradients need
-extra tuning power, which is itself heat (a short fixed-point iteration).
+Bridges the power accounting and the thermal grid: a run's activity record,
+priced site by site by :class:`~repro.power.PowerModel`, becomes a die power
+map at the floorplan positions of a deterministic build, the grid solves
+the temperature field, and the photonic side feeds back -- rings detuned by
+thermal gradients need extra tuning power, which is itself heat (a short
+fixed-point iteration).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from repro.noc.simulator import Simulator
-from repro.power.accounting import PowerModel, photonic_ring_count
+from repro.power.accounting import ActivityRecord, PowerModel
 from repro.thermal.grid import ThermalGrid, ThermalParams, ascii_heatmap
 from repro.topologies.base import BuiltTopology
 
@@ -43,57 +44,45 @@ TUNING_UW_PER_RING_K = 0.3
 
 def power_map_for(
     built: BuiltTopology,
-    sim: Simulator,
+    activity: ActivityRecord,
     grid: ThermalGrid,
     model: Optional[PowerModel] = None,
 ) -> np.ndarray:
-    """Distribute a run's measured power over the thermal grid.
+    """Scatter a run's per-site power prices over the thermal grid [W].
 
-    Router power lands at each router's floorplan position; link power is
-    attributed to the source router's cell (drivers dominate); wireless
-    transceiver power to the gateway cells.
+    ``built`` is a fresh build of the run's topology: it supplies floorplan
+    positions only. Router power lands at each router's position; link
+    power at its source router (drivers dominate); the wireless bias at the
+    source router of each wireless link, in equal shares; ring tuning
+    uniformly per cell. The map sums to ``model.measure(activity).total_w``.
     """
     model = model or PowerModel()
-    net = built.network
-    duration = model.dsent.cycles_to_seconds(sim.now)
+    duration = model.dsent.cycles_to_seconds(activity.cycles)
+    routers = built.network.routers
     power = np.zeros((grid.n, grid.n))
 
-    for router in net.routers:
-        w = (
-            model.dsent.router_dynamic_energy_pj(router) * 1e-12 / duration
-            + model.dsent.router_static_power_mw(router) * 1e-3
-        )
-        cx, cy = grid.cell_of(*router.position_mm)
+    def place(rid: int, w: float) -> None:
+        cx, cy = grid.cell_of(*routers[rid].position_mm)
         power[cy, cx] += w
 
-    for link in net.links:
-        if link.src_router is None or link.bits_carried == 0:
-            continue
-        if link.kind == "electrical":
-            w = model.dsent.wire_energy_pj(link.bits_carried, link.length_mm)
-        elif link.kind == "photonic":
-            w = model.photonic.link_dynamic_energy_pj(link.bits_carried)
-        else:  # wireless
-            e = model.wireless_link_energy_pj_per_bit(link.channel_id, link.length_mm)
-            w = link.bits_carried * model.wireless.effective_energy_pj(
-                e, link.multicast_degree
-            )
-        cx, cy = grid.cell_of(*link.src_router.position_mm)
-        power[cy, cx] += w * 1e-12 / duration
+    for rid, events in enumerate(activity.routers):
+        pj = model.dsent.events_energy_pj(events)
+        place(rid, pj * 1e-12 / duration + model.dsent.static_power_mw(events[-1]) * 1e-3)
+    for row in activity.links:
+        data_pj, ctrl_pj, _ = model.link_price(row)
+        place(row[-1], (data_pj + ctrl_pj) * 1e-12 / duration)
 
-    # Wireless static bias at transceiver sites.
-    static_w = model.wireless.static_mw_per_transceiver_end * 1e-3
-    for link in net.links:
-        if link.kind != "wireless" or link.src_router is None:
-            continue
-        cx, cy = grid.cell_of(*link.src_router.position_mm)
-        power[cy, cx] += static_w
+    wireless_mw, tuning_mw = model.static_price(activity)
+    gateways = [link.src_router.rid for link in built.network.links if link.kind == "wireless"]
+    for rid in gateways:
+        place(rid, wireless_mw * 1e-3 / len(gateways))
+    power += tuning_mw * 1e-3 / power.size
     return power
 
 
 def thermal_report(
     built: BuiltTopology,
-    sim: Simulator,
+    activity: ActivityRecord,
     grid_cells: int = 16,
     params: ThermalParams = ThermalParams(),
     model: Optional[PowerModel] = None,
@@ -104,18 +93,17 @@ def thermal_report(
     Iterates: solve T from the power map; compute ring-tuning power from
     the gradient (rings chase the hottest reference); add it as heat at the
     photonic sites; re-solve until the tuning power stabilises.
+    ``built`` supplies positions only (see :func:`power_map_for`).
     """
-    model = model or PowerModel()
     grid = ThermalGrid(grid_cells, params)
-    base_power = power_map_for(built, sim, grid, model)
-    rings = photonic_ring_count(built)
-    rings_per_cell = rings / (grid.n * grid.n) if rings else 0.0
+    base_power = power_map_for(built, activity, grid, model)
+    rings_per_cell = activity.photonic_rings / base_power.size
 
     tuning_w = 0.0
     temp = grid.solve(base_power)
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        if rings == 0:
+        if rings_per_cell == 0:
             break
         # Rings tune to the hottest point; each cell's rings pay for their
         # deviation below it.

@@ -19,7 +19,9 @@ Covers:
 * exactly-once delivery under arbitrary open-loop re-pointing schedules
   (hypothesis), with the fast-forwarded slot sweep, traced active-set
   ``stage_sa`` and the naive schedule (every cycle stepped, every waiting
-  head polled) bit-identical to each other.
+  head polled) bit-identical to each other;
+* a churn schedule that reaches the default drain timeout, the reason the
+  escape path exists.
 """
 
 from contextlib import contextmanager
@@ -30,7 +32,13 @@ from hypothesis import strategies as st
 
 from repro.core.faults import build_fault_tolerant_own256
 from repro.core.own256 import make_reconfig_controller
-from repro.core.reconfig import PHASE_ACTIVE, PHASE_DRAINING, canonical_crc, epoch_wake
+from repro.core.reconfig import (
+    DEFAULT_DRAIN_TIMEOUT,
+    PHASE_ACTIVE,
+    PHASE_DRAINING,
+    canonical_crc,
+    epoch_wake,
+)
 from repro.noc.simulator import Simulator
 from repro.noc.stats import StatsCollector
 from repro.telemetry import Tracer
@@ -384,3 +392,29 @@ def test_exactly_once_and_path_identity_under_churn(
     # the event-driven VCA missed.
     with naive_schedule():
         assert _churn_run(rate, seed, schedule_seed, faulty) == kernel
+
+
+def test_default_drain_timeout_fires_under_churn():
+    """Why the escape path exists: the default timeout is reached.
+
+    The argument for deleting the path was that a draining leg keeps its
+    channel and so empties long before ``DEFAULT_DRAIN_TIMEOUT`` unless
+    the network is deadlocked. This churn schedule refutes it with no
+    timeout override: one leg still holds committed packets 1 000 cycles
+    after it stopped taking steers, in a run that is not deadlocked (it
+    drains completely). The timeout revokes the spare, its stragglers
+    escape over the primary plan, and every packet is still delivered
+    exactly once. The path bounds how long a busy leg can hold a spare.
+    """
+    built, ctrl, sim = _open_loop_sim(rate=0.06, epoch=50, seed=49756)
+    sim.add_hook(ScheduleHook(built, ctrl, schedule_seed=27519))
+    with delivery_log() as events:
+        sim.run(1200)
+        assert sim.drain(60_000)
+    assert ctrl.drain_timeout == DEFAULT_DRAIN_TIMEOUT
+    assert ctrl.drain_timeouts >= 1
+    assert ctrl.escapes > 0
+    pids = [pid for _, pid in events]
+    assert len(pids) == len(set(pids)) == sim.stats.packets_created > 0
+    assert sim.stats.packets_ejected == sim.stats.packets_created
+    assert sim.network.total_occupancy() == 0

@@ -10,6 +10,7 @@ from repro.power import (
     measure_power,
     photonic_ring_count,
 )
+from repro.power.dsent import router_events
 from repro.topologies import build_cmesh, build_optxb
 from repro.traffic import SyntheticTraffic
 
@@ -19,11 +20,11 @@ class TestDsent:
         params = DsentParams()
         r = Router(0)
         r.attrs["paper_radix"] = 8
-        assert params.router_dynamic_energy_pj(r) == 0.0
+        assert params.events_energy_pj(router_events(r)) == 0.0
         r.buffer_writes = 10
-        e1 = params.router_dynamic_energy_pj(r)
+        e1 = params.events_energy_pj(router_events(r))
         r.buffer_writes = 20
-        assert params.router_dynamic_energy_pj(r) == pytest.approx(2 * e1)
+        assert params.events_energy_pj(router_events(r)) == pytest.approx(2 * e1)
 
     def test_xbar_scales_with_radix(self):
         params = DsentParams()
@@ -31,8 +32,8 @@ class TestDsent:
         lo.attrs["paper_radix"] = 8
         hi.attrs["paper_radix"] = 64
         lo.xbar_traversals = hi.xbar_traversals = 100
-        assert params.router_dynamic_energy_pj(hi) == pytest.approx(
-            8 * params.router_dynamic_energy_pj(lo)
+        assert params.events_energy_pj(router_events(hi)) == pytest.approx(
+            8 * params.events_energy_pj(router_events(lo))
         )
 
     def test_static_scales_with_radix(self):
@@ -40,7 +41,9 @@ class TestDsent:
         lo, hi = Router(0), Router(1)
         lo.attrs["paper_radix"] = 8
         hi.attrs["paper_radix"] = 67
-        assert params.router_static_power_mw(hi) > params.router_static_power_mw(lo)
+        assert params.static_power_mw(router_events(hi)[-1]) > params.static_power_mw(
+            router_events(lo)[-1]
+        )
 
     def test_falls_back_to_structural_radix(self):
         params = DsentParams()
@@ -48,7 +51,7 @@ class TestDsent:
         r.add_input_port()
         r.add_output_port()
         r.xbar_traversals = 10
-        assert params.router_dynamic_energy_pj(r) > 0
+        assert params.events_energy_pj(router_events(r)) > 0
 
     def test_wire_energy_linear_in_bits_and_length(self):
         params = DsentParams()

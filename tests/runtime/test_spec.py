@@ -144,12 +144,13 @@ class TestDigest:
         assert code_fingerprint() == "someotherversion"
         assert self.make().digest() != base
 
-    def test_schema_version_is_three(self):
+    def test_schema_version_is_four(self):
         # Bumping SCHEMA_VERSION invalidates every cache: make it deliberate.
         # v2 (deliberate): result payloads grew the ``profile`` dict and run
         # records surface power/engine counters (docs/observability.md).
         # v3 (deliberate): payloads carry the activity record, not power.
-        assert SCHEMA_VERSION == 3
+        # v4 (deliberate): activity link rows carry their source router.
+        assert SCHEMA_VERSION == 4
 
     def test_fingerprint_covers_hot_path_modules(self):
         # The fingerprint must invalidate cached results when the physics

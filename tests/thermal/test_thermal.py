@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import build_own256
-from repro.noc import Simulator
+from repro.power import PowerModel
+from repro.runtime import RunSpec, build_ref, run_spec, topology_keys
 from repro.thermal import (
     ThermalGrid,
     ThermalParams,
@@ -12,8 +12,6 @@ from repro.thermal import (
     power_map_for,
     thermal_report,
 )
-from repro.topologies import build_cmesh, build_optxb
-from repro.traffic import SyntheticTraffic
 
 
 class TestGridSolver:
@@ -95,30 +93,48 @@ class TestHeatmap:
         assert "7.0 .. 7.0" in art
 
 
+#: Every registered topology key, at 256 and 1024 cores where its builder
+#: builds both.
+MAP_REFS = {
+    "own256": [("own256", {})],
+    "own256_ft": [("own256_ft", {"with_reconfiguration": True})],
+    "own1024": [("own1024", {})],
+    "cmesh": [("cmesh", {"n_cores": 256}), ("cmesh", {"n_cores": 1024})],
+    "wcmesh": [("wcmesh", {"n_cores": 256}), ("wcmesh", {"n_cores": 1024})],
+    "optxb": [("optxb", {"n_cores": 256}), ("optxb", {"n_cores": 1024})],
+    "pclos": [("pclos", {"n_cores": 256}), ("pclos", {"n_cores": 1024, "n_middles": 32})],
+}
+
+
+def run_activity(ref, rate=0.03, cycles=500):
+    key, kwargs = ref
+    spec = RunSpec.create(
+        key, pattern="UN", rate=rate, cycles=cycles, seed=2, topology_kwargs=kwargs
+    )
+    return run_spec(spec).activity
+
+
+def test_map_refs_cover_the_registry():
+    assert sorted(MAP_REFS) == sorted(topology_keys())
+
+
+@pytest.mark.parametrize(
+    "ref", [ref for refs in MAP_REFS.values() for ref in refs],
+    ids=lambda ref: f"{ref[0]}{ref[1].get('n_cores', '')}",
+)
+def test_power_map_total_is_measured_total(ref):
+    """The map scatters ``measure``'s own per-site prices: its total is
+    Fig. 6's total, photonic and wireless links included."""
+    activity = run_activity(ref, rate=0.01, cycles=200)
+    pmap = power_map_for(build_ref(ref), activity, ThermalGrid(16))
+    assert pmap.sum() == pytest.approx(PowerModel().measure(activity).total_w, rel=1e-9)
+
+
 class TestNetworkThermal:
-    def run_own(self, **kwargs):
-        built = build_own256(**kwargs)
-        sim = Simulator(
-            built.network, traffic=SyntheticTraffic(256, "UN", 0.03, 4, seed=2)
-        )
-        sim.run(500)
-        return built, sim
-
-    def test_power_map_totals_match_accounting_order(self):
-        from repro.power import measure_power
-        from repro.thermal.grid import ThermalGrid
-
-        built, sim = self.run_own()
-        grid = ThermalGrid(16)
-        pmap = power_map_for(built, sim, grid)
-        pb = measure_power(built, sim)
-        # Power map total within ~20 % of the accounting total (ring tuning
-        # and minor terms are attributed differently).
-        assert pmap.sum() == pytest.approx(pb.total_w, rel=0.2)
+    OWN = ("own256", {})
 
     def test_report_fields(self):
-        built, sim = self.run_own()
-        rep = thermal_report(built, sim)
+        rep = thermal_report(build_ref(self.OWN), run_activity(self.OWN))
         assert rep.peak_c > ThermalParams().ambient_c
         assert rep.gradient_c > 0
         assert rep.iterations >= 1
@@ -126,39 +142,20 @@ class TestNetworkThermal:
         assert "range:" in rep.heatmap
 
     def test_more_load_more_heat(self):
-        built = build_own256()
-        sim = Simulator(
-            built.network, traffic=SyntheticTraffic(256, "UN", 0.01, 4, seed=2)
-        )
-        sim.run(500)
-        cool = thermal_report(built, sim).peak_c
-
-        built2 = build_own256()
-        sim2 = Simulator(
-            built2.network, traffic=SyntheticTraffic(256, "UN", 0.04, 4, seed=2)
-        )
-        sim2.run(500)
-        hot = thermal_report(built2, sim2).peak_c
+        built = build_ref(self.OWN)
+        cool = thermal_report(built, run_activity(self.OWN, rate=0.01)).peak_c
+        hot = thermal_report(built, run_activity(self.OWN, rate=0.04)).peak_c
         assert hot > cool
 
     def test_optxb_pays_more_ring_tuning_than_own(self):
         """Sec. I's thermal argument: a million-ring crossbar chases the
         gradient with far more tuning power than OWN's 4k rings."""
         results = {}
-        for name, builder in (("own", build_own256), ("optxb", lambda: build_optxb(256))):
-            built = builder()
-            sim = Simulator(
-                built.network, traffic=SyntheticTraffic(256, "UN", 0.03, 4, seed=2)
-            )
-            sim.run(500)
-            results[name] = thermal_report(built, sim).tuning_power_w
+        for name, ref in (("own", self.OWN), ("optxb", ("optxb", {"n_cores": 256}))):
+            results[name] = thermal_report(build_ref(ref), run_activity(ref)).tuning_power_w
         assert results["optxb"] > 3 * results["own"]
 
     def test_cmesh_has_no_tuning_power(self):
-        built = build_cmesh(256)
-        sim = Simulator(
-            built.network, traffic=SyntheticTraffic(256, "UN", 0.03, 4, seed=2)
-        )
-        sim.run(400)
-        rep = thermal_report(built, sim)
+        ref = ("cmesh", {"n_cores": 256})
+        rep = thermal_report(build_ref(ref), run_activity(ref, cycles=400))
         assert rep.tuning_power_w == 0.0
