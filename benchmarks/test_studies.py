@@ -23,7 +23,7 @@ from repro.analysis import (
     study_thermal,
     study_workloads,
 )
-from repro.analysis.experiments import _adaptive_cells
+from repro.analysis.experiments import _adaptive_cells, _bursty_spec
 from repro.runtime import Executor
 
 
@@ -89,13 +89,33 @@ def test_fault_tolerance(run_experiment):
     assert min(accepted) > 0.7 * max(accepted)
 
 
-def test_bursty(run_experiment):
+def _paired_interval(diffs):
+    """Mean and 95 % t half-width of per-seed paired differences."""
+    diffs = np.asarray(diffs)
+    half = t.ppf(0.975, len(diffs) - 1) * diffs.std(ddof=1) / np.sqrt(len(diffs))
+    return diffs.mean(), half
+
+
+def test_bursty(run_experiment, engine_executor):
     result = run_experiment(study_bursty_traffic, quick=True)
     rows = {row[0]: row for row in result.rows}
-    # Equal mean load: accepted throughput stays put, tail latency grows
-    # with the burst factor.
+    # Equal mean load: accepted throughput stays put.
     assert rows[4.0][3] == pytest.approx(rows[1.0][3], rel=0.2)
-    assert rows[4.0][2] > rows[1.0][2]
+    # Bursts raise latency at equal mean load: over sixteen traffic seeds
+    # at the study's full length, the 95 % t-interval of the mean-latency
+    # gain (factor 4 - factor 1) excludes zero. The p99 gain is printed,
+    # not asserted: at this load its spread over seeds exceeds its size.
+    specs = [_bursty_spec(factor, quick=False, seed=seed)
+             for seed in range(2, 18) for factor in (1.0, 4.0)]
+    runs = (engine_executor or Executor()).run(specs)
+    for metric in ("latency_mean", "latency_p99"):
+        mean, half = _paired_interval([
+            bursty.summary[metric] - flat.summary[metric]
+            for flat, bursty in zip(runs[::2], runs[1::2])
+        ])
+        print(f"burst x4 {metric} gain: {mean:.2f} +/- {half:.2f}")
+        if metric == "latency_mean":
+            assert mean - half > 0, (mean, half)
 
 
 def test_workloads(run_experiment):
@@ -145,11 +165,12 @@ def test_adaptive_control(run_experiment, engine_executor, tmp_path):
     ]
     runs = executor.run(specs)
     for metric in ("latency_p99", "latency_mean"):
-        diffs = np.array([static.summary[metric] - adaptive.summary[metric]
-                          for static, adaptive in zip(runs[::2], runs[1::2])])
-        half = t.ppf(0.975, len(diffs) - 1) * diffs.std(ddof=1) / np.sqrt(len(diffs))
-        print(f"hot+burst {metric} gain: {diffs.mean():.1f} +/- {half:.1f}")
-        assert diffs.mean() - half > 0, (metric, diffs)
+        mean, half = _paired_interval([
+            static.summary[metric] - adaptive.summary[metric]
+            for static, adaptive in zip(runs[::2], runs[1::2])
+        ])
+        print(f"hot+burst {metric} gain: {mean:.1f} +/- {half:.1f}")
+        assert mean - half > 0, (metric, mean, half)
     # The transient burst is recovered, not permanently failed over.
     assert result.notes["recovered_transient"] >= 1
     assert arms[("hot+burst", "adaptive")][6] >= 1  # recovered column

@@ -43,12 +43,6 @@ import sys
 import time
 from typing import Dict, Optional
 
-from repro.analysis import (
-    EXPERIMENTS,
-    format_table,
-    load_sweep,
-    measure_bisection,
-)
 from repro.obs import (
     DEFAULT_SAMPLE_EVERY,
     DEFAULT_STALL_AFTER_S,
@@ -237,7 +231,14 @@ def report_engine_stats(executor: Optional[Executor]) -> None:
     log.info(line, extra=extra)
 
 
+# Each command imports the analysis names it uses: ``repro.analysis``
+# resolves them on first use, so ``sweep`` never loads the experiment
+# runners (nor NumPy).
+
+
 def cmd_experiments(args: argparse.Namespace) -> int:
+    from repro.analysis import EXPERIMENTS
+
     wanted = [w for w in args.only.split(",") if w] or list(EXPERIMENTS)
     unknown = set(wanted) - set(EXPERIMENTS)
     if unknown:
@@ -268,6 +269,8 @@ def cmd_experiments(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.analysis import format_table, load_sweep
+
     ref = NAMED_TOPOLOGIES[args.topology]
     rates = [float(r) for r in args.rates.split(",")]
     executor = executor_from_args(args)
@@ -296,6 +299,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
+    from repro.analysis import measure_bisection
+
     built = build_ref(NAMED_TOPOLOGIES[args.topology])
     net = built.network
     print(f"{net.name}: {net.n_cores} cores, {net.n_routers} routers")
@@ -322,6 +327,8 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def cmd_channels(args: argparse.Namespace) -> int:
+    from repro.analysis import EXPERIMENTS
+
     for key in ("table1", "table2", "table3", "table4"):
         print(EXPERIMENTS[key]().rendered)
     return 0

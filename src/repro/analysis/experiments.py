@@ -788,19 +788,20 @@ def study_fault_tolerance(
     )
 
 
+def _bursty_spec(burst_factor: float, quick: bool, seed: int = 2) -> RunSpec:
+    """One cell of :func:`study_bursty_traffic`: OWN-256, UN at 0.025."""
+    return RunSpec.create(
+        "own256", pattern="UN", rate=0.025, cycles=1000 if quick else 2000,
+        warmup=300, seed=seed, traffic_kind="bursty", burst_factor=burst_factor,
+    )
+
+
 def study_bursty_traffic(
     quick: bool = False, executor: Optional[Executor] = None
 ) -> ExperimentResult:
     """OWN-256 under bursty (MMBP) traffic at equal mean load."""
-    cycles = 1000 if quick else 2000
     factors = (1.0, 4.0, 8.0)
-    specs = [
-        RunSpec.create(
-            "own256", pattern="UN", rate=0.025, cycles=cycles, warmup=300,
-            seed=2, traffic_kind="bursty", burst_factor=burst_factor,
-        )
-        for burst_factor in factors
-    ]
+    specs = [_bursty_spec(burst_factor, quick) for burst_factor in factors]
     rows: List[List[object]] = []
     for burst_factor, run in zip(factors, get_executor(executor).run(specs)):
         rows.append(

@@ -11,11 +11,28 @@ the packet-level aggregates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence
 
 from repro.noc.packet import Packet
+
+
+def _percentile(ordered: Sequence[int], q: float) -> float:
+    """NumPy's default (``linear``) percentile of a sorted, non-empty sample.
+
+    The same float operations in the same order as ``numpy.percentile``:
+    a virtual index ``(n - 1) * (q / 100)``, and the interpolation between
+    its two neighbours taken from the nearer end, so the result is
+    bit-identical to NumPy's.
+    """
+    index = (len(ordered) - 1) * (q / 100)
+    lo = int(index)
+    if lo >= len(ordered) - 1:
+        return float(ordered[-1])
+    below, above = float(ordered[lo]), float(ordered[lo + 1])
+    gamma = index - lo
+    if gamma >= 0.5:
+        return above - (above - below) * (1 - gamma)
+    return below + (above - below) * gamma
 
 
 @dataclass
@@ -45,19 +62,29 @@ class LatencyStats:
 
     @staticmethod
     def from_samples(samples: List[int]) -> "LatencyStats":
+        """Statistics of integer samples (latencies in cycles).
+
+        Exact Python, equal bit for bit to NumPy's ``mean``, ``median``,
+        ``percentile`` and ``max`` over the same samples: an integer sum is
+        exact, so ``sum / n`` is the correctly rounded mean NumPy's float
+        sum also reaches below 2**53.
+        """
         # Empty-sample stats stay NaN *in process* (arithmetic-friendly
         # sentinel); the JSON boundary renders them as null (see as_dict
         # and repro.runtime.records).
         if not samples:
             return LatencyStats(0, float("nan"), float("nan"), float("nan"), float("nan"), float("nan"))
-        arr = np.asarray(samples, dtype=np.float64)
+        ordered = sorted(samples)
+        n = len(ordered)
+        mid = n // 2
+        median = ordered[mid] if n % 2 else (ordered[mid - 1] + ordered[mid]) / 2
         return LatencyStats(
-            count=int(arr.size),
-            mean=float(arr.mean()),
-            median=float(np.median(arr)),
-            p95=float(np.percentile(arr, 95)),
-            p99=float(np.percentile(arr, 99)),
-            max=float(arr.max()),
+            count=n,
+            mean=sum(ordered) / n,
+            median=float(median),
+            p95=_percentile(ordered, 95),
+            p99=_percentile(ordered, 99),
+            max=float(ordered[-1]),
         )
 
 

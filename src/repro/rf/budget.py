@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from repro.utils.units import (
     SPEED_OF_LIGHT_M_S,
@@ -30,6 +28,9 @@ from repro.utils.units import (
     mm,
     thermal_noise_dbm,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 def free_space_path_loss_db(distance_mm: float, freq_ghz: float) -> float:
@@ -122,6 +123,8 @@ class LinkBudget:
         Antenna gain is applied at both ends (directive antennas face each
         other across the chip).
         """
+        import numpy as np
+
         out = np.empty((len(gains_dbi), len(distances_mm)), dtype=float)
         for i, g in enumerate(gains_dbi):
             for j, d in enumerate(distances_mm):

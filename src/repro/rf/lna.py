@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,8 @@ class CascodeLNA:
 
     def gain_sweep(self, freqs_ghz: np.ndarray) -> np.ndarray:
         """Fig. 4c gain-vs-frequency series."""
+        import numpy as np
+
         return np.array([self.gain_db(float(f)) for f in np.asarray(freqs_ghz)])
 
     def output_snr_db(self, input_snr_db: float) -> float:

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from repro.utils.units import BOLTZMANN_J_K, ROOM_TEMPERATURE_K
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -104,10 +105,14 @@ class ColpittsOscillator:
 
     def psd_dbc_hz(self, offsets_hz: Sequence[float]) -> np.ndarray:
         """Single-sideband PSD samples for Fig. 4a's spectrum plot."""
+        import numpy as np
+
         return np.array([self.phase_noise_dbc_hz(abs(f)) for f in offsets_hz])
 
     def waveform(self, t_s: np.ndarray, amplitude_v: float = 0.4) -> np.ndarray:
         """Ideal time-domain carrier (Fig. 4a right inset)."""
+        import numpy as np
+
         return amplitude_v * np.sin(2.0 * math.pi * self.frequency_hz * np.asarray(t_s))
 
 

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.utils.units import dbm_to_watts, watts_to_dbm
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -95,6 +97,8 @@ class ClassABPA:
 
     def gain_sweep(self, freqs_ghz: np.ndarray) -> np.ndarray:
         """Fig. 4b gain-vs-frequency series."""
+        import numpy as np
+
         return np.array([self.gain_db(float(f)) for f in np.asarray(freqs_ghz)])
 
     def reflection_loss_fraction(self, freq_ghz: float) -> float:

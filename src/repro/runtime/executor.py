@@ -26,7 +26,6 @@ available to workers.
 
 from __future__ import annotations
 
-import multiprocessing
 import re
 import time
 from dataclasses import dataclass, field
@@ -593,6 +592,9 @@ class Executor:
         return result
 
     def _run_pool(self, specs: List[RunSpec], hub=None) -> List[RunResult]:
+        # Imported here: a serial run never starts a worker.
+        import multiprocessing
+
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX platforms

@@ -14,13 +14,14 @@ traffic in the NoC literature:
   each core picks a small working set of "home" cores (directory / LLC
   slices) that attract most of its packets, plus uniform background. This
   produces the hot-node skew real directory protocols show.
+
+Both draw whole-network vectors every cycle, so they draw from NumPy
+streams; NumPy is imported with the first one (see :mod:`repro.utils.rng`).
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.traffic.generator import DrawAheadTraffic
 from repro.traffic.patterns import TrafficPattern
@@ -102,13 +103,15 @@ class BurstyTraffic(DrawAheadTraffic):
         self._on ^= turning_off | turning_on
         # ON sources draw at the boosted rate.
         draws = rng.random(self.n_cores)
-        sources = np.nonzero(self._on & (draws < self._p_start_on))[0]
+        sources = (self._on & (draws < self._p_start_on)).nonzero()[0]
         if sources.size == 0:
             return None
-        dsts = self.pattern.destinations(sources, rng)
-        pairs = [
-            (int(s), int(d)) for s, d in zip(sources, dsts) if s != d
-        ]
+        destination = self.pattern.destination
+        pairs = []
+        for src in sources.tolist():
+            dst = destination(src, rng)
+            if dst != src:
+                pairs.append((src, dst))
         return pairs or None
 
     @property
@@ -119,7 +122,7 @@ class BurstyTraffic(DrawAheadTraffic):
         fast-forward mode can run ahead of the simulator clock while the
         network is idle.
         """
-        return float(np.mean(self._on))
+        return float(self._on.mean())
 
 
 class ApplicationTraffic(DrawAheadTraffic):
@@ -156,6 +159,8 @@ class ApplicationTraffic(DrawAheadTraffic):
         self.locality = locality
         self._p_start = injection_rate / packet_size_flits
         self._rng = RngStreams(seed).get("app")
+        import numpy as np
+
         # Fixed per-core working sets (never containing the core itself).
         homes = np.empty((n_cores, working_set), dtype=np.int64)
         for core in range(n_cores):
@@ -166,9 +171,11 @@ class ApplicationTraffic(DrawAheadTraffic):
     def _draw(self, cycle: int) -> Optional[List[Tuple[int, int]]]:
         rng = self._rng
         draws = rng.random(self.n_cores)
-        sources = np.nonzero(draws < self._p_start)[0]
+        sources = (draws < self._p_start).nonzero()[0]
         if sources.size == 0:
             return None
+        import numpy as np
+
         use_home = rng.random(sources.size) < self.locality
         home_pick = rng.integers(0, self._homes.shape[1], size=sources.size)
         uniform = rng.integers(0, self.n_cores, size=sources.size)

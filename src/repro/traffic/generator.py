@@ -16,25 +16,31 @@ as the oracle in ``tests/reference.py``; the two are the same process with
 a different mapping from seed to sample path, which
 ``tests/traffic/test_arrival_clock.py`` checks distributionally.
 
-Sources whose per-cycle state genuinely evolves (the ON/OFF chain of
+A firing core draws two scalars (its destination and its next gap), so
+the clock draws them from the stdlib ``random`` (a C call each) rather
+than NumPy (microseconds of dispatch per call), and a plain synthetic run
+never imports NumPy. Sources
+whose per-cycle state genuinely evolves (the ON/OFF chain of
 :class:`~repro.traffic.bursty.BurstyTraffic`) keep the per-cycle
-:class:`DrawAheadTraffic` pair.
+:class:`DrawAheadTraffic` pair and draw vectors from NumPy, imported on
+first use.
 """
 
 from __future__ import annotations
 
+import math
+import random
+from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, List, Optional, Tuple
-
-import numpy as np
 
 from repro.noc.packet import Packet
 from repro.traffic.patterns import TrafficPattern
 from repro.traffic.trace import TraceTraffic, TrafficTrace
-from repro.utils.rng import RngStreams
+from repro.utils.rng import derive_seed
 from repro.utils.validation import check_positive, check_probability
 
 
-#: Arrival cycle of a core that will not fire within any run.
+#: Gap of a core that will not fire within any run.
 _NEVER = 1 << 62
 
 
@@ -118,13 +124,22 @@ class DrawAheadTraffic:
 class SyntheticTraffic(DrawAheadTraffic):
     """Bernoulli packet source driving a :class:`repro.noc.simulator.Simulator`.
 
-    Sampled as an arrival clock: ``_next[core]`` is the cycle of each
-    core's next injection. The first gap is ``Geometric(p) - 1`` (a core
-    may fire on its very first cycle), every later one ``Geometric(p)``
-    drawn when the core fires, with that cycle's destinations drawn first
-    and both in ascending-core order. Arrival times therefore do not depend
-    on which cycles were ticked and which only peeked, so a fast-forwarded
-    run sees the packets of stepping every cycle by construction.
+    Sampled as an arrival clock: ``_calendar`` maps a cycle to the cores
+    whose next injection falls on it, and the heap ``_heap`` holds those
+    cycles. The first gap is ``Geometric(p) - 1`` (a core may fire on its
+    very first cycle), every later one ``Geometric(p)`` drawn when the core
+    fires. A firing cycle serves its cores in ascending order, each drawing
+    its destination and then its next gap. Arrival times therefore do not
+    depend on which cycles were ticked and which only peeked, so a
+    fast-forwarded run sees the packets of stepping every cycle by
+    construction.
+
+    All draws are scalars from a stdlib ``random.Random`` seeded with
+    ``derive_seed(seed, "traffic", pattern.name)``, the stream key every
+    architecture shares, so two networks offered the same ``(pattern,
+    rate, seed)`` see the same packets (common random numbers). A gap is
+    ``Geometric(p)`` by inversion of one ``random()``; a destination is one
+    more (:meth:`TrafficPattern.destination`), or none for a permutation.
 
     The clock counts only cycles the source was shown: cycles neither
     ticked nor covered by a peek (a ``drain()`` ... ``resume_traffic()``
@@ -168,24 +183,31 @@ class SyntheticTraffic(DrawAheadTraffic):
         self.n_cores = n_cores
         self.pattern = pattern
         self.injection_rate = injection_rate
-        self._p_start = injection_rate / packet_size_flits
-        self._rng = RngStreams(seed).get("traffic", pattern.name)
-        if self._p_start > 0.0:
-            self._next = self._gaps(n_cores) - 1
-            self._next_min = int(self._next.min())
-        else:
+        p = injection_rate / packet_size_flits
+        self._rng = random.Random(derive_seed(seed, "traffic", pattern.name))
+        # Geometric(p) by inversion: 1 + floor(log(1 - U) / log(1 - p)).
+        self._log_q = math.log1p(-p) if p < 1.0 else -math.inf
+        calendar: Dict[int, List[int]] = {}
+        if p > 0.0:
             # A silent source leaves its stream untouched and never fires.
-            self._next = np.full(n_cores, _NEVER)
-            self._next_min = _NEVER
+            for core in range(n_cores):
+                calendar.setdefault(self._gap() - 1, []).append(core)
+        self._calendar = calendar
+        self._heap = list(calendar)
+        heapify(self._heap)
 
-    def _gaps(self, count: int) -> np.ndarray:
-        # Capped so that ``now + gap`` cannot wrap int64 at rates below ~1e-18.
-        return np.minimum(self._rng.geometric(self._p_start, count), _NEVER)
+    def _gap(self) -> int:
+        """One ``Geometric(p)`` inter-arrival gap, by inversion."""
+        # A vanishing rate makes the quotient huge or infinite: such a core
+        # never fires within any run.
+        g = math.log(1.0 - self._rng.random()) / self._log_q
+        return int(g) + 1 if g < _NEVER else _NEVER
 
     def _pause(self, cycles: int) -> None:
         """``cycles`` cycles went by unseen: every pending arrival waits them out."""
-        self._next += cycles
-        self._next_min += cycles
+        self._calendar = {at + cycles: cores for at, cores in self._calendar.items()}
+        # Adding a constant keeps the heap ordered.
+        self._heap = [at + cycles for at in self._heap]
 
     def tick(self, now: int) -> List[Packet]:
         """Packets created at cycle ``now``."""
@@ -196,23 +218,32 @@ class SyntheticTraffic(DrawAheadTraffic):
             self._drawn_until = now
             if unseen:
                 self._pause(unseen)
-        if now < self._next_min:
+        heap = self._heap
+        if not heap or heap[0] > now:
             return []
-        sources = (self._next == now).nonzero()[0]
-        dsts = self.pattern.destinations(sources, self._rng)
-        self._next[sources] = now + self._gaps(sources.size)
-        self._next_min = int(self._next.min())
-        pairs = [
-            (src, dst)
-            for src, dst in zip(sources.tolist(), dsts.tolist())
-            if src != dst  # permutation fixed points / uniform self-draws
-        ]
+        calendar = self._calendar
+        cores = calendar.pop(heappop(heap))
+        cores.sort()
+        destination = self.pattern.destination
+        rng = self._rng
+        pairs = []
+        for src in cores:
+            dst = destination(src, rng)
+            if dst != src:  # permutation fixed points / uniform self-draws
+                pairs.append((src, dst))
+            at = now + self._gap()
+            later = calendar.get(at)
+            if later is None:
+                calendar[at] = [src]
+                heappush(heap, at)
+            else:
+                later.append(src)
         return self._packets(now, pairs) if pairs else []
 
     def next_injection_cycle(self, start: int, limit: int) -> Optional[int]:
         """Earliest cycle in ``[start, limit)`` with an injection, or None.
 
-        Fast-forward wake source: a compare against the earliest clock
+        Fast-forward wake source: a compare against the calendar's earliest
         entry. Every cycle it vouches for counts as shown to the source.
         """
         if self.stop_cycle is not None and self.stop_cycle < limit:
@@ -220,7 +251,7 @@ class SyntheticTraffic(DrawAheadTraffic):
         if start > self._drawn_until + 1:
             self._pause(start - self._drawn_until - 1)
             self._drawn_until = start - 1
-        cycle = self._next_min
+        cycle = self._heap[0] if self._heap else _NEVER
         if cycle < limit:
             self._drawn_until = cycle - 1
             return cycle
@@ -244,5 +275,7 @@ class ScriptedTraffic(TraceTraffic):
     """
 
     def __init__(self, schedule: Iterable[tuple]) -> None:
+        import numpy as np
+
         columns = np.array(list(schedule), dtype=np.int64).reshape(-1, 4).T
         super().__init__(TrafficTrace(*columns))

@@ -12,13 +12,17 @@ and exercise different bisection/locality regimes).
 
 All bit-permutations require ``n`` to be a power of two, as in the paper's
 256/1024-core configurations.
+
+A pattern draws a destination from one scalar, ``rnd.random()``, of
+whatever stream its source hands it: a stdlib ``random.Random`` for the
+arrival clock of :class:`~repro.traffic.generator.SyntheticTraffic`, a NumPy
+``Generator`` for :class:`~repro.traffic.bursty.BurstyTraffic`. Nothing
+here needs NumPy.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence
-
-import numpy as np
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.utils.validation import check_power_of_two, check_probability
 
@@ -144,7 +148,7 @@ class TrafficPattern:
         self.name = name
         self.n_cores = n_cores
         self.hotspot_fraction = check_probability("hotspot_fraction", hotspot_fraction)
-        self.hotspots = list(hotspots) if hotspots is not None else [0]
+        self.hotspots = [int(h) for h in hotspots] if hotspots is not None else [0]
         # Checked here, not in TrafficSpec, which does not know n_cores: an
         # out-of-range hotspot would otherwise surface mid-run as a bare
         # IndexError at injection (or, negative, silently wrap around).
@@ -153,11 +157,10 @@ class TrafficPattern:
                 f"hotspots must be a non-empty set of cores in [0, {n_cores}), "
                 f"got {self.hotspots}"
             )
-        self._hotspots = np.asarray(self.hotspots, dtype=np.int64)
-        self._table: Optional[np.ndarray] = None
+        self._table: Optional[List[int]] = None
         if name in _PERMUTATIONS:
             fn = _PERMUTATIONS[name]
-            self._table = np.array([fn(s, n_cores) for s in range(n_cores)], dtype=np.int64)
+            self._table = [fn(s, n_cores) for s in range(n_cores)]
 
     @classmethod
     def resolve(cls, pattern: "TrafficPattern | str", n_cores: int) -> "TrafficPattern":
@@ -180,29 +183,35 @@ class TrafficPattern:
     def is_permutation(self) -> bool:
         return self._table is not None
 
-    def destinations(self, sources: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Vectorised destination selection for an array of source cores.
+    def destination(self, src: int, rnd) -> int:
+        """The destination of one packet from core ``src``.
 
-        Self-addressed results are possible for fixed points of the
-        permutations (e.g. palindromic indices under BR); the generator
-        filters those out, matching standard practice.
+        A permutation draws nothing; a random pattern reads exactly one
+        ``rnd.random()`` and maps it by inversion (``HOT``: below
+        ``hotspot_fraction`` picks a hotspot, above it a uniform core).
+        Self-addressed results are possible (fixed points of the
+        permutations, e.g. palindromic indices under BR, and uniform
+        self-draws); the generators filter those out, matching standard
+        practice.
         """
         if self._table is not None:
-            return self._table[sources]
+            return self._table[src]
+        u = rnd.random()
         if self.name == "UN":
-            return rng.integers(0, self.n_cores, size=sources.shape[0], dtype=np.int64)
-        # HOT: mixture of hotspot-directed and uniform traffic.
-        dsts = rng.integers(0, self.n_cores, size=sources.shape[0], dtype=np.int64)
-        to_hot = rng.random(sources.shape[0]) < self.hotspot_fraction
-        hot_choices = rng.integers(0, len(self.hotspots), size=int(to_hot.sum()))
-        dsts[to_hot] = self._hotspots[hot_choices]
-        return dsts
+            return int(u * self.n_cores)
+        # HOT: the mixture of hotspot-directed and uniform traffic; each
+        # branch rescales u to [0, 1). Only the upper one can round up to 1
+        # (at u = 1 - 2**-53), hence its min().
+        f = self.hotspot_fraction
+        if u < f:
+            return self.hotspots[int(u / f * len(self.hotspots))]
+        return min(int((u - f) / (1.0 - f) * self.n_cores), self.n_cores - 1)
 
     def fixed_destination(self, src: int) -> Optional[int]:
         """The permutation target for ``src`` (``None`` for random patterns)."""
         if self._table is None:
             return None
-        return int(self._table[src])
+        return self._table[src]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TrafficPattern({self.name}, n={self.n_cores})"

@@ -4,18 +4,20 @@ The paper evaluates synthetic traces only ("In the future, we will evaluate
 with real workloads"), but reproducible experiments want the *same* packet
 sequence replayed against every architecture. A :class:`TrafficTrace`
 captures the output of any generator once and replays it deterministically;
-traces round-trip through ``.npz`` files for archival.
+traces round-trip through ``.npz`` files for archival. A trace is NumPy
+arrays, so NumPy is imported where one is built, not when this module is.
 """
 
 from __future__ import annotations
 
 import zlib
 from pathlib import Path
-from typing import Dict, List, Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro.noc.packet import Packet
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 #: Array names (and their save order) of the on-disk ``.npz`` schema. The
 #: golden-trace gate checks this exact set, so renaming or adding a field
@@ -33,6 +35,8 @@ class TrafficTrace:
         dsts: np.ndarray,
         sizes: np.ndarray,
     ) -> None:
+        import numpy as np
+
         n = len(cycles)
         if not (len(srcs) == len(dsts) == len(sizes) == n):
             raise ValueError("trace arrays must have equal length")
@@ -56,7 +60,7 @@ class TrafficTrace:
             return
         for field in ("srcs", "dsts"):
             arr = getattr(self, field)
-            bad = np.nonzero((arr < 0) | (arr >= n_cores))[0]
+            bad = ((arr < 0) | (arr >= n_cores)).nonzero()[0]
             if bad.size:
                 i = int(bad[0])
                 raise ValueError(
@@ -65,8 +69,8 @@ class TrafficTrace:
                 )
         if int(self.cycles[0]) < 0:
             raise ValueError(f"trace starts at negative cycle {int(self.cycles[0])}")
-        if np.any(self.sizes < 1):
-            i = int(np.nonzero(self.sizes < 1)[0][0])
+        if (self.sizes < 1).any():
+            i = int((self.sizes < 1).nonzero()[0][0])
             raise ValueError(f"trace packet {i} has non-positive size {int(self.sizes[i])}")
 
     # ------------------------------------------------------------------ #
@@ -88,6 +92,8 @@ class TrafficTrace:
         compression-level differences across numpy versions while still
         pinning every emitted packet exactly.
         """
+        import numpy as np
+
         crc = 0
         for field in TRACE_FIELDS:
             arr = np.ascontiguousarray(getattr(self, field), dtype="<i8")
@@ -107,6 +113,8 @@ class TrafficTrace:
                 src.append(p.src_core)
                 dst.append(p.dst_core)
                 size.append(p.size_flits)
+        import numpy as np
+
         return TrafficTrace(
             np.asarray(cyc, dtype=np.int64),
             np.asarray(src, dtype=np.int64),
@@ -116,6 +124,8 @@ class TrafficTrace:
 
     def save(self, path) -> None:
         """Write the ``.npz`` archive (path or writable binary file object)."""
+        import numpy as np
+
         if isinstance(path, (str, Path)):
             path = Path(path)
         np.savez_compressed(
@@ -124,6 +134,8 @@ class TrafficTrace:
 
     @staticmethod
     def load(path: Union[str, Path]) -> "TrafficTrace":
+        import numpy as np
+
         data = np.load(Path(path))
         missing = [f for f in TRACE_FIELDS if f not in data.files]
         if missing:
@@ -201,7 +213,7 @@ class TraceTraffic:
         if start >= limit or self._pos >= len(self.trace):
             return None
         cycles = self.trace.cycles
-        i = int(np.searchsorted(cycles[self._pos:], start, side="left")) + self._pos
+        i = int(cycles[self._pos:].searchsorted(start, side="left")) + self._pos
         if i >= len(self.trace) or cycles[i] >= limit:
             return None
         return int(cycles[i])

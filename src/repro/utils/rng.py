@@ -2,18 +2,27 @@
 
 Cycle-accurate simulation must be exactly reproducible for a given seed:
 the latency/throughput tables in EXPERIMENTS.md are regenerated from fixed
-seeds. Each traffic source gets an *independent* NumPy ``Generator`` derived
-from a master seed plus a stable stream key, so adding a new consumer of
-randomness never perturbs the draws seen by existing consumers (a classic
+seeds. Every consumer of randomness gets an *independent* stream derived
+from a master seed plus a stable stream key (:func:`derive_seed`), so adding
+a new consumer never perturbs the draws seen by existing ones (a classic
 reproducibility bug in monolithic-RNG simulators).
+
+A consumer that draws one scalar at a time (the arrival clock of
+:class:`~repro.traffic.generator.SyntheticTraffic`) seeds a stdlib
+``random.Random`` with ``derive_seed(seed, *key)``: a scalar draw there is a
+C call, where a NumPy ``Generator`` pays microseconds of dispatch per call.
+A consumer that draws vectors takes a NumPy ``Generator`` from
+:class:`RngStreams`; NumPy is imported on the first such stream, so a run
+that draws no vector never loads it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 def derive_seed(master_seed: int, *key_parts: object) -> int:
@@ -60,6 +69,8 @@ class RngStreams:
         key = tuple(key_parts)
         gen = self._cache.get(key)
         if gen is None:
+            import numpy as np
+
             gen = np.random.default_rng(derive_seed(self.master_seed, *key))
             self._cache[key] = gen
         return gen

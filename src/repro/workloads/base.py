@@ -20,13 +20,14 @@ must honour (property-tested in ``tests/workloads``):
 
 from __future__ import annotations
 
-from typing import List
-
-import numpy as np
+from typing import TYPE_CHECKING, List
 
 from repro.traffic.trace import TrafficTrace
 from repro.utils.rng import RngStreams
 from repro.utils.validation import check_positive
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 class TraceBuilder:
@@ -62,6 +63,8 @@ class TraceBuilder:
         return len(self._cycles)
 
     def build(self) -> TrafficTrace:
+        import numpy as np
+
         return TrafficTrace(
             np.asarray(self._cycles, dtype=np.int64),
             np.asarray(self._srcs, dtype=np.int64),
@@ -84,6 +87,8 @@ def spread_over_cores(
     there are more items than cores -- placement is uniform but fixed for
     the whole trace, like a static deployment.
     """
+    import numpy as np
+
     perm = rng.permutation(n_cores)
     return perm[np.arange(n_items) % n_cores]
 

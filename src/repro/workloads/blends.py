@@ -17,15 +17,16 @@ studies want to stress.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.traffic.bursty import BurstyTraffic
 from repro.traffic.patterns import TrafficPattern
 from repro.traffic.trace import TrafficTrace
 from repro.utils.validation import check_probability
 from repro.workloads.base import TraceBuilder, WorkloadModel
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 def merge_traces(traces: Sequence[TrafficTrace]) -> TrafficTrace:
@@ -37,6 +38,8 @@ def merge_traces(traces: Sequence[TrafficTrace]) -> TrafficTrace:
     """
     if not traces:
         raise ValueError("need at least one trace to merge")
+    import numpy as np
+
     return TrafficTrace(
         np.concatenate([t.cycles for t in traces]),
         np.concatenate([t.srcs for t in traces]),
@@ -99,6 +102,8 @@ class BlendWorkload(WorkloadModel):
         ties broken by core id for determinism."""
         if len(trace) == 0:
             return []
+        import numpy as np
+
         flits = np.bincount(trace.dsts, weights=trace.sizes.astype(np.float64))
         order = np.lexsort((np.arange(flits.size), -flits))
         return [int(c) for c in order[:n] if flits[c] > 0]

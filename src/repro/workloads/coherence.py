@@ -18,10 +18,13 @@ request-reply causality.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.utils.validation import check_positive, check_probability
 from repro.workloads.base import TraceBuilder, WorkloadModel, spread_over_cores
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 class CoherenceWorkload(WorkloadModel):
@@ -97,6 +100,8 @@ class CoherenceWorkload(WorkloadModel):
     # ------------------------------------------------------------------ #
 
     def _generate(self, builder: TraceBuilder, n_cores: int) -> None:
+        import numpy as np
+
         if self.n_homes > n_cores:
             raise ValueError(f"{self.n_homes} home nodes but only {n_cores} cores")
         place = self.rng("placement")

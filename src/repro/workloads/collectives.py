@@ -20,12 +20,13 @@ while staying byte-reproducible.
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Tuple
 
 from repro.utils.validation import check_positive
 from repro.workloads.base import TraceBuilder, WorkloadModel, spread_over_cores
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 COLLECTIVE_KINDS = ("allreduce_ring", "allreduce_tree", "stencil3d")
 
@@ -112,6 +113,8 @@ class CollectiveWorkload(WorkloadModel):
 
     def _skews(self, p: int) -> np.ndarray:
         if self.skew_max == 0:
+            import numpy as np
+
             return np.zeros(p, dtype=np.int64)
         return self.rng("skew").integers(0, self.skew_max + 1, size=p)
 

@@ -24,9 +24,7 @@ parameters and seed.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.utils.validation import check_positive, check_probability
 from repro.workloads.base import (
@@ -35,6 +33,9 @@ from repro.workloads.base import (
     geometric_delay,
     spread_over_cores,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 class MicroserviceWorkload(WorkloadModel):
@@ -136,6 +137,8 @@ class MicroserviceWorkload(WorkloadModel):
     # ------------------------------------------------------------------ #
 
     def _generate(self, builder: TraceBuilder, n_cores: int) -> None:
+        import numpy as np
+
         graph = self.service_graph()
         cores = self.placement(n_cores)
         arrivals = self.rng("arrivals")

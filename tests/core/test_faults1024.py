@@ -177,9 +177,10 @@ class TestChurn:
     def test_static_failures_steady_state_is_pinned(self):
         """Two static failures pin one whole ``SyntheticTraffic`` sample path.
 
-        The numbers date from PR 21 (child of e4a6e43), which re-baselined
-        ``SyntheticTraffic`` from per-cycle Bernoulli draws to the arrival
-        clock: same process, different sample path for a given seed.
+        The numbers date from the re-baseline that moved ``SyntheticTraffic``
+        from NumPy to stdlib scalar draws (the second, after the one from
+        per-cycle Bernoulli draws to the arrival clock): same process,
+        different sample path for a given seed.
         """
         built = build_fault_tolerant_own1024()
         routing = built.notes["routing"]
@@ -191,8 +192,8 @@ class TestChurn:
         )
         sim.run(1200)
         assert sim.drain(30_000)
-        assert sim.now == 2879
-        assert sim.stats.packets_created == sim.stats.packets_ejected == 2429
-        assert routing.relayed_packets == 318
-        assert sim.stats.summary(sim.now)["latency_mean"] == 283.47509263071225
-        assert sum(r.vca_grants for r in built.network.routers) == 9403
+        assert sim.now == 2833
+        assert sim.stats.packets_created == sim.stats.packets_ejected == 2500
+        assert routing.relayed_packets == 295
+        assert sim.stats.summary(sim.now)["latency_mean"] == 249.8952
+        assert sum(r.vca_grants for r in built.network.routers) == 9642

@@ -69,17 +69,22 @@ class PerCycleBernoulliTraffic:
     def __init__(self, n_cores, pattern, injection_rate, packet_size_flits=4, seed=1):
         self.n_cores = n_cores
         self.pattern = TrafficPattern.resolve(pattern, n_cores)
+        if not (self.pattern.is_permutation or self.pattern.name == "UN"):
+            raise ValueError(f"the oracle draws uniform or permutation traffic, not {pattern}")
         self.packet_size_flits = packet_size_flits
         self._p_start = injection_rate / packet_size_flits
         self._rng = RngStreams(seed).get("traffic", self.pattern.name)
 
     def tick(self, now):
         draws = self._rng.random(self.n_cores)
-        sources = np.nonzero(draws < self._p_start)[0]
-        dsts = self.pattern.destinations(sources, self._rng)
+        sources = np.nonzero(draws < self._p_start)[0].tolist()
+        if self.pattern.is_permutation:
+            dsts = [self.pattern.fixed_destination(src) for src in sources]
+        else:  # one vector draw of uniform destinations per cycle
+            dsts = self._rng.integers(0, self.n_cores, size=len(sources)).tolist()
         return [
             Packet(src, dst, self.packet_size_flits, now)
-            for src, dst in zip(sources.tolist(), dsts.tolist())
+            for src, dst in zip(sources, dsts)
             if src != dst
         ]
 

@@ -61,3 +61,34 @@ def test_star_import_and_unknown_names():
         repro.no_such_name
     with pytest.raises(AttributeError, match="no_such_name"):
         repro.obs.no_such_name
+
+
+def test_plain_runs_import_no_numpy():
+    """Synthetic traffic draws scalars and latency statistics are exact
+    Python: a plain run, power fold included, loads neither NumPy nor a
+    worker pool."""
+    loaded = _fresh(
+        "import json, sys\n"
+        "from repro.runtime.executor import execute_inline\n"
+        "from repro.runtime.spec import RunSpec\n"
+        "for topology, pattern in [('own256', 'UN'), ('own256', 'BR'),\n"
+        "                          ('own256', 'HOT'), ('own1024', 'UN')]:\n"
+        "    execute_inline(RunSpec.create(topology, pattern=pattern, rate=0.02, cycles=200,\n"
+        "                                  warmup=50, drain=300, power=((4, 1),)))\n"
+        "print(json.dumps(sorted({m.split('.')[0] for m in sys.modules})))\n"
+    )
+    assert "numpy" not in loaded and "multiprocessing" not in loaded
+
+
+def test_cli_sweep_imports_no_numpy():
+    """``repro sweep`` resolves the analysis names it uses and no others."""
+    argv = ["sweep", "own256", "--rates", "0.01", "--cycles", "200", "--warmup", "50"]
+    loaded = _fresh(
+        "import json, sys\n"
+        "from repro.__main__ import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    assert "repro.analysis.sweep" in loaded
+    assert "repro.analysis.experiments" not in loaded
+    assert not [m for m in loaded if m.split(".")[0] in ("numpy", "multiprocessing")]

@@ -16,6 +16,7 @@ accept at p > 1e-3 and each has a negative control showing that a 10 %
 error in the rate is rejected at the same sample size.
 """
 
+import random
 from contextlib import nullcontext
 
 import numpy as np
@@ -26,7 +27,7 @@ from repro.noc import Simulator
 from repro.runtime.registry import build_topology
 from repro.topologies import build_cmesh
 from repro.traffic import SyntheticTraffic
-from repro.utils.rng import RngStreams
+from repro.utils.rng import derive_seed
 from tests.reference import PerCycleBernoulliTraffic, naive_schedule
 
 ALPHA = 1e-3
@@ -99,8 +100,12 @@ class TestSameProcessAsPerCycleBernoulli:
         return sim.stats.latencies, accepted
 
     def test_own256_latency_and_accepted_rate_match_the_oracle(self):
-        """Ten seeds of OWN-256 @0.03 per source: the network cannot tell them apart."""
-        seeds = range(1, 11)
+        """Twenty seeds of OWN-256 @0.03 per source: the network cannot tell them apart.
+
+        Twenty, not ten: with ten the negative control's t-test on accepted
+        rates has about even odds of reaching ALPHA for a 10 % rate error.
+        """
+        seeds = range(1, 21)
         clock = [self._own256(SyntheticTraffic, 0.03, s) for s in seeds]
         oracle = [self._own256(PerCycleBernoulliTraffic, 0.03, s) for s in seeds]
         pool = lambda runs: np.concatenate([lat for lat, _ in runs])  # noqa: E731
@@ -172,8 +177,8 @@ class TestClockContract:
         assert source.next_injection_cycle(0, 10**9) is None
         assert _packets(source, range(50)) == []
         assert source.next_injection_cycle(50, 10**9) is None
-        fresh = RngStreams(9).get("traffic", "UN")
-        assert source._rng.bit_generator.state == fresh.bit_generator.state
+        fresh = random.Random(derive_seed(9, "traffic", "UN"))
+        assert source._rng.getstate() == fresh.getstate()
 
     def test_vanishing_rate_does_not_wrap_the_clock(self):
         source = SyntheticTraffic(64, "UN", 1e-19, 4, seed=9)
@@ -223,7 +228,7 @@ class TestSimulatorSeesOneSamplePath:
                 assert sim.drain()
                 paused_for = sim.now - 700
                 # Every core has an arrival pending over the pause.
-                assert sim._paused_traffic._next_min >= 700
+                assert sim._paused_traffic._heap[0] >= 700
                 sim.resume_traffic()
                 sim.run(800)
                 assert sim.stats.packets_created > created

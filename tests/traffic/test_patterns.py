@@ -1,5 +1,7 @@
 """Traffic pattern correctness: anchors + bijectivity properties."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -117,25 +119,41 @@ class TestTrafficPattern:
         assert not p.is_permutation
         assert p.fixed_destination(1) is None
 
-    def test_destinations_vectorised_permutation(self):
+    def test_destination_follows_the_permutation(self):
         p = TrafficPattern("PS", 64)
-        rng = np.random.default_rng(0)
-        srcs = np.arange(64)
-        dsts = p.destinations(srcs, rng)
-        assert all(dsts[s] == perfect_shuffle(s, 64) for s in range(64))
+        rnd = random.Random(0)
+        assert all(p.destination(s, rnd) == perfect_shuffle(s, 64) for s in range(64))
+        assert rnd.getstate() == random.Random(0).getstate()  # nothing drawn
 
     def test_uniform_destinations_in_range(self):
         p = TrafficPattern("UN", 64)
-        rng = np.random.default_rng(0)
-        dsts = p.destinations(np.zeros(1000, dtype=np.int64), rng)
-        assert dsts.min() >= 0 and dsts.max() < 64
+        # Either kind of stream a source hands over: stdlib or NumPy.
+        for rnd in (random.Random(0), np.random.default_rng(0)):
+            dsts = [p.destination(0, rnd) for _ in range(1000)]
+            assert min(dsts) >= 0 and max(dsts) < 64
 
     def test_hotspot_bias(self):
         p = TrafficPattern("HOT", 64, hotspot_fraction=0.5, hotspots=[7])
-        rng = np.random.default_rng(0)
-        dsts = p.destinations(np.zeros(4000, dtype=np.int64), rng)
-        share = float(np.mean(dsts == 7))
+        rnd = random.Random(0)
+        dsts = [p.destination(0, rnd) for _ in range(4000)]
+        share = dsts.count(7) / len(dsts)
         assert 0.4 < share < 0.6
+
+    @pytest.mark.parametrize("u", [0.0, 0.3 - 2**-54, 0.3, 1 - 2**-53])
+    def test_destination_inverts_one_draw_into_range(self, u):
+        """Each branch of HOT maps its end of [0, 1) inside the core range."""
+        p = TrafficPattern("HOT", 1000, hotspot_fraction=0.3, hotspots=[5, 9, 11])
+
+        class Fixed:
+            def random(self):
+                return u
+
+        dst = p.destination(0, Fixed())
+        if u < 0.3:
+            assert dst in (5, 9, 11)
+        else:
+            assert 0 <= dst < 1000
+        assert TrafficPattern("UN", 1000).destination(0, Fixed()) == int(u * 1000)
 
     @pytest.mark.parametrize(
         "kwargs",
