@@ -270,7 +270,12 @@ def cmd_experiments(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.analysis import format_table, load_sweep
+    from repro.runtime.spec import check_window
 
+    try:
+        check_window(args.cycles, args.warmup)
+    except ValueError as exc:
+        args.usage_error(f"--warmup/--cycles: {exc}")
     ref = NAMED_TOPOLOGIES[args.topology]
     rates = [float(r) for r in args.rates.split(",")]
     executor = executor_from_args(args)
@@ -554,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--cycles", type=int, default=1200)
     p_sweep.add_argument("--warmup", type=int, default=400)
     add_engine_flags(p_sweep)
-    p_sweep.set_defaults(fn=cmd_sweep)
+    p_sweep.set_defaults(fn=cmd_sweep, usage_error=p_sweep.error)
 
     p_info = sub.add_parser("info", help="structural summary of a topology")
     p_info.add_argument("topology", choices=sorted(NAMED_TOPOLOGIES))

@@ -3,17 +3,16 @@
 A :class:`FaultCampaign` is an ordered collection of fault events
 (:mod:`repro.faults.models`) applied to the network at fixed cycles. The
 campaign is fully determined at construction -- either explicitly (tests,
-targeted failure scenarios) or drawn from a named stream of
-:class:`repro.utils.rng.RngStreams` (degradation sweeps), so the same seed
-always reproduces the same fault timeline regardless of what the traffic
-generator draws.
+targeted failure scenarios) or drawn from per-link streams keyed on an
+integer seed (degradation sweeps), so the same seed always reproduces the
+same fault timeline regardless of what the traffic generator draws.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.utils.rng import RngStreams
+from repro.utils.rng import ScalarStreams, geometric_gap, geometric_log_q
 
 from repro.faults.models import (
     FaultEvent,
@@ -94,7 +93,7 @@ class FaultCampaign:
         cls,
         link_names: Sequence[str],
         cycles: int,
-        rng_streams: RngStreams,
+        seed: int,
         burst_rate: float,
         burst_duration: int = 50,
         snr_penalty_db: float = 5.0,
@@ -102,26 +101,31 @@ class FaultCampaign:
     ) -> "FaultCampaign":
         """Random interference bursts, Bernoulli per link per cycle.
 
-        Each cycle, each named link independently starts a burst with
-        probability ``burst_rate``. Draws come from a dedicated RNG stream
-        so changing the campaign never perturbs traffic randomness.
+        Each cycle in ``[0, cycles)``, each named link independently starts
+        a burst with probability ``burst_rate``. A link's starts are the
+        ticks of a geometric-gap clock (:func:`repro.utils.rng.geometric_gap`)
+        on its own stream ``("faults", stream_key, link)`` of ``seed``: about
+        ``cycles * burst_rate`` draws per link, no link's schedule depends
+        on which other links are listed, and changing the campaign never
+        perturbs traffic randomness.
         """
         if not 0.0 <= burst_rate <= 1.0:
             raise ValueError(f"burst_rate must be in [0, 1], got {burst_rate}")
         events: List[FaultEvent] = []
-        if burst_rate > 0.0 and link_names:
-            gen = rng_streams.get("faults", stream_key)
-            # One vectorised draw per link keeps the schedule cheap to build
-            # even for multi-thousand-cycle campaigns.
+        if burst_rate > 0.0:
+            log_q = geometric_log_q(burst_rate)
+            streams = ScalarStreams(seed, "faults", stream_key)
             for name in link_names:
-                starts = (gen.random(cycles) < burst_rate).nonzero()[0]
-                for at in starts:
+                rnd = streams[name]
+                at = geometric_gap(rnd, log_q) - 1
+                while at < cycles:
                     events.append(
                         TransientFault(
-                            at=int(at),
+                            at=at,
                             duration=burst_duration,
                             snr_penalty_db=snr_penalty_db,
                             target=name,
                         )
                     )
+                    at += geometric_gap(rnd, log_q)
         return cls(events)

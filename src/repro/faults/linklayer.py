@@ -6,7 +6,8 @@ photonic links. It plays three roles:
 * **injection** -- applies the :class:`~repro.faults.campaign.FaultCampaign`
   schedule to per-link :class:`~repro.faults.models.LinkFaultState` and to
   shared-medium tokens, and samples each transmission attempt's CRC outcome
-  from the link's effective OOK error probability;
+  from the link's effective OOK error probability, on the link's own
+  ``("linklayer", link)`` stream of the layer's seed;
 * **protocol** -- tracks every packet sent over a protected link in a
   bounded replay buffer until the receiver's ACK retires it; a NACK
   (CRC failure) or timeout (dead transceiver: no reply at all) schedules a
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.noc.links import Link, PHOTONIC, WIRELESS
-from repro.utils.rng import RngStreams
+from repro.utils.rng import ScalarStreams
 
 from repro.faults.campaign import FaultCampaign
 from repro.faults.models import CORRUPT, LOST, LinkFaultState, Target
@@ -146,7 +147,7 @@ class FaultLayer:
 
     Usage::
 
-        layer = FaultLayer(network, campaign=campaign, rng=RngStreams(seed))
+        layer = FaultLayer(network, campaign=campaign, seed=seed)
         sim = Simulator(network, traffic=..., faults=layer)
 
     Parameters
@@ -158,10 +159,10 @@ class FaultLayer:
         runs transparently (see module docstring).
     config:
         Protocol parameters.
-    rng:
-        Deterministic stream factory for CRC-outcome sampling. Defaults to
-        a fresh ``RngStreams(0)``; pass the experiment's streams for
-        reproducible sweeps.
+    seed:
+        Master seed of the CRC-outcome draws: each link samples from its
+        own ``random.Random`` on stream ``("linklayer", link.name)``, so a
+        link's outcomes never depend on another link's traffic.
     """
 
     def __init__(
@@ -169,12 +170,12 @@ class FaultLayer:
         network,
         campaign: Optional[FaultCampaign] = None,
         config: Optional[LinkLayerConfig] = None,
-        rng: Optional[RngStreams] = None,
+        seed: int = 0,
     ) -> None:
         self.network = network
         self.campaign = campaign
         self.config = config or LinkLayerConfig()
-        self.rng = rng or RngStreams(0)
+        self._rngs = ScalarStreams(seed, "linklayer")
         self.sim: Optional["Simulator"] = None
         self._tracer = None  # set at install() from the simulator
         self._flit_bits = network.flit_width_bits
@@ -228,9 +229,6 @@ class FaultLayer:
                     f"race its own timeout and duplicate the packet"
                 )
 
-    def _rng_for(self, link: Link):
-        return self.rng.get("linklayer", link.name)
-
     # ------------------------------------------------------------------ #
     # Send-path tap (called from Simulator._send_fn on protected links)
     # ------------------------------------------------------------------ #
@@ -245,7 +243,7 @@ class FaultLayer:
                 state.lost_attempts += 1
             else:
                 p = state.attempt_error_prob(self._flit_bits, flit.packet.size_flits)
-                fate = CORRUPT if p > 0.0 and self._rng_for(link).random() < p else None
+                fate = CORRUPT if p > 0.0 and self._rngs[link.name].random() < p else None
                 if fate is CORRUPT:
                     state.corrupt_attempts += 1
             state.attempts += 1

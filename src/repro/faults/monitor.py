@@ -54,7 +54,7 @@ from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 from repro.core.faults import UnroutableError
 from repro.core.reconfig import canonical_crc, epoch_wake
 from repro.faults.linklayer import FaultLayer
-from repro.utils.rng import RngStreams
+from repro.utils.rng import ScalarStreams
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.noc.links import Link
@@ -145,7 +145,7 @@ class HealthMonitor:
         self.recovery_epochs = 0
         self.decisions: List[Dict[str, object]] = []
         self._probe_ok: Dict["Link", int] = {}
-        self._probe_rng = RngStreams(PROBE_SEED)
+        self._probe_rngs = ScalarStreams(PROBE_SEED, "control", "probe")
         if recover:
             reconfig.on_transition = self._log_transition
 
@@ -251,7 +251,7 @@ class HealthMonitor:
             p_err = 1.0 if state.dead else state.attempt_error_prob(flit_bits, 1)
             ok = p_err <= 0.0 or (
                 p_err < 1.0
-                and self._probe_rng.get("control", "probe", link.name).random() >= p_err
+                and self._probe_rngs[link.name].random() >= p_err
             )
             streak = self._probe_ok.get(link, 0) + 1 if ok else 0
             self._probe_ok[link] = streak

@@ -197,7 +197,6 @@ def _make_faults(spec: RunSpec, built) -> Tuple[Optional[object], List[object], 
     if fs is None:
         return None, [], {}
     from repro.faults import FaultCampaign, FaultLayer, HealthMonitor, PermanentFault
-    from repro.utils.rng import RngStreams
 
     data_links = [
         link.name
@@ -211,7 +210,7 @@ def _make_faults(spec: RunSpec, built) -> Tuple[Optional[object], List[object], 
         campaign = FaultCampaign.bursty(
             data_links,
             spec.cycles,
-            RngStreams(fs.seed),
+            fs.seed,
             fs.burst_rate,
             burst_duration=fs.burst_duration,
             snr_penalty_db=fs.snr_penalty_db,
@@ -225,7 +224,7 @@ def _make_faults(spec: RunSpec, built) -> Tuple[Optional[object], List[object], 
         target = data_links[fs.target_index]
         campaign = FaultCampaign([PermanentFault(at=fs.at, target=target)])
         meta["dead_link"] = target
-    layer = FaultLayer(built.network, campaign=campaign, rng=RngStreams(fs.layer_seed))
+    layer = FaultLayer(built.network, campaign=campaign, seed=fs.layer_seed)
     hooks: List[object] = []
     if fs.failover or spec.control is not None:
         from repro.core.faults import RelayRouting

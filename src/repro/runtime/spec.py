@@ -118,6 +118,15 @@ def freeze_kwargs(kwargs: Optional[Mapping[str, object]]) -> Tuple[Tuple[str, ob
     return tuple(sorted((str(k), _freeze(v)) for k, v in dict(kwargs).items()))
 
 
+def check_window(cycles: int, warmup: int) -> None:
+    """Reject a measurement window ``[warmup, cycles)`` that measures nothing."""
+    if not 0 <= warmup < cycles:
+        raise ValueError(
+            f"need 0 <= warmup < cycles, got warmup={warmup} and cycles={cycles}: "
+            f"no packet would be measured"
+        )
+
+
 def _thaw(value: object) -> object:
     """JSON round-trip turns tuples into lists; re-freeze on load."""
     if isinstance(value, list):
@@ -250,7 +259,8 @@ class RunSpec:
     traffic:
         The offered-load description.
     cycles, warmup:
-        Measurement window (warmup packets excluded from statistics).
+        Measurement window (warmup packets excluded from statistics);
+        ``0 <= warmup < cycles``.
     drain:
         If > 0, pause traffic after ``cycles`` and run up to ``drain``
         extra cycles until the network empties (exactly-once studies).
@@ -296,6 +306,7 @@ class RunSpec:
     tag: str = ""
 
     def __post_init__(self) -> None:
+        check_window(self.cycles, self.warmup)
         if self.control is not None and self.faults is None:
             raise ValueError(
                 "control requires faults: recovery probes channels that failed "

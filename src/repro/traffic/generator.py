@@ -28,7 +28,6 @@ first use.
 
 from __future__ import annotations
 
-import math
 import random
 from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -36,12 +35,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.noc.packet import Packet
 from repro.traffic.patterns import TrafficPattern
 from repro.traffic.trace import TraceTraffic, TrafficTrace
-from repro.utils.rng import derive_seed
+from repro.utils.rng import NEVER, derive_seed, geometric_gap, geometric_log_q
 from repro.utils.validation import check_positive, check_probability
-
-
-#: Gap of a core that will not fire within any run.
-_NEVER = 1 << 62
 
 
 class DrawAheadTraffic:
@@ -185,8 +180,7 @@ class SyntheticTraffic(DrawAheadTraffic):
         self.injection_rate = injection_rate
         p = injection_rate / packet_size_flits
         self._rng = random.Random(derive_seed(seed, "traffic", pattern.name))
-        # Geometric(p) by inversion: 1 + floor(log(1 - U) / log(1 - p)).
-        self._log_q = math.log1p(-p) if p < 1.0 else -math.inf
+        self._log_q = geometric_log_q(p)
         calendar: Dict[int, List[int]] = {}
         if p > 0.0:
             # A silent source leaves its stream untouched and never fires.
@@ -197,11 +191,8 @@ class SyntheticTraffic(DrawAheadTraffic):
         heapify(self._heap)
 
     def _gap(self) -> int:
-        """One ``Geometric(p)`` inter-arrival gap, by inversion."""
-        # A vanishing rate makes the quotient huge or infinite: such a core
-        # never fires within any run.
-        g = math.log(1.0 - self._rng.random()) / self._log_q
-        return int(g) + 1 if g < _NEVER else _NEVER
+        """One ``Geometric(p)`` inter-arrival gap."""
+        return geometric_gap(self._rng, self._log_q)
 
     def _pause(self, cycles: int) -> None:
         """``cycles`` cycles went by unseen: every pending arrival waits them out."""
@@ -251,7 +242,7 @@ class SyntheticTraffic(DrawAheadTraffic):
         if start > self._drawn_until + 1:
             self._pause(start - self._drawn_until - 1)
             self._drawn_until = start - 1
-        cycle = self._heap[0] if self._heap else _NEVER
+        cycle = self._heap[0] if self._heap else NEVER
         if cycle < limit:
             self._drawn_until = cycle - 1
             return cycle

@@ -7,18 +7,27 @@ from a master seed plus a stable stream key (:func:`derive_seed`), so adding
 a new consumer never perturbs the draws seen by existing ones (a classic
 reproducibility bug in monolithic-RNG simulators).
 
-A consumer that draws one scalar at a time (the arrival clock of
-:class:`~repro.traffic.generator.SyntheticTraffic`) seeds a stdlib
+A consumer that draws one scalar at a time seeds a stdlib
 ``random.Random`` with ``derive_seed(seed, *key)``: a scalar draw there is a
 C call, where a NumPy ``Generator`` pays microseconds of dispatch per call.
-A consumer that draws vectors takes a NumPy ``Generator`` from
-:class:`RngStreams`; NumPy is imported on the first such stream, so a run
-that draws no vector never loads it.
+These are the arrival clock of
+:class:`~repro.traffic.generator.SyntheticTraffic` and the whole fault
+plant: the burst clock of :meth:`~repro.faults.FaultCampaign.bursty`, the
+link layer's CRC outcomes and the health monitor's probes, one stream per
+link each (:class:`ScalarStreams`). Bernoulli-per-cycle processes among
+them skip the cycles without an event through :func:`geometric_gap`.
+
+A consumer that draws vectors (bursty and application traffic, the
+workload generators) takes a NumPy ``Generator`` from :class:`RngStreams`;
+NumPy is imported on the first such stream, so a run that draws no vector
+never loads it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+import random
 from typing import TYPE_CHECKING, Dict, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -40,6 +49,55 @@ def derive_seed(master_seed: int, *key_parts: object) -> int:
     payload = repr((int(master_seed),) + tuple(key_parts)).encode("utf-8")
     digest = hashlib.sha256(payload).digest()
     return int.from_bytes(digest[:8], "little") & 0x7FFF_FFFF_FFFF_FFFF
+
+
+#: The gap of a Bernoulli process too rare to succeed within any run.
+NEVER = 1 << 62
+
+
+def geometric_log_q(p: float) -> float:
+    """``log(1 - p)``: the scale :func:`geometric_gap` takes for a rate ``0 < p <= 1``."""
+    return math.log1p(-p) if p < 1.0 else -math.inf
+
+
+def geometric_gap(rnd: random.Random, log_q: float) -> int:
+    """One ``Geometric(p)`` gap on ``{1, 2, ...}``, by inversion of one draw.
+
+    The gaps between the successes of a Bernoulli(``p``)-per-cycle process
+    are ``1 + floor(log(1 - U) / log(1 - p))`` with ``U`` uniform, so
+    stepping a clock by these gaps samples the same law as one trial per
+    cycle with about ``p`` draws per cycle. ``log_q`` is
+    :func:`geometric_log_q` of ``p``; a vanishing rate makes the quotient
+    huge or infinite, and the gap :data:`NEVER`.
+
+    >>> geometric_gap(random.Random(0), geometric_log_q(1.0))
+    1
+    """
+    g = math.log(1.0 - rnd.random()) / log_q
+    return int(g) + 1 if g < NEVER else NEVER
+
+
+class ScalarStreams(dict):
+    """Stdlib ``random.Random`` streams ``(*prefix, name)`` of ``seed``, one per
+    name, made on first use: ``streams[name].random()``.
+
+    For consumers that draw scalars per named resource (a link's burst
+    starts, CRC outcomes or probes): a name's draws never depend on which
+    other names draw, or when.
+
+    >>> streams = ScalarStreams(7, "linklayer")
+    >>> streams["wch1"] is streams["wch1"]
+    True
+    """
+
+    def __init__(self, seed: int, *prefix: object) -> None:
+        super().__init__()
+        self.seed = int(seed)
+        self.prefix = prefix
+
+    def __missing__(self, name: object) -> random.Random:
+        rnd = self[name] = random.Random(derive_seed(self.seed, *self.prefix, name))
+        return rnd
 
 
 class RngStreams:

@@ -1,10 +1,10 @@
 """Unit tests for the fault campaign schedule and its generators."""
 
 import pytest
+from scipy import stats
 
 from repro.faults import FaultCampaign, PermanentFault, TransientFault
 from repro.faults.campaign import _PENALTY
-from repro.utils.rng import RngStreams
 
 
 class TestSchedule:
@@ -41,16 +41,16 @@ class TestBurstyGenerator:
     LINKS = ["wch1.A0->B2", "wch2.B1->A3"]
 
     def test_deterministic_per_seed(self):
-        a = FaultCampaign.bursty(self.LINKS, 500, RngStreams(3), 0.01)
-        b = FaultCampaign.bursty(self.LINKS, 500, RngStreams(3), 0.01)
+        a = FaultCampaign.bursty(self.LINKS, 500, 3, 0.01)
+        b = FaultCampaign.bursty(self.LINKS, 500, 3, 0.01)
         assert a.events == b.events
 
     def test_zero_rate_is_empty(self):
-        c = FaultCampaign.bursty(self.LINKS, 500, RngStreams(3), 0.0)
-        assert c.is_empty
+        c = FaultCampaign.bursty(self.LINKS, 500, 3, 0.0)
+        assert c.is_empty and c.events == []
 
     def test_bursts_target_named_links(self):
-        c = FaultCampaign.bursty(self.LINKS, 2000, RngStreams(3), 0.01,
+        c = FaultCampaign.bursty(self.LINKS, 2000, 3, 0.01,
                                  burst_duration=20, snr_penalty_db=4.0)
         assert c.events, "expected some bursts at rate 0.01 over 2000 cycles"
         for ev in c.events:
@@ -59,3 +59,28 @@ class TestBurstyGenerator:
             assert ev.duration == 20
             assert ev.snr_penalty_db == 4.0
             assert 0 <= ev.at < 2000
+
+    def test_rate_one_starts_every_cycle(self):
+        c = FaultCampaign.bursty(self.LINKS, 300, 3, 1.0)
+        for name in self.LINKS:
+            assert [ev.at for ev in c.events if ev.target == name] == list(range(300))
+
+    def test_start_count_is_binomial(self):
+        """The geometric-gap clock keeps the Bernoulli-per-cycle law: over
+        ``links x cycles`` trials the number of burst starts falls inside
+        the binomial 99.9 % interval."""
+        links = [f"wch{i}.A0->B2" for i in range(200)]
+        cycles, p = 5000, 0.002
+        c = FaultCampaign.bursty(links, cycles, 3, p)
+        lo, hi = stats.binom.interval(0.999, len(links) * cycles, p)
+        assert lo <= len(c.events) <= hi
+        assert all(0 <= ev.at < cycles for ev in c.events)
+
+    def test_adding_a_link_keeps_the_other_schedules(self):
+        def schedule(campaign, name):
+            return [ev.at for ev in campaign.events if ev.target == name]
+
+        base = FaultCampaign.bursty(self.LINKS, 2000, 3, 0.01)
+        more = FaultCampaign.bursty(["wch3.C0->D1"] + self.LINKS, 2000, 3, 0.01)
+        for name in self.LINKS:
+            assert schedule(base, name) and schedule(base, name) == schedule(more, name)

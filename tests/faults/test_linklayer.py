@@ -13,13 +13,12 @@ from repro.faults import (
 from repro.noc import Simulator
 from repro.noc.invariants import audit_network
 from repro.traffic import SyntheticTraffic
-from repro.utils.rng import RngStreams
 
 
 def _run(campaign=None, cycles=400, config=None, seed=7, rate=0.02):
     built = build_fault_tolerant_own256()
     layer = FaultLayer(
-        built.network, campaign=campaign, config=config, rng=RngStreams(5)
+        built.network, campaign=campaign, config=config, seed=5
     )
     sim = Simulator(
         built.network,
@@ -82,7 +81,7 @@ class TestRetransmission:
         """Every wireless flit fails CRC with p=0.2; all packets still
         arrive (retried until clean) and conservation holds."""
         built = build_fault_tolerant_own256()
-        layer = FaultLayer(built.network, rng=RngStreams(5))
+        layer = FaultLayer(built.network, seed=5)
         for link, state in layer.protected.items():
             if link.kind == "wireless":
                 state.forced_flit_error_prob = 0.2

@@ -9,7 +9,6 @@ from repro.faults import FaultCampaign, FaultLayer, HealthMonitor, PermanentFaul
 from repro.noc import Simulator
 from repro.noc.invariants import audit_network
 from repro.traffic import SyntheticTraffic
-from repro.utils.rng import RngStreams
 
 DEAD_LINK = "wch1.A0->B2"  # channel 1 carries the (0, 2) cluster pair
 
@@ -18,7 +17,7 @@ def _run_death(with_reconfig, cycles=800, at=200):
     built = build_fault_tolerant_own256(with_reconfiguration=with_reconfig)
     routing = built.notes["routing"]
     campaign = FaultCampaign([PermanentFault(at=at, target=DEAD_LINK)])
-    layer = FaultLayer(built.network, campaign=campaign, rng=RngStreams(5))
+    layer = FaultLayer(built.network, campaign=campaign, seed=5)
     sim = Simulator(
         built.network,
         traffic=SyntheticTraffic(256, "UN", 0.02, 4, seed=7),

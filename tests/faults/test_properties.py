@@ -13,7 +13,6 @@ from repro.faults import FaultLayer
 from repro.noc import Simulator
 from repro.noc.invariants import audit_network
 from repro.traffic import SyntheticTraffic
-from repro.utils.rng import RngStreams
 
 
 @given(
@@ -32,7 +31,7 @@ def test_exactly_once_delivery(error_prob, traffic_seed, rng_seed):
     # arbitration state) are wall-clock values from the previous sim's
     # frame, and a reused network would stall until they expire.
     built = build_fault_tolerant_own256()
-    layer = FaultLayer(built.network, rng=RngStreams(rng_seed))
+    layer = FaultLayer(built.network, seed=rng_seed)
     for link, state in layer.protected.items():
         if link.kind == "wireless":
             state.forced_flit_error_prob = error_prob

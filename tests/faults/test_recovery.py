@@ -12,7 +12,6 @@ from repro.faults.monitor import PROBE_OK_NEEDED
 from repro.noc import Simulator
 from repro.noc.invariants import audit_network
 from repro.traffic import SyntheticTraffic
-from repro.utils.rng import RngStreams
 
 BURST_LINK = "wch1.A0->B2"  # channel 1 carries the (0, 2) cluster pair
 EPOCH = 250
@@ -20,7 +19,7 @@ EPOCH = 250
 
 def make_plant(campaign=None, recover=True):
     built = build_fault_tolerant_own256(with_reconfiguration=True)
-    layer = FaultLayer(built.network, campaign=campaign, rng=RngStreams(11))
+    layer = FaultLayer(built.network, campaign=campaign, seed=11)
     ctrl = make_reconfig_controller(built, epoch_cycles=EPOCH)
     monitor = HealthMonitor(
         layer, routing=built.notes["routing"], reconfig=ctrl, epoch_cycles=100,

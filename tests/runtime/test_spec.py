@@ -70,6 +70,14 @@ class TestSpecValidation:
             "own256_ft", control=ControlSpec(), faults=FaultSpec(burst_rate=0.0)
         )
 
+    @pytest.mark.parametrize("cycles, warmup", [(200, 400), (200, 200), (200, -1), (0, 0)])
+    def test_window_must_measure_something(self, cycles, warmup):
+        with pytest.raises(ValueError, match="need 0 <= warmup < cycles"):
+            RunSpec.create("own256", cycles=cycles, warmup=warmup)
+        spec = RunSpec.create("own256", cycles=200, warmup=150)
+        with pytest.raises(ValueError, match="need 0 <= warmup < cycles"):
+            spec.with_(cycles=cycles, warmup=warmup)
+
     def test_workload_kind_needs_name(self):
         with pytest.raises(ValueError):
             TrafficSpec(kind="workload")

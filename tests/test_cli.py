@@ -73,6 +73,16 @@ class TestSweep:
         out = capsys.readouterr().out
         assert "saturation offered load" in out
 
+    def test_warmup_past_cycles_is_a_usage_error(self, capsys):
+        # The default --warmup 400 measured nothing in 200 cycles, and the
+        # saturation check then crashed on a missing zero-load latency.
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "own256", "--rates", "0.01", "--cycles", "200"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("repro sweep: error: --warmup/--cycles: need 0 <= warmup")
+        assert sum("error" in line for line in err) == 1
+
 
 class TestEngineFlags:
     ARGS = [

@@ -92,3 +92,29 @@ def test_cli_sweep_imports_no_numpy():
     assert "repro.analysis.sweep" in loaded
     assert "repro.analysis.experiments" not in loaded
     assert not [m for m in loaded if m.split(".")[0] in ("numpy", "multiprocessing")]
+
+
+def test_fault_runs_import_no_numpy():
+    """The fault plant draws scalars from the stdlib: a bursty campaign with
+    recovery and telemetry, and a channel death with failover, load no
+    NumPy."""
+    loaded, summary = _fresh(
+        "import json, sys\n"
+        "from repro.runtime.executor import execute_inline\n"
+        "from repro.runtime.spec import ControlSpec, FaultSpec, RunSpec\n"
+        "ft = {'with_reconfiguration': True}\n"
+        "bursty = FaultSpec(kind='bursty', burst_rate=0.01, burst_duration=100,\n"
+        "                   snr_penalty_db=14.0, max_channel=4)\n"
+        "death = FaultSpec(kind='death', at=100, failover=True)\n"
+        "*_, r = execute_inline(RunSpec.create('own256_ft', topology_kwargs=ft, rate=0.02,\n"
+        "                                      cycles=600, warmup=100, faults=bursty,\n"
+        "                                      control=ControlSpec(epoch_cycles=100),\n"
+        "                                      telemetry=True, power=((4, 1),)))\n"
+        "execute_inline(RunSpec.create('own256_ft', topology_kwargs=ft, rate=0.02,\n"
+        "                              cycles=400, warmup=100, drain=5000, faults=death))\n"
+        "print(json.dumps([sorted({m.split('.')[0] for m in sys.modules}), r.summary]))\n"
+    )
+    assert "numpy" not in loaded
+    # The campaign corrupted traffic, failed channels over and probed them.
+    assert summary["flits_retransmitted"] > 0 and summary["channels_failed_over"] > 0
+    assert summary["control_decisions"] > 0

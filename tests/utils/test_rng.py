@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.rng import RngStreams, derive_seed
+from repro.utils.rng import RngStreams, ScalarStreams, derive_seed
 
 
 class TestDeriveSeed:
@@ -61,3 +61,21 @@ class TestRngStreams:
     def test_spawn_distinct_keys(self):
         parent = RngStreams(5)
         assert parent.spawn("a").master_seed != parent.spawn("b").master_seed
+
+
+class TestScalarStreams:
+    def test_stream_is_the_derived_seed_of_its_key(self):
+        import random
+
+        streams = ScalarStreams(7, "linklayer")
+        expected = random.Random(derive_seed(7, "linklayer", "wch1.A0->B2"))
+        assert [streams["wch1.A0->B2"].random() for _ in range(3)] == [
+            expected.random() for _ in range(3)
+        ]
+
+    def test_names_do_not_perturb_each_other(self):
+        a = ScalarStreams(3, "p")
+        first = a["x"].random()
+        b = ScalarStreams(3, "p")
+        b["y"].random()
+        assert b["x"].random() == first
