@@ -239,19 +239,20 @@ def detect_knee(
 ) -> Optional[float]:
     """First offered load past the saturation knee (``None`` if none).
 
-    A point is post-knee when its latency reaches ``latency_factor`` times
-    the zero-load latency *or* its accepted fraction (``accepted[i] /
-    loads[i]``) falls below ``accept_threshold`` -- the same rule
+    The knee rule is :func:`~repro.analysis.sweep.past_knee`, the one
     :meth:`~repro.analysis.sweep.SweepResult.saturation_offered` applies
-    from the other side.
+    from the other side, on the accepted fraction ``accepted[i] /
+    loads[i]``.
     """
+    from repro.analysis.sweep import past_knee
+
     if not loads:
         return None
     zero = latencies[0]
     for i, (load, latency) in enumerate(zip(loads, latencies)):
-        if latency >= latency_factor * zero:
+        fraction = None
+        if accepted is not None:
+            fraction = accepted[i] / load if load > 0 else float("nan")
+        if past_knee(latency, zero, fraction, latency_factor, accept_threshold):
             return load
-        if accepted is not None and load > 0:
-            if accepted[i] / load < accept_threshold:
-                return load
     return None

@@ -40,6 +40,25 @@ _STOP_LATENCY_FACTOR = 4.0
 _STOP_ACCEPT_FRACTION = 0.8
 
 
+def past_knee(
+    latency: float,
+    zero_latency: float,
+    accepted_fraction: Optional[float] = None,
+    latency_factor: float = 3.0,
+    accept_threshold: float = 0.88,
+) -> bool:
+    """The saturation-knee rule of :meth:`SweepResult.saturation_offered`
+    and :func:`repro.analysis.attribution.detect_knee`.
+
+    A point is past the knee unless its latency is below ``latency_factor``
+    times zero-load *and* its accepted fraction is above ``accept_threshold``
+    (NaN, nothing offered, is past; ``None`` skips the acceptance test).
+    """
+    if not latency < latency_factor * zero_latency:
+        return True
+    return accepted_fraction is not None and not accepted_fraction > accept_threshold
+
+
 @dataclass
 class SweepPoint:
     """One (offered load, measured behaviour) sample."""
@@ -74,10 +93,11 @@ class SweepResult:
         zero = self.points[0].latency
         last = None
         for p in self.points:
-            if p.latency < latency_factor * zero and p.accepted_fraction > accept_threshold:
-                last = p.offered
-            else:
+            if past_knee(
+                p.latency, zero, p.accepted_fraction, latency_factor, accept_threshold
+            ):
                 break
+            last = p.offered
         return last
 
     def saturation_throughput(self) -> float:

@@ -46,7 +46,8 @@ into buckets by cycle with a heap over their keys.
 *quiescent* -- nothing can happen until the next scheduled event -- and
 :meth:`Simulator.run` fast-forwards the clock to the earliest wake source:
 the next scheduled delivery/credit/ACK, the next fault-campaign action, the
-next tracer sampling cycle, or the next traffic injection. A traffic
+next hook wake point (a control epoch, a tracer sampling cycle), or the next
+traffic injection. A traffic
 process answers that peek without letting it change what it will inject: the
 Bernoulli arrival clock of ``SyntheticTraffic`` reads its earliest pending
 arrival, a trace replayer its next record, and the per-cycle sources
@@ -67,7 +68,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from operator import attrgetter
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.noc.buffers import VCState
 from repro.noc.kernels import KernelState
@@ -112,18 +113,10 @@ class Simulator:
         (the default) leaves the cycle loop untouched.
     tracer:
         Optional :class:`repro.telemetry.Tracer` collecting cycle-level
-        events and per-component metrics. ``None`` (or a tracer with
-        ``enabled=False``) keeps every hot path telemetry-free beyond a
-        single ``is not None`` check per site.
-    observer:
-        Optional :class:`repro.obs.RunObserver` emitting in-flight
-        progress heartbeats (cycle, packets injected/ejected, active-set
-        size, ETA) onto an observation event bus. Same zero-overhead
-        discipline as the tracer -- one ``is not None`` check per stepped
-        cycle -- and strictly read-only: observed runs are bit-identical
-        to unobserved ones. The observer is *not* a fast-forward wake
-        source; its stride samples on the next stepped cycle at or past
-        the due point.
+        events and per-component metrics. ``None`` keeps every hot path
+        telemetry-free beyond a single ``is not None`` check per site.
+    hooks:
+        End-of-cycle hooks registered first, in order (:meth:`add_hook`).
     """
 
     def __init__(
@@ -135,7 +128,7 @@ class Simulator:
         watchdog: int = 2000,
         faults: Optional[object] = None,
         tracer: Optional[object] = None,
-        observer: Optional[object] = None,
+        hooks: Sequence[Callable[["Simulator"], None]] = (),
     ) -> None:
         if credit_latency < 1:
             raise ValueError(f"credit_latency must be >= 1, got {credit_latency}")
@@ -193,42 +186,34 @@ class Simulator:
                     wake_ni(ni)
         self._flit_width = network.flit_width_bits
         self._hooks: List[Callable[["Simulator"], None]] = []
+        for hook in hooks:
+            self.add_hook(hook)
         self._paused_traffic: Optional[object] = None
         self._faults = faults
         if not network._finalized:
             network.finalize()
-        # A disabled tracer is indistinguishable from no tracer: hot paths
-        # guard on ``self._tracer is not None`` and nothing else.
-        self._tracer = tracer if (tracer is not None and tracer.enabled) else None
+        self._tracer = tracer
         # Flat slot layout over the network's input VCs (repro.noc.kernels):
         # RC and VCA always run as sweeps over it. The SA sweep replaces the
         # per-router ``stage_sa`` scan on untraced runs: a tracer needs
         # ``stage_sa``'s per-VC stall callbacks, and a mixed-VC-count
         # network has no arithmetic layout for the SA sweep.
         self.kernels = KernelState.build(network, size)
-        self._sa_kernel = self._tracer is None and self.kernels.supported
-        if self._tracer is not None:
-            self._tracer.bind(self)
-        # Observation sampler (repro.obs): read-only progress heartbeats,
-        # guarded exactly like the tracer -- a disabled observer is
-        # indistinguishable from none.
-        self._observer = (
-            observer
-            if (observer is not None and getattr(observer, "enabled", True))
-            else None
-        )
-        if self._observer is not None:
-            self._observer.bind(self)
+        self._sa_kernel = tracer is None and self.kernels.supported
+        if tracer is not None:
+            tracer.bind(self)
         if faults is not None:
             faults.install(self)
 
     def add_hook(self, hook: Callable[["Simulator"], None]) -> None:
-        """Register a callable invoked at the end of every cycle.
+        """Register a callable invoked at the end of every stepped cycle.
 
-        Used by adaptive controllers (e.g. the reconfiguration-channel
-        manager in :mod:`repro.core.reconfig` and the health monitor in
-        :mod:`repro.faults.monitor`) that observe network state and adjust
-        policy on epoch boundaries.
+        The one end-of-cycle seam. Hooks run in registration order: the
+        constructor's ``hooks`` (the fault plant's reconfiguration
+        controller in :mod:`repro.core.reconfig`, then the health monitor in
+        :mod:`repro.faults.monitor`), then the tracer's occupancy sampler,
+        then whatever the caller adds -- the run observer's heartbeat, so
+        it sees the cycle's failovers and ``buffer_sample`` already made.
 
         The hook must expose ``next_wake(now) -> Optional[int]``: the
         earliest cycle >= ``now`` at which it must observe a stepped cycle.
@@ -430,24 +415,10 @@ class Simulator:
                 else:
                     active_nis.discard(ni)
 
-        # End-of-cycle hooks (adaptive controllers).
+        # End-of-cycle hooks, in registration order (see add_hook).
         if self._hooks:
             for hook in self._hooks:
                 hook(self)
-
-        # Periodic buffer-occupancy sampling (congestion heatmaps). Pure
-        # observation -- sampled runs are bit-identical to unsampled ones.
-        if tracer is not None and tracer.sample_every:
-            if now % tracer.sample_every == 0:
-                tracer.on_cycle_sample(now)
-
-        # Progress heartbeat (repro.obs). `>=` rather than `%` so idle
-        # fast-forward jumps cannot starve the beat: the first stepped
-        # cycle at or past the due point emits. Pure observation --
-        # observed runs are bit-identical to unobserved ones.
-        observer = self._observer
-        if observer is not None and now >= observer.next_cycle:
-            observer.sample(self, now)
 
         # Watchdog: flits buffered but nothing moved for too long -> deadlock.
         # Scheduled events (deliveries in flight on long-latency links,
@@ -549,15 +520,15 @@ class Simulator:
         """Earliest cycle in ``[now, limit]`` at which anything can happen.
 
         Consulted only while quiescent. Wake sources, in order: scheduled
-        events (deliveries / credits / ACKs), fault-campaign actions, the
-        tracer's occupancy-sampling grid, and the traffic process's next
-        injection. The traffic peek is asked last so its lookahead horizon
-        is already capped by every other source. That cap matters only to
-        the per-cycle sources (bursty / application), whose peek pre-draws
-        their RNG stream and must not reach cycles that stepping every cycle
-        would not have reached by the same point; the arrival clock of
-        ``SyntheticTraffic`` and a trace replayer answer from state a longer
-        horizon would not change.
+        events (deliveries / credits / ACKs), fault-campaign actions, hook
+        wake points (control epochs, the tracer's occupancy-sampling grid),
+        and the traffic process's next injection. The traffic peek is asked
+        last so its lookahead horizon is already capped by every other
+        source. That cap matters only to the per-cycle sources (bursty /
+        application), whose peek pre-draws their RNG stream and must not
+        reach cycles that stepping every cycle would not have reached by the
+        same point; the arrival clock of ``SyntheticTraffic`` and a trace
+        replayer answer from state a longer horizon would not change.
         """
         now = self.now
         target = limit
@@ -568,14 +539,8 @@ class Simulator:
             cycle = self._faults.next_action_cycle(now)
             if cycle is not None and cycle < target:
                 target = cycle
-        tracer = self._tracer
-        if tracer is not None and tracer.sample_every:
-            every = tracer.sample_every
-            cycle = now if now % every == 0 else ((now // every) + 1) * every
-            if cycle < target:
-                target = cycle
-        # Hook epoch boundaries are scheduled events: a skip may never jump
-        # over a control epoch, or an adaptive controller would silently
+        # Hook wake points are scheduled events: a skip may never jump over
+        # a control epoch or a sampling cycle, or a hook would silently
         # diverge from stepping every cycle (where it observes each one).
         for hook in self._hooks:
             cycle = hook.next_wake(now)

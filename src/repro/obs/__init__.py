@@ -10,10 +10,11 @@ you can watch while it runs:
   inline; pool workers publish over a ``multiprocessing.Queue`` pumped
   by a parent drain thread.
 - **sampling hook** (:mod:`repro.obs.sampler`) -- a
-  :class:`RunObserver` rides the simulator's step loop behind the same
-  zero-overhead ``is not None`` guard as the tracer and is strictly
-  read-only: observed runs are bit-identical to unobserved ones (CI
-  locks this with a golden ``repro diff`` at 0%).
+  :class:`RunObserver` is the last end-of-cycle hook on the simulator's
+  one seam (``Simulator.add_hook``), after the fault plant's hooks and
+  the tracer's occupancy sampler, and is strictly read-only: observed
+  runs are bit-identical to unobserved ones (CI locks this with golden
+  ``repro diff``\ s at 0%).
 - **structured logging** (:mod:`repro.obs.log`) -- JSON-lines with
   correlation fields, opt-in via ``--log-json`` / ``REPRO_LOG=json``;
   the default human mode renders exactly like the stderr prints it

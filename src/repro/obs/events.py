@@ -36,6 +36,7 @@ consumers must ignore keys they do not know.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Dict, Optional
 
@@ -85,6 +86,18 @@ def make_event(
     }
     ev.update(data)
     return ev
+
+
+def json_safe(value):
+    """Recursively replace non-finite floats (NaN/Inf) with ``None``, so
+    log lines, status files and run records stay strict JSON."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_safe(v) for v in value]
+    return value
 
 
 def is_event(obj: object) -> bool:

@@ -26,10 +26,11 @@ from repro.obs.events import (
     RUN_FINISHED,
     RUN_STARTED,
     STALL,
+    json_safe,
     make_event,
     run_id,
 )
-from repro.obs.log import _json_safe, get_logger
+from repro.obs.log import get_logger
 from repro.obs.sampler import DEFAULT_SAMPLE_EVERY
 
 #: Default wall-seconds without a heartbeat before a run is called stalled.
@@ -358,7 +359,7 @@ class ObservationHub:
                 if st.phase not in ("pending", "finished")
             )
             stalled = sum(1 for st in self.states.values() if st.stalled)
-            return _json_safe(
+            return json_safe(
                 {
                     "ts": self.clock(),
                     "total": self.total,

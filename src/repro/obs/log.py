@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import sys
 import os
 from typing import Dict, Optional
+
+from repro.obs.events import json_safe
 
 #: The package logger every repro module hangs off.
 ROOT_LOGGER = "repro"
@@ -43,17 +44,6 @@ _RESERVED = frozenset(
         "relativeCreated", "stack_info", "taskName", "thread", "threadName",
     )
 )
-
-
-def _json_safe(value):
-    """Local non-finite-float scrub (strict JSON, no runtime import)."""
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    return value
 
 
 class JsonLinesFormatter(logging.Formatter):
@@ -73,7 +63,7 @@ class JsonLinesFormatter(logging.Formatter):
         if record.exc_info:
             doc["exc"] = self.formatException(record.exc_info)
         return json.dumps(
-            _json_safe(doc), sort_keys=True, default=str, allow_nan=False
+            json_safe(doc), sort_keys=True, default=str, allow_nan=False
         )
 
 

@@ -1,8 +1,8 @@
 """The in-loop sampling hook: per-run heartbeats from inside the cycle loop.
 
-A :class:`RunObserver` rides on :class:`repro.noc.simulator.Simulator`
-behind the same zero-overhead discipline as the tracer: the step loop
-pays one ``is not None`` check per cycle, and the observer itself is
+A :class:`RunObserver` is an end-of-cycle hook
+(:meth:`repro.noc.simulator.Simulator.add_hook`), registered last so each
+heartbeat sees the cycle's plant decisions and occupancy sample. It is
 **read-only** -- it looks at the clock, the stats counters, the active
 sets and the network occupancy, and never touches simulation state or
 any RNG stream. An observed run is therefore bit-identical to an
@@ -11,9 +11,10 @@ unobserved one by construction (and the test suite locks it).
 Sampling is cycle-strided (``every`` cycles) with a ``>=`` threshold
 rather than a modulo, so idle fast-forward jumps cannot starve the
 heartbeat: the first stepped cycle at or past the due point emits.
-The observer is *not* a wake source -- a quiescent network fast-forwards
-exactly as it would unobserved (skips are wall-clock-instant, so no
-heartbeat gap a stall detector would care about can accumulate).
+The observer is *not* a wake source (its ``next_wake`` is ``None``) -- a
+quiescent network fast-forwards exactly as it would unobserved (skips are
+wall-clock-instant, so no heartbeat gap a stall detector would care about
+can accumulate).
 """
 
 from __future__ import annotations
@@ -50,15 +51,7 @@ class RunObserver:
     target_cycles:
         The run's cycle budget (measurement window + drain budget) used
         for progress ratios and ETA; ``0`` disables both.
-    min_interval_s:
-        Optional wall-clock floor between heartbeats: a very fine stride
-        on a very fast simulation emits at most one heartbeat per
-        interval. ``0`` (default) emits strictly by stride, which keeps
-        event counts deterministic for tests.
     """
-
-    #: Simulator treats a falsy observer like ``None`` (tracer parity).
-    enabled = True
 
     def __init__(
         self,
@@ -68,7 +61,6 @@ class RunObserver:
         tag: str = "",
         every: int = DEFAULT_SAMPLE_EVERY,
         target_cycles: int = 0,
-        min_interval_s: float = 0.0,
     ) -> None:
         if every < 1:
             raise ValueError(f"every must be >= 1, got {every}")
@@ -78,10 +70,8 @@ class RunObserver:
         self.tag = tag
         self.every = every
         self.target_cycles = int(target_cycles)
-        self.min_interval_s = min_interval_s
         self.worker = os.getpid()
-        #: Next cycle at which :meth:`sample` is due; the simulator's
-        #: guard is ``now >= observer.next_cycle``.
+        #: Next cycle at which a heartbeat is due (``now >= next_cycle``).
         self.next_cycle = every
         self.seq = 0
         self.heartbeats = 0
@@ -89,14 +79,8 @@ class RunObserver:
         #: whose running snapshot rides along in each heartbeat.
         self.windows = None
         self._t0 = time.perf_counter()
-        self._last_emit_wall = 0.0
-        self.sim = None
 
     # ------------------------------------------------------------------ #
-
-    def bind(self, sim) -> None:
-        """Attach to a simulator (called by ``Simulator.__init__``)."""
-        self.sim = sim
 
     def _emit(self, kind: str, **data) -> None:
         self.seq += 1
@@ -129,15 +113,18 @@ class RunObserver:
             target_cycles=self.target_cycles,
         )
 
-    def sample(self, sim, now: int) -> None:
-        """One heartbeat: in-flight progress, read-only by contract."""
+    def next_wake(self, now: int) -> Optional[int]:
+        """Not a wake source: heartbeats never stop a fast-forward."""
+        return None
+
+    def __call__(self, sim) -> None:
+        """End-of-cycle hook: once the stride is due, one heartbeat of
+        in-flight progress, read-only by contract."""
+        now = sim.now
+        if now < self.next_cycle:
+            return
         self.next_cycle = now + self.every
         wall = time.perf_counter() - self._t0
-        if self.min_interval_s and (
-            wall - self._last_emit_wall < self.min_interval_s
-        ):
-            return
-        self._last_emit_wall = wall
         self.heartbeats += 1
         stats = sim.stats
         cps = now / wall if wall > 0 else None

@@ -269,8 +269,9 @@ def execute_inline(
 
     ``publish`` attaches a :class:`repro.obs.RunObserver` emitting
     ``run_started`` / ``heartbeat`` (every ``sample_every`` cycles) /
-    ``run_finished`` events onto an observation bus. Observation is
-    read-only: the observed run is bit-identical to an unobserved one.
+    ``run_finished`` events onto an observation bus; its heartbeat is the
+    last end-of-cycle hook. Observation is read-only: the observed run is
+    bit-identical to an unobserved one.
     """
     t0 = time.perf_counter()
     observer = None
@@ -292,7 +293,7 @@ def execute_inline(
         from repro.telemetry import Tracer
 
         tracer = Tracer(record_events=False)
-    if observer is not None and tracer is not None and tracer.enabled:
+    if observer is not None and tracer is not None:
         # Periodic windowed-telemetry snapshots ride along in heartbeats
         # whenever the run is traced anyway (sinks see the stream even in
         # metrics-only mode).
@@ -308,10 +309,10 @@ def execute_inline(
         warmup_cycles=spec.warmup,
         faults=layer,
         tracer=tracer,
-        observer=observer,
+        hooks=hooks,
     )
-    for hook in hooks:
-        sim.add_hook(hook)
+    if observer is not None:
+        sim.add_hook(observer)
     t_built = time.perf_counter()
     sim.run(spec.cycles)
     drained = True
@@ -349,7 +350,7 @@ def execute_inline(
         if isinstance(hook, ReconfigurationController):
             meta["reconfig"] = hook.meta_payload()
     metrics: Dict[str, object] = {}
-    if tracer is not None and tracer.enabled:
+    if tracer is not None:
         tracer.finalize(sim)
         metrics = tracer.metrics_dict()
     t_end = time.perf_counter()
@@ -611,10 +612,19 @@ class Executor:
             initializer = install_worker_bus
             initargs = (queue, hub.sample_every)
         try:
-            with ctx.Pool(
+            pool = ctx.Pool(
                 processes=jobs, initializer=initializer, initargs=initargs or ()
-            ) as pool:
+            )
+            try:
                 outputs = pool.map(_pool_worker, payloads)
+            except BaseException:
+                pool.terminate()
+                raise
+            # close + join, not terminate: a worker killed while its queue
+            # feeder thread still writes loses its last events and can leave
+            # the queue's write lock held, hanging this process's exit.
+            pool.close()
+            pool.join()
         finally:
             if drain is not None:
                 drain.stop()

@@ -35,35 +35,20 @@ cache hit too).
 Records are *strict* JSON: every line must parse under ``allow_nan=False``
 consumers. Python's ``json`` would otherwise emit bare ``NaN`` tokens for
 empty-sample latency stats (``LatencyStats.from_samples([])``), which is
-not JSON and breaks ``jq`` and other strict parsers -- :func:`json_safe`
-renders non-finite floats as ``null`` at this boundary.
+not JSON and breaks ``jq`` and other strict parsers --
+:func:`~repro.obs.events.json_safe` (re-exported here) renders non-finite
+floats as ``null`` at this boundary.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from repro.obs.events import json_safe
 from repro.runtime.spec import SCHEMA_VERSION
-
-
-def json_safe(value):
-    """Recursively replace non-finite floats (NaN/Inf) with ``None``.
-
-    Applied to every run record before serialisation so empty-sample
-    statistics (NaN in process) become ``null`` on disk instead of the
-    invalid bare ``NaN`` token Python's encoder emits by default.
-    """
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {k: json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [json_safe(v) for v in value]
-    return value
 
 
 class RunLog:

@@ -46,6 +46,7 @@ _code_fingerprint: Optional[str] = None
 def code_fingerprint() -> str:
     """Content hash of every ``.py`` file in the installed ``repro`` package.
 
+    Hashes each file :func:`fingerprint_files` lists, path then content.
     Computed once per process. ``REPRO_CODE_VERSION`` overrides it (useful
     in CI to share a cache across checkouts known to be equivalent).
     """
@@ -58,33 +59,26 @@ def code_fingerprint() -> str:
         from repro.obs.log import get_logger
 
         root = os.path.dirname(os.path.abspath(repro.__file__))
+        files = fingerprint_files()
         h = hashlib.sha256()
-        n_files = 0
-        for dirpath, dirnames, filenames in sorted(os.walk(root)):
-            dirnames.sort()
-            for fname in sorted(filenames):
-                if not fname.endswith(".py"):
-                    continue
-                path = os.path.join(dirpath, fname)
-                h.update(os.path.relpath(path, root).encode())
-                with open(path, "rb") as fh:
-                    h.update(fh.read())
-                n_files += 1
+        for rel in files:
+            h.update(rel.encode())
+            with open(os.path.join(root, rel), "rb") as fh:
+                h.update(fh.read())
         _code_fingerprint = h.hexdigest()[:16]
         get_logger("repro.runtime.spec").debug(
-            f"code fingerprint {_code_fingerprint} over {n_files} files",
-            extra={"fingerprint": _code_fingerprint, "n_files": n_files},
+            f"code fingerprint {_code_fingerprint} over {len(files)} files",
+            extra={"fingerprint": _code_fingerprint, "n_files": len(files)},
         )
     return _code_fingerprint
 
 
 def fingerprint_files() -> Tuple[str, ...]:
-    """Package-relative paths covered by :func:`code_fingerprint`.
+    """Package-relative paths hashed by :func:`code_fingerprint`, in order.
 
     Audit companion to the fingerprint: the hash itself is opaque, so
     tests assert coverage against this list instead (e.g. that hot-path
     modules like ``noc/kernels.py`` invalidate the cache when edited).
-    Uses the same walk/filter logic, so the two cannot drift apart.
     """
     import repro
 

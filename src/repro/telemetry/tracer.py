@@ -102,24 +102,21 @@ class _PacketTrace:
 class Tracer:
     """Collects events and metrics from one simulation.
 
+    Off is ``tracer=None``: an untraced simulator invokes nothing here.
+    Wireless channel classes are inferred from the network at :meth:`bind`
+    time (OWN topologies).
+
     Parameters
     ----------
-    enabled:
-        ``False`` makes the tracer inert: the simulator treats it exactly
-        like ``tracer=None`` (no hook is ever invoked; ``emits`` stays 0).
     record_events:
         Buffer :class:`TraceEvent` objects (needed for Chrome export).
         ``False`` keeps metrics only -- the cheap mode run records use.
-    collect_metrics:
-        Maintain the :class:`MetricRegistry` and per-packet breakdowns.
     max_events:
         Hard cap on buffered events; beyond it events are counted in
         ``events_dropped`` instead of stored (runaway-trace protection).
-    channel_classes:
-        Optional ``channel_id -> distance class`` map. When empty it is
-        inferred from the network at :meth:`bind` time (OWN topologies).
     sample_every:
-        If > 0, the simulator calls :meth:`on_cycle_sample` every
+        If > 0, :meth:`bind` registers the tracer as an end-of-cycle hook
+        (``Simulator.add_hook``) that calls :meth:`on_cycle_sample` every
         ``sample_every`` cycles, snapshotting per-router buffer occupancy
         into a ``buffer_sample`` event (the congestion-heatmap input).
         ``0`` (default) disables sampling entirely.
@@ -133,27 +130,21 @@ class Tracer:
 
     def __init__(
         self,
-        enabled: bool = True,
         record_events: bool = True,
-        collect_metrics: bool = True,
         max_events: int = 1_000_000,
-        channel_classes: Optional[Dict[int, str]] = None,
         sample_every: int = 0,
         sinks: Optional[List[object]] = None,
     ) -> None:
-        self.enabled = enabled
         self.record_events = record_events
-        self.collect_metrics = collect_metrics
         self.max_events = max_events
         self.sample_every = sample_every
         self.events: List[TraceEvent] = []
         self.events_dropped = 0
-        #: Total hook invocations -- the counter the "disabled tracing has
-        #: zero overhead" regression test asserts on.
+        #: Total hook invocations (an exact, host-independent activity count).
         self.emits = 0
         self.metrics = MetricRegistry()
         self.sim: Optional["Simulator"] = None
-        self._channel_classes = dict(channel_classes or {})
+        self._channel_classes: Dict[int, str] = {}
         self._link_class: Dict["Link", str] = {}
         self._pkt: Dict[int, _PacketTrace] = {}
         self._req_since: Dict["Link", int] = {}
@@ -193,12 +184,13 @@ class Tracer:
         """
         self.sim = sim
         network = sim.network
-        if not self._channel_classes:
-            self._channel_classes = infer_channel_classes(network)
+        self._channel_classes = infer_channel_classes(network)
         for link in network.links:
             self._link_class[link] = link_class(link, self._channel_classes)
         for router in network.routers:
             router.tracer = self
+        if self.sample_every:
+            sim.add_hook(self)
 
     def class_of(self, link: "Link") -> str:
         cls = self._link_class.get(link)
@@ -229,27 +221,25 @@ class Tracer:
 
     def on_packet_created(self, packet: "Packet", now: int) -> None:
         self.emits += 1
-        if self.collect_metrics:
-            self._pkt[packet.pid] = _PacketTrace()
+        self._pkt[packet.pid] = _PacketTrace()
 
     def on_flit_sent(self, link: "Link", flit: "Flit", now: int) -> None:
         self.emits += 1
-        if self.collect_metrics:
-            pt = self._pkt.get(flit.packet.pid)
-            if pt is not None:
-                if flit.is_head:
-                    if pt.token_since >= 0 and link.medium is not None:
-                        pt.token_wait += now - pt.token_since
-                    pt.token_since = -1
-                    pt.head_cycle = now
-                    pt.flight += link.latency
-                    if link.kind == "wireless":
-                        pt.cls = self.class_of(link)
-                if flit.is_tail and pt.head_cycle >= 0:
-                    # Only the last hop's head-to-tail spacing sits on the
-                    # critical path (earlier hops' serialization overlaps
-                    # downstream pipelining), so overwrite rather than sum.
-                    pt.serialization = now - pt.head_cycle
+        pt = self._pkt.get(flit.packet.pid)
+        if pt is not None:
+            if flit.is_head:
+                if pt.token_since >= 0 and link.medium is not None:
+                    pt.token_wait += now - pt.token_since
+                pt.token_since = -1
+                pt.head_cycle = now
+                pt.flight += link.latency
+                if link.kind == "wireless":
+                    pt.cls = self.class_of(link)
+            if flit.is_tail and pt.head_cycle >= 0:
+                # Only the last hop's head-to-tail spacing sits on the
+                # critical path (earlier hops' serialization overlaps
+                # downstream pipelining), so overwrite rather than sum.
+                pt.serialization = now - pt.head_cycle
         if self._eventing:
             self._event(
                 now,
@@ -268,8 +258,6 @@ class Tracer:
 
     def on_packet_ejected(self, packet: "Packet", now: int) -> None:
         self.emits += 1
-        if not self.collect_metrics:
-            return
         pt = self._pkt.pop(packet.pid, None)
         if pt is None:
             return
@@ -312,12 +300,11 @@ class Tracer:
         self, medium: "SharedMedium", link: "Link", packet: "Packet", now: int
     ) -> None:
         self.emits += 1
-        if self.collect_metrics:
-            pt = self._pkt.get(packet.pid)
-            if pt is not None:
-                pt.token_since = now
-            if link not in self._req_since:
-                self._req_since[link] = now
+        pt = self._pkt.get(packet.pid)
+        if pt is not None:
+            pt.token_since = now
+        if link not in self._req_since:
+            self._req_since[link] = now
         if self._eventing:
             self._event(
                 now, TOKEN_REQUEST, medium.name,
@@ -327,19 +314,18 @@ class Tracer:
     def on_token_grant(self, medium: "SharedMedium", link: "Link", now: int) -> None:
         self.emits += 1
         wait = now - self._req_since.pop(link, now) + medium.arb_latency
-        if self.collect_metrics:
-            handles = self._grant_metrics.get(medium)
-            if handles is None:
-                m = self.metrics
-                handles = self._grant_metrics[medium] = (
-                    m.counter("token_wait_cycles", medium.name),
-                    m.counter("token_grants", medium.name),
-                    m.histogram("token_wait", medium.kind),
-                )
-            cycles, grants, hist = handles
-            cycles.value += wait
-            grants.value += 1
-            hist.observe(wait)
+        handles = self._grant_metrics.get(medium)
+        if handles is None:
+            m = self.metrics
+            handles = self._grant_metrics[medium] = (
+                m.counter("token_wait_cycles", medium.name),
+                m.counter("token_grants", medium.name),
+                m.histogram("token_wait", medium.kind),
+            )
+        cycles, grants, hist = handles
+        cycles.value += wait
+        grants.value += 1
+        hist.observe(wait)
         if self._eventing:
             self._event(
                 now, TOKEN_GRANT, medium.name,
@@ -354,12 +340,11 @@ class Tracer:
         self, router: "Router", port_kind: str, reason: str, now: int
     ) -> None:
         self.emits += 1
-        if self.collect_metrics:
-            counter = self._stall_counters.get((port_kind, reason))
-            if counter is None:
-                counter = self._stall_counters[port_kind, reason] = self.metrics.counter(
-                    "vc_stall_cycles", f"{port_kind}.{reason}")
-            counter.value += 1
+        counter = self._stall_counters.get((port_kind, reason))
+        if counter is None:
+            counter = self._stall_counters[port_kind, reason] = self.metrics.counter(
+                "vc_stall_cycles", f"{port_kind}.{reason}")
+        counter.value += 1
         if self._eventing:
             self._event(
                 now, VC_STALL, f"r{router.rid}", args={"reason": reason}
@@ -371,14 +356,13 @@ class Tracer:
 
     def on_flit_dropped(self, endpoint: "Endpoint", flit: "Flit", now: int) -> None:
         self.emits += 1
-        if self.collect_metrics:
-            router = endpoint.router
-            kind = (
-                router.input_ports[endpoint.in_port].kind
-                if router is not None
-                else "sink"
-            )
-            self.metrics.counter("flit_drops", kind).add(1)
+        router = endpoint.router
+        kind = (
+            router.input_ports[endpoint.in_port].kind
+            if router is not None
+            else "sink"
+        )
+        self.metrics.counter("flit_drops", kind).add(1)
         if self._eventing:
             self._event(
                 now, FLIT_DROP, endpoint.name,
@@ -387,19 +371,17 @@ class Tracer:
 
     def on_retx_queued(self, link: "Link", packet: "Packet", now: int) -> None:
         self.emits += 1
-        if self.collect_metrics:
-            self._retx_queued[(id(link), packet.pid)] = now
+        self._retx_queued[(id(link), packet.pid)] = now
 
     def on_retx_start(
         self, link: "Link", packet: "Packet", attempts: int, now: int
     ) -> None:
         self.emits += 1
-        if self.collect_metrics:
-            queued = self._retx_queued.pop((id(link), packet.pid), now)
-            pt = self._pkt.get(packet.pid)
-            if pt is not None:
-                pt.retx_wait += now - queued
-            self.metrics.counter("retx_packets", self.class_of(link)).add(1)
+        queued = self._retx_queued.pop((id(link), packet.pid), now)
+        pt = self._pkt.get(packet.pid)
+        if pt is not None:
+            pt.retx_wait += now - queued
+        self.metrics.counter("retx_packets", self.class_of(link)).add(1)
         if self._eventing:
             self._event(
                 now, RETX, link.name,
@@ -408,15 +390,13 @@ class Tracer:
 
     def on_failover(self, link: "Link", now: int) -> None:
         self.emits += 1
-        if self.collect_metrics:
-            self.metrics.counter("failovers", self.class_of(link)).add(1)
+        self.metrics.counter("failovers", self.class_of(link)).add(1)
         if self._eventing:
             self._event(now, FAILOVER, link.name)
 
     def on_recovery(self, link: "Link", now: int) -> None:
         self.emits += 1
-        if self.collect_metrics:
-            self.metrics.counter("recoveries", self.class_of(link)).add(1)
+        self.metrics.counter("recoveries", self.class_of(link)).add(1)
         if self._eventing:
             self._event(now, RECOVERY, link.name)
 
@@ -432,8 +412,7 @@ class Tracer:
         the monitor did at each recovery epoch.
         """
         self.emits += 1
-        if self.collect_metrics:
-            self.metrics.counter("control_actions", action).add(1)
+        self.metrics.counter("control_actions", action).add(1)
         if self._eventing:
             self._event(now, CONTROL, "control", args=dict(detail))
 
@@ -470,8 +449,17 @@ class Tracer:
             self._event(now, DEADLOCK, "sim", args={"occupancy": occupancy})
 
     # ------------------------------------------------------------------ #
-    # Periodic state sampling (Simulator, every ``sample_every`` cycles)
+    # Periodic state sampling (an end-of-cycle hook, bound with sample_every)
     # ------------------------------------------------------------------ #
+
+    def __call__(self, sim: "Simulator") -> None:
+        """End-of-cycle hook: sample on the ``sample_every`` grid."""
+        if sim.now % self.sample_every == 0:
+            self.on_cycle_sample(sim.now)
+
+    def next_wake(self, now: int) -> int:
+        """The next sampling cycle: a fast-forward wake source."""
+        return -(-now // self.sample_every) * self.sample_every
 
     def on_cycle_sample(self, now: int) -> None:
         """Snapshot per-router buffer occupancy into a ``buffer_sample``.
@@ -481,20 +469,14 @@ class Tracer:
         ones. Only routers with buffered flits appear in the snapshot.
         """
         self.emits += 1
-        sim = self.sim
-        if sim is None:
-            return
         occ: Dict[str, int] = {}
-        for router in sim.network.routers:
+        for router in self.sim.network.routers:
             if router._nflits:
                 occ[f"r{router.rid}"] = router.occupancy()
         if self._eventing:
             self._event(now, BUFFER_SAMPLE, "sim", args={"occupancy": occ})
-        if self.collect_metrics:
-            self.metrics.counter("buffer_samples").add(1)
-            self.metrics.histogram("buffer_occupancy").observe(
-                sum(occ.values())
-            )
+        self.metrics.counter("buffer_samples").add(1)
+        self.metrics.histogram("buffer_occupancy").observe(sum(occ.values()))
 
     # ------------------------------------------------------------------ #
     # Finalization
@@ -515,8 +497,6 @@ class Tracer:
             on_finalize = getattr(sink, "on_finalize", None)
             if on_finalize is not None:
                 on_finalize(self, sim)
-        if not self.collect_metrics:
-            return
         elapsed = max(1, sim.now)
         counter = self.metrics.counter
         gauge = self.metrics.gauge

@@ -10,6 +10,7 @@ from repro.analysis.attribution import (
     packet_classes,
     wireless_occupancies,
 )
+from repro.analysis.sweep import SweepPoint, SweepResult
 from repro.telemetry.tracer import BREAKDOWN_STAGES
 
 
@@ -148,3 +149,13 @@ class TestKnee:
     def test_no_knee(self):
         assert detect_knee([0.01, 0.02], [20.0, 21.0]) is None
         assert detect_knee([], []) is None
+
+    def test_knee_boundary_agrees_with_saturation_offered(self):
+        # Accepted fraction exactly 0.88 at 0.25: saturated for both.
+        loads, lats, accepted = [0.125, 0.25], [20.0, 21.0], [0.125, 0.22]
+        sweep = SweepResult("net", "UN", [
+            SweepPoint(load, lat, acc, packets=100)
+            for load, lat, acc in zip(loads, lats, accepted)
+        ])  # fmt: skip
+        assert sweep.saturation_offered() == 0.125
+        assert detect_knee(loads, lats, accepted) == 0.25

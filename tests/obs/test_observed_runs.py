@@ -10,6 +10,8 @@ import logging
 
 import pytest
 
+from repro.core.reconfig import ReconfigurationController
+from repro.faults import HealthMonitor
 from repro.obs import (
     HEARTBEAT,
     RUN_FINISHED,
@@ -20,7 +22,10 @@ from repro.obs import (
 )
 from repro.obs.log import configure_logging
 from repro.runtime import Executor, RunSpec
-from repro.runtime.executor import run_spec
+from repro.runtime.executor import execute_inline, run_spec
+from repro.runtime.spec import ControlSpec, FaultSpec
+from repro.telemetry import Tracer
+from repro.telemetry.events import BUFFER_SAMPLE, CONTROL, FAILOVER
 
 SPEC = RunSpec.create(
     "cmesh", rate=0.02, cycles=300, warmup=100, seed=3,
@@ -221,32 +226,45 @@ class TestRunObserverUnit:
         with pytest.raises(ValueError):
             RunObserver(lambda e: None, digest="ab" * 32, label="x", every=0)
 
-    def test_min_interval_rate_limits(self):
+
+class TestHookOrder:
+    """Plant hooks, then the tracer's sampler, then the heartbeat."""
+
+    def test_recovering_run_hooks_run_plant_sampler_heartbeat(self):
+        spec = RunSpec.create(
+            "own256_ft", topology_kwargs={"with_reconfiguration": True},
+            pattern="HOT", rate=0.03, hotspot_fraction=0.6,
+            hotspots=tuple(range(128, 192)), cycles=800, warmup=100, seed=3,
+            faults=FaultSpec(
+                kind="bursty", seed=9, burst_rate=0.002, burst_duration=300,
+                snr_penalty_db=14.0, max_channel=4, reconfig_epoch=250,
+            ),
+            control=ControlSpec(epoch_cycles=250),
+        )  # fmt: skip
         events = []
-        obs = RunObserver(
-            events.append, digest="ab" * 32, label="x", every=10,
-            target_cycles=100, min_interval_s=3600.0,
+        tracer = Tracer(sample_every=10)
+        _, sim, _ = execute_inline(
+            spec, tracer=tracer, publish=events.append, sample_every=50
         )
-
-        class _Stats:
-            packets_created = 0
-            packets_ejected = 0
-
-        class _Net:
-            def total_occupancy(self):
-                return 0
-
-        class _Sim:
-            stats = _Stats()
-            network = _Net()
-            _paused_traffic = None
-            _active_routers = ()
-            _active_nis = ()
-
-        sim = _Sim()
-        obs.sample(sim, 10)
-        obs.sample(sim, 20)
-        obs.sample(sim, 30)
-        # The wall-clock floor suppresses all but the stride bookkeeping.
-        assert obs.heartbeats <= 1
-        assert obs.next_cycle == 40
+        hooks = sim._hooks
+        assert [type(h) for h in hooks] == [
+            ReconfigurationController, HealthMonitor, Tracer, RunObserver,
+        ]
+        # Within a cycle the plant's decisions precede the occupancy sample.
+        plant_cycles, sampled = set(), {}
+        for ev in tracer.events:
+            if ev.etype in (FAILOVER, CONTROL):
+                plant_cycles.add(ev.cycle)
+                assert ev.cycle not in sampled, ev
+            elif ev.etype == BUFFER_SAMPLE:
+                sampled[ev.cycle] = len(ev.args["occupancy"])
+        assert plant_cycles & set(sampled), "no cycle with both plant and sample"
+        # A heartbeat on a sampling cycle carries that cycle's buffer_occ.
+        beats = [
+            e for e in events if e["event"] == HEARTBEAT and e["cycle"] in sampled
+        ]
+        assert any(sampled[b["cycle"]] for b in beats)
+        for beat in beats:
+            expected = sum(n for c, n in sampled.items() if c <= beat["cycle"])
+            got = beat["windows"]["kinds"].get("buffer_occ", {}).get("samples", 0)
+            assert got == expected, beat["cycle"]
