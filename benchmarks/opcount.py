@@ -13,14 +13,16 @@ After the top functions, the count is folded by source package under
 ``src/repro`` (``noc.invariants`` on its own; ``py`` is code outside the
 package), so what the hooks around the router pipeline cost is an exact row.
 
-One more line is a footprint, not a count: the KiB that ``tracemalloc``
+The last lines are a footprint, not a count: the KiB that ``tracemalloc``
 attributes to code under ``src/repro`` and that is still allocated when
 ``execute_inline`` returns (network, simulator and result held), i.e. what
-a run keeps resident. A filename filter on ``src/repro`` keeps this tool's
-own bytecode counter out. It does not depend on the host, but it repeats
-only to about 1 KiB: the hash tables of the simulator's active sets are
-keyed by object address, so their sizes move with the memory layout (which
-also moves the bytecode count by a few in several million).
+a run keeps resident, then its three largest allocation sites (file:line
+under ``src/repro``, KiB, live blocks), so a footprint change names what it
+added or removed. A filename filter on ``src/repro`` keeps this tool's own
+bytecode counter out. It does not depend on the host, but it repeats only
+to about 1 KiB: the hash tables of the simulator's active sets are keyed by
+object address, so their sizes move with the memory layout (which also
+moves the bytecode count by a few in several million).
 """
 
 import argparse
@@ -100,6 +102,10 @@ def main() -> None:
         print(f"  {n:11d}  {n / total:5.1%}  {n / sim.now:9.1f}/cycle  {layer}")
     kib = sum(trace.size for trace in resident.traces) / 1024
     print(f"  resident KiB {kib:12.0f}  (allocated by src/repro, held after execute_inline)")
+    for stat in resident.statistics("lineno")[:3]:
+        frame = stat.traceback[0]
+        site = f"{Path(frame.filename).resolve().relative_to(PKG)}:{frame.lineno}"
+        print(f"    {stat.size / 1024:9.0f} KiB  {stat.count:8d} blocks  {site}")
     canon = json.dumps(
         {"summary": result.summary, "power": result.power},
         sort_keys=True, separators=(",", ":"),

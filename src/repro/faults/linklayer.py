@@ -50,7 +50,7 @@ def _link_name(link: Link) -> str:
     return link.name
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.noc.packet import Flit, Packet
+    from repro.noc.packet import Packet
     from repro.noc.simulator import Simulator
 
 #: Event tag used in the simulator's event queue for ACK/NACK arrivals.
@@ -128,14 +128,14 @@ class _RetxJob:
 
 
 class _CurrentTx:
-    """An in-progress engine retransmission (one flit serialised per cycle)."""
+    """An in-progress engine retransmission (one flit serialised per cycle;
+    ``idx`` is the position of the next flit to send)."""
 
-    __slots__ = ("packet", "flits", "idx", "endpoint", "out_vc", "attempts")
+    __slots__ = ("packet", "idx", "endpoint", "out_vc", "attempts")
 
-    def __init__(self, packet: "Packet", flits: List["Flit"], endpoint,
-                 out_vc: int, attempts: int) -> None:
+    def __init__(self, packet: "Packet", endpoint, out_vc: int,
+                 attempts: int) -> None:
         self.packet = packet
-        self.flits = flits
         self.idx = 0
         self.endpoint = endpoint
         self.out_vc = out_vc
@@ -233,16 +233,18 @@ class FaultLayer:
     # Send-path tap (called from Simulator._send_fn on protected links)
     # ------------------------------------------------------------------ #
 
-    def note_send(self, link: Link, flit: "Flit", now: int) -> None:
-        """Decide/mark the flit's fate; finalise the attempt at the tail."""
+    def note_send(self, link: Link, packet: "Packet", seq: int, is_tail: bool,
+                  now: int) -> Optional[str]:
+        """Return the fate of flit ``seq`` of ``packet``: its attempt's,
+        decided at the head. Finalise the attempt at the tail."""
         state = link.fault
-        key = (id(link), flit.packet.pid)
-        if flit.is_head:
+        key = (id(link), packet.pid)
+        if not seq:
             if state.dead or state.failed_over:
                 fate: Optional[str] = LOST
                 state.lost_attempts += 1
             else:
-                p = state.attempt_error_prob(self._flit_bits, flit.packet.size_flits)
+                p = state.attempt_error_prob(self._flit_bits, packet.size_flits)
                 fate = CORRUPT if p > 0.0 and self._rngs[link.name].random() < p else None
                 if fate is CORRUPT:
                     state.corrupt_attempts += 1
@@ -252,11 +254,11 @@ class FaultLayer:
         else:
             fate = self._in_transit[key]
         if fate is not None:
-            flit.fate = fate
             state.crc_drop_flits += 1
-        if flit.is_tail:
+        if is_tail:
             del self._in_transit[key]
-            self._finish_attempt(link, flit.packet, fate, now)
+            self._finish_attempt(link, packet, fate, now)
+        return fate
 
     def _finish_attempt(self, link: Link, packet: "Packet",
                         fate: Optional[str], now: int) -> None:
@@ -286,8 +288,9 @@ class FaultLayer:
     # Delivery tap (called from phase 1 of Simulator.step for fated flits)
     # ------------------------------------------------------------------ #
 
-    def note_drop(self, endpoint, vc: int, flit: "Flit", now: int) -> None:
-        """Receiver-side discard of a corrupt/lost flit.
+    def note_drop(self, endpoint, vc: int, packet: "Packet", fate: str,
+                  now: int) -> None:
+        """Receiver-side discard of a flit of ``packet`` fated ``fate``.
 
         The buffer slot the sender reserved is freed immediately (the flit
         never enters the downstream VC queue), keeping credit accounting
@@ -296,7 +299,7 @@ class FaultLayer:
         endpoint.return_credit(vc)
         self.sim.stats.flits_dropped += 1
         if self._tracer is not None:
-            self._tracer.on_flit_dropped(endpoint, flit, now)
+            self._tracer.on_flit_dropped(endpoint, packet, fate, now)
 
     # ------------------------------------------------------------------ #
     # ACK/NACK arrivals (delegated from the simulator's event loop)
@@ -497,9 +500,7 @@ class FaultLayer:
                 if link.medium is not None:
                     link.pending_requests += 1
                     link.medium.note_request(link)
-                tx = _CurrentTx(
-                    packet, packet.make_flits(), endpoint, cand, job.attempts + 1
-                )
+                tx = _CurrentTx(packet, endpoint, cand, job.attempts + 1)
                 self._current[link] = tx
                 self._attempt_no[(id(link), packet.pid)] = tx.attempts
                 self.sim.stats.packets_retransmitted += 1
@@ -515,21 +516,22 @@ class FaultLayer:
 
     def _send_next_flit(self, sim: "Simulator", link: Link,
                         tx: _CurrentTx, now: int) -> int:
-        flit = tx.flits[tx.idx]
+        packet = tx.packet
+        seq = tx.idx
         tx.idx += 1
+        is_tail = seq == packet.size_flits - 1
         endpoint = tx.endpoint
-        if flit.is_head:
-            packet = flit.packet
+        if not seq:
             packet.hops += 1
             if link.kind == PHOTONIC:
                 packet.photonic_hops += 1
             elif link.kind == WIRELESS:
                 packet.wireless_hops += 1
         endpoint.take_credit(tx.out_vc)
-        sim._send_fn(link, endpoint, flit, tx.out_vc, now)
+        sim._send_fn(link, endpoint, packet, seq, is_tail, tx.out_vc, now)
         sim.stats.flits_retransmitted += 1
         link.bits_retransmitted += self._flit_bits
-        if flit.is_tail:
+        if is_tail:
             endpoint.release_vc(tx.out_vc)
             if link.medium is not None:
                 link.pending_requests -= 1
@@ -566,7 +568,7 @@ class FaultLayer:
         the retired channel.
         """
         ni = self.network.interfaces[self._reentry_core(link, packet)]
-        ni.requeue_flits(packet.make_flits())
+        ni.enqueue_packet(packet)
         self.sim.stats.packets_recovered += 1
         self.sim.stats.flits_retransmitted += packet.size_flits
         link.fault.recovered += 1

@@ -30,7 +30,8 @@ from typing import Optional, Sequence, Union
 from repro.rf.budget import LinkBudget
 from repro.rf.ook import ook_ber
 
-#: Flit fate markers written into :attr:`repro.noc.packet.Flit.fate`.
+#: Attempt fates returned by ``FaultLayer.note_send`` and carried by every
+#: in-flight flit of the attempt (the simulator's flit-ring entries).
 CORRUPT = "corrupt"
 LOST = "lost"
 

@@ -6,7 +6,7 @@ token-arbitrated photonic MWSR buses and SWMR wireless multicast channels.
 Topology builders live in :mod:`repro.topologies` and :mod:`repro.core`.
 """
 
-from repro.noc.packet import Packet, Flit, FlitKind
+from repro.noc.packet import Packet
 from repro.noc.buffers import VirtualChannel, InputPort, VCState
 from repro.noc.links import (
     Endpoint,
@@ -24,8 +24,6 @@ from repro.noc.stats import StatsCollector, LatencyStats
 
 __all__ = [
     "Packet",
-    "Flit",
-    "FlitKind",
     "VirtualChannel",
     "InputPort",
     "VCState",

@@ -10,15 +10,22 @@ on the downstream endpoint for VC allocation) -> ``ACTIVE`` (competing in SA)
 The simulator iterates only over *occupied* VCs (active-set scheduling), so
 the VC exposes cheap ``occupied`` checks and the port maintains the set of
 VC indices that currently hold flits.
+
+A buffered flit is not an object: the FIFO holds one reference to the
+flit's packet per buffered flit, and ``sent`` counts the flits of the front
+packet that have already left. The front flit is therefore the head while
+``sent == 0`` and the tail at ``sent == size_flits - 1``; the count resets
+when the tail leaves. Flits of a packet arrive in order and a VC's packets
+never interleave, so the count is all the position a flit needs.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, TYPE_CHECKING
+from typing import List, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.noc.packet import Flit
+    from repro.noc.packet import Packet
 
 
 class VCState(enum.IntEnum):
@@ -44,6 +51,7 @@ class VirtualChannel:
         "index",
         "depth",
         "queue",
+        "sent",
         "state",
         "out_port",
         "out_vc",
@@ -61,11 +69,16 @@ class VirtualChannel:
             raise ValueError(f"VC depth must be >= 1, got {depth}")
         self.index = index
         self.depth = depth
-        # A plain list, not a deque: credit flow control caps it at
-        # ``depth`` flits, so taking the front (``del queue[0]``) shifts at
-        # most a few pointers, and an empty list is ~56 B against an empty
-        # deque's ~760 B -- at kilo-core scale, most of a network's buffers.
-        self.queue: List["Flit"] = []
+        # One packet reference per buffered flit. A plain list, not a
+        # deque: credit flow control caps it at ``depth`` flits, so taking
+        # the front (``del queue[0]``) shifts at most a few pointers, and an
+        # empty list is ~56 B against an empty deque's ~760 B -- at
+        # kilo-core scale, most of a network's buffers.
+        self.queue: List["Packet"] = []
+        # Flits of the packet passing through that have already left: the
+        # front flit's position. Nonzero only mid-packet (ACTIVE), also
+        # while the queue has run dry waiting for the rest of the packet.
+        self.sent = 0
         self.state: VCState = VCState.IDLE
         # Bound by repro.noc.kernels.KernelState: this VC's slot id in the
         # network-wide flat slot space (-1 until then), the index of the
@@ -95,8 +108,8 @@ class VirtualChannel:
     def free_slots(self) -> int:
         return self.depth - len(self.queue)
 
-    def push(self, flit: "Flit") -> None:
-        """Accept a flit from the upstream link.
+    def push(self, packet: "Packet") -> None:
+        """Accept the next flit of ``packet`` from the upstream link.
 
         Credit flow control should make overflow impossible; an overflow here
         indicates a simulator bug, hence the hard error.
@@ -106,20 +119,25 @@ class VirtualChannel:
                 f"VC{self.index} overflow: depth={self.depth}; "
                 "credit accounting is broken"
             )
-        self.queue.append(flit)
+        self.queue.append(packet)
 
-    def front(self) -> "Flit":
-        return self.queue[0]
+    def front(self) -> Tuple["Packet", int]:
+        """The front flit: its packet and its position in that packet."""
+        return self.queue[0], self.sent
 
-    def pop(self) -> "Flit":
+    def pop(self) -> Tuple["Packet", int]:
+        """Remove the front flit; return its packet and position."""
         queue = self.queue
-        flit = queue[0]
+        packet = queue[0]
         del queue[0]
-        return flit
+        seq = self.sent
+        self.sent = 0 if seq == packet.size_flits - 1 else seq + 1
+        return packet, seq
 
     def release(self) -> None:
         """Return to IDLE after the tail flit departs."""
         self.state = VCState.IDLE
+        self.sent = 0
         self.out_port = None
         self.out_vc = None
         self.endpoint = None

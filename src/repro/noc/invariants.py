@@ -11,7 +11,8 @@ can assert them at any cycle boundary:
 * **credit consistency** — for every endpoint, credits + buffered flits +
   in-flight flits == buffer depth, per VC;
 * **VC-state coherence** — a non-IDLE VC has routing state; an IDLE VC has
-  none;
+  none; a VC's front counter (``vc.sent``) is nonzero only in an ACTIVE VC
+  and then lies inside its front packet;
 * **medium coherence** — a medium's holder is one of its members, and every
   requester has pending VC-allocated packets.
 
@@ -94,6 +95,14 @@ def _walk(net: "Network", sim=None, credit=False, vc_state=False, kernel=False) 
                         f"{vc.gslot} != layout {s}"
                     )
                 state = vc.state
+                if vc_state and vc.sent and (
+                    state is not VCState.ACTIVE
+                    or n and vc.sent >= vc.queue[0].size_flits
+                ):
+                    raise InvariantViolation(
+                        f"r{router.rid}: VC{vc.index} ({state.name}) front "
+                        f"counter {vc.sent} is not inside a packet it is sending"
+                    )
                 if state is VCState.IDLE:
                     if vc_state and (vc.out_port is not None or vc.out_vc is not None):
                         raise InvariantViolation(
@@ -108,7 +117,7 @@ def _walk(net: "Network", sim=None, credit=False, vc_state=False, kernel=False) 
                     if kernel:
                         ep = vc.cand_endpoint
                         waiting.setdefault(ep, []).append(s)
-                        size = vc.queue[0].packet.size_flits
+                        size = vc.queue[0].size_flits
                         if not (s in fresh or ep.woken or ep.is_sink) and any(
                             not ep.vc_busy[v] and ep.credits[v] >= size
                             for v in vc.cand_vcs
@@ -158,7 +167,7 @@ def _walk(net: "Network", sim=None, credit=False, vc_state=False, kernel=False) 
 def _conservation(sim: "Simulator", buffered: int) -> Dict[str, int]:
     """Flit conservation given the buffered total; returns where flits are."""
     stats = sim.stats
-    queued = sum(len(ni.queue) for ni in sim.network.interfaces if ni is not None)
+    queued = sum(ni.backlog for ni in sim.network.interfaces if ni is not None)
     in_flight = sum(len(due) for due in sim._flit_ring)
     present = buffered + queued + in_flight
     available = stats.flits_created + stats.flits_retransmitted - stats.flits_dropped
@@ -191,7 +200,8 @@ def check_credit_consistency(sim: "Simulator") -> None:
 
 
 def check_vc_state_coherence(net: "Network") -> None:
-    """Routing state exists exactly for VCs that are mid-packet."""
+    """Routing state exists exactly for VCs that are mid-packet, and so does
+    a nonzero front counter."""
     _walk(net, vc_state=True)
 
 

@@ -91,7 +91,7 @@ def _allocate(vc) -> bool:
     if ep.is_sink:
         vc.out_vc = 0
         return True
-    size = vc.queue[0].packet.size_flits
+    size = vc.queue[0].size_flits
     vc_busy = ep.vc_busy
     credits = ep.credits
     for cand in vc.cand_vcs:
@@ -384,7 +384,7 @@ class KernelState:
                 link.pending_requests += 1
                 medium.note_request(link)
                 if tracer is not None:
-                    tracer.on_medium_request(medium, link, vc.queue[0].packet, now)
+                    tracer.on_medium_request(medium, link, vc.queue[0], now)
 
     def rc_sweep(self) -> None:
         """One network-wide RC phase: route the head of every ``rc_slots`` VC.
@@ -405,13 +405,13 @@ class KernelState:
             if vc.state is not _IDLE or not queue:
                 continue  # stale entry: the VC advanced or drained already
             r = self.slot_router[s]
-            flit = queue[0]
-            if not flit.is_head:
+            packet = queue[0]
+            if vc.sent:
                 raise RuntimeError(
                     f"router {r.rid}: non-head flit at front of IDLE VC "
-                    f"(in_port={self.slot_ip[s]}, vc={vc.index}): {flit!r}"
+                    f"(in_port={self.slot_ip[s]}, vc={vc.index}): flit "
+                    f"{vc.sent} of {packet!r}"
                 )
-            packet = flit.packet
             routing = r.routing
             out_port = routing.compute(r, packet)
             if (

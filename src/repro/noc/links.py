@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 from repro.noc.buffers import VCState
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.noc.packet import Flit, Packet
+    from repro.noc.packet import Packet
     from repro.noc.router import Router
 
 #: Hot-path alias for the SA-waiter staleness guard in ``try_grant``.
@@ -517,13 +517,13 @@ class Link:
             return self.medium.can_transmit(self, now)
         return True
 
-    def on_flit_sent(self, now: int, flit: "Flit", flit_width_bits: int) -> None:
+    def on_flit_sent(self, now: int, is_tail: bool, flit_width_bits: int) -> None:
         """Book-keeping when a flit begins traversal."""
         self.busy_until = now + self.cycles_per_flit
         self.flits_carried += 1
         self.bits_carried += flit_width_bits
         if self.medium is not None:
-            self.medium.on_flit_sent(now, self.cycles_per_flit, flit.is_tail)
+            self.medium.on_flit_sent(now, self.cycles_per_flit, is_tail)
 
     @property
     def multicast_degree(self) -> int:

@@ -27,7 +27,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.noc.links import Endpoint, Link, SharedMedium, ELECTRICAL
-from repro.noc.packet import Flit, Packet
+from repro.noc.packet import Packet
 from repro.noc.router import Router, RoutingFunction
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -37,19 +37,21 @@ if TYPE_CHECKING:  # pragma: no cover
 class NetworkInterface:
     """Per-core injection queue (open-loop source).
 
-    The NI holds an unbounded queue of flits awaiting buffer space at the
+    The NI holds an unbounded queue of packets awaiting buffer space at the
     local router input port and performs the upstream half of VC allocation
     for injected packets (grab a free VC for each head flit, follow with the
-    body, release on tail) exactly like a link writer would.
+    body, release on tail) exactly like a link writer would. Like a VC, it
+    keeps no flit objects: ``sent`` counts the flits of the front packet
+    already pumped, and the packet leaves the queue with its tail.
     """
 
     __slots__ = (
         "core",
         "endpoint",
         "queue",
+        "sent",
         "current_vc",
         "flits_injected",
-        "packets_queued",
         "parked",
         "_wake",
     )
@@ -57,10 +59,12 @@ class NetworkInterface:
     def __init__(self, core: int, endpoint: Endpoint) -> None:
         self.core = core
         self.endpoint = endpoint
-        self.queue: Deque[Flit] = deque()
+        self.queue: Deque[Packet] = deque()
+        self.sent = 0
+        # The input VC the front packet was admitted to; ``None`` exactly
+        # while ``sent == 0`` (its head has not been pumped).
         self.current_vc: Optional[int] = None
         self.flits_injected = 0
-        self.packets_queued = 0
         #: Backlogged but blocked on the endpoint (no free/funded VC): out
         #: of the simulator's active set until a credit return or VC release
         #: on the endpoint re-arms it (failed pumps have no side effects, so
@@ -72,21 +76,11 @@ class NetworkInterface:
         endpoint.ni = self
 
     def enqueue_packet(self, packet: Packet) -> None:
+        """Queue ``packet`` behind the backlog (new traffic, or a packet the
+        link layer re-injects after giving up on a channel)."""
         if not self.queue and self._wake is not None:
             self._wake(self)
-        self.queue.extend(packet.make_flits())
-        self.packets_queued += 1
-
-    def requeue_flits(self, flits: Sequence[Flit]) -> None:
-        """Re-enter recovered flits (link-layer retransmission fallback).
-
-        Same as :meth:`enqueue_packet` for scheduler purposes but without
-        counting a new queued packet -- the packet was already accounted at
-        first injection.
-        """
-        if not self.queue and self._wake is not None:
-            self._wake(self)
-        self.queue.extend(flits)
+        self.queue.append(packet)
 
     def pump(self, now: int) -> int:
         """Move up to one flit per cycle into the router; return flits moved."""
@@ -95,16 +89,14 @@ class NetworkInterface:
             return 0
         endpoint = self.endpoint
         credits = endpoint.credits
-        flit = queue[0]
+        packet = queue[0]
         vc = self.current_vc
         if vc is None:
-            if not flit.is_head:
-                return 0
-            # Claim a free input VC with room for the whole packet (virtual
-            # cut-through admission, mirroring router-side VC allocation;
-            # Endpoint.can_accept_packet inlined, its can-never-fit guard
-            # hoisted out of the per-VC scan).
-            size = flit.packet.size_flits
+            # The head is at the front: claim a free input VC with room for
+            # the whole packet (virtual cut-through admission, mirroring
+            # router-side VC allocation; Endpoint.can_accept_packet inlined,
+            # its can-never-fit guard hoisted out of the per-VC scan).
+            size = packet.size_flits
             if size > endpoint.vc_depth:
                 raise ValueError(
                     f"packet of {size} flits can never fit VC depth "
@@ -120,20 +112,25 @@ class NetworkInterface:
                 return 0
         elif credits[vc] <= 0:
             return 0
-        queue.popleft()
         credits[vc] -= 1  # Endpoint.take_credit, inlined (credit > 0 above)
-        endpoint.router.deliver_flit(endpoint.in_port, vc, flit)
+        endpoint.router.deliver_flit(endpoint.in_port, vc, packet)
         self.flits_injected += 1
-        if flit.is_head:
-            flit.packet.t_inject = now
-        if flit.is_tail:
+        seq = self.sent
+        if not seq:
+            packet.t_inject = now
+        if seq == packet.size_flits - 1:
+            queue.popleft()
+            self.sent = 0
             endpoint.release_vc(vc)
             self.current_vc = None
+        else:
+            self.sent = seq + 1
         return 1
 
     @property
     def backlog(self) -> int:
-        return len(self.queue)
+        """Flits queued here and not yet pumped into the router."""
+        return sum(packet.size_flits for packet in self.queue) - self.sent
 
 
 class Network:
@@ -382,7 +379,20 @@ class Network:
         return sum(r.occupancy() for r in self.routers)
 
     def inject_packet(self, packet: Packet) -> None:
-        """Queue a packet at its source core's NI."""
+        """Queue a packet at its source core's NI.
+
+        Raises
+        ------
+        ValueError
+            If either core id lies outside ``[0, n_cores)``: a negative id
+            would otherwise index a core from the end of the list.
+        """
+        n = self.n_cores
+        if not (0 <= packet.src_core < n and 0 <= packet.dst_core < n):
+            raise ValueError(
+                f"packet {packet.src_core}->{packet.dst_core}: core ids must "
+                f"lie in [0, {n}), the n_cores of {self.name}"
+            )
         ni = self.interfaces[packet.src_core]
         if ni is None:
             raise RuntimeError(f"core {packet.src_core} has no network interface")

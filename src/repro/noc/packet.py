@@ -1,4 +1,4 @@
-"""Packet and flit data types for the flit-level cycle simulator.
+"""The packet data type of the flit-level cycle simulator.
 
 A *packet* is the unit of end-to-end communication between two cores; it is
 segmented into *flits* (flow-control digits), the unit of buffer allocation
@@ -9,43 +9,18 @@ A packet has no id of its own making: the simulator that accepts it from
 ``traffic.tick`` numbers it, so ids count from 0 in every simulator and no
 counter outlives a run.
 
-Performance note (per the hpc-parallel guides): these objects live on the
-simulator's hottest paths, so both classes use ``__slots__`` and flits hold a
-direct reference to their parent packet instead of duplicating fields.
+A flit is not an object: it is its packet plus its position in that packet
+(0 is the head, ``size_flits - 1`` the tail). A buffer holds one reference
+to the packet per buffered flit and counts how many flits of its front
+packet have already left (``VirtualChannel.sent``,
+``NetworkInterface.sent``); a flit in flight on a link is a ring entry
+carrying the packet and whether the flit is the tail. Hop counters and
+timestamps live once, on the packet, so ``Packet`` uses ``__slots__``.
 """
 
 from __future__ import annotations
 
-import enum
-from typing import Iterator, List, Optional
-
-
-class FlitKind(enum.IntEnum):
-    """Position of a flit within its packet.
-
-    ``HEAD`` carries routing information, ``TAIL`` releases the virtual
-    channel; a single-flit packet is ``HEAD_TAIL`` and does both.
-    """
-
-    HEAD = 0
-    BODY = 1
-    TAIL = 2
-    HEAD_TAIL = 3
-
-    @property
-    def is_head(self) -> bool:
-        return self in (FlitKind.HEAD, FlitKind.HEAD_TAIL)
-
-    @property
-    def is_tail(self) -> bool:
-        return self in (FlitKind.TAIL, FlitKind.HEAD_TAIL)
-
-
-#: Flag tables indexed by ``FlitKind`` value. ``Flit.__init__`` runs once per
-#: flit ever created; the enum properties above allocate a tuple and run two
-#: enum comparisons per call, which is measurable at millions of flits.
-_KIND_IS_HEAD = (True, False, False, True)
-_KIND_IS_TAIL = (False, False, True, True)
+from typing import Optional
 
 
 class Packet:
@@ -135,53 +110,8 @@ class Packet:
             raise RuntimeError(f"packet {self.pid} not ejected yet")
         return self.t_eject - self.t_create
 
-    def make_flits(self) -> List["Flit"]:
-        """Segment the packet into its flit sequence."""
-        n = self.size_flits
-        if n == 1:
-            return [Flit(self, FlitKind.HEAD_TAIL, 0)]
-        flits = [Flit(self, FlitKind.HEAD, 0)]
-        flits.extend(Flit(self, FlitKind.BODY, i) for i in range(1, n - 1))
-        flits.append(Flit(self, FlitKind.TAIL, n - 1))
-        return flits
-
-    def iter_flits(self) -> Iterator["Flit"]:
-        """Lazily iterate the flit sequence (used by injection queues)."""
-        return iter(self.make_flits())
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Packet(pid={self.pid}, {self.src_core}->{self.dst_core}, "
             f"size={self.size_flits}, t_create={self.t_create})"
         )
-
-
-class Flit:
-    """A single flow-control digit of a packet.
-
-    Routing state (``out_port``) is written by the head flit's route
-    computation and inherited by body/tail flits through the shared input-VC
-    state, so flits themselves only need identity fields.
-
-    ``fate`` is written by the fault-injection layer
-    (:mod:`repro.faults`) while the flit traverses a faulty link:
-    ``None`` (intact), ``"corrupt"`` (CRC fails at the receiver, which
-    discards the packet and NACKs) or ``"lost"`` (a dead transceiver --
-    the receiver hears nothing, so the sender must time out).
-    """
-
-    __slots__ = ("packet", "kind", "seq", "fate", "is_head", "is_tail")
-
-    def __init__(self, packet: Packet, kind: FlitKind, seq: int) -> None:
-        self.packet = packet
-        self.kind = kind
-        self.seq = seq
-        self.fate: Optional[str] = None
-        # Plain booleans (not properties): these flags are consulted several
-        # times per flit per cycle on the switch-allocation hot path. The
-        # table lookup avoids the enum-property cost on every construction.
-        self.is_head: bool = _KIND_IS_HEAD[kind]
-        self.is_tail: bool = _KIND_IS_TAIL[kind]
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Flit(pid={self.packet.pid}, {self.kind.name}, seq={self.seq})"

@@ -24,7 +24,7 @@ from repro.noc.buffers import InputPort, VCState, VirtualChannel
 from repro.noc.links import Endpoint, Link
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.noc.packet import Flit, Packet
+    from repro.noc.packet import Packet
 
 
 class RoutingFunction:
@@ -181,8 +181,9 @@ class Router:
     # Buffer plumbing
     # ------------------------------------------------------------------ #
 
-    def deliver_flit(self, in_port: int, vc: int, flit: "Flit") -> None:
-        """Accept a flit arriving from a link (the LT stage completing)."""
+    def deliver_flit(self, in_port: int, vc: int, packet: "Packet") -> None:
+        """Accept the next flit of ``packet`` arriving from a link (the LT
+        stage completing): the VC buffers one more reference to it."""
         vc_obj = self.input_ports[in_port].vcs[vc]
         # VirtualChannel.push, inlined (one call per flit-hop): credit flow
         # control makes overflow a simulator bug, hence the hard error.
@@ -205,7 +206,7 @@ class Router:
                 # ``sa_slots`` already or parked behind a medium token --
                 # re-arming that one would only have it park again.
                 kern.sa_slots.add(vc_obj.gslot)
-        queue.append(flit)
+        queue.append(packet)
         if not self._nflits and self._wake is not None:
             self._wake(self)
         self._nflits += 1
@@ -327,17 +328,21 @@ class Router:
 
     def _transmit(self, now: int, vc: VirtualChannel, sim) -> None:
         """Move the front flit of ``vc`` onto its output link: the one place
-        a flit hop is booked (the send itself in ``Simulator._send_fn``)."""
+        a flit hop is booked (the send itself in ``Simulator._send_fn``).
+        ``VirtualChannel.pop``, inlined: the flit is the front packet at
+        position ``vc.sent``."""
         link = self.out_links[vc.out_port]
         endpoint = vc.endpoint
         queue = vc.queue
-        flit = queue[0]
+        packet = queue[0]
         del queue[0]
+        seq = vc.sent
+        is_tail = seq == packet.size_flits - 1
         kern = self._kern
         self._nflits -= 1
         if not self._nflits and self._sleep is not None:
             self._sleep(self)
-        if not queue or flit.is_tail:
+        if not queue or is_tail:
             # Ran dry, or the next packet's head is now at the front and
             # must re-run RC/VCA before competing in SA again.
             kern.sa_slots.discard(vc.gslot)
@@ -345,8 +350,7 @@ class Router:
         self.xbar_traversals += 1
         self.sa_grants += 1
 
-        if flit.is_head:
-            packet = flit.packet
+        if not seq:
             packet.hops += 1
             if link.kind == "photonic":
                 packet.photonic_hops += 1
@@ -362,9 +366,9 @@ class Router:
             endpoint.credits[out_vc] -= 1
         # Link/medium busy + bit accounting happens inside _send_fn so the
         # simulator can apply the configured flit width consistently.
-        if flit.is_tail:
+        if is_tail:
             endpoint.release_vc(out_vc)
-            vc.release()
+            vc.release()  # also resets vc.sent
             if queue:
                 # The departed tail exposed the next packet's head flit:
                 # route it this very cycle (RC runs after SA in step()).
@@ -374,10 +378,12 @@ class Router:
                 link.pending_requests -= 1
                 if link.pending_requests <= 0:
                     medium.drop_request(link)
+        else:
+            vc.sent = seq + 1
         # Return the freed input-buffer slot upstream, ``credit_latency``
         # cycles from now (the ring slot step() resolved for this cycle):
         sim._credits_due.append((vc.upstream, vc.index))
-        sim._send_fn(link, endpoint, flit, out_vc, now)
+        sim._send_fn(link, endpoint, packet, seq, is_tail, out_vc, now)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Router(rid={self.rid}, radix={self.radix}, attrs={self.attrs})"

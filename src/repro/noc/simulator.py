@@ -74,7 +74,7 @@ from repro.noc.buffers import VCState
 from repro.noc.kernels import KernelState
 from repro.noc.links import Endpoint, Link, SharedMedium
 from repro.noc.network import Network, NetworkInterface
-from repro.noc.packet import Flit, Packet
+from repro.noc.packet import Packet
 from repro.noc.router import Router
 from repro.noc.stats import StatsCollector
 
@@ -266,21 +266,28 @@ class Simulator:
             bool(self._events) or any(self._flit_ring) or any(self._credit_ring)
         )
 
-    def _send_fn(self, link: Link, endpoint: Endpoint, flit: Flit, out_vc: int, now: int) -> None:
-        """Start a flit's link traversal: the one place a send is booked
-        (``Router._transmit`` and the link layer's retransmissions)."""
+    def _send_fn(
+        self, link: Link, endpoint: Endpoint, packet: Packet, seq: int,
+        is_tail: bool, out_vc: int, now: int,
+    ) -> None:
+        """Start the traversal of flit ``seq`` of ``packet``: the one place a
+        send is booked (``Router._transmit`` and the link layer's
+        retransmissions). The flit in flight is a ring entry
+        ``(endpoint, out_vc, packet, is_tail, fate)``; ``fate`` is the link
+        layer's verdict on the attempt, ``None`` off protected links."""
         # Link.on_flit_sent, inlined (one call per flit-hop).
         link.busy_until = now + link.cycles_per_flit
         link.flits_carried += 1
         link.bits_carried += self._flit_width
         if link.medium is not None:
-            link.medium.on_flit_sent(now, link.cycles_per_flit, flit.is_tail)
+            link.medium.on_flit_sent(now, link.cycles_per_flit, is_tail)
+        fate = None
         if link.fault is not None:
-            self._faults.note_send(link, flit, now)
+            fate = self._faults.note_send(link, packet, seq, is_tail, now)
         if self._tracer is not None:
-            self._tracer.on_flit_sent(link, flit, now)
+            self._tracer.on_flit_sent(link, packet, seq, now)
         self._flit_ring[(now + link.latency) & self._ring_mask].append(
-            (endpoint, out_vc, flit)
+            (endpoint, out_vc, packet, is_tail, fate)
         )
 
     # ------------------------------------------------------------------ #
@@ -299,24 +306,24 @@ class Simulator:
         due = self._flit_ring[now & mask]
         if due:
             tracer_ = self._tracer
-            for endpoint, v, flit in due:
-                if flit.fate is not None:
+            for endpoint, v, packet, is_tail, fate in due:
+                if fate is not None:
                     # CRC failure / dead transceiver: the receiver
                     # discards the flit (repro.faults handles credit
                     # return and NACK scheduling).
-                    self._faults.note_drop(endpoint, v, flit, now)
+                    self._faults.note_drop(endpoint, v, packet, fate, now)
                     continue
                 if tracer_ is not None:
-                    tracer_.on_flit_delivered(endpoint, flit, now)
+                    tracer_.on_flit_delivered(endpoint, packet, now)
                 if endpoint.is_sink:
-                    self.stats.on_flit_ejected(now, flit.packet)
-                    if flit.is_tail:
-                        flit.packet.t_eject = now
-                        self.stats.on_packet_ejected(flit.packet, now)
+                    self.stats.on_flit_ejected(now, packet)
+                    if is_tail:
+                        packet.t_eject = now
+                        self.stats.on_packet_ejected(packet, now)
                         if tracer_ is not None:
-                            tracer_.on_packet_ejected(flit.packet, now)
+                            tracer_.on_packet_ejected(packet, now)
                 else:
-                    endpoint.router.deliver_flit(endpoint.in_port, v, flit)
+                    endpoint.router.deliver_flit(endpoint.in_port, v, packet)
             moved = len(due)
             due.clear()
         due = self._credit_ring[now & mask]
@@ -468,10 +475,9 @@ class Simulator:
                 for port in router.input_ports:
                     for vc in port.vcs:
                         if vc.queue:
-                            front = vc.queue[0]
                             vcs.append(
                                 f"in{port.index}.vc{vc.index}[{len(vc.queue)} "
-                                f"flits, {vc.state.name}, pid={front.packet.pid}"
+                                f"flits, {vc.state.name}, pid={vc.queue[0].pid}"
                                 f"->out{vc.out_port}{self._waits_on(router, port, vc)}]"
                             )
                 stuck.append(f"  r{router.rid} ({occ} flits): " + ", ".join(vcs))
@@ -624,9 +630,7 @@ class Simulator:
 
     def _backlog(self) -> int:
         """Flits queued at NIs but not yet injected into the network."""
-        return sum(
-            len(ni.queue) for ni in self.network.interfaces if ni is not None
-        )
+        return sum(ni.backlog for ni in self.network.interfaces if ni is not None)
 
     def _pending_work(self) -> bool:
         if self._events_pending():

@@ -61,7 +61,7 @@ from repro.telemetry.metrics import MetricRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.noc.links import Endpoint, Link, SharedMedium
-    from repro.noc.packet import Flit, Packet
+    from repro.noc.packet import Packet
     from repro.noc.router import Router
     from repro.noc.simulator import Simulator
 
@@ -223,11 +223,12 @@ class Tracer:
         self.emits += 1
         self._pkt[packet.pid] = _PacketTrace()
 
-    def on_flit_sent(self, link: "Link", flit: "Flit", now: int) -> None:
+    def on_flit_sent(self, link: "Link", packet: "Packet", seq: int, now: int) -> None:
+        """Flit ``seq`` of ``packet`` (0 is the head) began traversal."""
         self.emits += 1
-        pt = self._pkt.get(flit.packet.pid)
+        pt = self._pkt.get(packet.pid)
         if pt is not None:
-            if flit.is_head:
+            if not seq:
                 if pt.token_since >= 0 and link.medium is not None:
                     pt.token_wait += now - pt.token_since
                 pt.token_since = -1
@@ -235,7 +236,7 @@ class Tracer:
                 pt.flight += link.latency
                 if link.kind == "wireless":
                     pt.cls = self.class_of(link)
-            if flit.is_tail and pt.head_cycle >= 0:
+            if seq == packet.size_flits - 1 and pt.head_cycle >= 0:
                 # Only the last hop's head-to-tail spacing sits on the
                 # critical path (earlier hops' serialization overlaps
                 # downstream pipelining), so overwrite rather than sum.
@@ -246,15 +247,14 @@ class Tracer:
                 FLIT_SEND,
                 link.name,
                 dur=link.cycles_per_flit,
-                args={"pid": flit.packet.pid, "seq": flit.seq},
+                args={"pid": packet.pid, "seq": seq},
             )
 
-    def on_flit_delivered(self, endpoint: "Endpoint", flit: "Flit", now: int) -> None:
+    def on_flit_delivered(self, endpoint: "Endpoint", packet: "Packet", now: int) -> None:
+        """A flit of ``packet`` entered a buffer or ejected at ``endpoint``."""
         self.emits += 1
         if self._eventing:
-            self._event(
-                now, FLIT_RECV, endpoint.name, args={"pid": flit.packet.pid}
-            )
+            self._event(now, FLIT_RECV, endpoint.name, args={"pid": packet.pid})
 
     def on_packet_ejected(self, packet: "Packet", now: int) -> None:
         self.emits += 1
@@ -354,7 +354,11 @@ class Tracer:
     # Link-layer protocol (repro.faults.linklayer)
     # ------------------------------------------------------------------ #
 
-    def on_flit_dropped(self, endpoint: "Endpoint", flit: "Flit", now: int) -> None:
+    def on_flit_dropped(
+        self, endpoint: "Endpoint", packet: "Packet", fate: str, now: int
+    ) -> None:
+        """The receiver discarded a flit of ``packet``, whose attempt the
+        link layer fated ``fate`` (``"corrupt"`` or ``"lost"``)."""
         self.emits += 1
         router = endpoint.router
         kind = (
@@ -366,7 +370,7 @@ class Tracer:
         if self._eventing:
             self._event(
                 now, FLIT_DROP, endpoint.name,
-                args={"pid": flit.packet.pid, "fate": flit.fate},
+                args={"pid": packet.pid, "fate": fate},
             )
 
     def on_retx_queued(self, link: "Link", packet: "Packet", now: int) -> None:

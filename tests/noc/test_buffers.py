@@ -7,7 +7,9 @@ from repro.noc.packet import Packet
 
 
 def flits(n=4):
-    return Packet(0, 1, n, 0).make_flits()
+    """The ``n`` flits of one packet, as a buffer holds them: one reference
+    to the packet each."""
+    return [Packet(0, 1, n, 0)] * n
 
 
 class TestVirtualChannel:
@@ -23,11 +25,16 @@ class TestVirtualChannel:
 
     def test_fifo_order(self):
         vc = VirtualChannel(0, 4)
-        fs = flits(4)
-        for f in fs:
-            vc.push(f)
-        assert vc.front() is fs[0]
-        assert [vc.pop() for _ in range(4)] == fs
+        a, b = Packet(0, 1, 3, 0, pid=0), Packet(0, 1, 1, 0, pid=1)
+        for p in (a, a, a, b):
+            vc.push(p)
+        assert vc.front() == (a, 0)
+        # The front counter walks the front packet head to tail, then
+        # resets for the next packet's head.
+        assert [vc.pop() for _ in range(2)] == [(a, 0), (a, 1)]
+        assert vc.front() == (a, 2) and vc.sent == 2
+        assert [vc.pop() for _ in range(2)] == [(a, 2), (b, 0)]
+        assert vc.sent == 0 and not vc.occupied
 
     def test_overflow_is_a_hard_error(self):
         vc = VirtualChannel(0, 2)
@@ -42,9 +49,11 @@ class TestVirtualChannel:
         vc.state = VCState.ACTIVE
         vc.out_port = 3
         vc.out_vc = 1
+        vc.sent = 2
         vc.release()
         assert vc.state is VCState.IDLE
         assert vc.out_port is None and vc.out_vc is None and vc.endpoint is None
+        assert vc.sent == 0
 
     def test_free_slots_tracks_occupancy(self):
         vc = VirtualChannel(0, 4)

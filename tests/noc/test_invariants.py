@@ -112,7 +112,7 @@ class TestViolationDetection:
         # Conjure a flit out of thin air into some buffer.
         from repro.noc.packet import Packet
 
-        ghost = Packet(0, 1, 1, 0).make_flits()[0]
+        ghost = Packet(0, 1, 1, 0)
         net.routers[0].input_ports[0].vcs[0].queue.append(ghost)
         created = sim.stats.flits_created
         buffered = net.total_occupancy()
@@ -184,7 +184,7 @@ class TestLostWakeupDetection:
         # head grantable while nothing will ever look at it again.
         for vc in heads:
             ep = vc.cand_endpoint
-            size = vc.queue[0].packet.size_flits
+            size = vc.queue[0].size_flits
             for v in vc.cand_vcs:
                 if ep.vc_busy[v] and ep.credits[v] >= size:
                     ep.vc_busy[v] = False
@@ -313,8 +313,15 @@ def _foreign_holder(net, sim):
     return check_medium_coherence, net
 
 
+def _stale_front_counter(net, sim):
+    vc = next(vc for vc in sim.kernels.slot_vc if vc.state is VCState.IDLE)
+    vc.sent = 1  # an IDLE VC's front flit is always a head
+    return check_vc_state_coherence, net
+
+
 def _lost_ni_flit(net, sim):
-    next(ni for ni in net.interfaces if ni is not None and ni.queue).queue.pop()
+    # Count one more flit of the front packet as pumped than was.
+    next(ni for ni in net.interfaces if ni is not None and ni.queue).sent += 1
     return check_flit_conservation, sim
 
 
@@ -335,7 +342,15 @@ class TestOneWalk:
         return built.network, sim
 
     @pytest.mark.parametrize(
-        "inject", [_steal_credit, _stale_route, _count_drift, _foreign_holder, _lost_ni_flit]
+        "inject",
+        [
+            _steal_credit,
+            _stale_route,
+            _stale_front_counter,
+            _count_drift,
+            _foreign_holder,
+            _lost_ni_flit,
+        ],
     )
     def test_audit_reports_what_the_check_reports(self, inject):
         net, sim = self._saturated()
@@ -357,7 +372,7 @@ class TestOneWalk:
         _lost_ni_flit(net, sim)
         present = (
             net.total_occupancy()
-            + sum(len(ni.queue) for ni in net.interfaces if ni is not None)
+            + sum(ni.backlog for ni in net.interfaces if ni is not None)
             + sum(len(due) for due in sim._flit_ring)
         )
         available = stats.flits_created + stats.flits_retransmitted - stats.flits_dropped

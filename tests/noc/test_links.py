@@ -76,18 +76,15 @@ class TestLink:
 
     def test_serialization_busy_window(self):
         link, _ = make_link(cycles_per_flit=3)
-        pkt = Packet(0, 1, 2, 0)
-        flits = pkt.make_flits()
         assert link.ready(0)
-        link.on_flit_sent(0, flits[0], 128)
+        link.on_flit_sent(0, False, 128)
         assert not link.ready(1) and not link.ready(2)
         assert link.ready(3)
 
     def test_bit_accounting(self):
         link, _ = make_link()
-        flits = Packet(0, 1, 3, 0).make_flits()
-        for t, f in enumerate(flits):
-            link.on_flit_sent(t, f, 128)
+        for t in range(3):
+            link.on_flit_sent(t, t == 2, 128)
         assert link.flits_carried == 3
         assert link.bits_carried == 3 * 128
 
@@ -153,10 +150,9 @@ class TestSharedMedium:
         link, _ = make_link(medium=medium)
         medium.note_request(link)
         medium.try_grant(0)
-        flits = Packet(0, 1, 2, 0).make_flits()
-        medium.on_flit_sent(0, 1, flits[0].is_tail)
+        medium.on_flit_sent(0, 1, False)  # head of a 2-flit packet
         assert medium.holder is link
-        medium.on_flit_sent(1, 1, flits[1].is_tail)
+        medium.on_flit_sent(1, 1, True)  # its tail
         assert medium.holder is None
 
     def test_serialization_shared_across_writers(self):

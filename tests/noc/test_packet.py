@@ -1,20 +1,29 @@
-"""Packet / flit segmentation invariants."""
+"""Packet / flit segmentation invariants.
+
+A flit is its packet plus its position: a buffer holds one reference to the
+packet per flit and counts the front packet's flits already gone, so
+segmentation is what passing a packet through a buffer yields.
+"""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.noc import Simulator
-from repro.noc.packet import Flit, FlitKind, Packet
+from repro.noc.buffers import VirtualChannel
+from repro.noc.packet import Packet
 from repro.topologies import build_cmesh
 from repro.traffic import ScriptedTraffic
 
 
-class TestFlitKind:
-    def test_head_flags(self):
-        assert FlitKind.HEAD.is_head and not FlitKind.HEAD.is_tail
-        assert FlitKind.TAIL.is_tail and not FlitKind.TAIL.is_head
-        assert FlitKind.HEAD_TAIL.is_head and FlitKind.HEAD_TAIL.is_tail
-        assert not FlitKind.BODY.is_head and not FlitKind.BODY.is_tail
+def segment(*packets):
+    """(packet, position) of every flit, streamed through one VC in order."""
+    vc = VirtualChannel(0, sum(p.size_flits for p in packets))
+    for p in packets:
+        for _ in range(p.size_flits):
+            vc.push(p)
+    out = [vc.pop() for _ in range(len(vc.queue))]
+    assert vc.sent == 0  # the last tail reset the front counter
+    return out
 
 
 class TestPacket:
@@ -51,31 +60,23 @@ class TestPacket:
         assert p.latency == 25
 
     def test_single_flit_packet(self):
-        flits = Packet(0, 1, 1, 0).make_flits()
-        assert len(flits) == 1
-        assert flits[0].kind is FlitKind.HEAD_TAIL
+        # Head and tail at once: position 0 is also size_flits - 1.
+        p = Packet(0, 1, 1, 0)
+        assert segment(p) == [(p, 0)]
 
     def test_two_flit_packet(self):
-        flits = Packet(0, 1, 2, 0).make_flits()
-        assert [f.kind for f in flits] == [FlitKind.HEAD, FlitKind.TAIL]
+        p = Packet(0, 1, 2, 0)
+        assert segment(p) == [(p, 0), (p, 1)]
 
-    @given(st.integers(min_value=1, max_value=64))
-    def test_segmentation_invariants(self, size):
-        p = Packet(0, 1, size, 0)
-        flits = p.make_flits()
-        assert len(flits) == size
-        assert flits[0].is_head
-        assert flits[-1].is_tail
-        # Exactly one head and one tail among all flits.
-        assert sum(1 for f in flits if f.is_head) == 1
-        assert sum(1 for f in flits if f.is_tail) == 1
-        # Sequence numbers dense and ordered; all share the parent.
-        assert [f.seq for f in flits] == list(range(size))
-        assert all(f.packet is p for f in flits)
-
-    def test_iter_flits_matches_make_flits(self):
-        p = Packet(0, 1, 5, 0)
-        assert [f.kind for f in p.iter_flits()] == [f.kind for f in p.make_flits()]
+    @given(st.lists(st.integers(min_value=1, max_value=16), min_size=1, max_size=4))
+    def test_segmentation_invariants(self, sizes):
+        packets = [Packet(0, 1, n, 0, pid=i) for i, n in enumerate(sizes)]
+        flits = segment(*packets)
+        assert len(flits) == sum(sizes)
+        # Per packet: positions dense and ordered from the head (0) to the
+        # tail (size_flits - 1), one head and one tail, in arrival order.
+        expected = [(p, seq) for p in packets for seq in range(p.size_flits)]
+        assert flits == expected
 
     def test_hop_counters_start_zero(self):
         p = Packet(0, 1, 4, 0)

@@ -170,6 +170,29 @@ class TestNetworkInterface:
         assert ni.backlog == 0
         assert ni.flits_injected == 8
 
+    def test_backlog_counts_flits_not_packets(self):
+        # The queue holds packets; the front one's pumped flits are gone.
+        net = two_router_net()
+        sim = Simulator(net, traffic=ScriptedTraffic([(0, 0, 1, 4), (0, 0, 1, 3)]))
+        sim.step()
+        ni = net.interfaces[0]
+        assert len(ni.queue) == 2 and ni.sent == 1 and ni.backlog == 6
+        sim.run(3)
+        assert len(ni.queue) == 1 and ni.sent == 0 and ni.backlog == 3
+        assert ni.current_vc is None
+
+    @pytest.mark.parametrize("src, dst", [(-1, 5), (3, -2), (256, 5), (3, 256)])
+    def test_rejects_core_ids_outside_the_network(self, src, dst):
+        # A negative id used to index a core from the end of the list
+        # (-1 -> core 255 on CMESH-256) and deliver there.
+        from repro.topologies import build_cmesh
+
+        net = build_cmesh(256).network
+        bad = src if not 0 <= src < 256 else dst
+        with pytest.raises(ValueError, match=rf"{bad}.*\[0, 256\)"):
+            net.inject_packet(Packet(src, dst, 4, 0))
+        assert not any(ni.queue for ni in net.interfaces)
+
     def test_one_flit_per_cycle(self):
         net = two_router_net()
         sim = Simulator(net, traffic=ScriptedTraffic([(0, 0, 1, 4)]))

@@ -501,7 +501,7 @@ class TestEventRings:
         assert sim._next_event_cycle() is None and not sim._events_pending()
         link = net.routers[0].out_links[-1]
         endpoint = link.resolve_endpoint(None)
-        flit = Packet(0, 1, 1, 0, pid=0).make_flits()[0]
+        packet = Packet(0, 1, 1, 0, pid=0)
 
         def cleared():
             for ring in (sim._flit_ring, sim._credit_ring):
@@ -510,7 +510,7 @@ class TestEventRings:
             sim._events.clear()
             del sim._event_cycles[:]
 
-        sim._send_fn(link, endpoint, flit, 0, sim.now)  # lands at 70 + 40
+        sim._send_fn(link, endpoint, packet, 0, True, 0, sim.now)  # lands at 70 + 40
         assert sim._next_event_cycle() == 110 and sim._events_pending()
         cleared()
         sim._credit_ring[(sim.now + 3) & sim._ring_mask].append((endpoint, 0))
@@ -518,7 +518,7 @@ class TestEventRings:
         cleared()
         sim._schedule(500, ("llack", link, 0, True))  # beyond any ring
         assert sim._next_event_cycle() == 500 and sim._events_pending()
-        sim._send_fn(link, endpoint, flit, 0, sim.now)
+        sim._send_fn(link, endpoint, packet, 0, True, 0, sim.now)
         assert sim._next_event_cycle() == 110
         sim._credit_ring[(sim.now + 3) & sim._ring_mask].append((endpoint, 0))
         assert sim._next_event_cycle() == 73

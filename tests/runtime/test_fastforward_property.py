@@ -82,7 +82,7 @@ FAULTS = st.sampled_from(
     seed=st.integers(min_value=0, max_value=2**16 - 1),
     faults=FAULTS,
 )
-def test_dense_and_fast_deliver_identically(topology, rate, seed, faults):
+def test_production_and_naive_schedule_deliver_identically(topology, rate, seed, faults):
     if topology[0] != "own256":
         faults = None  # fault campaigns target wireless channels
     fast = _run(topology, rate, seed, faults)

@@ -61,6 +61,45 @@ class TestEventStream:
         assert tracer.metrics.as_flat_dict()
 
 
+class TestFlitPositions:
+    def test_every_attempt_sends_one_complete_seq_run(self):
+        # ``flit_send.seq`` is the flit's position in its packet, read from
+        # the sender's front counter (a VC's, or the retransmit engine's).
+        # On each link a packet's flits go out as whole attempts -- first
+        # sends, link-layer retransmissions and re-routed recoveries alike
+        # -- so its seqs are runs 0, 1, ..., size_flits - 1, in cycle order.
+        from collections import defaultdict
+
+        from repro.runtime.executor import execute_inline
+        from repro.runtime.spec import FaultSpec, RunSpec
+
+        spec = RunSpec.create(
+            "own256_ft", topology_kwargs={"with_reconfiguration": True},
+            pattern="UN", rate=0.03, cycles=800, warmup=100, drain=5000, seed=5,
+            faults=FaultSpec(kind="bursty", seed=11, burst_rate=0.004,
+                             burst_duration=150, snr_penalty_db=14.0, max_channel=4),
+        )  # fmt: skip
+        tracer = Tracer()
+        _, sim, _ = execute_inline(spec, tracer=tracer)
+        # Drained, so no attempt is cut short by the end of the run.
+        assert sim.stats.packets_ejected == sim.stats.packets_created
+        assert sim.stats.packets_retransmitted > 0 and sim.stats.flits_dropped > 0
+        sends = defaultdict(list)
+        for ev in tracer.events:
+            if ev.etype == FLIT_SEND:
+                sends[ev.component, ev.args["pid"]].append((ev.cycle, ev.args["seq"]))
+        size = spec.traffic.packet_size
+        retried = 0
+        for key, flits in sends.items():
+            cycles = [cycle for cycle, _ in flits]
+            assert cycles == sorted(cycles) and len(set(cycles)) == len(cycles), key
+            seqs = [seq for _, seq in flits]
+            attempts, rest = divmod(len(seqs), size)
+            assert not rest and seqs == list(range(size)) * attempts, (key, seqs)
+            retried += attempts > 1
+        assert retried, "no link carried a packet twice"
+
+
 class TestDisabledTracer:
     """Off is ``tracer=None``; compared against a ``Tracer()`` run."""
 
