@@ -13,7 +13,8 @@ Commands
     same ``--jobs/--cache/--runlog`` engine flags.
 ``info``
     Structural summary of a topology (routers, radix, links, media,
-    bisection accounting, photonic component inventory).
+    bisection accounting, photonic component inventory) and the analytic
+    model's UN zero-load latency and saturation bound.
 ``channels``
     Print the wireless channel plan (Tables I-IV) without simulating.
 ``report``
@@ -58,6 +59,22 @@ from repro.runtime import DEFAULT_CACHE_DIR, Executor, NAMED_TOPOLOGIES, build_r
 log = get_logger("repro.cli")
 
 
+def positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (a count of workers or cycles)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
+def non_negative_float(text: str) -> float:
+    """argparse type: a number >= 0 (NaN is neither)."""
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be a number >= 0, got {text!r}")
+    return value
+
+
 def add_obs_flags(parser: argparse.ArgumentParser) -> None:
     """Live-observability flags shared by simulation-driving commands."""
     parser.add_argument(
@@ -81,12 +98,12 @@ def add_obs_flags(parser: argparse.ArgumentParser) -> None:
              "on every observation event (node-exporter textfile collector)",
     )
     parser.add_argument(
-        "--heartbeat-cycles", type=int, default=None, metavar="N",
+        "--heartbeat-cycles", type=positive_int, default=None, metavar="N",
         help="in-flight heartbeat stride in simulated cycles "
              f"(default: {DEFAULT_SAMPLE_EVERY})",
     )
     parser.add_argument(
-        "--stall-after", type=float, default=None, metavar="SEC",
+        "--stall-after", type=non_negative_float, default=None, metavar="SEC",
         help="warn (naming the spec) when an in-flight run goes SEC "
              "wall-seconds without a heartbeat "
              f"(default: {DEFAULT_STALL_AFTER_S:g}; 0 disables)",
@@ -96,7 +113,7 @@ def add_obs_flags(parser: argparse.ArgumentParser) -> None:
 def add_engine_flags(parser: argparse.ArgumentParser) -> None:
     """Execution-engine flags shared by simulation-driving commands."""
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=positive_int, default=1, metavar="N",
         help="worker processes for simulation points (default: 1, serial)",
     )
     parser.add_argument(
@@ -151,7 +168,10 @@ def observation_from_args(args: argparse.Namespace):
     if args.status_json is not None:
         exporters.append(StatusExporter(args.status_json))
     return ObservationHub(
-        sample_every=args.heartbeat_cycles or DEFAULT_SAMPLE_EVERY,
+        sample_every=(
+            DEFAULT_SAMPLE_EVERY if args.heartbeat_cycles is None
+            else args.heartbeat_cycles
+        ),
         stall_after_s=(
             DEFAULT_STALL_AFTER_S if args.stall_after is None
             else args.stall_after
@@ -304,7 +324,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
-    from repro.analysis import measure_bisection
+    from repro.analysis import measure_bisection, predict
 
     built = build_ref(NAMED_TOPOLOGIES[args.topology])
     net = built.network
@@ -320,6 +340,10 @@ def cmd_info(args: argparse.Namespace) -> int:
           f"{entry.cycles_per_flit} cycles/flit, "
           f"{entry.equalized_flits_per_cycle:.1f} flits/cycle equalised, "
           f"{entry.raw_gbps:.0f} Gbps raw")
+    model = predict(built)
+    print(f"  model (UN): zero-load latency {model.zero_load_latency:.1f} cycles, "
+          f"saturation bound {model.saturation_rate:.4f} flits/core/cycle "
+          f"(binding: {model.binding_resource})")
     from repro.power import photonic_ring_count
 
     rings = photonic_ring_count(built)
@@ -633,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scn.add_argument("--quick", action="store_true",
                        help="cap windows at 400/100 cycles")
     p_scn.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=positive_int, default=1, metavar="N",
         help="worker processes for matrix cells (default: 1, serial)",
     )
     p_scn.add_argument(

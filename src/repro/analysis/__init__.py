@@ -63,13 +63,7 @@ _EXPORTS = {
         ),
         "design_space",
     ),
-    **dict.fromkeys(
-        (
-            "PredictedPerformance", "PREDICTORS", "predict_cmesh", "predict_optxb",
-            "predict_pclos", "predict_wcmesh", "predict_own256",
-        ),
-        "model",
-    ),
+    **dict.fromkeys(("PredictedPerformance", "predict", "walk_route"), "model"),
     **dict.fromkeys(
         (
             "ExperimentResult", "EXPERIMENTS", "table1_channels",

@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+from repro.analysis.model import channel_of, channels
 from repro.topologies.base import BuiltTopology
 
 
@@ -60,42 +61,24 @@ WAVEGUIDE_GBPS = 640.0  # 64 wavelengths x 10 Gbps
 def _half_cut_links(built: BuiltTopology) -> Dict[str, int]:
     """Count directed channels straddling the vertical mid-die cut.
 
-    Shared media (waveguides, SWMR wireless channels) count once per
-    *medium*: a home waveguide is one physical channel however many writers
-    it has. Point-to-point links count individually.
+    A channel (:func:`repro.analysis.model.channels`) crosses unless its
+    writers and readers all lie on one side, so a shared medium counts
+    once: a home waveguide is one physical channel however many writers it
+    has. Point-to-point links count individually.
     """
     net = built.network
     counts: Dict[str, int] = {}
     xs = [r.position_mm[0] for r in net.routers]
     die_mid = (max(xs) + min(xs)) / 2.0
-    seen_media = set()
-    for link in net.links:
-        if link.src_router is None or link.name.startswith("eject"):
-            continue
-        if link.medium is not None:
-            if id(link.medium) in seen_media:
-                continue
-            seen_media.add(id(link.medium))
-            # A bus crosses the cut if some writer and some reader straddle.
-            writer_sides = {
-                (m.src_router.position_mm[0] > die_mid) for m in link.medium.members
-            }
-            reader_sides = set()
-            for member in link.medium.members:
-                for ep in member.all_endpoints():
-                    if ep.router is not None:
-                        reader_sides.add(ep.router.position_mm[0] > die_mid)
-            if len(writer_sides | reader_sides) > 1:
-                counts[link.kind] = counts.get(link.kind, 0) + 1
-            continue
-        sx = link.src_router.position_mm[0]
-        for ep in link.all_endpoints():
-            if ep.router is None:
-                continue
-            dx = ep.router.position_mm[0]
-            if (sx - die_mid) * (dx - die_mid) < 0:
-                counts[link.kind] = counts.get(link.kind, 0) + 1
-                break
+    for channel, link in channels(net).items():
+        links = link.medium.members if link.medium is not None else [link]
+        sides = {l.src_router.position_mm[0] > die_mid for l in links}
+        for l in links:
+            for ep in l.all_endpoints():
+                if ep.router is not None:
+                    sides.add(ep.router.position_mm[0] > die_mid)
+        if len(sides) > 1:
+            counts[channel.kind] = counts.get(channel.kind, 0) + 1
     return counts
 
 
@@ -104,7 +87,7 @@ def measure_bisection(built: BuiltTopology) -> BisectionEntry:
     counts = _half_cut_links(built)
     net = built.network
     # Representative serialization: the slowest non-eject link class.
-    cpfs = [l.cycles_per_flit for l in net.links if not l.name.startswith("eject")]
+    cpfs = [l.cycles_per_flit for l in net.links if channel_of(l) is not None]
     cpf = max(cpfs) if cpfs else 1
     crossing = sum(counts.values())
     raw = (

@@ -1,202 +1,157 @@
-"""Closed-form performance models, cross-validated against simulation.
+"""Analytic performance model from one walk of the production routing.
 
 For design-space exploration you want answers without running the cycle
-simulator; these are the standard first-order NoC models specialised to the
-five compared architectures:
+simulator. :func:`predict` reads them off the built topology alone: it walks
+every route with the network's own ``compute`` (:func:`walk_route`) and takes
+each hop's cost and each channel's capacity from the links the route
+crosses, so no latency, token or serialisation parameter exists twice. Under
+uniform random (UN) traffic of ``S``-flit packets:
 
-* **zero-load latency**: injection + per-hop pipeline (2 cycles + link
-  latency) + expected token wait + serialization tail of an S-flit packet;
-* **saturation throughput**: the binding resource's capacity over its
-  offered share -- dedicated wireless channels and gateway waveguides for
-  OWN, DOR channel load for the meshes, home-waveguide load for the
-  crossbar, up-waveguide load for the Clos. Token media derate by
-  S*cpf / (S*cpf + arb) (the inter-packet token gap).
+* **zero-load latency** of a route is one cycle of injection, plus
+  ``ROUTER_PIPELINE_CYCLES + link.latency + medium.arb_latency`` per hop
+  (the ejection hop included), plus a serialisation tail of ``S - 1`` times
+  the largest ``cycles_per_flit`` on the route, averaged over every ordered
+  core pair;
+* **saturation rate** is the Dally-Towles channel-load bound: the minimum
+  over channels of capacity / load. A channel is a shared medium or else a
+  point-to-point link (:func:`channel_of`). Its capacity is
+  ``1 / cycles_per_flit`` flits per cycle, derated on a token medium by the
+  inter-packet token gap, ``S*cpf / (S*cpf + arb_latency)``.
 
-Two suites hold the predictions to the measured values within first-order
-tolerances -- `benchmarks/test_model_validation.py` and
-`tests/analysis/test_model_utilization.py` -- the strongest whole-system
-validation in the repo: an error in model or simulator breaks the agreement.
+The named networks route a packet by its cores' routers alone, so one
+representative core per (source router, destination router) pair is walked,
+weighted by the number of core pairs it stands for (the tests check this
+against walking every core pair).
+
+Two suites hold the predictions to measured values --
+`benchmarks/test_model_validation.py` (all ten named networks) and
+`tests/analysis/test_model_utilization.py` (the 256-core five, channel by
+channel): an error in model or simulator breaks the agreement.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Dict
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple, Union
+
+from repro.noc.links import Link, SharedMedium
+from repro.noc.network import Network
+from repro.noc.packet import Packet
+from repro.noc.router import Router, RoutingFunction
+from repro.runtime.spec import TrafficSpec
+from repro.topologies.base import BuiltTopology
 
 #: Head-flit cost of one router traversal beyond the link latency: SA + the
 #: RC/VCA stages overlapped with arrival (see repro.noc.simulator docstring).
 ROUTER_PIPELINE_CYCLES = 2
 
+#: What a link's flits load: a shared medium, or the link itself.
+Channel = Union[SharedMedium, Link]
+
 
 @dataclass(frozen=True)
 class PredictedPerformance:
-    """Model output for one (topology, packet size) point."""
+    """Model output for one topology under UN traffic."""
 
     zero_load_latency: float
     saturation_rate: float  # offered flits/core/cycle at the binding bound
-    binding_resource: str
+    binding_resource: str  # name of the channel that sets saturation_rate
+    #: Ordered core pairs routed over each channel (a pair crossing a
+    #: channel twice counts twice); UN offers each pair rate / (n_cores - 1).
+    loads: Dict[Channel, int] = field(repr=False, compare=False)
 
 
-def _token_utilisation(packet_flits: int, cycles_per_flit: int, arb_latency: int) -> float:
-    """Fraction of a token medium's slots that carry payload."""
-    busy = packet_flits * cycles_per_flit
-    return busy / (busy + arb_latency)
+def channel_of(link: Link) -> Optional[Channel]:
+    """The channel ``link``'s flits load: its shared medium if it has one,
+    else the link itself. ``None`` for an ejection link, whose flits mirror
+    delivered traffic rather than network load."""
+    if link.name.startswith("eject"):
+        return None
+    return link.medium if link.medium is not None else link
 
 
-# --------------------------------------------------------------------- #
-# CMESH
-# --------------------------------------------------------------------- #
+def channels(network: Network) -> Dict[Channel, Link]:
+    """Every channel of ``network`` once, in link order, with its first link."""
+    first: Dict[Channel, Link] = {}
+    for link in network.links:
+        channel = channel_of(link)
+        if channel is not None:
+            first.setdefault(channel, link)
+    return first
 
 
-def predict_cmesh(
-    n_cores: int = 256, packet_flits: int = 4, cycles_per_flit: int = 3
-) -> PredictedPerformance:
-    """Concentrated mesh under uniform random with XY DOR."""
-    n_routers = n_cores // 4
-    k = int(math.isqrt(n_routers))
-    # Mean Manhattan distance between uniform random routers: 2(k^2-1)/(3k)
-    # per Dally/Towles (both coordinates, unordered pairs).
-    avg_hops = 2.0 * (k * k - 1) / (3.0 * k)
-    t0 = (
-        1.0  # injection
-        + avg_hops * (ROUTER_PIPELINE_CYCLES + 1)  # mesh traversals
-        + (ROUTER_PIPELINE_CYCLES + 1)  # ejection
-        + (packet_flits - 1) * cycles_per_flit  # serialization tail
+def walk_route(
+    network: Network, routing: RoutingFunction, src_core: int, dst_core: int
+) -> List[Tuple[Router, int, Link]]:
+    """Every ``(router, out_port, link)`` hop of one packet's route, up to
+    and including its ejection hop, as the simulator would take it: the
+    production ``compute`` and ``resolve_endpoint``, with the packet's
+    ``wireless_hops`` counted as it goes (relay routing reads it)."""
+    packet = Packet(src_core, dst_core, 1, 0, pid=0)
+    router = network.routers[network.core_router[src_core]]
+    hops = []
+    for _ in network.routers:  # a longer route revisits a router
+        port = routing.compute(router, packet)
+        link = router.out_links[port]
+        hops.append((router, port, link))
+        endpoint = link.resolve_endpoint(packet)
+        if endpoint.is_sink:
+            return hops
+        if link.kind == "wireless":
+            packet.wireless_hops += 1
+        router = endpoint.router
+    raise RuntimeError(f"route {src_core} -> {dst_core} loops: {hops}")
+
+
+def _arb_latency(link: Link) -> int:
+    return link.medium.arb_latency if link.medium is not None else 0
+
+
+def predict(built: BuiltTopology) -> PredictedPerformance:
+    """Zero-load latency and saturation bound of ``built`` under UN."""
+    net = built.network
+    routing = net.routers[0].routing
+    size = TrafficSpec().packet_size
+    cores: Dict[int, List[int]] = {}
+    for core, rid in enumerate(net.core_router):
+        cores.setdefault(rid, []).append(core)
+
+    # Ordered core pairs over each link, and the sum over pairs of the
+    # largest cycles_per_flit on their route (the serialisation tail).
+    crossings = dict.fromkeys(net.links, 0)
+    tail = 0
+    for src_rid, srcs in cores.items():
+        for dst_rid, dsts in cores.items():
+            weight = len(srcs) * len(dsts) - (src_rid == dst_rid) * len(srcs)
+            if not weight:
+                continue
+            slowest = 1
+            for _, _, link in walk_route(net, routing, srcs[0], dsts[-1]):
+                crossings[link] += weight
+                if link.cycles_per_flit > slowest:
+                    slowest = link.cycles_per_flit
+            tail += weight * slowest
+
+    n = net.n_cores
+    pairs = n * (n - 1)
+    head = pairs + sum(  # one injection cycle per pair, then every hop
+        count * (ROUTER_PIPELINE_CYCLES + link.latency + _arb_latency(link))
+        for link, count in crossings.items()
     )
-    # Max DOR channel load under UN: (k/4) * per-router injection rate.
-    capacity = 1.0 / cycles_per_flit
-    sat_router = capacity / (k / 4.0)
-    return PredictedPerformance(t0, sat_router / 4.0, "centre mesh channel")
+    first = channels(net)
+    loads = dict.fromkeys(first, 0)
+    for link, count in crossings.items():
+        channel = channel_of(link)
+        if channel is not None:
+            loads[channel] += count
 
-
-# --------------------------------------------------------------------- #
-# OptXB
-# --------------------------------------------------------------------- #
-
-
-def predict_optxb(
-    n_cores: int = 256,
-    packet_flits: int = 4,
-    cycles_per_flit: int = 4,
-    token_latency: int = 10,
-    waveguide_latency: int = 2,
-) -> PredictedPerformance:
-    n_routers = n_cores // 4
-    t0 = (
-        1.0
-        + (ROUTER_PIPELINE_CYCLES + waveguide_latency + token_latency)  # crossbar hop
-        + (ROUTER_PIPELINE_CYCLES + 1)  # ejection
-        + (packet_flits - 1) * cycles_per_flit
-    )
-    util = _token_utilisation(packet_flits, cycles_per_flit, token_latency)
-    capacity = util / cycles_per_flit
-    # Home waveguide load: 4 cores inject toward it from elsewhere.
-    per_wg_load_per_lambda = 4.0 * (n_routers - 1) / n_routers
+    rate, binding = float("inf"), ""
+    for channel, link in first.items():
+        if loads[channel]:
+            capacity = size / (size * link.cycles_per_flit + _arb_latency(link))
+            bound = capacity * (n - 1) / loads[channel]
+            if bound < rate:
+                rate, binding = bound, channel.name
     return PredictedPerformance(
-        t0, capacity / per_wg_load_per_lambda, "home waveguide"
+        (head + (size - 1) * tail) / pairs, rate, binding, loads
     )
-
-
-# --------------------------------------------------------------------- #
-# p-Clos
-# --------------------------------------------------------------------- #
-
-
-def predict_pclos(
-    n_cores: int = 256,
-    n_middles: int = 16,
-    packet_flits: int = 4,
-    token_latency: int = 2,
-    waveguide_latency: int = 2,
-) -> PredictedPerformance:
-    t0 = (
-        1.0
-        + 2 * (ROUTER_PIPELINE_CYCLES + waveguide_latency + token_latency)  # up+down
-        + (ROUTER_PIPELINE_CYCLES + 1)
-        + (packet_flits - 1)
-    )
-    util = _token_utilisation(packet_flits, 1, token_latency)
-    per_bus_load = n_cores / n_middles  # every packet crosses one up-bus
-    return PredictedPerformance(t0, util / per_bus_load, "up waveguide")
-
-
-# --------------------------------------------------------------------- #
-# wCMESH
-# --------------------------------------------------------------------- #
-
-
-def predict_wcmesh(
-    n_cores: int = 256, packet_flits: int = 4, wireless_cycles_per_flit: int = 2
-) -> PredictedPerformance:
-    n_routers = n_cores // 4
-    k = int(math.isqrt(n_routers)) // 2  # wireless cluster grid side
-    inter_share = 1.0 - 1.0 / (k * k)  # traffic leaving its cluster
-    avg_wireless_hops = 2.0 * (k * k - 1) / (3.0 * k)
-    # electrical in/out hops (3/4 of sources are not the wireless router):
-    t0 = (
-        1.0
-        + 0.75 * (ROUTER_PIPELINE_CYCLES + 1) * 2  # crossbar in + out
-        + inter_share * avg_wireless_hops * (ROUTER_PIPELINE_CYCLES + 1)
-        + (ROUTER_PIPELINE_CYCLES + 1)  # ejection
-        + (packet_flits - 1) * wireless_cycles_per_flit
-    )
-    capacity = 1.0 / wireless_cycles_per_flit
-    # Max wireless channel load: (k/4) * per-cluster injection (16 cores).
-    sat = capacity / ((k / 4.0) * 16.0 * inter_share)
-    return PredictedPerformance(t0, sat, "centre wireless link")
-
-
-# --------------------------------------------------------------------- #
-# OWN-256
-# --------------------------------------------------------------------- #
-
-
-def predict_own256(
-    packet_flits: int = 4,
-    photonic_latency: int = 2,
-    photonic_token: int = 1,
-    wireless_latency: int = 1,
-    wireless_cycles_per_flit: int = 1,
-) -> PredictedPerformance:
-    n_cores, tiles, clusters = 256, 16, 4
-    p_intra_tile = 3.0 / 255.0
-    p_intra_cluster = 60.0 / 255.0
-    p_inter = 192.0 / 255.0
-
-    phot_hop = ROUTER_PIPELINE_CYCLES + photonic_latency + photonic_token
-    wifi_hop = ROUTER_PIPELINE_CYCLES + wireless_latency
-    # Inter-cluster: photonic to gateway (15/16 of sources), wireless,
-    # photonic to destination tile (15/16 of destinations).
-    gateway_miss = (tiles - 1) / tiles
-    hops_inter = gateway_miss * phot_hop + wifi_hop + gateway_miss * phot_hop
-    t0 = (
-        1.0
-        + p_intra_cluster * phot_hop
-        + p_inter * hops_inter
-        + (ROUTER_PIPELINE_CYCLES + 1)
-        + (packet_flits - 1) * max(1, wireless_cycles_per_flit)
-    )
-    # Binding bounds:
-    util_wg = _token_utilisation(packet_flits, 1, photonic_token)
-    # Gateway home waveguide: inter-cluster ingress for one destination
-    # cluster (64 cores x 1/4 of their traffic x 192/255 inter share wears
-    # the pair's single gateway) + its own tile's share of local traffic.
-    ingress_per_lambda = 64.0 * (1.0 / 4.0) * gateway_miss + 64.0 * p_intra_cluster / tiles
-    sat_gateway = util_wg / ingress_per_lambda
-    # Wireless channel: the same pair traffic at full channel rate.
-    cap_wifi = 1.0 / wireless_cycles_per_flit
-    sat_channel = cap_wifi / (64.0 / 4.0)
-    if sat_gateway <= sat_channel:
-        return PredictedPerformance(t0, sat_gateway, "gateway waveguide")
-    return PredictedPerformance(t0, sat_channel, "wireless channel")
-
-
-#: Registry for tests and CLI use.
-PREDICTORS: Dict[str, callable] = {
-    "cmesh256": predict_cmesh,
-    "optxb256": predict_optxb,
-    "pclos256": predict_pclos,
-    "wcmesh256": predict_wcmesh,
-    "own256": predict_own256,
-}

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.analysis.model import channel_of, channels
 from repro.noc.simulator import Simulator
 from repro.topologies.base import BuiltTopology
 
@@ -65,46 +66,31 @@ class UtilisationReport:
 def utilisation_report(built: BuiltTopology, sim: Simulator) -> UtilisationReport:
     """Build the utilisation view from link/medium counters.
 
-    Shared media (waveguides, SWMR channels) report once per medium;
-    point-to-point links report individually. Ejection links are excluded
-    (they mirror delivered traffic, not network load).
+    One row per channel (:func:`repro.analysis.model.channels`): shared
+    media (waveguides, SWMR channels) report once per medium, point-to-point
+    links individually, and ejection links not at all (they mirror
+    delivered traffic, not network load).
     """
     if sim.now <= 0:
         raise ValueError("simulation has not run")
     net = built.network
     report = UtilisationReport(cycles=sim.now)
 
-    seen_media = set()
     for link in net.links:
-        if link.name.startswith("eject"):
-            continue
-        report.flits_by_kind[link.kind] = (
-            report.flits_by_kind.get(link.kind, 0) + link.flits_carried
+        if channel_of(link) is not None:
+            report.flits_by_kind[link.kind] = (
+                report.flits_by_kind.get(link.kind, 0) + link.flits_carried
+            )
+    for channel, link in channels(net).items():
+        report.channels.append(
+            ChannelUtilisation(
+                name=channel.name,
+                kind=channel.kind,
+                flits=channel.flits_carried,
+                utilisation=channel.flits_carried * link.cycles_per_flit / sim.now,
+                channel_id=link.channel_id,
+            )
         )
-        if link.medium is not None:
-            if id(link.medium) in seen_media:
-                continue
-            seen_media.add(id(link.medium))
-            m = link.medium
-            report.channels.append(
-                ChannelUtilisation(
-                    name=m.name,
-                    kind=m.kind,
-                    flits=m.flits_carried,
-                    utilisation=m.flits_carried * link.cycles_per_flit / sim.now,
-                    channel_id=link.channel_id,
-                )
-            )
-        else:
-            report.channels.append(
-                ChannelUtilisation(
-                    name=link.name,
-                    kind=link.kind,
-                    flits=link.flits_carried,
-                    utilisation=link.flits_carried * link.cycles_per_flit / sim.now,
-                    channel_id=link.channel_id,
-                )
-            )
 
     for router in net.routers:
         gateway = router.attrs.get("gateway")

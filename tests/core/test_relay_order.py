@@ -1,15 +1,17 @@
 """RELAY_VC_ORDER is executable: every relay route climbs it strictly.
 
-No simulation: each route is walked hop by hop on a built network with
-``compute`` + ``allowed_vcs`` alone, for OWN-256 (relay domain: cluster)
-and OWN-1024 (relay domain: group), under no failure, every single failure
-and a fixed sample of routable double failures.
+No simulation: each route is walked on a built network by the production
+route walker (``repro.analysis.model.walk_route``, i.e. ``compute``) and
+each hop's grant read from ``allowed_vcs``, for OWN-256 (relay domain:
+cluster) and OWN-1024 (relay domain: group), under no failure, every single
+failure and a fixed sample of routable double failures.
 """
 
 import itertools
 
 import pytest
 
+from repro.analysis.model import walk_route
 from repro.core import (
     RELAY_VC_ORDER,
     build_fault_tolerant_own256,
@@ -63,21 +65,15 @@ def plant(request):
     return net, routing, tiles
 
 
-def walk(net, routing, src_core, dst_core):
+def grants(net, routing, src_core, dst_core):
     """The (link kind, granted VCs) of every network hop of one route."""
     packet = Packet(src_core, dst_core, 4, 0, pid=0)
-    rid, hops = net.core_router[src_core], []
-    while True:
-        router = net.routers[rid]
-        port = routing.compute(router, packet)
-        link = router.out_links[port]
-        endpoint = link.resolve_endpoint(packet)
-        if endpoint.is_sink:
-            return hops
-        hops.append((link.kind, tuple(routing.allowed_vcs(router, port, packet))))
-        assert len(hops) <= len(RELAY_VC_ORDER), f"route loops: {hops}"
-        packet.wireless_hops += link.kind == "wireless"
-        rid = endpoint.router.rid
+    hops = walk_route(net, routing, src_core, dst_core)[:-1]  # no ejection
+    assert len(hops) <= len(RELAY_VC_ORDER), f"route outgrows the table: {hops}"
+    return [
+        (link.kind, tuple(routing.allowed_vcs(router, port, packet)))
+        for router, port, link in hops
+    ]
 
 
 def routes(routing, tiles):
@@ -110,7 +106,7 @@ def test_every_route_climbs_the_order(plant, failed):
             routing.fail_channel(*pair)
         relayed = 0
         for src, dst in routes(routing, tiles):
-            hops = walk(net, routing, src, dst)
+            hops = grants(net, routing, src, dst)
             # Each grant is exactly one table row (KeyError otherwise) ...
             ranks = [RANK[hop] for hop in hops]
             # ... acquired in strictly increasing rank ...
@@ -132,7 +128,7 @@ def test_relayed_route_is_the_whole_table():
     routing = built.notes["routing"]
     routing.fail_channel(0, 2)
     dims = routing.dims
-    hops = walk(
+    hops = grants(
         built.network, routing, dims.quad_to_core(0, 0, 5, 0), dims.quad_to_core(0, 2, 9, 0)
     )
     assert hops == [(row.link_kind, row.vcs) for row in RELAY_VC_ORDER]

@@ -31,6 +31,17 @@ class TestInfo:
         assert "wireless 12" in out
         assert "photonic rings" in out
 
+    def test_prints_the_model(self, capsys):
+        from repro.analysis import predict
+        from repro.runtime import NAMED_TOPOLOGIES, build_ref
+
+        assert main(["info", "pclos256"]) == 0
+        (line,) = [l for l in capsys.readouterr().out.splitlines() if "model (UN)" in l]
+        model = predict(build_ref(NAMED_TOPOLOGIES["pclos256"]))
+        assert f"zero-load latency {model.zero_load_latency:.1f} cycles" in line
+        assert f"saturation bound {model.saturation_rate:.4f}" in line
+        assert f"(binding: {model.binding_resource})" in line
+
 
 class TestChannels:
     def test_prints_all_four_tables(self, capsys):
@@ -82,6 +93,37 @@ class TestSweep:
         err = capsys.readouterr().err.splitlines()
         assert err[-1].startswith("repro sweep: error: --warmup/--cycles: need 0 <= warmup")
         assert sum("error" in line for line in err) == 1
+
+
+class TestFlagValues:
+    """Engine and observability flags are checked as they are parsed: a bad
+    value is a usage error (exit 2), never a traceback from the engine or a
+    silent default."""
+
+    @pytest.mark.parametrize("command", [
+        "sweep own256 --jobs 0",
+        "experiments --jobs -2",
+        "scenarios list --jobs 0",
+        "sweep own256 --heartbeat-cycles 0",
+        "sweep own256 --heartbeat-cycles -5",
+        "scenarios run --heartbeat-cycles 0",
+        "sweep own256 --stall-after -1",
+        "sweep own256 --stall-after nan",
+    ])
+    def test_bad_value_is_a_usage_error(self, command, capsys):
+        argv = command.split()
+        flag = next(arg for arg in argv if arg.startswith("--"))
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+
+    def test_boundary_values_parse(self):
+        args = build_parser().parse_args([
+            "sweep", "own256", "--jobs", "1", "--heartbeat-cycles", "1",
+            "--stall-after", "0",
+        ])
+        assert (args.jobs, args.heartbeat_cycles, args.stall_after) == (1, 1, 0.0)
 
 
 class TestEngineFlags:
