@@ -42,7 +42,7 @@ import argparse
 import inspect
 import sys
 import time
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.obs import (
     DEFAULT_SAMPLE_EVERY,
@@ -51,6 +51,7 @@ from repro.obs import (
     get_logger,
 )
 from repro.runtime import DEFAULT_CACHE_DIR, Executor, NAMED_TOPOLOGIES, build_ref
+from repro.runtime.spec import check_window
 
 #: CLI-layer structured logger; diagnostic lines that used to be bare
 #: ``print(..., file=sys.stderr)`` calls flow through here (identical
@@ -73,6 +74,40 @@ def non_negative_float(text: str) -> float:
     if not value >= 0:
         raise argparse.ArgumentTypeError(f"must be a number >= 0, got {text!r}")
     return value
+
+
+def rate_list(text: str) -> List[float]:
+    """argparse type: comma-separated offered loads in [0, 1] flits/core/cycle."""
+    try:
+        rates = [float(r) for r in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated numbers, got {text!r}"
+        )
+    if not all(0 <= r <= 1 for r in rates):
+        raise argparse.ArgumentTypeError(
+            f"each rate must be in [0, 1] flits/core/cycle, got {text!r}"
+        )
+    return rates
+
+
+def pattern_name(text: str) -> str:
+    """argparse type: a synthetic traffic pattern name, in any case."""
+    from repro.traffic.patterns import EXTENDED_PATTERN_NAMES
+
+    if text.upper() not in EXTENDED_PATTERN_NAMES:
+        raise argparse.ArgumentTypeError(
+            f"must be one of {', '.join(EXTENDED_PATTERN_NAMES)}, got {text!r}"
+        )
+    return text
+
+
+def check_window_arg(args: argparse.Namespace, cycles: int, warmup: int) -> None:
+    """Turn a measurement window that measures nothing into a usage error."""
+    try:
+        check_window(cycles, warmup)
+    except ValueError as exc:
+        args.usage_error(f"--warmup/--cycles: {exc}")
 
 
 def add_obs_flags(parser: argparse.ArgumentParser) -> None:
@@ -162,11 +197,13 @@ def observation_from_args(args: argparse.Namespace):
         StatusExporter,
     )
 
-    exporters = []
+    consumers = []
     if args.openmetrics is not None:
-        exporters.append(OpenMetricsExporter(args.openmetrics))
+        consumers.append(OpenMetricsExporter(args.openmetrics))
     if args.status_json is not None:
-        exporters.append(StatusExporter(args.status_json))
+        consumers.append(StatusExporter(args.status_json))
+    if args.live:
+        consumers.append(LiveView())
     return ObservationHub(
         sample_every=(
             DEFAULT_SAMPLE_EVERY if args.heartbeat_cycles is None
@@ -176,8 +213,7 @@ def observation_from_args(args: argparse.Namespace):
             DEFAULT_STALL_AFTER_S if args.stall_after is None
             else args.stall_after
         ),
-        live=LiveView() if args.live else None,
-        exporters=exporters,
+        consumers=consumers,
     )
 
 
@@ -290,19 +326,14 @@ def cmd_experiments(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.analysis import format_table, load_sweep
-    from repro.runtime.spec import check_window
 
-    try:
-        check_window(args.cycles, args.warmup)
-    except ValueError as exc:
-        args.usage_error(f"--warmup/--cycles: {exc}")
+    check_window_arg(args, args.cycles, args.warmup)
     ref = NAMED_TOPOLOGIES[args.topology]
-    rates = [float(r) for r in args.rates.split(",")]
     executor = executor_from_args(args)
     sweep = load_sweep(
         ref,
         args.pattern,
-        rates,
+        args.rates,
         cycles=args.cycles,
         warmup=args.warmup,
         name=args.topology,
@@ -388,12 +419,12 @@ def _report_analyze(args: argparse.Namespace) -> int:
     from repro.runtime import resolve_ref
     from repro.runtime.records import json_safe
 
+    check_window_arg(args, args.cycles, args.warmup)
     key, kwargs = resolve_ref(NAMED_TOPOLOGIES[args.analyze])
-    rates = [float(r) for r in args.rates.split(",")]
     diag = diagnose_sweep(
         key,
         pattern=args.pattern,
-        rates=rates,
+        rates=args.rates,
         cycles=args.cycles,
         warmup=args.warmup,
         topology_kwargs=kwargs,
@@ -472,6 +503,7 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
     cycles, warmup = args.cycles, args.warmup
     if args.quick:
         cycles, warmup = min(cycles, 400), min(warmup, 100)
+    check_window_arg(args, cycles, warmup)
     cells = scenario_matrix(cycles=cycles, warmup=warmup, seed=args.seed)
     if args.only:
         cells = filter_cells(cells, args.only)
@@ -578,8 +610,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="latency/throughput load sweep")
     p_sweep.add_argument("topology", choices=sorted(NAMED_TOPOLOGIES))
-    p_sweep.add_argument("--pattern", default="UN")
-    p_sweep.add_argument("--rates", default="0.01,0.02,0.03,0.04,0.05")
+    p_sweep.add_argument("--pattern", type=pattern_name, default="UN")
+    p_sweep.add_argument(
+        "--rates", type=rate_list, default="0.01,0.02,0.03,0.04,0.05"
+    )
     p_sweep.add_argument("--cycles", type=int, default=1200)
     p_sweep.add_argument("--warmup", type=int, default=400)
     add_engine_flags(p_sweep)
@@ -606,15 +640,15 @@ def build_parser() -> argparse.ArgumentParser:
              "sweep on TOPOLOGY and write a self-contained HTML diagnosis "
              "(bottleneck attribution, congestion heatmaps, self-profile)",
     )
-    p_rep.add_argument("--pattern", default="UN",
+    p_rep.add_argument("--pattern", type=pattern_name, default="UN",
                        help="traffic pattern for --analyze (default: UN)")
-    p_rep.add_argument("--rates", default="0.01,0.03,0.05,0.07",
+    p_rep.add_argument("--rates", type=rate_list, default="0.01,0.03,0.05,0.07",
                        help="comma-separated offered loads for --analyze")
     p_rep.add_argument("--cycles", type=int, default=800)
     p_rep.add_argument("--warmup", type=int, default=200)
     p_rep.add_argument("--json", default=None, metavar="PATH",
                        help="also dump the --analyze diagnosis as JSON")
-    p_rep.set_defaults(fn=cmd_report)
+    p_rep.set_defaults(fn=cmd_report, usage_error=p_rep.error)
 
     p_diff = sub.add_parser(
         "diff", help="compare two JSONL run logs (CI regression gate)"
@@ -675,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the per-cell attribution report as JSON to PATH",
     )
     add_obs_flags(p_scn)
-    p_scn.set_defaults(fn=cmd_scenarios)
+    p_scn.set_defaults(fn=cmd_scenarios, usage_error=p_scn.error)
     return parser
 
 

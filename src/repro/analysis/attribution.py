@@ -25,6 +25,7 @@ same latency-factor + acceptance rule as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
@@ -242,14 +243,15 @@ def detect_knee(
     The knee rule is :func:`~repro.analysis.sweep.past_knee`, the one
     :meth:`~repro.analysis.sweep.SweepResult.saturation_offered` applies
     from the other side, on the accepted fraction ``accepted[i] /
-    loads[i]``.
+    loads[i]``. A point that measured no packet (NaN latency) is skipped:
+    it is neither the knee nor the zero-load reference.
     """
     from repro.analysis.sweep import past_knee
 
-    if not loads:
-        return None
-    zero = latencies[0]
-    for i, (load, latency) in enumerate(zip(loads, latencies)):
+    measured = [i for i, latency in enumerate(latencies) if math.isfinite(latency)]
+    zero = latencies[measured[0]] if measured else float("nan")
+    for i in measured:
+        load, latency = loads[i], latencies[i]
         fraction = None
         if accepted is not None:
             fraction = accepted[i] / load if load > 0 else float("nan")

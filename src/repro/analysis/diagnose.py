@@ -52,7 +52,9 @@ class PointDiagnosis:
 
     @property
     def latency(self) -> float:
-        return self.summary.get("latency_mean", float("nan"))
+        """Mean measured latency; NaN when no packet was measured."""
+        latency = self.summary.get("latency_mean")
+        return float("nan") if latency is None else latency
 
     @property
     def throughput(self) -> float:

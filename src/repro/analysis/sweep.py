@@ -22,6 +22,7 @@ points are identical either way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -82,17 +83,22 @@ class SweepResult:
     points: List[SweepPoint] = field(default_factory=list)
 
     def zero_load_latency(self) -> float:
-        return self.points[0].latency if self.points else float("nan")
+        """Latency of the first point that measured a packet (NaN if none)."""
+        return next(
+            (p.latency for p in self.points if math.isfinite(p.latency)),
+            float("nan"),
+        )
 
     def saturation_offered(
         self, latency_factor: float = 3.0, accept_threshold: float = 0.88
     ) -> Optional[float]:
-        """Largest offered load that is still pre-saturation."""
-        if not self.points:
-            return None
-        zero = self.points[0].latency
+        """Largest offered load that is still pre-saturation (points that
+        measured no packet are skipped)."""
+        zero = self.zero_load_latency()
         last = None
         for p in self.points:
+            if not math.isfinite(p.latency):
+                continue
             if past_knee(
                 p.latency, zero, p.accepted_fraction, latency_factor, accept_threshold
             ):
@@ -129,9 +135,10 @@ def point_spec(
 
 
 def _point_from_result(result: RunResult) -> SweepPoint:
+    latency = result.summary["latency_mean"]  # None: no packet measured
     return SweepPoint(
         offered=result.spec.traffic.rate,
-        latency=result.summary["latency_mean"],
+        latency=float("nan") if latency is None else latency,
         throughput=result.summary["throughput"],
         packets=int(result.summary["packets_measured"]),
     )
@@ -153,7 +160,8 @@ def run_point(
 
 
 def _is_saturated(point: SweepPoint, zero_latency: float) -> bool:
-    return (
+    """A point that measured no packet (NaN latency) never ends a sweep."""
+    return math.isfinite(point.latency) and (
         point.latency >= _STOP_LATENCY_FACTOR * zero_latency
         or point.accepted_fraction < _STOP_ACCEPT_FRACTION
     )

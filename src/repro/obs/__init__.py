@@ -14,16 +14,17 @@ you can watch while it runs:
   one seam (``Simulator.add_hook``), after the fault plant's hooks and
   the tracer's occupancy sampler, and is strictly read-only: observed
   runs are bit-identical to unobserved ones (CI locks this with golden
-  ``repro diff``\ s at 0%).
+  ``repro diff`` gates at 0%).
 - **structured logging** (:mod:`repro.obs.log`) -- JSON-lines with
   correlation fields, opt-in via ``--log-json`` / ``REPRO_LOG=json``;
   the default human mode renders exactly like the stderr prints it
   replaced.
-- **hub + exporters + live view** (:mod:`repro.obs.hub`,
-  :mod:`repro.obs.exporters`, :mod:`repro.obs.live`) -- fleet state with
-  heartbeat-based stall detection, an OpenMetrics textfile and a JSON
-  status document regenerated on every bus event (the payload a future
-  SSE endpoint will stream), and the ``--live`` in-place progress table.
+- **hub + snapshot consumers** (:mod:`repro.obs.hub`,
+  :mod:`repro.obs.exporters`, :mod:`repro.obs.live`) -- a fold of the
+  events into one status-document row per run, with a watchdog thread
+  for stall detection, fanned out on every bus event to the OpenMetrics
+  textfile, the JSON status document (the payload a future SSE endpoint
+  will stream) and the ``--live`` in-place progress table.
 
 See ``docs/observability.md`` ("Live observability") for the full tour.
 
@@ -40,12 +41,12 @@ _EXPORTS = {
         "repro.obs.bus",
     ),
     **dict.fromkeys(
-        ("EVENT_KINDS", "HEARTBEAT", "OBS_SCHEMA", "PHASES", "RUN_FINISHED",
-         "RUN_STARTED", "STALL", "is_event", "make_event", "run_id"),
+        ("EVENT_KINDS", "HEARTBEAT", "OBS_SCHEMA", "RUN_FINISHED", "RUN_STARTED",
+         "STALL", "is_event", "make_event", "run_id"),
         "repro.obs.events",
     ),  # fmt: skip
     **dict.fromkeys(("OpenMetricsExporter", "StatusExporter"), "repro.obs.exporters"),
-    **dict.fromkeys(("DEFAULT_STALL_AFTER_S", "ObservationHub", "RunState"), "repro.obs.hub"),
+    **dict.fromkeys(("DEFAULT_STALL_AFTER_S", "ObservationHub"), "repro.obs.hub"),
     "LiveView": "repro.obs.live",
     **dict.fromkeys(
         ("ContextLogger", "HumanFormatter", "JsonLinesFormatter", "configure_logging",

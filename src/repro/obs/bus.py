@@ -21,7 +21,6 @@ picked up by ``repro.runtime.executor._pool_worker`` through
 
 from __future__ import annotations
 
-import queue as _queue
 import threading
 from typing import Callable, Dict, Optional, Tuple
 
@@ -52,23 +51,15 @@ class QueueBus:
 class BusDrain:
     """Parent-side pump: queue -> ``handle(event)`` on a daemon thread.
 
-    ``on_tick`` fires whenever the queue stays empty for ``tick_s``
-    seconds -- the hook the stall detector hangs off (wall time keeps
-    advancing even when no worker is saying anything, which is exactly
-    the situation stall detection exists for).
+    It only moves events: stall detection runs on the hub's own watchdog
+    thread, whose clock keeps advancing while no worker says anything.
     """
 
     def __init__(
-        self,
-        mp_queue,
-        handle: Callable[[Dict[str, object]], None],
-        on_tick: Optional[Callable[[], None]] = None,
-        tick_s: float = 1.0,
+        self, mp_queue, handle: Callable[[Dict[str, object]], None]
     ) -> None:
         self.queue = mp_queue
         self.handle = handle
-        self.on_tick = on_tick
-        self.tick_s = tick_s
         self.drained = 0
         self.malformed = 0
         self._thread: Optional[threading.Thread] = None
@@ -94,14 +85,9 @@ class BusDrain:
     def _loop(self) -> None:
         while True:
             try:
-                item = self.queue.get(timeout=self.tick_s)
-            except (_queue.Empty, OSError, EOFError):
-                if self.on_tick is not None:
-                    try:
-                        self.on_tick()
-                    except Exception:
-                        pass
-                continue
+                item = self.queue.get()
+            except (OSError, EOFError):  # torn-down queue: nothing more to drain
+                break
             if item == _STOP:
                 break
             if not is_event(item):

@@ -23,11 +23,14 @@ plus a per-kind payload:
                   ``wall_s``, ``cycles_per_sec``, ``eta_s``, and --
                   when windowed telemetry is attached -- a ``windows``
                   snapshot (:meth:`WindowedAggregator.snapshot`)
-``run_finished``  ``wall_s``, ``cache_hit``, ``latency_mean``,
-                  ``throughput``, ``spare_escapes``, ``drain_timeouts``
-                  (``None`` when unavailable; the last two surface the
-                  spare-channel drain state machine for runs with a
-                  reconfiguration controller)
+``run_finished``  ``phase`` (``finished``), ``wall_s``, ``cache_hit``,
+                  ``heartbeats`` (emitted by the run), ``eta_s`` (0),
+                  ``latency_mean``, ``throughput``, ``spare_escapes``,
+                  ``drain_timeouts`` (``None`` when unavailable; the last
+                  two surface the spare-channel drain state machine for
+                  runs with a reconfiguration controller); built by
+                  :func:`run_finished_payload` for executed and
+                  cache-served runs alike
 ``stall``         ``idle_s`` since the last heartbeat (parent-emitted)
 
 The schema is versioned (:data:`OBS_SCHEMA`) and additive by convention:
@@ -52,9 +55,6 @@ RUN_FINISHED = "run_finished"
 STALL = "stall"
 
 EVENT_KINDS = (RUN_STARTED, HEARTBEAT, RUN_FINISHED, STALL)
-
-#: Heartbeat phases, in lifecycle order.
-PHASES = ("build", "run", "drain", "finished")
 
 
 def run_id(digest: str) -> str:
@@ -86,6 +86,28 @@ def make_event(
     }
     ev.update(data)
     return ev
+
+
+def run_finished_payload(
+    wall_s: float,
+    summary: Optional[Dict[str, object]] = None,
+    cache_hit: bool = False,
+    heartbeats: int = 0,
+) -> Dict[str, object]:
+    """The ``run_finished`` payload of one run, executed or served from
+    the result cache."""
+    summary = summary or {}
+    return {
+        "phase": "finished",
+        "wall_s": round(wall_s, 4),
+        "cache_hit": cache_hit,
+        "heartbeats": heartbeats,
+        "eta_s": 0.0,
+        "latency_mean": summary.get("latency_mean"),
+        "throughput": summary.get("throughput"),
+        "spare_escapes": summary.get("spare_escapes"),
+        "drain_timeouts": summary.get("spare_drain_timeouts"),
+    }
 
 
 def json_safe(value):

@@ -2,8 +2,9 @@
 
 Both exporters consume the same input -- the hub's *status snapshot*
 (:meth:`repro.obs.hub.ObservationHub.snapshot`) -- and regenerate their
-whole artifact on every bus event. Writes are atomic (temp file +
-rename), so a Prometheus node-exporter textfile collector or a polling
+whole artifact on every bus event; ``close`` (the hub's final snapshot)
+is their last ``update``. Writes are atomic
+(:func:`repro.utils.files.write_atomic`), so a Prometheus node-exporter textfile collector or a polling
 dashboard never sees a torn file. The JSON status document is exactly
 the payload a future SSE/WebSocket endpoint would push per event, which
 is the point: the service layer only has to stream what the CLI already
@@ -14,29 +15,14 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, Iterable, List, Tuple, Union
+
+from repro.utils.files import write_atomic
 
 #: Prefix of every exported metric family.
 METRIC_PREFIX = "repro"
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 def _escape_label(value: str) -> str:
@@ -66,27 +52,27 @@ class OpenMetricsExporter:
       ``run_target_cycles``, ``run_progress_ratio``,
       ``run_packets_injected``, ``run_packets_ejected``,
       ``run_occupancy_flits``, ``run_cycles_per_sec``,
-      ``run_eta_seconds``, ``run_heartbeat_age_seconds``,
+      ``run_eta_seconds``, ``run_spare_escapes``,
+      ``run_drain_timeouts``, ``run_heartbeat_age_seconds``,
       ``run_stalled``.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        self.writes = 0
 
     def update(self, snap: Dict[str, object]) -> None:
-        self.writes += 1
-        _write_atomic(self.path, self.render(snap))
+        write_atomic(self.path, self.render(snap))
+
+    close = update
 
     def render(self, snap: Dict[str, object]) -> str:
         p = METRIC_PREFIX
         now = snap.get("ts") or time.time()
         lines: List[str] = []
 
-        def gauge(name: str, value, labels: str = "") -> None:
-            if not _finite(value):
-                return
-            lines.append(f"{p}_{name}{labels} {value:g}")
+        def gauge(name: str, value) -> None:
+            if _finite(value):
+                lines.append(f"{p}_{name} {value:g}")
 
         lines.append(f"# TYPE {p}_runs gauge")
         gauge("runs", snap.get("total", 0))
@@ -99,7 +85,22 @@ class OpenMetricsExporter:
         lines.append(f"# TYPE {p}_heartbeats_total counter")
         gauge("heartbeats_total", snap.get("heartbeats", 0))
 
-        per_run = (
+        runs: Dict[str, Dict[str, object]] = snap.get("runs") or {}
+        labels = {
+            rid: f'{{run="{_escape_label(rid)}",'
+            f'label="{_escape_label(st.get("label", ""))}"}}'
+            for rid, st in runs.items()
+        }
+
+        def family(name: str, values: Iterable[Tuple[str, object]]) -> None:
+            """A per-run gauge family; its ``# TYPE`` line only when at
+            least one run has a finite value."""
+            finite = [(rid, v) for rid, v in values if _finite(v)]
+            if finite:
+                lines.append(f"# TYPE {p}_{name} gauge")
+                lines.extend(f"{p}_{name}{labels[rid]} {v:g}" for rid, v in finite)
+
+        for name, key in (
             ("run_cycle", "cycle"),
             ("run_target_cycles", "target_cycles"),
             ("run_progress_ratio", "progress"),
@@ -110,45 +111,20 @@ class OpenMetricsExporter:
             ("run_eta_seconds", "eta_s"),
             ("run_spare_escapes", "spare_escapes"),
             ("run_drain_timeouts", "drain_timeouts"),
+        ):
+            family(name, ((rid, st.get(key)) for rid, st in runs.items()))
+        family(
+            "run_heartbeat_age_seconds",
+            (
+                (rid, max(0.0, now - st["last_ts"]))
+                for rid, st in runs.items()
+                if _finite(st.get("last_ts")) and st.get("phase") != "finished"
+            ),
         )
-        runs: Dict[str, Dict[str, object]] = snap.get("runs") or {}
-        for family, key in per_run:
-            emitted_type = False
-            for rid, st in runs.items():
-                value = st.get(key)
-                if not _finite(value):
-                    continue
-                if not emitted_type:
-                    lines.append(f"# TYPE {p}_{family} gauge")
-                    emitted_type = True
-                labels = (
-                    f'{{run="{_escape_label(rid)}",'
-                    f'label="{_escape_label(st.get("label", ""))}"}}'
-                )
-                gauge(family, value, labels)
-        emitted_type = False
-        for rid, st in runs.items():
-            last = st.get("last_ts")
-            if not _finite(last) or st.get("phase") == "finished":
-                continue
-            if not emitted_type:
-                lines.append(f"# TYPE {p}_run_heartbeat_age_seconds gauge")
-                emitted_type = True
-            labels = (
-                f'{{run="{_escape_label(rid)}",'
-                f'label="{_escape_label(st.get("label", ""))}"}}'
-            )
-            gauge("run_heartbeat_age_seconds", max(0.0, now - last), labels)
-        emitted_type = False
-        for rid, st in runs.items():
-            if not emitted_type:
-                lines.append(f"# TYPE {p}_run_stalled gauge")
-                emitted_type = True
-            labels = (
-                f'{{run="{_escape_label(rid)}",'
-                f'label="{_escape_label(st.get("label", ""))}"}}'
-            )
-            gauge("run_stalled", 1 if st.get("stalled") else 0, labels)
+        family(
+            "run_stalled",
+            ((rid, 1 if st.get("stalled") else 0) for rid, st in runs.items()),
+        )
 
         lines.append("# EOF")
         return "\n".join(lines) + "\n"
@@ -164,12 +140,12 @@ class StatusExporter:
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        self.writes = 0
 
     def update(self, snap: Dict[str, object]) -> None:
-        self.writes += 1
-        _write_atomic(
+        write_atomic(
             self.path,
             json.dumps(snap, sort_keys=True, default=str, allow_nan=False)
             + "\n",
         )
+
+    close = update

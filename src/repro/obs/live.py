@@ -1,7 +1,8 @@
 """The ``--live`` in-place progress table.
 
-On a TTY the view redraws itself in place with ANSI cursor movement
-(one table, updated on every bus event, throttled to ``interval_s``).
+A :class:`LiveView` is one of the hub's snapshot consumers. On a TTY it
+redraws itself in place with ANSI cursor movement (one table, updated on
+every bus event, throttled to ``interval_s``).
 On a dumb stream (CI logs, pipes) it degrades to a compact one-line
 summary printed at a slower cadence, so logs stay readable instead of
 scrolling a table per heartbeat.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 #: Rows shown before the table truncates (in-flight runs first).
 MAX_ROWS = 24
@@ -67,28 +68,28 @@ class LiveView:
 
     # ------------------------------------------------------------------ #
 
-    def render(self, snap: Dict[str, object], force: bool = False) -> None:
+    def update(self, snap: Dict[str, object]) -> None:
+        """Redraw, unless the last draw is younger than the stream's gap."""
         now = self.clock()
-        tty = self._isatty()
-        min_gap = self.interval_s if tty else self.plain_interval_s
-        if not force and now - self._last_render < min_gap:
-            return
-        self._last_render = now
-        self.renders += 1
-        if tty:
-            self._render_table(snap)
-        else:
-            self._render_plain(snap)
+        min_gap = self.interval_s if self._isatty() else self.plain_interval_s
+        if now - self._last_render >= min_gap:
+            self._draw(snap, now)
 
-    def close(self, snap: Optional[Dict[str, object]] = None) -> None:
+    def close(self, snap: Dict[str, object]) -> None:
         """Final draw; leaves the cursor below the table."""
-        if snap is not None:
-            self._last_render = 0.0
-            self.render(snap, force=True)
+        self._draw(snap, self.clock())
         if self._isatty() and self._lines_drawn:
             self.stream.write("\n")
             self.stream.flush()
         self._lines_drawn = 0
+
+    def _draw(self, snap: Dict[str, object], now: float) -> None:
+        self._last_render = now
+        self.renders += 1
+        if self._isatty():
+            self._render_table(snap)
+        else:
+            self._render_plain(snap)
 
     # ------------------------------------------------------------------ #
 

@@ -28,6 +28,7 @@ from repro.obs.events import (
     RUN_FINISHED,
     RUN_STARTED,
     make_event,
+    run_finished_payload,
     run_id,
 )
 
@@ -152,20 +153,9 @@ class RunObserver:
         self._emit(HEARTBEAT, **data)
 
     def on_run_finished(
-        self,
-        wall_s: float,
-        summary: Optional[Dict[str, object]] = None,
-        cache_hit: bool = False,
+        self, wall_s: float, summary: Optional[Dict[str, object]] = None
     ) -> None:
-        summary = summary or {}
         self._emit(
             RUN_FINISHED,
-            phase="finished",
-            wall_s=round(wall_s, 4),
-            cache_hit=cache_hit,
-            heartbeats=self.heartbeats,
-            latency_mean=summary.get("latency_mean"),
-            throughput=summary.get("throughput"),
-            spare_escapes=summary.get("spare_escapes"),
-            drain_timeouts=summary.get("spare_drain_timeouts"),
+            **run_finished_payload(wall_s, summary, heartbeats=self.heartbeats),
         )

@@ -13,8 +13,6 @@ re-simulated.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Dict, Optional, Union
 
@@ -51,21 +49,12 @@ class ResultCache:
 
     def put(self, digest: str, payload: Dict[str, object]) -> None:
         """Atomically persist ``payload`` under ``digest``."""
-        path = self._path(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                # json.dumps, not json.dump: only the one-shot encoder is
-                # the C one, and a payload carries a whole activity record.
-                fh.write(json.dumps(payload))
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        # Imported here: importing the engine loads no ``repro.utils``.
+        from repro.utils.files import write_atomic
+
+        # json.dumps, not json.dump: only the one-shot encoder is the C
+        # one, and a payload carries a whole activity record.
+        write_atomic(self._path(digest), json.dumps(payload))
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*/*.json"))

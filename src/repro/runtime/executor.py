@@ -445,9 +445,10 @@ class Executor:
         Optional :class:`repro.obs.ObservationHub`. Runs then emit
         ``run_started`` / ``heartbeat`` / ``run_finished`` events -- over
         the worker queue when ``jobs > 1``, inline otherwise -- feeding
-        the hub's exporters, live view, stall watchdog and
-        :meth:`~repro.obs.ObservationHub.subscribe` callbacks. Observation
-        is read-only: observed results are bit-identical to unobserved ones.
+        the hub's snapshot consumers (exporters, live view), its stall
+        watchdog and :meth:`~repro.obs.ObservationHub.subscribe` callbacks.
+        Observation is read-only: observed results are bit-identical to
+        unobserved ones.
     """
 
     def __init__(
@@ -607,7 +608,7 @@ class Executor:
             # Workers publish onto an inherited queue; a parent-side drain
             # thread pumps events into the hub while the pool is mapping.
             queue = ctx.Queue()
-            drain = BusDrain(queue, hub.handle, on_tick=hub.check_stalls)
+            drain = BusDrain(queue, hub.handle)
             drain.start()
             initializer = install_worker_bus
             initargs = (queue, hub.sample_every)

@@ -159,3 +159,15 @@ class TestKnee:
         ])  # fmt: skip
         assert sweep.saturation_offered() == 0.125
         assert detect_knee(loads, lats, accepted) == 0.25
+
+    def test_point_without_packets_skipped_by_both_rules(self):
+        # NaN latency: nothing measured. Neither the knee nor the
+        # zero-load reference, for the knee and the sweep rule alike.
+        loads = [0.0, 0.125, 0.25, 0.5]
+        lats = [float("nan"), 20.0, 21.0, 70.0]
+        sweep = SweepResult("net", "UN", [
+            SweepPoint(load, lat, load, packets=100)
+            for load, lat in zip(loads, lats)
+        ])  # fmt: skip
+        assert sweep.saturation_offered() == 0.25
+        assert detect_knee(loads, lats) == 0.5

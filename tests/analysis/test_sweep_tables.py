@@ -55,6 +55,13 @@ class TestSweepResult:
         r = self.make([10, 20], [1.0, 1.0])
         assert r.zero_load_latency() == 10
 
+    def test_point_without_packets_is_skipped(self):
+        # NaN latency: the point measured no packet. It is neither the
+        # zero-load reference nor a saturation point.
+        r = self.make([float("nan"), 10, 12, 40], [0.0, 1.0, 1.0, 1.0])
+        assert r.zero_load_latency() == 10
+        assert r.saturation_offered() == pytest.approx(0.03)
+
 
 class TestRunners:
     def test_run_point_executes(self):
@@ -69,6 +76,18 @@ class TestRunners:
         assert len(sweep.points) == 2
         assert sweep.points[-1].accepted_fraction < 0.8
         assert sweep.name == "cmesh64"  # unnamed: the built network's name
+
+    @pytest.mark.parametrize("stop", [True, False])
+    def test_point_without_packets_reads_nan(self, stop):
+        sweep = load_sweep(
+            CMESH64, "UN", [0.0, 0.05], cycles=200, warmup=150,
+            stop_at_saturation=stop,
+        )
+        empty, measured = sweep.points
+        assert empty.packets == 0 and empty.latency != empty.latency  # NaN
+        assert measured.latency > 0
+        assert sweep.zero_load_latency() == measured.latency
+        assert sweep.saturation_offered() in (None, 0.05)
 
     def test_lazy_and_batched_dispatch_agree(self, tmp_path):
         # A serial uncached executor stops simulating at saturation; a

@@ -69,7 +69,7 @@ class TestQueueBus:
         ctx = multiprocessing.get_context()
         queue = ctx.Queue()
         got = []
-        drain = BusDrain(queue, got.append, tick_s=0.05).start()
+        drain = BusDrain(queue, got.append).start()
         bus = QueueBus(queue)
         for seq in (1, 2, 3):
             bus.publish(beat(seq=seq))
@@ -78,20 +78,6 @@ class TestQueueBus:
         assert [e["seq"] for e in got] == [1, 2, 3]
         assert drain.drained == 3
         assert drain.malformed == 1
-
-    def test_drain_on_tick_fires_while_idle(self):
-        import time
-
-        ctx = multiprocessing.get_context()
-        queue = ctx.Queue()
-        ticks = []
-        drain = BusDrain(
-            queue, lambda ev: None, on_tick=lambda: ticks.append(1),
-            tick_s=0.01,
-        ).start()
-        time.sleep(0.15)
-        drain.stop()
-        assert ticks, "idle queue produced no stall-check ticks"
 
 
 class TestHubFolding:
@@ -108,15 +94,16 @@ class TestHubFolding:
         ))
         hub.handle(beat(run=rid, seq=2, cycle=400))
         hub.handle(beat(run=rid, seq=3, cycle=900, phase="drain"))
-        st = hub.states[rid]
-        assert st.phase == "drain" and st.cycle == 900
-        assert st.heartbeats == 2 and hub.heartbeats == 2
+        st = hub.snapshot()["runs"][rid]
+        assert st["phase"] == "drain" and st["cycle"] == 900
+        assert st["heartbeats"] == 2 and hub.heartbeats == 2
         hub.handle(make_event(
             RUN_FINISHED, run=rid, label="l", tag="", worker=1, seq=4,
             phase="finished", wall_s=1.5, cache_hit=False,
         ))
         assert hub.done == 1
-        assert st.phase == "finished" and st.progress == 1.0
+        st = hub.snapshot()["runs"][rid]
+        assert st["phase"] == "finished" and st["progress"] == 1.0
 
     def test_duplicate_finish_counted_once(self):
         hub = self.make_hub()
@@ -131,7 +118,7 @@ class TestHubFolding:
     def test_progress_ratio_clamped(self):
         hub = self.make_hub()
         hub.handle(beat(run="bb" * 6, cycle=1500, target_cycles=1000))
-        assert hub.states["bb" * 6].progress == 1.0
+        assert hub.snapshot()["runs"]["bb" * 6]["progress"] == 1.0
 
     def test_snapshot_strict_json(self):
         import json
@@ -139,6 +126,38 @@ class TestHubFolding:
         hub = self.make_hub()
         hub.handle(beat(cycle=100, cycles_per_sec=float("inf")))
         json.dumps(hub.snapshot(), allow_nan=False)
+
+    def test_run_row_is_the_status_document_row(self):
+        hub = self.make_hub()
+        hub.handle(beat(active_routers=3, seq=4))
+        (row,) = hub.snapshot()["runs"].values()
+        assert list(row) == [
+            "run", "label", "tag", "worker", "phase", "cycle", "target_cycles",
+            "progress", "injected", "ejected", "occupancy", "heartbeats",
+            "wall_s", "cycles_per_sec", "eta_s", "cache_hit", "stalled",
+            "started_ts", "last_ts", "latency_mean", "throughput",
+            "spare_escapes", "drain_timeouts", "windows",
+        ]  # fmt: skip
+        assert row["progress"] == 0.5
+
+    def test_end_closes_every_consumer_on_the_final_snapshot(self):
+        class Recorder:
+            def __init__(self):
+                self.calls = []
+
+            def update(self, snap):
+                self.calls.append(("update", snap["done"]))
+
+            def close(self, snap):
+                self.calls.append(("close", snap["done"]))
+
+        first, second = Recorder(), Recorder()
+        hub = self.make_hub(consumers=[first, second])
+        hub.handle(make_event(
+            RUN_FINISHED, run="aa" * 6, label="l", phase="finished", wall_s=0.1,
+        ))
+        hub.end()
+        assert first.calls == second.calls == [("update", 1), ("close", 1)]
 
     def test_snapshot_counts(self):
         hub = self.make_hub()
@@ -153,7 +172,7 @@ class TestHubFolding:
             def update(self, snap):
                 raise RuntimeError("disk full")
 
-        hub = self.make_hub(exporters=[Exploding()])
+        hub = self.make_hub(consumers=[Exploding()])
         hub.handle(beat())  # must not raise
         assert hub.events_handled == 1
 
@@ -175,7 +194,7 @@ class TestStallDetection:
         clock[0] += 10.0
         newly = hub.check_stalls()
         assert newly == ["cc" * 6]
-        assert hub.states["cc" * 6].stalled
+        assert hub.snapshot()["runs"]["cc" * 6]["stalled"]
         err = capsys.readouterr().err
         assert "warning: no heartbeat from own256/UN@0.03 for 5s" in err
 
@@ -188,7 +207,7 @@ class TestStallDetection:
         assert hub.check_stalls() == []  # already flagged
         # A new heartbeat clears the flag; going quiet again re-warns.
         hub.handle(beat(run="dd" * 6, seq=2))
-        assert not hub.states["dd" * 6].stalled
+        assert not hub.snapshot()["runs"]["dd" * 6]["stalled"]
         clock[0] += 10.0
         assert hub.check_stalls() == ["dd" * 6]
 
@@ -212,6 +231,25 @@ class TestStallDetection:
         hub.check_stalls()
         kinds = [e["event"] for e in got]
         assert kinds == [HEARTBEAT, STALL]
+
+    def test_watchdog_thread_flags_a_quiet_run(self, capsys):
+        import threading
+
+        from repro.runtime import RunSpec
+
+        spec = RunSpec.create("own256", rate=0.01, cycles=200, warmup=50)
+        rid = run_id(spec.digest())
+        hub = ObservationHub(stall_after_s=0.4)
+        stalled = threading.Event()
+        hub.subscribe(lambda ev: ev["event"] == STALL and stalled.set())
+        hub.begin([spec])
+        try:
+            hub.handle(beat(run=rid))
+            assert stalled.wait(2.0), "watchdog raised no stall within 2 s"
+        finally:
+            hub.end()
+        assert hub.snapshot()["runs"][rid]["stalled"]
+        assert "warning: no heartbeat from own256/UN@0.03" in capsys.readouterr().err
 
     def test_zero_disables_watchdog(self):
         hub = ObservationHub(stall_after_s=0)

@@ -55,7 +55,7 @@ class TestTtyTable:
     def test_table_rendered_in_place(self):
         stream = FakeTty()
         view = LiveView(stream=stream, clock=ManualClock())
-        view.render(snap(runs={"ab12cd34ef56": run_state()}))
+        view.update(snap(runs={"ab12cd34ef56": run_state()}))
         out = stream.getvalue()
         assert "live: 0/2 done" in out
         assert "own256/UN@0.03x1200" in out
@@ -68,34 +68,34 @@ class TestTtyTable:
         stream = FakeTty()
         clock = ManualClock()
         view = LiveView(stream=stream, clock=clock)
-        view.render(snap(runs={"ab12cd34ef56": run_state()}))
+        view.update(snap(runs={"ab12cd34ef56": run_state()}))
         clock.t += 10
-        view.render(snap(done=1, runs={"ab12cd34ef56": run_state("finished")}))
+        view.update(snap(done=1, runs={"ab12cd34ef56": run_state("finished")}))
         assert "\x1b[3F" in stream.getvalue()  # header + cols + 1 row
 
     def test_throttling_skips_fast_redraw(self):
         stream = FakeTty()
         clock = ManualClock()
         view = LiveView(stream=stream, interval_s=0.2, clock=clock)
-        view.render(snap())
+        view.update(snap())
         clock.t += 0.01
-        view.render(snap(done=1))
+        view.update(snap(done=1))
         assert view.renders == 1
         clock.t += 1.0
-        view.render(snap(done=1))
+        view.update(snap(done=1))
         assert view.renders == 2
 
     def test_stalled_run_marked(self):
         stream = FakeTty()
         view = LiveView(stream=stream, clock=ManualClock())
         state = run_state(stalled=True, last_ts=1699999990.0)
-        view.render(snap(stalled=1, runs={"ab12cd34ef56": state}))
+        view.update(snap(stalled=1, runs={"ab12cd34ef56": state}))
         assert "STALL" in stream.getvalue()
 
     def test_close_leaves_cursor_below_table(self):
         stream = FakeTty()
         view = LiveView(stream=stream, clock=ManualClock())
-        view.render(snap())
+        view.update(snap())
         view.close(snap(done=2))
         assert stream.getvalue().endswith("\n")
 
@@ -104,9 +104,7 @@ class TestPlainStream:
     def test_single_line_summary(self):
         stream = io.StringIO()
         view = LiveView(stream=stream, clock=ManualClock())
-        view.render(
-            snap(runs={"ab12cd34ef56": run_state()}), force=True
-        )
+        view.update(snap(runs={"ab12cd34ef56": run_state()}))
         out = stream.getvalue()
         assert out.count("\n") == 1
         assert "live: 0/2 done, 1 running" in out
@@ -119,7 +117,7 @@ class TestPlainStream:
         view = LiveView(
             stream=stream, interval_s=0.2, plain_interval_s=5.0, clock=clock
         )
-        view.render(snap())
+        view.update(snap())
         clock.t += 1.0  # beyond the TTY interval, below the plain one
-        view.render(snap(done=1))
+        view.update(snap(done=1))
         assert view.renders == 1

@@ -167,6 +167,18 @@ class TestCacheHits:
         assert len(fins) == 1 and fins[0]["cache_hit"] is True
         assert hub.snapshot()["done"] == 1  # same digest: one run state
 
+    def test_cache_hit_finish_has_the_executed_payload_keys(self, tmp_path):
+        hub = make_hub()
+        events = []
+        hub.subscribe(events.append)
+        ex = Executor(jobs=1, cache=str(tmp_path / "cache"), observe=hub)
+        ex.run_one(SPEC)
+        ex.run_one(SPEC)
+        executed, served = [e for e in events if e["event"] == RUN_FINISHED]
+        assert served["cache_hit"] and not executed["cache_hit"]
+        assert set(served) == set(executed)
+        assert served["heartbeats"] == 0 < executed["heartbeats"]
+
     def test_cache_hit_wall_s_well_defined(self, tmp_path):
         ex = Executor(jobs=1, cache=str(tmp_path / "cache"))
         ex.run_one(SPEC)

@@ -84,6 +84,18 @@ class TestSweep:
         out = capsys.readouterr().out
         assert "saturation offered load" in out
 
+    def test_point_without_packets_prints_nan(self, capsys):
+        # The first rate measures no packet in a 50-cycle window: its
+        # latency reads NaN and the sweep goes on.
+        rc = main([
+            "sweep", "own256", "--rates", "0.00005,0.01", "--cycles", "200",
+            "--warmup", "150",
+        ])
+        assert rc == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[3].split("|")[1].strip() == "nan"
+        assert rows[4].split("|")[1].strip() != "nan"
+
     def test_warmup_past_cycles_is_a_usage_error(self, capsys):
         # The default --warmup 400 measured nothing in 200 cycles, and the
         # saturation check then crashed on a missing zero-load latency.
@@ -117,6 +129,37 @@ class TestFlagValues:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
         assert f"argument {flag}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        "sweep own256 --rates 0.01,abc",
+        "sweep own256 --rates -0.01",
+        "sweep own256 --rates 1.5",
+        "sweep own256 --rates nan",
+        "sweep own256 --pattern XYZ",
+        "report --rates 0.01,abc --analyze own256",
+        "report --rates -0.01 --analyze own256",
+        "report --rates 1.5 --analyze own256",
+        "report --pattern XYZ --analyze own256",
+    ])
+    def test_bad_rate_or_pattern_is_a_usage_error(self, command, capsys):
+        self.test_bad_value_is_a_usage_error(command, capsys)
+
+    @pytest.mark.parametrize("command", [
+        "scenarios run --warmup 200 --cycles 100",
+        "scenarios run --quick --warmup 200 --cycles 100",  # after the clamp
+        "report --analyze own256 --warmup 200 --cycles 100",
+    ])
+    def test_empty_window_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(command.split())
+        assert exc.value.code == 2
+        assert "error: --warmup/--cycles: need 0 <= warmup" in capsys.readouterr().err
+
+    def test_rates_and_pattern_parse(self):
+        args = build_parser().parse_args([
+            "sweep", "own256", "--rates", "0,0.05,1", "--pattern", "hot",
+        ])
+        assert (args.rates, args.pattern) == ([0.0, 0.05, 1.0], "hot")
 
     def test_boundary_values_parse(self):
         args = build_parser().parse_args([
