@@ -23,6 +23,7 @@ from repro.analysis import (
     study_thermal,
     study_workloads,
 )
+from repro.analysis.attribution import NO_VERDICT
 from repro.analysis.experiments import _adaptive_cells, _bursty_spec
 from repro.runtime import Executor
 
@@ -124,7 +125,7 @@ def test_workloads(run_experiment):
     # Full own256 slice: 5 workloads x 2 fault campaigns x 2 scenarios.
     assert len(result.rows) == 20
     # Every cell carries an attribution verdict.
-    assert all(row[-1] and row[-1] != "no-telemetry" for row in result.rows)
+    assert all(row[-1] and row[-1] != NO_VERDICT for row in result.rows)
     # The wireless technology scenario scales power, never timing: within
     # any (workload, faults) pair the latency columns are identical and
     # conservative power >= ideal power.

@@ -416,18 +416,15 @@ def _report_analyze(args: argparse.Namespace) -> int:
     import json
 
     from repro.analysis import diagnose_sweep, render_sweep_report
-    from repro.runtime import resolve_ref
     from repro.runtime.records import json_safe
 
     check_window_arg(args, args.cycles, args.warmup)
-    key, kwargs = resolve_ref(NAMED_TOPOLOGIES[args.analyze])
     diag = diagnose_sweep(
-        key,
+        NAMED_TOPOLOGIES[args.analyze],
         pattern=args.pattern,
         rates=args.rates,
         cycles=args.cycles,
         warmup=args.warmup,
-        topology_kwargs=kwargs,
     )
     for p in diag.points:
         log.info(

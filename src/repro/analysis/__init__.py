@@ -29,16 +29,13 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "Attribution", "StageBreakdown", "CONTENTION_STAGES", "OCCUPANCY_SATURATED",
-            "attribute_metrics", "detect_knee", "wireless_occupancies",
+            "NO_VERDICT", "attribute_metrics", "wireless_occupancies",
         ),
         "attribution",
     ),
     **dict.fromkeys(("Heatmap", "heatmaps_from_aggregator"), "congestion"),
     **dict.fromkeys(
-        (
-            "PointDiagnosis", "SweepDiagnosis", "diagnose_point", "diagnose_sweep",
-            "diagnosis_spec",
-        ),
+        ("PointDiagnosis", "SweepDiagnosis", "diagnose_point", "diagnose_sweep"),
         "diagnose",
     ),
     **dict.fromkeys(

@@ -18,16 +18,14 @@ uniform-random sweeps:
   verdict flips to **wireless occupancy** -- the C2C/E2E/SR capacity
   trade the paper's Fig. 7/8 evaluation turns on.
 
-:func:`detect_knee` finds that saturation knee in a load sweep using the
-same latency-factor + acceptance rule as
-:meth:`repro.analysis.sweep.SweepResult.saturation_offered`.
+:meth:`repro.analysis.sweep.SweepResult.knee` finds that saturation knee;
+a diagnosed sweep reads it from there.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional
 
 from repro.telemetry.tracer import BREAKDOWN_STAGES
 
@@ -48,6 +46,10 @@ ATTRIBUTABLE_MIN = 0.10
 #: uniform-random sweeps: pre-knee loads measure <= ~0.5, post-knee
 #: loads measure >= ~0.65.
 OCCUPANCY_SATURATED = 0.6
+
+#: What a run with no packet breakdown (no telemetry, or no measured
+#: packet) reports in place of a verdict. It is never one side of a flip.
+NO_VERDICT = "no-data"
 
 #: Verdict labels for the dominant contention stage.
 _STAGE_VERDICT = {
@@ -230,31 +232,3 @@ def _verdict(overall: StageBreakdown, occupancy: Mapping[str, float]):
         return "switch-contention", overall.share("other")
     return "structural", overall.share("serialization") + overall.share("flight")
 
-
-def detect_knee(
-    loads: Sequence[float],
-    latencies: Sequence[float],
-    accepted: Optional[Sequence[float]] = None,
-    latency_factor: float = 3.0,
-    accept_threshold: float = 0.88,
-) -> Optional[float]:
-    """First offered load past the saturation knee (``None`` if none).
-
-    The knee rule is :func:`~repro.analysis.sweep.past_knee`, the one
-    :meth:`~repro.analysis.sweep.SweepResult.saturation_offered` applies
-    from the other side, on the accepted fraction ``accepted[i] /
-    loads[i]``. A point that measured no packet (NaN latency) is skipped:
-    it is neither the knee nor the zero-load reference.
-    """
-    from repro.analysis.sweep import past_knee
-
-    measured = [i for i, latency in enumerate(latencies) if math.isfinite(latency)]
-    zero = latencies[measured[0]] if measured else float("nan")
-    for i in measured:
-        load, latency = loads[i], latencies[i]
-        fraction = None
-        if accepted is not None:
-            fraction = accepted[i] / load if load > 0 else float("nan")
-        if past_knee(latency, zero, fraction, latency_factor, accept_threshold):
-            return load
-    return None

@@ -30,8 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.attribution import Attribution, attribute_metrics, detect_knee
+from repro.analysis.attribution import NO_VERDICT, Attribution, attribute_metrics
 from repro.analysis.congestion import Heatmap, heatmaps_from_aggregator
+from repro.analysis.sweep import SweepPoint, SweepResult, _point_from_result, point_spec
+from repro.runtime import TopologyRef, resolve_ref
 from repro.runtime.executor import execute_inline
 from repro.runtime.spec import RunSpec
 from repro.telemetry import Tracer, WindowedAggregator
@@ -44,25 +46,29 @@ class PointDiagnosis:
     label: str
     topology: str
     pattern: str
-    rate: float
+    #: The run as a load-sweep sample (offered rate, latency -- NaN when
+    #: no packet was measured -- and accepted throughput).
+    point: SweepPoint
     summary: Dict[str, float]
     attribution: Optional[Attribution]
     heatmaps: List[Heatmap] = field(default_factory=list)
     profile: Dict[str, object] = field(default_factory=dict)
 
     @property
+    def rate(self) -> float:
+        return self.point.offered
+
+    @property
     def latency(self) -> float:
-        """Mean measured latency; NaN when no packet was measured."""
-        latency = self.summary.get("latency_mean")
-        return float("nan") if latency is None else latency
+        return self.point.latency
 
     @property
     def throughput(self) -> float:
-        return self.summary.get("throughput", 0.0)
+        return self.point.throughput
 
     @property
     def verdict(self) -> str:
-        return self.attribution.verdict if self.attribution else "no-data"
+        return self.attribution.verdict if self.attribution else NO_VERDICT
 
     def to_json_dict(self) -> Dict[str, object]:
         return {
@@ -90,19 +96,19 @@ class SweepDiagnosis:
     #: saturated within the sweep).
     knee: Optional[float]
 
-    def verdicts(self) -> List[str]:
-        return [p.verdict for p in self.points]
-
     def verdict_flip(self) -> Optional[Dict[str, object]]:
         """The pre/post-knee verdict change, if the sweep crossed one.
 
         Returns ``{"at": knee_load, "before": v, "after": v}`` or ``None``
-        when the sweep never saturated or the verdict never changed.
+        when the sweep never saturated or the verdict never changed. Only
+        points with an attribution take part: a point with no verdict
+        cannot flip one.
         """
         if self.knee is None:
             return None
-        before = [p.verdict for p in self.points if p.rate < self.knee]
-        after = [p.verdict for p in self.points if p.rate >= self.knee]
+        judged = [p for p in self.points if p.attribution]
+        before = [p.verdict for p in judged if p.rate < self.knee]
+        after = [p.verdict for p in judged if p.rate >= self.knee]
         if not before or not after or before[-1] == after[0]:
             return None
         return {"at": self.knee, "before": before[-1], "after": after[0]}
@@ -115,28 +121,6 @@ class SweepDiagnosis:
             "verdict_flip": self.verdict_flip(),
             "points": [p.to_json_dict() for p in self.points],
         }
-
-
-def diagnosis_spec(
-    topology: str,
-    pattern: str = "UN",
-    rate: float = 0.01,
-    cycles: int = 800,
-    warmup: int = 200,
-    seed: int = 3,
-    topology_kwargs: Optional[Dict[str, object]] = None,
-) -> RunSpec:
-    """The :class:`RunSpec` for one diagnosis point (telemetry on)."""
-    return RunSpec.create(
-        topology,
-        pattern=pattern,
-        rate=rate,
-        cycles=cycles,
-        warmup=warmup,
-        seed=seed,
-        topology_kwargs=topology_kwargs,
-        telemetry=True,
-    )
 
 
 def diagnose_point(
@@ -162,7 +146,7 @@ def diagnose_point(
         label=spec.label(),
         topology=spec.topology,
         pattern=spec.traffic.pattern,
-        rate=spec.traffic.rate,
+        point=_point_from_result(result),
         summary=dict(result.summary),
         attribution=attribute_metrics(result.metrics),
         heatmaps=heatmaps_from_aggregator(agg) if heatmaps else [],
@@ -171,19 +155,21 @@ def diagnose_point(
 
 
 def diagnose_sweep(
-    topology: str,
+    topology: TopologyRef,
     pattern: str = "UN",
     rates: Sequence[float] = (0.01, 0.03, 0.05, 0.07),
     cycles: int = 800,
     warmup: int = 200,
     seed: int = 3,
-    topology_kwargs: Optional[Dict[str, object]] = None,
     window_cycles: int = 64,
     sample_every: int = 16,
     heatmap_points: int = 2,
 ) -> SweepDiagnosis:
     """Diagnose a full load sweep and locate its saturation knee.
 
+    Each point is :func:`~repro.analysis.sweep.point_spec` with telemetry
+    on, and the knee is the one :meth:`SweepResult.knee
+    <repro.analysis.sweep.SweepResult.knee>` finds in the measured points.
     Every point gets attribution; heatmaps are kept only for the
     ``heatmap_points`` highest loads (the interesting, congested end)
     to bound report size -- pass ``heatmap_points=len(rates)`` to keep
@@ -193,14 +179,8 @@ def diagnose_sweep(
     keep_heat = set(rates[-heatmap_points:]) if heatmap_points > 0 else set()
     points = [
         diagnose_point(
-            diagnosis_spec(
-                topology,
-                pattern=pattern,
-                rate=rate,
-                cycles=cycles,
-                warmup=warmup,
-                seed=seed,
-                topology_kwargs=topology_kwargs,
+            point_spec(topology, pattern, rate, cycles, warmup, seed=seed).with_(
+                telemetry=True
             ),
             window_cycles=window_cycles,
             sample_every=sample_every,
@@ -208,11 +188,6 @@ def diagnose_sweep(
         )
         for rate in rates
     ]
-    knee = detect_knee(
-        [p.rate for p in points],
-        [p.latency for p in points],
-        accepted=[p.throughput for p in points],
-    )
-    return SweepDiagnosis(
-        topology=topology, pattern=pattern, points=points, knee=knee
-    )
+    key = resolve_ref(topology)[0]
+    knee = SweepResult(key, pattern, [p.point for p in points]).knee()
+    return SweepDiagnosis(topology=key, pattern=pattern, points=points, knee=knee)

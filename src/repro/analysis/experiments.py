@@ -976,7 +976,7 @@ def study_adaptive(
     and adaptive rows carry the decision-log CRC that the CI golden gate
     pins exactly.
     """
-    from repro.analysis.attribution import attribute_metrics
+    from repro.analysis.attribution import NO_VERDICT, attribute_metrics
 
     cells = _adaptive_cells(quick)
     rows: List[List[object]] = []
@@ -996,7 +996,7 @@ def study_adaptive(
                 int(s.get("channels_recovered_ctl", 0)),
                 int(s.get("control_decisions", 0)),
                 int(s["control_log_crc"]) if "control_log_crc" in s else "-",
-                attribution.verdict if attribution else "-",
+                attribution.verdict if attribution else NO_VERDICT,
             ]
         )
     # Per-cell verdict: did recovery pay for itself?

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.runtime import (
     Executor,
@@ -48,8 +48,8 @@ def past_knee(
     latency_factor: float = 3.0,
     accept_threshold: float = 0.88,
 ) -> bool:
-    """The saturation-knee rule of :meth:`SweepResult.saturation_offered`
-    and :func:`repro.analysis.attribution.detect_knee`.
+    """The saturation-knee rule of :meth:`SweepResult.knee` and
+    :meth:`SweepResult.saturation_offered`.
 
     A point is past the knee unless its latency is below ``latency_factor``
     times zero-load *and* its accepted fraction is above ``accept_threshold``
@@ -89,22 +89,39 @@ class SweepResult:
             float("nan"),
         )
 
-    def saturation_offered(
-        self, latency_factor: float = 3.0, accept_threshold: float = 0.88
-    ) -> Optional[float]:
-        """Largest offered load that is still pre-saturation (points that
-        measured no packet are skipped)."""
+    def _around_knee(
+        self, latency_factor: float, accept_threshold: float
+    ) -> Tuple[Optional[SweepPoint], Optional[SweepPoint]]:
+        """The last measured point before the saturation knee and the first
+        one past it (``None`` where there is none). A point that measured no
+        packet is neither: it is skipped."""
         zero = self.zero_load_latency()
-        last = None
+        before = None
         for p in self.points:
             if not math.isfinite(p.latency):
                 continue
             if past_knee(
                 p.latency, zero, p.accepted_fraction, latency_factor, accept_threshold
             ):
-                break
-            last = p.offered
-        return last
+                return before, p
+            before = p
+        return before, None
+
+    def knee(
+        self, latency_factor: float = 3.0, accept_threshold: float = 0.88
+    ) -> Optional[float]:
+        """First offered load past the saturation knee (``None``: the sweep
+        never saturated)."""
+        past = self._around_knee(latency_factor, accept_threshold)[1]
+        return None if past is None else past.offered
+
+    def saturation_offered(
+        self, latency_factor: float = 3.0, accept_threshold: float = 0.88
+    ) -> Optional[float]:
+        """Largest offered load that is still pre-saturation: the measured
+        point before :meth:`knee`."""
+        before = self._around_knee(latency_factor, accept_threshold)[0]
+        return None if before is None else before.offered
 
     def saturation_throughput(self) -> float:
         """Peak accepted throughput across the sweep (Fig. 7a's metric)."""

@@ -182,7 +182,7 @@ def run_scenarios(
     records cannot know about -- so pass the run log here, not to the
     executor, when running a matrix.
     """
-    from repro.analysis.attribution import attribute_metrics
+    from repro.analysis.attribution import NO_VERDICT, attribute_metrics
 
     executor = get_executor(executor)
     if isinstance(runlog, (str, bytes)) or hasattr(runlog, "__fspath__"):
@@ -191,7 +191,7 @@ def run_scenarios(
     outcomes: List[ScenarioOutcome] = []
     for cell, result in zip(cells, results):
         attribution = attribute_metrics(result.metrics or {})
-        verdict = attribution.verdict if attribution else "no-telemetry"
+        verdict = attribution.verdict if attribution else NO_VERDICT
         share = attribution.verdict_share if attribution else 0.0
         outcomes.append(ScenarioOutcome(cell, result, verdict, share))
         if runlog is not None:

@@ -6,7 +6,6 @@ from repro.analysis.attribution import (
     ATTRIBUTABLE_MIN,
     OCCUPANCY_SATURATED,
     attribute_metrics,
-    detect_knee,
     packet_classes,
     wireless_occupancies,
 )
@@ -134,40 +133,41 @@ class TestVerdicts:
         assert d["per_class"]["C2C"]["count"] == 2
 
 
+def sweep_of(loads, lats, accepted=None):
+    """A sweep of the given points; with no acceptance data every point
+    accepts all it is offered."""
+    accepted = loads if accepted is None else accepted
+    return SweepResult("net", "UN", [
+        SweepPoint(load, lat, acc, packets=100)
+        for load, lat, acc in zip(loads, lats, accepted)
+    ])  # fmt: skip
+
+
 class TestKnee:
     def test_latency_factor_knee(self):
         loads = [0.01, 0.02, 0.04, 0.08]
         lats = [20.0, 22.0, 30.0, 90.0]
-        assert detect_knee(loads, lats) == 0.08
+        assert sweep_of(loads, lats).knee() == 0.08
 
     def test_acceptance_knee_fires_first(self):
         loads = [0.01, 0.02, 0.04]
         lats = [20.0, 22.0, 30.0]
         accepted = [0.01, 0.02, 0.02]  # 50% accepted at 0.04
-        assert detect_knee(loads, lats, accepted) == 0.04
+        assert sweep_of(loads, lats, accepted).knee() == 0.04
 
     def test_no_knee(self):
-        assert detect_knee([0.01, 0.02], [20.0, 21.0]) is None
-        assert detect_knee([], []) is None
+        assert sweep_of([0.01, 0.02], [20.0, 21.0]).knee() is None
+        assert sweep_of([], []).knee() is None
 
     def test_knee_boundary_agrees_with_saturation_offered(self):
         # Accepted fraction exactly 0.88 at 0.25: saturated for both.
-        loads, lats, accepted = [0.125, 0.25], [20.0, 21.0], [0.125, 0.22]
-        sweep = SweepResult("net", "UN", [
-            SweepPoint(load, lat, acc, packets=100)
-            for load, lat, acc in zip(loads, lats, accepted)
-        ])  # fmt: skip
+        sweep = sweep_of([0.125, 0.25], [20.0, 21.0], [0.125, 0.22])
         assert sweep.saturation_offered() == 0.125
-        assert detect_knee(loads, lats, accepted) == 0.25
+        assert sweep.knee() == 0.25
 
     def test_point_without_packets_skipped_by_both_rules(self):
         # NaN latency: nothing measured. Neither the knee nor the
         # zero-load reference, for the knee and the sweep rule alike.
-        loads = [0.0, 0.125, 0.25, 0.5]
-        lats = [float("nan"), 20.0, 21.0, 70.0]
-        sweep = SweepResult("net", "UN", [
-            SweepPoint(load, lat, load, packets=100)
-            for load, lat in zip(loads, lats)
-        ])  # fmt: skip
+        sweep = sweep_of([0.0, 0.125, 0.25, 0.5], [float("nan"), 20.0, 21.0, 70.0])
         assert sweep.saturation_offered() == 0.25
-        assert detect_knee(loads, lats) == 0.5
+        assert sweep.knee() == 0.5

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.attribution import Attribution, StageBreakdown
+from repro.analysis.attribution import NO_VERDICT, Attribution, StageBreakdown
 from repro.analysis.congestion import Heatmap, heatmaps_from_aggregator
 from repro.analysis.diagnose import PointDiagnosis, SweepDiagnosis
 from repro.analysis.htmlreport import (
@@ -13,6 +13,7 @@ from repro.analysis.htmlreport import (
     render_sweep_report,
     stacked_bars_svg,
 )
+from repro.analysis.sweep import SweepPoint
 from repro.telemetry import WindowedAggregator
 from repro.telemetry.events import BUFFER_SAMPLE, FLIT_SEND, TraceEvent
 from repro.telemetry.tracer import BREAKDOWN_STAGES
@@ -33,10 +34,11 @@ def point(rate, verdict="token-wait", share=0.3, heatmaps=(), occ=None):
         wireless_occupancy=occ or {"C2C": 0.4},
         verdict=verdict, verdict_share=share,
     )
+    latency = 20.0 + rate * 100
     return PointDiagnosis(
         label=f"own256/UN@{rate:g}x400", topology="own256", pattern="UN",
-        rate=rate, summary={"latency_mean": 20.0 + rate * 100,
-                            "throughput": rate},
+        point=SweepPoint(rate, latency, rate, packets=10),
+        summary={"latency_mean": latency, "throughput": rate},
         attribution=att, heatmaps=list(heatmaps),
         profile={"build_s": 0.1, "sim_s": 0.5, "measure_s": 0.01,
                  "sim_cycles": 400, "sim_cycles_per_sec": 800.0},
@@ -174,4 +176,12 @@ class TestFullReport:
         assert "never saturated" in render_sweep_report(d)
         d.knee = 0.05
         d.points[1].attribution.verdict = "token-wait"
+        assert d.verdict_flip() is None
+
+    def test_point_without_verdict_cannot_flip(self):
+        # The only pre-knee point measured no packet: it has no verdict,
+        # so there is nothing to flip from.
+        d = self.diag()
+        d.points[0].attribution = None
+        assert d.points[0].verdict == NO_VERDICT
         assert d.verdict_flip() is None

@@ -5,13 +5,17 @@ wireless-occupancy across the saturation knee."""
 
 import pytest
 
-from repro.analysis.diagnose import (
-    diagnose_point,
-    diagnose_sweep,
-    diagnosis_spec,
-)
+from repro.analysis.diagnose import diagnose_point, diagnose_sweep
+from repro.analysis.sweep import point_spec
 from repro.runtime.executor import execute_inline
 from repro.telemetry.tracer import BREAKDOWN_STAGES
+
+
+CMESH64 = ("cmesh", {"n_cores": 64})
+
+
+def cmesh_spec(rate, cycles, warmup):
+    return point_spec(CMESH64, "UN", rate, cycles, warmup).with_(telemetry=True)
 
 
 @pytest.fixture(scope="module")
@@ -23,8 +27,7 @@ def own_sweep():
 
 class TestDiagnosePoint:
     def test_cmesh_point_full_surface(self):
-        spec = diagnosis_spec("cmesh", rate=0.03, cycles=200, warmup=50,
-                              topology_kwargs={"n_cores": 64})
+        spec = cmesh_spec(0.03, cycles=200, warmup=50)
         diag = diagnose_point(spec, window_cycles=32, sample_every=8)
         assert diag.attribution is not None
         ov = diag.attribution.overall
@@ -39,8 +42,7 @@ class TestDiagnosePoint:
         assert set(diag.profile) >= {"build_s", "sim_s", "measure_s"}
 
     def test_heatmaps_off(self):
-        spec = diagnosis_spec("cmesh", rate=0.02, cycles=120, warmup=0,
-                              topology_kwargs={"n_cores": 64})
+        spec = cmesh_spec(0.02, cycles=120, warmup=0)
         diag = diagnose_point(spec, heatmaps=False)
         assert diag.heatmaps == []
         assert diag.attribution is not None
@@ -48,8 +50,7 @@ class TestDiagnosePoint:
     def test_instrumentation_is_observation_only(self):
         # The acceptance bar: an analysis-enabled run must be
         # bit-identical in simulation results to an untraced run.
-        spec = diagnosis_spec("cmesh", rate=0.04, cycles=200, warmup=50,
-                              topology_kwargs={"n_cores": 64})
+        spec = cmesh_spec(0.04, cycles=200, warmup=50)
         plain = execute_inline(spec.with_(telemetry=False))[2]
         diagnosed = diagnose_point(spec, window_cycles=32, sample_every=4)
         assert diagnosed.summary == plain.summary

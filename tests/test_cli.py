@@ -402,6 +402,19 @@ class TestReportAnalyze:
         assert [p["rate"] for p in payload["points"]] == [0.01, 0.04]
         assert payload["points"][0]["attribution"]["overall"]["exact"] is True
 
+    def test_point_without_packets_flips_no_verdict(self, tmp_path, capsys):
+        # Rate 0 measures no packet, so it has no verdict: the knee at 0.01
+        # is reported without a flip from it.
+        rc = main([
+            "report", "--analyze", "own256", "--rates", "0,0.01",
+            "--cycles", "200", "--warmup", "150",
+            "-o", str(tmp_path / "diag.html"),
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "no-data ->" not in out
+        assert "saturation knee at rate 0.01\n" in out
+
 
 class TestCacheCounters:
     def test_hits_and_misses_surface_in_engine_line(self, tmp_path, capsys):
