@@ -27,7 +27,10 @@ Commands
     Compare two JSONL run logs point by point (latency / throughput /
     power deltas with noise bands from repeated runs); exits non-zero
     when a gated metric regresses beyond the noise band plus
-    ``--threshold`` -- the CI regression gate.
+    ``--threshold``.
+``golden``
+    The CI regression gate: run a golden's recipe (``GOLDEN_RECIPES``) and
+    diff it against ``results/golden/NAME.jsonl`` at 0 %, or ``--write`` it.
 ``scenarios``
     The application-workload scenario matrix ({workload} x {topology} x
     {fault campaign} x {wireless scenario}; see ``docs/workloads.md``):
@@ -110,8 +113,21 @@ def check_window_arg(args: argparse.Namespace, cycles: int, warmup: int) -> None
         args.usage_error(f"--warmup/--cycles: {exc}")
 
 
-def add_obs_flags(parser: argparse.ArgumentParser) -> None:
-    """Live-observability flags shared by simulation-driving commands."""
+def add_observing_flags(parser: argparse.ArgumentParser) -> None:
+    """Engine flags that leave the simulated specs unchanged: workers, cache,
+    run log and live observability (``golden`` passes them to a recipe)."""
+    parser.add_argument(
+        "--jobs", type=positive_int, default=1, metavar="N",
+        help="worker processes for simulation points (default: 1, serial)",
+    )
+    parser.add_argument(
+        "--cache", nargs="?", const=DEFAULT_CACHE_DIR, default=None, metavar="DIR",
+        help=f"reuse cached results from DIR (default dir: {DEFAULT_CACHE_DIR})",
+    )
+    parser.add_argument(
+        "--runlog", default=None, metavar="PATH",
+        help="append one JSONL run record per simulation point to PATH",
+    )
     parser.add_argument(
         "--live", action="store_true",
         help="render an in-place per-run progress table on stderr while "
@@ -146,19 +162,8 @@ def add_obs_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def add_engine_flags(parser: argparse.ArgumentParser) -> None:
-    """Execution-engine flags shared by simulation-driving commands."""
-    parser.add_argument(
-        "--jobs", type=positive_int, default=1, metavar="N",
-        help="worker processes for simulation points (default: 1, serial)",
-    )
-    parser.add_argument(
-        "--cache", nargs="?", const=DEFAULT_CACHE_DIR, default=None, metavar="DIR",
-        help=f"reuse cached results from DIR (default dir: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
-        "--runlog", default=None, metavar="PATH",
-        help="append one JSONL run record per simulation point to PATH",
-    )
+    """The observing flags plus ``--metrics/--trace``, which change a run."""
+    add_observing_flags(parser)
     parser.add_argument(
         "--metrics", action="store_true",
         help="collect per-channel-class telemetry metrics into run results "
@@ -173,7 +178,6 @@ def add_engine_flags(parser: argparse.ArgumentParser) -> None:
         "--trace-out", default="traces", metavar="DIR",
         help="directory for Chrome trace files (default: traces/)",
     )
-    add_obs_flags(parser)
 
 
 def observation_from_args(args: argparse.Namespace):
@@ -217,16 +221,18 @@ def observation_from_args(args: argparse.Namespace):
     )
 
 
-def executor_from_args(args: argparse.Namespace) -> Optional[Executor]:
-    """Build an engine executor from CLI flags (``None`` if all defaults)."""
+def executor_from_args(args: argparse.Namespace, runlog: bool = True) -> Optional[Executor]:
+    """Build an engine executor from CLI flags (``None`` if all defaults);
+    ``runlog=False`` leaves ``--runlog`` to the caller (``scenarios``)."""
     hub = observation_from_args(args)
+    metrics, trace = getattr(args, "metrics", False), getattr(args, "trace", False)
     if (
         hub is None
         and args.jobs == 1
         and args.cache is None
         and args.runlog is None
-        and not args.metrics
-        and not args.trace
+        and not metrics
+        and not trace
     ):
         return None
 
@@ -251,12 +257,22 @@ def executor_from_args(args: argparse.Namespace) -> Optional[Executor]:
     return Executor(
         jobs=args.jobs,
         cache=args.cache,
-        runlog=args.runlog,
+        runlog=args.runlog if runlog else None,
         progress=_progress,
-        telemetry=args.metrics,
-        trace_dir=args.trace_out if args.trace else None,
+        telemetry=metrics,
+        trace_dir=args.trace_out if trace else None,
         observe=hub,
     )
+
+
+def write_json(path: str, payload) -> None:
+    """Dump ``payload`` to ``path`` as strict JSON (NaN/Inf become null)."""
+    import json
+
+    from repro.runtime.records import json_safe
+
+    with open(path, "w") as fh:
+        json.dump(json_safe(payload), fh, indent=1, allow_nan=False)
 
 
 def report_engine_stats(executor: Optional[Executor]) -> None:
@@ -405,18 +421,16 @@ def cmd_report(args: argparse.Namespace) -> int:
     except KeyError as exc:
         log.error(str(exc))
         return 2
-    with open(args.output, "w") as fh:
+    out = args.output or "report.md"
+    with open(out, "w") as fh:
         fh.write(text)
-    print(f"wrote {args.output} ({len(text.splitlines())} lines)")
+    print(f"wrote {out} ({len(text.splitlines())} lines)")
     return 0
 
 
 def _report_analyze(args: argparse.Namespace) -> int:
     """``report --analyze``: instrumented sweep -> HTML + JSON diagnosis."""
-    import json
-
     from repro.analysis import diagnose_sweep, render_sweep_report
-    from repro.runtime.records import json_safe
 
     check_window_arg(args, args.cycles, args.warmup)
     diag = diagnose_sweep(
@@ -444,14 +458,12 @@ def _report_analyze(args: argparse.Namespace) -> int:
         print(f"saturation knee at rate {diag.knee:g}")
     else:
         print("no saturation knee within the swept load range")
-    out = args.output if args.output != "report.md" else "diagnosis.html"
+    out = args.output or "diagnosis.html"
     with open(out, "w") as fh:
         fh.write(render_sweep_report(diag))
     print(f"wrote {out}")
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(json_safe(diag.to_json_dict()), fh, indent=1,
-                      allow_nan=False)
+        write_json(args.json, diag.to_json_dict())
         print(f"wrote {args.json}")
     return 0
 
@@ -467,13 +479,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
         return 2
     print(format_diff(diff))
     if args.json:
-        import json
-
-        from repro.runtime.records import json_safe
-
-        with open(args.json, "w") as fh:
-            json.dump(json_safe(diff.to_json_dict()), fh, indent=1,
-                      allow_nan=False)
+        write_json(args.json, diff.to_json_dict())
         log.info(f"wrote {args.json}")
     if not diff.matched and not args.allow_unmatched:
         log.error(
@@ -483,9 +489,58 @@ def cmd_diff(args: argparse.Namespace) -> int:
     return 0 if diff.clean else 1
 
 
-def cmd_scenarios(args: argparse.Namespace) -> int:
-    import json
+#: Golden run log ``results/golden/NAME.jsonl`` -> the one copy of the
+#: command that writes it.
+GOLDEN_RECIPES = {
+    "own256-sweep": "sweep own256 --rates 0.01,0.03 --cycles 300 --warmup 100 --metrics",
+    "own1024-sweep": "sweep own1024 --rates 0.004,0.008 --cycles 300 --warmup 100",
+    "own256-adaptive": "experiments --only study_adaptive --quick",
+    "workloads-smoke": "scenarios run --only own256,clean,ideal --cycles 300 --warmup 100",
+}
+#: Flags ``golden`` passes to a recipe: how it runs, never what it simulates.
+GOLDEN_FORWARDED = ("jobs", "cache", "report", "live", "heartbeat_cycles",
+                    "status_json", "openmetrics", "stall_after")
 
+
+def cmd_golden(args: argparse.Namespace) -> int:
+    """``golden``: run each recipe through its own command into a fresh log,
+    gate it as ``diff --threshold 0`` does, or ``--write`` it if it fails."""
+    import shutil
+    import tempfile
+
+    names = args.names or list(GOLDEN_RECIPES)
+    if set(names) - set(GOLDEN_RECIPES):
+        args.usage_error(f"NAME must be one of {' '.join(GOLDEN_RECIPES)}")
+    if args.json and len(names) > 1:
+        args.usage_error("--json needs exactly one golden NAME")
+    worst = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in names:
+            run = build_parser().parse_args(GOLDEN_RECIPES[name].split())
+            for dest in GOLDEN_FORWARDED:
+                if hasattr(run, dest):  # --report: scenarios only
+                    setattr(run, dest, getattr(args, dest))
+            run.runlog = f"{tmp}/{name}.jsonl"
+            code = run.fn(run)
+            if code:
+                return code
+            if args.runlog:
+                with open(run.runlog) as fresh, open(args.runlog, "a") as fh:
+                    fh.write(fresh.read())
+            golden = f"results/golden/{name}.jsonl"  # from the repo root
+            code = cmd_diff(argparse.Namespace(
+                runlog_a=golden, runlog_b=run.runlog, threshold=0.0,
+                json=args.json, allow_unmatched=False,
+            ))
+            if args.write:
+                if code:
+                    shutil.copyfile(run.runlog, golden)
+                print(f"{'REWRITTEN' if code else 'unchanged'}  {golden}")
+            worst = max(worst, code)
+    return 0 if args.write else worst
+
+
+def cmd_scenarios(args: argparse.Namespace) -> int:
     from repro.workloads import (
         attribution_report,
         filter_cells,
@@ -514,34 +569,11 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
         log.info(f"{len(cells)} cells")
         return 0
 
-    live = args.live
-
-    def _progress(done: int, total: int, result) -> None:
-        if live:
-            return  # the --live table already shows per-run completion
-        tag = "cache" if result.cache_hit else f"{result.wall_s:.1f}s"
-        log.info(
-            f"  [{done}/{total}] {result.spec.tag} ({tag})",
-            extra={
-                "run": result.digest[:12],
-                "tag": result.spec.tag,
-                "phase": "finished",
-                "cache_hit": result.cache_hit,
-                "wall_s": round(result.wall_s, 4),
-            },
-        )
-
-    executor = Executor(
-        jobs=args.jobs, cache=args.cache, progress=_progress,
-        observe=observation_from_args(args),
-    )
+    executor = executor_from_args(args, runlog=False)
     outcomes = run_scenarios(cells, executor, runlog=args.runlog)
     print(render_scenarios(outcomes, title=f"Scenario matrix ({len(cells)} cells)"))
     if args.report:
-        from repro.runtime.records import json_safe
-
-        with open(args.report, "w") as fh:
-            json.dump(json_safe(attribution_report(outcomes)), fh, indent=1)
+        write_json(args.report, attribution_report(outcomes))
         log.info(f"wrote {args.report}")
     report_engine_stats(executor)
     return 0
@@ -626,7 +658,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser(
         "report", help="generate a markdown run report or an HTML diagnosis"
     )
-    p_rep.add_argument("-o", "--output", default="report.md")
+    p_rep.add_argument("-o", "--output", default=None,
+                       help="default: report.md, or diagnosis.html with --analyze")
     p_rep.add_argument("--only", default="", help="comma-separated experiment ids")
     p_rep.add_argument("--full", action="store_true",
                        help="full simulation windows (slow)")
@@ -653,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diff.add_argument("runlog_a", help="baseline run log (JSONL)")
     p_diff.add_argument("runlog_b", help="candidate run log (JSONL)")
     p_diff.add_argument(
-        "--threshold", type=float, default=0.05, metavar="FRAC",
+        "--threshold", type=non_negative_float, default=0.05, metavar="FRAC",
         help="relative delta beyond the noise band that counts as a "
              "regression (default: 0.05)",
     )
@@ -688,25 +721,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_scn.add_argument("--quick", action="store_true",
                        help="cap windows at 400/100 cycles")
     p_scn.add_argument(
-        "--jobs", type=positive_int, default=1, metavar="N",
-        help="worker processes for matrix cells (default: 1, serial)",
-    )
-    p_scn.add_argument(
-        "--cache", nargs="?", const=DEFAULT_CACHE_DIR, default=None,
-        metavar="DIR",
-        help=f"reuse cached results from DIR (default dir: {DEFAULT_CACHE_DIR})",
-    )
-    p_scn.add_argument(
-        "--runlog", default=None, metavar="PATH",
-        help="append one JSONL record per cell (scenario coordinates and "
-             "attribution verdict included) to PATH",
-    )
-    p_scn.add_argument(
         "--report", default=None, metavar="PATH",
         help="write the per-cell attribution report as JSON to PATH",
     )
-    add_obs_flags(p_scn)
+    add_observing_flags(p_scn)
     p_scn.set_defaults(fn=cmd_scenarios, usage_error=p_scn.error)
+
+    p_gold = sub.add_parser("golden", help="gate golden run logs at 0%% (CI)")
+    p_gold.add_argument("names", nargs="*", metavar="NAME",
+                        help=f"default: all of {' '.join(GOLDEN_RECIPES)}")
+    p_gold.add_argument("--write", action="store_true",
+                        help="rewrite each golden whose gate fails")
+    p_gold.add_argument("--json", metavar="PATH", help="dump the diff as JSON")
+    p_gold.add_argument("--report", metavar="PATH",
+                        help="a scenarios recipe's attribution report")
+    add_observing_flags(p_gold)
+    p_gold.set_defaults(fn=cmd_golden, usage_error=p_gold.error)
     return parser
 
 

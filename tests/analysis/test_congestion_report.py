@@ -1,5 +1,7 @@
 """Congestion heatmaps and the self-contained HTML diagnosis report."""
 
+import re
+
 import pytest
 
 from repro.analysis.attribution import NO_VERDICT, Attribution, StageBreakdown
@@ -107,10 +109,14 @@ class TestSvgRendering:
 
     def test_stacked_bars_have_all_stage_colors(self):
         svg = stacked_bars_svg([point(0.01), point(0.05)])
-        for stage in ("queueing",):  # zero-width stages are omitted
-            assert STAGE_COLORS[stage] not in svg.split("legend")[-1] or True
-        for stage in ("token_wait", "serialization", "flight", "other"):
-            assert STAGE_COLORS[stage] in svg
+        legend, bars = svg.split("</div>", 1)
+        assert len(STAGE_COLORS) == 6
+        for color in STAGE_COLORS.values():  # the legend keys every stage
+            assert f"background:{color}" in legend
+        # ... but a zero-width stage (queueing, retx here) draws no bar.
+        rect_fills = set(re.findall(r'<rect [^>]*fill="([^"]+)"', bars))
+        drawn = {s for s, c in STAGE_COLORS.items() if c in rect_fills}
+        assert drawn == {"token_wait", "serialization", "flight", "other"}
         assert "<title>" in svg  # hover tooltips, no JS
 
     def test_heatmap_caps_rows(self):

@@ -1,8 +1,24 @@
 """CLI (`python -m repro`) behaviour via the in-process entry point."""
 
+import json
+import shutil
+from pathlib import Path
+
 import pytest
 
-from repro.__main__ import build_parser, main
+from repro.__main__ import GOLDEN_RECIPES, build_parser, main
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "results" / "golden"
+
+
+def moved_golden(dest):
+    """Copy the own256 golden sweep to ``dest`` with its first point's mean
+    latency one cycle lower, so that a re-run reads as a regression."""
+    text = (GOLDEN / "own256-sweep.jsonl").read_text()
+    records = [json.loads(line) for line in text.splitlines()]
+    records[0]["summary"]["latency_mean"] -= 1.0
+    dest.write_text("".join(json.dumps(r) + "\n" for r in records))
 
 
 class TestParser:
@@ -121,6 +137,8 @@ class TestFlagValues:
         "scenarios run --heartbeat-cycles 0",
         "sweep own256 --stall-after -1",
         "sweep own256 --stall-after nan",
+        "diff a.jsonl b.jsonl --threshold nan",
+        "diff a.jsonl b.jsonl --threshold -0.1",
     ])
     def test_bad_value_is_a_usage_error(self, command, capsys):
         argv = command.split()
@@ -380,6 +398,73 @@ class TestDiffCommand:
         assert main(["diff", str(a), str(b), "--allow-unmatched"]) == 0
         capsys.readouterr()
 
+    def test_zero_threshold_gates_a_moved_latency(self, tmp_path, capsys):
+        moved = tmp_path / "moved.jsonl"
+        moved_golden(moved)
+        golden = str(GOLDEN / "own256-sweep.jsonl")
+        assert main(["diff", str(moved), golden, "--threshold", "0"]) == 1
+        assert "REGRESSION" in capsys.readouterr().out
+
+
+class TestGolden:
+    """`repro golden NAME` runs the golden's recipe through its own command
+    and gates the fresh log against results/golden/NAME.jsonl at 0 %."""
+
+    def test_recipes_name_every_golden(self):
+        assert set(GOLDEN_RECIPES) == {p.stem for p in GOLDEN.glob("*.jsonl")}
+
+    def test_committed_golden_passes(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(ROOT)
+        runlog = tmp_path / "fresh.jsonl"
+        assert main(["golden", "own256-sweep", "--runlog", str(runlog)]) == 0
+        assert "clean" in capsys.readouterr().out
+        assert len(runlog.read_text().splitlines()) == 2
+
+    def test_moved_golden_fails_and_write_rewrites_only_it(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        golden = tmp_path / "results" / "golden"
+        golden.mkdir(parents=True)
+        moved_golden(golden / "own256-sweep.jsonl")
+        shutil.copy(GOLDEN / "own1024-sweep.jsonl", golden)
+        kept = (golden / "own1024-sweep.jsonl").read_text()
+        monkeypatch.chdir(tmp_path)
+        assert main(["golden", "own256-sweep"]) == 1
+        capsys.readouterr()
+        assert main(["golden", "own256-sweep", "own1024-sweep", "--write"]) == 0
+        out = capsys.readouterr().out
+        assert "REWRITTEN  results/golden/own256-sweep.jsonl" in out
+        assert "unchanged  results/golden/own1024-sweep.jsonl" in out
+        assert (golden / "own1024-sweep.jsonl").read_text() == kept
+        assert main(["golden", "own256-sweep"]) == 0
+        capsys.readouterr()
+
+    def test_observing_flags_parse(self):
+        build_parser().parse_args(
+            "golden workloads-smoke --jobs 2 --cache d --runlog r.jsonl "
+            "--report a.json --live --log-json --heartbeat-cycles 50 "
+            "--status-json s.json --openmetrics m.prom --stall-after 5".split()
+        )
+
+    @pytest.mark.parametrize("flags", [
+        "--rates 0.01", "--cycles 100", "--warmup 50", "--metrics", "--trace",
+        "--quick", "--only own256", "--seed 3",
+    ])
+    def test_spec_changing_flag_is_a_usage_error(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["golden", "own256-sweep", *flags.split()])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["own512-sweep"], ["own256-sweep", "own1024-sweep", "--json", "d.json"],
+    ])
+    def test_unknown_name_or_json_over_two_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["golden", *argv])
+        assert exc.value.code == 2
+        assert "repro golden: error:" in capsys.readouterr().err
+
 
 class TestReportAnalyze:
     def test_analyze_writes_html_and_json(self, tmp_path, capsys):
@@ -414,6 +499,17 @@ class TestReportAnalyze:
         out = capsys.readouterr().out
         assert "no-data ->" not in out
         assert "saturation knee at rate 0.01\n" in out
+
+    def test_explicit_output_named_report_md(self, tmp_path, monkeypatch, capsys):
+        # report.md is the markdown report's default name: an explicit
+        # `-o report.md` must still receive the diagnosis.
+        monkeypatch.chdir(tmp_path)
+        assert main([
+            "report", "--analyze", "own256", "--rates", "0.01",
+            "--cycles", "100", "--warmup", "50", "-o", "report.md",
+        ]) == 0
+        assert (tmp_path / "report.md").read_text().startswith("<!DOCTYPE html>")
+        assert not (tmp_path / "diagnosis.html").exists()
 
 
 class TestCacheCounters:
