@@ -9,6 +9,8 @@ one run each side. It omits
 everything C does (``sorted``, ``set.add``, ``deque.popleft``) and every
 wait, so it explains a ``bench.py`` number, it does not replace one. The
 summary CRC printed last is ``bench.py``'s ``noc.stats.summary_crc32``.
+The count is given per simulated cycle, per stepped cycle (an entry into
+``Simulator.step``; the rest were fast-forwarded) and per flit hop.
 After the top functions, the count is folded by source package under
 ``src/repro`` (``noc.invariants`` on its own; ``py`` is code outside the
 package), so what the hooks around the router pipeline cost is an exact row.
@@ -62,11 +64,13 @@ def main() -> None:
     args = ap.parse_args()
 
     ops: Counter = Counter()
+    entries: Counter = Counter()
 
     def count(frame, event, arg):
         if event == "call":
             frame.f_trace_opcodes = True
             frame.f_trace_lines = False
+            entries[frame.f_code] += 1
         elif event == "opcode":
             ops[frame.f_code] += 1
         return count
@@ -89,7 +93,9 @@ def main() -> None:
     total = sum(ops.values())
     hops = sum(r.xbar_traversals for r in sim.network.routers)
     print(f"{args.workload} seed {args.seed}: {total} bytecodes in Simulator.run")
+    steps = entries[Simulator.step.__code__]
     print(f"  per cycle    {total / sim.now:12.1f}  ({sim.now} cycles)")
+    print(f"  per step     {total / max(1, steps):12.1f}  ({steps} stepped cycles)")
     print(f"  per flit hop {total / max(1, hops):12.1f}  ({hops} hops)")
     for code, n in ops.most_common(args.top):
         where = Path(code.co_filename).name

@@ -27,10 +27,11 @@ Commands
     Compare two JSONL run logs point by point (latency / throughput /
     power deltas with noise bands from repeated runs); exits non-zero
     when a gated metric regresses beyond the noise band plus
-    ``--threshold``.
+    ``--threshold``; at ``--threshold 0`` a move either way breaches.
 ``golden``
     The CI regression gate: run a golden's recipe (``GOLDEN_RECIPES``) and
-    diff it against ``results/golden/NAME.jsonl`` at 0 %, or ``--write`` it.
+    diff it against ``results/golden/NAME.jsonl`` at 0 % (a gated metric
+    that moves at all fails), or ``--write`` it.
 ``scenarios``
     The application-workload scenario matrix ({workload} x {topology} x
     {fault campaign} x {wireless scenario}; see ``docs/workloads.md``):
@@ -688,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diff.add_argument(
         "--threshold", type=non_negative_float, default=0.05, metavar="FRAC",
         help="relative delta beyond the noise band that counts as a "
-             "regression (default: 0.05)",
+             "regression (default: 0.05); at 0, a move either way does",
     )
     p_diff.add_argument("--json", default=None, metavar="PATH",
                         help="also dump the structured diff as JSON")

@@ -13,8 +13,9 @@ point for CI gating and before/after studies:
   repeated-run entries in the same log) define a per-metric spread
   (max - min). A delta within the wider of the two logs' spreads is
   reported but never significant.
-- **Gating** -- a delta is a *breach* when it exceeds the noise band
-  AND the relative threshold (default 5%) on a gated metric.
+- **Gating** -- a delta is a *breach* when it moves the bad way beyond
+  the noise band AND the relative threshold (default 5%) on a gated
+  metric. At threshold 0 (the golden gate) a move either way breaches.
   :func:`LogDiff.breaches` drives ``repro diff``'s exit status: two logs
   of identical-seed runs diff clean and exit 0; a real regression exits
   non-zero for CI.
@@ -141,7 +142,10 @@ class MetricDiff:
         """Does this delta breach the gate?
 
         A regression must move in the bad direction, exceed the noise
-        band, and exceed ``rel_threshold`` relative to the baseline.
+        band, and exceed ``rel_threshold`` relative to the baseline. At a
+        threshold of 0 the gate pins the baseline: a move beyond the noise
+        band in *either* direction breaches, since a baseline the code now
+        beats is stale and would let a later change lose the gain unseen.
         """
         if not self.gated:
             return False
@@ -152,7 +156,10 @@ class MetricDiff:
             return True
         if self.exact:
             return self.a_mean != self.b_mean or self.noise != 0
-        bad = -self.delta if self.higher_is_better else self.delta
+        if rel_threshold == 0:
+            bad = abs(self.delta)
+        else:
+            bad = -self.delta if self.higher_is_better else self.delta
         if bad <= self.noise:
             return False
         return abs(self.rel_delta) > rel_threshold
@@ -343,11 +350,10 @@ def format_diff(diff: LogDiff) -> str:
                     f" (n_a={md.n_a}, n_b={md.n_b})  << REGRESSION"
                 )
                 continue
-            flag = (
-                "  << REGRESSION"
-                if md.is_regression(diff.rel_threshold)
-                else ""
-            )
+            flag = ""
+            if md.is_regression(diff.rel_threshold):
+                gain = not md.exact and (md.delta > 0) == md.higher_is_better
+                flag = "  << IMPROVED (stale baseline)" if gain else "  << REGRESSION"
             noise = f" (noise band {md.noise:.4g})" if md.noise else ""
             exact = " [exact]" if md.exact else ""
             lines.append(
@@ -364,6 +370,6 @@ def format_diff(diff: LogDiff) -> str:
         "clean: no gated metric moved beyond noise + "
         f"{diff.rel_threshold:.0%} threshold"
         if diff.clean
-        else f"{n} regression(s) beyond noise + {diff.rel_threshold:.0%} threshold"
+        else f"{n} breach(es) beyond noise + {diff.rel_threshold:.0%} threshold"
     )
     return "\n".join(lines)

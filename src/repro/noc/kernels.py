@@ -61,7 +61,9 @@ ascending slot order, a router's transmits are issued -- grouped by output
 port, the order flits are filed for delivery in -- before the next router
 is examined, and the round-robin winner is
 ``argmin (i - ptr) % n`` with the pointer advancing to ``winner + 1``, over
-the same pointers ``stage_sa`` uses.
+the same pointers ``stage_sa`` uses. A lone candidate, the common case at
+low load, is not sorted, and a router's lone input-port winner transmits
+without grouping by output port.
 :meth:`KernelState.vca_sweep` grants exactly what polling every waiting head
 every cycle in ascending slot order would (the reference arm under
 ``tests/`` does just that): the requests it leaves out are those whose
@@ -246,32 +248,35 @@ class KernelState:
         slot_pb = self.slot_pb
         slot_rtop = self.slot_rtop
         sa = self.sa_slots
-        slots = sorted(sa)
+        slots = sorted(sa) if len(sa) > 1 else [*sa]
         end = len(slot_vc)
         slots.append(end)  # sentinel: leaves the last port and router
-        moved = 0
-        ptop = rtop = 0
-        win_vc = None
+        moved = ptop = rtop = 0
+        # The router's first input-port winner, and any later ones: most
+        # routers have one, which then needs no list and no grouping.
+        win_vc = first = None
         winners: list = []
         for s in slots:
             if s >= ptop:
                 # --- leaving an input port: settle its winner ------------
                 if win_vc is not None:
                     in_ptr[pb] = (win_vc.index + 1) % V
-                    winners.append(win_vc)
+                    if first is None:
+                        first = win_vc
+                    else:
+                        winners.append(win_vc)
                     win_vc = None
                 if s >= rtop:
                     # --- leaving a router: output-port arbitration among
                     # its input-port winners, then the traversals ---------
-                    if winners:
-                        if len(winners) == 1:
-                            vc = winners[0]
-                            li = out_links[vc.out_port].index
-                            out_ptr[li] = (vc.in_port + 1) % out_n[li]
-                            r._transmit(now, vc, sim)
+                    if first is not None:
+                        if not winners:
+                            li = out_links[first.out_port].index
+                            out_ptr[li] = (first.in_port + 1) % out_n[li]
+                            r._transmit(now, first, sim)
                             moved += 1
                         else:
-                            by_out = {}
+                            by_out = {first.out_port: [first]}
                             for vc in winners:
                                 by_out.setdefault(vc.out_port, []).append(vc)
                             for out_port, contenders in by_out.items():
@@ -288,7 +293,8 @@ class KernelState:
                                 out_ptr[li] = (vc.in_port + 1) % nn
                                 r._transmit(now, vc, sim)
                                 moved += 1
-                        winners = []
+                            winners = []
+                        first = None
                     if s == end:
                         break
                     rtop = slot_rtop[s]
@@ -397,8 +403,9 @@ class KernelState:
         phase.
         """
         slot_vc = self.slot_vc
-        slots = sorted(self.rc_slots)
-        self.rc_slots.clear()
+        rc = self.rc_slots
+        slots = sorted(rc) if len(rc) > 1 else [*rc]
+        rc.clear()
         for s in slots:
             vc = slot_vc[s]
             queue = vc.queue

@@ -47,14 +47,17 @@ into buckets by cycle with a heap over their keys.
 :meth:`Simulator.run` fast-forwards the clock to the earliest wake source:
 the next scheduled delivery/credit/ACK, the next fault-campaign action, the
 next hook wake point (a control epoch, a tracer sampling cycle), or the next
-traffic injection. A traffic
+traffic injection. The traffic source is ticked on that arrival clock while
+stepping too: after each tick the simulator peeks its next injection,
+capped at the end of the current ``run`` / ``drain``, and steps the cycles
+before it without a tick. A traffic
 process answers that peek without letting it change what it will inject: the
 Bernoulli arrival clock of ``SyntheticTraffic`` reads its earliest pending
 arrival, a trace replayer its next record, and the per-cycle sources
 (bursty / application) pre-draw their RNG stream in the order stepping
-every cycle would. A skipped cycle is a no-op by construction;
-``tests/reference.py``'s ``naive_schedule()`` steps every cycle to check
-that.
+every cycle would. A skipped cycle or tick is a no-op by construction;
+``tests/reference.py``'s ``naive_schedule()`` steps and ticks every cycle to
+check that.
 
 A deadlock watchdog aborts the run if buffered flits stop moving for a
 configurable number of cycles -- misrouted VC partitioning shows up as a
@@ -149,7 +152,8 @@ class Simulator:
         self._flit_ring: List[List[Tuple]] = [[] for _ in range(size)]
         self._credit_ring: List[List[Tuple]] = [[] for _ in range(size)]
         #: The credit-ring slot for ``now + credit_latency``, resolved by
-        #: :meth:`step` once per cycle; ``Router._transmit`` appends to it.
+        #: :meth:`step` before the SA phase, the only one that transmits;
+        #: ``Router._transmit`` appends to it.
         self._credits_due: List[Tuple] = self._credit_ring[credit_latency]
         #: :meth:`_schedule`'s buckets by cycle, plus a min-heap over their
         #: keys whose stale entries (cycles whose bucket was already
@@ -189,6 +193,9 @@ class Simulator:
         for hook in hooks:
             self.add_hook(hook)
         self._paused_traffic: Optional[object] = None
+        #: The current :meth:`_advance`'s end (0 outside one), and the cycle
+        #: :meth:`step` next ticks the traffic source at (:meth:`_next_arrival`).
+        self._end = self._traffic_due = 0
         self._faults = faults
         if not network._finalized:
             network.finalize()
@@ -345,14 +352,18 @@ class Simulator:
             # Link-layer ACK/NACK arrivals.
             for ev in self._events.pop(now, ()):
                 self._faults.handle_event(ev, now)
-        self._credits_due = self._credit_ring[(now + self.credit_latency) & mask]
 
         # Phase 2: shared-medium (token) arbitration (event-driven request
         # sets; O(active media) per cycle, not O(all media)).
         tracer = self._tracer
         active_media = self._active_media
         if active_media:
-            for medium in sorted(active_media, key=_medium_key):
+            # (A lone member needs no sort: ``sorted`` with a key costs
+            # more than the visit.)
+            for medium in (
+                sorted(active_media, key=_medium_key)
+                if len(active_media) > 1 else [*active_media]
+            ):
                 if not medium.requesters:
                     active_media.discard(medium)
                     continue
@@ -376,6 +387,7 @@ class Simulator:
         # sorted slots (bit-identical to the sweep).
         kern = self.kernels
         if kern.sa_slots:
+            self._credits_due = self._credit_ring[(now + self.credit_latency) & mask]
             if self._sa_kernel:
                 moved += kern.sa_sweep(now, self)
             else:
@@ -393,8 +405,10 @@ class Simulator:
         if kern.rc_slots:
             kern.rc_sweep()
 
-        # Phase 6: traffic generation + NI injection.
-        if self.traffic is not None:
+        # Phase 6: traffic generation + NI injection. The source is ticked
+        # on its arrival clock: a cycle before ``_traffic_due`` has no
+        # arrival, and a tick there would return nothing.
+        if now >= self._traffic_due and self.traffic is not None:
             stats = self.stats
             for packet in self.traffic.tick(now):
                 # A packet's id is its acceptance index: whichever traffic
@@ -404,9 +418,13 @@ class Simulator:
                 if tracer is not None:
                     tracer.on_packet_created(packet, now)
                 self.network.inject_packet(packet)
+            self._traffic_due = self._next_arrival(now + 1)
         active_nis = self._active_nis
         if active_nis:
-            for ni in sorted(active_nis, key=_ni_key):
+            for ni in (
+                sorted(active_nis, key=_ni_key)
+                if len(active_nis) > 1 else [*active_nis]
+            ):
                 if ni.queue:
                     if ni.pump(now):
                         moved += 1
@@ -509,32 +527,31 @@ class Simulator:
         return ""
 
     def _quiescent(self) -> bool:
-        """No component holds work: nothing can happen until a wake source.
+        """No component holds work and no delivery or credit is due this
+        cycle: nothing can happen until a later wake source.
 
-        Scheduled events and future fault-campaign actions / traffic
-        injections do *not* count -- they are precisely the wake sources the
-        fast-forward jumps to.
+        Events scheduled for later cycles and future fault-campaign actions
+        / traffic injections do *not* count -- they are precisely the wake
+        sources the fast-forward jumps to. (One due now would make the jump
+        zero cycles long.)
         """
+        slot = self.now & self._ring_mask
         return (
             not self._active_routers
             and not self._active_nis
             and not self._active_media
+            and not self._flit_ring[slot]
+            and not self._credit_ring[slot]
             and (self._faults is None or not self._faults.pending_work())
         )
 
     def _next_wake(self, limit: int) -> int:
         """Earliest cycle in ``[now, limit]`` at which anything can happen.
 
-        Consulted only while quiescent. Wake sources, in order: scheduled
-        events (deliveries / credits / ACKs), fault-campaign actions, hook
-        wake points (control epochs, the tracer's occupancy-sampling grid),
-        and the traffic process's next injection. The traffic peek is asked
-        last so its lookahead horizon is already capped by every other
-        source. That cap matters only to the per-cycle sources (bursty /
-        application), whose peek pre-draws their RNG stream and must not
-        reach cycles that stepping every cycle would not have reached by the
-        same point; the arrival clock of ``SyntheticTraffic`` and a trace
-        replayer answer from state a longer horizon would not change.
+        Consulted only while quiescent. Wake sources: scheduled events
+        (deliveries / credits / ACKs), fault-campaign actions, hook wake
+        points (control epochs, the tracer's occupancy-sampling grid), and
+        the traffic source's next arrival, ``_traffic_due``.
         """
         now = self.now
         target = limit
@@ -552,34 +569,55 @@ class Simulator:
             cycle = hook.next_wake(now)
             if cycle is not None and cycle < target:
                 target = cycle
-        if target <= now:
-            return now
-        if self.traffic is not None:
-            peek = getattr(self.traffic, "next_injection_cycle", None)
-            if peek is None:
-                return now  # opaque traffic process: never skip its ticks
-            cycle = peek(now, target)
-            if cycle is not None and cycle < target:
-                target = cycle
+        if self.traffic is not None and self._traffic_due < target:
+            target = self._traffic_due
         return target
+
+    def _next_arrival(self, start: int) -> int:
+        """The first cycle >= ``start`` at which :meth:`step` must tick the
+        traffic source: its next injection before the current advance's
+        end, else that end. The peek stops there because a per-cycle source
+        (bursty / application) pre-draws its stream up to the cycle it
+        returns, and later cycles may be paused (``drain()``). A source with
+        no peek, or a bare :meth:`step` outside an advance, ticks every cycle.
+        """
+        end = self._end
+        peek = getattr(self.traffic, "next_injection_cycle", None)
+        if peek is None or start >= end:
+            return start
+        cycle = peek(start, end)
+        return end if cycle is None else cycle
 
     def _advance(self, end: int, until_drained: bool) -> int:
         """Move the clock to ``end`` (earlier once drained, if asked);
         return the flits moved.
 
         The one place cycles are skipped: a quiescent network jumps to its
-        next wake source, which is capped at ``end``.
+        next wake source, which is capped at ``end``, and steps the cycle it
+        lands on (asked again there, ``_next_wake`` would return that cycle;
+        a drain re-checks for pending work first). ``_quiescent()`` decides;
+        it is asked only once the three active sets, the cheap half of its
+        answer, are empty.
         """
         moved = 0
-        while self.now < end:
-            if until_drained and not self._pending_work():
-                break
-            if self._quiescent():
-                target = self._next_wake(end)
-                if target > self.now:
-                    self.now = target
-                    continue
-            moved += self.step()
+        routers = self._active_routers
+        nis = self._active_nis
+        media = self._active_media
+        self._end = end
+        try:
+            self._traffic_due = self._next_arrival(self.now)
+            while self.now < end:
+                if until_drained and not self._pending_work():
+                    break
+                if not (routers or nis or media) and self._quiescent():
+                    target = self._next_wake(end)
+                    if target > self.now:
+                        self.now = target
+                        if until_drained or target == end:
+                            continue
+                moved += self.step()
+        finally:
+            self._end = 0
         return moved
 
     def run(self, cycles: int) -> None:

@@ -96,6 +96,15 @@ class TestGating:
         b = write_log(tmp_path, "b.jsonl", [record(latency=20.0)])
         assert diff_runlogs(a, b).clean
 
+    def test_zero_threshold_breaches_either_direction(self, tmp_path):
+        a = write_log(tmp_path, "a.jsonl", [record(latency=30.0, throughput=0.030)])
+        for moved in (record(latency=29.0, throughput=0.030),
+                      record(latency=30.0, throughput=0.031)):
+            b = write_log(tmp_path, "b.jsonl", [moved])
+            assert not diff_runlogs(a, b, rel_threshold=0.0).clean
+            assert diff_runlogs(a, b, rel_threshold=0.05).clean
+        assert diff_runlogs(a, a, rel_threshold=0.0).clean
+
     def test_throughput_drop_breaches(self, tmp_path):
         a = write_log(tmp_path, "a.jsonl", [record(throughput=0.030)])
         b = write_log(tmp_path, "b.jsonl", [record(throughput=0.020)])

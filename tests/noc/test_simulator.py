@@ -183,6 +183,40 @@ class TestHooks:
             sim.add_hook(NotSchedulable())
         assert sim._hooks == []
 
+    @pytest.mark.parametrize("schedule", [nullcontext, naive_schedule])
+    def test_one_step_per_stepped_cycle(self, schedule, monkeypatch):
+        # A stepped cycle is one Simulator.step call, which runs the hooks
+        # once: the reference patches step, and the benchmark counts its
+        # calls as the stepped cycles.
+        steps, hooked = [], []
+        step = Simulator.step
+
+        def counted(sim):
+            steps.append(sim.now)
+            return step(sim)
+
+        class Observer:
+            def __call__(self, sim):
+                hooked.append(sim.now)
+
+            def next_wake(self, now):
+                return None
+
+        monkeypatch.setattr(Simulator, "step", counted)
+        sim = Simulator(
+            build_own256().network,
+            traffic=SyntheticTraffic(256, "UN", 0.0002, 4, seed=3),
+            hooks=[Observer()],
+        )
+        with schedule():
+            sim.run(4000)
+        assert hooked == steps
+        assert sim.stats.packets_ejected > 0
+        if schedule is naive_schedule:
+            assert len(steps) == sim.now == 4000
+        else:
+            assert 0 < len(steps) < sim.now // 2
+
 
 class TestStatsWindows:
     def test_warmup_excludes_early_packets(self):

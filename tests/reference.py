@@ -91,20 +91,26 @@ class PerCycleBernoulliTraffic:
 
 @contextmanager
 def step_every_cycle():
-    """Never fast-forward: the simulator is never quiescent.
+    """Never fast-forward: the simulator is never quiescent, and every
+    stepped cycle ticks the traffic source.
 
     Production jumps the clock over a quiescent stretch to the next wake
-    source. This patch makes every cycle look busy, so ``run`` and
-    ``drain`` step each one. A skipped cycle is a no-op, so a run under
-    this patch must be bit-identical to a production run -- unless
-    production jumped over a wake source.
+    source, and a stepped cycle ticks the source only when its arrival
+    clock is due. This patch makes every cycle look busy and every cycle
+    due, so ``run`` and ``drain`` step each one and tick it. A skipped
+    cycle or tick is a no-op, so a run under this patch must be
+    bit-identical to a production run -- unless production jumped over a
+    wake source or an arrival.
     """
     quiescent = Simulator._quiescent
+    next_arrival = Simulator._next_arrival
     Simulator._quiescent = lambda sim: False
+    Simulator._next_arrival = lambda sim, start: start
     try:
         yield
     finally:
         Simulator._quiescent = quiescent
+        Simulator._next_arrival = next_arrival
 
 
 @contextmanager

@@ -12,12 +12,13 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "results" / "golden"
 
 
-def moved_golden(dest):
+def moved_golden(dest, by=-1.0):
     """Copy the own256 golden sweep to ``dest`` with its first point's mean
-    latency one cycle lower, so that a re-run reads as a regression."""
+    latency moved ``by`` cycles: lower reads as a regression on a re-run,
+    higher as a gain that leaves the golden stale."""
     text = (GOLDEN / "own256-sweep.jsonl").read_text()
     records = [json.loads(line) for line in text.splitlines()]
-    records[0]["summary"]["latency_mean"] -= 1.0
+    records[0]["summary"]["latency_mean"] += by
     dest.write_text("".join(json.dumps(r) + "\n" for r in records))
 
 
@@ -438,6 +439,15 @@ class TestGolden:
         assert (golden / "own1024-sweep.jsonl").read_text() == kept
         assert main(["golden", "own256-sweep"]) == 0
         capsys.readouterr()
+
+    def test_golden_the_code_beats_fails(self, tmp_path, monkeypatch, capsys):
+        # The 0 % gate is two-sided: a golden a fresh run beats is stale.
+        golden = tmp_path / "results" / "golden"
+        golden.mkdir(parents=True)
+        moved_golden(golden / "own256-sweep.jsonl", by=+1.0)
+        monkeypatch.chdir(tmp_path)
+        assert main(["golden", "own256-sweep"]) == 1
+        assert "IMPROVED (stale baseline)" in capsys.readouterr().out
 
     def test_observing_flags_parse(self):
         build_parser().parse_args(

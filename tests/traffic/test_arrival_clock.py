@@ -11,6 +11,11 @@ That changed every seed's sample path once, so it is checked two ways:
   on which cycles were ticked and which only peeked, and unseen cycles (a
   pause) push the pending arrivals back by their number.
 
+The simulator ticks a source only on cycles its peek names, so the
+simulator-level checks at the end run every source that has one: the
+arrival clock under a random and a permutation pattern, the draw-ahead
+``BurstyTraffic`` and a ``ScriptedTraffic`` replay.
+
 The statistical tests run on fixed seeds, so they are deterministic; they
 accept at p > 1e-3 and each has a negative control showing that a 10 %
 error in the rate is rejected at the same sample size.
@@ -26,7 +31,7 @@ from scipy import stats
 from repro.noc import Simulator
 from repro.runtime.registry import build_topology
 from repro.topologies import build_cmesh
-from repro.traffic import SyntheticTraffic
+from repro.traffic import BurstyTraffic, ScriptedTraffic, SyntheticTraffic
 from repro.utils.rng import derive_seed
 from tests.reference import PerCycleBernoulliTraffic, naive_schedule
 
@@ -198,41 +203,65 @@ def _delivery_log(sim):
     return events
 
 
+def _scripted(n_cores, rate, seed):
+    """A replayed schedule at about ``rate`` over the first 1 500 cycles."""
+    rng = random.Random(seed)
+    p = n_cores * rate / 4  # packets per cycle, below 1
+    return ScriptedTraffic(
+        (cycle, *rng.sample(range(n_cores), 2), 4)
+        for cycle in range(1500)
+        if rng.random() < p
+    )
+
+
+#: Every source kind with a ``next_injection_cycle`` peek.
+PEEKING_SOURCES = {
+    "UN": lambda n, rate: SyntheticTraffic(n, "UN", rate, 4, seed=6),
+    "BR": lambda n, rate: SyntheticTraffic(n, "BR", rate, 4, seed=6),
+    "bursty": lambda n, rate: BurstyTraffic(n, "UN", rate, 4, seed=6),
+    "scripted": lambda n, rate: _scripted(n, rate, seed=6),
+}
+
+
 class TestSimulatorSeesOneSamplePath:
     RATE = 0.004  # ~15 idle cycles per arrival on 64 cores: peeks matter
 
-    def _sim(self):
-        sim = Simulator(
-            build_cmesh(64).network,
-            traffic=SyntheticTraffic(64, "UN", self.RATE, 4, seed=6),
-        )
+    @pytest.fixture(params=sorted(PEEKING_SOURCES))
+    def make_source(self, request):
+        return lambda: PEEKING_SOURCES[request.param](64, self.RATE)
+
+    def _sim(self, source):
+        sim = Simulator(build_cmesh(64).network, traffic=source)
         return sim, _delivery_log(sim)
 
-    def test_run_a_run_b_equals_run_a_plus_b(self):
-        whole, whole_log = self._sim()
+    def test_run_a_run_b_equals_run_a_plus_b(self, make_source):
+        whole, whole_log = self._sim(make_source())
         whole.run(1500)
-        parts, parts_log = self._sim()
+        parts, parts_log = self._sim(make_source())
         for cycles in (1, 399, 7, 593, 500):
             parts.run(cycles)
         assert parts_log == whole_log and len(whole_log) > 50
         assert parts.now == whole.now == 1500
         assert parts.stats.packets_created == whole.stats.packets_created
+        assert parts.summary() == whole.summary()
 
-    def test_dense_equals_fast_forward_across_a_pause(self):
+    def test_dense_equals_fast_forward_across_a_pause(self, make_source):
         logs = []
         for schedule in (nullcontext, naive_schedule):
-            sim, log = self._sim()
+            sim, log = self._sim(make_source())
             with schedule():
                 sim.run(700)
                 created = sim.stats.packets_created
                 assert sim.drain()
                 paused_for = sim.now - 700
-                # Every core has an arrival pending over the pause.
-                assert sim._paused_traffic._heap[0] >= 700
+                if isinstance(sim._paused_traffic, SyntheticTraffic):
+                    # Every core has an arrival pending over the pause.
+                    assert sim._paused_traffic._heap[0] >= 700
                 sim.resume_traffic()
                 sim.run(800)
                 assert sim.stats.packets_created > created
                 assert sim.drain()
-            logs.append((log, sim.now, paused_for, sim.stats.summary(sim.now)))
+            logs.append((log, sim.now, paused_for, sim.stats.packets_created,
+                         sim.stats.summary(sim.now)))
         assert logs[0] == logs[1]
         assert logs[0][2] > 0 and len(logs[0][0]) > 50

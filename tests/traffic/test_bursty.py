@@ -134,12 +134,15 @@ class TestApplicationTraffic:
                 build_cmesh(64).network,
                 traffic=Recording(64, 0.002, 4, seed=6, stop_cycle=2000),
             )
-            eject, step, stepped = sim.stats.on_packet_ejected, sim.step, []
+            eject, stepped = sim.stats.on_packet_ejected, []
             sim.stats.on_packet_ejected = lambda packet, now: (
                 log.append(("done", now, packet.pid)), eject(packet, now)
             )
-            sim.step = lambda: (stepped.append(sim.now), step())[1]
             with schedule():
+                # Bound inside the schedule: the instance attribute shadows
+                # Simulator.step, so it must wrap the schedule's own step.
+                step = sim.step
+                sim.step = lambda: (stepped.append(sim.now), step())[1]
                 sim.run(2000)
                 assert sim.drain()
             return log, len(stepped), sim.now
