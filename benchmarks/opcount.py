@@ -20,7 +20,9 @@ attributes to code under ``src/repro`` and that is still allocated when
 ``execute_inline`` returns (network, simulator and result held), i.e. what
 a run keeps resident, then its three largest allocation sites (file:line
 under ``src/repro``, KiB, live blocks), so a footprint change names what it
-added or removed. A filename filter on ``src/repro`` keeps this tool's own
+added or removed, and a census of the network's objects (live instances of
+each model class and their shallow KiB, ``sys.getsizeof``), so it names
+which objects shrank. A filename filter on ``src/repro`` keeps this tool's own
 bytecode counter out. It does not depend on the host, but it repeats only
 to about 1 KiB: the hash tables of the simulator's active sets are keyed by
 object address, so their sizes move with the memory layout (which also
@@ -28,6 +30,7 @@ moves the bytecode count by a few in several million).
 """
 
 import argparse
+import gc
 import json
 import sys
 import tracemalloc
@@ -53,6 +56,10 @@ def layer_of(filename: str) -> str:
 def main() -> None:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "perf")]
     from bench import WORKLOADS  # the specs only
+    from repro.noc import (
+        Endpoint, InputPort, Link, NetworkInterface, Packet, Router, SharedMedium,
+        VirtualChannel,
+    )  # fmt: skip
     from repro.noc.simulator import Simulator
     from repro.runtime.executor import execute_inline
 
@@ -112,6 +119,18 @@ def main() -> None:
         frame = stat.traceback[0]
         site = f"{Path(frame.filename).resolve().relative_to(PKG)}:{frame.lineno}"
         print(f"    {stat.size / 1024:9.0f} KiB  {stat.count:8d} blocks  {site}")
+    census = {cls: [0, 0] for cls in (
+        Router, InputPort, VirtualChannel, Endpoint, Link, SharedMedium,
+        NetworkInterface, Packet,
+    )}  # fmt: skip
+    for obj in gc.get_objects():
+        row = census.get(type(obj))
+        if row is not None:
+            row[0] += 1
+            row[1] += sys.getsizeof(obj)
+    print("  objects (live instances, shallow KiB):")
+    for cls, (n, size) in census.items():
+        print(f"    {n:8d}  {size / 1024:9.0f} KiB  {cls.__name__}")
     canon = json.dumps(
         {"summary": result.summary, "power": result.power},
         sort_keys=True, separators=(",", ":"),

@@ -88,13 +88,10 @@ class RelayRouting(OwnRoutingBase):
         self.pair_of_channel: Dict[int, Pair] = {
             a.channel_index: pair for pair, a in self.channel_map.items()
         }
-        # With pair_of_channel, the inverse maps that let allowed_vcs()
-        # classify a hop from the *chosen out-port* alone: (rid, photonic
-        # port) -> neighbour rid, and gateway rid -> the one channel it
-        # transmits.
-        self._photonic_dst: Dict[Tuple[int, int], int] = {
-            (rid, port): dst for (rid, dst), port in self.photonic_port.items()
-        }
+        # With pair_of_channel, the inverse map that lets allowed_vcs()
+        # classify a hop from the *chosen out-port* alone (whose photonic
+        # link names the neighbour it reaches): gateway rid -> the one
+        # channel it transmits.
         self._gateway_channel: Dict[int, int] = {
             rid: channel for rid, channel in self.wireless_port
         }
@@ -222,7 +219,7 @@ class RelayRouting(OwnRoutingBase):
         windows, where it is the safe one.
         """
         link = router.out_links[out_port]
-        dest = self._gct(self._dst_rid(packet))
+        dest = self.gct[self.core_router[packet.dst_core]]
         if link.kind == "wireless":
             pair = self.pair_of_channel.get(link.channel_id)
             # A channel that lands outside the destination domain is the
@@ -233,12 +230,12 @@ class RelayRouting(OwnRoutingBase):
             return FINAL_LEG.vcs
         if link.kind == "photonic":
             rid = router.rid
-            if self._gct(rid)[:2] == dest[:2]:
+            if self.gct[rid][:2] == dest[:2]:
                 return DESCENT.vcs  # already in the destination cluster
-            if rid in self._restart_rids and self.net.core_router[packet.src_core] != rid:
+            if rid in self._restart_rids and self.core_router[packet.src_core] != rid:
                 return FIRST_ASCENT.vcs
             # An ascent is classified by the gateway it climbs to.
-            channel = self._gateway_channel.get(self._photonic_dst[(rid, out_port)])
+            channel = self._gateway_channel.get(link.resolve_endpoint(packet).router.rid)
             if channel is not None and self.pair_of_channel[channel][1] != dest[self._axis]:
                 return FIRST_ASCENT.vcs
             return FINAL_ASCENT.vcs  # single / middle / spare-gateway ascent
@@ -329,8 +326,8 @@ class FaultTolerantOwn256Routing(RelayRouting, Own256Routing):
             return False
         if router.out_links[out_port].kind != "photonic":
             return False
-        _, c_cur, _ = self._gct(router.rid)
-        _, c_dst, _ = self._gct(self._dst_rid(packet))
+        _, c_cur, _ = self.gct[router.rid]
+        _, c_dst, _ = self.gct[self.core_router[packet.dst_core]]
         return c_cur != c_dst  # ascending hop
 
 

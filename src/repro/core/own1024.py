@@ -16,7 +16,7 @@ the data has to be analyzed before discarding it").
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.channels import own1024_channel_map, own1024_channels
 from repro.core.coords import OWN1024_DIMS
@@ -84,12 +84,13 @@ def _build_own1024(
     for rid in range(dims.n_routers):
         attach_concentrated_cores(net, rid, rid * CONCENTRATION)
 
-    # Intra-cluster photonic crossbars (16 clusters x 16 waveguides).
-    photonic_port: Dict[Tuple[int, int], int] = {}
+    # Intra-cluster photonic crossbars (16 clusters x 16 waveguides),
+    # indexed as at OWN-256: photonic_port[writer][reader_tile].
+    photonic_port: List[List[Optional[int]]] = [[None] * dims.tiles for _ in net.routers]
     for g in range(dims.groups):
         for cluster in range(dims.clusters):
             tiles = [dims.gct_to_router(g, cluster, t) for t in range(dims.tiles)]
-            for reader in tiles:
+            for t_reader, reader in enumerate(tiles):
                 medium = SharedMedium(
                     f"g{g}c{cluster}.wg{reader}",
                     kind="photonic",
@@ -105,7 +106,7 @@ def _build_own1024(
                     length_mm=SNAKE_LENGTH_MM,
                 )
                 for w, port in ports.items():
-                    photonic_port[(w, reader)] = port
+                    photonic_port[w][t_reader] = port
 
     # Wireless channels: 12 inter-group SWMR + 4 intra-group.
     wireless_port: Dict[Tuple[int, int], int] = {}
@@ -114,9 +115,10 @@ def _build_own1024(
     def antenna_rid(group: int, cluster: int, letter: str) -> int:
         return dims.gct_to_router(group, cluster, antenna(cluster, letter).tile)
 
+    core_cluster = [dims.core_to_quad(core)[1] for core in range(dims.n_cores)]
+
     def cluster_resolver(packet):
-        _, c_dst, _, _ = dims.core_to_quad(packet.dst_core)
-        return c_dst
+        return core_cluster[packet.dst_core]
 
     for ch in channels:
         letter = ch.tx

@@ -14,7 +14,7 @@ the DSENT-style router power model via ``attrs["paper_radix"]``.
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.channels import own256_channel_map, own256_channels
 from repro.core.coords import OWN256_DIMS, OwnDims
@@ -107,10 +107,11 @@ def _build_own256(
         attach_concentrated_cores(net, rid, rid * CONCENTRATION)
 
     # Photonic MWSR crossbar per cluster: one home waveguide per tile.
-    photonic_port: Dict[Tuple[int, int], int] = {}
+    # photonic_port[writer][reader_tile] is the writer's port onto it.
+    photonic_port: List[List[Optional[int]]] = [[None] * dims.tiles for _ in net.routers]
     for cluster in range(dims.clusters):
         tiles = [dims.gct_to_router(0, cluster, t) for t in range(dims.tiles)]
-        for reader in tiles:
+        for t_reader, reader in enumerate(tiles):
             medium = SharedMedium(
                 f"c{cluster}.wg{reader}",
                 kind="photonic",
@@ -126,7 +127,7 @@ def _build_own256(
                 length_mm=SNAKE_LENGTH_MM,
             )
             for w, port in ports.items():
-                photonic_port[(w, reader)] = port
+                photonic_port[w][t_reader] = port
 
     # Wireless inter-cluster channels (Table I).
     wireless_port: Dict[Tuple[int, int], int] = {}

@@ -30,7 +30,7 @@ DESIGN.md records this as a documented refinement of the paper's scheme.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.channels import (
     ChannelAssignment,
@@ -73,7 +73,8 @@ class OwnRoutingBase(RoutingFunction):
     net, dims:
         The network under construction and its (g, c, t, p) dimensions.
     photonic_port:
-        ``(writer_rid, reader_rid) -> out_port`` for intra-cluster buses.
+        ``photonic_port[writer_rid][reader_tile] -> out_port`` for the
+        intra-cluster buses (``None`` at the writer's own tile).
     wireless_port:
         ``(gateway_rid, channel_index) -> out_port``.
     gateway_rid:
@@ -85,35 +86,26 @@ class OwnRoutingBase(RoutingFunction):
         self,
         net: Network,
         dims: OwnDims,
-        photonic_port: Dict[Tuple[int, int], int],
+        photonic_port: List[List[Optional[int]]],
         wireless_port: Dict[Tuple[int, int], int],
     ) -> None:
         self.net = net
         self.dims = dims
         self.photonic_port = photonic_port
         self.wireless_port = wireless_port
-        # rid -> (g, c, t) memo: router coordinates are static, and the
-        # divmod arithmetic in router_to_gct dominates route computation on
-        # kilo-core hot paths.
-        self._gct_cache: Dict[int, Tuple[int, int, int]] = {}
-
-    # -- helpers ------------------------------------------------------- #
-
-    def _gct(self, rid: int) -> Tuple[int, int, int]:
-        gct = self._gct_cache.get(rid)
-        if gct is None:
-            gct = self._gct_cache[rid] = self.dims.router_to_gct(rid)
-        return gct
-
-    def _dst_rid(self, packet) -> int:
-        return self.net.core_router[packet.dst_core]
+        # Router coordinates are static: ``gct[rid]`` is (g, c, t), and
+        # ``core_router`` is the network's own core -> router list, so the
+        # route path indexes lists instead of redoing divmod arithmetic.
+        self.gct: List[Tuple[int, int, int]] = [
+            dims.router_to_gct(rid) for rid in range(dims.n_routers)
+        ]
+        self.core_router = net.core_router
 
     def allowed_vcs(self, router: Router, out_port: int, packet) -> Sequence[int]:
         link = router.out_links[out_port]
         if link.kind == "photonic":
-            dst_rid = self._dst_rid(packet)
-            g_dst, c_dst, _ = self._gct(dst_rid)
-            g_cur, c_cur, _ = self._gct(router.rid)
+            g_dst, c_dst, _ = self.gct[self.core_router[packet.dst_core]]
+            g_cur, c_cur, _ = self.gct[router.rid]
             descending = (g_dst, c_dst) == (g_cur, c_cur)
             return DESCENDING_VCS if descending else ASCENDING_VCS
         if link.kind == "wireless":
@@ -176,7 +168,7 @@ class Own256Routing(OwnRoutingBase):
         self,
         net: Network,
         dims: OwnDims,
-        photonic_port: Dict[Tuple[int, int], int],
+        photonic_port: List[List[Optional[int]]],
         wireless_port: Dict[Tuple[int, int], int],
         channel_map: Dict[Tuple[int, int], ChannelAssignment],
         gateway_rid: Dict[int, int],
@@ -202,7 +194,7 @@ class Own256Routing(OwnRoutingBase):
             return False
         if not self.reconfig.steerable(c_cur, c_dst):
             return False
-        if self.net.core_router[packet.src_core] != router.rid:
+        if self.core_router[packet.src_core] != router.rid:
             # The steer is the *ascend decision*, taken once at the source
             # router. A packet already past it keeps its path: diverting
             # it at the primary gateway would bounce it back toward D --
@@ -235,7 +227,7 @@ class Own256Routing(OwnRoutingBase):
                 d_gateway = self.spare_gateway_rid[c_cur]
                 if rid == d_gateway:
                     return self.spare_out_port[pair]
-                return self.photonic_port[(rid, d_gateway)]
+                return self.photonic_port[rid][self.gct[d_gateway][2]]
             ctrl.note_escape(packet.pid, packet)
             return None
         if self._steer_new(router, packet, c_cur, c_dst):
@@ -243,24 +235,24 @@ class Own256Routing(OwnRoutingBase):
             d_gateway = self.spare_gateway_rid[c_cur]
             if rid == d_gateway:
                 return self.spare_out_port[pair]
-            return self.photonic_port[(rid, d_gateway)]
+            return self.photonic_port[rid][self.gct[d_gateway][2]]
         return None
 
     def compute(self, router: Router, packet) -> int:
         rid = router.rid
-        dst_rid = self._dst_rid(packet)
+        dst_rid = self.core_router[packet.dst_core]
+        gct = self.gct
         ctrl = self.reconfig
         if dst_rid == rid:
             if ctrl is not None and ctrl._pid_pair:
-                _, c_cur, _ = self._gct(rid)
-                ctrl.note_arrival(packet.pid, c_cur)
+                ctrl.note_arrival(packet.pid, gct[rid][1])
             return self.net.core_eject_port[packet.dst_core]
-        _, c_cur, _ = self._gct(rid)
-        _, c_dst, _ = self._gct(dst_rid)
+        _, c_cur, _ = gct[rid]
+        _, c_dst, t_dst = gct[dst_rid]
         if c_cur == c_dst:
             if ctrl is not None and ctrl._pid_pair:
                 ctrl.note_arrival(packet.pid, c_cur)
-            return self.photonic_port[(rid, dst_rid)]
+            return self.photonic_port[rid][t_dst]
         port = self._spare_route(router, packet, c_cur, c_dst)
         if port is not None:
             return port
@@ -269,7 +261,7 @@ class Own256Routing(OwnRoutingBase):
         gateway = self.gateway_rid[channel.channel_index]
         if rid == gateway:
             return self.wireless_port[(rid, channel.channel_index)]
-        return self.photonic_port[(rid, gateway)]
+        return self.photonic_port[rid][gct[gateway][2]]
 
     def _wireless_vcs(self, packet) -> Sequence[int]:
         return OWN256_WIRELESS_VCS
@@ -282,7 +274,7 @@ class Own1024Routing(OwnRoutingBase):
         self,
         net: Network,
         dims: OwnDims,
-        photonic_port: Dict[Tuple[int, int], int],
+        photonic_port: List[List[Optional[int]]],
         wireless_port: Dict[Tuple[int, int], int],
         channel_map: Dict[Tuple[int, int], ChannelAssignment],
         gateway_rid: Dict[Tuple[int, int], int],
@@ -293,22 +285,24 @@ class Own1024Routing(OwnRoutingBase):
 
     def compute(self, router: Router, packet) -> int:
         rid = router.rid
-        dst_rid = self._dst_rid(packet)
+        dst_rid = self.core_router[packet.dst_core]
         if dst_rid == rid:
             return self.net.core_eject_port[packet.dst_core]
-        g_cur, c_cur, _ = self._gct(rid)
-        g_dst, c_dst, _ = self._gct(dst_rid)
+        gct = self.gct
+        g_cur, c_cur, _ = gct[rid]
+        g_dst, c_dst, t_dst = gct[dst_rid]
         if (g_cur, c_cur) == (g_dst, c_dst):
-            return self.photonic_port[(rid, dst_rid)]
+            return self.photonic_port[rid][t_dst]
         # Wireless is needed: intra-group (D antennas) or inter-group SWMR.
         g_next = self._leg_target(router, packet, g_cur, g_dst)
         channel = self.channel_map[(g_cur, g_next)]
         gateway = self.gateway_rid[(channel.channel_index, c_cur)]
         if rid == gateway:
             return self.wireless_port[(rid, channel.channel_index)]
-        return self.photonic_port[(rid, gateway)]
+        return self.photonic_port[rid][gct[gateway][2]]
 
     def _wireless_vcs(self, packet) -> Sequence[int]:
-        g_src, _, _, _ = self.dims.core_to_quad(packet.src_core)
-        g_dst, _, _, _ = self.dims.core_to_quad(packet.dst_core)
+        gct, core_router = self.gct, self.core_router
+        g_src = gct[core_router[packet.src_core]][0]
+        g_dst = gct[core_router[packet.dst_core]][0]
         return (group_pair_vc(g_src, g_dst),)

@@ -213,7 +213,7 @@ def check_medium_coherence(net: "Network") -> None:
                 f"medium {medium.name}: holder is not a member"
             )
         for link in medium.requesters:
-            if link not in medium.member_index:
+            if link.medium is not medium or medium.members[link.member_index] is not link:
                 raise InvariantViolation(
                     f"medium {medium.name}: requester {link.name} not a member"
                 )

@@ -118,7 +118,6 @@ class KernelState:
         "num_vcs",
         "vslot_base",
         "slot_router",
-        "slot_ip",
         "slot_vc",
         "slot_pb",
         "slot_rtop",
@@ -185,7 +184,6 @@ class KernelState:
         # --- slot layout -------------------------------------------------
         k.vslot_base = []
         k.slot_router = []
-        k.slot_ip = []
         k.slot_vc = []
         k.slot_pb = []  # first slot of the slot's input port ...
         k.slot_rtop = []  # ... and one past the last slot of its router
@@ -202,7 +200,6 @@ class KernelState:
                     vc.in_port = ip
                     vc.upstream = endpoint
                     k.slot_router.append(r)
-                    k.slot_ip.append(ip)
                     k.slot_vc.append(vc)
                     k.slot_pb.append(pb)
                     if vc.state is _WAITING_VC:
@@ -324,7 +321,7 @@ class KernelState:
                     # Token held elsewhere: park on the link (re-armed by
                     # SharedMedium.try_grant), same as the object path.
                     sa.discard(s)
-                    link.sa_token_waiters.append(s)
+                    link.sa_token_waiters = [*link.sa_token_waiters, s]
                 continue
             d = (s - pb - ptr) % V
             if d < best:
@@ -416,7 +413,7 @@ class KernelState:
             if vc.sent:
                 raise RuntimeError(
                     f"router {r.rid}: non-head flit at front of IDLE VC "
-                    f"(in_port={self.slot_ip[s]}, vc={vc.index}): flit "
+                    f"(in_port={vc.in_port}, vc={vc.index}): flit "
                     f"{vc.sent} of {packet!r}"
                 )
             routing = r.routing

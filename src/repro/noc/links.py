@@ -25,7 +25,7 @@ buffer state.
 from __future__ import annotations
 
 from bisect import insort
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.noc.buffers import VCState
 
@@ -89,8 +89,10 @@ class Endpoint:
         self.in_port = in_port
         self.num_vcs = num_vcs
         self.vc_depth = vc_depth
-        self.credits: List[int] = [vc_depth] * num_vcs
-        self.vc_busy: List[bool] = [False] * num_vcs
+        # Every sink path returns on ``is_sink`` before it reaches a credit
+        # or a busy flag, so a sink holds the shared empty tuple for both.
+        self.credits: List[int] = () if is_sink else [vc_depth] * num_vcs
+        self.vc_busy: List[bool] = () if is_sink else [False] * num_vcs
         self.is_sink = is_sink
         self.name = name
         #: VC allocation is decided here, at the resource: the slot ids
@@ -230,7 +232,6 @@ class SharedMedium:
         "arb_latency",
         "multicast_degree",
         "members",
-        "member_index",
         "holder",
         "grant_at",
         "busy_until",
@@ -263,7 +264,6 @@ class SharedMedium:
         self.arb_latency = arb_latency
         self.multicast_degree = multicast_degree
         self.members: List["Link"] = []
-        self.member_index: Dict["Link", int] = {}
         self.holder: Optional["Link"] = None
         self.grant_at: int = 0  # cycle at which the holder may start transmitting
         self.busy_until: int = 0  # serialization: next flit may start at this cycle
@@ -291,7 +291,7 @@ class SharedMedium:
         self._wake: Optional[Callable[["SharedMedium"], None]] = None
 
     def register(self, link: "Link") -> None:
-        self.member_index[link] = len(self.members)
+        link.member_index = len(self.members)
         self.members.append(link)
 
     def note_request(self, link: "Link") -> None:
@@ -322,12 +322,12 @@ class SharedMedium:
         best_link = None
         best_dist = n
         for link in self.requesters:
-            dist = (self.member_index[link] - self._rr_next) % n
+            dist = (link.member_index - self._rr_next) % n
             if dist < best_dist:
                 best_dist = dist
                 best_link = link
         self.holder = best_link
-        self._rr_next = (self.member_index[best_link] + 1) % n
+        self._rr_next = (best_link.member_index + 1) % n
         self.grant_at = now + self.arb_latency
         self.grants += 1
         self.token_wait_cycles += self.arb_latency
@@ -344,7 +344,7 @@ class SharedMedium:
                 vc = slot_vc[s]
                 if vc.state is _VC_ACTIVE and vc.queue:
                     kern.sa_slots.add(s)
-            del waiters[:]
+            best_link.sa_token_waiters = ()
         return best_link
 
     def can_transmit(self, link: "Link", now: int) -> bool:
@@ -424,6 +424,7 @@ class Link:
         "pending_requests",
         "sa_token_waiters",
         "index",
+        "member_index",
     )
 
     def __init__(
@@ -461,7 +462,7 @@ class Link:
         self.medium = medium
         self.busy_until = 0
         self._endpoint = endpoint
-        self.endpoints = endpoints or {}
+        self.endpoints = endpoints
         self.resolver = resolver
         self.flits_carried = 0
         self.bits_carried = 0
@@ -483,12 +484,16 @@ class Link:
         # ``KernelState.sa_slots`` when this link is granted (see
         # SharedMedium.try_grant). Only used when no tracer is attached --
         # with a tracer SA keeps polling so the per-cycle stall record
-        # stream is preserved.
-        self.sa_token_waiters: List[int] = []
+        # stream is preserved. A list exists only while VCs are parked here
+        # (a park extends it, a grant drops it); otherwise the link holds
+        # the shared empty tuple.
+        self.sa_token_waiters: Sequence[int] = ()
         # Position of this link in ``network.links`` (-1 until a
         # repro.noc.kernels.KernelState binds the owning network); the slot
         # sweep keys its per-link output round-robin pointers on it.
         self.index = -1
+        # Position among ``medium.members`` (the token's round-robin order).
+        self.member_index = -1
         if medium is not None:
             medium.register(self)
 

@@ -282,7 +282,7 @@ class Router:
                     # (arb latency / serialization) resolve within a few
                     # cycles and keep polling.
                     kern.sa_slots.discard(s)
-                    link.sa_token_waiters.append(s)
+                    link.sa_token_waiters = [*link.sa_token_waiters, s]
                 continue
             pb = slot_pb[s]
             dist = (vc.index - in_ptr[pb]) % vc.upstream.num_vcs

@@ -57,7 +57,7 @@ class TestBinding:
                     s = base + ip * V + iv
                     assert vc.gslot == s
                     assert k.slot_router[s] is router
-                    assert k.slot_ip[s] == ip
+                    assert vc.in_port == ip
                     assert k.slot_vc[s] is vc
 
     def test_links_and_mediums_indexed(self):

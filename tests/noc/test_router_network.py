@@ -172,14 +172,78 @@ class TestNetworkInterface:
 
     def test_backlog_counts_flits_not_packets(self):
         # The queue holds packets; the front one's pumped flits are gone.
+        # One flit leaves per cycle, mid-packet too: the front packet stays
+        # queued until its tail is pumped, and ``sent`` counts its flits
+        # already gone.
         net = two_router_net()
         sim = Simulator(net, traffic=ScriptedTraffic([(0, 0, 1, 4), (0, 0, 1, 3)]))
-        sim.step()
         ni = net.interfaces[0]
-        assert len(ni.queue) == 2 and ni.sent == 1 and ni.backlog == 6
-        sim.run(3)
-        assert len(ni.queue) == 1 and ni.sent == 0 and ni.backlog == 3
-        assert ni.current_vc is None
+        for backlog, sent, queued in [
+            (6, 1, 2), (5, 2, 2), (4, 3, 2), (3, 0, 1), (2, 1, 1), (1, 2, 1), (0, 0, 0),
+        ]:
+            sim.step()
+            assert (ni.backlog, ni.sent, len(ni.queue)) == (backlog, sent, queued)
+            assert (ni.current_vc is None) == (sent == 0)
+
+    def test_packets_inject_in_fifo_order_across_a_mixed_backlog(self):
+        # The queue is a list that loses its front packet with the tail:
+        # packets of mixed sizes leave in arrival order, back to back.
+        net = two_router_net(vc_depth=4)
+        sizes = [4, 1, 3, 2, 4, 1]
+        packets = [Packet(0, 1, size, 0, pid=pid) for pid, size in enumerate(sizes)]
+        for packet in packets:
+            net.inject_packet(packet)
+        sim = Simulator(net)
+        assert sim.drain(200)
+        starts = [packet.t_inject for packet in packets]
+        assert starts == sorted(starts)
+        for before, after in zip(packets, packets[1:]):
+            assert after.t_inject >= before.t_inject + before.size_flits
+        assert sim.stats.packets_ejected == len(sizes)
+
+    def test_link_layer_reentry_mid_injection_lands_at_the_back(self):
+        net = two_router_net(vc_depth=4)
+        ni = net.interfaces[0]
+        first, second, again = (Packet(0, 1, 4, 0, pid=pid) for pid in range(3))
+        net.inject_packet(first)
+        net.inject_packet(second)
+        sim = Simulator(net)
+        sim.step()
+        assert ni.sent == 1 and ni.queue[0] is first
+        # A packet the link layer gives up on re-enters through the same
+        # call as new traffic, while ``first`` is still being pumped.
+        ni.enqueue_packet(again)
+        assert ni.queue == [first, second, again] and ni.sent == 1
+        assert sim.drain(200)
+        assert first.t_inject < second.t_inject < again.t_inject
+
+    def test_drain_is_true_only_once_every_ni_queue_is_empty(self):
+        net = two_router_net(vc_depth=4)
+        for pid in range(3):
+            net.inject_packet(Packet(0, 1, 4, 0, pid=pid))
+        net.inject_packet(Packet(1, 0, 2, 0, pid=3))
+        sim = Simulator(net)
+        refused_with_backlog = 0
+        while not sim.drain(1):
+            refused_with_backlog += any(ni.queue for ni in net.interfaces)
+            assert sim.now < 200
+        assert refused_with_backlog >= 10
+        assert not any(ni.queue for ni in net.interfaces)
+        assert sim.stats.packets_ejected == 4
+
+    def test_swmr_resolver_with_unknown_key_raises(self):
+        net = Network("t", n_cores=2, num_vcs=2, vc_depth=4)
+        net.add_router()
+        net.add_router()
+        medium = SharedMedium("m", kind="wireless", multicast_degree=1)
+        ports = net.connect_multicast(
+            [0], [1], resolver=lambda p: p.dst_core, reader_keys=[0],
+            kind="wireless", medium=medium,
+        )  # fmt: skip
+        link = net.routers[0].out_links[ports[0]]
+        assert link.resolve_endpoint(Packet(1, 0, 1, 0)) is net.routers[1].input_endpoints[0]
+        with pytest.raises(RuntimeError, match="resolver produced unknown endpoint key 1"):
+            link.resolve_endpoint(Packet(0, 1, 1, 0))
 
     @pytest.mark.parametrize("src, dst", [(-1, 5), (3, -2), (256, 5), (3, 256)])
     def test_rejects_core_ids_outside_the_network(self, src, dst):

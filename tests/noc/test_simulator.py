@@ -426,9 +426,8 @@ class TestDeadlockReport:
         kern = sim.kernels
         for link in built.network.links:
             for slot in link.sa_token_waiters:
-                router = kern.slot_router[slot]
-                port = router.input_ports[kern.slot_ip[slot]]
-                edge = sim._waits_on(router, port, kern.slot_vc[slot])
+                router, vc = kern.slot_router[slot], kern.slot_vc[slot]
+                edge = sim._waits_on(router, router.input_ports[vc.in_port], vc)
                 assert f"token of {link.medium.name}" in edge
                 assert f"held by {link.medium.holder.name}" in edge
                 return
