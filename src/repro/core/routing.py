@@ -149,7 +149,9 @@ class OwnRoutingBase(RoutingFunction):
                 for vc in port.vcs:
                     if vc.state is not VCState.WAITING_VC:
                         continue
-                    vc.cand_endpoint.withdraw(vc.gslot)
+                    ep = vc.cand_endpoint
+                    if not ep.is_sink:  # a sink queues no requests
+                        ep.withdraw(vc.gslot)
                     vc.release()
                     router._kern.rc_slots.add(vc.gslot)
 

@@ -478,8 +478,8 @@ class FaultLayer:
 
     def _try_start(self, link: Link, now: int) -> Optional[_CurrentTx]:
         """Begin the front retransmit job if its backoff elapsed and a
-        downstream VC with whole-packet room is free (same virtual
-        cut-through admission the router's VCA performs)."""
+        downstream VC with whole-packet room is free (``Endpoint.admit``,
+        the virtual cut-through admission the router's VCA performs)."""
         queue = self._retx[link]
         job = queue[0]
         if job.not_before > now:
@@ -491,28 +491,23 @@ class FaultLayer:
             candidates = router.routing.allowed_vcs(router, link.out_port, packet)
         else:
             candidates = range(endpoint.num_vcs)
-        for cand in candidates:
-            if not endpoint.vc_busy[cand] and endpoint.can_accept_packet(
-                cand, packet.size_flits
-            ):
-                queue.popleft()
-                endpoint.acquire_vc(cand)
-                if link.medium is not None:
-                    link.pending_requests += 1
-                    link.medium.note_request(link)
-                tx = _CurrentTx(packet, endpoint, cand, job.attempts + 1)
-                self._current[link] = tx
-                self._attempt_no[(id(link), packet.pid)] = tx.attempts
-                self.sim.stats.packets_retransmitted += 1
-                link.fault.retransmissions += 1
-                if self._tracer is not None:
-                    self._tracer.on_retx_start(link, packet, tx.attempts, now)
-                    if link.medium is not None:
-                        self._tracer.on_medium_request(
-                            link.medium, link, packet, now
-                        )
-                return tx
-        return None
+        cand = endpoint.admit(candidates, packet.size_flits)
+        if cand is None:
+            return None
+        queue.popleft()
+        if link.medium is not None:
+            link.pending_requests += 1
+            link.medium.note_request(link)
+        tx = _CurrentTx(packet, endpoint, cand, job.attempts + 1)
+        self._current[link] = tx
+        self._attempt_no[(id(link), packet.pid)] = tx.attempts
+        self.sim.stats.packets_retransmitted += 1
+        link.fault.retransmissions += 1
+        if self._tracer is not None:
+            self._tracer.on_retx_start(link, packet, tx.attempts, now)
+            if link.medium is not None:
+                self._tracer.on_medium_request(link.medium, link, packet, now)
+        return tx
 
     def _send_next_flit(self, sim: "Simulator", link: Link,
                         tx: _CurrentTx, now: int) -> int:

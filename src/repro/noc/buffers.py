@@ -7,9 +7,9 @@ of flits plus the classic VC state machine:
 on the downstream endpoint for VC allocation) -> ``ACTIVE`` (competing in SA)
 -> back to ``IDLE`` once the tail flit leaves.
 
-The simulator iterates only over *occupied* VCs (active-set scheduling), so
-the VC exposes cheap ``occupied`` checks and the port maintains the set of
-VC indices that currently hold flits.
+These are plain state holders: a flit enters a VC in
+``Router.deliver_flit`` and leaves it in ``Router._transmit``, and the
+stage sweeps of :mod:`repro.noc.kernels` visit only the VCs with work.
 
 A buffered flit is not an object: the FIFO holds one reference to the
 flit's packet per buffered flit, and ``sent`` counts the flits of the front
@@ -22,7 +22,7 @@ never interleave, so the count is all the position a flit needs.
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Tuple, TYPE_CHECKING
+from typing import List, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.noc.packet import Packet
@@ -43,8 +43,8 @@ class VirtualChannel:
     ----------
     depth:
         Buffer depth in flits. Credit-based flow control guarantees the
-        upstream router never overruns this; ``push`` still asserts it as a
-        simulator-invariant check.
+        upstream router never overruns this; ``Router.deliver_flit`` still
+        asserts it as a simulator-invariant check.
     """
 
     __slots__ = (
@@ -100,40 +100,6 @@ class VirtualChannel:
         self.cand_vcs: Optional[tuple] = None
         self.cand_mask = 0
 
-    @property
-    def occupied(self) -> bool:
-        return bool(self.queue)
-
-    @property
-    def free_slots(self) -> int:
-        return self.depth - len(self.queue)
-
-    def push(self, packet: "Packet") -> None:
-        """Accept the next flit of ``packet`` from the upstream link.
-
-        Credit flow control should make overflow impossible; an overflow here
-        indicates a simulator bug, hence the hard error.
-        """
-        if len(self.queue) >= self.depth:
-            raise RuntimeError(
-                f"VC{self.index} overflow: depth={self.depth}; "
-                "credit accounting is broken"
-            )
-        self.queue.append(packet)
-
-    def front(self) -> Tuple["Packet", int]:
-        """The front flit: its packet and its position in that packet."""
-        return self.queue[0], self.sent
-
-    def pop(self) -> Tuple["Packet", int]:
-        """Remove the front flit; return its packet and position."""
-        queue = self.queue
-        packet = queue[0]
-        del queue[0]
-        seq = self.sent
-        self.sent = 0 if seq == packet.size_flits - 1 else seq + 1
-        return packet, seq
-
     def release(self) -> None:
         """Return to IDLE after the tail flit departs."""
         self.state = VCState.IDLE
@@ -152,11 +118,7 @@ class VirtualChannel:
 
 
 class InputPort:
-    """A router input port: a bank of virtual channels.
-
-    The port tracks which of its VCs are occupied so the router can skip
-    empty ones in the per-cycle loop.
-    """
+    """A router input port: a bank of virtual channels."""
 
     __slots__ = ("index", "vcs", "kind")
 
@@ -166,10 +128,6 @@ class InputPort:
         self.index = index
         self.kind = kind
         self.vcs: List[VirtualChannel] = [VirtualChannel(v, vc_depth) for v in range(num_vcs)]
-
-    def occupied_vcs(self) -> List[VirtualChannel]:
-        """VCs currently holding at least one flit."""
-        return [vc for vc in self.vcs if vc.queue]
 
     @property
     def num_vcs(self) -> int:

@@ -114,11 +114,20 @@ def _walk(net: "Network", sim=None, credit=False, vc_state=False, kernel=False) 
                             f"r{router.rid}: VC{vc.index} in WAITING_VC "
                             f"without a computed out_port"
                         )
-                    if kernel:
+                    if kernel and vc.cand_endpoint.is_sink:
+                        # A sink refuses nothing, so it queues no request:
+                        # the next VCA phase grants the head from vca_fresh.
+                        if s not in fresh:
+                            raise InvariantViolation(
+                                f"kernel: r{router.rid}.in{ip}.vc{vc.index} "
+                                f"waits on {vc.cand_endpoint.name} but is not "
+                                f"in vca_fresh"
+                            )
+                    elif kernel:
                         ep = vc.cand_endpoint
                         waiting.setdefault(ep, []).append(s)
                         size = vc.queue[0].size_flits
-                        if not (s in fresh or ep.woken or ep.is_sink) and any(
+                        if not (s in fresh or ep.woken) and any(
                             not ep.vc_busy[v] and ep.credits[v] >= size
                             for v in vc.cand_vcs
                         ):
@@ -236,7 +245,8 @@ def check_kernel_coherence(sim: "Simulator") -> None:
     the heads in WAITING_VC for it, ascending, and on an endpoint that is
     not woken no request VCA has already examined (i.e. not registered by
     this cycle's RC) is grantable right now -- nothing would ever look at it
-    again.
+    again. A head waiting on an ejection sink queues no request there and
+    must be in ``vca_fresh``, which the next VCA phase grants.
 
     The switch allocator's one round-robin state is in range: every
     port's ``in_ptr`` (at the port's first slot) is in ``[0, num_vcs)`` of

@@ -14,39 +14,40 @@ Slot layout
 One slot per (router, input port, VC), assigned contiguously in router-id
 order, so a sorted slot list is automatically grouped by router and, within
 a router, by ascending (in_port, vc) -- the deterministic order every stage
-resolves contention in. With a network-wide uniform ``num_vcs`` (true for
-every topology builder) the layout is arithmetic::
+resolves contention in. Every router of a network has the network's
+``num_vcs`` (:meth:`KernelState.build` raises otherwise), so the layout is
+arithmetic::
 
     slot = vslot_base[rid] + in_port * num_vcs + vc
 
 and a port spans ``num_vcs`` consecutive slots from ``slot_pb[slot]``, which
-:meth:`KernelState.sa_sweep` relies on: ``supported`` is ``False`` otherwise
-and the simulator hands the same sorted slots to ``Router.stage_sa``, router
-by router. RC and VCA need only the ordering and sweep every network. Each
-VC carries its own coordinates (``vc.gslot``, ``vc.in_port``,
-``vc.upstream``), bound at layout time, so a work-set entry is one integer
-and nothing re-derives a port from a slot on the hot path.
+both forms of SA rely on. Each VC carries its own coordinates
+(``vc.gslot``, ``vc.in_port``, ``vc.upstream``), bound at layout time, so a
+work-set entry is one integer and nothing re-derives a port from a slot on
+the hot path.
 
 State owned here
 ----------------
-* **sa_slots** -- *the* SA work set, for both SA paths: slots of ACTIVE VCs
-  that hold a flit and are not parked on a link's ``sa_token_waiters``
-  (slot ids too) until that link is granted its medium token. Added by
+* **sa_slots** -- *the* SA work set: slots of ACTIVE VCs that hold a flit
+  and are not parked on a link's ``sa_token_waiters`` (slot ids too) until
+  that link is granted its medium token. Added by
   ``vca_sweep``, by ``Router.deliver_flit`` when a flit lands in an *empty*
   ACTIVE VC, and by ``SharedMedium.try_grant``; dropped by
   ``Router._transmit`` (VC ran dry / tail left) and when SA parks a VC.
 * **rc_slots** -- slots of IDLE VCs with a head flit to route.
 * **vca_fresh / vca_woken** -- what the next VCA phase examines: requests RC
   registered last cycle, and endpoints on which a VC became free and funded
-  (``Endpoint.wake``). The requests themselves queue on the endpoints.
-* **in_ptr / out_ptr** -- *the* switch allocator's round-robin pointers,
-  for both SA paths: one per input port (at the port's first slot) and one
-  per link (``out_n`` is its requester count, the source router's input
-  ports). ``sa_sweep`` and ``Router.stage_sa`` read and advance the same
-  entries the same way, so a run may switch paths between cycles. They are
-  the one piece of state that lives only here: a fresh network starts at
-  zero, and a mid-life :meth:`KernelState.build` copies them from the
-  kernel the network is bound to.
+  (``Endpoint.wake``). The requests themselves queue on the endpoints; a
+  head bound for an ejection sink queues none (a sink refuses nothing) and
+  is granted from ``vca_fresh``.
+* **in_ptr / out_ptr** -- *the* switch allocator's round-robin pointers:
+  one per input port (at the port's first slot) and one per link (``out_n``
+  is its requester count, the source router's input ports). ``sa_sweep``
+  (untraced runs) and ``Router.stage_sa`` (traced runs, which record every
+  stall) read and advance the same entries the same way. They are the one
+  piece of state that lives only here: a fresh network starts at zero, and
+  a mid-life :meth:`KernelState.build` copies them from the kernel the
+  network is bound to.
 
 Every work list is derived state -- :meth:`KernelState.build` recomputes all
 of them from the objects -- and ``invariants.check_kernel_coherence`` holds
@@ -84,26 +85,6 @@ _WAITING_VC = VCState.WAITING_VC
 _ACTIVE = VCState.ACTIVE
 
 
-def _allocate(vc) -> bool:
-    """Give the waiting head in ``vc`` the first of its candidate VCs that
-    is free with credits for the whole packet (virtual cut-through
-    admission: ``Endpoint.can_accept_packet`` / ``acquire_vc``, inlined; the
-    can-never-fit ValueError is hoisted to RC time)."""
-    ep = vc.cand_endpoint
-    if ep.is_sink:
-        vc.out_vc = 0
-        return True
-    size = vc.queue[0].size_flits
-    vc_busy = ep.vc_busy
-    credits = ep.credits
-    for cand in vc.cand_vcs:
-        if not vc_busy[cand] and credits[cand] >= size:
-            vc_busy[cand] = True
-            vc.out_vc = cand
-            return True
-    return False
-
-
 class KernelState:
     """Slot layout and stage work lists of one :class:`~repro.noc.network.Network`.
 
@@ -114,7 +95,6 @@ class KernelState:
     """
 
     __slots__ = (
-        "supported",
         "num_vcs",
         "vslot_base",
         "slot_router",
@@ -133,7 +113,6 @@ class KernelState:
     )
 
     def __init__(self) -> None:
-        self.supported = False
         self.num_vcs = 0
         self.sa_slots: set = set()
         self.rc_slots: set = set()
@@ -154,16 +133,19 @@ class KernelState:
         network is bound to. ``ring_size`` is the length of the binding
         simulator's event rings: a flit sent on a link is filed ``latency``
         slots ahead, so a link whose latency does not fit would wrap onto an
-        earlier cycle.
+        earlier cycle. Every router must have the network's ``num_vcs``:
+        SA's port width is arithmetic.
         """
         k = cls()
         routers = network.routers
         bound = routers[0]._kern if routers else None
         k.num_vcs = network.num_vcs
-        # Mixed VC counts break the arithmetic port width of sa_sweep
-        # (the simulator falls back to Router.stage_sa); the layout itself,
-        # and with it RC and VCA, only needs the slot order.
-        k.supported = all(r.num_vcs == k.num_vcs for r in routers)
+        for r in routers:
+            if r.num_vcs != k.num_vcs:
+                raise ValueError(
+                    f"router {r.rid} has {r.num_vcs} VCs per input port, its "
+                    f"network {k.num_vcs}: the slot layout needs one VC count"
+                )
 
         # --- per-link output arbitration width ---------------------------
         links = network.links
@@ -351,12 +333,17 @@ class KernelState:
         for s in self.vca_fresh:
             vc = slot_vc[s]
             # (an end-of-cycle re-route may have sent the head back to RC)
-            if (
-                vc.state is _WAITING_VC
-                and not vc.cand_endpoint.woken
-                and _allocate(vc)
-            ):
+            if vc.state is not _WAITING_VC:
+                continue
+            ep = vc.cand_endpoint
+            if ep.is_sink:
+                vc.out_vc = 0  # a sink takes every packet; nothing queued
                 granted.append(s)
+            elif not ep.woken:
+                v = ep.admit(vc.cand_vcs, vc.queue[0].size_flits)
+                if v is not None:
+                    vc.out_vc = v
+                    granted.append(s)
         for ep in self.vca_woken:
             ep.woken = False
             free = 0
@@ -367,16 +354,20 @@ class KernelState:
                 if not free:
                     break
                 vc = slot_vc[s]
-                if vc.cand_mask & free and _allocate(vc):
-                    granted.append(s)
-                    free &= ~(1 << vc.out_vc)
+                if vc.cand_mask & free:
+                    v = ep.admit(vc.cand_vcs, vc.queue[0].size_flits)
+                    if v is not None:
+                        vc.out_vc = v
+                        granted.append(s)
+                        free &= ~(1 << v)
         self.vca_fresh.clear()
         self.vca_woken.clear()
         granted.sort()
         for s in granted:
             vc = slot_vc[s]
             ep = vc.endpoint = vc.cand_endpoint
-            ep.withdraw(s)
+            if not ep.is_sink:
+                ep.withdraw(s)
             vc.state = _ACTIVE
             r = self.slot_router[s]
             r.vca_grants += 1
@@ -396,8 +387,8 @@ class KernelState:
         when a tail departure exposes the next packet's head. The downstream
         endpoint and the admissible VC set are resolved here and cached on
         the VC -- both are functions of (router, out_port, packet) only --
-        and the head joins that endpoint's request queue for the next VCA
-        phase.
+        and the head joins that endpoint's request queue (a sink's grant
+        needs none) and ``vca_fresh`` for the next VCA phase.
         """
         slot_vc = self.slot_vc
         rc = self.rc_slots
@@ -432,7 +423,7 @@ class KernelState:
             ep = vc.cand_endpoint = r.out_links[out_port].resolve_endpoint(packet)
             if not ep.is_sink:
                 if packet.size_flits > ep.vc_depth:
-                    # Hoisted from Endpoint.can_accept_packet: silently
+                    # Endpoint.admit would refuse it forever: silently
                     # waiting on a packet that can never fit would hang.
                     raise ValueError(
                         f"packet of {packet.size_flits} flits can never fit "
@@ -443,6 +434,6 @@ class KernelState:
                 for v in vc.cand_vcs:
                     mask |= 1 << v
                 vc.cand_mask = mask
+                ep.request(s, packet.size_flits)
             vc.state = _WAITING_VC
-            ep.request(s, packet.size_flits)
             self.vca_fresh.append(s)

@@ -25,7 +25,7 @@ buffer state.
 from __future__ import annotations
 
 from bisect import insort
-from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.noc.buffers import VCState
 
@@ -102,8 +102,9 @@ class Endpoint:
         #: (``vc_depth + 1`` while there is none, so no credit count reaches
         #: it): a VC that is busy, or free but funded below it, changes no
         #: request's answer. ``woken`` is set while the endpoint sits in
-        #: ``KernelState.vca_woken`` awaiting the next VCA phase.
-        self.requests: List[int] = []
+        #: ``KernelState.vca_woken`` awaiting the next VCA phase. A sink
+        #: refuses no head, so RC queues none there: it holds ``()``.
+        self.requests: List[int] = () if is_sink else []
         self.min_size = vc_depth + 1
         self.woken = False
         #: The network interface injecting through this endpoint, if any
@@ -111,32 +112,27 @@ class Endpoint:
         #: credit return or VC release.
         self.ni = None
 
-    def has_credit(self, vc: int) -> bool:
-        return self.is_sink or self.credits[vc] > 0
+    def admit(self, cands: Iterable[int], size: int) -> Optional[int]:
+        """Virtual cut-through VC admission, the one copy of the rule: claim
+        the first VC of ``cands`` that is free and holds credits for all
+        ``size`` flits of a packet, and return it (``None`` if none fits).
 
-    def can_accept_packet(self, vc: int, size_flits: int) -> bool:
-        """Virtual cut-through admission: room for the *whole* packet?
-
-        VC allocation only succeeds when the downstream VC buffer can hold
-        the full packet. This guarantees that a writer holding a photonic /
-        wireless token never stalls mid-packet on credits -- the property
-        that keeps token arbitration out of the deadlock cycle (DESIGN.md,
-        "Deadlock freedom").
-
-        Raises
-        ------
-        ValueError
-            If the packet cannot *ever* fit (``size_flits > vc_depth``);
-            silently waiting would hang the simulation.
+        Admitting only whole packets guarantees that a writer holding a
+        photonic / wireless token never stalls mid-packet on credits -- the
+        property that keeps token arbitration out of the deadlock cycle
+        (DESIGN.md, "Deadlock freedom"). Router VCA, NI injection and
+        link-layer retransmission all admit here. A packet that can never
+        fit (``size > vc_depth``) is refused like any other; RC and the NI
+        raise for it where it enters, since waiting would hang the run. A
+        sink is never asked: it takes every packet on VC 0.
         """
-        if self.is_sink:
-            return True
-        if size_flits > self.vc_depth:
-            raise ValueError(
-                f"packet of {size_flits} flits can never fit VC depth "
-                f"{self.vc_depth} at {self.name or 'endpoint'}"
-            )
-        return self.credits[vc] >= size_flits
+        vc_busy = self.vc_busy
+        credits = self.credits
+        for v in cands:
+            if not vc_busy[v] and credits[v] >= size:
+                vc_busy[v] = True
+                return v
+        return None
 
     def take_credit(self, vc: int) -> None:
         if self.is_sink:
@@ -155,13 +151,6 @@ class Endpoint:
             ni._wake(ni)
         if self.credits[vc] >= self.min_size and not self.vc_busy[vc]:
             self.wake()
-
-    def acquire_vc(self, vc: int) -> None:
-        if self.is_sink:
-            return
-        if self.vc_busy[vc]:
-            raise RuntimeError(f"double VC allocation at {self.name or 'endpoint'} vc={vc}")
-        self.vc_busy[vc] = True
 
     def release_vc(self, vc: int) -> None:
         if self.is_sink:
@@ -482,11 +471,11 @@ class Link:
         # Slot ids of ACTIVE VCs parked here by switch allocation while
         # another link holds the medium token; flushed back into
         # ``KernelState.sa_slots`` when this link is granted (see
-        # SharedMedium.try_grant). Only used when no tracer is attached --
-        # with a tracer SA keeps polling so the per-cycle stall record
-        # stream is preserved. A list exists only while VCs are parked here
-        # (a park extends it, a grant drops it); otherwise the link holds
-        # the shared empty tuple.
+        # SharedMedium.try_grant). Only the untraced SA sweep parks here;
+        # the traced ``Router.stage_sa`` keeps polling so the per-cycle
+        # stall record stream is preserved. A list exists only while VCs
+        # are parked here (a park extends it, a grant drops it); otherwise
+        # the link holds the shared empty tuple.
         self.sa_token_waiters: Sequence[int] = ()
         # Position of this link in ``network.links`` (-1 until a
         # repro.noc.kernels.KernelState binds the owning network); the slot
@@ -521,14 +510,6 @@ class Link:
         if self.medium is not None:
             return self.medium.can_transmit(self, now)
         return True
-
-    def on_flit_sent(self, now: int, is_tail: bool, flit_width_bits: int) -> None:
-        """Book-keeping when a flit begins traversal."""
-        self.busy_until = now + self.cycles_per_flit
-        self.flits_carried += 1
-        self.bits_carried += flit_width_bits
-        if self.medium is not None:
-            self.medium.on_flit_sent(now, self.cycles_per_flit, is_tail)
 
     @property
     def multicast_degree(self) -> int:

@@ -94,23 +94,19 @@ class NetworkInterface:
         vc = self.current_vc
         if vc is None:
             # The head is at the front: claim a free input VC with room for
-            # the whole packet (virtual cut-through admission, mirroring
-            # router-side VC allocation; Endpoint.can_accept_packet inlined,
-            # its can-never-fit guard hoisted out of the per-VC scan).
+            # the whole packet (virtual cut-through admission, as a router's
+            # VCA does). A packet that can never fit is rejected here, where
+            # it enters the network, instead of waiting forever.
             size = packet.size_flits
             if size > endpoint.vc_depth:
                 raise ValueError(
                     f"packet of {size} flits can never fit VC depth "
                     f"{endpoint.vc_depth} at {endpoint.name or 'endpoint'}"
                 )
-            vc_busy = endpoint.vc_busy
-            for v in range(endpoint.num_vcs):
-                if not vc_busy[v] and credits[v] >= size:
-                    vc_busy[v] = True  # Endpoint.acquire_vc, inlined
-                    self.current_vc = vc = v
-                    break
-            else:
+            vc = endpoint.admit(range(endpoint.num_vcs), size)
+            if vc is None:
                 return 0
+            self.current_vc = vc
         elif credits[vc] <= 0:
             return 0
         credits[vc] -= 1  # Endpoint.take_credit, inlined (credit > 0 above)

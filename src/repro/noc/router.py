@@ -13,7 +13,8 @@ one candidate VC, then a per-output-port round-robin arbiter picks among the
 input-port winners, which is the canonical iSLIP-like single-iteration
 allocator DSENT models. The arbiters' pointers live once, in the network's
 :class:`~repro.noc.kernels.KernelState` (``in_ptr`` / ``out_ptr``), shared
-by both forms of the stage.
+by both forms of the stage: the kernel's sweep on untraced runs,
+:meth:`Router.stage_sa` on traced ones.
 """
 
 from __future__ import annotations
@@ -94,7 +95,6 @@ class Router:
         "xbar_traversals",
         "vca_grants",
         "sa_grants",
-        "tracer",
     )
 
     def __init__(
@@ -133,8 +133,6 @@ class Router:
         self.xbar_traversals = 0
         self.vca_grants = 0
         self.sa_grants = 0
-        # Telemetry sink (repro.telemetry.Tracer); None on untraced runs.
-        self.tracer = None
 
     # ------------------------------------------------------------------ #
     # Construction API (used by Network builders)
@@ -185,8 +183,8 @@ class Router:
         """Accept the next flit of ``packet`` arriving from a link (the LT
         stage completing): the VC buffers one more reference to it."""
         vc_obj = self.input_ports[in_port].vcs[vc]
-        # VirtualChannel.push, inlined (one call per flit-hop): credit flow
-        # control makes overflow a simulator bug, hence the hard error.
+        # Credit flow control makes overflow a simulator bug, hence the
+        # hard error.
         queue = vc_obj.queue
         if len(queue) >= vc_obj.depth:
             raise RuntimeError(
@@ -217,34 +215,37 @@ class Router:
         return sum(p.total_occupancy() for p in self.input_ports)
 
     # ------------------------------------------------------------------ #
-    # Switch allocation, object form (RC, VCA and the slot-sweep form of
-    # SA are network-wide sweeps in repro.noc.kernels)
+    # Switch allocation on traced runs (RC, VCA and untraced SA are
+    # network-wide sweeps in repro.noc.kernels)
     # ------------------------------------------------------------------ #
 
     def stage_sa(self, now: int, slots: Sequence[int], sim) -> int:
-        """Switch allocation + traversal; returns number of flits moved.
+        """Switch allocation + traversal on a traced run; returns the number
+        of flits moved.
 
         ``slots`` is this router's share of ``KernelState.sa_slots``,
-        ascending -- which is ascending (in_port, vc), the order stall
-        records are emitted in. Winners traverse through ``_transmit``.
+        ascending -- which is ascending (in_port, vc), the order the
+        tracer's stall records are emitted in. A VC that cannot move
+        records why (``credit``, ``link`` or ``token``) and keeps polling:
+        nothing parks on a medium token, so the record stream has one entry
+        per stalled VC per cycle. Winners traverse through ``_transmit``.
 
-        Hot-path note: the rotating-priority arbiters are inlined here over
-        the kernel's pointers, exactly as ``KernelState.sa_sweep`` reads and
-        advances them -- the winner among request set ``R`` with pointer
-        ``p`` over ``n`` lines is ``argmin_{i in R} (i - p) % n`` and the
-        pointer advances to ``winner + 1``; a port's pointer is ``in_ptr``
-        at the port's first slot, an output's is ``out_ptr`` at its link's
-        index. Eligibility checks (credit, link serialization, medium
-        token) are inlined copies of ``Endpoint.has_credit`` /
-        ``Link.ready``.
+        The arbitration is ``KernelState.sa_sweep``'s, over the kernel's
+        pointers -- the winner among request set ``R`` with pointer ``p``
+        over ``n`` lines is ``argmin_{i in R} (i - p) % n`` and the pointer
+        advances to ``winner + 1``; a port's pointer is ``in_ptr`` at the
+        port's first slot, an output's is ``out_ptr`` at its link's index --
+        and so are the eligibility checks (credit, link serialization,
+        medium token), in the same order.
         """
-        tracer = self.tracer
+        tracer = sim._tracer
         input_ports = self.input_ports
         out_links = self.out_links
         kern = self._kern
         slot_vc = kern.slot_vc
         slot_pb = kern.slot_pb
         in_ptr = kern.in_ptr
+        V = kern.num_vcs
 
         # --- input-port arbitration: one candidate VC per input port ---- #
         # Keyed by the port's first slot; first insertion is in ascending
@@ -257,13 +258,11 @@ class Router:
             vc = slot_vc[s]
             endpoint = vc.endpoint
             if not (endpoint.is_sink or endpoint.credits[vc.out_vc] > 0):
-                if tracer is not None:
-                    tracer.on_vc_stall(self, input_ports[vc.in_port].kind, "credit", now)
+                tracer.on_vc_stall(self, input_ports[vc.in_port].kind, "credit", now)
                 continue
             link = out_links[vc.out_port]
             if now < link.busy_until:
-                if tracer is not None:
-                    tracer.on_vc_stall(self, input_ports[vc.in_port].kind, "link", now)
+                tracer.on_vc_stall(self, input_ports[vc.in_port].kind, "link", now)
                 continue
             medium = link.medium
             if medium is not None and not (
@@ -272,20 +271,10 @@ class Router:
                 and now >= medium.busy_until
                 and now >= medium.blocked_until
             ):
-                if tracer is not None:
-                    tracer.on_vc_stall(self, input_ports[vc.in_port].kind, "token", now)
-                elif medium.holder is not link:
-                    # Token held elsewhere: nothing changes for this VC
-                    # until our link is granted, so park it on the link
-                    # (re-armed by SharedMedium.try_grant) instead of
-                    # re-polling every cycle. Holder-side timer waits
-                    # (arb latency / serialization) resolve within a few
-                    # cycles and keep polling.
-                    kern.sa_slots.discard(s)
-                    link.sa_token_waiters = [*link.sa_token_waiters, s]
+                tracer.on_vc_stall(self, input_ports[vc.in_port].kind, "token", now)
                 continue
             pb = slot_pb[s]
-            dist = (vc.index - in_ptr[pb]) % vc.upstream.num_vcs
+            dist = (vc.index - in_ptr[pb]) % V
             held = best_of.get(pb)
             if held is None or dist < held[0]:
                 best_of[pb] = (dist, vc)
@@ -294,7 +283,7 @@ class Router:
             return 0
         winners: List[VirtualChannel] = []
         for pb, (_, vc) in best_of.items():
-            in_ptr[pb] = (vc.index + 1) % vc.upstream.num_vcs
+            in_ptr[pb] = (vc.index + 1) % V
             winners.append(vc)
 
         # --- output-port arbitration among input-port winners ----------- #
@@ -329,8 +318,8 @@ class Router:
     def _transmit(self, now: int, vc: VirtualChannel, sim) -> None:
         """Move the front flit of ``vc`` onto its output link: the one place
         a flit hop is booked (the send itself in ``Simulator._send_fn``).
-        ``VirtualChannel.pop``, inlined: the flit is the front packet at
-        position ``vc.sent``."""
+        The flit is the front packet at position ``vc.sent``, which walks
+        the packet head to tail and resets when the tail leaves."""
         link = self.out_links[vc.out_port]
         endpoint = vc.endpoint
         queue = vc.queue

@@ -53,11 +53,10 @@ capped at the end of the current ``run`` / ``drain``, and steps the cycles
 before it without a tick. A traffic
 process answers that peek without letting it change what it will inject: the
 Bernoulli arrival clock of ``SyntheticTraffic`` reads its earliest pending
-arrival, a trace replayer its next record, and the per-cycle sources
-(bursty / application) pre-draw their RNG stream in the order stepping
-every cycle would. A skipped cycle or tick is a no-op by construction;
-``tests/reference.py``'s ``naive_schedule()`` steps and ticks every cycle to
-check that.
+arrival, a trace replayer its next record, and the per-cycle bursty source
+pre-draws its RNG stream in the order stepping every cycle would. A skipped
+cycle or tick is a no-op by construction; ``tests/reference.py``'s
+``naive_schedule()`` steps and ticks every cycle to check that.
 
 A deadlock watchdog aborts the run if buffered flits stop moving for a
 configurable number of cycles -- misrouted VC partitioning shows up as a
@@ -201,12 +200,11 @@ class Simulator:
             network.finalize()
         self._tracer = tracer
         # Flat slot layout over the network's input VCs (repro.noc.kernels):
-        # RC and VCA always run as sweeps over it. The SA sweep replaces the
-        # per-router ``stage_sa`` scan on untraced runs: a tracer needs
-        # ``stage_sa``'s per-VC stall callbacks, and a mixed-VC-count
-        # network has no arithmetic layout for the SA sweep.
+        # RC, VCA and untraced SA run as sweeps over it. A tracer needs the
+        # per-VC stall records of ``Router.stage_sa``, which traced SA runs
+        # router by router.
         self.kernels = KernelState.build(network, size)
-        self._sa_kernel = tracer is None and self.kernels.supported
+        self._sa_kernel = tracer is None
         if tracer is not None:
             tracer.bind(self)
         if faults is not None:
@@ -282,7 +280,6 @@ class Simulator:
         retransmissions). The flit in flight is a ring entry
         ``(endpoint, out_vc, packet, is_tail, fate)``; ``fate`` is the link
         layer's verdict on the attempt, ``None`` off protected links."""
-        # Link.on_flit_sent, inlined (one call per flit-hop).
         link.busy_until = now + link.cycles_per_flit
         link.flits_carried += 1
         link.bits_carried += self._flit_width
@@ -511,6 +508,8 @@ class Simulator:
         """One edge of the wait-for graph: what a stuck VC is queued behind."""
         if vc.state is VCState.WAITING_VC:
             ep = vc.cand_endpoint
+            if ep.is_sink:
+                return f", granted by the next VC allocation at {ep.name}"
             rank = ep.requests.index(vc.gslot) + 1 if vc.gslot in ep.requests else "?"
             return (
                 f", request {rank} of {len(ep.requests)} at {ep.name}: "
@@ -576,10 +575,10 @@ class Simulator:
     def _next_arrival(self, start: int) -> int:
         """The first cycle >= ``start`` at which :meth:`step` must tick the
         traffic source: its next injection before the current advance's
-        end, else that end. The peek stops there because a per-cycle source
-        (bursty / application) pre-draws its stream up to the cycle it
-        returns, and later cycles may be paused (``drain()``). A source with
-        no peek, or a bare :meth:`step` outside an advance, ticks every cycle.
+        end, else that end. The peek stops there because the per-cycle
+        bursty source pre-draws its stream up to the cycle it returns, and
+        later cycles may be paused (``drain()``). A source with no peek, or
+        a bare :meth:`step` outside an advance, ticks every cycle.
         """
         end = self._end
         peek = getattr(self.traffic, "next_injection_cycle", None)

@@ -179,16 +179,14 @@ class Tracer:
     def bind(self, sim: "Simulator") -> None:
         """Attach to a simulator (called by ``Simulator.__init__``).
 
-        Precomputes the link -> class map and hands each router a tracer
-        reference so the VCA/SA stages can emit without a simulator hop.
+        Precomputes the link -> class map; the stages reach the tracer
+        through the simulator (``sim._tracer``).
         """
         self.sim = sim
         network = sim.network
         self._channel_classes = infer_channel_classes(network)
         for link in network.links:
             self._link_class[link] = link_class(link, self._channel_classes)
-        for router in network.routers:
-            router.tracer = self
         if self.sample_every:
             sim.add_hook(self)
 

@@ -13,7 +13,7 @@ from repro.traffic.patterns import (
 )
 from repro.traffic.generator import SyntheticTraffic, ScriptedTraffic
 from repro.traffic.trace import TrafficTrace, TraceTraffic
-from repro.traffic.bursty import BurstyTraffic, ApplicationTraffic
+from repro.traffic.bursty import BurstyTraffic
 
 __all__ = [
     "TrafficPattern",
@@ -30,5 +30,4 @@ __all__ = [
     "TrafficTrace",
     "TraceTraffic",
     "BurstyTraffic",
-    "ApplicationTraffic",
 ]

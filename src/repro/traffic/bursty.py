@@ -1,32 +1,27 @@
-"""Bursty and application-like traffic (beyond the paper's five patterns).
+"""Bursty traffic (beyond the paper's five patterns).
 
 The paper evaluates synthetic traffic only and defers "real workloads" to
-future work. As a step in that direction this module provides two
-generators whose statistics are the standard stand-ins for application
-traffic in the NoC literature:
+future work. As a step in that direction this module provides
+:class:`BurstyTraffic`, per-core two-state Markov-modulated Bernoulli
+(ON/OFF) sources, the standard stand-in for bursty application traffic in
+the NoC literature. Burstiness is controlled by the burst factor (ON-state
+rate over mean rate) and mean burst length; the long-run offered load
+matches ``injection_rate`` exactly, so results are comparable with the
+uniform Bernoulli runs at the same x-axis point. (Request-reply
+application traffic is the ``coherence`` family of :mod:`repro.workloads`.)
 
-* :class:`BurstyTraffic` -- per-core two-state Markov-modulated Bernoulli
-  (ON/OFF) sources. Burstiness is controlled by the burst factor (ON-state
-  rate over mean rate) and mean burst length; the long-run offered load
-  matches ``injection_rate`` exactly, so results are comparable with the
-  uniform Bernoulli runs at the same x-axis point.
-* :class:`ApplicationTraffic` -- a crude shared-memory sharing pattern:
-  each core picks a small working set of "home" cores (directory / LLC
-  slices) that attract most of its packets, plus uniform background. This
-  produces the hot-node skew real directory protocols show.
-
-Both draw whole-network vectors every cycle, so they draw from NumPy
-streams; NumPy is imported with the first one (see :mod:`repro.utils.rng`).
+It draws whole-network vectors every cycle, so it draws from NumPy streams;
+NumPy is imported with the first one (see :mod:`repro.utils.rng`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.traffic.generator import DrawAheadTraffic
 from repro.traffic.patterns import TrafficPattern
 from repro.utils.rng import RngStreams
-from repro.utils.validation import check_in_range, check_positive, check_probability
+from repro.utils.validation import check_positive, check_probability
 
 
 class BurstyTraffic(DrawAheadTraffic):
@@ -123,67 +118,3 @@ class BurstyTraffic(DrawAheadTraffic):
         network is idle.
         """
         return float(self._on.mean())
-
-
-class ApplicationTraffic(DrawAheadTraffic):
-    """Directory-style sharing skew: hot working set + uniform background.
-
-    Parameters
-    ----------
-    working_set:
-        Number of home cores each source predominantly talks to.
-    locality:
-        Probability a packet targets the working set (rest is uniform).
-    """
-
-    def __init__(
-        self,
-        n_cores: int,
-        injection_rate: float,
-        packet_size_flits: int = 4,
-        seed: int = 1,
-        working_set: int = 4,
-        locality: float = 0.7,
-        stop_cycle: Optional[int] = None,
-    ) -> None:
-        check_positive("n_cores", n_cores)
-        check_probability("injection_rate", injection_rate)
-        check_positive("packet_size_flits", packet_size_flits)
-        check_positive("working_set", working_set)
-        check_probability("locality", locality)
-        if working_set >= n_cores:
-            raise ValueError("working_set must be smaller than the core count")
-        super().__init__(packet_size_flits, stop_cycle)
-        self.n_cores = n_cores
-        self.injection_rate = injection_rate
-        self.locality = locality
-        self._p_start = injection_rate / packet_size_flits
-        self._rng = RngStreams(seed).get("app")
-        import numpy as np
-
-        # Fixed per-core working sets (never containing the core itself).
-        homes = np.empty((n_cores, working_set), dtype=np.int64)
-        for core in range(n_cores):
-            candidates = self._rng.permutation(n_cores - 1)[:working_set]
-            homes[core] = np.where(candidates >= core, candidates + 1, candidates)
-        self._homes = homes
-
-    def _draw(self, cycle: int) -> Optional[List[Tuple[int, int]]]:
-        rng = self._rng
-        draws = rng.random(self.n_cores)
-        sources = (draws < self._p_start).nonzero()[0]
-        if sources.size == 0:
-            return None
-        import numpy as np
-
-        use_home = rng.random(sources.size) < self.locality
-        home_pick = rng.integers(0, self._homes.shape[1], size=sources.size)
-        uniform = rng.integers(0, self.n_cores, size=sources.size)
-        dsts = np.where(use_home, self._homes[sources, home_pick], uniform)
-        pairs = [
-            (int(s), int(d)) for s, d in zip(sources, dsts) if s != d
-        ]
-        return pairs or None
-
-    def homes_of(self, core: int) -> Sequence[int]:
-        return self._homes[core].tolist()

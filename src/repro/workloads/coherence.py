@@ -11,8 +11,7 @@ requester directly -- the classic 3-hop pattern whose reply skew is what
 distinguishes coherence traffic from independent Bernoulli sources.
 
 Spatial locality is modelled by giving each core a hot set of home nodes
-(its working set) that attracts most of its misses, generalising
-:class:`repro.traffic.bursty.ApplicationTraffic`'s skew to full
+(its working set) that attracts most of its misses, with full
 request-reply causality.
 """
 

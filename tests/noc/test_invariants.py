@@ -17,7 +17,7 @@ from repro.noc.invariants import (
     check_vc_state_coherence,
 )
 from repro.topologies import build_cmesh, build_optxb, build_pclos, build_wcmesh
-from repro.traffic import SyntheticTraffic
+from repro.traffic import ScriptedTraffic, SyntheticTraffic
 
 
 BUILDERS = {
@@ -195,6 +195,21 @@ class TestLostWakeupDetection:
                     check_kernel_coherence(sim)
                     return
         pytest.fail("no waiting head has a busy, fully funded candidate VC")
+
+    def test_detects_sink_grant_dropped_from_vca_fresh(self):
+        # A sink queues no request: vca_fresh is the only thing that will
+        # ever grant a head waiting on one.
+        sim = Simulator(
+            build_cmesh(64).network, traffic=ScriptedTraffic([(0, 0, 63, 4)])
+        )
+        fresh = sim.kernels.vca_fresh
+        while not any(sim.kernels.slot_vc[s].cand_endpoint.is_sink for s in fresh):
+            assert sim.now < 100, "the head never waited on its sink"
+            sim.step()
+        check_kernel_coherence(sim)
+        fresh.clear()
+        with pytest.raises(InvariantViolation, match=r"core63\.sink but is not in vca_fresh"):
+            check_kernel_coherence(sim)
 
 
 class TestSAWorkSet:

@@ -6,21 +6,23 @@ sweep end-to-end -- fast untraced runs drive it by default. The tests here
 pin the pieces those properties cannot localise: the slot layout binding,
 the work lists agreeing with the object state mid-run (``sa_slots`` is
 exactly the ACTIVE, occupied, unparked VCs), a link latency that does not
-fit the simulator's event rings, the mixed-VC fallback (SA only: RC and VCA
-sweep every network), and sweep == traced ``stage_sa`` == the naive
+fit the simulator's event rings, a network of mixed VC counts (rejected:
+the slot arithmetic needs one), the last hop's grant at an ejection sink
+(no request queued there), and sweep == traced ``stage_sa`` == the naive
 schedule (which still runs the sweep).
 """
 
 import pytest
 
 from repro.noc import Simulator
-from repro.noc.invariants import audit_network
+from repro.noc.buffers import VCState
+from repro.noc.invariants import audit_network, check_kernel_coherence
 from repro.noc.kernels import KernelState
 from repro.noc.stats import StatsCollector
 from repro.runtime.registry import build_topology
 from repro.telemetry import Tracer
 from repro.topologies import build_cmesh
-from repro.traffic import SyntheticTraffic
+from repro.traffic import ScriptedTraffic, SyntheticTraffic
 from tests.reference import naive_schedule
 
 
@@ -48,7 +50,6 @@ class TestBinding:
         built = build_cmesh(64)
         net = built.network
         k = KernelState.build(net)
-        assert k.supported
         V = k.num_vcs
         for router in net.routers:
             base = k.vslot_base[router.rid]
@@ -64,7 +65,6 @@ class TestBinding:
         built = build_topology("own256")
         net = built.network
         k = KernelState.build(net)
-        assert k.supported
         for li, link in enumerate(net.links):
             assert link.index == li
         assert len(net.mediums) > 0
@@ -90,22 +90,14 @@ class TestBinding:
         with pytest.raises(ValueError, match=net.links[5].name):
             KernelState.build(net, len(sim._flit_ring))
 
-    def test_mixed_vc_network_unsupported(self):
-        built = build_cmesh(64)
-        net = built.network
-        net.routers[0].num_vcs = net.num_vcs + 1
-        k = KernelState.build(net)
-        assert not k.supported
-        sim = Simulator(
-            net, traffic=SyntheticTraffic(64, "UN", 0.02, 4, seed=1, stop_cycle=50)
-        )
-        assert not sim._sa_kernel  # SA falls back to the object path
-        # RC and VCA only need the slot order, so they sweep this network
-        # too, and the audit checks its layout and request queues.
-        sim.run(50)
-        audit_network(sim)
-        assert sim.drain()
-        assert sim.stats.packets_ejected == sim.stats.packets_created > 0
+    def test_mixed_vc_network_rejected(self):
+        # Both forms of SA take a port's width from the network's num_vcs.
+        net = build_cmesh(64).network
+        net.routers[5].num_vcs = net.num_vcs + 1
+        with pytest.raises(ValueError, match=r"router 5 has 5 VCs .* network 4"):
+            KernelState.build(net)
+        with pytest.raises(ValueError, match="router 5"):
+            Simulator(net)
 
 
 class TestCoherence:
@@ -152,6 +144,30 @@ class TestCoherence:
         _, sim, _ = execute_inline(spec)
         assert sim._sa_kernel
         audit_network(sim)
+
+
+    def test_last_hop_queues_no_request_at_its_sink(self):
+        # A sink refuses no head: RC queues no request there, and the next
+        # VCA phase grants the head from vca_fresh. Heads bound for a router
+        # still queue on its endpoint.
+        sim = Simulator(
+            build_cmesh(64).network, traffic=ScriptedTraffic([(0, 0, 63, 4)])
+        )
+        k = sim.kernels
+        waited = {True: 0, False: 0}
+        while not sim.stats.packets_ejected:
+            assert sim.now < 100
+            sim.step()
+            for vc in k.slot_vc:
+                if vc.state is VCState.WAITING_VC:
+                    ep = vc.cand_endpoint
+                    waited[ep.is_sink] += 1
+                    if ep.is_sink:
+                        assert ep.requests == () and vc.gslot in k.vca_fresh
+                    else:
+                        assert ep.requests == [vc.gslot]
+            check_kernel_coherence(sim)
+        assert waited[True] == 1 and waited[False] >= 1
 
 
 class TestBitIdentity:

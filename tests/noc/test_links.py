@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.noc import Network, RoutingFunction, Simulator
 from repro.noc.links import Endpoint, Link, SharedMedium
 from repro.noc.packet import Packet
 
@@ -10,14 +11,12 @@ class TestEndpoint:
     def test_credit_lifecycle(self):
         ep = Endpoint(None, 0, num_vcs=2, vc_depth=3)
         assert ep.credits == [3, 3]
-        assert ep.has_credit(0)
         ep.take_credit(0)
         ep.take_credit(0)
         ep.take_credit(0)
-        assert not ep.has_credit(0)
-        assert ep.has_credit(1)
+        assert ep.credits == [0, 3]
         ep.return_credit(0)
-        assert ep.has_credit(0)
+        assert ep.credits == [1, 3]
 
     def test_credit_underflow_detected(self):
         ep = Endpoint(None, 0, num_vcs=1, vc_depth=1)
@@ -27,33 +26,72 @@ class TestEndpoint:
 
     def test_vc_busy_lifecycle(self):
         ep = Endpoint(None, 0, num_vcs=2, vc_depth=4)
-        ep.acquire_vc(1)
-        assert ep.vc_busy[1]
-        with pytest.raises(RuntimeError, match="double"):
-            ep.acquire_vc(1)
+        assert ep.admit([1], 4) == 1
+        assert ep.vc_busy == [False, True]
+        assert ep.admit([1], 1) is None  # a busy VC is never handed out twice
         ep.release_vc(1)
-        ep.acquire_vc(1)
+        assert ep.admit([1], 4) == 1
 
     def test_sink_is_unconstrained(self):
+        # A sink keeps no credit, busy or request state at all: every path
+        # that could touch one returns on ``is_sink`` first.
         sink = Endpoint(None, 0, num_vcs=1, vc_depth=1, is_sink=True)
+        assert sink.credits == sink.vc_busy == sink.requests == ()
         for _ in range(100):
-            assert sink.has_credit(0)
             sink.take_credit(0)
-        sink.acquire_vc(0)
-        sink.acquire_vc(0)  # no double-allocation error for sinks
-        assert sink.can_accept_packet(0, 10_000)
+            sink.return_credit(0)
+        sink.release_vc(0)
 
     def test_vct_admission(self):
+        # Virtual cut-through: a VC is admitted only with credits for the
+        # whole packet.
         ep = Endpoint(None, 0, num_vcs=1, vc_depth=4)
-        assert ep.can_accept_packet(0, 4)
         ep.take_credit(0)
-        assert not ep.can_accept_packet(0, 4)
-        assert ep.can_accept_packet(0, 3)
+        assert ep.admit((0,), 4) is None
+        assert ep.admit((0,), 3) == 0
 
     def test_vct_oversized_packet_is_an_error(self):
+        # Endpoint.admit just refuses a packet larger than a VC; the NI
+        # raises for it where it enters, since waiting would hang the run.
         ep = Endpoint(None, 0, num_vcs=1, vc_depth=4)
-        with pytest.raises(ValueError, match="never fit"):
-            ep.can_accept_packet(0, 5)
+        assert ep.admit((0,), 5) is None
+        sim, _ = _sim_and_link()
+        sim.network.inject_packet(Packet(0, 1, 5, 0, pid=0))
+        with pytest.raises(ValueError, match="5 flits can never fit VC depth 4 at r0.in0"):
+            sim.step()
+
+    def test_admit_takes_the_first_free_funded_candidate_in_order(self):
+        ep = Endpoint(None, 0, num_vcs=4, vc_depth=4)
+        ep.credits[:] = [4, 2, 4, 4]
+        ep.vc_busy[2] = True
+        # Candidate order, not VC index order, decides: VC 1 lacks credits
+        # for a whole 4-flit packet and VC 2 is busy, so VC 3 wins over 0.
+        assert ep.admit((1, 2, 3, 0), 4) == 3
+        assert ep.vc_busy == [False, False, True, True]
+        assert ep.admit((1, 0), 2) == 1
+        assert ep.vc_busy == [False, True, True, True]
+
+    def test_admit_refuses_when_no_candidate_fits(self):
+        ep = Endpoint(None, 0, num_vcs=2, vc_depth=4)
+        ep.credits[:] = [3, 4]
+        ep.vc_busy[1] = True
+        busy = ep.vc_busy[:]
+        assert ep.admit((0, 1), 4) is None
+        assert ep.admit((), 1) is None
+        assert ep.vc_busy == busy  # a refusal claims nothing
+
+
+def _sim_and_link(cycles_per_flit=1, flit_width_bits=128):
+    """A simulator over two routers and its router 0 -> 1 link: every flit
+    send is booked by ``Simulator._send_fn``."""
+    net = Network("pair", n_cores=2, num_vcs=2, vc_depth=4, flit_width_bits=flit_width_bits)
+    net.add_router()
+    net.add_router()
+    net.attach_core(0, 0)
+    net.attach_core(1, 1)
+    out, _ = net.connect(0, 1, cycles_per_flit=cycles_per_flit)
+    net.set_routing(RoutingFunction())
+    return Simulator(net), net.routers[0].out_links[out]
 
 
 def make_link(**kw):
@@ -75,18 +113,23 @@ class TestLink:
             Link("l", None, 0, None)
 
     def test_serialization_busy_window(self):
-        link, _ = make_link(cycles_per_flit=3)
+        sim, link = _sim_and_link(cycles_per_flit=3)
+        packet = Packet(0, 1, 2, 0, pid=0)
         assert link.ready(0)
-        link.on_flit_sent(0, False, 128)
+        sim._send_fn(link, link.resolve_endpoint(packet), packet, 0, False, 0, 0)
+        assert link.busy_until == 3
         assert not link.ready(1) and not link.ready(2)
         assert link.ready(3)
 
     def test_bit_accounting(self):
-        link, _ = make_link()
+        sim, link = _sim_and_link(flit_width_bits=64)
+        packet = Packet(0, 1, 3, 0, pid=0)
+        endpoint = link.resolve_endpoint(packet)
         for t in range(3):
-            link.on_flit_sent(t, t == 2, 128)
+            sim._send_fn(link, endpoint, packet, t, t == 2, 0, t)
         assert link.flits_carried == 3
-        assert link.bits_carried == 3 * 128
+        assert link.bits_carried == 3 * 64
+        assert link.busy_until == 3
 
     def test_resolver_endpoints(self):
         eps = {

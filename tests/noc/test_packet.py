@@ -9,19 +9,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.noc import Simulator
-from repro.noc.buffers import VirtualChannel
 from repro.noc.packet import Packet
 from repro.topologies import build_cmesh
 from repro.traffic import ScriptedTraffic
+from tests.noc.test_buffers import one_router, pop, push
 
 
 def segment(*packets):
-    """(packet, position) of every flit, streamed through one VC in order."""
-    vc = VirtualChannel(0, sum(p.size_flits for p in packets))
+    """(packet, position) of every flit, streamed through one router VC in
+    order (in by ``Router.deliver_flit``, out by ``Router._transmit``)."""
+    sim, router = one_router(depth=sum(p.size_flits for p in packets))
+    vc = router.input_ports[0].vcs[0]
     for p in packets:
         for _ in range(p.size_flits):
-            vc.push(p)
-    out = [vc.pop() for _ in range(len(vc.queue))]
+            push(router, p)
+    out = [pop(sim, router) for _ in range(len(vc.queue))]
     assert vc.sent == 0  # the last tail reset the front counter
     return out
 

@@ -433,6 +433,21 @@ class TestDeadlockReport:
                 return
         pytest.fail("saturation parked no VC behind a token")
 
+    def test_wait_for_edge_of_a_head_bound_for_its_sink(self):
+        sim = Simulator(
+            build_cmesh(64).network, traffic=ScriptedTraffic([(0, 0, 63, 4)])
+        )
+        kern = sim.kernels
+        while sim.now < 100:
+            sim.step()
+            for slot in kern.vca_fresh:
+                router, vc = kern.slot_router[slot], kern.slot_vc[slot]
+                if vc.cand_endpoint.is_sink:
+                    edge = sim._waits_on(router, router.input_ports[vc.in_port], vc)
+                    assert edge == ", granted by the next VC allocation at core63.sink"
+                    return
+        pytest.fail("the head never waited on its sink")
+
     def test_slow_link_with_pending_events_is_not_deadlock(self):
         # Regression: a link whose latency exceeds the watchdog budget
         # leaves the second packet buffered upstream (sole downstream VC

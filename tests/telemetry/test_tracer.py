@@ -7,6 +7,7 @@ from repro.telemetry import (
     FLIT_RECV,
     FLIT_SEND,
     PACKET_DONE,
+    VC_STALL,
     Tracer,
 )
 from repro.topologies import build_cmesh
@@ -116,11 +117,15 @@ class TestDisabledTracer:
         assert (sim_on.stats.packets_ejected, tuple(sim_on.stats.latencies)) == base
 
     def test_disabled_tracer_not_bound_to_routers(self):
+        # The tracer binds to the simulator alone; routers hold no
+        # reference, and traced SA (Router.stage_sa) reads sim._tracer.
         sim = run_cmesh(None)
-        assert sim._tracer is None
-        assert all(r.tracer is None for r in sim.network.routers)
-        traced = run_cmesh(Tracer())
-        assert all(r.tracer is traced._tracer for r in traced.network.routers)
+        assert sim._tracer is None and sim._sa_kernel
+        tracer = Tracer()
+        traced = run_cmesh(tracer)
+        assert traced._tracer is tracer and not traced._sa_kernel
+        assert not any(hasattr(r, "tracer") for r in traced.network.routers)
+        assert any(ev.etype == VC_STALL for ev in tracer.events)
 
 
 class TestLatencyBreakdown:
