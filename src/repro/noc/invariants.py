@@ -9,7 +9,10 @@ can assert them at any cycle boundary:
   The balance is exact: the ejected count it implies must equal every
   delivery recorded, warm-up epoch included;
 * **credit consistency** — for every endpoint, credits + buffered flits +
-  in-flight flits == buffer depth, per VC;
+  in-flight flits == buffer depth, per VC; and every ACTIVE non-sink VC,
+  and every NI with a packet in progress, holds at least one credit on the
+  VC it was admitted to (``Endpoint.admit`` funds the whole packet, so
+  neither switch allocation nor injection tests it);
 * **VC-state coherence** — a non-IDLE VC has routing state; an IDLE VC has
   none; a VC's front counter (``vc.sent``) is nonzero only in an ACTIVE VC
   and then lies inside its front packet;
@@ -142,6 +145,14 @@ def _walk(net: "Network", sim=None, credit=False, vc_state=False, kernel=False) 
                         raise InvariantViolation(
                             f"r{router.rid}: ACTIVE VC{vc.index} missing allocation"
                         )
+                    if credit:
+                        ep = vc.endpoint
+                        if not ep.is_sink and ep.credits[vc.out_vc] <= 0:
+                            raise InvariantViolation(
+                                f"credit underflow: ACTIVE r{router.rid}.in{ip}."
+                                f"vc{vc.index} holds {ep.credits[vc.out_vc]} "
+                                f"credits on {ep.name} vc{vc.out_vc}"
+                            )
                     if kernel and n and s not in parked:
                         sa_expect.add(s)
                 s += 1
@@ -151,6 +162,16 @@ def _walk(net: "Network", sim=None, credit=False, vc_state=False, kernel=False) 
                 f"kernel: r{router.rid} counts {router._nflits} flits but "
                 f"buffers {buffered}"
             )
+    if credit:
+        for ni in net.interfaces:
+            if ni is None or ni.current_vc is None:
+                continue
+            v = ni.current_vc
+            if ni.endpoint.credits[v] <= 0:
+                raise InvariantViolation(
+                    f"credit underflow: NI {ni.core} is mid-packet with "
+                    f"{ni.endpoint.credits[v]} credits on vc{v}"
+                )
     if kernel:
         for ep, slots in waiting.items():
             if ep.requests != slots:
@@ -204,7 +225,8 @@ def check_flit_conservation(sim: "Simulator") -> None:
 
 
 def check_credit_consistency(sim: "Simulator") -> None:
-    """credits + buffered + in-flight (+ pending credit returns) == depth."""
+    """credits + buffered + in-flight (+ pending credit returns) == depth,
+    and every sender mid-packet holds a credit on its VC."""
     _walk(sim.network, sim, credit=True)
 
 

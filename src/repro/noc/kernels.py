@@ -286,9 +286,6 @@ class KernelState:
             # --- input-port arbitration: is this VC eligible, and nearest
             # to the port's pointer so far? -------------------------------
             vc = slot_vc[s]
-            endpoint = vc.endpoint
-            if not (endpoint.is_sink or endpoint.credits[vc.out_vc] > 0):
-                continue
             link = out_links[vc.out_port]
             if now < link.busy_until:
                 continue

@@ -89,7 +89,6 @@ class NetworkInterface:
         if not queue:
             return 0
         endpoint = self.endpoint
-        credits = endpoint.credits
         packet = queue[0]
         vc = self.current_vc
         if vc is None:
@@ -107,9 +106,9 @@ class NetworkInterface:
             if vc is None:
                 return 0
             self.current_vc = vc
-        elif credits[vc] <= 0:
-            return 0
-        credits[vc] -= 1  # Endpoint.take_credit, inlined (credit > 0 above)
+        # Endpoint.take_credit, inlined: admission funded the whole packet,
+        # so a packet in progress always holds a credit on its VC.
+        endpoint.credits[vc] -= 1
         endpoint.router.deliver_flit(endpoint.in_port, vc, packet)
         self.flits_injected += 1
         seq = self.sent

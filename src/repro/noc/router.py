@@ -226,7 +226,7 @@ class Router:
         ``slots`` is this router's share of ``KernelState.sa_slots``,
         ascending -- which is ascending (in_port, vc), the order the
         tracer's stall records are emitted in. A VC that cannot move
-        records why (``credit``, ``link`` or ``token``) and keeps polling:
+        records why (``link`` or ``token``) and keeps polling:
         nothing parks on a medium token, so the record stream has one entry
         per stalled VC per cycle. Winners traverse through ``_transmit``.
 
@@ -235,8 +235,10 @@ class Router:
         over ``n`` lines is ``argmin_{i in R} (i - p) % n`` and the pointer
         advances to ``winner + 1``; a port's pointer is ``in_ptr`` at the
         port's first slot, an output's is ``out_ptr`` at its link's index --
-        and so are the eligibility checks (credit, link serialization,
-        medium token), in the same order.
+        and so are the eligibility checks (link serialization, medium
+        token), in the same order. Credit is not one: ``Endpoint.admit``
+        funds the whole packet, so an ACTIVE VC holds a credit until its
+        tail leaves (``invariants.audit_network`` checks it).
         """
         tracer = sim._tracer
         input_ports = self.input_ports
@@ -256,10 +258,6 @@ class Router:
             # queue (maintained by deliver_flit / vca_sweep / _transmit),
             # so neither is re-checked here.
             vc = slot_vc[s]
-            endpoint = vc.endpoint
-            if not (endpoint.is_sink or endpoint.credits[vc.out_vc] > 0):
-                tracer.on_vc_stall(self, input_ports[vc.in_port].kind, "credit", now)
-                continue
             link = out_links[vc.out_port]
             if now < link.busy_until:
                 tracer.on_vc_stall(self, input_ports[vc.in_port].kind, "link", now)
@@ -350,8 +348,8 @@ class Router:
 
         out_vc = vc.out_vc
         if not endpoint.is_sink:
-            # Endpoint.take_credit, inlined; SA eligibility just proved
-            # credits[out_vc] > 0 this cycle, so no underflow guard needed.
+            # Endpoint.take_credit, inlined; no underflow guard needed:
+            # admission funded the whole packet, so credits[out_vc] > 0.
             endpoint.credits[out_vc] -= 1
         # Link/medium busy + bit accounting happens inside _send_fn so the
         # simulator can apply the configured flit width consistently.

@@ -18,11 +18,12 @@ but safe: stale physics never leaks out of the cache).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, Mapping, Optional, Tuple
+
+from repro.utils.rng import sha256
 
 #: Bumped when the result payload layout changes (invalidates the cache
 #: even if no source file changed).
@@ -60,7 +61,7 @@ def code_fingerprint() -> str:
 
         root = os.path.dirname(os.path.abspath(repro.__file__))
         files = fingerprint_files()
-        h = hashlib.sha256()
+        h = sha256()
         for rel in files:
             h.update(rel.encode())
             with open(os.path.join(root, rel), "rb") as fh:
@@ -405,7 +406,7 @@ class RunSpec:
     def digest(self) -> str:
         """Content address of what is simulated: the spec except ``power``,
         plus code fingerprint and schema version."""
-        h = hashlib.sha256()
+        h = sha256()
         h.update(replace(self, power=()).canonical_json().encode())
         h.update(f"|code={code_fingerprint()}|schema={SCHEMA_VERSION}".encode())
         return h.hexdigest()

@@ -15,7 +15,8 @@ Event vocabulary
                    sink (component is the endpoint name).
 ``flit_drop``      Receiver-side discard of a corrupt/lost flit.
 ``vc_stall``       An ACTIVE VC with a buffered flit could not move this
-                   cycle (``args["reason"]``: credit / token / link).
+                   cycle (``args["reason"]``: token / link; it never lacks
+                   a credit, see ``Endpoint.admit``).
 ``token_request``  A link began waiting for its shared medium's token.
 ``token_grant``    The medium's token was handed to a writer
                    (``args["wait"]`` = request-to-grant cycles).

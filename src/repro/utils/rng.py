@@ -17,15 +17,16 @@ link layer's CRC outcomes and the health monitor's probes, one stream per
 link each (:class:`ScalarStreams`). Bernoulli-per-cycle processes among
 them skip the cycles without an event through :func:`geometric_gap`.
 
-A consumer that draws vectors (bursty and application traffic, the
-workload generators) takes a NumPy ``Generator`` from :class:`RngStreams`;
-NumPy is imported on the first such stream, so a run that draws no vector
-never loads it.
+A consumer that draws vectors (bursty traffic, the workload generators)
+takes a NumPy ``Generator`` from :class:`RngStreams`; NumPy is imported on
+the first such stream, so a run that draws no vector never loads it.
+
+:func:`sha256` is the package's one SHA-256 constructor (seeds here, run
+digests and the code fingerprint in :mod:`repro.runtime.spec`).
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from typing import TYPE_CHECKING, Dict, Tuple
@@ -33,13 +34,26 @@ from typing import TYPE_CHECKING, Dict, Tuple
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
 
+# CPython's builtin SHA-256, taken the way ``random`` takes ``_sha512``:
+# ``hashlib`` would load OpenSSL's libcrypto (~3.5 MiB resident, ~4 ms of
+# import) for a hash of a few dozen bytes. Same digest either way.
+try:
+    from _sha256 import sha256  # CPython <= 3.11
+except ImportError:  # pragma: no cover - depends on the interpreter
+    try:
+        from _sha2 import sha256  # CPython >= 3.12
+    except ImportError:
+        from hashlib import sha256
+
 
 def derive_seed(master_seed: int, *key_parts: object) -> int:
     """Derive a 63-bit child seed from ``master_seed`` and a stream key.
 
     The derivation hashes the textual representation of the key parts with
     SHA-256, which makes it stable across Python versions and processes
-    (unlike ``hash()``).
+    (unlike ``hash()``). The hash is :func:`sha256`, CPython's builtin
+    module rather than ``hashlib``'s OpenSSL binding: on inputs this short
+    it is faster, and it keeps libcrypto out of a run's process.
 
     >>> derive_seed(42, "traffic", 7) == derive_seed(42, "traffic", 7)
     True
@@ -47,7 +61,7 @@ def derive_seed(master_seed: int, *key_parts: object) -> int:
     True
     """
     payload = repr((int(master_seed),) + tuple(key_parts)).encode("utf-8")
-    digest = hashlib.sha256(payload).digest()
+    digest = sha256(payload).digest()
     return int.from_bytes(digest[:8], "little") & 0x7FFF_FFFF_FFFF_FFFF
 
 

@@ -340,6 +340,69 @@ def _lost_ni_flit(net, sim):
     return check_flit_conservation, sim
 
 
+def _withhold(sim, endpoint, v):
+    # Move every credit of (endpoint, v) onto the credit-return ring: the
+    # accounting still balances, but the sender holding v has none left.
+    for _ in range(endpoint.credits[v]):
+        sim._credits_due.append((endpoint, v))
+    endpoint.credits[v] = 0
+
+
+def _starve_active_vc(net, sim):
+    vc = next(
+        vc for vc in sim.kernels.slot_vc
+        if vc.state is VCState.ACTIVE and not vc.endpoint.is_sink
+    )
+    _withhold(sim, vc.endpoint, vc.out_vc)
+    return check_credit_consistency, sim
+
+
+def _starve_ni(net, sim):
+    ni = next(ni for ni in net.interfaces if ni is not None and ni.current_vc is not None)
+    _withhold(sim, ni.endpoint, ni.current_vc)
+    return check_credit_consistency, sim
+
+
+class TestCreditUnderflow:
+    """``Endpoint.admit`` funds a whole packet, so a sender mid-packet
+    always holds a credit on its VC; neither SA nor the NI tests it, and
+    the audit is where a broken admission shows."""
+
+    @pytest.mark.parametrize("inject", [_starve_active_vc, _starve_ni])
+    def test_planted_underflow_fails_the_audit(self, inject):
+        built = build_own256()
+        sim = Simulator(
+            built.network, traffic=SyntheticTraffic(256, "UN", 0.15, 4, seed=9)
+        )
+        sim.run(150)
+        audit_network(sim)
+        inject(built.network, sim)
+        with pytest.raises(InvariantViolation, match="credit underflow"):
+            audit_network(sim)
+
+    def test_wormhole_admission_is_caught(self, monkeypatch):
+        # Admit on one credit instead of the whole packet: the first VC that
+        # drains its credits mid-packet fails the audit.
+        from repro.noc.links import Endpoint
+
+        def admit_on_one_credit(self, cands, size):
+            for v in cands:
+                if not self.vc_busy[v] and self.credits[v] > 0:
+                    self.vc_busy[v] = True
+                    return v
+            return None
+
+        monkeypatch.setattr(Endpoint, "admit", admit_on_one_credit)
+        built = build_own256()
+        sim = Simulator(
+            built.network, traffic=SyntheticTraffic(256, "UN", 0.15, 4, seed=9)
+        )
+        with pytest.raises(InvariantViolation, match="credit underflow"):
+            for _ in range(300):
+                sim.run(1)
+                audit_network(sim)
+
+
 class TestOneWalk:
     """``audit_network`` evaluates every per-VC condition in one walk and
     each ``check_*`` in the same walk for its own: one violation of each
@@ -365,6 +428,7 @@ class TestOneWalk:
             _count_drift,
             _foreign_holder,
             _lost_ni_flit,
+            _starve_active_vc,
         ],
     )
     def test_audit_reports_what_the_check_reports(self, inject):

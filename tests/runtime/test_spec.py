@@ -1,7 +1,12 @@
 """RunSpec value semantics: freezing, serialisation, content addressing."""
 
+import hashlib
+import os
+from dataclasses import replace
+
 import pytest
 
+import repro
 from repro.runtime import (
     SCHEMA_VERSION,
     ControlSpec,
@@ -11,6 +16,7 @@ from repro.runtime import (
     code_fingerprint,
     freeze_kwargs,
 )
+from repro.runtime.spec import fingerprint_files
 
 
 class TestFreezeKwargs:
@@ -145,6 +151,22 @@ class TestDigest:
         d = self.make().to_dict()
         del d["telemetry"]
         assert RunSpec.from_dict(d).telemetry is False
+
+    def test_digest_is_hashlibs_sha256_of_the_same_bytes(self):
+        spec = self.make(power=((4, 1),), telemetry=True)
+        payload = replace(spec, power=()).canonical_json()
+        payload += f"|code={code_fingerprint()}|schema={SCHEMA_VERSION}"
+        assert spec.digest() == hashlib.sha256(payload.encode()).hexdigest()
+
+    def test_code_fingerprint_is_hashlibs_sha256(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CODE_VERSION", raising=False)
+        root = os.path.dirname(os.path.abspath(repro.__file__))
+        h = hashlib.sha256()
+        for rel in fingerprint_files():
+            h.update(rel.encode())
+            with open(os.path.join(root, rel), "rb") as fh:
+                h.update(fh.read())
+        assert code_fingerprint() == h.hexdigest()[:16]
 
     def test_code_version_folds_into_digest(self, monkeypatch):
         base = self.make().digest()

@@ -13,6 +13,10 @@ import repro
 
 SRC = Path(repro.__file__).resolve().parent.parent
 
+#: ``hashlib`` loads OpenSSL's libcrypto (~3.5 MiB resident); seeds and
+#: digests use CPython's builtin SHA-256 (``repro.utils.rng.sha256``).
+OPENSSL = {"hashlib", "_hashlib"}
+
 
 def _fresh(code: str):
     """Run ``code`` in a fresh interpreter on this checkout; return the JSON
@@ -44,6 +48,15 @@ def test_engine_import_skips_analysis_and_telemetry():
     ]
 
 
+def test_engine_import_loads_no_openssl():
+    loaded = _fresh(
+        "import json, sys\n"
+        "import repro.runtime.executor\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    assert not OPENSSL & set(loaded)
+
+
 def test_every_export_resolves():
     for name in repro.__all__:
         assert getattr(repro, name) is not None, name
@@ -66,7 +79,7 @@ def test_star_import_and_unknown_names():
 def test_plain_runs_import_no_numpy():
     """Synthetic traffic draws scalars and latency statistics are exact
     Python: a plain run, power fold included, loads neither NumPy nor a
-    worker pool."""
+    worker pool, and its seeds and digests load no OpenSSL."""
     loaded = _fresh(
         "import json, sys\n"
         "from repro.runtime.executor import execute_inline\n"
@@ -78,10 +91,12 @@ def test_plain_runs_import_no_numpy():
         "print(json.dumps(sorted({m.split('.')[0] for m in sys.modules})))\n"
     )
     assert "numpy" not in loaded and "multiprocessing" not in loaded
+    assert not OPENSSL & set(loaded)
 
 
 def test_cli_sweep_imports_no_numpy():
-    """``repro sweep`` resolves the analysis names it uses and no others."""
+    """``repro sweep`` resolves the analysis names it uses and no others,
+    and loads no NumPy or OpenSSL."""
     argv = ["sweep", "own256", "--rates", "0.01", "--cycles", "200", "--warmup", "50"]
     loaded = _fresh(
         "import json, sys\n"
@@ -92,12 +107,13 @@ def test_cli_sweep_imports_no_numpy():
     assert "repro.analysis.sweep" in loaded
     assert "repro.analysis.experiments" not in loaded
     assert not [m for m in loaded if m.split(".")[0] in ("numpy", "multiprocessing")]
+    assert not OPENSSL & set(loaded)
 
 
 def test_fault_runs_import_no_numpy():
     """The fault plant draws scalars from the stdlib: a bursty campaign with
     recovery and telemetry, and a channel death with failover, load no
-    NumPy."""
+    NumPy (and no OpenSSL)."""
     loaded, summary = _fresh(
         "import json, sys\n"
         "from repro.runtime.executor import execute_inline\n"
@@ -115,6 +131,7 @@ def test_fault_runs_import_no_numpy():
         "print(json.dumps([sorted({m.split('.')[0] for m in sys.modules}), r.summary]))\n"
     )
     assert "numpy" not in loaded
+    assert not OPENSSL & set(loaded)
     # The campaign corrupted traffic, failed channels over and probed them.
     assert summary["flits_retransmitted"] > 0 and summary["channels_failed_over"] > 0
     assert summary["control_decisions"] > 0
