@@ -89,17 +89,6 @@ class Heatmap:
             "vmax": self.vmax,
         }
 
-    @classmethod
-    def from_json_dict(cls, d: Dict[str, object]) -> "Heatmap":
-        return cls(
-            kind=str(d["kind"]),
-            title=str(d["title"]),
-            unit=str(d["unit"]),
-            window_cycles=int(d["window_cycles"]),
-            components=[str(c) for c in d["components"]],
-            rows=[[float(v) for v in row] for row in d["rows"]],
-        )
-
 
 def heatmaps_from_aggregator(
     agg: WindowedAggregator, kinds: Optional[List[str]] = None

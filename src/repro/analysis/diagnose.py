@@ -63,10 +63,6 @@ class PointDiagnosis:
         return self.point.latency
 
     @property
-    def throughput(self) -> float:
-        return self.point.throughput
-
-    @property
     def verdict(self) -> str:
         return self.attribution.verdict if self.attribution else NO_VERDICT
 

@@ -165,10 +165,6 @@ class RelayRouting(OwnRoutingBase):
             and (via, dst) not in failed
         ]
 
-    def has_relay(self, pair: Pair) -> bool:
-        """Is some two-leg route around ``pair`` live right now?"""
-        return bool(self.live_relays(*pair))
-
     def _relay_for(self, src: int, dst: int) -> Optional[int]:
         """The relay choice: the first live domain."""
         live = self.live_relays(src, dst)

@@ -68,6 +68,9 @@ def group_pair_vc(src_group: int, dst_group: int) -> int:
 class OwnRoutingBase(RoutingFunction):
     """Shared machinery for OWN-256 / OWN-1024 routing functions.
 
+    A subclass supplies ``_wireless_vcs(packet)``, the VCs a wireless hop
+    may claim.
+
     Parameters
     ----------
     net, dims:
@@ -111,9 +114,6 @@ class OwnRoutingBase(RoutingFunction):
         if link.kind == "wireless":
             return self._wireless_vcs(packet)
         return range(router.num_vcs)
-
-    def _wireless_vcs(self, packet) -> Sequence[int]:
-        raise NotImplementedError
 
     def _leg_target(self, router: Router, packet, cur: int, dst: int) -> int:
         """Relay hook: the domain the wireless leg out of ``cur`` crosses to.

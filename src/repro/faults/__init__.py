@@ -20,7 +20,6 @@ from repro.faults.models import (
     PermanentFault,
     TokenLossFault,
     TransientFault,
-    attempt_error_probability,
     flit_error_probability,
 )
 from repro.faults.monitor import HealthMonitor
@@ -36,6 +35,5 @@ __all__ = [
     "PermanentFault",
     "TokenLossFault",
     "TransientFault",
-    "attempt_error_probability",
     "flit_error_probability",
 ]

@@ -45,19 +45,6 @@ def flit_error_probability(ber: float, flit_bits: int) -> float:
     return 1.0 - (1.0 - ber) ** flit_bits
 
 
-def attempt_error_probability(ber: float, flit_bits: int, size_flits: int) -> float:
-    """Probability that a ``size_flits``-flit transmission fails its CRC.
-
-    The link layer protects whole packets (CRC over the packet, checked at
-    the tail flit), so a single transmission attempt fails when any of its
-    ``size_flits * flit_bits`` bits flip.
-    """
-    p_flit = flit_error_probability(ber, flit_bits)
-    if p_flit <= 0.0:
-        return 0.0
-    return 1.0 - (1.0 - p_flit) ** size_flits
-
-
 class LinkFaultState:
     """Mutable channel-health state attached to a protected link.
 
@@ -142,13 +129,6 @@ class LinkFaultState:
         if p_flit <= 0.0:
             return 0.0
         return 1.0 - (1.0 - p_flit) ** size_flits
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"LinkFaultState(snr={self.effective_snr_db:.1f}dB, dead={self.dead}, "
-            f"failed_over={self.failed_over}, attempts={self.attempts}, "
-            f"corrupt={self.corrupt_attempts})"
-        )
 
 
 # --------------------------------------------------------------------- #

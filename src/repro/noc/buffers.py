@@ -110,12 +110,6 @@ class VirtualChannel:
         self.cand_endpoint = None
         self.cand_vcs = None
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"VC(index={self.index}, state={self.state.name}, "
-            f"len={len(self.queue)}/{self.depth})"
-        )
-
 
 class InputPort:
     """A router input port: a bank of virtual channels."""
@@ -135,6 +129,3 @@ class InputPort:
 
     def total_occupancy(self) -> int:
         return sum(len(vc.queue) for vc in self.vcs)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"InputPort(index={self.index}, kind={self.kind}, vcs={len(self.vcs)})"

@@ -17,7 +17,9 @@ can assert them at any cycle boundary:
   none; a VC's front counter (``vc.sent``) is nonzero only in an ACTIVE VC
   and then lies inside its front packet;
 * **medium coherence** — a medium's holder is one of its members, and every
-  requester has pending VC-allocated packets.
+  requester has pending VC-allocated packets;
+* **injection endpoints** — no link delivers into the endpoint an NI
+  injects through, so only the credit ring re-arms a parked NI.
 
 Every per-VC condition (credits, VC state, the kernel's slot layout and
 work lists) is evaluated by one walk over (router, input port, VC), written
@@ -255,6 +257,23 @@ def check_medium_coherence(net: "Network") -> None:
                 )
 
 
+def check_injection_endpoints(net: "Network") -> None:
+    """No link delivers into an NI's injection endpoint.
+
+    A parked NI waits for a credit: its VCs are released by its own pump,
+    which is never parked mid-packet. The simulator's credit ring re-arms
+    it; a link into the endpoint would return credits (link-layer drops)
+    and release VCs that wake nothing, stranding the NI's backlog.
+    """
+    for link in net.links:
+        for endpoint in link.all_endpoints():
+            if endpoint.ni is not None:
+                raise InvariantViolation(
+                    f"link {link.name} delivers into NI {endpoint.ni.core}'s "
+                    f"injection endpoint {endpoint.name}"
+                )
+
+
 def check_kernel_coherence(sim: "Simulator") -> None:
     """The flat slot layout and work lists agree with the object model.
 
@@ -283,6 +302,7 @@ def audit_network(sim: "Simulator") -> Dict[str, int]:
     buffered = _walk(net, sim, credit=True, vc_state=True, kernel=True)
     where = _conservation(sim, buffered)
     check_medium_coherence(net)
+    check_injection_endpoints(net)
     return {
         "cycle": sim.now,
         **where,

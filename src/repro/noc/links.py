@@ -108,8 +108,10 @@ class Endpoint:
         self.min_size = vc_depth + 1
         self.woken = False
         #: The network interface injecting through this endpoint, if any
-        #: (bound by NetworkInterface.__init__). A parked NI re-arms on any
-        #: credit return or VC release.
+        #: (bound by NetworkInterface.__init__). No link delivers here
+        #: (``invariants.check_injection_endpoints``): the NI releases its
+        #: own VCs, so a parked NI re-arms only on a credit return, from
+        #: the simulator's credit ring.
         self.ni = None
 
     def admit(self, cands: Iterable[int], size: int) -> Optional[int]:
@@ -145,10 +147,6 @@ class Endpoint:
         if self.is_sink:
             return
         self.credits[vc] += 1
-        ni = self.ni
-        if ni is not None and ni.parked:
-            ni.parked = False
-            ni._wake(ni)
         if self.credits[vc] >= self.min_size and not self.vc_busy[vc]:
             self.wake()
 
@@ -156,10 +154,6 @@ class Endpoint:
         if self.is_sink:
             return
         self.vc_busy[vc] = False
-        ni = self.ni
-        if ni is not None and ni.parked:
-            ni.parked = False
-            ni._wake(ni)
         if self.credits[vc] >= self.min_size:
             self.wake()
 
@@ -187,9 +181,6 @@ class Endpoint:
         if not self.woken:
             self.woken = True
             self.router._kern.vca_woken.append(self)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Endpoint({self.name or (self.router, self.in_port)}, sink={self.is_sink})"
 
 
 class SharedMedium:
@@ -361,9 +352,6 @@ class SharedMedium:
         if is_tail:
             self.holder = None
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SharedMedium({self.name}, kind={self.kind}, members={len(self.members)})"
-
 
 class Link:
     """A unidirectional link from a router output port to endpoint(s).
@@ -514,6 +502,3 @@ class Link:
     @property
     def multicast_degree(self) -> int:
         return self.medium.multicast_degree if self.medium is not None else 1
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Link({self.name}, kind={self.kind}, latency={self.latency})"

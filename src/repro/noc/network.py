@@ -67,8 +67,8 @@ class NetworkInterface:
         self.current_vc: Optional[int] = None
         self.flits_injected = 0
         #: Backlogged but blocked on the endpoint (no free/funded VC): out
-        #: of the simulator's active set until a credit return or VC release
-        #: on the endpoint re-arms it (failed pumps have no side effects, so
+        #: of the simulator's active set until a credit return on the
+        #: endpoint re-arms it (failed pumps have no side effects, so
         #: skipping them is invisible to the simulation result).
         self.parked = False
         # Scheduler callback: invoked with ``self`` on the empty->backlogged
@@ -84,10 +84,9 @@ class NetworkInterface:
         self.queue.append(packet)
 
     def pump(self, now: int) -> int:
-        """Move up to one flit per cycle into the router; return flits moved."""
+        """Move one flit of the backlog into the router if the endpoint
+        admits it; return flits moved. Called only while backlogged."""
         queue = self.queue
-        if not queue:
-            return 0
         endpoint = self.endpoint
         packet = queue[0]
         vc = self.current_vc
@@ -393,12 +392,6 @@ class Network:
         if ni is None:
             raise RuntimeError(f"core {packet.src_core} has no network interface")
         ni.enqueue_packet(packet)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Network({self.name!r}, cores={self.n_cores}, routers={self.n_routers}, "
-            f"links={len(self.links)}, mediums={len(self.mediums)})"
-        )
 
 
 def _euclid(a: Tuple[float, float], b: Tuple[float, float]) -> float:

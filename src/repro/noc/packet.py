@@ -97,19 +97,6 @@ class Packet:
         # store-and-forward (see FaultTolerantOwn256Routing.hold_for_full).
         self.escaped = False
 
-    @property
-    def latency(self) -> int:
-        """End-to-end latency in cycles (creation to tail ejection).
-
-        Raises
-        ------
-        RuntimeError
-            If the packet has not been ejected yet.
-        """
-        if self.t_eject is None:
-            raise RuntimeError(f"packet {self.pid} not ejected yet")
-        return self.t_eject - self.t_create
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Packet(pid={self.pid}, {self.src_core}->{self.dst_core}, "

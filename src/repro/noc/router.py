@@ -31,34 +31,19 @@ if TYPE_CHECKING:  # pragma: no cover
 class RoutingFunction:
     """Topology-supplied routing interface.
 
-    Subclasses (one per topology) implement :meth:`compute` to select the
-    output port for a packet at a router, and may override
+    Subclasses (one per topology) implement ``compute(router, packet)`` to
+    select the output port for a packet at a router, and may override
     :meth:`allowed_vcs` to restrict downstream VC choice for deadlock
-    avoidance (e.g. OWN's photonic/wireless VC partitioning).
+    avoidance (e.g. OWN's photonic/wireless VC partitioning). A routing
+    that latches ``packet.escaped`` also implements ``hold_for_full`` (see
+    ``FaultTolerantOwn256Routing``): route computation asks it only for
+    escaped packets.
     """
-
-    def compute(self, router: "Router", packet: "Packet") -> int:
-        raise NotImplementedError
 
     def allowed_vcs(self, router: "Router", out_port: int, packet: "Packet") -> Sequence[int]:
         link = router.out_links[out_port]
         endpoint = link.resolve_endpoint(packet)
         return range(endpoint.num_vcs)
-
-    def hold_for_full(self, router: "Router", out_port: int, packet: "Packet") -> bool:
-        """Store-and-forward gate, consulted during route computation.
-
-        Return ``True`` to keep the packet's head parked in its (IDLE)
-        input VC until every flit of the packet is buffered at this router;
-        each arriving flit re-arms route computation, so the predicate is
-        re-evaluated as the packet accumulates. Only honoured when the
-        packet can fit the VC (``size_flits <= vc_depth``), and only
-        consulted for packets with the ``escaped`` latch set (so the
-        common case costs one attribute load). The default is wormhole
-        everywhere; OWN's fault-tolerant routing uses this for
-        escape-path restarts after mid-flight reconfiguration.
-        """
-        return False
 
 
 class Router:
@@ -371,6 +356,3 @@ class Router:
         # cycles from now (the ring slot step() resolved for this cycle):
         sim._credits_due.append((vc.upstream, vc.index))
         sim._send_fn(link, endpoint, packet, seq, is_tail, out_vc, now)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Router(rid={self.rid}, radix={self.radix}, attrs={self.attrs})"

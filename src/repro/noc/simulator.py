@@ -168,19 +168,15 @@ class Simulator:
         self._active_routers: Set[Router] = set()
         self._active_media: Set[SharedMedium] = set()
         self._active_nis: Set[NetworkInterface] = set()
+        # A network is simulated once (its links keep the run's clock): no
+        # router holds a flit or medium a request yet; NIs may hold packets.
         wake_router = self._active_routers.add
         for router in network.routers:
             router._wake = wake_router
             router._sleep = self._active_routers.discard
-            if router._nflits:
-                wake_router(router)
         wake_medium = self._active_media.add
-        for idx, medium in enumerate(network.mediums):
-            if medium.index < 0:
-                medium.index = idx  # media registered outside Network helpers
+        for medium in network.mediums:
             medium._wake = wake_medium
-            if medium.requesters:
-                wake_medium(medium)
         wake_ni = self._active_nis.add
         for ni in network.interfaces:
             if ni is not None:
@@ -422,19 +418,19 @@ class Simulator:
                 sorted(active_nis, key=_ni_key)
                 if len(active_nis) > 1 else [*active_nis]
             ):
-                if ni.queue:
-                    if ni.pump(now):
-                        moved += 1
-                        if not ni.queue:
-                            active_nis.discard(ni)
-                    else:
-                        # Blocked on the endpoint (no free/funded VC): park
-                        # until a credit return or VC release re-arms it.
-                        # Failed pumps have no side effects, so skipping the
-                        # re-polls is invisible to the simulation result.
-                        ni.parked = True
+                # Every NI here is backlogged: it joins on the empty ->
+                # backlogged transition or on a re-arm from parked, and
+                # leaves when its last flit is pumped.
+                if ni.pump(now):
+                    moved += 1
+                    if not ni.queue:
                         active_nis.discard(ni)
                 else:
+                    # Blocked on the endpoint (no free/funded VC): park
+                    # until a credit return re-arms it. Failed pumps have
+                    # no side effects, so skipping the re-polls is
+                    # invisible to the simulation result.
+                    ni.parked = True
                     active_nis.discard(ni)
 
         # End-of-cycle hooks, in registration order (see add_hook).

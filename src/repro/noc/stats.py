@@ -46,20 +46,6 @@ class LatencyStats:
     p99: float
     max: float
 
-    def as_dict(self) -> Dict[str, Optional[float]]:
-        """JSON-safe dict: NaN fields (empty-sample stats) become ``None``.
-
-        ``json.dumps`` would happily emit a bare ``NaN`` token -- which is
-        *not* JSON and breaks strict parsers -- so anything headed for a
-        run record must go through this (or the equivalent sanitiser in
-        :mod:`repro.runtime.records`).
-        """
-        out: Dict[str, Optional[float]] = {"count": self.count}
-        for name in ("mean", "median", "p95", "p99", "max"):
-            v = getattr(self, name)
-            out[name] = None if v != v else v
-        return out
-
     @staticmethod
     def from_samples(samples: List[int]) -> "LatencyStats":
         """Statistics of integer samples (latencies in cycles).

@@ -14,12 +14,6 @@ from repro.photonics.losses import (
     waveguide_path_loss_db,
     required_laser_power_mw,
 )
-from repro.photonics.wdm import (
-    WdmParams,
-    WdmPlan,
-    own_cluster_plan,
-    optxb_plan,
-)
 
 __all__ = [
     "ComponentCount",
@@ -32,8 +26,4 @@ __all__ = [
     "splitter_loss_db",
     "waveguide_path_loss_db",
     "required_laser_power_mw",
-    "WdmParams",
-    "WdmPlan",
-    "own_cluster_plan",
-    "optxb_plan",
 ]

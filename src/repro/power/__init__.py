@@ -19,7 +19,6 @@ from repro.power.wireless import (
     channels_for_config,
     config_energy_pj_per_bit,
     config_average_energy_pj_per_bit,
-    link_energy_for_class,
 )
 from repro.power.accounting import (
     ActivityRecord, PowerBreakdown, PowerModel, measure_power, photonic_ring_count,
@@ -45,7 +44,6 @@ __all__ = [
     "channels_for_config",
     "config_energy_pj_per_bit",
     "config_average_energy_pj_per_bit",
-    "link_energy_for_class",
     "ActivityRecord",
     "PowerBreakdown",
     "PowerModel",

@@ -56,11 +56,6 @@ class WirelessScenario:
     start_freq_ghz: float
     spacing_ghz: float
 
-    @property
-    def data_rate_gbps(self) -> float:
-        """OOK at ~1 bit/s/Hz: channel bandwidth in Gbps."""
-        return self.bandwidth_ghz
-
     def frequency(self, channel_index: int) -> float:
         if not 1 <= channel_index <= N_CHANNELS:
             raise ValueError(f"channel index must be 1..{N_CHANNELS}, got {channel_index}")
@@ -253,15 +248,3 @@ class WirelessPowerParams:
         tx = self.tx_energy_fraction * energy_pj
         rx = (1.0 - self.tx_energy_fraction) * energy_pj
         return tx + rx * multicast_degree
-
-
-def link_energy_for_class(
-    distance_class: str,
-    config_id: int,
-    scenario: WirelessScenario,
-    multicast_degree: int = 1,
-    params: WirelessPowerParams = WirelessPowerParams(),
-) -> float:
-    """LD- and multicast-adjusted energy/bit for a wireless hop [pJ/bit]."""
-    base = config_energy_pj_per_bit(config_id, scenario, distance_class)
-    return params.effective_energy_pj(base, multicast_degree)

@@ -21,13 +21,6 @@ from repro.rf.oscillator import ColpittsOscillator, design_for_frequency
 from repro.rf.pa import ClassABPA
 from repro.rf.lna import CascodeLNA
 from repro.rf.ook import OOKTransceiver, ook_ber, required_snr_db
-from repro.rf.spectrum import (
-    EmissionMask,
-    IsolationReport,
-    adjacent_channel_isolation_db,
-    channel_plan_isolation,
-    intermodulation_products,
-)
 
 __all__ = [
     "DeviceTechnology",
@@ -48,9 +41,4 @@ __all__ = [
     "OOKTransceiver",
     "ook_ber",
     "required_snr_db",
-    "EmissionMask",
-    "IsolationReport",
-    "adjacent_channel_isolation_db",
-    "channel_plan_isolation",
-    "intermodulation_products",
 ]

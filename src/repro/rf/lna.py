@@ -14,10 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -60,12 +56,6 @@ class CascodeLNA:
         x = (freq_ghz - self.center_ghz) / (per_stage_bw / 2.0)
         per_stage_db = -10.0 * math.log10(1.0 + x * x)
         return self.peak_gain_db + self.stages * per_stage_db
-
-    def gain_sweep(self, freqs_ghz: np.ndarray) -> np.ndarray:
-        """Fig. 4c gain-vs-frequency series."""
-        import numpy as np
-
-        return np.array([self.gain_db(float(f)) for f in np.asarray(freqs_ghz)])
 
     def output_snr_db(self, input_snr_db: float) -> float:
         """SNR after the LNA: degraded by the noise figure."""

@@ -17,7 +17,7 @@ dedicated filters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, TYPE_CHECKING, Tuple
+from typing import List, TYPE_CHECKING, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - deferred to break the package cycle
     # repro.power.wireless itself imports repro.rf.technology; importing it
@@ -91,9 +91,6 @@ class IsolationReport:
     worst_pair: Tuple[int, int]
     per_adjacent_db: List[float]
 
-    def meets(self, target_db: float) -> bool:
-        return self.worst_db >= target_db
-
 
 def channel_plan_isolation(
     scenario: "WirelessScenario", mask: EmissionMask = EmissionMask()
@@ -128,20 +125,3 @@ def channel_plan_isolation(
         worst_pair=worst_pair,
         per_adjacent_db=adjacent,
     )
-
-
-def intermodulation_products(
-    f1_ghz: float, f2_ghz: float
-) -> Dict[str, float]:
-    """Third-order intermodulation frequencies of two carriers.
-
-    With the evenly spaced Table III grid, 2f1-f2 of adjacent channels
-    lands on the next grid slot -- which is why OOK (constant-envelope-ish,
-    one carrier per PA) rather than multi-carrier modulation keeps the plan
-    filter-free: IM3 needs two strong tones in one nonlinearity.
-    """
-    return {
-        "2f1-f2": 2 * f1_ghz - f2_ghz,
-        "2f2-f1": 2 * f2_ghz - f1_ghz,
-        "f1+f2": f1_ghz + f2_ghz,
-    }

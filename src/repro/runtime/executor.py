@@ -105,14 +105,6 @@ class RunResult:
 
     # Convenience accessors -------------------------------------------- #
 
-    @property
-    def latency(self) -> float:
-        return self.summary["latency_mean"]
-
-    @property
-    def throughput(self) -> float:
-        return self.summary["throughput"]
-
     def power_for(self, config_id: int, scenario: int) -> Dict[str, float]:
         return self.power[f"cfg{config_id}_s{scenario}"]
 

@@ -1,16 +1,14 @@
 """Counters, histograms and the metric registry.
 
 Metrics are the *aggregated* half of the telemetry subsystem (events are
-the other): cheap to update on hot paths, mergeable across collectors, and
-flattenable into the JSONL run records. The design follows the DSENT-style
+the other): cheap to update on hot paths and flattenable into the JSONL run
+records. The design follows the DSENT-style
 practice of attributing activity to named components: every metric is keyed
 by ``(name, key)`` where ``key`` names a component or channel class
 (``"c0.wg5"``, ``"C2C"``, ``"photonic"``).
 
 Histograms use power-of-two buckets (bucket *i* holds values ``v`` with
-``v.bit_length() == i``), which makes :meth:`Histogram.merge` exact and
-associative -- the property the regression suite locks down so sharded
-collections can be combined in any order.
+``v.bit_length() == i``).
 """
 
 from __future__ import annotations
@@ -29,9 +27,6 @@ class Counter:
     def add(self, n: int = 1) -> None:
         self.value += n
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Counter({self.value})"
-
 
 class Gauge:
     """A point-in-time float value (set, not accumulated)."""
@@ -43,9 +38,6 @@ class Gauge:
 
     def set(self, v: float) -> None:
         self.value = float(v)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Gauge({self.value})"
 
 
 class Histogram:
@@ -115,20 +107,6 @@ class Histogram:
                 return lower + (target - before) / n * (upper - lower)
         return float(self.max)
 
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Pure combination of two histograms (associative, commutative)."""
-        out = Histogram()
-        out.count = self.count + other.count
-        out.total = self.total + other.total
-        mins = [m for m in (self.min, other.min) if m is not None]
-        maxs = [m for m in (self.max, other.max) if m is not None]
-        out.min = min(mins) if mins else None
-        out.max = max(maxs) if maxs else None
-        out.buckets = dict(self.buckets)
-        for b, n in other.buckets.items():
-            out.buckets[b] = out.buckets.get(b, 0) + n
-        return out
-
     def as_dict(self) -> Dict[str, Optional[float]]:
         return {
             "count": self.count,
@@ -139,20 +117,6 @@ class Histogram:
             "p50": self.percentile(0.5),
             "p99": self.percentile(0.99),
         }
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Histogram):
-            return NotImplemented
-        return (
-            self.count == other.count
-            and self.total == other.total
-            and self.min == other.min
-            and self.max == other.max
-            and self.buckets == other.buckets
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Histogram(count={self.count}, mean={self.mean})"
 
 
 class MetricRegistry:
@@ -197,22 +161,6 @@ class MetricRegistry:
     def counters(self, name: str) -> Dict[str, int]:
         """All keys registered under a counter ``name`` -> value."""
         return {k: c.value for (n, k), c in self._counters.items() if n == name}
-
-    def merge(self, other: "MetricRegistry") -> "MetricRegistry":
-        """Pure combination of two registries (gauges: other wins)."""
-        out = MetricRegistry()
-        for k, c in self._counters.items():
-            out._counters[k] = Counter(c.value)
-        for k, c in other._counters.items():
-            out.counter(*k).add(c.value)
-        for k, h in self._histograms.items():
-            out._histograms[k] = h.merge(Histogram())
-        for k, h in other._histograms.items():
-            out._histograms[k] = out.histogram(*k).merge(h)
-        for src in (self._gauges, other._gauges):
-            for k, g in src.items():
-                out.gauge(*k).set(g.value)
-        return out
 
     def as_flat_dict(self) -> Dict[str, Optional[float]]:
         """Flatten everything into ``"name[key]"`` -> number.

@@ -108,13 +108,3 @@ class BurstyTraffic(DrawAheadTraffic):
             if dst != src:
                 pairs.append((src, dst))
         return pairs or None
-
-    @property
-    def fraction_on(self) -> float:
-        """Instantaneous share of sources in the ON state.
-
-        Note: reflects the most recently *drawn* cycle, which in
-        fast-forward mode can run ahead of the simulator clock while the
-        network is idle.
-        """
-        return float(self._on.mean())

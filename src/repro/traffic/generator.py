@@ -65,9 +65,6 @@ class DrawAheadTraffic:
         self._drawn_until = -1
         self._pending: Dict[int, List[Tuple[int, int]]] = {}
 
-    def _draw(self, cycle: int) -> Optional[List[Tuple[int, int]]]:
-        raise NotImplementedError
-
     def tick(self, now: int) -> List[Packet]:
         """Packets created at cycle ``now``."""
         if self.stop_cycle is not None and now >= self.stop_cycle:
@@ -249,12 +246,6 @@ class SyntheticTraffic(DrawAheadTraffic):
         if limit > self._drawn_until:
             self._drawn_until = limit - 1
         return None
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"SyntheticTraffic({self.pattern.name}, rate={self.injection_rate}, "
-            f"size={self.packet_size_flits})"
-        )
 
 
 class ScriptedTraffic(TraceTraffic):

@@ -212,6 +212,3 @@ class TrafficPattern:
         if self._table is None:
             return None
         return self._table[src]
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"TrafficPattern({self.name}, n={self.n_cores})"

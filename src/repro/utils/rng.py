@@ -154,6 +154,3 @@ class RngStreams:
         full key through every call site.
         """
         return RngStreams(derive_seed(self.master_seed, "spawn", *key_parts))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"RngStreams(master_seed={self.master_seed}, streams={len(self._cache)})"

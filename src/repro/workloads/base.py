@@ -59,9 +59,6 @@ class TraceBuilder:
         self._dsts.append(int(dst))
         self._sizes.append(int(size))
 
-    def __len__(self) -> int:
-        return len(self._cycles)
-
     def build(self) -> TrafficTrace:
         import numpy as np
 
@@ -126,6 +123,3 @@ class WorkloadModel:
         out = builder.build()
         out.validate(n_cores)
         return out
-
-    def _generate(self, builder: TraceBuilder, n_cores: int) -> None:
-        raise NotImplementedError

@@ -23,7 +23,7 @@ from repro.traffic.bursty import BurstyTraffic
 from repro.traffic.patterns import TrafficPattern
 from repro.traffic.trace import TrafficTrace
 from repro.utils.validation import check_probability
-from repro.workloads.base import TraceBuilder, WorkloadModel
+from repro.workloads.base import WorkloadModel
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
@@ -148,6 +148,3 @@ class BlendWorkload(WorkloadModel):
         )
         out.validate(n_cores)
         return out
-
-    def _generate(self, builder: TraceBuilder, n_cores: int) -> None:
-        raise NotImplementedError("BlendWorkload overrides trace() directly")

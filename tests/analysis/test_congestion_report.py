@@ -92,13 +92,6 @@ class TestHeatmapValueObject:
         assert "top 2 of 5" in top.title
         assert hm.top_rows(5) is hm  # no-op when nothing to trim
 
-    def test_json_round_trip(self):
-        hm = self.make()
-        back = Heatmap.from_json_dict(hm.to_json_dict())
-        assert back.components == hm.components
-        assert back.rows == hm.rows
-        assert back.window_cycles == 64
-
 
 class TestSvgRendering:
     def test_ramp_endpoints_and_clamp(self):

@@ -144,6 +144,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             LinkLayerConfig(replay_capacity=0)
 
+    @pytest.mark.parametrize("field", ["ack_latency", "max_retries"])
+    def test_counts_positive(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            LinkLayerConfig(**{field: 0})
+
     def test_install_rejects_slow_links(self):
         """A link whose round trip exceeds the timeout cannot distinguish
         a lost attempt from a slow ACK; install refuses it."""

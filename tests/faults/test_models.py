@@ -10,7 +10,6 @@ from repro.faults import (
     PermanentFault,
     TokenLossFault,
     TransientFault,
-    attempt_error_probability,
     flit_error_probability,
 )
 from repro.rf.ook import ook_ber
@@ -22,20 +21,11 @@ class TestErrorProbabilities:
         p = flit_error_probability(ber, 128)
         assert p == pytest.approx(1.0 - (1.0 - ber) ** 128)
 
-    def test_attempt_probability_compounds_over_flits(self):
-        ber = 1e-3
-        p_flit = flit_error_probability(ber, 128)
-        p = attempt_error_probability(ber, 128, 4)
-        assert p == pytest.approx(1.0 - (1.0 - p_flit) ** 4)
-        assert p > p_flit
-
     def test_zero_ber_is_exactly_zero(self):
         assert flit_error_probability(0.0, 128) == 0.0
-        assert attempt_error_probability(0.0, 128, 4) == 0.0
 
     def test_probabilities_bounded(self):
         assert flit_error_probability(0.4, 10_000) <= 1.0
-        assert attempt_error_probability(0.4, 10_000, 64) <= 1.0
 
 
 class TestLinkFaultState:

@@ -123,6 +123,15 @@ class TestViolationDetection:
         with pytest.raises(InvariantViolation, match="flit conservation"):
             check_flit_conservation(sim)
 
+    def test_detects_link_into_an_injection_endpoint(self):
+        # Endpoint.return_credit / release_vc do not re-arm a parked NI: no
+        # link may feed the endpoint an NI injects through.
+        net, sim = self._running_sim()
+        link = net.routers[0].out_links[0]
+        link._endpoint = net.interfaces[5].endpoint
+        with pytest.raises(InvariantViolation, match="injection endpoint"):
+            audit_network(sim)
+
     def test_detects_foreign_medium_holder(self):
         built = build_optxb(64)
         sim = Simulator(

@@ -94,6 +94,20 @@ def _sim_and_link(cycles_per_flit=1, flit_width_bits=128):
     return Simulator(net), net.routers[0].out_links[out]
 
 
+class TestWiringErrors:
+    def test_out_port_links_once(self):
+        sim, link = _sim_and_link()
+        with pytest.raises(ValueError, match="out port 0 already linked"):
+            link.src_router.attach_link(0, link)
+
+    def test_packet_from_a_core_without_an_interface_is_rejected(self):
+        net = Network("one", n_cores=2, num_vcs=2, vc_depth=4)
+        net.add_router()
+        net.attach_core(0, 0)
+        with pytest.raises(RuntimeError, match="core 1 has no network interface"):
+            net.inject_packet(Packet(1, 0, 1, 0, pid=0))
+
+
 def make_link(**kw):
     ep = kw.pop("endpoint", Endpoint(None, 0, num_vcs=2, vc_depth=4))
     defaults = dict(name="l", src_router=None, out_port=0, endpoint=ep)

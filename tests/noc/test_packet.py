@@ -54,13 +54,6 @@ class TestPacket:
         with pytest.raises(ValueError):
             Packet(0, 1, 0, 0)
 
-    def test_latency_requires_ejection(self):
-        p = Packet(0, 1, 4, 10)
-        with pytest.raises(RuntimeError):
-            _ = p.latency
-        p.t_eject = 35
-        assert p.latency == 25
-
     def test_single_flit_packet(self):
         # Head and tail at once: position 0 is also size_flits - 1.
         p = Packet(0, 1, 1, 0)

@@ -15,7 +15,6 @@ from repro.power.wireless import (
     channels_for_config,
     config_average_energy_pj_per_bit,
     config_energy_pj_per_bit,
-    link_energy_for_class,
     wireless_channel_table,
 )
 
@@ -155,8 +154,3 @@ class TestMulticastAdjustment:
     def test_degree_validation(self):
         with pytest.raises(ValueError):
             WirelessPowerParams().effective_energy_pj(1.0, 0)
-
-    def test_link_energy_for_class_composes(self):
-        e1 = link_energy_for_class("SR", 4, SCENARIO_IDEAL, multicast_degree=1)
-        e4 = link_energy_for_class("SR", 4, SCENARIO_IDEAL, multicast_degree=4)
-        assert e4 > e1

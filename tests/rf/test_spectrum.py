@@ -7,7 +7,6 @@ from repro.rf.spectrum import (
     EmissionMask,
     adjacent_channel_isolation_db,
     channel_plan_isolation,
-    intermodulation_products,
 )
 
 
@@ -44,11 +43,13 @@ class TestIsolation:
         assert wide > tight
 
     def test_paper_guard_bands_sufficient(self):
-        """Both Table III plans achieve >= 20 dB adjacent-channel isolation
-        without dedicated filters -- the Sec. IV design intent."""
-        for scenario in SCENARIOS.values():
+        """Both Table III plans isolate their channels without dedicated
+        filters -- the Sec. IV design intent, as EXPERIMENTS.md quotes it:
+        >= 37 dB with the ideal 8 GHz guards, >= 22 dB with the
+        conservative 4 GHz ones."""
+        for scenario, floor_db in ((SCENARIOS[1], 37.0), (SCENARIOS[2], 22.0)):
             rep = channel_plan_isolation(scenario)
-            assert rep.meets(20.0), (scenario.key, rep.worst_db)
+            assert rep.worst_db >= floor_db, (scenario.key, rep.worst_db)
 
     def test_ideal_guards_beat_conservative(self):
         ideal = channel_plan_isolation(SCENARIOS[1]).worst_db
@@ -64,20 +65,3 @@ class TestIsolation:
         rep = channel_plan_isolation(SCENARIOS[2])
         assert len(rep.per_adjacent_db) == 15
 
-
-class TestIM3:
-    def test_products(self):
-        prods = intermodulation_products(100.0, 140.0)
-        assert prods["2f1-f2"] == 60.0
-        assert prods["2f2-f1"] == 180.0
-        assert prods["f1+f2"] == 240.0
-
-    def test_evenly_spaced_grid_property(self):
-        """On the Table III grid, IM3 of neighbours lands on grid slots --
-        harmless for single-carrier OOK PAs but the reason multi-carrier
-        sharing of one PA is off the table."""
-        s = SCENARIOS[1]
-        f1, f2 = s.frequency(3), s.frequency(4)
-        prods = intermodulation_products(f1, f2)
-        assert prods["2f1-f2"] == s.frequency(2)
-        assert prods["2f2-f1"] == s.frequency(5)

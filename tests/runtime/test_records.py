@@ -95,16 +95,6 @@ class TestStrictJson:
         assert parsed["summary"]["latency_mean"] is None
         assert "NaN" not in line
 
-    def test_latency_stats_as_dict_emits_null(self):
-        d = LatencyStats.from_samples([]).as_dict()
-        assert d == {
-            "count": 0, "mean": None, "median": None,
-            "p95": None, "p99": None, "max": None,
-        }
-        json.dumps(d, allow_nan=False)
-        full = LatencyStats.from_samples([10, 20]).as_dict()
-        assert full["mean"] == 15.0 and full["count"] == 2
-
     def test_metrics_folded_into_record(self):
         result = _result()
         result.metrics = {"wireless_occupancy[C2C]": 0.25}

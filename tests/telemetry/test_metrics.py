@@ -65,42 +65,6 @@ class TestHistogram:
         h.observe(-3)
         assert h.min == 0 and h.total == 0
 
-    def test_merge_matches_sequential_observation(self):
-        rng = random.Random(5)
-        samples = [rng.randrange(0, 500) for _ in range(300)]
-        whole = Histogram()
-        a, b = Histogram(), Histogram()
-        for i, v in enumerate(samples):
-            whole.observe(v)
-            (a if i % 2 else b).observe(v)
-        assert a.merge(b) == whole
-
-    def test_merge_associative_and_commutative(self):
-        rng = random.Random(9)
-        parts = []
-        for _ in range(3):
-            h = Histogram()
-            for _ in range(50):
-                h.observe(rng.randrange(0, 1 << 12))
-            parts.append(h)
-        a, b, c = parts
-        assert a.merge(b).merge(c) == a.merge(b.merge(c))
-        assert a.merge(b) == b.merge(a)
-
-    def test_merge_identity(self):
-        h = Histogram()
-        for v in (1, 2, 3):
-            h.observe(v)
-        assert h.merge(Histogram()) == h
-        assert Histogram().merge(h) == h
-
-    def test_merge_is_pure(self):
-        a, b = Histogram(), Histogram()
-        a.observe(1)
-        b.observe(2)
-        merged = a.merge(b)
-        assert a.count == 1 and b.count == 1 and merged.count == 2
-
     def test_as_dict_json_safe(self):
         h = Histogram()
         h.observe(10)
@@ -138,27 +102,6 @@ class TestMetricRegistry:
 
     def test_empty_registry_flattens_empty(self):
         assert MetricRegistry().as_flat_dict() == {}
-
-    def test_merge_counters_and_histograms(self):
-        a, b = MetricRegistry(), MetricRegistry()
-        a.counter("n", "x").add(2)
-        b.counter("n", "x").add(3)
-        b.counter("n", "y").add(1)
-        a.histogram("h").observe(1)
-        b.histogram("h").observe(3)
-        merged = a.merge(b)
-        assert merged.counter("n", "x").value == 5
-        assert merged.counter("n", "y").value == 1
-        assert merged.histogram("h").count == 2
-        # Purity: sources untouched.
-        assert a.counter("n", "x").value == 2
-        assert b.histogram("h").count == 1
-
-    def test_merge_gauges_other_wins(self):
-        a, b = MetricRegistry(), MetricRegistry()
-        a.gauge("g").set(1.0)
-        b.gauge("g").set(2.0)
-        assert a.merge(b).gauge("g").value == 2.0
 
 
 class TestPercentileInterpolation:

@@ -23,7 +23,6 @@ class TestBurstyTraffic:
         tr = BurstyTraffic(64, "UN", 0.1, 4, seed=3, burst_factor=1.0)
         measured = offered_load(tr, 64, 6_000)
         assert measured == pytest.approx(0.1, rel=0.1)
-        assert tr.fraction_on == pytest.approx(1.0)
 
     def test_burstiness_raises_dispersion(self):
         """Index of dispersion of per-core window counts grows with the
