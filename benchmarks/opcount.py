@@ -5,17 +5,19 @@
 
 A count, not a time: on one Python minor version it repeats to a few
 bytecodes in millions, so a parent/change pair on a noisy shared host is
-one run each side. It omits
-everything C does (``sorted``, ``set.add``, ``deque.popleft``) and every
-wait, so it explains a ``bench.py`` number, it does not replace one. The
-summary CRC printed last is ``bench.py``'s ``noc.stats.summary_crc32``.
+one run each side. It omits everything C does (``sorted``, ``set.add``,
+``deque.popleft``) and every wait, and bytecodes are not uniform in cost,
+so it does not predict a ``bench.py`` number: a change that saves
+bytecodes can be lost in the noise, and one that saves none can be faster
+(see the census below). The summary CRC printed last is ``bench.py``'s
+``noc.stats.summary_crc32``.
 The count is given per simulated cycle, per stepped cycle (an entry into
 ``Simulator.step``; the rest were fast-forwarded) and per flit hop.
 After the top functions, the count is folded by source package under
 ``src/repro`` (``noc.invariants`` on its own; ``py`` is code outside the
 package), so what the hooks around the router pipeline cost is an exact row.
 
-The last lines are a footprint, not a count: the KiB that ``tracemalloc``
+Next comes a footprint, not a count: the KiB that ``tracemalloc``
 attributes to code under ``src/repro`` and that is still allocated when
 ``execute_inline`` returns (network, simulator and result held), i.e. what
 a run keeps resident, then its three largest allocation sites (file:line
@@ -27,9 +29,22 @@ bytecode counter out. It does not depend on the host, but it repeats only
 to about 1 KiB: the hash tables of the simulator's active sets are keyed by
 object address, so their sizes move with the memory layout (which also
 moves the bytecode count by a few in several million).
+
+Last, a specialization census lists the expensive bytecodes. After the
+counted run, one untraced warm rep of the same spec lets CPython 3.11's
+adaptive interpreter specialize what it can; every attribute, subscript
+or global instruction under ``src/repro`` that the counted run executed
+and that is still ``*_ADAPTIVE`` (the interpreter tried and gave up, e.g.
+a class attribute behind a metaclass ``__getattr__``, such as an ``Enum``
+member) is listed with its file:line, function, opname, name and
+executions per flit hop (sites below 0.01 per hop are counted, not
+listed: the warm rep may not have run them often enough to try). Such a
+load costs several times a specialized one. On other Python versions the
+census is skipped.
 """
 
 import argparse
+import dis
 import gc
 import json
 import sys
@@ -41,6 +56,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PKG = ROOT / "src" / "repro"
 
+#: Instructions 3.11 can specialize; ``<name>_ADAPTIVE`` is one it did not.
+ADAPTIVE = {f"{op}_ADAPTIVE" for op in (
+    "LOAD_ATTR", "LOAD_METHOD", "STORE_ATTR", "BINARY_SUBSCR", "STORE_SUBSCR",
+    "LOAD_GLOBAL",
+)}  # fmt: skip
+
 
 def layer_of(filename: str) -> str:
     """Source package of a code object's file (see module docstring)."""
@@ -51,6 +72,20 @@ def layer_of(filename: str) -> str:
     if parts[:2] == ("noc", "invariants.py"):
         return "noc.invariants"
     return parts[0] if len(parts) > 1 else "repro"
+
+
+def unspecialized(ops: Counter) -> list:
+    """(executions, code, instruction) of every counted instruction under
+    ``src/repro`` left unspecialized, most executed first."""
+    rows = []
+    for code in {code for code, _ in ops}:
+        if layer_of(code.co_filename) == "py":
+            continue
+        for ins in dis.get_instructions(code, adaptive=True):
+            n = ops.get((code, ins.offset))
+            if n and ins.opname in ADAPTIVE:
+                rows.append((n, code, ins))
+    return sorted(rows, key=lambda row: -row[0])
 
 
 def main() -> None:
@@ -79,13 +114,15 @@ def main() -> None:
             frame.f_trace_lines = False
             entries[frame.f_code] += 1
         elif event == "opcode":
-            ops[frame.f_code] += 1
+            ops[frame.f_code, frame.f_lasti] += 1
         return count
 
-    def counted_run(sim, cycles, _run=Simulator.run):
+    run = Simulator.run
+
+    def counted_run(sim, cycles):
         sys.settrace(count)
         try:
-            _run(sim, cycles)
+            run(sim, cycles)
         finally:
             sys.settrace(None)
 
@@ -97,18 +134,22 @@ def main() -> None:
         [tracemalloc.Filter(True, str(PKG / "*"))]
     )
     tracemalloc.stop()
-    total = sum(ops.values())
+    Simulator.run = run
+    per_code: Counter = Counter()
+    for (code, _), n in ops.items():
+        per_code[code] += n
+    total = sum(per_code.values())
     hops = sum(r.xbar_traversals for r in sim.network.routers)
     print(f"{args.workload} seed {args.seed}: {total} bytecodes in Simulator.run")
     steps = entries[Simulator.step.__code__]
     print(f"  per cycle    {total / sim.now:12.1f}  ({sim.now} cycles)")
     print(f"  per step     {total / max(1, steps):12.1f}  ({steps} stepped cycles)")
     print(f"  per flit hop {total / max(1, hops):12.1f}  ({hops} hops)")
-    for code, n in ops.most_common(args.top):
+    for code, n in per_code.most_common(args.top):
         where = Path(code.co_filename).name
         print(f"  {n:11d}  {n / total:5.1%}  {where}:{code.co_qualname}")
     layers: Counter = Counter()
-    for code, n in ops.items():
+    for code, n in per_code.items():
         layers[layer_of(code.co_filename)] += n
     print("  by package:")
     for layer, n in layers.most_common():
@@ -131,6 +172,19 @@ def main() -> None:
     print("  objects (live instances, shallow KiB):")
     for cls, (n, size) in census.items():
         print(f"    {n:8d}  {size / 1024:9.0f} KiB  {cls.__name__}")
+    if sys.version_info[:2] == (3, 11):
+        execute_inline(spec)  # the warm rep: untraced, so it specializes
+        rows = unspecialized(ops)
+        shown = [row for row in rows if row[0] >= 0.01 * hops]
+        print(f"  unspecialized after a warm rep ({len(rows)} sites, per flit hop):")
+        for n, code, ins in shown:
+            site = f"{Path(code.co_filename).resolve().relative_to(PKG)}:{ins.positions.lineno}"
+            name = ins.argval if isinstance(ins.argval, str) else "[]"
+            print(f"    {n / max(1, hops):9.4f}  {site}  {code.co_qualname}  {ins.opname} {name}")
+        if len(rows) > len(shown):
+            print(f"    ... and {len(rows) - len(shown)} sites below 0.01 per hop")
+    else:
+        print("  unspecialized after a warm rep: skipped (the census reads CPython 3.11)")
     canon = json.dumps(
         {"summary": result.summary, "power": result.power},
         sort_keys=True, separators=(",", ":"),

@@ -38,7 +38,7 @@ from repro.core.channels import (
     GROUP_OFFSET_ANTENNA,
 )
 from repro.core.coords import OwnDims
-from repro.noc.buffers import VCState
+from repro.noc.buffers import WAITING_VC
 from repro.noc.network import Network
 from repro.noc.router import Router, RoutingFunction
 
@@ -147,7 +147,7 @@ class OwnRoutingBase(RoutingFunction):
                 continue
             for port in router.input_ports:
                 for vc in port.vcs:
-                    if vc.state is not VCState.WAITING_VC:
+                    if vc.state is not WAITING_VC:
                         continue
                     ep = vc.cand_endpoint
                     if not ep.is_sink:  # a sink queues no requests

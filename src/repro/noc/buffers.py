@@ -36,6 +36,11 @@ class VCState(enum.IntEnum):
     ACTIVE = 2
 
 
+#: The states by name. ``EnumType`` defines ``__getattr__``, so CPython 3.11
+#: never specializes a ``VCState.X`` load; code inside functions loads these.
+IDLE, WAITING_VC, ACTIVE = VCState.IDLE, VCState.WAITING_VC, VCState.ACTIVE
+
+
 class VirtualChannel:
     """One VC FIFO and its control state.
 
@@ -79,7 +84,7 @@ class VirtualChannel:
         # front flit's position. Nonzero only mid-packet (ACTIVE), also
         # while the queue has run dry waiting for the rest of the packet.
         self.sent = 0
-        self.state: VCState = VCState.IDLE
+        self.state: VCState = IDLE
         # Bound by repro.noc.kernels.KernelState: this VC's slot id in the
         # network-wide flat slot space (-1 until then), the index of the
         # input port it belongs to, and that port's Endpoint -- where the
@@ -102,7 +107,7 @@ class VirtualChannel:
 
     def release(self) -> None:
         """Return to IDLE after the tail flit departs."""
-        self.state = VCState.IDLE
+        self.state = IDLE
         self.sent = 0
         self.out_port = None
         self.out_vc = None

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Dict, List, TYPE_CHECKING
 
-from repro.noc.buffers import VCState
+from repro.noc.buffers import ACTIVE, IDLE, WAITING_VC
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.noc.network import Network
@@ -101,19 +101,19 @@ def _walk(net: "Network", sim=None, credit=False, vc_state=False, kernel=False) 
                     )
                 state = vc.state
                 if vc_state and vc.sent and (
-                    state is not VCState.ACTIVE
+                    state is not ACTIVE
                     or n and vc.sent >= vc.queue[0].size_flits
                 ):
                     raise InvariantViolation(
                         f"r{router.rid}: VC{vc.index} ({state.name}) front "
                         f"counter {vc.sent} is not inside a packet it is sending"
                     )
-                if state is VCState.IDLE:
+                if state is IDLE:
                     if vc_state and (vc.out_port is not None or vc.out_vc is not None):
                         raise InvariantViolation(
                             f"r{router.rid}: IDLE VC{vc.index} retains route state"
                         )
-                elif state is VCState.WAITING_VC:
+                elif state is WAITING_VC:
                     if vc_state and vc.out_port is None:
                         raise InvariantViolation(
                             f"r{router.rid}: VC{vc.index} in WAITING_VC "
@@ -187,6 +187,13 @@ def _walk(net: "Network", sim=None, credit=False, vc_state=False, kernel=False) 
                 f"(extra={sorted(k.sa_slots - sa_expect)[:8]}, "
                 f"missing={sorted(sa_expect - k.sa_slots)[:8]})"
             )
+        for s in k.rc_slots:
+            vc = k.slot_vc[s]
+            if vc.state is not IDLE or not vc.queue:
+                raise InvariantViolation(
+                    f"kernel: rc_slots holds slot {s}, a {vc.state.name} VC "
+                    f"with {len(vc.queue)} flits"
+                )
         for link, ptr, n in zip(net.links, k.out_ptr, k.out_n):
             if not 0 <= ptr < n:
                 raise InvariantViolation(
@@ -287,7 +294,9 @@ def check_kernel_coherence(sim: "Simulator") -> None:
     not woken no request VCA has already examined (i.e. not registered by
     this cycle's RC) is grantable right now -- nothing would ever look at it
     again. A head waiting on an ejection sink queues no request there and
-    must be in ``vca_fresh``, which the next VCA phase grants.
+    must be in ``vca_fresh``, which the next VCA phase grants. Every
+    ``rc_slots`` entry is an IDLE VC with a non-empty queue, so RC never
+    skips one.
 
     The switch allocator's one round-robin state is in range: every
     port's ``in_ptr`` (at the port's first slot) is in ``[0, num_vcs)`` of

@@ -75,14 +75,10 @@ from __future__ import annotations
 
 from typing import List, Optional, TYPE_CHECKING
 
-from repro.noc.buffers import VCState
+from repro.noc.buffers import ACTIVE, IDLE, WAITING_VC
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.noc.network import Network
-
-_IDLE = VCState.IDLE
-_WAITING_VC = VCState.WAITING_VC
-_ACTIVE = VCState.ACTIVE
 
 
 class KernelState:
@@ -184,9 +180,9 @@ class KernelState:
                     k.slot_router.append(r)
                     k.slot_vc.append(vc)
                     k.slot_pb.append(pb)
-                    if vc.state is _WAITING_VC:
+                    if vc.state is WAITING_VC:
                         k.vca_fresh.append(s)
-                    elif vc.state is _IDLE:
+                    elif vc.state is IDLE:
                         if vc.queue:
                             k.rc_slots.add(s)
                     elif vc.queue and s not in parked:
@@ -330,7 +326,7 @@ class KernelState:
         for s in self.vca_fresh:
             vc = slot_vc[s]
             # (an end-of-cycle re-route may have sent the head back to RC)
-            if vc.state is not _WAITING_VC:
+            if vc.state is not WAITING_VC:
                 continue
             ep = vc.cand_endpoint
             if ep.is_sink:
@@ -365,7 +361,7 @@ class KernelState:
             ep = vc.endpoint = vc.cand_endpoint
             if not ep.is_sink:
                 ep.withdraw(s)
-            vc.state = _ACTIVE
+            vc.state = ACTIVE
             r = self.slot_router[s]
             r.vca_grants += 1
             self.sa_slots.add(s)
@@ -394,8 +390,6 @@ class KernelState:
         for s in slots:
             vc = slot_vc[s]
             queue = vc.queue
-            if vc.state is not _IDLE or not queue:
-                continue  # stale entry: the VC advanced or drained already
             r = self.slot_router[s]
             packet = queue[0]
             if vc.sent:
@@ -432,5 +426,5 @@ class KernelState:
                     mask |= 1 << v
                 vc.cand_mask = mask
                 ep.request(s, packet.size_flits)
-            vc.state = _WAITING_VC
+            vc.state = WAITING_VC
             self.vca_fresh.append(s)

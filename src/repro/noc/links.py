@@ -27,14 +27,11 @@ from __future__ import annotations
 from bisect import insort
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, TYPE_CHECKING
 
-from repro.noc.buffers import VCState
+from repro.noc.buffers import ACTIVE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.noc.packet import Packet
     from repro.noc.router import Router
-
-#: Hot-path alias for the SA-waiter staleness guard in ``try_grant``.
-_VC_ACTIVE = VCState.ACTIVE
 
 #: Link technology kinds; power accounting keys off these strings.
 ELECTRICAL = "electrical"
@@ -322,7 +319,7 @@ class SharedMedium:
             slot_vc = kern.slot_vc
             for s in waiters:
                 vc = slot_vc[s]
-                if vc.state is _VC_ACTIVE and vc.queue:
+                if vc.state is ACTIVE and vc.queue:
                     kern.sa_slots.add(s)
             best_link.sa_token_waiters = ()
         return best_link

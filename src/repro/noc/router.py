@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from repro.noc.buffers import InputPort, VCState, VirtualChannel
+from repro.noc.buffers import ACTIVE, IDLE, InputPort, VirtualChannel
 from repro.noc.links import Endpoint, Link
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -179,11 +179,11 @@ class Router:
         state = vc_obj.state
         kern = self._kern
         if kern is not None:
-            if state is VCState.IDLE:
+            if state is IDLE:
                 # A head flit (or a body flit queued behind an un-routed
                 # head) now sits in an IDLE VC: schedule route computation.
                 kern.rc_slots.add(vc_obj.gslot)
-            elif state is VCState.ACTIVE and not queue:
+            elif state is ACTIVE and not queue:
                 # A body flit caught up with its already-switching packet,
                 # whose VC had run dry. A VC that still holds flits is in
                 # ``sa_slots`` already or parked behind a medium token --

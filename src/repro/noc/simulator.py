@@ -72,7 +72,7 @@ from bisect import bisect_left
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.noc.buffers import VCState
+from repro.noc.buffers import ACTIVE, WAITING_VC
 from repro.noc.kernels import KernelState
 from repro.noc.links import Endpoint, Link, SharedMedium
 from repro.noc.network import Network, NetworkInterface
@@ -502,7 +502,7 @@ class Simulator:
     @staticmethod
     def _waits_on(router: Router, port, vc) -> str:
         """One edge of the wait-for graph: what a stuck VC is queued behind."""
-        if vc.state is VCState.WAITING_VC:
+        if vc.state is WAITING_VC:
             ep = vc.cand_endpoint
             if ep.is_sink:
                 return f", granted by the next VC allocation at {ep.name}"
@@ -511,7 +511,7 @@ class Simulator:
                 f", request {rank} of {len(ep.requests)} at {ep.name}: "
                 f"vc_busy={ep.vc_busy} credits={ep.credits}"
             )
-        if vc.state is VCState.ACTIVE:
+        if vc.state is ACTIVE:
             link = router.out_links[vc.out_port]
             if vc.gslot in link.sa_token_waiters:
                 holder = link.medium.holder

@@ -96,6 +96,56 @@ class TestRetransmission:
         assert sim.stats.retransmission_summary()["nacks"] > 0
         audit_network(sim)
 
+    def test_photonic_mwsr_retransmission_holds_the_token(self):
+        """A retransmission over a shared waveguide requests the token,
+        sends each flit only while its link holds it, and releases it with
+        the tail; every packet still arrives and the audit is clean."""
+        built = build_fault_tolerant_own256()
+        layer = FaultLayer(built.network, seed=5)
+        writers = [
+            link for link in layer.protected
+            if link.kind == "photonic" and len(link.medium.members) > 1
+        ]  # fmt: skip
+        assert writers
+        for link in writers:
+            layer.protected[link].forced_flit_error_prob = 0.2
+        seen = {"started": 0, "flits": 0, "tails": 0}
+        try_start, send_next_flit = layer._try_start, layer._send_next_flit
+
+        def started(link, now):
+            tx = try_start(link, now)
+            if tx is not None and link.medium is not None:
+                assert link in link.medium.requesters, (link.name, now)
+                seen["started"] += 1
+            return tx
+
+        def sent(sim, link, tx, now):
+            is_tail = tx.idx == tx.packet.size_flits - 1
+            if link.medium is not None:
+                assert link.medium.holder is link, (link.name, now)
+            moved = send_next_flit(sim, link, tx, now)
+            if link.medium is not None:
+                seen["flits"] += 1
+                if is_tail:
+                    assert link.medium.holder is None, (link.name, now)
+                    seen["tails"] += 1
+            return moved
+
+        layer._try_start, layer._send_next_flit = started, sent
+        sim = Simulator(
+            built.network,
+            traffic=SyntheticTraffic(256, "UN", 0.015, 4, seed=3),
+            faults=layer,
+        )
+        sim.run(300)
+        assert sim.drain(30_000)
+        assert seen["started"] > 0
+        assert seen["tails"] == seen["started"]
+        assert seen["flits"] == 4 * seen["started"]
+        assert sum(layer.protected[link].retransmissions for link in writers) > 0
+        assert sim.stats.packets_ejected == sim.stats.packets_created
+        audit_network(sim)
+
     def test_retransmission_energy_is_accounted(self):
         from repro.power import measure_power
 

@@ -282,6 +282,32 @@ class TestSAWorkSet:
         assert parked_ever, "saturation parked no VC behind a token"
 
 
+class TestRCWorkSet:
+    """Every ``rc_slots`` entry is an IDLE VC with a head to route, so
+    ``rc_sweep`` takes each one as it comes."""
+
+    def test_detects_stale_entry(self):
+        built = build_own256()
+        sim = Simulator(
+            built.network, traffic=SyntheticTraffic(256, "UN", 0.15, 4, seed=9)
+        )
+        sim.run(300)
+        check_kernel_coherence(sim)
+        k = sim.kernels
+        drained = next(
+            vc.gslot for vc in k.slot_vc if vc.state is VCState.IDLE and not vc.queue
+        )
+        advanced = next(vc.gslot for vc in k.slot_vc if vc.state is VCState.ACTIVE)
+        for slot in (drained, advanced):
+            k.rc_slots.add(slot)
+            with pytest.raises(InvariantViolation, match=rf"rc_slots holds slot {slot},"):
+                check_kernel_coherence(sim)
+            with pytest.raises(InvariantViolation, match="rc_slots"):
+                audit_network(sim)
+            k.rc_slots.discard(slot)
+        check_kernel_coherence(sim)
+
+
 class TestRoundRobinState:
     """The switch allocator's one round-robin state stays in range: a port's
     pointer below its VC count, a link's below its requester count."""

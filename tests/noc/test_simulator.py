@@ -383,39 +383,52 @@ class LineRouting(RoutingFunction):
 
 
 class TestDeadlockReport:
-    def _stuck_sim(self, tracer=None):
-        net = Network("line", n_cores=2, num_vcs=2, vc_depth=4)
-        net.add_router()
-        net.add_router()
-        net.attach_core(0, 0)
-        net.attach_core(1, 1)
-        fwd_port, _ = net.connect(0, 1)
+    def _stuck_sim(self, tracer=None, pairs=1):
+        """``pairs`` disjoint lines of two routers; router ``2j`` holds a
+        packet for router ``2j + 1``'s core that can never leave."""
+        net = Network("line", n_cores=2 * pairs, num_vcs=2, vc_depth=4)
+        for r in range(2 * pairs):
+            net.add_router()
+            net.attach_core(r, r)
+        for r in range(0, 2 * pairs, 2):
+            fwd_port, _ = net.connect(r, r + 1)
         net.set_routing(LineRouting(net, fwd_port))
         net.finalize()
         sim = Simulator(net, watchdog=10, tracer=tracer)
         # Artificially exhaust the downstream VCs: VCA can never succeed,
-        # so the injected packet is provably stuck.
-        endpoint = net.routers[0].out_links[fwd_port].resolve_endpoint(
-            Packet(0, 1, 4, 0)
-        )
-        endpoint.vc_busy = [True] * len(endpoint.vc_busy)
-        net.inject_packet(Packet(0, 1, 4, 0, pid=0))
+        # so each injected packet is provably stuck.
+        for r in range(0, 2 * pairs, 2):
+            endpoint = net.routers[r].out_links[fwd_port].resolve_endpoint(
+                Packet(r, r + 1, 4, 0)
+            )
+            endpoint.vc_busy = [True] * len(endpoint.vc_busy)
+            net.inject_packet(Packet(r, r + 1, 4, 0, pid=r // 2))
         return sim
 
     def test_watchdog_raises_with_diagnostics(self):
-        sim = self._stuck_sim()
+        sim = self._stuck_sim(pairs=22)
+        # Pair 1 is granted its VC instead, but its link never frees: an
+        # ACTIVE head that is parked on no token waits on nothing nameable.
+        link = sim.network.routers[2].out_links[1]
+        link.resolve_endpoint(Packet(2, 3, 4, 0)).vc_busy = [False, False]
+        link.busy_until = 10**9
         with pytest.raises(SimulationDeadlock) as excinfo:
             sim.run(100)
         msg = str(excinfo.value)
         assert "no progress" in msg
         assert "audit" in msg
-        assert "stuck flits by router" in msg
+        assert "stuck flits by router (22 routers):" in msg
         assert "r0" in msg
         # The wait-for edge: which endpoint the head queues on, where in
         # that queue, and why the endpoint has nothing to give.
         endpoint = sim.network.routers[1].input_endpoints[1]
         assert f"request 1 of 1 at {endpoint.name}" in msg
         assert f"vc_busy={endpoint.vc_busy} credits={endpoint.credits}" in msg
+        lines = msg.splitlines()
+        assert "  r2 (4 flits): in0.vc0[4 flits, ACTIVE, pid=1->out1]" in lines
+        # 20 routers are listed, router 0 to router 38; 40 and 42 are not.
+        assert sum(line.startswith("  r") for line in lines) == 20
+        assert lines[-1] == "  ... and 2 more routers"
 
     def test_wait_for_edge_of_a_token_parked_vc_names_medium_and_holder(self):
         built = build_own256()
