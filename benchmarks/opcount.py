@@ -32,12 +32,15 @@ moves the bytecode count by a few in several million).
 
 Last, a specialization census lists the expensive bytecodes. After the
 counted run, one untraced warm rep of the same spec lets CPython 3.11's
-adaptive interpreter specialize what it can; every attribute, subscript
-or global instruction under ``src/repro`` that the counted run executed
-and that is still ``*_ADAPTIVE`` (the interpreter tried and gave up, e.g.
-a class attribute behind a metaclass ``__getattr__``, such as an ``Enum``
-member) is listed with its file:line, function, opname, name and
-executions per flit hop (sites below 0.01 per hop are counted, not
+adaptive interpreter specialize what it can; every attribute, subscript,
+global or call instruction under ``src/repro`` that the counted run
+executed and that is still ``*_ADAPTIVE`` (the interpreter tried and gave
+up: a class attribute behind a metaclass ``__getattr__``, such as an
+``Enum`` member; a method load of a callable held in an instance slot; a
+``PRECALL`` of a callable it has no fast path for, such as a builtin
+called with several arguments like ``max(a, b)``) is listed with its
+file:line, function, opname, name (``[]`` for a subscript, ``()`` for a
+call) and executions per flit hop (sites below 0.01 per hop are counted, not
 listed: the warm rep may not have run them often enough to try). Such a
 load costs several times a specialized one. On other Python versions the
 census is skipped.
@@ -59,7 +62,7 @@ PKG = ROOT / "src" / "repro"
 #: Instructions 3.11 can specialize; ``<name>_ADAPTIVE`` is one it did not.
 ADAPTIVE = {f"{op}_ADAPTIVE" for op in (
     "LOAD_ATTR", "LOAD_METHOD", "STORE_ATTR", "BINARY_SUBSCR", "STORE_SUBSCR",
-    "LOAD_GLOBAL",
+    "LOAD_GLOBAL", "PRECALL",
 )}  # fmt: skip
 
 
@@ -179,7 +182,10 @@ def main() -> None:
         print(f"  unspecialized after a warm rep ({len(rows)} sites, per flit hop):")
         for n, code, ins in shown:
             site = f"{Path(code.co_filename).resolve().relative_to(PKG)}:{ins.positions.lineno}"
-            name = ins.argval if isinstance(ins.argval, str) else "[]"
+            name = (
+                ins.argval if isinstance(ins.argval, str)
+                else "()" if ins.opname == "PRECALL_ADAPTIVE" else "[]"
+            )  # fmt: skip
             print(f"    {n / max(1, hops):9.4f}  {site}  {code.co_qualname}  {ins.opname} {name}")
         if len(rows) > len(shown):
             print(f"    ... and {len(rows) - len(shown)} sites below 0.01 per hop")

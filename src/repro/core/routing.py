@@ -142,18 +142,21 @@ class OwnRoutingBase(RoutingFunction):
         no fault or spare churn never reach this path, keeping them
         bit-identical.
         """
-        for router in self.net.routers:
-            if not router._nflits:
-                continue
-            for port in router.input_ports:
-                for vc in port.vcs:
-                    if vc.state is not WAITING_VC:
-                        continue
-                    ep = vc.cand_endpoint
-                    if not ep.is_sink:  # a sink queues no requests
-                        ep.withdraw(vc.gslot)
-                    vc.release()
-                    router._kern.rc_slots.add(vc.gslot)
+        kern = self.net.routers[0]._kern
+        if kern is None:
+            return  # no simulator bound yet: nothing waits
+        # Each waiting head is on its endpoint's requests, or in
+        # ``vca_fresh`` if bound for a sink (which queues none).
+        heads = [
+            s for r in self.net.routers for ep in r.input_endpoints for s in ep.requests
+        ]
+        for s in heads + kern.vca_fresh:
+            vc = kern.slot_vc[s]
+            if vc.state is WAITING_VC:
+                if not vc.cand_endpoint.is_sink:
+                    vc.cand_endpoint.withdraw(s)
+                vc.release()
+                kern.rc_slots.add(s)
 
 
 class Own256Routing(OwnRoutingBase):

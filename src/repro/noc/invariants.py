@@ -43,16 +43,15 @@ class InvariantViolation(AssertionError):
     """A conservation law of the simulator does not hold."""
 
 
-def _ring_counts(ring) -> Dict[object, List[int]]:
-    """Events of one calendar ring of the simulator (flit deliveries or
-    credit returns), counted per endpoint and VC."""
+def _ring_counts(events) -> Dict[object, List[int]]:
+    """A calendar ring's (flit or credit) ``(endpoint, vc)`` events,
+    counted per endpoint and VC."""
     counts: Dict[object, List[int]] = {}
-    for due in ring:
-        for endpoint, vc, *_ in due:
-            per_vc = counts.get(endpoint)
-            if per_vc is None:
-                per_vc = counts[endpoint] = [0] * endpoint.num_vcs
-            per_vc[vc] += 1
+    for endpoint, vc in events:
+        per_vc = counts.get(endpoint)
+        if per_vc is None:
+            per_vc = counts[endpoint] = [0] * endpoint.num_vcs
+        per_vc[vc] += 1
     return counts
 
 
@@ -60,7 +59,10 @@ def _walk(net: "Network", sim=None, credit=False, vc_state=False, kernel=False) 
     """One pass over every (router, input port, VC): raise on the first
     violated condition of the kinds asked for; return the buffered flits."""
     if credit:
-        flying, owed = _ring_counts(sim._flit_ring), _ring_counts(sim._credit_ring)
+        flying = _ring_counts((e, v) for due in sim._flit_ring for e, v, *_ in due)
+        owed = _ring_counts(
+            (vc.upstream, vc.index) for due in sim._credit_ring for vc in due
+        )
     if kernel:
         k = sim.kernels
         sa_expect = set()
@@ -71,7 +73,6 @@ def _walk(net: "Network", sim=None, credit=False, vc_state=False, kernel=False) 
         }
     total = s = 0
     for router in net.routers:
-        buffered = 0
         for ip, port in enumerate(router.input_ports):
             endpoint = router.input_endpoints[ip]
             if credit:
@@ -83,7 +84,7 @@ def _walk(net: "Network", sim=None, credit=False, vc_state=False, kernel=False) 
                 )
             for vc in port.vcs:
                 n = len(vc.queue)
-                buffered += n
+                total += n
                 if credit:
                     v = vc.index
                     c = endpoint.credits[v]
@@ -158,12 +159,11 @@ def _walk(net: "Network", sim=None, credit=False, vc_state=False, kernel=False) 
                     if kernel and n and s not in parked:
                         sa_expect.add(s)
                 s += 1
-        total += buffered
-        if kernel and router._nflits != buffered:
-            raise InvariantViolation(
-                f"kernel: r{router.rid} counts {router._nflits} flits but "
-                f"buffers {buffered}"
-            )
+    if kernel and k.buffered != total:
+        raise InvariantViolation(
+            f"kernel: the network counts {k.buffered} buffered flits but its "
+            f"VCs hold {total}"
+        )
     if credit:
         for ni in net.interfaces:
             if ni is None or ni.current_vc is None:
@@ -288,7 +288,7 @@ def check_kernel_coherence(sim: "Simulator") -> None:
     **SA work is exactly what the objects say it is**: ``sa_slots`` == the
     slots of ACTIVE VCs holding a flit, minus those parked on some link's
     ``sa_token_waiters`` (re-armed when that link is granted its token);
-    every router's ``_nflits`` is its buffered flit count; and **no VCA
+    ``buffered`` is the network's buffered flit count; and **no VCA
     wake-up is lost**: each endpoint's ``requests`` are exactly the slots of
     the heads in WAITING_VC for it, ascending, and on an endpoint that is
     not woken no request VCA has already examined (i.e. not registered by

@@ -15,8 +15,8 @@ One slot per (router, input port, VC), assigned contiguously in router-id
 order, so a sorted slot list is automatically grouped by router and, within
 a router, by ascending (in_port, vc) -- the deterministic order every stage
 resolves contention in. Every router of a network has the network's
-``num_vcs`` (:meth:`KernelState.build` raises otherwise), so the layout is
-arithmetic::
+``num_vcs`` and ``vc_depth`` (:meth:`KernelState.build` raises otherwise),
+so the layout is arithmetic::
 
     slot = vslot_base[rid] + in_port * num_vcs + vc
 
@@ -24,7 +24,8 @@ and a port spans ``num_vcs`` consecutive slots from ``slot_pb[slot]``, which
 both forms of SA rely on. Each VC carries its own coordinates
 (``vc.gslot``, ``vc.in_port``, ``vc.upstream``), bound at layout time, so a
 work-set entry is one integer and nothing re-derives a port from a slot on
-the hot path.
+the hot path; an input endpoint holds its port's VCs (``endpoint.vcs``),
+so a sender hands ``Router.deliver_flit`` the VC itself.
 
 State owned here
 ----------------
@@ -35,6 +36,8 @@ State owned here
   ACTIVE VC, and by ``SharedMedium.try_grant``; dropped by
   ``Router._transmit`` (VC ran dry / tail left) and when SA parks a VC.
 * **rc_slots** -- slots of IDLE VCs with a head flit to route.
+* **buffered** -- the flits in the network's VCs (``Router.deliver_flit``
+  adds, ``_transmit`` subtracts): fast-forward and drain read it.
 * **vca_fresh / vca_woken** -- what the next VCA phase examines: requests RC
   registered last cycle, and endpoints on which a VC became free and funded
   (``Endpoint.wake``). The requests themselves queue on the endpoints; a
@@ -86,8 +89,8 @@ class KernelState:
 
     Build with :meth:`build` (the network must be finalized). Binding
     installs ``router._kern`` (through which the objects register RC / VCA /
-    SA work here), ``vc.gslot`` / ``vc.in_port`` / ``vc.upstream`` and
-    ``link.index``.
+    SA work here), ``vc.gslot`` / ``vc.in_port`` / ``vc.upstream``,
+    ``endpoint.vcs`` and ``link.index``.
     """
 
     __slots__ = (
@@ -106,10 +109,12 @@ class KernelState:
         "rc_slots",
         "vca_fresh",
         "vca_woken",
+        "buffered",
     )
 
     def __init__(self) -> None:
         self.num_vcs = 0
+        self.buffered = 0
         self.sa_slots: set = set()
         self.rc_slots: set = set()
         self.vca_fresh: List[int] = []
@@ -129,8 +134,9 @@ class KernelState:
         network is bound to. ``ring_size`` is the length of the binding
         simulator's event rings: a flit sent on a link is filed ``latency``
         slots ahead, so a link whose latency does not fit would wrap onto an
-        earlier cycle. Every router must have the network's ``num_vcs``:
-        SA's port width is arithmetic.
+        earlier cycle. Every router must have the network's ``num_vcs``
+        (SA's port width is arithmetic) and ``vc_depth`` (a packet admitted
+        at its NI then fits every VC on its way).
         """
         k = cls()
         routers = network.routers
@@ -141,6 +147,11 @@ class KernelState:
                 raise ValueError(
                     f"router {r.rid} has {r.num_vcs} VCs per input port, its "
                     f"network {k.num_vcs}: the slot layout needs one VC count"
+                )
+            if r.vc_depth != network.vc_depth:
+                raise ValueError(
+                    f"router {r.rid} has VCs of depth {r.vc_depth}, its network "
+                    f"{network.vc_depth}: a packet must fit every VC on its way"
                 )
 
         # --- per-link output arbitration width ---------------------------
@@ -172,11 +183,13 @@ class KernelState:
             for ip, port in enumerate(r.input_ports):
                 endpoint = r.input_endpoints[ip]
                 endpoint.woken = False
+                endpoint.vcs = port.vcs
                 pb = len(k.slot_vc)
                 for vc in port.vcs:
                     vc.gslot = s = len(k.slot_vc)
                     vc.in_port = ip
                     vc.upstream = endpoint
+                    k.buffered += len(vc.queue)
                     k.slot_router.append(r)
                     k.slot_vc.append(vc)
                     k.slot_pb.append(pb)
@@ -413,13 +426,6 @@ class KernelState:
             vc.out_port = out_port
             ep = vc.cand_endpoint = r.out_links[out_port].resolve_endpoint(packet)
             if not ep.is_sink:
-                if packet.size_flits > ep.vc_depth:
-                    # Endpoint.admit would refuse it forever: silently
-                    # waiting on a packet that can never fit would hang.
-                    raise ValueError(
-                        f"packet of {packet.size_flits} flits can never fit "
-                        f"VC depth {ep.vc_depth} at {ep.name or 'endpoint'}"
-                    )
                 vc.cand_vcs = tuple(routing.allowed_vcs(r, out_port, packet))
                 mask = 0
                 for v in vc.cand_vcs:

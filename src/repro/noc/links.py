@@ -71,6 +71,7 @@ class Endpoint:
         "min_size",
         "woken",
         "ni",
+        "vcs",
     )
 
     def __init__(
@@ -110,6 +111,8 @@ class Endpoint:
         #: own VCs, so a parked NI re-arms only on a credit return, from
         #: the simulator's credit ring.
         self.ni = None
+        #: The input port's VCs (bound by ``KernelState.build``; a sink has none).
+        self.vcs: Sequence = ()
 
     def admit(self, cands: Iterable[int], size: int) -> Optional[int]:
         """Virtual cut-through VC admission, the one copy of the rule: claim
@@ -214,13 +217,12 @@ class SharedMedium:
         "busy_until",
         "_rr_next",
         "requesters",
-        "flits_carried",
         "grants",
         "token_wait_cycles",
         "blocked_until",
         "token_losses",
         "index",
-        "_wake",
+        "_active",
     )
 
     def __init__(
@@ -256,16 +258,12 @@ class SharedMedium:
         self.blocked_until = 0
         self.token_losses = 0
         # Stats
-        self.flits_carried = 0
         self.grants = 0
         self.token_wait_cycles = 0
         # Deterministic arbitration-phase ordering: assigned by the owning
         # Network at registration time (-1 until then).
         self.index = -1
-        # Scheduler callback: invoked with ``self`` when the request set
-        # becomes non-empty so the simulator re-registers this medium in
-        # its active set.
-        self._wake: Optional[Callable[["SharedMedium"], None]] = None
+        self._active: Optional[set] = None  # the simulator's active media
 
     def register(self, link: "Link") -> None:
         link.member_index = len(self.members)
@@ -273,8 +271,8 @@ class SharedMedium:
 
     def note_request(self, link: "Link") -> None:
         """A packet on ``link`` finished VCA and now wants the token."""
-        if not self.requesters and self._wake is not None:
-            self._wake(self)
+        if not self.requesters and self._active is not None:
+            self._active.add(self)
         self.requesters.add(link)
 
     def drop_request(self, link: "Link") -> None:
@@ -343,9 +341,13 @@ class SharedMedium:
         self.blocked_until = max(self.blocked_until, now + recovery_cycles)
         self.token_losses += 1
 
+    @property
+    def flits_carried(self) -> int:
+        """Flits sent on the medium: every one was sent on a member link."""
+        return sum(link.flits_carried for link in self.members)
+
     def on_flit_sent(self, now: int, cycles_per_flit: int, is_tail: bool) -> None:
         self.busy_until = now + cycles_per_flit
-        self.flits_carried += 1
         if is_tail:
             self.holder = None
 
@@ -390,7 +392,6 @@ class Link:
         "endpoints",
         "resolver",
         "flits_carried",
-        "bits_carried",
         "bits_retransmitted",
         "control_msgs",
         "fault",
@@ -439,7 +440,6 @@ class Link:
         self.endpoints = endpoints
         self.resolver = resolver
         self.flits_carried = 0
-        self.bits_carried = 0
         # Link-layer protocol accounting (populated by repro.faults):
         # bits spent on retransmitted flits and ACK/NACK control messages
         # returned over the reverse channel. Both feed power accounting.
@@ -475,7 +475,8 @@ class Link:
         """Endpoint the given packet will be delivered to."""
         if self._endpoint is not None:
             return self._endpoint
-        key = self.resolver(packet)  # type: ignore[misc]
+        resolver = self.resolver  # 3.11 cannot specialize self.resolver(...)
+        key = resolver(packet)
         try:
             return self.endpoints[key]
         except KeyError:

@@ -54,7 +54,7 @@ class NetworkInterface:
         "current_vc",
         "flits_injected",
         "parked",
-        "_wake",
+        "_active",
     )
 
     def __init__(self, core: int, endpoint: Endpoint) -> None:
@@ -71,16 +71,14 @@ class NetworkInterface:
         #: endpoint re-arms it (failed pumps have no side effects, so
         #: skipping them is invisible to the simulation result).
         self.parked = False
-        # Scheduler callback: invoked with ``self`` on the empty->backlogged
-        # transition so the simulator re-registers this NI in its active set.
-        self._wake: Optional[Callable[["NetworkInterface"], None]] = None
+        self._active: Optional[set] = None  # the simulator's active NIs
         endpoint.ni = self
 
     def enqueue_packet(self, packet: Packet) -> None:
         """Queue ``packet`` behind the backlog (new traffic, or a packet the
         link layer re-injects after giving up on a channel)."""
-        if not self.queue and self._wake is not None:
-            self._wake(self)
+        if not self.queue and self._active is not None:
+            self._active.add(self)
         self.queue.append(packet)
 
     def pump(self, now: int) -> int:
@@ -108,7 +106,7 @@ class NetworkInterface:
         # Endpoint.take_credit, inlined: admission funded the whole packet,
         # so a packet in progress always holds a credit on its VC.
         endpoint.credits[vc] -= 1
-        endpoint.router.deliver_flit(endpoint.in_port, vc, packet)
+        endpoint.router.deliver_flit(endpoint.vcs[vc], packet)
         self.flits_injected += 1
         seq = self.sent
         if not seq:

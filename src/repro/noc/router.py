@@ -19,7 +19,7 @@ by both forms of the stage: the kernel's sweep on untraced runs,
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.noc.buffers import ACTIVE, IDLE, InputPort, VirtualChannel
 from repro.noc.links import Endpoint, Link
@@ -71,13 +71,7 @@ class Router:
         "input_endpoints",
         "out_links",
         "routing",
-        "_nflits",
-        "_wake",
-        "_sleep",
         "_kern",
-        "buffer_writes",
-        "buffer_reads",
-        "xbar_traversals",
         "vca_grants",
         "sa_grants",
     )
@@ -99,25 +93,23 @@ class Router:
         self.input_endpoints: List[Endpoint] = []
         self.out_links: List[Optional[Link]] = []
         self.routing: Optional[RoutingFunction] = None
-        # Flits buffered here (== occupancy(), kept by deliver_flit and
-        # _transmit). The scheduler callbacks fire on its 0 <-> 1
-        # transitions, invoked with ``self``, so the simulator's
-        # active-router set tracks exactly the routers holding flits.
-        # ``None`` when no simulator is attached.
-        self._nflits = 0
-        self._wake: Optional[Callable[["Router"], None]] = None
-        self._sleep: Optional[Callable[["Router"], None]] = None
         # Slot-sweep binding (repro.noc.kernels.KernelState): set when a
         # simulator binds this network. RC, VCA and SA work is registered
         # there by slot id (``rc_slots``, the endpoints' request lists,
-        # ``sa_slots``), and SA's round-robin pointers live there.
+        # ``sa_slots``); so do SA's pointers and the buffered-flit count.
         self._kern = None
         # Activity counters for the power model:
-        self.buffer_writes = 0
-        self.buffer_reads = 0
-        self.xbar_traversals = 0
         self.vca_grants = 0
         self.sa_grants = 0
+
+    @property
+    def buffer_writes(self) -> int:
+        """Each flit written was since read out (``_transmit``) or is here."""
+        return self.sa_grants + self.occupancy()
+
+    #: One per SA grant: the winning flit leaves its buffer and crosses the
+    #: crossbar.
+    buffer_reads = xbar_traversals = property(lambda self: self.sa_grants)
 
     # ------------------------------------------------------------------ #
     # Construction API (used by Network builders)
@@ -164,36 +156,32 @@ class Router:
     # Buffer plumbing
     # ------------------------------------------------------------------ #
 
-    def deliver_flit(self, in_port: int, vc: int, packet: "Packet") -> None:
-        """Accept the next flit of ``packet`` arriving from a link (the LT
-        stage completing): the VC buffers one more reference to it."""
-        vc_obj = self.input_ports[in_port].vcs[vc]
+    def deliver_flit(self, vc: VirtualChannel, packet: "Packet") -> None:
+        """Accept the next flit of ``packet`` into input VC ``vc`` (a link's
+        LT stage completing, or the NI pumping; the sender takes the VC from
+        ``Endpoint.vcs``): the VC buffers one more reference to it."""
         # Credit flow control makes overflow a simulator bug, hence the
         # hard error.
-        queue = vc_obj.queue
-        if len(queue) >= vc_obj.depth:
+        queue = vc.queue
+        if len(queue) >= vc.depth:
             raise RuntimeError(
-                f"VC{vc_obj.index} overflow: depth={vc_obj.depth}; "
+                f"VC{vc.index} overflow: depth={vc.depth}; "
                 "credit accounting is broken"
             )
-        state = vc_obj.state
+        state = vc.state
         kern = self._kern
-        if kern is not None:
-            if state is IDLE:
-                # A head flit (or a body flit queued behind an un-routed
-                # head) now sits in an IDLE VC: schedule route computation.
-                kern.rc_slots.add(vc_obj.gslot)
-            elif state is ACTIVE and not queue:
-                # A body flit caught up with its already-switching packet,
-                # whose VC had run dry. A VC that still holds flits is in
-                # ``sa_slots`` already or parked behind a medium token --
-                # re-arming that one would only have it park again.
-                kern.sa_slots.add(vc_obj.gslot)
+        if state is IDLE:
+            # A head flit (or a body flit queued behind an un-routed head)
+            # now sits in an IDLE VC: schedule route computation.
+            kern.rc_slots.add(vc.gslot)
+        elif state is ACTIVE and not queue:
+            # A body flit caught up with its already-switching packet,
+            # whose VC had run dry. A VC that still holds flits is in
+            # ``sa_slots`` already or parked behind a medium token --
+            # re-arming that one would only have it park again.
+            kern.sa_slots.add(vc.gslot)
         queue.append(packet)
-        if not self._nflits and self._wake is not None:
-            self._wake(self)
-        self._nflits += 1
-        self.buffer_writes += 1
+        kern.buffered += 1
 
     def occupancy(self) -> int:
         """Total buffered flits (used by the deadlock watchdog)."""
@@ -311,15 +299,11 @@ class Router:
         seq = vc.sent
         is_tail = seq == packet.size_flits - 1
         kern = self._kern
-        self._nflits -= 1
-        if not self._nflits and self._sleep is not None:
-            self._sleep(self)
+        kern.buffered -= 1
         if not queue or is_tail:
             # Ran dry, or the next packet's head is now at the front and
             # must re-run RC/VCA before competing in SA again.
             kern.sa_slots.discard(vc.gslot)
-        self.buffer_reads += 1
-        self.xbar_traversals += 1
         self.sa_grants += 1
 
         if not seq:
@@ -336,8 +320,7 @@ class Router:
             # Endpoint.take_credit, inlined; no underflow guard needed:
             # admission funded the whole packet, so credits[out_vc] > 0.
             endpoint.credits[out_vc] -= 1
-        # Link/medium busy + bit accounting happens inside _send_fn so the
-        # simulator can apply the configured flit width consistently.
+        # Link/medium busy and the flit count happen inside _send_fn.
         if is_tail:
             endpoint.release_vc(out_vc)
             vc.release()  # also resets vc.sent
@@ -354,5 +337,5 @@ class Router:
             vc.sent = seq + 1
         # Return the freed input-buffer slot upstream, ``credit_latency``
         # cycles from now (the ring slot step() resolved for this cycle):
-        sim._credits_due.append((vc.upstream, vc.index))
+        sim._credits_due.append(vc)
         sim._send_fn(link, endpoint, packet, seq, is_tail, out_vc, now)

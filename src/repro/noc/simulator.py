@@ -30,13 +30,15 @@ the untraced sweep walks whole and the traced ``stage_sa`` router by router.
 A head waiting for a downstream VC costs nothing until that endpoint has a
 VC to give, a VC waiting for a medium token nothing until its link is
 granted. Media and network interfaces sit in active sets while they hold
-token requests / queued injections; routers sit in one while their flit
-count is non-zero, read only to decide quiescence.
+token requests / queued injections; of the routers the scheduler reads
+only the network's buffered-flit count (``KernelState.buffered``), to
+decide quiescence and drain.
 
 **Events.** The two per-hop events -- a flit landing ``link.latency`` cycles
 after it was sent, a credit returning ``credit_latency`` cycles after the
-buffer slot was freed -- are filed as bare tuples in two calendar rings
-indexed ``cycle & mask`` and drained by two typed loops in phase 1. The
+buffer slot was freed -- are filed in two calendar rings indexed
+``cycle & mask`` (a flit as a bare tuple, a credit as the VC it left) and
+drained by two typed loops in phase 1. The
 rings are sized at construction to the power of two above the longest such
 delay, so a slot never holds two cycles' events. Anything else (the link
 layer's ACK/NACK arrivals, of arbitrary delay) goes through ``_schedule``
@@ -72,7 +74,7 @@ from bisect import bisect_left
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.noc.buffers import ACTIVE, WAITING_VC
+from repro.noc.buffers import ACTIVE, WAITING_VC, VirtualChannel
 from repro.noc.kernels import KernelState
 from repro.noc.links import Endpoint, Link, SharedMedium
 from repro.noc.network import Network, NetworkInterface
@@ -149,11 +151,11 @@ class Simulator:
         ).bit_length()
         self._ring_mask = size - 1
         self._flit_ring: List[List[Tuple]] = [[] for _ in range(size)]
-        self._credit_ring: List[List[Tuple]] = [[] for _ in range(size)]
+        self._credit_ring: List[List[VirtualChannel]] = [[] for _ in range(size)]
         #: The credit-ring slot for ``now + credit_latency``, resolved by
         #: :meth:`step` before the SA phase, the only one that transmits;
-        #: ``Router._transmit`` appends to it.
-        self._credits_due: List[Tuple] = self._credit_ring[credit_latency]
+        #: ``Router._transmit`` appends the departing flit's VC to it.
+        self._credits_due: List[VirtualChannel] = self._credit_ring[credit_latency]
         #: :meth:`_schedule`'s buckets by cycle, plus a min-heap over their
         #: keys whose stale entries (cycles whose bucket was already
         #: consumed) are dropped lazily on inspection.
@@ -161,29 +163,19 @@ class Simulator:
         self._event_cycles: List[int] = []
         self._last_progress = 0
         # Active sets: components registered here have (potential) work this
-        # cycle. Wake callbacks installed below re-register components on
-        # their empty->non-empty transitions; the cycle loop prunes drained
-        # media and NIs as it visits them, a router leaves when its last
-        # flit departs (``_sleep``).
-        self._active_routers: Set[Router] = set()
+        # cycle. Media and NIs add themselves on their empty->non-empty
+        # transitions; the cycle loop prunes them as it visits them.
         self._active_media: Set[SharedMedium] = set()
         self._active_nis: Set[NetworkInterface] = set()
         # A network is simulated once (its links keep the run's clock): no
-        # router holds a flit or medium a request yet; NIs may hold packets.
-        wake_router = self._active_routers.add
-        for router in network.routers:
-            router._wake = wake_router
-            router._sleep = self._active_routers.discard
-        wake_medium = self._active_media.add
+        # medium holds a request yet; NIs may hold packets.
         for medium in network.mediums:
-            medium._wake = wake_medium
-        wake_ni = self._active_nis.add
+            medium._active = self._active_media
         for ni in network.interfaces:
             if ni is not None:
-                ni._wake = wake_ni
+                ni._active = self._active_nis
                 if ni.queue:
-                    wake_ni(ni)
-        self._flit_width = network.flit_width_bits
+                    self._active_nis.add(ni)
         self._hooks: List[Callable[["Simulator"], None]] = []
         for hook in hooks:
             self.add_hook(hook)
@@ -273,12 +265,12 @@ class Simulator:
     ) -> None:
         """Start the traversal of flit ``seq`` of ``packet``: the one place a
         send is booked (``Router._transmit`` and the link layer's
-        retransmissions). The flit in flight is a ring entry
-        ``(endpoint, out_vc, packet, is_tail, fate)``; ``fate`` is the link
-        layer's verdict on the attempt, ``None`` off protected links."""
+        retransmissions), counted in ``link.flits_carried``. The flit in
+        flight is a ring entry ``(endpoint, out_vc, packet, is_tail, fate)``;
+        ``fate`` is the link layer's verdict on the attempt, ``None`` off
+        protected links."""
         link.busy_until = now + link.cycles_per_flit
         link.flits_carried += 1
-        link.bits_carried += self._flit_width
         if link.medium is not None:
             link.medium.on_flit_sent(now, link.cycles_per_flit, is_tail)
         fate = None
@@ -323,15 +315,17 @@ class Simulator:
                         if tracer_ is not None:
                             tracer_.on_packet_ejected(packet, now)
                 else:
-                    endpoint.router.deliver_flit(endpoint.in_port, v, packet)
+                    endpoint.router.deliver_flit(endpoint.vcs[v], packet)
             moved = len(due)
             due.clear()
         due = self._credit_ring[now & mask]
         if due:
             active_nis = self._active_nis
-            # Endpoint.return_credit, inlined (one per flit-hop; credits
-            # return to router input ports only, never to a sink).
-            for endpoint, v in due:
+            # Endpoint.return_credit, inlined (one per flit-hop, to the
+            # input VC the flit left; never to a sink).
+            for vc in due:
+                endpoint = vc.upstream
+                v = vc.index
                 c = endpoint.credits[v] + 1
                 endpoint.credits[v] = c
                 ni = endpoint.ni
@@ -449,7 +443,7 @@ class Simulator:
         elif (
             now - self._last_progress > self.watchdog
             and not self._events_pending()
-            and self.network.total_occupancy()
+            and self.kernels.buffered
         ):
             if tracer is not None:
                 tracer.on_deadlock(now, self.network.total_occupancy())
@@ -532,7 +526,7 @@ class Simulator:
         """
         slot = self.now & self._ring_mask
         return (
-            not self._active_routers
+            not self.kernels.buffered
             and not self._active_nis
             and not self._active_media
             and not self._flit_ring[slot]
@@ -591,11 +585,11 @@ class Simulator:
         next wake source, which is capped at ``end``, and steps the cycle it
         lands on (asked again there, ``_next_wake`` would return that cycle;
         a drain re-checks for pending work first). ``_quiescent()`` decides;
-        it is asked only once the three active sets, the cheap half of its
-        answer, are empty.
+        it is asked only once the buffered-flit count and the two active
+        sets, the cheap half of its answer, are empty.
         """
         moved = 0
-        routers = self._active_routers
+        kern = self.kernels
         nis = self._active_nis
         media = self._active_media
         self._end = end
@@ -604,7 +598,7 @@ class Simulator:
             while self.now < end:
                 if until_drained and not self._pending_work():
                     break
-                if not (routers or nis or media) and self._quiescent():
+                if not (kern.buffered or nis or media) and self._quiescent():
                     target = self._next_wake(end)
                     if target > self.now:
                         self.now = target
@@ -666,9 +660,7 @@ class Simulator:
         return sum(ni.backlog for ni in self.network.interfaces if ni is not None)
 
     def _pending_work(self) -> bool:
-        if self._events_pending():
-            return True
-        if self.network.total_occupancy():
+        if self._events_pending() or self.kernels.buffered:
             return True
         if self._faults is not None and self._faults.pending_work():
             return True

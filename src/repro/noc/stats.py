@@ -143,7 +143,7 @@ class StatsCollector:
         packet.measured = packet.t_create >= self.warmup_cycles
 
     def on_flit_ejected(self, now: int, packet: Optional[Packet] = None) -> None:
-        self.last_cycle = max(self.last_cycle, now)
+        self.last_cycle = now  # ejections arrive in cycle order
         self.flits_ejected_total += 1
         if now >= self.warmup_cycles:
             if self.first_measured_cycle is None:

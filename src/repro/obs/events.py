@@ -19,7 +19,8 @@ plus a per-kind payload:
 ``heartbeat``     ``cycle``, ``target_cycles``, ``phase`` (``run`` /
                   ``drain``), ``injected`` / ``ejected`` packet counts,
                   ``occupancy`` (flits buffered network-wide),
-                  ``active_routers`` / ``active_nis`` (active-set sizes),
+                  ``active_routers`` (routers holding flits) /
+                  ``active_nis`` (backlogged NIs not parked),
                   ``wall_s``, ``cycles_per_sec``, ``eta_s``, and --
                   when windowed telemetry is attached -- a ``windows``
                   snapshot (:meth:`WindowedAggregator.snapshot`)

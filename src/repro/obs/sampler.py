@@ -135,14 +135,15 @@ class RunObserver:
             eta = round((target - now) / cps, 1)
         # Draining <=> the traffic process is parked on the side.
         phase = "drain" if sim._paused_traffic is not None else "run"
+        occupancy = [router.occupancy() for router in sim.network.routers]
         data: Dict[str, object] = {
             "phase": phase,
             "cycle": now,
             "target_cycles": target,
             "injected": stats.packets_created,
             "ejected": stats.packets_ejected,
-            "occupancy": sim.network.total_occupancy(),
-            "active_routers": len(sim._active_routers),
+            "occupancy": sum(occupancy),
+            "active_routers": len(occupancy) - occupancy.count(0),
             "active_nis": len(sim._active_nis),
             "wall_s": round(wall, 3),
             "cycles_per_sec": round(cps, 1) if cps else None,

@@ -107,6 +107,7 @@ class ActivityRecord:
 def record_of(built: BuiltTopology, sim: Simulator) -> ActivityRecord:
     """Read the :class:`ActivityRecord` of a finished run off its network."""
     links = built.network.links
+    flit_bits = built.network.flit_width_bits
     # Wireless static bias: each channel's TX end and its RX end(s) (one per
     # destination cluster on a multicast channel), counted once per physical
     # channel: a point-to-point link is one, an SWMR medium is one shared by
@@ -127,11 +128,11 @@ def record_of(built: BuiltTopology, sim: Simulator) -> ActivityRecord:
         links=tuple(
             (
                 link.kind, link.length_mm, link.channel_id, link.multicast_degree,
-                link.bits_carried, link.bits_retransmitted, link.control_msgs,
-                link.src_router.rid,
+                link.flits_carried * flit_bits, link.bits_retransmitted,
+                link.control_msgs, link.src_router.rid,
             )
             for link in links
-            if link.bits_carried
+            if link.flits_carried
         ),
     )
 
@@ -287,7 +288,7 @@ class PowerModel:
             static_mw += self.dsent.static_power_mw(events[-1])
         out.router_w = dyn_pj * 1e-12 / duration_s + static_mw * 1e-3
 
-        # Links by technology. ``bits_carried`` already includes link-layer
+        # Links by technology. A link's carried bits already include link-layer
         # retransmissions (they are physical sends); ACK/NACK control
         # messages ride the reverse channel and are charged on top. The
         # protocol's share (retransmitted bits + control) is also tallied

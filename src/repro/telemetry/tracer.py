@@ -473,8 +473,9 @@ class Tracer:
         self.emits += 1
         occ: Dict[str, int] = {}
         for router in self.sim.network.routers:
-            if router._nflits:
-                occ[f"r{router.rid}"] = router.occupancy()
+            n = router.occupancy()
+            if n:
+                occ[f"r{router.rid}"] = n
         if self._eventing:
             self._event(now, BUFFER_SAMPLE, "sim", args={"occupancy": occ})
         self.metrics.counter("buffer_samples").add(1)

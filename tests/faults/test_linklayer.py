@@ -7,6 +7,7 @@ from repro.faults import (
     FaultCampaign,
     FaultLayer,
     LinkLayerConfig,
+    PermanentFault,
     TokenLossFault,
     TransientFault,
 )
@@ -183,6 +184,38 @@ class TestTokenLoss:
         sim = Simulator(built.network, faults=layer)
         with pytest.raises(ValueError):
             sim.run(20)
+
+
+class TestPermanentFaultTargets:
+    """A permanent fault resolves its target to protected links: every one
+    (``None``), a link or a link kind by name, or a list of link names."""
+
+    def _penalties(self, target):
+        built = build_fault_tolerant_own256()
+        campaign = FaultCampaign(
+            [PermanentFault(at=10, target=target, kind="trim_drift", drift_db=2.5)]
+        )
+        layer = FaultLayer(built.network, campaign=campaign)
+        sim = Simulator(built.network, faults=layer)
+        sim.run(20)
+        return {link.name: state.snr_penalty_db for link, state in layer.protected.items()}
+
+    def test_trim_drift_adds_to_the_penalty(self):
+        name = next(iter(self._penalties(None)))
+        penalties = self._penalties(name)
+        assert penalties[name] == 2.5
+        assert all(p == 0.0 for n, p in penalties.items() if n != name)
+
+    def test_no_target_is_every_protected_link(self):
+        penalties = self._penalties(None)
+        assert len(penalties) > 2
+        assert set(penalties.values()) == {2.5}
+
+    def test_name_list_resolves_the_named_links(self):
+        names = sorted(self._penalties(None))[:2]
+        penalties = self._penalties(names)
+        assert {n for n, p in penalties.items() if p} == set(names)
+        assert all(penalties[n] == 2.5 for n in names)
 
 
 class TestConfigValidation:

@@ -24,7 +24,7 @@ def one_router(depth=4):
 
 
 def push(router, packet, vc=0):
-    router.deliver_flit(0, vc, packet)
+    router.deliver_flit(router.input_ports[0].vcs[vc], packet)
 
 
 def pop(sim, router, vc=0):

@@ -263,8 +263,8 @@ class TestSAWorkSet:
     def test_detects_flit_count_drift(self):
         net, sim = self._saturated()
         sim.run(100)
-        router = next(r for r in net.routers if r._nflits)
-        router._nflits += 1
+        assert sim.kernels.buffered
+        sim.kernels.buffered += 1
         with pytest.raises(InvariantViolation, match="counts"):
             check_kernel_coherence(sim)
 
@@ -354,7 +354,7 @@ def _stale_route(net, sim):
 
 
 def _count_drift(net, sim):
-    next(r for r in net.routers if r._nflits)._nflits += 1
+    sim.kernels.buffered += 1
     return check_kernel_coherence, sim
 
 
@@ -379,7 +379,7 @@ def _withhold(sim, endpoint, v):
     # Move every credit of (endpoint, v) onto the credit-return ring: the
     # accounting still balances, but the sender holding v has none left.
     for _ in range(endpoint.credits[v]):
-        sim._credits_due.append((endpoint, v))
+        sim._credits_due.append(endpoint.vcs[v])
     endpoint.credits[v] = 0
 
 

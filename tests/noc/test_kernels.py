@@ -6,8 +6,9 @@ sweep end-to-end -- fast untraced runs drive it by default. The tests here
 pin the pieces those properties cannot localise: the slot layout binding,
 the work lists agreeing with the object state mid-run (``sa_slots`` is
 exactly the ACTIVE, occupied, unparked VCs), a link latency that does not
-fit the simulator's event rings, a network of mixed VC counts (rejected:
-the slot arithmetic needs one), the last hop's grant at an ejection sink
+fit the simulator's event rings, a network of mixed VC counts or depths
+(rejected: the slot arithmetic needs one count, and a packet admitted at
+its NI must fit every VC on its way), the last hop's grant at an ejection sink
 (no request queued there), and sweep == traced ``stage_sa`` == the naive
 schedule (which still runs the sweep).
 """
@@ -95,6 +96,18 @@ class TestBinding:
         net = build_cmesh(64).network
         net.routers[5].num_vcs = net.num_vcs + 1
         with pytest.raises(ValueError, match=r"router 5 has 5 VCs .* network 4"):
+            KernelState.build(net)
+        with pytest.raises(ValueError, match="router 5"):
+            Simulator(net)
+
+    def test_mixed_depth_network_rejected(self):
+        # The NI checks that a packet fits where it enters; one depth
+        # network-wide is what makes that check enough at every hop.
+        net = build_cmesh(64).network
+        depth = net.vc_depth
+        net.routers[5].vc_depth = depth - 1
+        match = f"router 5 has VCs of depth {depth - 1}, its network {depth}"
+        with pytest.raises(ValueError, match=match):
             KernelState.build(net)
         with pytest.raises(ValueError, match="router 5"):
             Simulator(net)

@@ -5,6 +5,8 @@ import pytest
 from repro.noc import Network, RoutingFunction, Simulator
 from repro.noc.links import Endpoint, Link, SharedMedium
 from repro.noc.packet import Packet
+from repro.power.accounting import record_of
+from repro.topologies.base import BuiltTopology
 
 
 class TestEndpoint:
@@ -142,7 +144,9 @@ class TestLink:
         for t in range(3):
             sim._send_fn(link, endpoint, packet, t, t == 2, 0, t)
         assert link.flits_carried == 3
-        assert link.bits_carried == 3 * 64
+        # Power prices the link's bits: its flits at the network's width.
+        record = record_of(BuiltTopology(sim.network, "cmesh"), sim)
+        assert [row[4] for row in record.links] == [3 * 64]
         assert link.busy_until == 3
 
     def test_resolver_endpoints(self):

@@ -79,7 +79,7 @@ def test_spares_priced_at_their_end_of_run_channels():
     assert result.power["cfg4_s1"] == stored.power["cfg4_s1"] == live_pb
 
     spares = {id(link) for link in built.notes["spare_links"].values()}
-    carried = [link for link in built.network.links if link.bits_carried]
+    carried = [link for link in built.network.links if link.flits_carried]
     assert any(id(link) in spares and link.channel_id for link in carried)
     record = record_of(built, sim)
     assert [row[2] for row in record.links] == [link.channel_id for link in carried]

@@ -21,9 +21,9 @@ class TestDsent:
         r = Router(0)
         r.attrs["paper_radix"] = 8
         assert params.events_energy_pj(router_events(r)) == 0.0
-        r.buffer_writes = 10
+        r.sa_grants = 10  # a grant also writes, reads and crosses once
         e1 = params.events_energy_pj(router_events(r))
-        r.buffer_writes = 20
+        r.sa_grants = 20
         assert params.events_energy_pj(router_events(r)) == pytest.approx(2 * e1)
 
     def test_xbar_scales_with_radix(self):
@@ -31,10 +31,17 @@ class TestDsent:
         lo, hi = Router(0), Router(1)
         lo.attrs["paper_radix"] = 8
         hi.attrs["paper_radix"] = 64
-        lo.xbar_traversals = hi.xbar_traversals = 100
-        assert params.events_energy_pj(router_events(hi)) == pytest.approx(
-            8 * params.events_energy_pj(router_events(lo))
-        )
+        lo.sa_grants = hi.sa_grants = 100
+
+        def xbar_pj(router):
+            # The crossbar term is the only one the radix scales.
+            events = router_events(router)
+            return params.events_energy_pj(events) - params.events_energy_pj(
+                events[:-1] + (0,)
+            )
+
+        assert xbar_pj(lo) > 0
+        assert xbar_pj(hi) == pytest.approx(8 * xbar_pj(lo))
 
     def test_static_scales_with_radix(self):
         params = DsentParams()
@@ -50,8 +57,12 @@ class TestDsent:
         r = Router(0)
         r.add_input_port()
         r.add_output_port()
-        r.xbar_traversals = 10
-        assert params.events_energy_pj(router_events(r)) > 0
+        r.sa_grants = 10
+        events = router_events(r)
+        assert events[-1] == r.radix == 1
+        assert params.events_energy_pj(events) > params.events_energy_pj(
+            events[:-1] + (0,)
+        )
 
     def test_wire_energy_linear_in_bits_and_length(self):
         params = DsentParams()
