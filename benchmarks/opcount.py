@@ -12,7 +12,9 @@ bytecodes can be lost in the noise, and one that saves none can be faster
 (see the census below). The summary CRC printed last is ``bench.py``'s
 ``noc.stats.summary_crc32``.
 The count is given per simulated cycle, per stepped cycle (an entry into
-``Simulator.step``; the rest were fast-forwarded) and per flit hop.
+``Simulator.step``; the rest were fast-forwarded) and per flit hop. Beside
+the stepped cycles stands the number of packets the lone-packet express
+booked whole (``Simulator.express_packets``): their hops took no step.
 After the top functions, the count is folded by source package under
 ``src/repro`` (``noc.invariants`` on its own; ``py`` is code outside the
 package), so what the hooks around the router pipeline cost is an exact row.
@@ -146,7 +148,10 @@ def main() -> None:
     print(f"{args.workload} seed {args.seed}: {total} bytecodes in Simulator.run")
     steps = entries[Simulator.step.__code__]
     print(f"  per cycle    {total / sim.now:12.1f}  ({sim.now} cycles)")
-    print(f"  per step     {total / max(1, steps):12.1f}  ({steps} stepped cycles)")
+    print(
+        f"  per step     {total / max(1, steps):12.1f}  ({steps} stepped cycles; "
+        f"{sim.express_packets} packets booked whole by the lone-packet express)"
+    )
     print(f"  per flit hop {total / max(1, hops):12.1f}  ({hops} hops)")
     for code, n in per_code.most_common(args.top):
         where = Path(code.co_filename).name

@@ -201,7 +201,6 @@ LINE_MODULES = (
 
 _QUEUED = "queued: only its own tests call it; ROADMAP item 18 deletes it with them"
 _RESUME = "queued: only tests drain and resume (7 tests); ROADMAP item 18 deletes it with them"
-_TOKEN_LOSS = "queued: only tests inject token loss (3 tests); ROADMAP item 18 deletes it with them"
 _RF = "queued: no figure bench reads it; ROADMAP item 18 deletes it with its tests"
 _TRACE_LOCK = "gate: the workload golden-trace lock (tests/workloads/test_golden_traces.py)"
 _UTILISATION = "roadmap 23: the residual reads utilisation from the activity record"
@@ -249,8 +248,6 @@ FATES: Dict[str, str] = {
     "noc/simulator.py:Simulator.resume_traffic": _RESUME,
     "telemetry/tracer.py:Tracer.on_traffic_resumed": _RESUME,
     "traffic/generator.py:SyntheticTraffic._pause": _RESUME,
-    "faults/models.py:TokenLossFault.__post_init__": _TOKEN_LOSS,
-    "noc/links.py:SharedMedium.lose_token": _TOKEN_LOSS,
     "rf/budget.py:LinkBudget.required_tx_power_w": _RF,
     "rf/budget.py:LinkBudget.link_distance_factor": _RF,
     "rf/lna.py:CascodeLNA.output_snr_db": _RF,
@@ -275,7 +272,6 @@ FATES: Dict[str, str] = {
     "faults/campaign.py:FaultCampaign.add": _QUEUED,
     "faults/campaign.py:FaultCampaign.last_cycle": _QUEUED,
     "noc/buffers.py:InputPort.num_vcs": _QUEUED,
-    "noc/links.py:SharedMedium.can_transmit": _QUEUED,
     "obs/bus.py:clear_worker_bus": _QUEUED,
     "obs/log.py:ContextLogger.bind": _QUEUED,
     "photonics/losses.py:splitter_loss_db": _QUEUED,

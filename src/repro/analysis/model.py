@@ -2,9 +2,11 @@
 
 For design-space exploration you want answers without running the cycle
 simulator. :func:`predict` reads them off the built topology alone: it walks
-every route with the network's own ``compute`` (:func:`walk_route`) and takes
-each hop's cost and each channel's capacity from the links the route
-crosses, so no latency, token or serialisation parameter exists twice. Under
+every route with the network's own ``compute``
+(:func:`repro.noc.network.walk_route`, the walk the simulator's lone-packet
+express books a route from) and takes each hop's cost and each channel's
+capacity from the links the route crosses, so no latency, token or
+serialisation parameter exists twice. Under
 uniform random (UN) traffic of ``S``-flit packets:
 
 * **zero-load latency** of a route is one cycle of injection, plus
@@ -32,12 +34,10 @@ channel): an error in model or simulator breaks the agreement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from repro.noc.links import Link, SharedMedium
-from repro.noc.network import Network
-from repro.noc.packet import Packet
-from repro.noc.router import Router, RoutingFunction
+from repro.noc.network import Network, walk_route
 from repro.runtime.spec import TrafficSpec
 from repro.topologies.base import BuiltTopology
 
@@ -80,29 +80,6 @@ def channels(network: Network) -> Dict[Channel, Link]:
     return first
 
 
-def walk_route(
-    network: Network, routing: RoutingFunction, src_core: int, dst_core: int
-) -> List[Tuple[Router, int, Link]]:
-    """Every ``(router, out_port, link)`` hop of one packet's route, up to
-    and including its ejection hop, as the simulator would take it: the
-    production ``compute`` and ``resolve_endpoint``, with the packet's
-    ``wireless_hops`` counted as it goes (relay routing reads it)."""
-    packet = Packet(src_core, dst_core, 1, 0, pid=0)
-    router = network.routers[network.core_router[src_core]]
-    hops = []
-    for _ in network.routers:  # a longer route revisits a router
-        port = routing.compute(router, packet)
-        link = router.out_links[port]
-        hops.append((router, port, link))
-        endpoint = link.resolve_endpoint(packet)
-        if endpoint.is_sink:
-            return hops
-        if link.kind == "wireless":
-            packet.wireless_hops += 1
-        router = endpoint.router
-    raise RuntimeError(f"route {src_core} -> {dst_core} loops: {hops}")
-
-
 def _arb_latency(link: Link) -> int:
     return link.medium.arb_latency if link.medium is not None else 0
 
@@ -126,7 +103,7 @@ def predict(built: BuiltTopology) -> PredictedPerformance:
             if not weight:
                 continue
             slowest = 1
-            for _, _, link in walk_route(net, routing, srcs[0], dsts[-1]):
+            for _, _, link, _ in walk_route(net, routing, srcs[0], dsts[-1]):
                 crossings[link] += weight
                 if link.cycles_per_flit > slowest:
                     slowest = link.cycles_per_flit

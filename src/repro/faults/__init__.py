@@ -1,8 +1,8 @@
 """Runtime fault injection, link-layer retransmission, and online failover.
 
 This package connects the calibrated RF physics (:mod:`repro.rf`) to the
-cycle simulator (:mod:`repro.noc`): scheduled SNR dips, transceiver deaths
-and token losses corrupt real in-flight traffic, a CRC + ACK/NACK link
+cycle simulator (:mod:`repro.noc`): scheduled SNR dips, trimming drift and
+transceiver deaths corrupt real in-flight traffic, a CRC + ACK/NACK link
 layer masks the corruption by retransmission, and a health monitor retires
 channels that stop earning their keep, failing traffic over to the relay
 routes and spare channels of :mod:`repro.core`.
@@ -18,7 +18,6 @@ from repro.faults.models import (
     LOST,
     LinkFaultState,
     PermanentFault,
-    TokenLossFault,
     TransientFault,
     flit_error_probability,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "LinkFaultState",
     "LinkLayerConfig",
     "PermanentFault",
-    "TokenLossFault",
     "TransientFault",
     "flit_error_probability",
 ]

@@ -17,12 +17,11 @@ from repro.utils.rng import ScalarStreams, geometric_gap, geometric_log_q
 from repro.faults.models import (
     FaultEvent,
     PermanentFault,
-    TokenLossFault,
     TransientFault,
 )
 
 #: Expanded schedule actions: penalty deltas at burst start/end, plus the
-#: permanent / token events verbatim.
+#: permanent events verbatim.
 _PENALTY = "penalty"
 
 

@@ -4,8 +4,8 @@ The :class:`FaultLayer` sits between the cycle loop and the wireless /
 photonic links. It plays three roles:
 
 * **injection** -- applies the :class:`~repro.faults.campaign.FaultCampaign`
-  schedule to per-link :class:`~repro.faults.models.LinkFaultState` and to
-  shared-medium tokens, and samples each transmission attempt's CRC outcome
+  schedule to per-link :class:`~repro.faults.models.LinkFaultState`, and
+  samples each transmission attempt's CRC outcome
   from the link's effective OOK error probability, on the link's own
   ``("linklayer", link)`` stream of the layer's seed;
 * **protocol** -- tracks every packet sent over a protected link in a
@@ -183,7 +183,6 @@ class FaultLayer:
         #: Protected links and their health state (also set as link.fault).
         self.protected: Dict[Link, LinkFaultState] = {}
         self._by_name: Dict[str, Link] = {}
-        self._media_by_name = {m.name: m for m in network.mediums}
         for link in network.links:
             if link.kind in self.config.protect_kinds:
                 state = LinkFaultState()
@@ -408,22 +407,13 @@ class FaultLayer:
                 for link in self._resolve(target):
                     state = link.fault
                     state.snr_penalty_db = max(0.0, state.snr_penalty_db + delta)
-            elif act[0] == "PermanentFault":
+            else:  # PermanentFault
                 ev = act[1]
                 for link in self._resolve(ev.target):
                     if ev.kind == "transceiver_death":
                         link.fault.dead = True
                     else:  # trim_drift
                         link.fault.snr_penalty_db += ev.drift_db
-            else:  # TokenLossFault
-                ev = act[1]
-                medium = self._media_by_name.get(ev.medium_name)
-                if medium is None:
-                    raise ValueError(
-                        f"token-loss fault targets unknown medium "
-                        f"{ev.medium_name!r}"
-                    )
-                medium.lose_token(now, ev.recovery_cycles)
 
     def _resolve(self, target: Target) -> List[Link]:
         if target is None:

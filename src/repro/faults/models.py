@@ -11,9 +11,7 @@ when physics stops cooperating:
   (:func:`repro.rf.ook.ook_ber`);
 * **permanent faults** -- transceiver death (the link goes silent: flits
   are lost, not corrupted) and photonic trimming drift (a permanent dB
-  penalty on the optical power budget, i.e. a higher residual BER);
-* **token loss** -- the circulating token of a shared medium is corrupted
-  and must be regenerated, freezing arbitration for a recovery window.
+  penalty on the optical power budget, i.e. a higher residual BER).
 
 A healthy link (no penalty, alive) has error probability exactly 0.0: the
 nominal channel closes at BER <= 1e-9, unobservable at simulation
@@ -182,24 +180,4 @@ class PermanentFault:
             raise ValueError("trim_drift needs a positive drift_db")
 
 
-@dataclass(frozen=True)
-class TokenLossFault:
-    """The shared medium ``medium_name`` loses its token at cycle ``at``.
-
-    Arbitration freezes for ``recovery_cycles`` while the token is
-    regenerated; the current holder keeps its logical hold (packet
-    atomicity is preserved) but cannot transmit.
-    """
-
-    at: int
-    medium_name: str
-    recovery_cycles: int = 8
-
-    def __post_init__(self) -> None:
-        if self.recovery_cycles < 1:
-            raise ValueError(
-                f"recovery_cycles must be >= 1, got {self.recovery_cycles}"
-            )
-
-
-FaultEvent = Union[TransientFault, PermanentFault, TokenLossFault]
+FaultEvent = Union[TransientFault, PermanentFault]

@@ -303,7 +303,6 @@ class KernelState:
                 medium.holder is link
                 and now >= medium.grant_at
                 and now >= medium.busy_until
-                and now >= medium.blocked_until
             ):
                 if medium.holder is not link:
                     # Token held elsewhere: park on the link (re-armed by

@@ -219,8 +219,6 @@ class SharedMedium:
         "requesters",
         "grants",
         "token_wait_cycles",
-        "blocked_until",
-        "token_losses",
         "index",
         "_active",
     )
@@ -252,11 +250,6 @@ class SharedMedium:
         # so kilo-core crossbars with tens of thousands of writer links do
         # not pay a per-cycle member scan.
         self.requesters: set = set()
-        # Token blackout (fault injection): while ``now < blocked_until`` the
-        # token is lost -- no grants are issued and the current holder pauses
-        # mid-packet until the token is regenerated.
-        self.blocked_until = 0
-        self.token_losses = 0
         # Stats
         self.grants = 0
         self.token_wait_cycles = 0
@@ -291,8 +284,6 @@ class SharedMedium:
         """
         if self.holder is not None or not self.requesters:
             return None
-        if now < self.blocked_until:
-            return None  # token lost; awaiting regeneration
         n = len(self.members)
         best_link = None
         best_dist = n
@@ -321,25 +312,6 @@ class SharedMedium:
                     kern.sa_slots.add(s)
             best_link.sa_token_waiters = ()
         return best_link
-
-    def can_transmit(self, link: "Link", now: int) -> bool:
-        return (
-            self.holder is link
-            and now >= self.grant_at
-            and now >= self.busy_until
-            and now >= self.blocked_until
-        )
-
-    def lose_token(self, now: int, recovery_cycles: int) -> None:
-        """Token-loss fault: freeze the medium until regeneration completes.
-
-        The holder (if any) keeps its logical hold so packet atomicity is
-        preserved; it simply cannot transmit until ``now + recovery_cycles``.
-        """
-        if recovery_cycles < 1:
-            raise ValueError(f"recovery_cycles must be >= 1, got {recovery_cycles}")
-        self.blocked_until = max(self.blocked_until, now + recovery_cycles)
-        self.token_losses += 1
 
     @property
     def flits_carried(self) -> int:
@@ -493,9 +465,12 @@ class Link:
         """Can a flit start transmission this cycle (serialization + medium)?"""
         if now < self.busy_until:
             return False
-        if self.medium is not None:
-            return self.medium.can_transmit(self, now)
-        return True
+        medium = self.medium
+        return medium is None or (
+            medium.holder is self
+            and now >= medium.grant_at
+            and now >= medium.busy_until
+        )
 
     @property
     def multicast_degree(self) -> int:

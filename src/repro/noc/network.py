@@ -392,5 +392,41 @@ class Network:
         ni.enqueue_packet(packet)
 
 
+def walk_route(
+    network: Network,
+    routing: RoutingFunction,
+    src_core: int,
+    dst_core: int,
+    packet: Optional[Packet] = None,
+) -> List[Tuple[Router, int, Link, Endpoint]]:
+    """Every ``(router, out_port, link, endpoint)`` hop of one packet's
+    route, up to and including its ejection hop, as the simulator takes it:
+    the production ``compute`` and ``resolve_endpoint``, with the packet's
+    hop counters booked as ``Router._transmit`` books each head departure
+    (relay routing reads ``wireless_hops``). ``packet`` defaults to a fresh
+    one-flit packet: a walk given none books no packet of a run."""
+    if packet is None:
+        packet = Packet(src_core, dst_core, 1, 0, pid=0)
+    router = network.routers[network.core_router[src_core]]
+    hops = []
+    for _ in network.routers:  # a longer route revisits a router
+        port = routing.compute(router, packet)
+        link = router.out_links[port]
+        endpoint = link.resolve_endpoint(packet)
+        hops.append((router, port, link, endpoint))
+        packet.hops += 1
+        kind = link.kind
+        if kind == "photonic":
+            packet.photonic_hops += 1
+        elif kind == "wireless":
+            packet.wireless_hops += 1
+        elif not endpoint.is_sink:
+            packet.electrical_hops += 1
+        if endpoint.is_sink:
+            return hops
+        router = endpoint.router
+    raise RuntimeError(f"route {src_core} -> {dst_core} loops: {hops}")
+
+
 def _euclid(a: Tuple[float, float], b: Tuple[float, float]) -> float:
     return ((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2) ** 0.5

@@ -37,8 +37,12 @@ class RoutingFunction:
     avoidance (e.g. OWN's photonic/wireless VC partitioning). A routing
     that latches ``packet.escaped`` also implements ``hold_for_full`` (see
     ``FaultTolerantOwn256Routing``): route computation asks it only for
-    escaped packets.
+    escaped packets. A routing that relays around failed channels lists
+    them in ``failed_pairs``; the simulator's lone-packet express leaves a
+    network with any to the flit path.
     """
+
+    failed_pairs: frozenset = frozenset()
 
     def allowed_vcs(self, router: "Router", out_port: int, packet: "Packet") -> Sequence[int]:
         link = router.out_links[out_port]
@@ -240,7 +244,6 @@ class Router:
                 medium.holder is link
                 and now >= medium.grant_at
                 and now >= medium.busy_until
-                and now >= medium.blocked_until
             ):
                 tracer.on_vc_stall(self, input_ports[vc.in_port].kind, "token", now)
                 continue

@@ -60,6 +60,17 @@ pre-draws its RNG stream in the order stepping every cycle would. A skipped
 cycle or tick is a no-op by construction; ``tests/reference.py``'s
 ``naive_schedule()`` steps and ticks every cycle to check that.
 
+The jump also crosses a packet that is alone in the network (the
+*lone-packet express*, :meth:`Simulator._express`). When the quiescent
+clock lands on an arrival with nothing scheduled at all, on a run with no
+fault layer, tracer or hook, and the tick creates one packet, that packet's
+timing is the per-flit recurrence of the pipeline, and nothing can meet it
+before the next arrival. If its whole life ends before that arrival (capped
+at the run's end), it is booked in one step -- every grant, pointer, timer,
+credit and ejection written as stepping would leave it -- and the clock
+jumps past it; else it keeps the flit path. ``naive_schedule()`` never
+finds the network quiescent, so it never takes the express.
+
 A deadlock watchdog aborts the run if buffered flits stop moving for a
 configurable number of cycles -- misrouted VC partitioning shows up as a
 loud error instead of a silent hang. Cycles with anything still scheduled
@@ -77,7 +88,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.noc.buffers import ACTIVE, WAITING_VC, VirtualChannel
 from repro.noc.kernels import KernelState
 from repro.noc.links import Endpoint, Link, SharedMedium
-from repro.noc.network import Network, NetworkInterface
+from repro.noc.network import Network, NetworkInterface, walk_route
 from repro.noc.packet import Packet
 from repro.noc.router import Router
 from repro.noc.stats import StatsCollector
@@ -162,6 +173,8 @@ class Simulator:
         self._events: Dict[int, List[Tuple]] = {}
         self._event_cycles: List[int] = []
         self._last_progress = 0
+        #: Packets the lone-packet express booked whole (:meth:`_express`).
+        self.express_packets = 0
         # Active sets: components registered here have (potential) work this
         # cycle. Media and NIs add themselves on their empty->non-empty
         # transitions; the cycle loop prunes them as it visits them.
@@ -396,16 +409,7 @@ class Simulator:
         # on its arrival clock: a cycle before ``_traffic_due`` has no
         # arrival, and a tick there would return nothing.
         if now >= self._traffic_due and self.traffic is not None:
-            stats = self.stats
-            for packet in self.traffic.tick(now):
-                # A packet's id is its acceptance index: whichever traffic
-                # object is installed, ids count from 0 in tick order.
-                packet.pid = stats.packets_created
-                stats.on_packet_created(packet)
-                if tracer is not None:
-                    tracer.on_packet_created(packet, now)
-                self.network.inject_packet(packet)
-            self._traffic_due = self._next_arrival(now + 1)
+            self._tick(now)
         active_nis = self._active_nis
         if active_nis:
             for ni in (
@@ -451,6 +455,153 @@ class Simulator:
 
         self.now = now + 1
         return moved
+
+    def _tick(self, now: int) -> None:
+        """Phase 6's arrivals: accept what the traffic source creates at
+        ``now`` into the NIs' queues, then peek its next arrival."""
+        stats = self.stats
+        tracer = self._tracer
+        for packet in self.traffic.tick(now):
+            # A packet's id is its acceptance index: whichever traffic
+            # object is installed, ids count from 0 in tick order.
+            packet.pid = stats.packets_created
+            stats.on_packet_created(packet)
+            if tracer is not None:
+                tracer.on_packet_created(packet, now)
+            self.network.inject_packet(packet)
+        self._traffic_due = self._next_arrival(now + 1)
+
+    def _express(self, now: int) -> int:
+        """The lone-packet express: book a packet alone in the network in
+        one step; return the flits it moved (0: nothing booked).
+
+        Asked only from :meth:`_advance`'s quiescent branch, at the cycle
+        the traffic source is due. It applies when nothing is scheduled at
+        all, the run has no fault layer, tracer or hook, and the tick
+        creates one packet. That packet is then alone, so its timing is
+        the per-flit recurrence of the pipeline: flit *j* enters the first
+        router at ``now + 1 + j``; at each hop the head leaves at
+        ``max(arrival + 2 + arb_latency, link / medium busy_until)`` and
+        a body flit at ``max(arrival, previous flit + cycles_per_flit)``,
+        and each reaches the next router ``latency`` cycles later. If its
+        life -- ejection, the last credit return, the token release --
+        ends before the next arrival (``_traffic_due``, capped at the
+        run's end), every counter, pointer and timer is written to the
+        value stepping would leave, and the clock moves past the life.
+        Else the packet keeps the flit path: the caller steps the cycle,
+        which pumps it without ticking again.
+
+        The route is the production walk (:func:`walk_route`: ``compute``
+        and ``resolve_endpoint``), and each downstream VC the first of
+        ``allowed_vcs`` (asked after the walk: a VC class depends on the
+        route and the cores, not on the packet's progress), which
+        ``Endpoint.admit`` grants on an idle endpoint. A route that revisits a router or a medium keeps the flit
+        path, and so does a routing that relays around failed channels: its
+        ``compute`` counts relays, and would count one twice if the
+        express declined after walking.
+        """
+        if (
+            self._faults is not None
+            or self._tracer is not None
+            or self._hooks
+            or self._events_pending()
+        ):
+            return 0
+        stats = self.stats
+        created = stats.packets_created
+        self._tick(now)
+        if stats.packets_created != created + 1:
+            return 0
+        (ni,) = self._active_nis
+        packet = ni.queue[0]
+        inject = ni.endpoint
+        size = packet.size_flits
+        routing = inject.router.routing
+        if size > inject.vc_depth or routing.failed_pairs:
+            return 0  # (the NI's pump raises for a packet that cannot fit)
+        hops = walk_route(self.network, routing, packet.src_core, packet.dst_core, packet)
+
+        # The recurrence: each hop's grant_at and tail departure. The life
+        # ends with the sink arrivals ``arrive`` and the credit for the
+        # tail's last departure ``t``.
+        arrive = range(now + 1, now + 1 + size)
+        seen = set()
+        plan = []
+        last = self._traffic_due  # (declined unless the life ends before)
+        for router, port, link, endpoint in hops:
+            medium = link.medium
+            if router in seen or medium in seen:
+                break
+            seen.add(router)
+            t = grant_at = arrive[0] + 2
+            if medium is not None:
+                seen.add(medium)
+                t = grant_at = t + medium.arb_latency
+                if t < medium.busy_until:
+                    t = medium.busy_until
+            if t < link.busy_until:
+                t = link.busy_until
+            lat = link.latency
+            cpf = link.cycles_per_flit
+            departs = [t + lat]
+            for a in arrive[1:]:
+                t += cpf
+                if t < a:
+                    t = a
+                departs.append(t + lat)
+            plan.append((router, port, link, endpoint, grant_at, t))
+            arrive = departs
+        else:
+            last = max(arrive[-1], t + self.credit_latency)
+        if last >= self._traffic_due:
+            packet.hops = packet.wireless_hops = packet.photonic_hops = 0
+            packet.electrical_hops = 0
+            return 0
+
+        kern = self.kernels
+        V = kern.num_vcs
+        in_ptr = kern.in_ptr
+        out_ptr = kern.out_ptr
+        out_n = kern.out_n
+        base = kern.vslot_base
+        in_port = inject.in_port
+        v = 0  # the NI admits on its idle endpoint: the first of range(V)
+        for router, port, link, endpoint, grant_at, tail in plan:
+            pb = base[router.rid] + in_port * V
+            in_ptr[pb] = (v + 1) % V
+            li = link.index
+            out_ptr[li] = (in_port + 1) % out_n[li]
+            router.vca_grants += 1
+            router.sa_grants += size
+            link.busy_until = tail + link.cycles_per_flit
+            link.flits_carried += size
+            medium = link.medium
+            if medium is not None:
+                medium.grant_at = grant_at
+                medium.busy_until = link.busy_until
+                medium._rr_next = (link.member_index + 1) % len(medium.members)
+                medium.grants += 1
+                medium.token_wait_cycles += medium.arb_latency
+            if not endpoint.is_sink:
+                cands = routing.allowed_vcs(router, port, packet)
+                mask = 0
+                for c in cands:
+                    mask |= 1 << c
+                kern.slot_vc[pb + v].cand_mask = mask
+                in_port = endpoint.in_port
+                v = cands[0]
+        for t in arrive:
+            stats.on_flit_ejected(t, packet)
+        packet.t_inject = now
+        packet.t_eject = t
+        stats.on_packet_ejected(packet, t)
+        del ni.queue[0]
+        ni.flits_injected += size
+        self._active_nis.discard(ni)
+        self._last_progress = t
+        self.now = last + 1
+        self.express_packets += 1
+        return size * (2 * len(plan) + 1)
 
     def _deadlock_report(self, now: int) -> str:
         """Deadlock diagnostics: invariant audit + where the flits sit.
@@ -522,7 +673,9 @@ class Simulator:
         Events scheduled for later cycles and future fault-campaign actions
         / traffic injections do *not* count -- they are precisely the wake
         sources the fast-forward jumps to. (One due now would make the jump
-        zero cycles long.)
+        zero cycles long.) A quiescent network is also the only one the
+        lone-packet express (:meth:`_express`) books a packet into: patched
+        to ``False`` (``tests/reference.py``), it turns both off.
         """
         slot = self.now & self._ring_mask
         return (
@@ -584,9 +737,12 @@ class Simulator:
         The one place cycles are skipped: a quiescent network jumps to its
         next wake source, which is capped at ``end``, and steps the cycle it
         lands on (asked again there, ``_next_wake`` would return that cycle;
-        a drain re-checks for pending work first). ``_quiescent()`` decides;
-        it is asked only once the buffered-flit count and the two active
-        sets, the cheap half of its answer, are empty.
+        a drain re-checks for pending work first). If that cycle is the
+        traffic source's next arrival, the lone-packet express
+        (:meth:`_express`) may book the packet it creates and move the clock
+        past that packet's life instead. ``_quiescent()`` decides; it is
+        asked only once the buffered-flit count and the two active sets, the
+        cheap half of its answer, are empty.
         """
         moved = 0
         kern = self.kernels
@@ -603,6 +759,11 @@ class Simulator:
                     if target > self.now:
                         self.now = target
                         if until_drained or target == end:
+                            continue
+                    if target == self._traffic_due and self.traffic is not None:
+                        booked = self._express(target)
+                        if booked:
+                            moved += booked
                             continue
                 moved += self.step()
         finally:

@@ -86,7 +86,7 @@ def test_router_pair_walk_equals_all_core_pairs(name):
     for src in range(net.n_cores):
         for dst in range(net.n_cores):
             if src != dst:
-                for _, _, link in walk_route(net, routing, src, dst):
+                for _, _, link, _ in walk_route(net, routing, src, dst):
                     channel = channel_of(link)
                     if channel is not None:
                         loads[channel] += 1

@@ -1,7 +1,7 @@
 """RELAY_VC_ORDER is executable: every relay route climbs it strictly.
 
 No simulation: each route is walked on a built network by the production
-route walker (``repro.analysis.model.walk_route``, i.e. ``compute``) and
+route walker (``repro.noc.network.walk_route``, i.e. ``compute``) and
 each hop's grant read from ``allowed_vcs``, for OWN-256 (relay domain:
 cluster) and OWN-1024 (relay domain: group), under no failure, every single
 failure and a fixed sample of routable double failures.
@@ -72,7 +72,7 @@ def grants(net, routing, src_core, dst_core):
     assert len(hops) <= len(RELAY_VC_ORDER), f"route outgrows the table: {hops}"
     return [
         (link.kind, tuple(routing.allowed_vcs(router, port, packet)))
-        for router, port, link in hops
+        for router, port, link, _ in hops
     ]
 
 

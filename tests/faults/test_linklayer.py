@@ -8,7 +8,6 @@ from repro.faults import (
     FaultLayer,
     LinkLayerConfig,
     PermanentFault,
-    TokenLossFault,
     TransientFault,
 )
 from repro.noc import Simulator
@@ -162,28 +161,6 @@ class TestRetransmission:
         power = measure_power(built, sim)
         assert power.retx_overhead_w > 0.0
         assert power.total_w > power.retx_overhead_w
-
-
-class TestTokenLoss:
-    def test_token_loss_freezes_then_recovers(self):
-        campaign = FaultCampaign(
-            [TokenLossFault(at=150, medium_name="c0.wg0", recovery_cycles=8)]
-        )
-        built, sim, _ = _run(campaign=campaign)
-        medium = next(m for m in built.network.mediums if m.name == "c0.wg0")
-        assert medium.token_losses == 1
-        assert sim.stats.packets_ejected == sim.stats.packets_created
-        audit_network(sim)
-
-    def test_unknown_medium_rejected(self):
-        campaign = FaultCampaign(
-            [TokenLossFault(at=10, medium_name="no.such.medium")]
-        )
-        built = build_fault_tolerant_own256()
-        layer = FaultLayer(built.network, campaign=campaign)
-        sim = Simulator(built.network, faults=layer)
-        with pytest.raises(ValueError):
-            sim.run(20)
 
 
 class TestPermanentFaultTargets:

@@ -8,7 +8,6 @@ import pytest
 from repro.faults import (
     LinkFaultState,
     PermanentFault,
-    TokenLossFault,
     TransientFault,
     flit_error_probability,
 )
@@ -77,7 +76,3 @@ class TestEventValidation:
         with pytest.raises(ValueError):
             PermanentFault(at=0, target=None, kind="trim_drift")
         PermanentFault(at=0, target=None, kind="trim_drift", drift_db=3.0)
-
-    def test_token_loss_recovery_window(self):
-        with pytest.raises(ValueError):
-            TokenLossFault(at=0, medium_name="c0.wg0", recovery_cycles=0)

@@ -203,8 +203,8 @@ class TestSharedMedium:
         medium.note_request(link)
         medium.try_grant(10)
         assert medium.holder is link
-        assert not medium.can_transmit(link, 11)
-        assert medium.can_transmit(link, 13)
+        assert not link.ready(11)
+        assert link.ready(13)
 
     def test_holder_released_on_tail(self):
         medium = SharedMedium("m", kind="photonic", arb_latency=0)
@@ -226,8 +226,8 @@ class TestSharedMedium:
         medium.note_request(l2)
         medium.try_grant(1)
         assert medium.holder is l2
-        assert not medium.can_transmit(l2, 2)
-        assert medium.can_transmit(l2, 4)
+        assert not l2.ready(2)
+        assert l2.ready(4)
 
     def test_drop_request(self):
         medium = SharedMedium("m", kind="wireless", arb_latency=0, multicast_degree=2)
